@@ -15,6 +15,17 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo fmt --check"
 cargo fmt --check
 
+echo "==> source size gate (no workspace .rs file over 1300 lines)"
+# "No 2.5k-line files" as a gate rather than a wish: a file that outgrows
+# this wants splitting along its state machines, as comm::progress was.
+big=$(find src tests examples crates -name '*.rs' -not -path '*/target/*' -exec wc -l {} + \
+    | awk '$2 != "total" && $1 > 1300 { print "    " $2 ": " $1 " lines" }')
+if [ -n "$big" ]; then
+    echo "$big"
+    echo "source size gate failed"
+    exit 1
+fi
+
 echo "==> bench smoke (kernels, quick mode)"
 cargo bench -q -p bench-harness --bench kernels -- --test
 
@@ -33,6 +44,14 @@ for f in target/BENCH_epilogue.json BENCH_epilogue.json; do
         echo "    $f OK"
     fi
 done
+
+echo "==> perf smoke (the pinned benchmark of BENCHMARK.json, every workload once)"
+# The pipeline's own invocation in smoke form, through the package's own
+# manifest and pinned lock file: a protocol change that breaks the
+# benchmark's build, or that it would reject as invalid (a retry on its
+# clean mesh, a stalled completion), fails here rather than in the
+# pipeline.
+cargo run --release --quiet --manifest-path crates/bench/src/bin/perf/Cargo.toml -- smoke
 
 echo "==> comm smoke (4 ranks x 4 workers over sockets, v1..v5 + fused v5 vs single-process energies, verified tile cache)"
 # The smoke runs every rank with 4 stealing workers beside the comm

@@ -78,10 +78,8 @@ struct RunOut {
     cache_hit_bytes: u64,
     /// Verified-stale cached reads (chaos/smoke only; gated to zero).
     stale_reads: u64,
-    /// Request coalescing and multi-get batching on the wire side.
-    coalesced_gets: u64,
+    /// Get bytes requested / delivered, and multi-get batching.
     get_req_bytes: u64,
-    get_coal_bytes: u64,
     get_wire_bytes: u64,
     multi_gets: u64,
     multi_parts: u64,
@@ -103,8 +101,8 @@ struct RunOut {
 
 /// The wire-accounting invariants every rank must reconcile before its
 /// fragment is trusted: the GA layer's idea of remote read traffic must
-/// equal the endpoint's requested get bytes, and requested bytes must
-/// split exactly into coalesced (shared) and wire (transferred) bytes.
+/// equal the endpoint's requested get bytes, and — the pipeline having
+/// drained — every requested byte must have been delivered off the wire.
 /// A drift here means a counter lies — fail the whole benchmark loudly.
 fn assert_reconciled(rank: usize, ga: &global_arrays::GaStats, s: &comm::CommStatsSnap) {
     assert_eq!(
@@ -114,13 +112,8 @@ fn assert_reconciled(rank: usize, ga: &global_arrays::GaStats, s: &comm::CommSta
          a read path is bypassing the accounting"
     );
     assert_eq!(
-        s.get_req_bytes - s.get_coal_bytes,
-        s.get_wire_bytes,
-        "rank {rank}: get_req_bytes - get_coal_bytes != get_wire_bytes — \
-         coalescing accounting leaked (req {}, coal {}, wire {})",
-        s.get_req_bytes,
-        s.get_coal_bytes,
-        s.get_wire_bytes
+        s.get_req_bytes, s.get_wire_bytes,
+        "rank {rank}: get_req_bytes != get_wire_bytes — a posted get never delivered"
     );
 }
 
@@ -300,9 +293,7 @@ fn run_rank(
             out.cache_invals += ga_stats.cache_invalidations() - c0.3;
             out.cache_hit_bytes += ga_stats.cache_hit_bytes() - c0.4;
             out.stale_reads = ga_stats.stale_reads();
-            out.coalesced_gets += s1.coalesced_gets - s0.coalesced_gets;
             out.get_req_bytes += s1.get_req_bytes - s0.get_req_bytes;
-            out.get_coal_bytes += s1.get_coal_bytes - s0.get_coal_bytes;
             out.get_wire_bytes += s1.get_wire_bytes - s0.get_wire_bytes;
             out.multi_gets += s1.multi_gets - s0.multi_gets;
             out.multi_parts += s1.multi_parts - s0.multi_parts;
@@ -548,9 +539,7 @@ fn write_fragment(path: &Path, outs: &[RunOut]) {
             ("cache_invals", o.cache_invals),
             ("cache_hit_bytes", o.cache_hit_bytes),
             ("stale_reads", o.stale_reads),
-            ("coalesced_gets", o.coalesced_gets),
             ("get_req_bytes", o.get_req_bytes),
-            ("get_coal_bytes", o.get_coal_bytes),
             ("get_wire_bytes", o.get_wire_bytes),
             ("multi_gets", o.multi_gets),
             ("multi_parts", o.multi_parts),
@@ -612,9 +601,7 @@ fn parse_fragment(text: &str) -> Vec<RunOut> {
             "cache_invals" => o.cache_invals = val.parse().unwrap(),
             "cache_hit_bytes" => o.cache_hit_bytes = val.parse().unwrap(),
             "stale_reads" => o.stale_reads = val.parse().unwrap(),
-            "coalesced_gets" => o.coalesced_gets = val.parse().unwrap(),
             "get_req_bytes" => o.get_req_bytes = val.parse().unwrap(),
-            "get_coal_bytes" => o.get_coal_bytes = val.parse().unwrap(),
             "get_wire_bytes" => o.get_wire_bytes = val.parse().unwrap(),
             "multi_gets" => o.multi_gets = val.parse().unwrap(),
             "multi_parts" => o.multi_parts = val.parse().unwrap(),
@@ -1095,12 +1082,6 @@ fn aggregate(
         } else {
             (hits + joins) as f64 / lookups as f64
         };
-        let (coalesced, gets) = (sum(&|o| o.coalesced_gets), sum(&|o| o.gets));
-        let coalesce_ratio = if gets == 0 {
-            0.0
-        } else {
-            coalesced as f64 / gets as f64
-        };
         let (multi_gets, multi_parts) = (sum(&|o| o.multi_gets), sum(&|o| o.multi_parts));
         let occupancy = if multi_gets == 0 {
             0.0
@@ -1138,12 +1119,12 @@ fn aggregate(
             sum(&|o| o.engine_external_tasks),
         );
         println!(
-            "{:>12}  cache hit rate {hit_rate:.3} ({hits} hits / {joins} joins / {misses} misses)  coalesce ratio {coalesce_ratio:.3}  batch occupancy {occupancy:.2} ({multi_parts} gets in {multi_gets} frames)",
+            "{:>12}  cache hit rate {hit_rate:.3} ({hits} hits / {joins} joins / {misses} misses)  batch occupancy {occupancy:.2} ({multi_parts} gets in {multi_gets} frames)",
             ""
         );
         sweep_rows.push((name.clone(), row_threads, wall_ns, overlap));
         rows.push(format!(
-            "    {{\n      \"name\": \"{name}\",\n      \"threads\": {row_threads},\n      \"wall_ns\": {wall_ns},\n      \"energy_rel_diff\": {d:.3e},\n      \"overlap_fraction\": {overlap:.6},\n      \"comm_ns\": {comm_ns},\n      \"overlapped_ns\": {overlapped_ns},\n      \"steal\": {{\"requests\": {}, \"donated_chains\": {donated}, \"stolen_chains\": {stolen}, \"donated_bytes\": {}, \"stolen_bytes\": {}, \"local_claimed\": {}, \"engine_local_steals\": {}, \"engine_external_tasks\": {}}},\n      \"eager_payloads\": {},\n      \"rndv_payloads\": {},\n      \"bytes_tx\": {},\n      \"bytes_rx\": {},\n      \"gets\": {},\n      \"puts\": {},\n      \"accs\": {},\n      \"ga_local_bytes\": {},\n      \"ga_remote_bytes\": {},\n      \"recovery\": {{\"timeouts\": {}, \"retries\": {}, \"dup_requests\": {}, \"dup_replies\": {}}},\n      \"cache\": {{\"hits\": {hits}, \"joins\": {joins}, \"misses\": {misses}, \"invalidations\": {}, \"hit_rate\": {hit_rate:.6}, \"hit_bytes\": {}}},\n      \"coalesce\": {{\"coalesced_gets\": {coalesced}, \"coal_bytes\": {}, \"ratio\": {coalesce_ratio:.6}}},\n      \"batch\": {{\"multi_gets\": {multi_gets}, \"multi_parts\": {multi_parts}, \"occupancy\": {occupancy:.6}, \"req_bytes\": {}, \"wire_bytes\": {}}},\n      \"get_latency_us\": {{\"p50\": {:.2}, \"p90\": {:.2}, \"p99\": {:.2}}}\n    }}",
+            "    {{\n      \"name\": \"{name}\",\n      \"threads\": {row_threads},\n      \"wall_ns\": {wall_ns},\n      \"energy_rel_diff\": {d:.3e},\n      \"overlap_fraction\": {overlap:.6},\n      \"comm_ns\": {comm_ns},\n      \"overlapped_ns\": {overlapped_ns},\n      \"steal\": {{\"requests\": {}, \"donated_chains\": {donated}, \"stolen_chains\": {stolen}, \"donated_bytes\": {}, \"stolen_bytes\": {}, \"local_claimed\": {}, \"engine_local_steals\": {}, \"engine_external_tasks\": {}}},\n      \"eager_payloads\": {},\n      \"rndv_payloads\": {},\n      \"bytes_tx\": {},\n      \"bytes_rx\": {},\n      \"gets\": {},\n      \"puts\": {},\n      \"accs\": {},\n      \"ga_local_bytes\": {},\n      \"ga_remote_bytes\": {},\n      \"recovery\": {{\"timeouts\": {}, \"retries\": {}, \"dup_requests\": {}, \"dup_replies\": {}}},\n      \"cache\": {{\"hits\": {hits}, \"joins\": {joins}, \"misses\": {misses}, \"invalidations\": {}, \"hit_rate\": {hit_rate:.6}, \"hit_bytes\": {}}},\n      \"batch\": {{\"multi_gets\": {multi_gets}, \"multi_parts\": {multi_parts}, \"occupancy\": {occupancy:.6}, \"req_bytes\": {}, \"wire_bytes\": {}}},\n      \"get_latency_us\": {{\"p50\": {:.2}, \"p90\": {:.2}, \"p99\": {:.2}}}\n    }}",
             sum(&|o| o.steal_reqs),
             sum(&|o| o.steal_donated_bytes),
             sum(&|o| o.steal_stolen_bytes),
@@ -1154,7 +1135,7 @@ fn aggregate(
             sum(&|o| o.rndv),
             sum(&|o| o.bytes_tx),
             sum(&|o| o.bytes_rx),
-            gets,
+            sum(&|o| o.gets),
             sum(&|o| o.puts),
             sum(&|o| o.accs),
             sum(&|o| o.ga_local),
@@ -1165,7 +1146,6 @@ fn aggregate(
             sum(&|o| o.dup_replies),
             sum(&|o| o.cache_invals),
             sum(&|o| o.cache_hit_bytes),
-            sum(&|o| o.get_coal_bytes),
             sum(&|o| o.get_req_bytes),
             sum(&|o| o.get_wire_bytes),
             percentile_us(&lats, 50.0),

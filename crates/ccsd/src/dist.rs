@@ -15,10 +15,10 @@
 
 use crate::ctx::VariantCfg;
 use crate::steal::{ChainSource, PrefetchFn, StealConfig, StealSummary};
-use crate::variants::{build_graph_dist, build_graph_external};
+use crate::variants::build_graph_external;
 use comm::{CommConfig, Endpoint, Transport};
 use global_arrays::{DistStore, Ga, GangView, TileCacheConfig};
-use parsec_rt::{CoarseRuntime, NativeReport, NativeRuntime, SchedPolicy, TilePool};
+use parsec_rt::{NativeReport, NativeRuntime, SchedPolicy, TilePool};
 use ptg::TaskGraph;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -34,8 +34,7 @@ pub struct DistRun {
     /// This rank's engine report (worker spans on the shared comm
     /// timeline, tagged with this rank's node id).
     pub report: NativeReport,
-    /// Cross-rank steal activity of this run on this rank (all zero on
-    /// the coarse path, which predates the steal ledger).
+    /// Cross-rank steal activity of this run on this rank.
     pub steal: StealSummary,
 }
 
@@ -295,28 +294,6 @@ impl DistRank {
         self.settle(report, steal)
     }
 
-    /// Collectively execute one variant on the coarse-locked baseline
-    /// engine (always synchronous reader bodies: the engine predates
-    /// deferred completions).
-    pub fn run_variant_coarse(&self, cfg: VariantCfg, threads: usize) -> DistRun {
-        self.reset_output();
-        let graph = build_graph_dist(
-            self.ins.clone(),
-            cfg,
-            Some(self.ws.clone()),
-            self.pool.clone(),
-            Some(self.my_node()),
-            false,
-        );
-        let policy = if cfg.priorities {
-            SchedPolicy::PriorityFifo
-        } else {
-            SchedPolicy::Fifo
-        };
-        let report = CoarseRuntime::new(threads).policy(policy).run(&graph);
-        self.settle(report, StealSummary::default())
-    }
-
     /// Post-run collective: flush outstanding accumulates everywhere,
     /// compute the energy on the gang leader (remote shards gathered
     /// over the wire), and hold the other members back until it is read
@@ -403,16 +380,12 @@ mod tests {
     }
 
     #[test]
-    fn prefetch_off_and_coarse_engine_agree() {
+    fn prefetch_off_matches_reference() {
         let e_ref = reference();
         let energies = run_ranks(2, |rank| {
-            let sync = rank.run_variant(VariantCfg::v5(), 2, false).energy;
-            let coarse = rank.run_variant_coarse(VariantCfg::v5(), 2).energy;
-            (sync, coarse)
+            rank.run_variant(VariantCfg::v5(), 2, false).energy
         });
-        let (sync, coarse) = &energies[0];
-        assert!(rel_diff(e_ref, sync.unwrap()) < 1e-12);
-        assert!(rel_diff(e_ref, coarse.unwrap()) < 1e-12);
+        assert!(rel_diff(e_ref, energies[0].unwrap()) < 1e-12);
     }
 
     #[test]

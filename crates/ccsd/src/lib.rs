@@ -14,7 +14,7 @@
 //!   chain subsets, and the priority-driven prefetch pipeline;
 //! * [`steal`] — locality-aware cross-rank work stealing: the per-rank
 //!   chain ledger, the `WorkSource` that feeds the fused engine, and
-//!   the `StealRequest` donation handler (DESIGN.md §4.7);
+//!   the steal-request donation handler (DESIGN.md §4.7);
 //! * [`baseline`] — the original NWChem Coarse-Grain-Parallelism model:
 //!   ranks, seven barrier-separated work levels, global NXTVAL work
 //!   stealing, blocking `GET_HASH_BLOCK`s (Figures 12-13), simulated on

@@ -5,7 +5,7 @@
 //! ranks: each rank's chains live in a [`ChainLedger`] instead of being
 //! materialized as graph roots, and a [`ChainSource`] feeds them to the
 //! native engine through the [`WorkSource`] hook. When every local deque
-//! *and* the ledger run dry, the source issues a `StealRequest` active
+//! *and* the ledger run dry, the source issues a steal-request active
 //! message to the nearest non-dry peer on the rank ring; the victim's
 //! progress thread answers from its own ledger — preferring chains whose
 //! operands already live on the thief — and the granted chains execute on
@@ -15,8 +15,8 @@
 //!
 //! Exactly-once execution under the lossy transport rests on two facts:
 //! chains leave a ledger exactly once (one mutex guards local claims and
-//! donations alike), and a duplicate `StealRequest` re-receives the
-//! *recorded* grant rather than a second donation (see `comm::progress`).
+//! donations alike), and a duplicate steal request re-receives the
+//! *recorded* grant rather than a second donation (see `comm::call`).
 //! Requests carry the collective run's epoch so a rank still finishing
 //! run `N` answers a run-`N+1` thief dry instead of donating chains from
 //! the wrong graph.
@@ -45,7 +45,7 @@ pub struct StealConfig {
     pub window: usize,
     /// Chains claimed from the local ledger per idle poll.
     pub batch: usize,
-    /// Maximum chains requested per `StealRequest`; `0` disables
+    /// Maximum chains requested per steal request; `0` disables
     /// cross-rank stealing entirely (the ledger still feeds local
     /// workers, but no requests hit the wire).
     pub limit: u32,
@@ -99,7 +99,7 @@ pub struct StealSummary {
     pub stolen_chains: u64,
     /// Operand + output bytes of the received chains.
     pub stolen_bytes: u64,
-    /// StealRequests this rank posted (grants + dry answers).
+    /// Steal requests this rank posted (grants + dry answers).
     pub probes_sent: u64,
     /// Probes answered with zero chains; each marks its victim dry, so
     /// `probes_sent - dry_replies` is the number of granted probes.
@@ -224,7 +224,7 @@ pub fn chain_roots(ins: &Inspection, cfg: &VariantCfg, l1: i64, out: &mut Vec<Ta
 struct SourceState {
     /// Chains granted by victims, awaiting expansion into root keys.
     granted: Vec<i64>,
-    /// StealRequests on the wire; poll answers `Pending` while any are
+    /// Steal requests on the wire; poll answers `Pending` while any are
     /// outstanding (granted chains must execute before `Empty`).
     inflight: usize,
     /// Peers that answered dry this run. Sticky: a victim's ledger only
@@ -340,7 +340,7 @@ impl ChainSource {
             .find(|&p| !st.dry[p] && !st.probing[p])
     }
 
-    /// Post a StealRequest to logical node `victim` (wire target is the
+    /// Post a steal request to logical node `victim` (wire target is the
     /// gang member's real rank); the reply lands on the comm thread,
     /// which banks the grant, prefetches the first granted chain's
     /// operands, and wakes the parked workers.

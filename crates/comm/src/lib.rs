@@ -12,32 +12,52 @@
 //!   length-prefixed frames.
 //!
 //! Each rank runs an [`Endpoint`] whose progress thread services active
-//! messages against the rank-local [`ShardStore`]. Small payloads travel
-//! eagerly; above [`CommConfig::eager_threshold`] the protocol switches
-//! to rendezvous (RTS/CTS, or reply-announce/pull for gets). Asynchronous
-//! gets are throttled per peer and queued by task priority — the
-//! communication half of the paper's priority scheme, which keeps the
-//! wire delivering the operands the scheduler will want next.
+//! messages against the rank-local [`ShardStore`]. The engine is five
+//! small state machines around that thread:
 //!
-//! The protocol tolerates frame loss, delay, duplication and reordering:
-//! mutating operations carry per-peer sequence numbers deduplicated on
-//! the server, pending requests retry with capped exponential backoff,
-//! and [`fault::FaultTransport`] injects exactly those faults from a
-//! seeded schedule so chaos tests can prove the engine recovers.
+//! * [`call`] — the request table. One generic primitive,
+//!   [`Endpoint::call`] / [`Endpoint::serve`], carries every control
+//!   active message (the [`am`] table: NXTVAL, steals, job control) and
+//!   puts/accumulates: one pending-request map, one recorded-reply map
+//!   per peer, so sequence numbers, timeout-retry, at-most-once apply,
+//!   "a duplicate re-receives the recorded reply" and abort toward a
+//!   dead peer are each written once.
+//! * [`get`] — the read pipeline. Small payloads travel eagerly; above
+//!   [`CommConfig::eager_threshold`] replies rendezvous
+//!   (announce/pull). Asynchronous gets are throttled per peer, queued
+//!   by destination block and task priority — the communication half of
+//!   the paper's priority scheme — and batched into `MultiGet` frames.
+//! * [`barrier`] — gang-scoped enter/release/ack collectives.
+//! * [`liveness`] — the failure detector and the poison-abort it drives.
+//! * [`endpoint`] — the progress loop, dispatch and the retry sweep.
+//!
+//! The wire format is one table of message kinds ([`msg`]). The protocol
+//! tolerates frame loss, delay, duplication and reordering, and
+//! [`fault::FaultTransport`] injects exactly those faults from a seeded
+//! schedule so chaos tests can prove the engine recovers.
 
+pub mod am;
+pub mod barrier;
+pub mod call;
+pub mod endpoint;
 pub mod fault;
+pub mod get;
+pub mod liveness;
 pub mod msg;
-pub mod progress;
 pub mod socket;
 pub mod transport;
 
-pub use fault::{FaultCounters, FaultEvent, FaultPlan, FaultTransport, SplitMix64};
-pub use msg::{CodecError, GetSpec, Msg, ReplyView, WireSlice};
-pub use progress::{
-    full_mask, mask_leader, mask_members, CommConfig, CommStatsSnap, Endpoint, FailureHandler,
-    GetCallback, JobHandler, ShardStore, StatusCallback, StealCallback, StealHandler,
-    SubmitCallback, JOB_REJECTED,
+pub use am::{
+    Am, AmSpec, JobHandler, StatusCallback, StealCallback, StealHandler, SubmitCallback,
+    JOB_REJECTED,
 };
+pub use barrier::{full_mask, mask_leader, mask_members};
+pub use call::{AmHandler, CallCallback};
+pub use endpoint::{CommConfig, CommStatsSnap, Endpoint, ShardStore};
+pub use fault::{FaultCounters, FaultEvent, FaultPlan, FaultTransport, SplitMix64};
+pub use get::GetCallback;
+pub use liveness::FailureHandler;
+pub use msg::{CodecError, GetSpec, Msg, ReplyView, WireSlice};
 pub use socket::SocketTransport;
 pub use transport::{loopback, LoopbackTransport, Transport};
 
@@ -140,30 +160,27 @@ mod tests {
         h.join().unwrap();
     }
 
-    /// Post gets to offsets 0..8 at priorities 0..8 and report completion
-    /// order (first element is the un-queued head-start launch).
-    fn drain_order(cfg: CommConfig) -> (Arc<Endpoint>, Vec<i64>) {
+    /// Post 8 single-element gets — the `i`-th at `offset(i)` with
+    /// priority `i` — and report the priorities in completion order
+    /// (first element is the un-queued head-start launch).
+    fn drain_order(cfg: CommConfig, offset: fn(usize) -> usize) -> (Arc<Endpoint>, Vec<i64>) {
         let mut t = loopback(2);
         let t1 = t.pop().unwrap();
         let t0 = t.pop().unwrap();
-        let s1 = MemStore::new(&[256]);
-        for (i, v) in s1.arrays[0].lock().unwrap().iter_mut().enumerate() {
-            *v = i as f64;
-        }
         let e0 = Endpoint::spawn(Box::new(t0), MemStore::new(&[256]), cfg);
-        let _e1 = Endpoint::spawn(Box::new(t1), s1, CommConfig::default());
+        let _e1 = Endpoint::spawn(Box::new(t1), MemStore::new(&[256]), CommConfig::default());
         let order = Arc::new(Mutex::new(Vec::new()));
         let done = Arc::new(AtomicUsize::new(0));
-        for p in 0..8i64 {
+        for p in 0..8usize {
             let (order, done) = (order.clone(), done.clone());
             e0.get_async(
                 1,
                 0,
-                p as usize,
+                offset(p),
                 1,
-                p,
-                Box::new(move |data: WireSlice<'_>| {
-                    order.lock().unwrap().push(data.to_vec()[0] as i64);
+                p as i64,
+                Box::new(move |_: WireSlice<'_>| {
+                    order.lock().unwrap().push(p as i64);
                     done.fetch_add(1, Ordering::SeqCst);
                 }),
             );
@@ -176,15 +193,17 @@ mod tests {
     }
 
     #[test]
-    fn async_gets_respect_inflight_cap_and_priority() {
-        // Cap of 1, no batching, priority-only ordering: the queued gets
-        // must complete highest-priority-first.
-        let (e0, order) = drain_order(CommConfig {
-            max_inflight_gets: 1,
-            max_batch_parts: 1,
-            locality_order: false,
-            ..CommConfig::default()
-        });
+    fn priority_breaks_ties_within_one_block() {
+        // Cap of 1, no batching, every get aimed at the same block: the
+        // queued gets must complete highest-priority-first.
+        let (e0, order) = drain_order(
+            CommConfig {
+                max_inflight_gets: 1,
+                max_batch_parts: 1,
+                ..CommConfig::default()
+            },
+            |_| 5,
+        );
         // The first completion raced the queue build-up; everything queued
         // afterwards drains in strict descending priority.
         assert_eq!(order[1..], [7, 6, 5, 4, 3, 2, 1]);
@@ -194,15 +213,17 @@ mod tests {
     }
 
     #[test]
-    fn locality_order_drains_by_destination_block() {
-        // Same posts, but locality ordering: the queue drains by
-        // ascending (array, offset), priority demoted to tie-break.
-        let (e0, order) = drain_order(CommConfig {
-            max_inflight_gets: 1,
-            max_batch_parts: 1,
-            locality_order: true,
-            ..CommConfig::default()
-        });
+    fn queue_drains_by_destination_block() {
+        // Distinct blocks: the queue drains by ascending (array, offset),
+        // priority demoted to tie-break.
+        let (e0, order) = drain_order(
+            CommConfig {
+                max_inflight_gets: 1,
+                max_batch_parts: 1,
+                ..CommConfig::default()
+            },
+            |p| p,
+        );
         assert_eq!(order[1..], [1, 2, 3, 4, 5, 6, 7]);
         assert_eq!(e0.take_latencies().len(), 8);
     }
@@ -211,12 +232,14 @@ mod tests {
     fn queued_gets_batch_into_multi_frames() {
         // Cap of 1 with batching: the 7 queued gets drain as one
         // MultiGet frame when the head-start get's slot frees.
-        let (e0, order) = drain_order(CommConfig {
-            max_inflight_gets: 1,
-            max_batch_parts: 8,
-            locality_order: true,
-            ..CommConfig::default()
-        });
+        let (e0, order) = drain_order(
+            CommConfig {
+                max_inflight_gets: 1,
+                max_batch_parts: 8,
+                ..CommConfig::default()
+            },
+            |p| p,
+        );
         assert_eq!(order[1..], [1, 2, 3, 4, 5, 6, 7]);
         let s = e0.stats();
         assert_eq!(s.multi_gets, 1, "one batch frame expected");
@@ -226,7 +249,7 @@ mod tests {
     }
 
     #[test]
-    fn identical_gets_coalesce_onto_one_transfer() {
+    fn identical_gets_each_complete_with_their_own_transfer() {
         let mut t = loopback(2);
         let t1 = t.pop().unwrap();
         let t0 = t.pop().unwrap();
@@ -241,7 +264,8 @@ mod tests {
             },
         );
         let _e1 = Endpoint::spawn(Box::new(t1), s1, CommConfig::default());
-        // Occupy the only slot so the identical gets sit queued together.
+        // One slot, so the identical gets sit queued together — and still
+        // each completes once (deduplicating readers is `ga::cache`'s job).
         let done = Arc::new(AtomicUsize::new(0));
         for _ in 0..4 {
             let done = done.clone();
@@ -262,17 +286,16 @@ mod tests {
         }
         let s = e0.stats();
         assert_eq!(s.gets, 4);
-        assert!(
-            s.coalesced_gets >= 2,
-            "queued identical gets must coalesce (got {})",
-            s.coalesced_gets
-        );
         assert_eq!(s.get_req_bytes, 4 * 8);
-        assert_eq!(s.get_coal_bytes, s.coalesced_gets * 8);
-        assert_eq!(
-            s.get_wire_bytes,
-            s.get_req_bytes - s.get_coal_bytes,
-            "requested = coalesced + wire"
-        );
+        assert_eq!(s.get_wire_bytes, s.get_req_bytes, "requested = delivered");
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64 ranks")]
+    fn more_than_64_ranks_is_rejected() {
+        // Rank masks are u64: rank 64 would alias rank 0's liveness and
+        // barrier bit, so the endpoint refuses the mesh outright.
+        let t = loopback(65).pop().unwrap();
+        Endpoint::spawn(Box::new(t), MemStore::new(&[1]), CommConfig::default());
     }
 }

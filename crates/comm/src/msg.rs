@@ -2,17 +2,27 @@
 //!
 //! Every message travels as one *frame*: a little-endian `u32` byte length
 //! on the wire (added by the transport), then the body encoded here — a
-//! one-byte tag followed by fixed-width little-endian fields and, for
-//! data-bearing messages, a `u64` element count plus raw `f64` payload.
-//! Decoding is strict: truncated bodies, trailing bytes and unknown tags
-//! are all rejected, never silently tolerated.
+//! one-byte tag followed by the kind's fields in declaration order, each
+//! fixed-width little-endian; a vector field is a `u64` element count
+//! followed by its elements. Decoding is strict: truncated bodies,
+//! trailing bytes, unknown tags and unknown AM ids are all rejected,
+//! never silently tolerated, and an element count is checked against the
+//! bytes actually present before anything is allocated for it.
+//!
+//! Every kind is declared exactly once, in the `messages!` table
+//! below: the enum variant, its tag, the encoder and the decoder all
+//! derive from that one row, so adding a kind is a one-place edit.
 //!
 //! The one-sided protocol follows the classic eager/rendezvous split:
 //! payloads at most the configured threshold ride inside the request or
 //! reply (`Get` -> `GetReplyEager`, `Put`, `Acc`); larger transfers
 //! exchange control messages first (`GetReplyRndv`/`GetPull`,
-//! `PutRts`/`PutCts`, `AccRts`/`AccCts`) so the receiver paces the bulk
-//! data frames.
+//! `Rts`/`Cts`) so the receiver paces the bulk data frames. Everything
+//! that is not block access or a barrier — the shared counter, steals,
+//! job control — is a [`Msg::Call`] answered by a [`Msg::Return`].
+
+use crate::am::Am;
+use crate::fault::SplitMix64;
 
 /// Errors produced by [`Msg::decode`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -23,6 +33,8 @@ pub enum CodecError {
     TrailingBytes(usize),
     /// The leading tag byte names no known message.
     UnknownTag(u8),
+    /// A `Call` names an active message the AM table does not declare.
+    UnknownAm(u8),
 }
 
 impl std::fmt::Display for CodecError {
@@ -31,192 +43,15 @@ impl std::fmt::Display for CodecError {
             CodecError::Truncated => write!(f, "truncated frame"),
             CodecError::TrailingBytes(n) => write!(f, "{n} trailing byte(s) after message"),
             CodecError::UnknownTag(t) => write!(f, "unknown message tag {t}"),
+            CodecError::UnknownAm(a) => write!(f, "unknown active message id {a}"),
         }
     }
 }
 
 impl std::error::Error for CodecError {}
 
-/// One active message. `token` matches a reply to its pending request on
-/// the issuing rank; it is opaque to the servicing rank. Mutating
-/// requests (`Put`/`PutData`, `Acc`/`AccData`, `NxtVal`, `NxtValReset`)
-/// additionally carry `seq`, a per-(sender, receiver) contiguous
-/// sequence number: the server applies each `(sender, seq)` at most once
-/// and answers retransmitted duplicates from its dedup record, which is
-/// what makes timeout-driven retry safe for non-idempotent operations.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Msg {
-    /// One-sided read request for `len` elements of `array` at the global
-    /// `offset` (the range must lie within the target's shard).
-    Get {
-        token: u64,
-        array: u32,
-        offset: u64,
-        len: u64,
-    },
-    /// Small read served inline.
-    GetReplyEager { token: u64, data: Vec<f64> },
-    /// Large read announced; the requester pulls when ready.
-    GetReplyRndv { token: u64, len: u64 },
-    /// Requester is ready for the announced bulk data.
-    GetPull { token: u64 },
-    /// Bulk read data (rendezvous completion).
-    GetReplyData { token: u64, data: Vec<f64> },
-    /// Small one-sided overwrite, payload inline.
-    Put {
-        token: u64,
-        seq: u64,
-        array: u32,
-        offset: u64,
-        data: Vec<f64>,
-    },
-    /// Large overwrite announced (request to send).
-    PutRts {
-        token: u64,
-        array: u32,
-        offset: u64,
-        len: u64,
-    },
-    /// Target is ready for the announced put data (clear to send).
-    PutCts { token: u64 },
-    /// Bulk put data.
-    PutData {
-        token: u64,
-        seq: u64,
-        array: u32,
-        offset: u64,
-        data: Vec<f64>,
-    },
-    /// Put applied to the target shard.
-    PutAck { token: u64 },
-    /// Small one-sided accumulate `shard[offset..] += alpha * data`.
-    Acc {
-        token: u64,
-        seq: u64,
-        array: u32,
-        offset: u64,
-        alpha: f64,
-        data: Vec<f64>,
-    },
-    /// Large accumulate announced.
-    AccRts {
-        token: u64,
-        array: u32,
-        offset: u64,
-        len: u64,
-    },
-    /// Target ready for the announced accumulate data.
-    AccCts { token: u64 },
-    /// Bulk accumulate data.
-    AccData {
-        token: u64,
-        seq: u64,
-        array: u32,
-        offset: u64,
-        alpha: f64,
-        data: Vec<f64>,
-    },
-    /// Accumulate applied to the target shard.
-    AccAck { token: u64 },
-    /// Fetch-and-add on the owner rank's NXTVAL counter.
-    NxtVal { token: u64, seq: u64 },
-    /// The value taken by a `NxtVal`.
-    NxtValReply { token: u64, value: i64 },
-    /// Reset the owner rank's NXTVAL counter to zero.
-    NxtValReset { token: u64, seq: u64 },
-    /// Reset applied.
-    ResetAck { token: u64 },
-    /// Rank `from` entered barrier `epoch` of the rank group `gang` (a
-    /// bitmask of participating ranks; sent to the group's leader — its
-    /// lowest member rank). `gang == full mesh` is the classic global
-    /// barrier counted on rank 0.
-    BarrierEnter { epoch: u64, from: u32, gang: u64 },
-    /// All members of `gang` entered barrier `epoch` (broadcast by the
-    /// group leader to the members).
-    BarrierRelease { epoch: u64, gang: u64 },
-    /// Rank `from` confirms receipt of the release of `epoch` in group
-    /// `gang` (sent to the group leader). Releases are fire-and-forget
-    /// on their first posting; the counter rank keeps re-releasing to
-    /// unconfirmed members from its retry sweep and holds its own
-    /// teardown until every member has acked, so a lost release cannot
-    /// strand a waiter against a dead counter (see `Endpoint::shutdown`).
-    BarrierAck { epoch: u64, from: u32, gang: u64 },
-    /// Batched read: several same-destination gets packed into one frame.
-    /// `token` identifies the whole batch — it retries, dedups and
-    /// completes as a single unit; parts are matched to their requests by
-    /// position.
-    MultiGet { token: u64, parts: Vec<GetSpec> },
-    /// Reply to a [`Msg::MultiGet`]: one payload per requested part, in
-    /// request order, always inline (batching replaces the rendezvous
-    /// round trip — the batch byte cap bounds the frame instead).
-    GetReplyMulti { token: u64, parts: Vec<Vec<f64>> },
-    /// Cross-rank work-steal request: the sender's workers ran dry and it
-    /// asks the target to donate up to `limit` ready chains. `epoch` is
-    /// the collective run ordinal — a target already in a later run
-    /// answers dry rather than donating tasks from the wrong graph.
-    /// Mutating (the grant removes chains from the target's ledger), so
-    /// it carries `seq` and dedups like Put/Acc/NxtVal.
-    StealRequest {
-        token: u64,
-        seq: u64,
-        epoch: u64,
-        limit: u32,
-    },
-    /// Grant for a [`Msg::StealRequest`]: chain indices now owned-for-
-    /// execution by the requester. Empty means the target is dry (or in a
-    /// different epoch). Retransmitted requests re-receive the recorded
-    /// grant, never a fresh one.
-    StealReply { token: u64, chains: Vec<u64> },
-    /// Job submission to the service layer. `job_id == u64::MAX` asks the
-    /// receiving rank (the gateway) to assign a fresh id; a concrete id
-    /// is a dispatch from the gateway fixing the job's collective
-    /// execution ordinal on a member rank. `spec` is an opaque
-    /// word-encoded job description owned by the `svc` layer. Mutating
-    /// (enqueues a job), so it carries `seq` and dedups like
-    /// Put/Acc/NxtVal; a retransmitted submit re-receives the recorded
-    /// id, never a second enqueue.
-    Submit {
-        token: u64,
-        seq: u64,
-        job_id: u64,
-        spec: Vec<u64>,
-    },
-    /// Ack for a [`Msg::Submit`]: the assigned (or echoed) job id.
-    SubmitReply { token: u64, job_id: u64 },
-    /// Poll a job's state on the gateway rank. Read-only and idempotent
-    /// (no seq): re-asking can only return a fresher answer.
-    JobStatus { token: u64, job_id: u64 },
-    /// Reply to a [`Msg::JobStatus`]: service-defined state code plus the
-    /// job's result bits (an `f64` energy) once it is done.
-    JobStatusReply {
-        token: u64,
-        job_id: u64,
-        state: u8,
-        result: u64,
-    },
-    /// A member rank reports local completion of `job_id` to the gateway
-    /// with its result bits. Mutating (advances the job's completion
-    /// count — a duplicate must not double-count), so seq + dedup.
-    JobDone {
-        token: u64,
-        seq: u64,
-        job_id: u64,
-        result: u64,
-    },
-    /// Ack for a [`Msg::JobDone`].
-    JobDoneAck { token: u64 },
-    /// Liveness probe toward a peer with no recent traffic: the failure
-    /// detector piggybacks on every received frame, so pings are only
-    /// sent on idle links once a peer turns suspect. Idempotent and
-    /// unsequenced — a duplicate ping just draws another pong.
-    Ping { token: u64 },
-    /// Answer to a [`Msg::Ping`]; any received frame clears suspicion,
-    /// this one just exists so an otherwise-silent peer has something
-    /// to say.
-    Pong { token: u64 },
-}
-
-/// One read range inside a [`Msg::MultiGet`] frame.
+/// One read range: the body of a [`Msg::Get`], one part of a
+/// [`Msg::MultiGet`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GetSpec {
     pub array: u32,
@@ -224,40 +59,268 @@ pub struct GetSpec {
     pub len: u64,
 }
 
-const T_GET: u8 = 1;
+struct Reader<'a> {
+    buf: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Reader<'a> {
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+    fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
+        if self.remaining() < n {
+            return Err(CodecError::Truncated);
+        }
+        let s = &self.buf[self.pos..self.pos + n];
+        self.pos += n;
+        Ok(s)
+    }
+    /// An element count, validated against the bytes left (each element
+    /// needs at least `min_bytes`) so a corrupt count cannot make the
+    /// decoder allocate.
+    fn count(&mut self, min_bytes: usize) -> Result<usize, CodecError> {
+        let n = usize::try_from(u64::take(self)?).map_err(|_| CodecError::Truncated)?;
+        if self.remaining() < n.saturating_mul(min_bytes) {
+            return Err(CodecError::Truncated);
+        }
+        Ok(n)
+    }
+    /// Borrow an `f64` payload in place instead of materializing it.
+    fn data_view(&mut self) -> Result<WireSlice<'a>, CodecError> {
+        let n = self.count(8)?;
+        Ok(WireSlice::Bytes(self.take(n * 8)?))
+    }
+    /// Strictness: a frame is exactly one message.
+    fn finish(&self) -> Result<(), CodecError> {
+        match self.remaining() {
+            0 => Ok(()),
+            n => Err(CodecError::TrailingBytes(n)),
+        }
+    }
+}
+
+/// Wire form of one field type. Every field of every message kind is
+/// encoded, decoded and (for the codec tests) sampled through this.
+trait Wire: Sized {
+    /// Fewest bytes one encoded value occupies.
+    const MIN_BYTES: usize;
+    fn put(&self, out: &mut Vec<u8>);
+    fn take(r: &mut Reader<'_>) -> Result<Self, CodecError>;
+    fn sample(rng: &mut SplitMix64) -> Self;
+}
+
+macro_rules! wire_scalars {
+    ($($t:ty),*) => {$(
+        impl Wire for $t {
+            const MIN_BYTES: usize = std::mem::size_of::<$t>();
+            fn put(&self, out: &mut Vec<u8>) {
+                out.extend_from_slice(&self.to_le_bytes());
+            }
+            fn take(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+                let bytes = r.take(Self::MIN_BYTES)?;
+                Ok(<$t>::from_le_bytes(bytes.try_into().expect("take returned MIN_BYTES")))
+            }
+            fn sample(rng: &mut SplitMix64) -> Self {
+                // A numeric cast, so sampled floats are finite and
+                // compare equal to themselves after a round trip.
+                rng.next_u64() as $t
+            }
+        }
+    )*};
+}
+wire_scalars!(u8, u32, u64, i64, f64);
+
+impl<T: Wire> Wire for Vec<T> {
+    const MIN_BYTES: usize = 8;
+    fn put(&self, out: &mut Vec<u8>) {
+        out.reserve(8 + self.len() * T::MIN_BYTES);
+        (self.len() as u64).put(out);
+        for x in self {
+            x.put(out);
+        }
+    }
+    fn take(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let n = r.count(T::MIN_BYTES)?;
+        let mut v = Vec::with_capacity(n);
+        for _ in 0..n {
+            v.push(T::take(r)?);
+        }
+        Ok(v)
+    }
+    fn sample(rng: &mut SplitMix64) -> Self {
+        (0..rng.next_u64() % 6).map(|_| T::sample(rng)).collect()
+    }
+}
+
+impl Wire for GetSpec {
+    const MIN_BYTES: usize = 20;
+    fn put(&self, out: &mut Vec<u8>) {
+        self.array.put(out);
+        self.offset.put(out);
+        self.len.put(out);
+    }
+    fn take(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(Self {
+            array: u32::take(r)?,
+            offset: u64::take(r)?,
+            len: u64::take(r)?,
+        })
+    }
+    fn sample(rng: &mut SplitMix64) -> Self {
+        Self {
+            array: u32::sample(rng),
+            offset: u64::sample(rng),
+            len: u64::sample(rng),
+        }
+    }
+}
+
+impl Wire for Am {
+    const MIN_BYTES: usize = 1;
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(*self as u8);
+    }
+    fn take(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let id = u8::take(r)?;
+        Am::from_id(id).ok_or(CodecError::UnknownAm(id))
+    }
+    fn sample(rng: &mut SplitMix64) -> Self {
+        Am::ALL[(rng.next_u64() % Am::ALL.len() as u64) as usize]
+    }
+}
+
+/// The message table: `Kind = tag { field: type, ... }`, one row per
+/// kind. Generates [`Msg`], [`Msg::KINDS`], [`Msg::encode`],
+/// [`Msg::decode`] and [`Msg::sample`].
+macro_rules! messages {
+    ($( $(#[$doc:meta])* $kind:ident = $tag:tt { $($field:ident : $ty:ty),* $(,)? } )*) => {
+        /// One active message. `token` matches a reply to its pending
+        /// request on the issuing rank; it is opaque to the servicing
+        /// rank. Mutating requests (`Put`, `Acc`, sequenced `Call`s)
+        /// additionally carry `seq`, a per-(sender, receiver) contiguous
+        /// sequence number: the server applies each `(sender, seq)` at
+        /// most once and answers retransmitted duplicates from its
+        /// record, which is what makes timeout-driven retry safe for
+        /// non-idempotent operations.
+        #[derive(Debug, Clone, PartialEq)]
+        pub enum Msg {
+            $( $(#[$doc])* $kind { $($field: $ty),* } ),*
+        }
+
+        impl Msg {
+            /// Name and wire tag of every kind, in table order.
+            pub const KINDS: &'static [(&'static str, u8)] = &[$((stringify!($kind), $tag)),*];
+
+            /// Encode the message body (the transport adds the length
+            /// prefix).
+            pub fn encode(&self) -> Vec<u8> {
+                let mut out = Vec::with_capacity(32);
+                match self {
+                    $( Msg::$kind { $($field),* } => {
+                        out.push($tag);
+                        $( $field.put(&mut out); )*
+                    } )*
+                }
+                out
+            }
+
+            /// Decode one message body. Strict: the body must contain
+            /// exactly one complete message.
+            pub fn decode(body: &[u8]) -> Result<Msg, CodecError> {
+                let mut r = Reader { buf: body, pos: 0 };
+                let msg = match u8::take(&mut r)? {
+                    $( $tag => Msg::$kind { $($field: <$ty>::take(&mut r)?),* }, )*
+                    t => return Err(CodecError::UnknownTag(t)),
+                };
+                r.finish()?;
+                Ok(msg)
+            }
+
+            /// A pseudo-random message of kind `KINDS[kind]`, for codec
+            /// tests that must cover every row of the table.
+            #[doc(hidden)]
+            pub fn sample(kind: usize, rng: &mut SplitMix64) -> Msg {
+                match Self::KINDS[kind].1 {
+                    $( $tag => Msg::$kind { $($field: <$ty>::sample(rng)),* }, )*
+                    t => unreachable!("KINDS lists tag {t} the table does not declare"),
+                }
+            }
+        }
+    };
+}
+
+// Tags the hand-written `reply_view` fast path matches on.
 const T_GET_EAGER: u8 = 2;
-const T_GET_RNDV: u8 = 3;
-const T_GET_PULL: u8 = 4;
 const T_GET_DATA: u8 = 5;
-const T_PUT: u8 = 6;
-const T_PUT_RTS: u8 = 7;
-const T_PUT_CTS: u8 = 8;
-const T_PUT_DATA: u8 = 9;
-const T_PUT_ACK: u8 = 10;
-const T_ACC: u8 = 11;
-const T_ACC_RTS: u8 = 12;
-const T_ACC_CTS: u8 = 13;
-const T_ACC_DATA: u8 = 14;
-const T_ACC_ACK: u8 = 15;
-const T_NXTVAL: u8 = 16;
-const T_NXTVAL_REPLY: u8 = 17;
-const T_NXTVAL_RESET: u8 = 18;
-const T_RESET_ACK: u8 = 19;
-const T_BARRIER_ENTER: u8 = 20;
-const T_BARRIER_RELEASE: u8 = 21;
-const T_MULTI_GET: u8 = 22;
-const T_GET_MULTI_REPLY: u8 = 23;
-const T_STEAL_REQ: u8 = 24;
-const T_STEAL_REPLY: u8 = 25;
-const T_SUBMIT: u8 = 26;
-const T_SUBMIT_REPLY: u8 = 27;
-const T_JOB_STATUS: u8 = 28;
-const T_JOB_STATUS_REPLY: u8 = 29;
-const T_JOB_DONE: u8 = 30;
-const T_JOB_DONE_ACK: u8 = 31;
-const T_BARRIER_ACK: u8 = 32;
-const T_PING: u8 = 33;
-const T_PONG: u8 = 34;
+const T_GET_MULTI: u8 = 17;
+
+messages! {
+    /// One-sided read request for `spec.len` elements of `spec.array` at
+    /// the global `spec.offset` (the range must lie within the target's
+    /// shard).
+    Get = 1 { token: u64, spec: GetSpec }
+    /// Small read served inline.
+    GetReplyEager = T_GET_EAGER { token: u64, data: Vec<f64> }
+    /// Large read announced; the requester pulls when ready.
+    GetReplyRndv = 3 { token: u64, len: u64 }
+    /// Requester is ready for the announced bulk data.
+    GetPull = 4 { token: u64 }
+    /// Bulk read data (rendezvous completion).
+    GetReplyData = T_GET_DATA { token: u64, data: Vec<f64> }
+    /// One-sided overwrite: inline when small, else the bulk frame that
+    /// follows an `Rts`/`Cts` exchange — the target applies both alike.
+    Put = 6 { token: u64, seq: u64, array: u32, offset: u64, data: Vec<f64> }
+    /// One-sided accumulate `shard[offset..] += alpha * data`, eager or
+    /// post-rendezvous like `Put`.
+    Acc = 7 { token: u64, seq: u64, array: u32, offset: u64, alpha: f64, data: Vec<f64> }
+    /// A large put or accumulate announced (request to send).
+    Rts = 8 { token: u64, array: u32, offset: u64, len: u64 }
+    /// Target is ready for the announced data (clear to send).
+    Cts = 9 { token: u64 }
+    /// Put or accumulate applied to the target shard.
+    Ack = 10 { token: u64 }
+    /// Generic request: run active message `am` on the target with
+    /// argument `words`. `seq` orders and dedups sequenced AMs (see the
+    /// AM table in [`crate::am`]); idempotent AMs send 0 and the target
+    /// ignores it.
+    Call = 11 { token: u64, seq: u64, am: Am, words: Vec<u64> }
+    /// The reply to a `Call`. A retransmitted sequenced call re-receives
+    /// the recorded words of its first execution, never a second run.
+    Return = 12 { token: u64, words: Vec<u64> }
+    /// Rank `from` entered barrier `epoch` of the rank group `gang` (a
+    /// bitmask of participating ranks; sent to the group's leader — its
+    /// lowest member rank). `gang == full mesh` is the classic global
+    /// barrier counted on rank 0.
+    BarrierEnter = 13 { epoch: u64, from: u32, gang: u64 }
+    /// All members of `gang` entered barrier `epoch` (broadcast by the
+    /// group leader to the members).
+    BarrierRelease = 14 { epoch: u64, gang: u64 }
+    /// Rank `from` confirms receipt of the release of `epoch` in group
+    /// `gang` (sent to the group leader). Releases are fire-and-forget
+    /// on their first posting; the counter rank keeps re-releasing to
+    /// unconfirmed members from its retry sweep and holds its own
+    /// teardown until every member has acked, so a lost release cannot
+    /// strand a waiter against a dead counter (see `Endpoint::shutdown`).
+    BarrierAck = 15 { epoch: u64, from: u32, gang: u64 }
+    /// Batched read: several same-destination gets packed into one frame.
+    /// `token` identifies the whole batch — it retries, dedups and
+    /// completes as a single unit; parts are matched to their requests by
+    /// position.
+    MultiGet = 16 { token: u64, parts: Vec<GetSpec> }
+    /// Reply to a `MultiGet`: one payload per requested part, in request
+    /// order, always inline (batching replaces the rendezvous round trip
+    /// — the batch byte cap bounds the frame instead).
+    GetReplyMulti = T_GET_MULTI { token: u64, parts: Vec<Vec<f64>> }
+    /// Liveness probe toward a peer with no recent traffic: the failure
+    /// detector piggybacks on every received frame, so pings are only
+    /// sent on idle links once a peer turns suspect. Idempotent and
+    /// unsequenced — a duplicate ping just draws another pong.
+    Ping = 18 { token: u64 }
+    /// Answer to a `Ping`; any received frame clears suspicion, this one
+    /// just exists so an otherwise-silent peer has something to say.
+    Pong = 19 { token: u64 }
+}
 
 /// A borrowed view of one payload inside a received frame: either raw
 /// little-endian `f64` bytes still sitting in the frame buffer, or an
@@ -330,554 +393,7 @@ pub enum ReplyView<'a> {
     },
 }
 
-struct Writer(Vec<u8>);
-
-impl Writer {
-    fn u8(&mut self, v: u8) {
-        self.0.push(v);
-    }
-    fn u32(&mut self, v: u32) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-    fn i64(&mut self, v: i64) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-    fn f64(&mut self, v: f64) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-    fn data(&mut self, v: &[f64]) {
-        self.u64(v.len() as u64);
-        for &x in v {
-            self.f64(x);
-        }
-    }
-}
-
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
-        if self.buf.len() - self.pos < n {
-            return Err(CodecError::Truncated);
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-    fn u8(&mut self) -> Result<u8, CodecError> {
-        Ok(self.take(1)?[0])
-    }
-    fn u32(&mut self) -> Result<u32, CodecError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    fn u64(&mut self) -> Result<u64, CodecError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn i64(&mut self) -> Result<i64, CodecError> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn f64(&mut self) -> Result<f64, CodecError> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn data(&mut self) -> Result<Vec<f64>, CodecError> {
-        let n = self.u64()? as usize;
-        // The count must be consistent with the remaining bytes before any
-        // allocation happens (a corrupt count must not OOM the decoder).
-        if self.buf.len() - self.pos < n.saturating_mul(8) {
-            return Err(CodecError::Truncated);
-        }
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.f64()?);
-        }
-        Ok(out)
-    }
-    /// Borrow a payload in place instead of materializing it.
-    fn data_view(&mut self) -> Result<WireSlice<'a>, CodecError> {
-        let n = self.u64()? as usize;
-        let bytes = self.take(n.saturating_mul(8))?;
-        Ok(WireSlice::Bytes(bytes))
-    }
-}
-
 impl Msg {
-    /// Encode the message body (the transport adds the length prefix).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer(Vec::with_capacity(32));
-        match self {
-            Msg::Get {
-                token,
-                array,
-                offset,
-                len,
-            } => {
-                w.u8(T_GET);
-                w.u64(*token);
-                w.u32(*array);
-                w.u64(*offset);
-                w.u64(*len);
-            }
-            Msg::GetReplyEager { token, data } => {
-                w.u8(T_GET_EAGER);
-                w.u64(*token);
-                w.data(data);
-            }
-            Msg::GetReplyRndv { token, len } => {
-                w.u8(T_GET_RNDV);
-                w.u64(*token);
-                w.u64(*len);
-            }
-            Msg::GetPull { token } => {
-                w.u8(T_GET_PULL);
-                w.u64(*token);
-            }
-            Msg::GetReplyData { token, data } => {
-                w.u8(T_GET_DATA);
-                w.u64(*token);
-                w.data(data);
-            }
-            Msg::Put {
-                token,
-                seq,
-                array,
-                offset,
-                data,
-            } => {
-                w.u8(T_PUT);
-                w.u64(*token);
-                w.u64(*seq);
-                w.u32(*array);
-                w.u64(*offset);
-                w.data(data);
-            }
-            Msg::PutRts {
-                token,
-                array,
-                offset,
-                len,
-            } => {
-                w.u8(T_PUT_RTS);
-                w.u64(*token);
-                w.u32(*array);
-                w.u64(*offset);
-                w.u64(*len);
-            }
-            Msg::PutCts { token } => {
-                w.u8(T_PUT_CTS);
-                w.u64(*token);
-            }
-            Msg::PutData {
-                token,
-                seq,
-                array,
-                offset,
-                data,
-            } => {
-                w.u8(T_PUT_DATA);
-                w.u64(*token);
-                w.u64(*seq);
-                w.u32(*array);
-                w.u64(*offset);
-                w.data(data);
-            }
-            Msg::PutAck { token } => {
-                w.u8(T_PUT_ACK);
-                w.u64(*token);
-            }
-            Msg::Acc {
-                token,
-                seq,
-                array,
-                offset,
-                alpha,
-                data,
-            } => {
-                w.u8(T_ACC);
-                w.u64(*token);
-                w.u64(*seq);
-                w.u32(*array);
-                w.u64(*offset);
-                w.f64(*alpha);
-                w.data(data);
-            }
-            Msg::AccRts {
-                token,
-                array,
-                offset,
-                len,
-            } => {
-                w.u8(T_ACC_RTS);
-                w.u64(*token);
-                w.u32(*array);
-                w.u64(*offset);
-                w.u64(*len);
-            }
-            Msg::AccCts { token } => {
-                w.u8(T_ACC_CTS);
-                w.u64(*token);
-            }
-            Msg::AccData {
-                token,
-                seq,
-                array,
-                offset,
-                alpha,
-                data,
-            } => {
-                w.u8(T_ACC_DATA);
-                w.u64(*token);
-                w.u64(*seq);
-                w.u32(*array);
-                w.u64(*offset);
-                w.f64(*alpha);
-                w.data(data);
-            }
-            Msg::AccAck { token } => {
-                w.u8(T_ACC_ACK);
-                w.u64(*token);
-            }
-            Msg::NxtVal { token, seq } => {
-                w.u8(T_NXTVAL);
-                w.u64(*token);
-                w.u64(*seq);
-            }
-            Msg::NxtValReply { token, value } => {
-                w.u8(T_NXTVAL_REPLY);
-                w.u64(*token);
-                w.i64(*value);
-            }
-            Msg::NxtValReset { token, seq } => {
-                w.u8(T_NXTVAL_RESET);
-                w.u64(*token);
-                w.u64(*seq);
-            }
-            Msg::ResetAck { token } => {
-                w.u8(T_RESET_ACK);
-                w.u64(*token);
-            }
-            Msg::BarrierEnter { epoch, from, gang } => {
-                w.u8(T_BARRIER_ENTER);
-                w.u64(*epoch);
-                w.u32(*from);
-                w.u64(*gang);
-            }
-            Msg::BarrierRelease { epoch, gang } => {
-                w.u8(T_BARRIER_RELEASE);
-                w.u64(*epoch);
-                w.u64(*gang);
-            }
-            Msg::BarrierAck { epoch, from, gang } => {
-                w.u8(T_BARRIER_ACK);
-                w.u64(*epoch);
-                w.u32(*from);
-                w.u64(*gang);
-            }
-            Msg::MultiGet { token, parts } => {
-                w.u8(T_MULTI_GET);
-                w.u64(*token);
-                w.u64(parts.len() as u64);
-                for p in parts {
-                    w.u32(p.array);
-                    w.u64(p.offset);
-                    w.u64(p.len);
-                }
-            }
-            Msg::GetReplyMulti { token, parts } => {
-                w.u8(T_GET_MULTI_REPLY);
-                w.u64(*token);
-                w.u64(parts.len() as u64);
-                for p in parts {
-                    w.data(p);
-                }
-            }
-            Msg::StealRequest {
-                token,
-                seq,
-                epoch,
-                limit,
-            } => {
-                w.u8(T_STEAL_REQ);
-                w.u64(*token);
-                w.u64(*seq);
-                w.u64(*epoch);
-                w.u32(*limit);
-            }
-            Msg::StealReply { token, chains } => {
-                w.u8(T_STEAL_REPLY);
-                w.u64(*token);
-                w.u64(chains.len() as u64);
-                for &c in chains {
-                    w.u64(c);
-                }
-            }
-            Msg::Submit {
-                token,
-                seq,
-                job_id,
-                spec,
-            } => {
-                w.u8(T_SUBMIT);
-                w.u64(*token);
-                w.u64(*seq);
-                w.u64(*job_id);
-                w.u64(spec.len() as u64);
-                for &s in spec {
-                    w.u64(s);
-                }
-            }
-            Msg::SubmitReply { token, job_id } => {
-                w.u8(T_SUBMIT_REPLY);
-                w.u64(*token);
-                w.u64(*job_id);
-            }
-            Msg::JobStatus { token, job_id } => {
-                w.u8(T_JOB_STATUS);
-                w.u64(*token);
-                w.u64(*job_id);
-            }
-            Msg::JobStatusReply {
-                token,
-                job_id,
-                state,
-                result,
-            } => {
-                w.u8(T_JOB_STATUS_REPLY);
-                w.u64(*token);
-                w.u64(*job_id);
-                w.u8(*state);
-                w.u64(*result);
-            }
-            Msg::JobDone {
-                token,
-                seq,
-                job_id,
-                result,
-            } => {
-                w.u8(T_JOB_DONE);
-                w.u64(*token);
-                w.u64(*seq);
-                w.u64(*job_id);
-                w.u64(*result);
-            }
-            Msg::JobDoneAck { token } => {
-                w.u8(T_JOB_DONE_ACK);
-                w.u64(*token);
-            }
-            Msg::Ping { token } => {
-                w.u8(T_PING);
-                w.u64(*token);
-            }
-            Msg::Pong { token } => {
-                w.u8(T_PONG);
-                w.u64(*token);
-            }
-        }
-        w.0
-    }
-
-    /// Decode one message body. Strict: the body must contain exactly one
-    /// complete message.
-    pub fn decode(body: &[u8]) -> Result<Msg, CodecError> {
-        let mut r = Reader { buf: body, pos: 0 };
-        let msg = match r.u8()? {
-            T_GET => Msg::Get {
-                token: r.u64()?,
-                array: r.u32()?,
-                offset: r.u64()?,
-                len: r.u64()?,
-            },
-            T_GET_EAGER => Msg::GetReplyEager {
-                token: r.u64()?,
-                data: r.data()?,
-            },
-            T_GET_RNDV => Msg::GetReplyRndv {
-                token: r.u64()?,
-                len: r.u64()?,
-            },
-            T_GET_PULL => Msg::GetPull { token: r.u64()? },
-            T_GET_DATA => Msg::GetReplyData {
-                token: r.u64()?,
-                data: r.data()?,
-            },
-            T_PUT => Msg::Put {
-                token: r.u64()?,
-                seq: r.u64()?,
-                array: r.u32()?,
-                offset: r.u64()?,
-                data: r.data()?,
-            },
-            T_PUT_RTS => Msg::PutRts {
-                token: r.u64()?,
-                array: r.u32()?,
-                offset: r.u64()?,
-                len: r.u64()?,
-            },
-            T_PUT_CTS => Msg::PutCts { token: r.u64()? },
-            T_PUT_DATA => Msg::PutData {
-                token: r.u64()?,
-                seq: r.u64()?,
-                array: r.u32()?,
-                offset: r.u64()?,
-                data: r.data()?,
-            },
-            T_PUT_ACK => Msg::PutAck { token: r.u64()? },
-            T_ACC => Msg::Acc {
-                token: r.u64()?,
-                seq: r.u64()?,
-                array: r.u32()?,
-                offset: r.u64()?,
-                alpha: r.f64()?,
-                data: r.data()?,
-            },
-            T_ACC_RTS => Msg::AccRts {
-                token: r.u64()?,
-                array: r.u32()?,
-                offset: r.u64()?,
-                len: r.u64()?,
-            },
-            T_ACC_CTS => Msg::AccCts { token: r.u64()? },
-            T_ACC_DATA => Msg::AccData {
-                token: r.u64()?,
-                seq: r.u64()?,
-                array: r.u32()?,
-                offset: r.u64()?,
-                alpha: r.f64()?,
-                data: r.data()?,
-            },
-            T_ACC_ACK => Msg::AccAck { token: r.u64()? },
-            T_NXTVAL => Msg::NxtVal {
-                token: r.u64()?,
-                seq: r.u64()?,
-            },
-            T_NXTVAL_REPLY => Msg::NxtValReply {
-                token: r.u64()?,
-                value: r.i64()?,
-            },
-            T_NXTVAL_RESET => Msg::NxtValReset {
-                token: r.u64()?,
-                seq: r.u64()?,
-            },
-            T_RESET_ACK => Msg::ResetAck { token: r.u64()? },
-            T_BARRIER_ENTER => Msg::BarrierEnter {
-                epoch: r.u64()?,
-                from: r.u32()?,
-                gang: r.u64()?,
-            },
-            T_BARRIER_RELEASE => Msg::BarrierRelease {
-                epoch: r.u64()?,
-                gang: r.u64()?,
-            },
-            T_BARRIER_ACK => Msg::BarrierAck {
-                epoch: r.u64()?,
-                from: r.u32()?,
-                gang: r.u64()?,
-            },
-            T_MULTI_GET => {
-                let token = r.u64()?;
-                let n = r.u64()? as usize;
-                // 20 bytes per spec; validate before allocating.
-                if body.len() - r.pos < n.saturating_mul(20) {
-                    return Err(CodecError::Truncated);
-                }
-                let mut parts = Vec::with_capacity(n);
-                for _ in 0..n {
-                    parts.push(GetSpec {
-                        array: r.u32()?,
-                        offset: r.u64()?,
-                        len: r.u64()?,
-                    });
-                }
-                Msg::MultiGet { token, parts }
-            }
-            T_GET_MULTI_REPLY => {
-                let token = r.u64()?;
-                let n = r.u64()? as usize;
-                // Each part needs at least its 8-byte count.
-                if body.len() - r.pos < n.saturating_mul(8) {
-                    return Err(CodecError::Truncated);
-                }
-                let mut parts = Vec::with_capacity(n);
-                for _ in 0..n {
-                    parts.push(r.data()?);
-                }
-                Msg::GetReplyMulti { token, parts }
-            }
-            T_STEAL_REQ => Msg::StealRequest {
-                token: r.u64()?,
-                seq: r.u64()?,
-                epoch: r.u64()?,
-                limit: r.u32()?,
-            },
-            T_STEAL_REPLY => {
-                let token = r.u64()?;
-                let n = r.u64()? as usize;
-                // 8 bytes per chain id; validate before allocating.
-                if body.len() - r.pos < n.saturating_mul(8) {
-                    return Err(CodecError::Truncated);
-                }
-                let mut chains = Vec::with_capacity(n);
-                for _ in 0..n {
-                    chains.push(r.u64()?);
-                }
-                Msg::StealReply { token, chains }
-            }
-            T_SUBMIT => {
-                let token = r.u64()?;
-                let seq = r.u64()?;
-                let job_id = r.u64()?;
-                let n = r.u64()? as usize;
-                // 8 bytes per spec word; validate before allocating.
-                if body.len() - r.pos < n.saturating_mul(8) {
-                    return Err(CodecError::Truncated);
-                }
-                let mut spec = Vec::with_capacity(n);
-                for _ in 0..n {
-                    spec.push(r.u64()?);
-                }
-                Msg::Submit {
-                    token,
-                    seq,
-                    job_id,
-                    spec,
-                }
-            }
-            T_SUBMIT_REPLY => Msg::SubmitReply {
-                token: r.u64()?,
-                job_id: r.u64()?,
-            },
-            T_JOB_STATUS => Msg::JobStatus {
-                token: r.u64()?,
-                job_id: r.u64()?,
-            },
-            T_JOB_STATUS_REPLY => Msg::JobStatusReply {
-                token: r.u64()?,
-                job_id: r.u64()?,
-                state: r.u8()?,
-                result: r.u64()?,
-            },
-            T_JOB_DONE => Msg::JobDone {
-                token: r.u64()?,
-                seq: r.u64()?,
-                job_id: r.u64()?,
-                result: r.u64()?,
-            },
-            T_JOB_DONE_ACK => Msg::JobDoneAck { token: r.u64()? },
-            T_PING => Msg::Ping { token: r.u64()? },
-            T_PONG => Msg::Pong { token: r.u64()? },
-            t => return Err(CodecError::UnknownTag(t)),
-        };
-        if r.pos != body.len() {
-            return Err(CodecError::TrailingBytes(body.len() - r.pos));
-        }
-        Ok(msg)
-    }
-
     /// Zero-copy fast path for data-bearing get replies: if `body` is a
     /// `GetReplyEager`, `GetReplyData` or `GetReplyMulti` frame, return a
     /// validated borrowed view of its payload(s); `Ok(None)` for every
@@ -886,23 +402,16 @@ impl Msg {
     /// bytes are rejected, never misread.
     pub fn reply_view(body: &[u8]) -> Result<Option<ReplyView<'_>>, CodecError> {
         let mut r = Reader { buf: body, pos: 0 };
-        let tag = r.u8()?;
+        let tag = u8::take(&mut r)?;
         let view = match tag {
-            T_GET_EAGER | T_GET_DATA => {
-                let token = r.u64()?;
-                let data = r.data_view()?;
-                ReplyView::Single {
-                    token,
-                    eager: tag == T_GET_EAGER,
-                    data,
-                }
-            }
-            T_GET_MULTI_REPLY => {
-                let token = r.u64()?;
-                let n = r.u64()? as usize;
-                if body.len() - r.pos < n.saturating_mul(8) {
-                    return Err(CodecError::Truncated);
-                }
+            T_GET_EAGER | T_GET_DATA => ReplyView::Single {
+                token: u64::take(&mut r)?,
+                eager: tag == T_GET_EAGER,
+                data: r.data_view()?,
+            },
+            T_GET_MULTI => {
+                let token = u64::take(&mut r)?;
+                let n = r.count(8)?;
                 let mut parts = Vec::with_capacity(n);
                 for _ in 0..n {
                     parts.push(r.data_view()?);
@@ -911,9 +420,7 @@ impl Msg {
             }
             _ => return Ok(None),
         };
-        if r.pos != body.len() {
-            return Err(CodecError::TrailingBytes(body.len() - r.pos));
-        }
+        r.finish()?;
         Ok(Some(view))
     }
 }
@@ -923,36 +430,26 @@ mod tests {
     use super::*;
 
     #[test]
-    fn roundtrip_control_and_data() {
-        let msgs = [
-            Msg::Get {
-                token: 7,
-                array: 2,
-                offset: 1000,
-                len: 64,
-            },
-            Msg::GetReplyEager {
-                token: 7,
-                data: vec![1.5, -2.5],
-            },
-            Msg::BarrierEnter {
-                epoch: 3,
-                from: 2,
-                gang: 0b1111,
-            },
-            Msg::BarrierRelease {
-                epoch: 3,
-                gang: 0b0011,
-            },
-            Msg::BarrierAck {
-                epoch: 3,
-                from: 2,
-                gang: 0b1100,
-            },
-        ];
-        for m in msgs {
-            assert_eq!(Msg::decode(&m.encode()).unwrap(), m);
+    fn every_kind_roundtrips_and_only_get_replies_take_the_fast_path() {
+        let mut rng = SplitMix64::new(0xC0DEC);
+        for (kind, &(name, tag)) in Msg::KINDS.iter().enumerate() {
+            for _ in 0..16 {
+                let m = Msg::sample(kind, &mut rng);
+                let body = m.encode();
+                assert_eq!(body[0], tag, "{name} leads with its table tag");
+                assert_eq!(Msg::decode(&body).unwrap(), m);
+                let fast = [T_GET_EAGER, T_GET_DATA, T_GET_MULTI].contains(&tag);
+                assert_eq!(Msg::reply_view(&body).unwrap().is_some(), fast, "{name}");
+            }
         }
+    }
+
+    #[test]
+    fn tags_are_unique() {
+        let mut tags: Vec<u8> = Msg::KINDS.iter().map(|k| k.1).collect();
+        tags.sort_unstable();
+        tags.dedup();
+        assert_eq!(tags.len(), Msg::KINDS.len());
     }
 
     #[test]
@@ -961,38 +458,17 @@ mod tests {
     }
 
     #[test]
-    fn unknown_tag_rejected() {
+    fn unknown_tag_and_unknown_am_rejected() {
         assert_eq!(Msg::decode(&[200]), Err(CodecError::UnknownTag(200)));
-    }
-
-    #[test]
-    fn multi_get_roundtrip() {
-        let m = Msg::MultiGet {
-            token: 42,
-            parts: vec![
-                GetSpec {
-                    array: 1,
-                    offset: 100,
-                    len: 8,
-                },
-                GetSpec {
-                    array: 1,
-                    offset: 200,
-                    len: 16,
-                },
-                GetSpec {
-                    array: 3,
-                    offset: 0,
-                    len: 1,
-                },
-            ],
-        };
-        assert_eq!(Msg::decode(&m.encode()).unwrap(), m);
-        let r = Msg::GetReplyMulti {
-            token: 42,
-            parts: vec![vec![1.0; 8], vec![-2.5; 16], vec![0.0]],
-        };
-        assert_eq!(Msg::decode(&r.encode()).unwrap(), r);
+        let mut body = Msg::Call {
+            token: 1,
+            seq: 2,
+            am: Am::Status,
+            words: vec![3],
+        }
+        .encode();
+        body[1 + 8 + 8] = 200;
+        assert_eq!(Msg::decode(&body), Err(CodecError::UnknownAm(200)));
     }
 
     #[test]
@@ -1023,10 +499,6 @@ mod tests {
             }
             _ => panic!("expected multi view"),
         }
-        // Non-reply frames pass through untouched.
-        assert!(Msg::reply_view(&Msg::GetPull { token: 1 }.encode())
-            .unwrap()
-            .is_none());
         // Strictness matches decode: trailing bytes rejected.
         let mut body = single.encode();
         body.push(0);
@@ -1037,109 +509,31 @@ mod tests {
     }
 
     #[test]
-    fn steal_roundtrip() {
-        let req = Msg::StealRequest {
-            token: 11,
-            seq: 4,
-            epoch: 2,
-            limit: 3,
-        };
-        assert_eq!(Msg::decode(&req.encode()).unwrap(), req);
-        for chains in [vec![], vec![5], vec![9, 1, 1 << 40]] {
-            let rep = Msg::StealReply { token: 11, chains };
-            assert_eq!(Msg::decode(&rep.encode()).unwrap(), rep);
-            // Steal frames are not get replies: the fast path skips them.
-            assert!(Msg::reply_view(&rep.encode()).unwrap().is_none());
-        }
-    }
-
-    #[test]
-    fn job_roundtrip() {
-        for spec in [vec![], vec![7], vec![1, 2, 3, u64::MAX]] {
-            let sub = Msg::Submit {
-                token: 13,
-                seq: 6,
-                job_id: u64::MAX,
-                spec,
-            };
-            assert_eq!(Msg::decode(&sub.encode()).unwrap(), sub);
-            // Job frames are not get replies: the fast path skips them.
-            assert!(Msg::reply_view(&sub.encode()).unwrap().is_none());
-        }
-        let msgs = [
-            Msg::SubmitReply {
-                token: 13,
-                job_id: 4,
-            },
-            Msg::JobStatus {
-                token: 14,
-                job_id: 4,
-            },
-            Msg::JobStatusReply {
-                token: 14,
-                job_id: 4,
-                state: 3,
-                result: 0x3FF0000000000000,
-            },
-            Msg::JobDone {
-                token: 15,
-                seq: 7,
-                job_id: 4,
-                result: (-1.25f64).to_bits(),
-            },
-            Msg::JobDoneAck { token: 15 },
-        ];
-        for m in msgs {
-            assert_eq!(Msg::decode(&m.encode()).unwrap(), m);
-            assert!(Msg::reply_view(&m.encode()).unwrap().is_none());
-        }
-    }
-
-    #[test]
-    fn ping_pong_roundtrip() {
-        for m in [Msg::Ping { token: 21 }, Msg::Pong { token: 21 }] {
-            assert_eq!(Msg::decode(&m.encode()).unwrap(), m);
-            // Liveness frames are not get replies: the fast path skips them.
-            assert!(Msg::reply_view(&m.encode()).unwrap().is_none());
-        }
-    }
-
-    #[test]
-    fn corrupt_submit_count_does_not_allocate() {
-        let mut body = Msg::Submit {
-            token: 1,
-            seq: 2,
-            job_id: 3,
-            spec: vec![],
-        }
-        .encode();
-        let n = body.len();
-        body[n - 8..].copy_from_slice(&u64::MAX.to_le_bytes());
-        assert_eq!(Msg::decode(&body), Err(CodecError::Truncated));
-    }
-
-    #[test]
-    fn corrupt_steal_count_does_not_allocate() {
-        let mut body = Msg::StealReply {
-            token: 1,
-            chains: vec![],
-        }
-        .encode();
-        let n = body.len();
-        body[n - 8..].copy_from_slice(&u64::MAX.to_le_bytes());
-        assert_eq!(Msg::decode(&body), Err(CodecError::Truncated));
-    }
-
-    #[test]
     fn corrupt_count_does_not_allocate() {
-        // A data count far beyond the body must fail cleanly.
-        let mut body = Msg::GetReplyEager {
-            token: 1,
-            data: vec![],
+        // An element count far beyond the body must fail cleanly, for
+        // f64 payloads, word vectors and nested parts alike.
+        for m in [
+            Msg::GetReplyEager {
+                token: 1,
+                data: vec![],
+            },
+            Msg::Return {
+                token: 1,
+                words: vec![],
+            },
+            Msg::MultiGet {
+                token: 1,
+                parts: vec![],
+            },
+            Msg::GetReplyMulti {
+                token: 1,
+                parts: vec![],
+            },
+        ] {
+            let mut body = m.encode();
+            let n = body.len();
+            body[n - 8..].copy_from_slice(&u64::MAX.to_le_bytes());
+            assert_eq!(Msg::decode(&body), Err(CodecError::Truncated), "{m:?}");
         }
-        .encode();
-        let n = body.len();
-        body[n - 8..].copy_from_slice(&u64::MAX.to_le_bytes());
-        assert_eq!(Msg::decode(&body), Err(CodecError::Truncated));
     }
 }

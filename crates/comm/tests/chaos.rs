@@ -373,13 +373,13 @@ fn orphan_completions_are_counted_noops() {
         }
         .encode(),
     );
-    injector.send(0, Msg::PutAck { token: 9998 }.encode());
-    injector.send(0, Msg::AccAck { token: 9997 }.encode());
+    injector.send(0, Msg::Ack { token: 9998 }.encode());
+    injector.send(0, Msg::Ack { token: 9997 }.encode());
     injector.send(
         0,
-        Msg::NxtValReply {
+        Msg::Return {
             token: 9996,
-            value: 5,
+            words: vec![5],
         }
         .encode(),
     );

@@ -1,12 +1,25 @@
-//! Property tests for the wire codec: every message type round-trips,
+//! Property tests for the wire codec: every message kind round-trips,
 //! payload sizes straddling the eager threshold survive intact, and
-//! damaged frames (truncated, padded, bit-flipped, or outright random)
-//! are rejected with an error rather than misparsed or panicking — the
-//! decode path is what every chaos-injected frame flows through.
+//! damaged frames (truncated, padded, bit-flipped, count-corrupted, or
+//! outright random) are rejected with an error rather than misparsed or
+//! panicking — the decode path is what every chaos-injected frame flows
+//! through.
+//!
+//! Messages are generated *from the table*: a kind index into
+//! `Msg::KINDS` plus a seed for `Msg::sample`, so a kind added to the
+//! table later is covered by every property here without touching this
+//! file.
 
-use comm::msg::{GetSpec, Msg};
+use comm::msg::{CodecError, Msg};
+use comm::SplitMix64;
 use proptest::collection;
 use proptest::prelude::*;
+
+/// One pseudo-random message of any kind in the table.
+fn arb_msg() -> impl Strategy<Value = Msg> {
+    (0..Msg::KINDS.len(), any::<u64>())
+        .prop_map(|(kind, seed)| Msg::sample(kind, &mut SplitMix64::new(seed)))
+}
 
 /// Payload lengths concentrated around interesting sizes: empty, tiny,
 /// and straddling the default 4 KiB eager threshold (512 f64s).
@@ -18,122 +31,47 @@ fn arb_payload() -> impl Strategy<Value = Vec<f64>> {
     ]
 }
 
-/// One random message of any of the 23 wire types.
-fn arb_msg() -> impl Strategy<Value = Msg> {
-    (
-        (any::<u8>(), any::<u64>(), any::<u32>()),
-        (any::<u64>(), any::<u64>(), any::<f64>()),
-        (any::<i64>(), arb_payload(), any::<u64>()),
-    )
-        .prop_map(
-            |((which, token, array), (offset, len, alpha), (value, data, seq))| match which % 23 {
-                0 => Msg::Get {
-                    token,
-                    array,
-                    offset,
-                    len,
-                },
-                1 => Msg::GetReplyEager { token, data },
-                2 => Msg::GetReplyRndv { token, len },
-                3 => Msg::GetPull { token },
-                4 => Msg::GetReplyData { token, data },
-                5 => Msg::Put {
-                    token,
-                    seq,
-                    array,
-                    offset,
-                    data,
-                },
-                6 => Msg::PutRts {
-                    token,
-                    array,
-                    offset,
-                    len,
-                },
-                7 => Msg::PutCts { token },
-                8 => Msg::PutData {
-                    token,
-                    seq,
-                    array,
-                    offset,
-                    data,
-                },
-                9 => Msg::PutAck { token },
-                10 => Msg::Acc {
-                    token,
-                    seq,
-                    array,
-                    offset,
-                    alpha,
-                    data,
-                },
-                11 => Msg::AccRts {
-                    token,
-                    array,
-                    offset,
-                    len,
-                },
-                12 => Msg::AccCts { token },
-                13 => Msg::AccData {
-                    token,
-                    seq,
-                    array,
-                    offset,
-                    alpha,
-                    data,
-                },
-                14 => Msg::AccAck { token },
-                15 => Msg::NxtVal { token, seq },
-                16 => Msg::NxtValReply { token, value },
-                17 => Msg::NxtValReset { token, seq },
-                18 => Msg::ResetAck { token },
-                19 => Msg::BarrierEnter {
-                    epoch: len,
-                    from: array,
-                    gang: offset,
-                },
-                20 => Msg::BarrierRelease {
-                    epoch: len,
-                    gang: offset,
-                },
-                // Batched frames carry 0..=4 parts, including the empty
-                // edge case the progress engine never sends but the
-                // decoder must still round-trip, not reject.
-                21 => Msg::MultiGet {
-                    token,
-                    parts: (0..seq % 5)
-                        .map(|i| GetSpec {
-                            array: array.wrapping_add(i as u32),
-                            offset: offset.wrapping_add(i * 7),
-                            len: len % 1024,
-                        })
-                        .collect(),
-                },
-                _ => Msg::GetReplyMulti {
-                    token,
-                    parts: (0..seq % 5)
-                        .map(|i| {
-                            let mut p = data.clone();
-                            if let Some(x) = p.first_mut() {
-                                *x += i as f64;
-                            }
-                            p
-                        })
-                        .collect(),
-                },
-            },
-        )
+#[test]
+fn the_protocol_stays_at_most_20_kinds() {
+    assert!(Msg::KINDS.len() <= 20, "{} kinds", Msg::KINDS.len());
+}
+
+/// A tag byte no row declares is rejected, whatever follows it.
+#[test]
+fn every_undeclared_tag_is_rejected() {
+    for tag in (0..=255u8).filter(|t| Msg::KINDS.iter().all(|k| k.1 != *t)) {
+        let mut frame = vec![tag];
+        frame.extend_from_slice(&[0; 64]);
+        assert_eq!(Msg::decode(&frame), Err(CodecError::UnknownTag(tag)));
+    }
 }
 
 proptest! {
-    /// encode → decode is the identity for every message type, including
-    /// zero-length and threshold-straddling payloads.
+    // Enough cases that every row of the table is drawn many times over.
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// encode → decode is the identity for every kind in the table.
     #[test]
     fn roundtrip(msg in arb_msg()) {
         let frame = msg.encode();
         let back = Msg::decode(&frame)
             .map_err(|e| TestCaseError::fail(format!("{msg:?}: {e}")))?;
         prop_assert_eq!(back, msg);
+    }
+
+    /// Data payloads of threshold-straddling sizes survive intact in
+    /// every frame that carries one.
+    #[test]
+    fn payloads_roundtrip(data in arb_payload(), token in any::<u64>(), alpha in any::<f64>()) {
+        for msg in [
+            Msg::GetReplyEager { token, data: data.clone() },
+            Msg::GetReplyData { token, data: data.clone() },
+            Msg::Put { token, seq: 3, array: 1, offset: 9, data: data.clone() },
+            Msg::Acc { token, seq: 4, array: 1, offset: 9, alpha, data: data.clone() },
+            Msg::GetReplyMulti { token, parts: vec![data.clone(), Vec::new(), data.clone()] },
+        ] {
+            prop_assert_eq!(Msg::decode(&msg.encode()), Ok(msg));
+        }
     }
 
     /// Any strict prefix of a valid frame is rejected, never misparsed
@@ -152,6 +90,23 @@ proptest! {
         let mut frame = msg.encode();
         frame.push(junk);
         prop_assert!(Msg::decode(&frame).is_err());
+    }
+
+    /// Overwriting any 8 bytes of a valid frame with `u64::MAX` — which
+    /// turns every element count it lands on into an absurd one — never
+    /// allocates for the bogus count and never misparses: decode either
+    /// errors, or yields a message whose own encoding is exactly the
+    /// damaged frame (the bytes hit were plain field values).
+    #[test]
+    fn corrupt_counts_never_allocate_or_misparse(msg in arb_msg()) {
+        let frame = msg.encode();
+        for at in 1..frame.len().saturating_sub(7) {
+            let mut bad = frame.clone();
+            bad[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+            if let Ok(back) = Msg::decode(&bad) {
+                prop_assert_eq!(back.encode(), bad, "{:?} damaged at {}", msg, at);
+            }
+        }
     }
 
     /// Flipping any single byte of a valid frame never panics: decode

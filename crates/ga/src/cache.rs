@@ -17,9 +17,9 @@
 //! Request coalescing lives here too: the first reader of an uncached
 //! block installs an in-flight [`Fill`] and owns the wire transfer;
 //! later readers of the same block park a [`Waiter`] on it, and the one
-//! completion serves everyone. (The comm endpoint coalesces identical
-//! per-owner *pieces* as a second line of defense; this level merges
-//! whole-block requests before they ever split by owner.)
+//! completion serves everyone. This is the only place identical reads
+//! merge — whole-block requests, before they ever split by owner; the
+//! comm endpoint below transfers every get it is handed.
 
 use crate::stats::GaStats;
 use crate::GaGetCallback;

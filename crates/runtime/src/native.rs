@@ -21,9 +21,7 @@
 //! oldest-first) rather than a total order over all ready tasks — the
 //! same approximation PaRSEC's default scheduler makes, and invisible to
 //! numerics because task graphs order all value-carrying dependencies
-//! explicitly. The previous globally-ordered, coarse-locked engine
-//! survives as [`crate::coarse::CoarseRuntime`] for benchmarking and as
-//! a semantic reference.
+//! explicitly.
 
 use crate::sched::SchedPolicy;
 use crate::shard::{IdleGate, ShardMap, ShardedTracker};
@@ -88,9 +86,8 @@ pub trait WorkSource: Send + Sync {
     fn poll(&self) -> SourcePoll;
 }
 
-/// Assemble a [`NativeReport`] from per-worker span sets. Shared with the
-/// coarse baseline engine so both report identically.
-pub(crate) fn build_report(
+/// Assemble a [`NativeReport`] from per-worker span sets.
+fn build_report(
     graph: &TaskGraph,
     span_sets: &[Vec<(u32, u64, u64)>],
     tasks: u64,
@@ -1035,23 +1032,18 @@ mod tests {
     }
 
     #[test]
-    fn matches_coarse_engine_counts() {
-        let run = |coarse: bool| {
-            let total = Arc::new(AtomicU64::new(0));
-            let g = TaskGraph::new(
-                vec![Arc::new(Reduce {
-                    n: 32,
-                    total: total.clone(),
-                })],
-                Arc::new(PlainCtx { nodes: 1 }),
-            );
-            let tasks = if coarse {
-                crate::coarse::CoarseRuntime::new(3).run(&g).tasks
-            } else {
-                NativeRuntime::new(3).run(&g).tasks
-            };
-            (tasks, total.load(Ordering::Relaxed))
-        };
-        assert_eq!(run(true), run(false));
+    fn reduce_graph_task_count_and_total() {
+        // 32 leaves + the sink; 0 + 1 + ... + 31 (the counts the retired
+        // coarse-locked engine agreed on).
+        let total = Arc::new(AtomicU64::new(0));
+        let g = TaskGraph::new(
+            vec![Arc::new(Reduce {
+                n: 32,
+                total: total.clone(),
+            })],
+            Arc::new(PlainCtx { nodes: 1 }),
+        );
+        assert_eq!(NativeRuntime::new(3).run(&g).tasks, 33);
+        assert_eq!(total.load(Ordering::Relaxed), 496);
     }
 }
