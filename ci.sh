@@ -3,7 +3,12 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-echo "==> cargo build --release"
+# Nothing below may write into the tree: compare `git status` at the end
+# with what it says now, so a gate that does is caught whatever the
+# developer's own uncommitted edits are. (Skipped outside a git checkout.)
+tree_before=$(git status --porcelain 2>/dev/null || echo "not a git checkout")
+
+echo "==> cargo build --release (default members: the root package and every crate)"
 cargo build --release
 
 echo "==> cargo test -q (workspace: includes the loopback chaos matrices)"
@@ -59,10 +64,9 @@ echo "==> comm smoke (4 ranks x 4 workers over sockets, v1..v5 + fused v5 vs sin
 # cache in paranoia mode: each cache hit is re-fetched fresh from the
 # owners and compared, and a single stale read fails the gate. A healthy
 # mesh must also show zero recovery activity — any retry/timeout/dup on
-# the clean sockets fails CI. Single rep per variant keeps wall time
-# bounded. Also enforces the wire-accounting reconciliation (GA remote
-# get bytes == endpoint requested get bytes).
-cargo run -q --release -p bench-harness --bin comm_bench -- --smoke --threads 4 --reps 1
+# the clean sockets fails CI. Also enforces the wire-accounting
+# reconciliation (GA remote get bytes == endpoint requested get bytes).
+cargo run -q --release -p bench-harness --bin mesh_gate -- comm-smoke
 
 echo "==> comm chaos matrix (4 ranks x 4 workers over sockets, fault schedules + kill/restart matrix, fixed seeds)"
 # The 4-rank loopback matrix (7 schedules x 2 variants, plus comm-level
@@ -75,7 +79,7 @@ echo "==> comm chaos matrix (4 ranks x 4 workers over sockets, fault schedules +
 # replays exactly; fails on energy divergence, any recovery activity in
 # the clean control, or any verified-stale cached read under faults
 # (the cache runs with verify_reads here too).
-cargo run -q --release -p bench-harness --bin comm_bench -- --chaos --seed c0ffee00
+cargo run -q --release -p bench-harness --bin mesh_gate -- chaos --seed c0ffee00
 
 echo "==> service smoke (4-rank socket daemons, 2-gang configuration, 2 tenants, 4 jobs)"
 # Persistent per-rank daemons serve a multi-tenant job stream over real
@@ -87,7 +91,7 @@ echo "==> service smoke (4-rank socket daemons, 2-gang configuration, 2 tenants,
 # and plan-cache hits exactly as the gang-scoped plan keys predict, and
 # — on the clean mesh — zero retries and zero verified-stale cached
 # reads. The printed gang masks double-check the 2-gang shape below.
-smoke_out=$(cargo run -q --release -p bench-harness --bin service_bench -- --smoke)
+smoke_out=$(cargo run -q --release -p bench-harness --bin mesh_gate -- svc-smoke)
 echo "$smoke_out"
 echo "$smoke_out" | grep -q "SERVICE SMOKE OK" || { echo "service smoke failed"; exit 1; }
 echo "$smoke_out" | grep -q "gangs 0b[01]*/0b[01]*" || { echo "gang fields malformed in smoke output"; exit 1; }
@@ -100,29 +104,21 @@ echo "==> service recovery gate (4-rank socket daemons, rank 3 killed mid-stream
 # confirm the death, the gateway must fence the victim and requeue the
 # jobs caught on the broken mesh, the replays must match their per-job
 # reference energies to 1e-12 with zero stale reads, and job-boundary
-# checkpoints must land on disk. The printed --kill-at/--seed pair
-# replays a red run exactly; the run amends the `recovery` block of
-# BENCH_service.json checked below.
-rec_out=$(cargo run -q --release -p bench-harness --bin service_bench -- --recovery)
+# checkpoints must land on disk — each a gate inside the binary that
+# precedes `RECOVERY OK`, whose line also carries the detect/recover
+# timeline. The printed --kill-at/--seed pair replays a red run exactly.
+rec_out=$(cargo run -q --release -p bench-harness --bin mesh_gate -- recovery)
 echo "$rec_out"
 echo "$rec_out" | grep -q "RECOVERY OK" || { echo "service recovery gate failed"; exit 1; }
 
-echo "==> BENCH_service.json well-formed"
-if [ -f BENCH_service.json ]; then
-    if command -v jq >/dev/null 2>&1; then
-        jq -e '.baseline.throughput_jobs_per_sec and .gangs.throughput_jobs_per_sec
-               and .gangs.plan_cache.hit_rate and (.gangs.plan_cache | has("evictions"))
-               and .gang_win.jobs_per_sec_gain and .gang_win.small_job_p50_speedup
-               and (.baseline.tenants | length > 0) and (.gangs.tenants | length > 0)
-               and .recovery.requeued_jobs >= 1 and .recovery.confirmed_deaths >= 1
-               and .recovery.checkpoint_bytes > 0 and .recovery.stale_reads == 0
-               and (.recovery | has("time_to_detect_ms") and has("time_to_recover_ms")
-                    and has("replayed_chains"))' \
-            BENCH_service.json >/dev/null
-    else
-        python3 -c "import json,sys; d=json.load(open(sys.argv[1])); d['baseline']['throughput_jobs_per_sec']; d['gangs']['plan_cache']['evictions']; d['gang_win']['jobs_per_sec_gain']; d['gang_win']['small_job_p50_speedup']; assert d['baseline']['tenants'] and d['gangs']['tenants']; r=d['recovery']; assert r['requeued_jobs'] >= 1 and r['confirmed_deaths'] >= 1 and r['checkpoint_bytes'] > 0 and r['stale_reads'] == 0; r['time_to_detect_ms']; r['time_to_recover_ms']; r['replayed_chains']" BENCH_service.json
-    fi
-    echo "    BENCH_service.json OK"
+echo "==> tree unchanged"
+tree_after=$(git status --porcelain 2>/dev/null || echo "not a git checkout")
+if [ "$tree_before" != "$tree_after" ]; then
+    echo "CI wrote into the tree; git status --porcelain before:"
+    echo "$tree_before"
+    echo "and after:"
+    echo "$tree_after"
+    exit 1
 fi
 
 echo "CI OK"

@@ -406,7 +406,6 @@ mod tests {
             batch: 1,
             limit: 2,
             remote_first: true,
-            fanout: 2,
         };
         let nchains = {
             let space = TileSpace::build(&scale::tiny());

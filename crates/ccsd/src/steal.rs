@@ -54,12 +54,12 @@ pub struct StealConfig {
     /// workloads. Production mode (false) steals only when local work is
     /// exhausted.
     pub remote_first: bool,
-    /// Victims probed concurrently when the rank goes idle. Sequential
-    /// probing pays one full round trip per dry victim before trying the
-    /// next; with fan-out the dry answers overlap and the first grant
-    /// wins. Values `0` and `1` both mean sequential probing.
-    pub fanout: usize,
 }
+
+/// Victims probed concurrently when the rank goes idle. Sequential
+/// probing pays one full round trip per dry victim before trying the
+/// next; with fan-out the dry answers overlap and the first grant wins.
+const FANOUT: usize = 2;
 
 impl Default for StealConfig {
     fn default() -> Self {
@@ -68,7 +68,6 @@ impl Default for StealConfig {
             batch: 2,
             limit: 2,
             remote_first: false,
-            fanout: 2,
         }
     }
 }
@@ -416,8 +415,7 @@ impl WorkSource for ChainSource {
         // replies are banked (grants) or mark their victim dry.
         let mut victims = Vec::new();
         if self.scfg.limit > 0 {
-            let fanout = self.scfg.fanout.max(1);
-            while st.inflight + victims.len() < fanout {
+            while st.inflight + victims.len() < FANOUT {
                 let Some(v) = self.next_victim(&st) else {
                     break;
                 };

@@ -166,9 +166,9 @@ pub fn decode_into(store: &DistStore, bytes: &[u8]) -> Result<(u64, i64), String
 
 // ---- spill-path writer -------------------------------------------------
 
-/// Per-rank checkpoint writer over a spill directory, with counters the
-/// recovery benchmarks export (`checkpoint_bytes` in
-/// `BENCH_service.json`).
+/// Per-rank checkpoint writer over a spill directory, with the counters
+/// the recovery gate reads (`mesh_gate recovery`: checkpoints on disk,
+/// bytes > 0).
 pub struct Checkpointer {
     dir: PathBuf,
     rank: usize,

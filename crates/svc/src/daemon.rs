@@ -33,6 +33,16 @@ use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::time::{Duration, Instant};
 use tce::TileSpace;
 
+/// How long the executor waits on a missing dispatch seq with a *later*
+/// seq already banked before declaring the control plane broken. An idle
+/// executor (empty queue — e.g. a fenced rank that simply receives no
+/// work) waits forever.
+const STARVE_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// How long a client waits for a submit/status reply AM before declaring
+/// the gateway unreachable.
+const REPLY_TIMEOUT: Duration = Duration::from_secs(60);
+
 /// Service-layer tuning for one rank.
 #[derive(Debug, Clone)]
 pub struct SvcConfig {
@@ -50,14 +60,6 @@ pub struct SvcConfig {
     /// identical on every rank: the weight also picks the job's
     /// priority band, and graphs must agree across ranks.
     pub weights: Vec<(u32, u64)>,
-    /// How long the executor waits on a missing dispatch seq with a
-    /// *later* seq already banked before declaring the control plane
-    /// broken. An idle executor (empty queue — e.g. a fenced rank that
-    /// simply receives no work) waits forever.
-    pub starve_timeout: Duration,
-    /// How long a client waits for a submit/status reply AM before
-    /// declaring the gateway unreachable.
-    pub reply_timeout: Duration,
     /// When set, every rank spills an epoch-aligned checkpoint of its
     /// shard store (and NXTVAL counter) to this directory at each job
     /// boundary, so a restarted rank can restore instead of rejoining
@@ -74,8 +76,6 @@ impl Default for SvcConfig {
             plan_cache: PlanCacheConfig::default(),
             max_open: 2,
             weights: Vec::new(),
-            starve_timeout: Duration::from_secs(30),
-            reply_timeout: Duration::from_secs(60),
             ckpt_dir: None,
         }
     }
@@ -302,8 +302,6 @@ pub struct RankDaemon {
     weights: HashMap<u32, u64>,
     scfg: StealConfig,
     records: Mutex<Vec<JobRecord>>,
-    starve_timeout: Duration,
-    reply_timeout: Duration,
     /// Job-boundary shard checkpointing (when `SvcConfig::ckpt_dir`).
     ckpt: Option<global_arrays::Checkpointer>,
     /// Runs whose gang lost a member mid-run: result suppressed, plan
@@ -354,8 +352,6 @@ impl RankDaemon {
             weights: cfg.weights.iter().copied().collect(),
             scfg: cfg.steal,
             records: Mutex::new(Vec::new()),
-            starve_timeout: cfg.starve_timeout,
-            reply_timeout: cfg.reply_timeout,
             ckpt,
             poisoned_runs: AtomicU64::new(0),
         }
@@ -418,7 +414,6 @@ impl RankDaemon {
             ep: self.ep.clone(),
             handler: self.handler.clone(),
             gateway: self.gateway.clone(),
-            reply_timeout: self.reply_timeout,
         }
     }
 
@@ -440,7 +435,7 @@ impl RankDaemon {
     pub fn run(&self) {
         let mut seq = 0u64;
         loop {
-            let (job_id, words) = self.exec.pop(seq, &self.ep, self.starve_timeout);
+            let (job_id, words) = self.exec.pop(seq, &self.ep, STARVE_TIMEOUT);
             seq += 1;
             match words[1] {
                 KIND_HALT => return,
@@ -587,7 +582,6 @@ pub struct Client {
     ep: Arc<Endpoint>,
     handler: Arc<Handler>,
     gateway: Option<Arc<Gateway>>,
-    reply_timeout: Duration,
 }
 
 impl Client {
@@ -618,7 +612,7 @@ impl Client {
             }),
         );
         let id = rx
-            .recv_timeout(self.reply_timeout)
+            .recv_timeout(REPLY_TIMEOUT)
             .expect("submit reply lost: progress engine dead or gateway unreachable");
         (id != JOB_REJECTED).then_some(id)
     }
@@ -638,7 +632,7 @@ impl Client {
             }),
         );
         let (s, r) = rx
-            .recv_timeout(self.reply_timeout)
+            .recv_timeout(REPLY_TIMEOUT)
             .expect("status reply lost: progress engine dead or gateway unreachable");
         (JobState::from_u8(s), r)
     }
@@ -669,5 +663,46 @@ impl Client {
             .expect("halt() is a rank-0 (service owner) operation");
         let d = gw.halt();
         self.handler.issue(d);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const STARVE: Duration = Duration::from_millis(20);
+
+    fn lone_endpoint() -> Arc<Endpoint> {
+        let t = comm::loopback(1).pop().expect("one rank");
+        Endpoint::spawn(Box::new(t), DistStore::new(0, 1), CommConfig::default())
+    }
+
+    /// Regression for the executor starvation panic: an empty queue is an
+    /// *idle* executor (a fenced rank receives no work, possibly for a
+    /// long time), not a starved one, and waits quietly through any
+    /// number of timeouts until a frame arrives.
+    #[test]
+    fn an_empty_queue_outlasts_the_starve_timeout_quietly() {
+        let (ep, q) = (lone_endpoint(), ExecQueue::new());
+        let t0 = Instant::now();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                std::thread::sleep(STARVE * 6);
+                q.enqueue(7, &[0, KIND_HALT]);
+            });
+            assert_eq!(q.pop(0, &ep, STARVE), (7, vec![0, KIND_HALT]));
+        });
+        assert!(t0.elapsed() >= STARVE * 6, "pop returned before the frame");
+        ep.shutdown();
+    }
+
+    /// Starvation is a *proven* hole: a later seq banked while an earlier
+    /// one never arrives.
+    #[test]
+    #[should_panic(expected = "executor starved on rank 0: dispatch seq 0 never arrived")]
+    fn a_seq_hole_outliving_the_timeout_panics_with_the_banked_frames() {
+        let (ep, q) = (lone_endpoint(), ExecQueue::new());
+        q.enqueue(9, &[1, KIND_JOB, 0b1, 0]);
+        q.pop(0, &ep, STARVE);
     }
 }

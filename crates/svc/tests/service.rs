@@ -759,12 +759,11 @@ mod packing {
 // Recovery: starvation regression and the kill-mid-run requeue path
 // ---------------------------------------------------------------------------
 
-/// Regression for the executor starvation panic: a fenced (but alive)
-/// rank receives no work for much longer than `starve_timeout` — an
-/// empty queue is an *idle* executor, not a starved one, and must wait
-/// quietly until the halt frame arrives. (Starvation only panics on a
-/// provable seq hole: a later frame banked while an earlier seq never
-/// arrives.)
+/// A fenced (but alive) rank receives no work while the rest of the mesh
+/// serves: it runs nothing, waits quietly, and leaves on the halt frame.
+/// (That an empty queue outlasts the starvation timeout without the
+/// panic — an idle executor is not a starved one — is checked against a
+/// short timeout in `daemon`'s unit tests.)
 #[test]
 fn fenced_rank_idles_without_tripping_the_starvation_panic() {
     let e_tiny = reference(&scale::tiny());
@@ -773,11 +772,7 @@ fn fenced_rank_idles_without_tripping_the_starvation_panic() {
         .map(|t| {
             let r = t.rank();
             std::thread::spawn(move || {
-                let cfg = SvcConfig {
-                    starve_timeout: Duration::from_millis(200),
-                    ..SvcConfig::default()
-                };
-                let daemon = RankDaemon::new(Box::new(t), cfg);
+                let daemon = RankDaemon::new(Box::new(t), SvcConfig::default());
                 let client = daemon.client();
                 let driver = std::thread::spawn(move || {
                     if r != 0 {
@@ -786,10 +781,9 @@ fn fenced_rank_idles_without_tripping_the_starvation_panic() {
                     let gw = client.gateway().expect("rank 0 hosts the gateway");
                     assert!(gw.fence_rank(1).is_empty(), "nothing running yet");
                     // Rank 1 now idles with an empty queue. Hold the
-                    // mesh well past several starve timeouts before the
-                    // job (clamped onto rank 0 alone) and the halt give
-                    // it any frames.
-                    std::thread::sleep(Duration::from_millis(700));
+                    // mesh a while before the job (clamped onto rank 0
+                    // alone) and the halt give it any frames.
+                    std::thread::sleep(Duration::from_millis(100));
                     let id = client.submit(&spec(1, scale::tiny(), Variant::V5)).unwrap();
                     let e = client.wait(id, TIMEOUT);
                     client.halt();
@@ -864,7 +858,6 @@ fn mid_run_rank_kill_requeues_and_recovers_the_job() {
                     dead_after: Duration::from_millis(250),
                     ..chaos_cfg()
                 },
-                starve_timeout: Duration::from_secs(5),
                 ..SvcConfig::default()
             };
             let daemon = RankDaemon::new(t, cfg);
