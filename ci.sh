@@ -66,6 +66,9 @@ echo "==> comm smoke (4 ranks x 4 workers over sockets, v1..v5 + fused v5 vs sin
 # mesh must also show zero recovery activity — any retry/timeout/dup on
 # the clean sockets fails CI. Also enforces the wire-accounting
 # reconciliation (GA remote get bytes == endpoint requested get bytes).
+# After the last run every rank repeats the collective energy reduction:
+# it must pull zero bytes on every rank and reproduce that run's energy
+# bit for bit (owner-computes: two words per rank travel, no tiles).
 cargo run -q --release -p bench-harness --bin mesh_gate -- comm-smoke
 
 echo "==> comm chaos matrix (4 ranks x 4 workers over sockets, fault schedules + kill/restart matrix, fixed seeds)"

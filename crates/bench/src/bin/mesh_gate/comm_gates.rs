@@ -85,6 +85,12 @@ pub fn smoke_rank(rank: usize, port: u16) -> Fragment {
         let run = dr.run_variant(cfg, WORKERS, true);
         f.add_energy(&format!("{name}.energy"), run.energy);
     }
+    // The energy reduction once more, over the output the last run
+    // (v5f) left: it must move no tile and reproduce that run's bits.
+    let ga = dr.workspace().ga.stats();
+    let pulled = ga.remote_get_bytes();
+    f.add_energy("reduce.energy", dr.energy());
+    f.add("reduce.get_bytes", ga.remote_get_bytes() - pulled);
     record_health(&mut f, &dr, 0);
     assert_reconciled(rank, &dr);
     dr.finish();
@@ -117,8 +123,29 @@ fn check_smoke(e_ref: f64, frags: &[Fragment]) -> Result<(), String> {
     for (name, _) in smoke_variants() {
         check_energy(name, e_ref, frags[0].energy(&format!("{name}.energy")))?;
     }
+    check_reduce_moves_no_tiles(frags)?;
     check_quiet(frags)?;
     check_coherent(frags)
+}
+
+/// The energy is an owner-computes reduction: every rank sums the shard
+/// it holds and two words per rank travel. A rank whose remote get bytes
+/// grew across the collective pulled output tiles again, and a leader
+/// whose repeat differs from the run's own energy by a single bit summed
+/// something other than the shards the run left.
+fn check_reduce_moves_no_tiles(frags: &[Fragment]) -> Result<(), String> {
+    if let Some(f) = frags.iter().find(|f| f.get("reduce.get_bytes") != 0) {
+        let (rank, b) = (f.rank, f.get("reduce.get_bytes"));
+        return Err(format!("rank {rank}'s energy reduction pulled {b} bytes"));
+    }
+    let bits = |name| frags[0].energy(name).map(f64::to_bits);
+    let (run, again) = (bits("v5f.energy"), bits("reduce.energy"));
+    if run.is_none() || run != again {
+        return Err(format!(
+            "the repeated energy reduction gave {again:x?}, the v5f run {run:x?}"
+        ));
+    }
+    Ok(())
 }
 
 // ---- chaos: fault schedules -------------------------------------------
@@ -397,6 +424,8 @@ mod tests {
             for (name, _) in smoke_variants() {
                 f.add_energy(&format!("{name}.energy"), (rank == 0).then_some(E_REF));
             }
+            f.add_energy("reduce.energy", (rank == 0).then_some(E_REF));
+            f.add("reduce.get_bytes", 0);
             f
         };
         (0..RANKS).map(rank).collect()
@@ -440,6 +469,7 @@ mod tests {
     fn every_gate_fires_on_its_failing_side() {
         let off = (E_REF * (1.0 + 2e-12)).to_bits();
         assert!(rel_diff(E_REF, f64::from_bits(off)) < 2.1e-12);
+        let ulp = E_REF.to_bits() + 1;
         // One value of a passing run broken at a time: (gate, schedule,
         // rank, counter, value, what the error must say). `kill_*`
         // schedules start from the kill fixture.
@@ -456,6 +486,22 @@ mod tests {
             (FAULT, "reorder", 0, "energy", off, "reorder: energy"),
             (KILL, "clean", 0, "energy", off, "healthy run: energy"),
             (SMOKE, "", 0, "v5f.energy", off, "v5f: energy"),
+            (
+                SMOKE,
+                "",
+                2,
+                "reduce.get_bytes",
+                8,
+                "rank 2's energy reduction pulled 8",
+            ),
+            (
+                SMOKE,
+                "",
+                0,
+                "reduce.energy",
+                ulp,
+                "repeated energy reduction gave",
+            ),
             (KILL, "kill_submit", 3, "injected", 0, "never fired"),
             // The victim's own count does not stand in for a survivor's.
             (KILL, "kill_gemm", 0, "confirmed_deaths", 0, "no survivor"),

@@ -58,14 +58,16 @@ fn parse_opts(args: &[String]) -> Result<(Option<u64>, u64, u16), String> {
         arg_value(args, flag).map(parse).transpose()
     };
     let seed = num("--seed", 16)?;
-    // Mid-job, not merely mid-stream. A job is ~45 frame arrivals at the
-    // victim, give or take the retries and steal probes of the run; an
-    // index that can land on a job's last few arrivals finds the
-    // survivors already through that job's final collective, and the gate
-    // then (rightly) reports no poisoned run to suppress. Measured over
-    // 20-100 runs per index: 70 -> 10 %, 90 -> 20 %, 120 -> 4 % such
-    // outcomes, 95..115 -> 0 of 200.
-    let kill_at = num("--kill-at", 10)?.unwrap_or(105);
+    // Mid-job, not merely mid-stream. A job is ~40 frame arrivals at the
+    // victim, give or take the retries and steal probes of the run, and
+    // stops depending on the victim once its enter of the closing
+    // reduction is out; an index that can land after that finds the
+    // survivors through the job's final collective, and the gate then
+    // (rightly) reports no poisoned run to suppress. Measured over
+    // 60-550 runs per index: 85 -> 18 %, 87 -> 1 %, 96..115 -> 1-3 %,
+    // 120 -> 8 % such outcomes; 89, 90, 92, 93, 94 -> 0 of 1 660
+    // (92 alone: 0 of 550), 91 -> 4 of 550.
+    let kill_at = num("--kill-at", 10)?.unwrap_or(92);
     // One 64-port window per invocation (distinct across concurrent
     // ones), a fresh `RANKS` ports of it per mesh. The whole range must
     // sit BELOW the kernel's ephemeral port span (32768+ on Linux): every
@@ -143,7 +145,7 @@ mod tests {
         let all = parse("--seed 0xc0ffee00 --kill-at 77 --port 20000");
         assert_eq!(all, Ok((Some(0xC0FF_EE00), 77, 20000)));
         let (seed, kill_at, port) = parse("").unwrap();
-        assert_eq!((seed, kill_at), (None, 105));
+        assert_eq!((seed, kill_at), (None, 92));
         assert!((18000..32768 - 64).contains(&port), "{port}");
         assert_eq!(parse("--ranks 8").unwrap_err(), "unknown option `--ranks`");
         assert_eq!(parse("--port 1 x").unwrap_err(), "unknown option `x`");

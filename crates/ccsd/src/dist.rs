@@ -26,10 +26,11 @@ use tce::{Inspection, Kernel, TileSpace, Workspace};
 
 /// Outcome of one collective variant execution on one rank.
 pub struct DistRun {
-    /// The correlation-energy surrogate, computed on the gang leader
+    /// The correlation-energy surrogate, reported by the gang leader
     /// only — logical node 0, i.e. rank 0 for a full-mesh run — (the
-    /// other members return `None`); gathered over the wire from every
-    /// member's output shard.
+    /// other members return `None`): every member sums the output shard
+    /// it owns and the leader adds the partial sums in node order. NaN
+    /// when a member died before contributing its share.
     pub energy: Option<f64>,
     /// This rank's engine report (worker spans on the shared comm
     /// timeline, tagged with this rank's node id).
@@ -294,18 +295,34 @@ impl DistRank {
         self.settle(report, steal)
     }
 
+    /// Collective owner-computes energy of the output tensor as it
+    /// stands: every member sums the shard it owns, in place, and one
+    /// gang allgather carries the two-word partial sums; the leader adds
+    /// them in node order and is the only member to report (`None`
+    /// elsewhere). No tile moves. A reduction poisoned by a member's
+    /// death reports NaN — never a finite sum that misses a share.
+    /// Callers order it after the accumulates it should see (`Ga::sync`).
+    pub fn energy(&self) -> Option<f64> {
+        let ws = &self.ws;
+        let (hi, lo) = tce::energy::partial(ws, ws.ga.distribution(ws.i2, self.my_node()));
+        let words = [hi.to_bits(), lo.to_bits()];
+        let parts = self.ep.allgather_gang(self.view().mask, &words);
+        (self.my_node() == 0).then(|| match parts {
+            Some(parts) => tce::energy::fold(
+                (parts.iter()).map(|w| (f64::from_bits(w[0]), f64::from_bits(w[1]))),
+            ),
+            None => f64::NAN,
+        })
+    }
+
     /// Post-run collective: flush outstanding accumulates everywhere,
-    /// compute the energy on the gang leader (remote shards gathered
-    /// over the wire), and hold the other members back until it is read
-    /// — their next `reset_output` would otherwise clear shards
-    /// mid-gather. Gang-scoped throughout, so concurrent jobs on
-    /// disjoint gangs settle independently.
+    /// then reduce the energy — which is also the closing barrier.
+    /// Gang-scoped throughout, so concurrent jobs on disjoint gangs
+    /// settle independently.
     fn settle(&self, report: NativeReport, steal: StealSummary) -> DistRun {
         self.ws.ga.sync();
-        let energy = (self.my_node() == 0).then(|| tce::energy(&self.ws));
-        self.ep.barrier_gang(self.view().mask);
         DistRun {
-            energy,
+            energy: self.energy(),
             report,
             steal,
         }
@@ -444,6 +461,79 @@ mod tests {
         assert!(probes > dry, "at least one probe must have been granted");
         let wire_reqs: u64 = out.iter().map(|o| o.2).sum();
         assert_eq!(probes, wire_reqs, "every probe hit the wire exactly once");
+    }
+
+    #[test]
+    fn energy_reduction_moves_no_tiles() {
+        for n in [2, 3] {
+            let out = run_ranks(n, |rank| {
+                let run = rank.run_variant(VariantCfg::v5(), 2, true).energy;
+                let traffic = |rank: &DistRank| {
+                    let ga = rank.workspace().ga.stats();
+                    (ga.remote_get_bytes(), rank.endpoint().stats().gets)
+                };
+                let before = traffic(rank);
+                (run, rank.energy(), before, traffic(rank))
+            });
+            for (r, (run, again, before, after)) in out.into_iter().enumerate() {
+                assert_eq!(run.is_some(), r == 0, "{n} ranks: only the leader reports");
+                assert_eq!(
+                    run.map(f64::to_bits),
+                    again.map(f64::to_bits),
+                    "{n} ranks, rank {r}: the reduction is a pure function of the shards"
+                );
+                assert_eq!(
+                    before, after,
+                    "{n} ranks, rank {r}: the reduction read remotely"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn gang_energy_folds_in_logical_node_order_wherever_the_gang_sits() {
+        let space = TileSpace::build(&scale::tiny());
+        let local = tce::build_workspace(&space, 2);
+        let data: Vec<f64> = (0..local.i2_layout.len())
+            .map(|i| tce::util::block_element(0xDA7A, 3, i))
+            .collect();
+        local.ga.put(local.i2, 0, &data);
+        let want = tce::energy(&local).to_bits();
+
+        // Two disjoint 2-rank gangs of one 4-rank mesh hold the same
+        // output; each reduces it among its own members only.
+        let data = Arc::new(data);
+        let handles: Vec<_> = comm::loopback(4)
+            .into_iter()
+            .map(|t| {
+                let (space, data) = (space.clone(), data.clone());
+                std::thread::spawn(move || {
+                    let rank = t.rank();
+                    let store = DistStore::new(rank, t.nranks());
+                    let ep = Endpoint::spawn(Box::new(t), store.clone(), CommConfig::default());
+                    let root = Ga::init_dist(ep.clone(), store);
+                    let gang = if rank < 2 { 0b0011 } else { 0b1100 };
+                    let dr = DistRank::attach(
+                        ep.clone(),
+                        root.dist_share_gang(gang),
+                        &space,
+                        &[Kernel::T2_7],
+                        Arc::new(TilePool::default()),
+                        Arc::new(AtomicU64::new(0)),
+                    );
+                    let ws = dr.workspace();
+                    ws.ga.put_collective(ws.i2, 0, &data);
+                    ws.ga.sync();
+                    let e = dr.energy();
+                    // Neither gang tears its endpoints down under the other.
+                    ep.barrier();
+                    dr.finish();
+                    e.map(f64::to_bits)
+                })
+            })
+            .collect();
+        let got: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+        assert_eq!(got, [Some(want), None, Some(want), None]);
     }
 
     #[test]

@@ -49,11 +49,10 @@ pub struct StealConfig {
     /// cross-rank stealing entirely (the ledger still feeds local
     /// workers, but no requests hit the wire).
     pub limit: u32,
-    /// Test/demo mode: ask peers *before* draining the local tail
-    /// window, so steals fire deterministically even on balanced tiny
-    /// workloads. Production mode (false) steals only when local work is
-    /// exhausted.
-    pub remote_first: bool,
+    /// Ask peers *before* draining the local tail window, so steals
+    /// fire deterministically even on a balanced tiny workload.
+    #[cfg(test)]
+    pub(crate) remote_first: bool,
 }
 
 /// Victims probed concurrently when the rank goes idle. Sequential
@@ -67,6 +66,7 @@ impl Default for StealConfig {
             window: 8,
             batch: 2,
             limit: 2,
+            #[cfg(test)]
             remote_first: false,
         }
     }
@@ -81,6 +81,15 @@ impl StealConfig {
             limit: 0,
             ..Self::default()
         }
+    }
+
+    /// Steal only once local work is exhausted — except in this crate's
+    /// own tests, which can turn the order round.
+    fn remote_first(&self) -> bool {
+        #[cfg(test)]
+        return self.remote_first;
+        #[cfg(not(test))]
+        false
     }
 }
 
@@ -403,7 +412,8 @@ impl WorkSource for ChainSource {
             drop(st);
             return SourcePoll::Tasks(self.expand(&chains));
         }
-        if !self.scfg.remote_first {
+        let remote_first = self.scfg.remote_first();
+        if !remote_first {
             let local = self.ledger.claim(self.scfg.batch);
             if !local.is_empty() {
                 drop(st);
@@ -433,7 +443,7 @@ impl WorkSource for ChainSource {
             }
             return SourcePoll::Pending;
         }
-        if self.scfg.remote_first {
+        if remote_first {
             let local = self.ledger.claim(self.scfg.batch);
             if !local.is_empty() {
                 drop(st);

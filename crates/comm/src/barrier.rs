@@ -1,11 +1,19 @@
-//! Gang-scoped barriers: enter / release / ack against a counter on the
-//! gang's leader rank, with both halves of release recovery (the leader
-//! re-releases to unconfirmed members; a member whose release was lost
-//! re-enters) and poison-release when a member dies.
+//! Gang-scoped collectives: enter / release / ack against a counter on
+//! the gang's leader rank, with both halves of release recovery (the
+//! leader re-releases to unconfirmed members; a member whose release was
+//! lost re-enters) and poison-release when a member dies.
+//!
+//! The one collective is an allgather of a few words per member
+//! ([`Endpoint::allgather_gang`]): an enter carries its member's words,
+//! the leader records them per `(epoch, rank)`, and the release hands
+//! every member the whole set in member order. A barrier is the
+//! empty-payload case, so retry, late-enter re-release, the ack drain
+//! and the poison path exist once.
 
 use crate::call::Retry;
 use crate::endpoint::{Endpoint, Inner};
 use crate::msg::Msg;
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
@@ -22,9 +30,9 @@ pub fn full_mask(nranks: usize) -> u64 {
     }
 }
 
-/// The gang's leader: its lowest member rank, which hosts the barrier
-/// counter (and the gang's NXTVAL counter / energy gather at the layers
-/// above).
+/// The gang's leader: its lowest member rank, which hosts the collective
+/// counter (and, at the layers above, the gang's NXTVAL counter; it is
+/// also the one member that reports the reduced energy).
 pub fn mask_leader(mask: u64) -> usize {
     debug_assert_ne!(mask, 0);
     mask.trailing_zeros() as usize
@@ -35,6 +43,12 @@ pub fn mask_members(mask: u64) -> impl Iterator<Item = usize> {
     (0..64usize).filter(move |r| mask & (1u64 << r) != 0)
 }
 
+/// Whether `rank` is a member of `gang` (false for ranks no mask can
+/// name, so a corrupt frame cannot overflow the shift).
+fn is_member(gang: u64, rank: u32) -> bool {
+    rank < 64 && gang & (1u64 << rank) != 0
+}
+
 /// One rank group's barrier protocol state. Every gang mask gets its own
 /// independent epoch chain and its own counter rank (the group leader),
 /// so concurrent jobs on disjoint gangs never serialize through a shared
@@ -43,13 +57,20 @@ pub fn mask_members(mask: u64) -> impl Iterator<Item = usize> {
 pub(crate) struct BarrierGroup {
     next: u64,
     released: u64,
-    /// Local barrier entries awaiting release, with retransmit state.
-    enters: HashMap<u64, Retry>,
-    /// Leader only: distinct ranks seen per pending epoch.
-    entered: HashMap<u64, HashSet<u32>>,
-    /// Leader only: highest epoch already released; a late re-entry for
-    /// it means the release frame was lost — resend to that rank alone.
+    /// Local entries awaiting release: retransmit state and the words
+    /// this rank contributed (a re-sent enter carries them again).
+    enters: HashMap<u64, (Retry, Vec<u64>)>,
+    /// Payloads of releases received for epochs this rank was waiting
+    /// in, until the waiter takes them. A poisoned epoch never gets one.
+    gathered: HashMap<u64, Vec<Vec<u64>>>,
+    /// Leader only: the words of each distinct rank seen per pending
+    /// epoch (ordered by rank, which is the release's member order).
+    entered: HashMap<u64, BTreeMap<u32, Vec<u64>>>,
+    /// Leader only: highest epoch already released and the words that
+    /// release carried; a late re-entry for it means the release frame
+    /// was lost — resend the *recorded* words to that rank alone.
     last_released: u64,
+    released_words: Vec<Vec<u64>>,
     /// Leader only: the epoch of the newest release awaiting
     /// confirmation, and the ranks that acked it. The sweep re-releases
     /// to the unconfirmed rest, and shutdown drains the set before
@@ -73,32 +94,57 @@ impl Endpoint {
         self.barrier_gang(full_mask(self.inner.nranks));
     }
 
-    /// Collective barrier over the member ranks of `gang` (a bitmask);
-    /// the counter lives on the gang's leader (lowest member). The
-    /// calling rank must be a member. A single-member gang is already
-    /// synchronized and returns immediately.
+    /// Collective barrier over the member ranks of `gang` (a bitmask):
+    /// an [`Endpoint::allgather_gang`] nobody contributes to. Returns on
+    /// a poisoned epoch too (the caller's next operation toward the dead
+    /// member aborts on its own).
     pub fn barrier_gang(&self, gang: u64) {
+        self.allgather_gang(gang, &[]);
+    }
+
+    /// Collective allgather over the member ranks of `gang` (a bitmask):
+    /// every member contributes `words` and receives every member's
+    /// contribution, in ascending member-rank order, once all have
+    /// entered. The counter lives on the gang's leader (lowest member).
+    /// `None` means the epoch was poison-released because a member died
+    /// — the set would be missing that member's share. A single-member
+    /// gang is already synchronized and gets its own words back without
+    /// touching the wire.
+    ///
+    /// # Panics
+    /// If the calling rank is not a member of `gang`: its enter would
+    /// count toward the gang's size and release the real members early.
+    pub fn allgather_gang(&self, gang: u64, words: &[u64]) -> Option<Vec<Vec<u64>>> {
         let i = &self.inner;
-        debug_assert_ne!(
-            gang & (1u64 << i.rank),
-            0,
-            "rank {} entered barrier of gang {gang:#b} it is not a member of",
+        assert!(
+            is_member(gang, i.rank as u32),
+            "rank {} entered a collective of gang {gang:#b} it is not a member of",
             i.rank
         );
-        if gang.count_ones() <= 1 {
-            return;
+        if gang.count_ones() == 1 {
+            return Some(vec![words.to_vec()]);
         }
+        let (from, words) = (i.rank as u32, words.to_vec());
         let epoch = {
             let mut b = i.barrier.lock().unwrap();
             let g = b.entry(gang).or_default();
             g.next += 1;
-            g.enters.insert(g.next, Retry::new(&i.cfg));
+            g.enters.insert(g.next, (Retry::new(&i.cfg), words.clone()));
             g.next
         };
-        let from = i.rank as u32;
-        i.post(mask_leader(gang), &Msg::BarrierEnter { epoch, from, gang });
+        let enter = Msg::BarrierEnter {
+            epoch,
+            from,
+            gang,
+            words,
+        };
+        i.post(mask_leader(gang), &enter);
         let mut b = i.barrier.lock().unwrap();
-        while b.get(&gang).map_or(0, |g| g.released) < epoch {
+        loop {
+            let g = b.get_mut(&gang).expect("group created on entry");
+            if g.released >= epoch {
+                return g.gathered.remove(&epoch);
+            }
             b = i.barrier_cv.wait(b).unwrap();
         }
     }
@@ -151,31 +197,55 @@ impl Inner {
         }
     }
 
-    /// Leader: rank `who` entered `epoch` of `gang`.
-    pub(crate) fn on_barrier_enter(&self, epoch: u64, who: u32, gang: u64) {
-        debug_assert_eq!(
-            self.rank,
-            mask_leader(gang),
-            "barrier counter lives on the gang leader"
-        );
-        let release_to: Vec<usize> = {
+    /// Whether this rank counts for `gang` and `who` is one of its
+    /// members. A frame failing this is dropped and counted: a
+    /// non-member's enter would otherwise count toward the gang's size
+    /// and release the real members one short.
+    fn leads(&self, gang: u64, who: u32) -> bool {
+        let ok = gang != 0 && mask_leader(gang) == self.rank && is_member(gang, who);
+        if !ok {
+            self.stats.dup_requests.fetch_add(1, Ordering::Relaxed);
+        }
+        ok
+    }
+
+    /// Leader: rank `who` entered `epoch` of `gang`, contributing `words`.
+    pub(crate) fn on_barrier_enter(&self, epoch: u64, who: u32, gang: u64, words: Vec<u64>) {
+        if !self.leads(gang, who) {
+            return;
+        }
+        let (release_to, words): (Vec<usize>, _) = {
             let mut b = self.barrier.lock().unwrap();
             let g = b.entry(gang).or_default();
-            if epoch <= g.last_released {
-                // Late retransmission: the release toward `who` was
-                // lost. Re-release to that rank alone.
+            let release_to = if epoch <= g.last_released {
                 self.stats.dup_requests.fetch_add(1, Ordering::Relaxed);
+                if epoch < g.last_released {
+                    // Collectives are serialized per rank within a gang:
+                    // `who` entered a later epoch since, so it has this
+                    // release already and the frame is a stale duplicate.
+                    return;
+                }
+                // Late retransmission: the release toward `who` was
+                // lost. Re-release to that rank alone, with the words
+                // the first release carried.
                 vec![who as usize]
             } else {
                 let set = g.entered.entry(epoch).or_default();
-                if !set.insert(who) {
-                    self.stats.dup_requests.fetch_add(1, Ordering::Relaxed);
+                match set.entry(who) {
+                    // A retransmitted enter: the first one's words stand.
+                    Entry::Occupied(_) => {
+                        self.stats.dup_requests.fetch_add(1, Ordering::Relaxed);
+                    }
+                    Entry::Vacant(slot) => {
+                        slot.insert(words);
+                    }
                 }
                 if set.len() < gang.count_ones() as usize {
                     return;
                 }
-                g.entered.remove(&epoch);
-                g.last_released = g.last_released.max(epoch);
+                let set = g.entered.remove(&epoch).expect("just filled");
+                g.released_words = set.into_values().collect();
+                g.last_released = epoch;
                 // Collectives are serialized per rank within a gang, so
                 // any enter for a later epoch proves receipt of this
                 // release: confirmation only ever needs to track the
@@ -184,18 +254,31 @@ impl Inner {
                 g.acked.clear();
                 g.release_retry = Some(Retry::new(&self.cfg));
                 mask_members(gang).collect()
-            }
+            };
+            (release_to, g.released_words.clone())
         };
+        let frame = Msg::BarrierRelease { epoch, gang, words }.encode();
         for r in release_to {
-            self.post(r, &Msg::BarrierRelease { epoch, gang });
+            self.send_frame(r, frame.clone());
         }
     }
 
-    /// Member: the leader released `epoch` of `gang`.
-    pub(crate) fn on_barrier_release(&self, epoch: u64, gang: u64) {
+    /// Member: the leader released `epoch` of `gang` with every member's
+    /// `words`.
+    pub(crate) fn on_barrier_release(&self, epoch: u64, gang: u64, words: Vec<Vec<u64>>) {
+        if !is_member(gang, self.rank as u32) {
+            self.dup_reply();
+            return;
+        }
         {
             let mut b = self.barrier.lock().unwrap();
             let g = b.entry(gang).or_default();
+            // Only the first release of an epoch this rank still waits
+            // in delivers its payload; duplicates and releases of a
+            // poisoned epoch just re-confirm below.
+            if g.enters.remove(&epoch).is_some() {
+                g.gathered.insert(epoch, words);
+            }
             g.released = g.released.max(epoch);
             let released = g.released;
             g.enters.retain(|&e, _| e > released);
@@ -211,11 +294,9 @@ impl Inner {
 
     /// Leader: rank `who` confirmed the release of `epoch`.
     pub(crate) fn on_barrier_ack(&self, epoch: u64, who: u32, gang: u64) {
-        debug_assert_eq!(
-            self.rank,
-            mask_leader(gang),
-            "barrier counter lives on the gang leader"
-        );
+        if !self.leads(gang, who) {
+            return;
+        }
         let mut b = self.barrier.lock().unwrap();
         if let Some(g) = b.get_mut(&gang) {
             // Acks for superseded epochs are moot: entering a later
@@ -241,17 +322,26 @@ impl Inner {
         for (&gang, g) in self.barrier.lock().unwrap().iter_mut() {
             let leader = mask_leader(gang);
             let released = g.released;
-            for (&epoch, r) in g.enters.iter_mut() {
+            for (&epoch, (r, words)) in g.enters.iter_mut() {
                 if epoch > released && r.due(now, cap) {
-                    resend.push((leader, Msg::BarrierEnter { epoch, from, gang }.encode()));
+                    let words = words.clone();
+                    let enter = Msg::BarrierEnter {
+                        epoch,
+                        from,
+                        gang,
+                        words,
+                    };
+                    resend.push((leader, enter.encode()));
                 }
             }
             let unconfirmed = leader == self.rank
                 && g.ack_epoch > 0
                 && g.acked.len() < gang.count_ones() as usize;
             if unconfirmed && g.release_retry.as_mut().is_some_and(|r| r.due(now, cap)) {
-                let epoch = g.ack_epoch;
-                let frame = Msg::BarrierRelease { epoch, gang }.encode();
+                // An unconfirmed release is the newest one, whose words
+                // are the recorded ones.
+                let (epoch, words) = (g.ack_epoch, g.released_words.clone());
+                let frame = Msg::BarrierRelease { epoch, gang, words }.encode();
                 for who in mask_members(gang).filter(|&w| !g.acked.contains(&(w as u32))) {
                     resend.push((who, frame.clone()));
                 }
@@ -259,21 +349,25 @@ impl Inner {
         }
     }
 
-    /// Poison-release the local waiters of every barrier over a gang
-    /// containing the dead peer `p`; each such gang with a collective
-    /// pending counts as one aborted operation.
+    /// Poison-release this rank's waiter in every collective over a gang
+    /// containing the dead peer `p`; each waiter released counts as one
+    /// aborted operation (once per gang: collectives are serialized per
+    /// rank within one). The waiter finds no gathered words and reports
+    /// the epoch poisoned.
     pub(crate) fn abort_barriers(&self, p: usize) {
         let mut b = self.barrier.lock().unwrap();
         let mut poisoned = 0;
         for (_, g) in b.iter_mut().filter(|(&gang, _)| gang & (1u64 << p) != 0) {
-            let pending = g.released < g.next || !g.enters.is_empty() || !g.entered.is_empty();
-            if !pending {
+            // A set the dead member can never complete. (Survivors
+            // refill it with retransmitted enters until their own
+            // detectors fire; those are not this rank's operations.)
+            g.entered.clear();
+            if g.released == g.next {
                 continue;
             }
             poisoned += 1;
             g.released = g.next;
             g.enters.clear();
-            g.entered.clear();
             g.release_retry = None;
             // Forget release confirmations too: the dead member will
             // never ack, and shutdown's drain must not wait on it.

@@ -664,7 +664,8 @@ impl Inner {
                 epoch,
                 from: who,
                 gang,
-            } => self.on_barrier_enter(epoch, who, gang),
+                words,
+            } => self.on_barrier_enter(epoch, who, gang, words),
             Msg::Ping { token } => self.post(from, &Msg::Pong { token }),
 
             // ---- requesting side: completions of our own posts ----
@@ -672,7 +673,9 @@ impl Inner {
             Msg::Cts { token } => self.clear_to_send(token),
             Msg::Ack { token } => self.finish_request(token, &[]),
             Msg::Return { token, words } => self.finish_request(token, &words),
-            Msg::BarrierRelease { epoch, gang } => self.on_barrier_release(epoch, gang),
+            Msg::BarrierRelease { epoch, gang, words } => {
+                self.on_barrier_release(epoch, gang, words)
+            }
             Msg::BarrierAck {
                 epoch,
                 from: who,

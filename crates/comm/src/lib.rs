@@ -27,7 +27,10 @@
 //!   (announce/pull). Asynchronous gets are throttled per peer, queued
 //!   by destination block and task priority — the communication half of
 //!   the paper's priority scheme — and batched into `MultiGet` frames.
-//! * [`barrier`] — gang-scoped enter/release/ack collectives.
+//! * [`barrier`] — the gang-scoped enter/release/ack collective: an
+//!   allgather of a few words per member
+//!   ([`Endpoint::allgather_gang`]), of which a barrier is the
+//!   empty-payload case.
 //! * [`liveness`] — the failure detector and the poison-abort it drives.
 //! * [`endpoint`] — the progress loop, dispatch and the retry sweep.
 //!

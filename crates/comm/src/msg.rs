@@ -288,14 +288,16 @@ messages! {
     /// The reply to a `Call`. A retransmitted sequenced call re-receives
     /// the recorded words of its first execution, never a second run.
     Return = 12 { token: u64, words: Vec<u64> }
-    /// Rank `from` entered barrier `epoch` of the rank group `gang` (a
+    /// Rank `from` entered collective `epoch` of the rank group `gang` (a
     /// bitmask of participating ranks; sent to the group's leader — its
-    /// lowest member rank). `gang == full mesh` is the classic global
-    /// barrier counted on rank 0.
-    BarrierEnter = 13 { epoch: u64, from: u32, gang: u64 }
-    /// All members of `gang` entered barrier `epoch` (broadcast by the
-    /// group leader to the members).
-    BarrierRelease = 14 { epoch: u64, gang: u64 }
+    /// lowest member rank), contributing `words` (empty for a plain
+    /// barrier). `gang == full mesh` is the classic global barrier
+    /// counted on rank 0.
+    BarrierEnter = 13 { epoch: u64, from: u32, gang: u64, words: Vec<u64> }
+    /// All members of `gang` entered collective `epoch` (broadcast by the
+    /// group leader to the members); `words` holds every member's
+    /// contribution, in ascending member-rank order.
+    BarrierRelease = 14 { epoch: u64, gang: u64, words: Vec<Vec<u64>> }
     /// Rank `from` confirms receipt of the release of `epoch` in group
     /// `gang` (sent to the group leader). Releases are fire-and-forget
     /// on their first posting; the counter rank keeps re-releasing to

@@ -13,23 +13,17 @@
 //! `FaultTransport`, so every scenario replays exactly; each failure
 //! message names the AM, the scenario and the plan seed.
 
+mod common;
+
 use comm::fault::{FaultEvent, FaultPlan, FaultTransport};
-use comm::{loopback, Am, CommConfig, Endpoint, Msg, ShardStore, Transport};
+use comm::{loopback, Am, CommConfig, Endpoint, Msg, Transport};
+use common::{duplicate_all, lose_first_from, NoStore};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 const SEED: u64 = 0xCA11_0000;
 const ARGS: [u64; 2] = [11, 22];
-
-struct NoStore;
-impl ShardStore for NoStore {
-    fn read(&self, _: u32, _: usize, len: usize) -> Vec<f64> {
-        vec![0.0; len]
-    }
-    fn write(&self, _: u32, _: usize, _: &[f64]) {}
-    fn accumulate(&self, _: u32, _: usize, _: &[f64], _: f64) {}
-}
 
 /// Retry in milliseconds; the detector (scenario e) declares death after
 /// 120 ms of silence.
@@ -40,26 +34,6 @@ fn cfg() -> CommConfig {
         suspect_after: Some(Duration::from_millis(30)),
         dead_after: Duration::from_millis(120),
         ..CommConfig::default()
-    }
-}
-
-/// Drop the first frame arriving from `peer`.
-fn lose_first_from(peer: usize, seed: u64) -> FaultPlan {
-    FaultPlan {
-        events: vec![FaultEvent::Partition {
-            peer,
-            from_idx: 0,
-            to_idx: 1,
-        }],
-        ..FaultPlan::clean(seed)
-    }
-}
-
-/// Deliver every arriving frame twice.
-fn duplicate_all(seed: u64) -> FaultPlan {
-    FaultPlan {
-        dup_p: 1.0,
-        ..FaultPlan::clean(seed)
     }
 }
 

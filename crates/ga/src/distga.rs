@@ -176,6 +176,18 @@ impl DistStore {
         }
     }
 
+    /// Run `f` over this rank's whole shard of `h` in place — its owned
+    /// global range and the slice holding it — under the shard's lock.
+    pub(crate) fn with_shard<R>(
+        &self,
+        h: usize,
+        f: impl FnOnce(std::ops::Range<usize>, &[f64]) -> R,
+    ) -> R {
+        let a = self.live(h);
+        let shard = a.shard.lock();
+        f(a.base..a.base + shard.len(), &shard)
+    }
+
     pub(crate) fn write_local(&self, h: usize, offset: usize, data: &[f64]) {
         let Some(a) = self.array(h) else {
             return; // destroyed: late duplicate is dropped

@@ -7,11 +7,15 @@
 //! Here keys are the caller-computed canonical block indices.
 
 use std::collections::HashMap;
+use std::ops::Range;
 
 /// Block key -> location index for one packed tensor.
 #[derive(Debug, Default, Clone)]
 pub struct HashIndex {
     map: HashMap<i64, (usize, usize)>,
+    /// `(key, offset, size)` in insertion order, which — blocks being
+    /// packed back to back — is ascending offset order.
+    blocks: Vec<(i64, usize, usize)>,
     total: usize,
 }
 
@@ -27,6 +31,7 @@ impl HashIndex {
         let offset = self.total;
         let prev = self.map.insert(key, (offset, size));
         assert!(prev.is_none(), "duplicate block key {key}");
+        self.blocks.push((key, offset, size));
         self.total += size;
         offset
     }
@@ -51,9 +56,22 @@ impl HashIndex {
         self.map.len()
     }
 
-    /// Iterate `(key, offset, size)` in unspecified order.
+    /// Iterate `(key, offset, size)` in ascending offset order.
     pub fn iter(&self) -> impl Iterator<Item = (i64, usize, usize)> + '_ {
-        self.map.iter().map(|(&k, &(o, s))| (k, o, s))
+        self.blocks.iter().copied()
+    }
+
+    /// The blocks overlapping the offset range `range`, in ascending
+    /// offset order (whole blocks: the first and last may straddle the
+    /// range's ends, as a block straddles a shard boundary).
+    pub fn blocks_in(&self, range: Range<usize>) -> impl Iterator<Item = (i64, usize, usize)> + '_ {
+        let first = self
+            .blocks
+            .partition_point(|&(_, o, s)| o + s <= range.start);
+        self.blocks[first..]
+            .iter()
+            .copied()
+            .take_while(move |&(_, o, _)| o < range.end)
     }
 }
 
@@ -96,6 +114,22 @@ mod tests {
         assert_eq!(idx.lookup(7), Some((10, 5)));
         assert_eq!(idx.lookup(1), None);
         assert_eq!(idx.num_blocks(), 2);
+    }
+
+    #[test]
+    fn blocks_in_clips_by_offset_range() {
+        let mut idx = HashIndex::new();
+        for (key, size) in [(9, 4), (5, 6), (1, 2)] {
+            idx.insert(key, size);
+        }
+        let all = [(9, 0, 4), (5, 4, 6), (1, 10, 2)];
+        assert_eq!(idx.iter().collect::<Vec<_>>(), all);
+        let keys = |r: Range<usize>| idx.blocks_in(r).map(|b| b.0).collect::<Vec<_>>();
+        assert_eq!(keys(0..12), [9, 5, 1]);
+        assert_eq!(keys(3..5), [9, 5], "both straddle an end of the range");
+        assert_eq!(keys(4..10), [5]);
+        assert_eq!(keys(5..6), [5]);
+        assert_eq!(keys(10..12), [1]);
     }
 
     #[test]

@@ -421,6 +421,30 @@ impl Ga {
         self.dist_of_any(h).owners_of(offset, len)
     }
 
+    /// `ga_access`: borrow in place the shard of `h` that `node` owns —
+    /// `f` receives the node's owned global range and the slice holding
+    /// it, with no copy and no buffer. `None` when that shard does not
+    /// live in this process (distributed mode, a node other than this
+    /// rank's). The shard's lock is held while `f` runs, so writers to
+    /// it wait: keep `f` short, and call no operation on `h` from it.
+    pub fn access<R>(
+        &self,
+        h: GaHandle,
+        node: NodeId,
+        f: impl FnOnce(Range<usize>, &[f64]) -> R,
+    ) -> Option<R> {
+        match &self.backend {
+            Backend::Local { .. } => {
+                let a = self.array(h);
+                let seg = a.segments[node].lock();
+                Some(f(a.dist.range_of(node), &seg))
+            }
+            Backend::Dist { store, view, .. } => {
+                (node == view.my_node).then(|| store.with_shard(h.0, f))
+            }
+        }
+    }
+
     /// Read `[offset, offset+len)` into a fresh buffer (the data-movement
     /// half of `GET_HASH_BLOCK`).
     pub fn get(&self, h: GaHandle, offset: usize, len: usize) -> Vec<f64> {
@@ -1006,6 +1030,21 @@ mod tests {
         assert_eq!(ga.get(h, 3, 9), data);
         // Unwritten parts stay zero.
         assert_eq!(ga.get(h, 0, 3), vec![0.0; 3]);
+    }
+
+    #[test]
+    fn access_borrows_each_nodes_shard_in_place() {
+        let ga = Ga::init(3);
+        let h = ga.create(10);
+        ga.put(h, 0, &(0..10).map(f64::from).collect::<Vec<_>>());
+        let gets = ga.stats().gets();
+        let seen: Vec<_> = (0..3)
+            .map(|n| ga.access(h, n, |r, s| (r, s.to_vec())).unwrap())
+            .collect();
+        assert_eq!(seen[0], (0..4, vec![0.0, 1.0, 2.0, 3.0]));
+        assert_eq!(seen[1], (4..8, vec![4.0, 5.0, 6.0, 7.0]));
+        assert_eq!(seen[2], (8..10, vec![8.0, 9.0]));
+        assert_eq!(ga.stats().gets(), gets, "a borrow is not a get");
     }
 
     #[test]
