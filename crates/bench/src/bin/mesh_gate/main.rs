@@ -63,11 +63,14 @@ fn parse_opts(args: &[String]) -> Result<(Option<u64>, u64, u16), String> {
     // stops depending on the victim once its enter of the closing
     // reduction is out; an index that can land after that finds the
     // survivors through the job's final collective, and the gate then
-    // (rightly) reports no poisoned run to suppress. Measured over
-    // 60-550 runs per index: 85 -> 18 %, 87 -> 1 %, 96..115 -> 1-3 %,
-    // 120 -> 8 % such outcomes; 89, 90, 92, 93, 94 -> 0 of 1 660
-    // (92 alone: 0 of 550), 91 -> 4 of 550.
-    let kill_at = num("--kill-at", 10)?.unwrap_or(92);
+    // (rightly) reports no poisoned run to suppress. The spread of job
+    // boundaries grows with every job, so the earliest quiet window is
+    // the widest. With one opening collective per run (was two), swept
+    // over 60-560 runs per even index: 40..42 -> 3 of 120, 58..60 -> 3
+    // of 120, 62..100 -> 14 of 1 200 (0-5 per index; 92, the old
+    // default, 6 of 350 over all its runs); 44..56 -> 1 of 1 320 (50
+    // alone: 0 of 560).
+    let kill_at = num("--kill-at", 10)?.unwrap_or(50);
     // One 64-port window per invocation (distinct across concurrent
     // ones), a fresh `RANKS` ports of it per mesh. The whole range must
     // sit BELOW the kernel's ephemeral port span (32768+ on Linux): every
@@ -145,7 +148,7 @@ mod tests {
         let all = parse("--seed 0xc0ffee00 --kill-at 77 --port 20000");
         assert_eq!(all, Ok((Some(0xC0FF_EE00), 77, 20000)));
         let (seed, kill_at, port) = parse("").unwrap();
-        assert_eq!((seed, kill_at), (None, 92));
+        assert_eq!((seed, kill_at), (None, 50));
         assert!((18000..32768 - 64).contains(&port), "{port}");
         assert_eq!(parse("--ranks 8").unwrap_err(), "unknown option `--ranks`");
         assert_eq!(parse("--port 1 x").unwrap_err(), "unknown option `x`");

@@ -175,12 +175,6 @@ impl DistRank {
         &self.ins
     }
 
-    /// Collectively zero the output tensor (each rank clears its shard).
-    fn reset_output(&self) {
-        self.ws.reset_output();
-        self.ws.ga.sync();
-    }
-
     /// Collectively execute one variant on the native work-stealing
     /// engine with `threads` workers per rank. `prefetch` routes reader
     /// bodies through the asynchronous get pipeline. Returns the energy
@@ -256,7 +250,9 @@ impl DistRank {
         threads: usize,
         scfg: StealConfig,
     ) -> DistRun {
-        self.reset_output();
+        // Each rank zeroes the output shard it owns: a local write, made
+        // visible to the gang by the opening sync below.
+        self.ws.reset_output();
         let epoch = self.run_epoch.fetch_add(1, Ordering::SeqCst) + 1;
         let source = ChainSource::new(
             self.ep.clone(),
@@ -270,14 +266,16 @@ impl DistRank {
         // The comm thread donates from the same ledger the workers claim
         // from: thief and victim roles share one object.
         self.ep.set_steal_handler(Some(source.clone()));
-        // A probe that lands before the victim installs its handler is
-        // answered dry, and dry is sticky — a full ledger would be
-        // skipped for the whole run. Barrier (gang-scoped: only this
-        // job's members probe each other) so every handler is live
-        // before any rank's engine starts probing. (The symmetric
-        // teardown race is benign: a rank that finished its run has a
-        // drained ledger, so its dry answer is truthful.)
-        self.ep.barrier_gang(self.view().mask);
+        // One opening collective (gang-scoped: only this job's members
+        // probe each other) serves two purposes. No rank's accumulate may
+        // land in a shard its owner has yet to zero. And a probe that
+        // lands before the victim installs its handler is answered dry,
+        // and dry is sticky — a full ledger would be skipped for the
+        // whole run; with the handler installed before the sync, every
+        // handler is live before any rank's engine starts probing. (The
+        // symmetric teardown race is benign: a rank that finished its
+        // run has a drained ledger, so its dry answer is truthful.)
+        self.ws.ga.sync();
         let policy = if cfg.priorities {
             SchedPolicy::PriorityFifo
         } else {
@@ -348,13 +346,22 @@ mod tests {
         n: usize,
         f: impl Fn(&DistRank) -> T + Send + Sync + 'static,
     ) -> Vec<T> {
+        run_ranks_on(scale::tiny(), n, f)
+    }
+
+    /// As [`run_ranks`] over the space `cfg` builds.
+    fn run_ranks_on<T: Send + 'static>(
+        cfg: tce::SpaceConfig,
+        n: usize,
+        f: impl Fn(&DistRank) -> T + Send + Sync + 'static,
+    ) -> Vec<T> {
         let f = Arc::new(f);
         let handles: Vec<_> = comm::loopback(n)
             .into_iter()
             .map(|t| {
-                let f = f.clone();
+                let (f, cfg) = (f.clone(), cfg.clone());
                 std::thread::spawn(move || {
-                    let space = TileSpace::build(&scale::tiny());
+                    let space = TileSpace::build(&cfg);
                     let rank = DistRank::new(Box::new(t), &space, &[Kernel::T2_7]);
                     let out = f(&rank);
                     rank.finish();
@@ -415,11 +422,10 @@ mod tests {
     #[test]
     fn cross_rank_steals_migrate_chains_and_keep_energy() {
         let e_ref = reference();
-        // Remote-first with an unbounded stealable window: every rank
-        // asks its peers before touching its own ledger, so migration
-        // demonstrably fires even on a balanced tiny workload.
+        // Remote-first: every rank asks its peers before touching its own
+        // ledger, so migration demonstrably fires even on a balanced tiny
+        // workload.
         let scfg = StealConfig {
-            window: usize::MAX,
             batch: 1,
             limit: 2,
             remote_first: true,
@@ -559,5 +565,58 @@ mod tests {
             assert!(accs > 0, "cross-rank write accumulates must occur");
             assert!(remote > 0 && local > 0, "both localities exercised");
         }
+    }
+
+    #[test]
+    fn a_run_opens_with_one_collective_and_closes_with_two() {
+        let out = run_ranks(2, |rank| {
+            // Gang collectives this rank has entered so far.
+            let entered = |rank: &DistRank| {
+                let mask = rank.view().mask;
+                let rows = rank.endpoint().barrier_state();
+                rows.iter().find(|r| r.0 == mask).map_or(0, |r| r.1)
+            };
+            let before = entered(rank);
+            rank.run_variant(VariantCfg::v5(), 2, true);
+            let per_run = entered(rank) - before;
+            let before = entered(rank);
+            rank.energy();
+            (per_run, entered(rank) - before)
+        });
+        for (r, (per_run, energy)) in out.into_iter().enumerate() {
+            // Opening: the sync that publishes the zeroed shards and the
+            // installed steal handlers. Closing: the sync that flushes the
+            // accumulates, then the energy allgather.
+            assert_eq!(per_run, 3, "rank {r}: one opening + two closing");
+            assert_eq!(energy, 1, "rank {r}: the energy is one allgather");
+        }
+    }
+
+    #[test]
+    fn chains_stay_on_the_worker_that_claims_them() {
+        // Fine grain (2-orbital tiles): thousands of tiny tasks over tens
+        // of chains, where a bulk claim into one deque would have the
+        // second worker steal task after task.
+        let cfg = tce::SpaceConfig {
+            occ_tiles_per_spin: 2,
+            virt_tiles_per_spin: 4,
+            tile_size: 2,
+            size_spread: 0,
+            irreps: 2,
+            seed: 0xC0FFEE,
+        };
+        let chains = tce::inspect(&TileSpace::build(&cfg), 1).num_chains() as u64;
+        let out = run_ranks_on(cfg, 1, |rank| {
+            let run = rank.run_variant(VariantCfg::v5(), 2, true);
+            (run.report.steal, run.report.tasks, run.steal.local_claimed)
+        });
+        let (steal, tasks, claimed) = &out[0];
+        assert_eq!(*claimed, chains, "every chain claimed from the ledger");
+        assert!(
+            steal.local_steals < chains,
+            "{} single-task steals for {chains} chains ({tasks} tasks)",
+            steal.local_steals
+        );
+        assert_eq!(steal.deferred, 0, "all-local reads settle inline");
     }
 }

@@ -40,17 +40,16 @@ pub type PrefetchFn = Box<dyn Fn(i64) -> u64 + Send + Sync>;
 /// Tuning knobs of the cross-rank steal protocol.
 #[derive(Debug, Clone, Copy)]
 pub struct StealConfig {
-    /// Chains held back from the first-poll bulk claim: the stealable
-    /// tail window (lowest-priority chains) that idle peers may take.
-    pub window: usize,
-    /// Chains claimed from the local ledger per idle poll.
+    /// Chains a starved worker claims from the local ledger at a time —
+    /// from the run's first claim on, so chains go whole to the worker
+    /// that claims them and the unclaimed rest stays donatable.
     pub batch: usize,
     /// Maximum chains requested per steal request; `0` disables
     /// cross-rank stealing entirely (the ledger still feeds local
     /// workers, but no requests hit the wire).
     pub limit: u32,
-    /// Ask peers *before* draining the local tail window, so steals
-    /// fire deterministically even on a balanced tiny workload.
+    /// Ask peers *before* claiming from the local ledger, so steals fire
+    /// deterministically even on a balanced tiny workload.
     #[cfg(test)]
     pub(crate) remote_first: bool,
 }
@@ -63,7 +62,6 @@ const FANOUT: usize = 2;
 impl Default for StealConfig {
     fn default() -> Self {
         Self {
-            window: 8,
             batch: 2,
             limit: 2,
             #[cfg(test)]
@@ -176,17 +174,6 @@ impl ChainLedger {
         out
     }
 
-    /// Claim everything except the last `window` chains: the bulk seeding
-    /// of the run's first poll, which preserves the prefetch pipeline's
-    /// depth while leaving a stealable tail.
-    pub fn claim_head(&self, window: usize) -> Vec<i64> {
-        let mut a = self.avail.lock().unwrap();
-        let take = a.len().saturating_sub(window);
-        let out: Vec<i64> = a.drain(..take).collect();
-        self.claimed.fetch_add(out.len() as u64, Ordering::Relaxed);
-        out
-    }
-
     /// Donate up to `limit` chains to `thief`, preferring chains whose
     /// operands are already thief-resident, breaking ties toward the
     /// back (lowest priority — the owner keeps the urgent work).
@@ -241,8 +228,6 @@ struct SourceState {
     /// Peers with a probe currently on the wire, so fan-out never posts
     /// two concurrent requests to one victim.
     probing: Vec<bool>,
-    /// The first poll bulk-claims the ledger head.
-    first_poll_done: bool,
 }
 
 /// Feeds one run's engine from the rank's [`ChainLedger`] and, when both
@@ -304,7 +289,6 @@ impl ChainSource {
                 inflight: 0,
                 dry: vec![false; nodes],
                 probing: vec![false; nodes],
-                first_poll_done: false,
             }),
             gate: Mutex::new(None),
             stolen_chains: AtomicU64::new(0),
@@ -327,6 +311,19 @@ impl ChainSource {
             probes_sent: self.probes_sent.load(Ordering::Relaxed),
             dry_replies: self.dry_replies.load(Ordering::Relaxed),
             prefetched_bytes: self.prefetched_bytes.load(Ordering::Relaxed),
+        }
+    }
+
+    /// Chains at hand without the wire: every grant that has landed, else
+    /// `batch` chains from the front of the own ledger (unless peers are
+    /// asked first).
+    fn take_local(&self, st: &mut SourceState) -> Vec<i64> {
+        if !st.granted.is_empty() {
+            std::mem::take(&mut st.granted)
+        } else if self.scfg.remote_first() {
+            Vec::new()
+        } else {
+            self.ledger.claim(self.scfg.batch)
         }
     }
 
@@ -397,28 +394,19 @@ impl WorkSource for ChainSource {
         *self.gate.lock().unwrap() = Some(gate);
     }
 
+    fn claim(&self) -> Option<Vec<TaskKey>> {
+        let chains = self.take_local(&mut self.state.lock().unwrap());
+        (!chains.is_empty()).then(|| self.expand(&chains))
+    }
+
     fn poll(&self) -> SourcePoll {
         let mut st = self.state.lock().unwrap();
-        if !st.first_poll_done {
-            st.first_poll_done = true;
-            let head = self.ledger.claim_head(self.scfg.window);
-            if !head.is_empty() {
-                drop(st);
-                return SourcePoll::Tasks(self.expand(&head));
-            }
-        }
-        if !st.granted.is_empty() {
-            let chains = std::mem::take(&mut st.granted);
+        // Under the same lock as the Empty verdict below: a grant landing
+        // between a separate claim and this poll must not be missed.
+        let chains = self.take_local(&mut st);
+        if !chains.is_empty() {
             drop(st);
             return SourcePoll::Tasks(self.expand(&chains));
-        }
-        let remote_first = self.scfg.remote_first();
-        if !remote_first {
-            let local = self.ledger.claim(self.scfg.batch);
-            if !local.is_empty() {
-                drop(st);
-                return SourcePoll::Tasks(self.expand(&local));
-            }
         }
         // Top up outstanding probes to the fan-out, one per distinct
         // victim; the first grant to land wins the wake-up, later
@@ -443,7 +431,7 @@ impl WorkSource for ChainSource {
             }
             return SourcePoll::Pending;
         }
-        if remote_first {
+        if self.scfg.remote_first() {
             let local = self.ledger.claim(self.scfg.batch);
             if !local.is_empty() {
                 drop(st);
@@ -499,18 +487,35 @@ mod tests {
         }
     }
 
+    /// Everything `take` hands out until it comes back empty.
+    fn drain(take: impl Fn() -> Vec<i64>) -> Vec<i64> {
+        let mut got = Vec::new();
+        loop {
+            let batch = take();
+            if batch.is_empty() {
+                return got;
+            }
+            got.extend(batch);
+        }
+    }
+
     #[test]
     fn claim_and_donate_never_hand_out_a_chain_twice() {
         let ins = ins(2);
         let ledger = ChainLedger::new(&ins, 0, 2);
         let n = ledger.remaining();
-        let mut seen = Vec::new();
-        seen.extend(ledger.claim_head(4));
-        seen.extend(ledger.donate(&ins, 1, 3));
-        seen.extend(ledger.claim(2));
-        while ledger.remaining() > 0 {
-            seen.extend(ledger.donate(&ins, 1, 1));
-        }
+        // Two workers claiming batches race a comm thread donating to a
+        // thief, as in a run, until the ledger is dry.
+        let mut seen: Vec<i64> = std::thread::scope(|s| {
+            let claimer = || s.spawn(|| drain(|| ledger.claim(2)));
+            let workers = [claimer(), claimer()];
+            let donor = s.spawn(|| drain(|| ledger.donate(&ins, 1, 1)));
+            workers
+                .into_iter()
+                .chain([donor])
+                .flat_map(|h| h.join().unwrap())
+                .collect()
+        });
         assert_eq!(seen.len(), n, "every chain handed out exactly once");
         seen.sort_unstable();
         seen.dedup();

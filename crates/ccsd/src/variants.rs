@@ -191,9 +191,11 @@ impl TaskClass for Reader {
         }
         // Prefetch pipeline: hand the transfer to the comm layer at this
         // reader's graph priority and free the worker immediately. The
-        // progress engine's in-flight caps + priority queue turn the
-        // pending readers into a deepest-first prefetch window; the get
-        // completion re-enters the engine through the completion sink.
+        // progress engine caps in-flight gets per peer and queues the rest
+        // (by destination block, the priority breaking ties); the get
+        // completion re-enters the engine through the completion sink —
+        // inline, as a synchronous return, when the data was local or
+        // cached and the callback runs before this body returns.
         let ws = c.ws.as_ref().unwrap();
         let g = &c.chain(key.params[0]).gemms[key.params[1] as usize];
         let (h, offset, len) = match self.0 {

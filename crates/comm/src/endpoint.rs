@@ -58,7 +58,7 @@ pub struct CommConfig {
     /// rendezvous (default 4 KiB — a few small tiles).
     pub eager_threshold: usize,
     /// Maximum outstanding gets per target rank; further posts queue by
-    /// priority (default 4).
+    /// destination block, priority breaking ties (default 4).
     pub max_inflight_gets: usize,
     /// Initial per-request retransmission timeout. Far above any healthy
     /// round trip (default 1 s), so fault-free runs never retry; chaos
@@ -180,7 +180,19 @@ counters! {
     /// completed with zeros, calls with their fallback, acks
     /// force-completed, collective waits poison-released, ...).
     aborted_ops,
+    /// Trace spans and get latencies not kept because [`DIAG_CAP`] of
+    /// them were already waiting for [`Endpoint::take_trace`] /
+    /// [`Endpoint::take_latencies`].
+    diag_dropped,
 }
+
+/// Trace spans, and separately get latencies, an endpoint keeps between
+/// two takes: the first `DIAG_CAP` since the last take (half a MiB of
+/// spans). A reader that drains after every run never reaches it — a
+/// `dist2_medium` unit leaves a few hundred of each per rank — while a
+/// daemon nobody drains would otherwise keep one span per request it
+/// ever completed.
+pub(crate) const DIAG_CAP: usize = 1 << 14;
 
 /// Interned class ids of an endpoint trace. Interning is deterministic,
 /// so the ids computed at spawn stay valid for every trace
@@ -429,13 +441,15 @@ impl Endpoint {
         self.inner.stats.snap()
     }
 
-    /// Drain the recorded get latencies (nanoseconds, post to data).
+    /// Drain the recorded get latencies (nanoseconds, post to data): the
+    /// first [`DIAG_CAP`] since the last take.
     pub fn take_latencies(&self) -> Vec<u64> {
         std::mem::take(&mut *self.inner.get_lat.lock().unwrap())
     }
 
     /// Drain the communication trace (spans on this rank's comm row,
-    /// relative to [`Endpoint::epoch`]).
+    /// relative to [`Endpoint::epoch`]): the first [`DIAG_CAP`] since
+    /// the last take.
     pub fn take_trace(&self) -> Trace {
         std::mem::replace(&mut *self.inner.trace.lock().unwrap(), fresh_trace().0)
     }
@@ -499,11 +513,17 @@ impl Inner {
         self.stats.dup_replies.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Record a span on this rank's comm row, from `posted_ns` to now.
+    /// Record a span on this rank's comm row, from `posted_ns` to now
+    /// (unless [`DIAG_CAP`] spans already wait for a take).
     pub(crate) fn span(&self, class: u16, posted_ns: u64) {
         let row = WorkerId::new(self.rank as u32, COMM_WORKER);
         let now = self.now_ns();
-        self.trace.lock().unwrap().push(row, class, posted_ns, now);
+        let mut trace = self.trace.lock().unwrap();
+        if trace.spans().len() < DIAG_CAP {
+            trace.push(row, class, posted_ns, now);
+        } else {
+            self.stats.diag_dropped.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     /// Post a put (`alpha: None`) or accumulate as one request: eager

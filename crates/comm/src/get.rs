@@ -1,13 +1,16 @@
-//! The get pipeline: priority-queued, per-peer-throttled, batched
-//! one-sided reads.
+//! The get pipeline: per-peer-throttled, queued, batched one-sided reads.
 //!
 //! Asynchronous gets are capped per target rank. Excess requests queue in
-//! a heap ordered by destination block, then by the caller's task
-//! priority, so under contention the wire carries the *next needed*
-//! operand first — the transport-level half of the paper's
-//! `max_L1 - L1 + offset * P` prefetch scheme. Every completed frame
-//! frees a slot and launches the best queued requests toward that rank,
-//! packed into one `MultiGet` when the queue has depth.
+//! a heap that drains by destination block first — lowest `(array,
+//! offset)` first, so consecutive pops hit adjacent blocks and a batch
+//! frame stays spatially dense — and only then by the caller's task
+//! priority, which breaks ties among reads of one block (then FIFO).
+//! Under contention the wire therefore carries operands in block order,
+//! not in the order the graph will need them: the paper's
+//! `max_L1 - L1 + offset * P` priorities shape which *tasks* run and
+//! post first, not the order a deep queue drains in. Every completed
+//! frame frees a slot and launches the next queued requests toward that
+//! rank, packed into one `MultiGet` when the queue has depth.
 //!
 //! This is the one hot path that keeps its own table instead of riding
 //! [`crate::call`]: replies are delivered zero-copy from the frame
@@ -17,7 +20,7 @@
 //! abort hooks with the request table.
 
 use crate::call::Retry;
-use crate::endpoint::{Endpoint, Inner};
+use crate::endpoint::{Endpoint, Inner, DIAG_CAP};
 use crate::msg::{GetSpec, Msg, WireSlice};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -40,7 +43,7 @@ struct PendingGet {
     posted_ns: u64,
     cb: GetCallback,
     spec: GetSpec,
-    /// `None` while the request sits in the priority queue or rides a
+    /// `None` while the request sits in the peer's queue or rides a
     /// batch (the batch owns the retry); armed when launched alone.
     retry: Option<Retry>,
     retries: u32,
@@ -90,8 +93,9 @@ impl GetPipe {
 
 impl Endpoint {
     /// Post an asynchronous get of `[offset, offset+len)` of `array` on
-    /// `peer`'s shard. `prio` orders queued requests under backpressure;
-    /// `cb` runs on the progress thread when the data arrives.
+    /// `peer`'s shard. Under backpressure queued requests drain by
+    /// destination block, `prio` breaking ties within one block; `cb`
+    /// runs on the progress thread when the data arrives.
     pub fn get_async(
         &self,
         peer: usize,
@@ -271,10 +275,13 @@ impl Inner {
 
     /// Latency sample, wire-byte count and trace span of one delivered get.
     fn record_get(&self, pg: &PendingGet, eager: bool, retried: bool) {
-        self.get_lat
-            .lock()
-            .unwrap()
-            .push(self.now_ns() - pg.posted_ns);
+        let mut lat = self.get_lat.lock().unwrap();
+        if lat.len() < DIAG_CAP {
+            lat.push(self.now_ns() - pg.posted_ns);
+        } else {
+            self.stats.diag_dropped.fetch_add(1, Ordering::Relaxed);
+        }
+        drop(lat);
         self.stats
             .get_wire_bytes
             .fetch_add(pg.spec.len * 8, Ordering::Relaxed);

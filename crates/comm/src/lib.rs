@@ -1,5 +1,5 @@
 //! Multi-rank message-passing transport with one-sided Global-Array
-//! semantics and a priority-driven prefetch pipeline.
+//! semantics and an asynchronous, batched prefetch pipeline.
 //!
 //! The paper's execution model needs exactly three things from the wire:
 //! one-sided block access (`GET`/`PUT`/`ACC` against block-distributed
@@ -25,8 +25,8 @@
 //! * [`get`] — the read pipeline. Small payloads travel eagerly; above
 //!   [`CommConfig::eager_threshold`] replies rendezvous
 //!   (announce/pull). Asynchronous gets are throttled per peer, queued
-//!   by destination block and task priority — the communication half of
-//!   the paper's priority scheme — and batched into `MultiGet` frames.
+//!   by destination block (task priority only breaks ties within one
+//!   block) and batched into `MultiGet` frames.
 //! * [`barrier`] — the gang-scoped enter/release/ack collective: an
 //!   allgather of a few words per member
 //!   ([`Endpoint::allgather_gang`]), of which a barrier is the
@@ -249,6 +249,45 @@ mod tests {
         assert_eq!(s.multi_parts, 7, "all queued gets packed into it");
         assert_eq!(e0.take_latencies().len(), 8);
         assert_eq!(e0.take_trace().spans().len(), 8);
+    }
+
+    #[test]
+    fn undrained_diagnostics_stop_at_the_cap() {
+        let mut t = loopback(2);
+        let t1 = t.pop().unwrap();
+        let t0 = t.pop().unwrap();
+        let e0 = Endpoint::spawn(Box::new(t0), MemStore::new(&[256]), CommConfig::default());
+        let _e1 = Endpoint::spawn(Box::new(t1), MemStore::new(&[256]), CommConfig::default());
+        let gets = |n: usize| {
+            let done = Arc::new(AtomicUsize::new(0));
+            for i in 0..n {
+                let done = done.clone();
+                e0.get_async(
+                    1,
+                    0,
+                    i % 256,
+                    1,
+                    0,
+                    Box::new(move |_: WireSlice<'_>| {
+                        done.fetch_add(1, Ordering::SeqCst);
+                    }),
+                );
+            }
+            while done.load(Ordering::SeqCst) < n {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+        };
+        // Nobody drains: the first DIAG_CAP spans and latencies are kept,
+        // the rest only counted.
+        gets(endpoint::DIAG_CAP + 5);
+        assert_eq!(e0.take_latencies().len(), endpoint::DIAG_CAP);
+        assert_eq!(e0.take_trace().spans().len(), endpoint::DIAG_CAP);
+        assert_eq!(e0.stats().diag_dropped, 10);
+        // A take makes room again.
+        gets(3);
+        assert_eq!(e0.take_latencies().len(), 3);
+        assert_eq!(e0.take_trace().spans().len(), 3);
+        assert_eq!(e0.stats().diag_dropped, 10);
     }
 
     #[test]

@@ -36,6 +36,14 @@ pub const MAX_PARAMS: usize = 4;
 
 /// One task instance: a class and its parameter values. Unused parameter
 /// slots are zero by convention.
+///
+/// `params[0]` is the task's *locality group*: tasks that share it are
+/// expected to touch the same data and run best on one thread — in the
+/// CCSD graphs it is the chain index `L1` of every class. Engines rely on
+/// it: the native engine keeps one group's dependency state in one lock
+/// shard, and `SchedPolicy::ChainAffinity` prefers successors of the
+/// group that just ran. A graph without such structure loses nothing
+/// but locality by ignoring the convention.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TaskKey {
     pub class: ClassId,
@@ -188,7 +196,10 @@ pub trait TaskClass: Send + Sync {
     /// it; calling [`Completion::finish`] later delivers the outputs to
     /// the engine's dependency tracker exactly as a synchronous return
     /// would have. The worker is free immediately: this is how transfers
-    /// overlap with computation.
+    /// overlap with computation. A body that finishes its own `done` on
+    /// the calling thread before returning `None` (the data was already
+    /// at hand) has completed synchronously, and an engine may settle it
+    /// as such.
     fn execute_async(
         &self,
         key: TaskKey,

@@ -7,10 +7,11 @@
 //! [`crate::native::NativeRuntime`] is built from:
 //!
 //! * [`ShardMap`] — a DashMap-style hash map split into N independently
-//!   locked shards, so concurrent `deliver()`s on different tasks touch
-//!   different locks;
+//!   locked shards, picked by the key's locality group (the chain), so
+//!   one chain's entries share a shard and workers on different chains
+//!   touch different locks;
 //! * [`ShardedTracker`] — the symbolic dependency tracker re-expressed
-//!   over a [`ShardMap`] plus atomic live/discovered/completed counters,
+//!   over a [`ShardMap`] plus one atomic live-task counter,
 //!   replacing the globally locked [`crate::tracker::Tracker`] on the
 //!   native completion path;
 //! * [`IdleGate`] — an eventcount-style parking protocol replacing the
@@ -72,25 +73,42 @@ impl Hasher for FxHasher {
 /// Hasher builder for [`FxHasher`].
 pub type FxBuild = BuildHasherDefault<FxHasher>;
 
-fn hash_of<K: Hash>(key: &K) -> u64 {
-    let mut h = FxHasher::default();
-    key.hash(&mut h);
-    h.finish()
+/// A key that names its locality group: the [`ptg::TaskKey`] convention
+/// (`params[0]`, the chain in CCSD graphs), also for the `(task, flow)`
+/// keys of the payload store.
+pub trait Grouped {
+    /// The locality group this key belongs to.
+    fn group(&self) -> i64;
+}
+
+impl Grouped for TaskKey {
+    fn group(&self) -> i64 {
+        self.params[0]
+    }
+}
+
+impl Grouped for (TaskKey, u32) {
+    fn group(&self) -> i64 {
+        self.0.params[0]
+    }
 }
 
 /// A hash map split into independently locked shards.
 ///
-/// `N` shards each hold an ordinary `HashMap` behind a small mutex; a key
-/// deterministically maps to one shard, so operations on different shards
-/// never contend. This is the "DashMap built from approved crates" shape:
-/// lock-free readers are not needed because every dispatch operation is a
-/// short insert/remove critical section.
+/// `N` shards each hold an ordinary `HashMap` behind a small mutex. The
+/// shard is picked from the key's locality group alone, so every entry of
+/// one chain — its tasks' remaining-input counts and their payloads —
+/// lives in one shard: a worker running a chain touches one lock and one
+/// set of cache lines, and two workers on different chains trade neither
+/// (unless their groups collide on a shard). This is the "DashMap built
+/// from approved crates" shape: lock-free readers are not needed because
+/// every dispatch operation is a short insert/remove critical section.
 pub struct ShardMap<K, V> {
     shards: Vec<Mutex<HashMap<K, V, FxBuild>>>,
     mask: u64,
 }
 
-impl<K: Hash + Eq, V> ShardMap<K, V> {
+impl<K: Hash + Eq + Grouped, V> ShardMap<K, V> {
     /// Map with at least `shards` shards (rounded up to a power of two).
     pub fn new(shards: usize) -> Self {
         let n = shards.max(1).next_power_of_two();
@@ -100,11 +118,13 @@ impl<K: Hash + Eq, V> ShardMap<K, V> {
         }
     }
 
-    /// Lock and return the shard that owns `key`.
+    /// Lock and return the shard that owns `key`'s group.
     pub fn lock_shard(&self, key: &K) -> MutexGuard<'_, HashMap<K, V, FxBuild>> {
-        // High bits decide the shard so the low bits remain good intra-map
-        // hash entropy.
-        let idx = ((hash_of(key) >> 48) & self.mask) as usize;
+        // Fx of one word is a multiply: its high bits spread consecutive
+        // group numbers over the shards.
+        let mut h = FxHasher::default();
+        h.write_i64(key.group());
+        let idx = ((h.finish() >> 48) & self.mask) as usize;
         self.shards[idx].lock()
     }
 
@@ -134,13 +154,14 @@ impl<K: Hash + Eq, V> ShardMap<K, V> {
 /// Semantics are identical to [`crate::tracker::Tracker`] (discovered
 /// tasks map to their remaining-input count; nothing else is ever
 /// materialized), but `deliver()` on the completion path locks only the
-/// shard owning the destination task, and quiescence is a single atomic
-/// counter — no global lock anywhere.
+/// shard owning the destination's chain, and quiescence is a single atomic
+/// counter — no global lock anywhere. That counter is the only word every
+/// worker writes per task: discovered/completed tallies would be two more
+/// cache lines bouncing between cores on every task, for a statistic the
+/// engine reports anyway (`NativeReport::tasks`).
 pub struct ShardedTracker {
     missing: ShardMap<TaskKey, usize>,
     live: AtomicU64,
-    discovered: AtomicU64,
-    completed: AtomicU64,
 }
 
 impl ShardedTracker {
@@ -149,15 +170,12 @@ impl ShardedTracker {
         Self {
             missing: ShardMap::new(shards),
             live: AtomicU64::new(0),
-            discovered: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
         }
     }
 
     /// Register a root task (zero task inputs). Returns the key, ready.
     pub fn add_root(&self, key: TaskKey) -> TaskKey {
         self.live.fetch_add(1, Ordering::SeqCst);
-        self.discovered.fetch_add(1, Ordering::Relaxed);
         key
     }
 
@@ -181,7 +199,6 @@ impl ShardedTracker {
             }
             std::collections::hash_map::Entry::Vacant(v) => {
                 self.live.fetch_add(1, Ordering::SeqCst);
-                self.discovered.fetch_add(1, Ordering::Relaxed);
                 let n = graph.class_of(dst).num_inputs(dst, graph.ctx());
                 debug_assert!(
                     n > 0,
@@ -202,7 +219,6 @@ impl ShardedTracker {
     /// quiescence (the caller should initiate shutdown exactly once —
     /// only one completion can observe the drop to zero).
     pub fn complete(&self, _key: TaskKey) -> bool {
-        self.completed.fetch_add(1, Ordering::Relaxed);
         let prev = self.live.fetch_sub(1, Ordering::SeqCst);
         debug_assert!(prev > 0, "completion without a live task");
         prev == 1
@@ -211,16 +227,6 @@ impl ShardedTracker {
     /// No live tasks remain.
     pub fn is_quiescent(&self) -> bool {
         self.live.load(Ordering::SeqCst) == 0
-    }
-
-    /// Tasks discovered so far.
-    pub fn discovered(&self) -> u64 {
-        self.discovered.load(Ordering::Relaxed)
-    }
-
-    /// Tasks completed so far.
-    pub fn completed(&self) -> u64 {
-        self.completed.load(Ordering::Relaxed)
     }
 
     /// Tasks that were discovered but still wait for inputs.
@@ -315,6 +321,21 @@ mod tests {
     }
 
     #[test]
+    fn shard_map_keeps_a_group_in_one_shard() {
+        // Every task and flow of chain 5, whatever its class and other
+        // parameters, lands in the same shard.
+        let m: ShardMap<(TaskKey, u32), ()> = ShardMap::new(8);
+        for class in 0..4 {
+            for l2 in 0..16 {
+                m.insert((TaskKey::new(class, &[5, l2, l2 % 3]), class), ());
+            }
+        }
+        let used = m.shards.iter().filter(|s| !s.lock().is_empty()).count();
+        assert_eq!(used, 1);
+        assert_eq!(m.len(), 64);
+    }
+
+    #[test]
     fn concurrent_deliveries_count_exactly() {
         // 8 threads hammer deliver() on a fan-in task with 800 inputs;
         // exactly one thread must observe readiness.
@@ -359,8 +380,8 @@ mod tests {
             }
         });
         assert_eq!(ready.load(Ordering::SeqCst), 1);
-        assert_eq!(t.discovered(), 1);
         assert_eq!(t.starved(), 0);
+        // Discovered exactly once: one completion takes it to quiescence.
         assert!(t.complete(dst));
         assert!(t.is_quiescent());
     }

@@ -4,15 +4,18 @@
 //! payload store, or the idle gate show up here as lost tasks, duplicated
 //! tasks, wrong energies, or hangs.
 
-use ccsd::{build_graph, verify, VariantCfg};
+use ccsd::{build_graph, verify, DistRank, VariantCfg};
 use parsec_rt::{NativeRuntime, SchedPolicy};
 use ptg::{Dep, GraphCtx, Payload, PlainCtx, TaskClass, TaskGraph, TaskKey};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use tce::{scale, TileSpace};
+use tce::{scale, Kernel, TileSpace};
 use tensor_kernels::rel_diff;
 
 const ITERS: usize = 50;
+/// Units per mesh of the source-fed runs (each also re-runs the graph on
+/// a live mesh, so steal epochs and the tile cache cross units).
+const ITERS_DIST: usize = 20;
 const THREADS: usize = 8;
 
 /// Wide fan-in: `n` root leaves all feed one sink task through the same
@@ -129,5 +132,77 @@ fn v5_variant_is_stable_under_oversubscription() {
             rel_diff(e_ref, e) < 1e-12,
             "iteration {iter} ({policy:?}): energy {e} vs reference {e_ref}"
         );
+    }
+}
+
+/// What one rank saw of one source-fed run.
+struct RankRun {
+    energy: Option<f64>,
+    tasks: u64,
+    donated: u64,
+    stolen: u64,
+}
+
+/// `ranks` loopback ranks, each running `ITERS_DIST` v5 units on one
+/// mesh at `THREADS` workers: results per rank, per iteration.
+fn dist_runs(ranks: usize) -> Vec<Vec<RankRun>> {
+    let handles: Vec<_> = comm::loopback(ranks)
+        .into_iter()
+        .map(|t| {
+            std::thread::spawn(move || {
+                let space = TileSpace::build(&scale::small());
+                let rank = DistRank::new(Box::new(t), &space, &[Kernel::T2_7]);
+                let runs = (0..ITERS_DIST)
+                    .map(|_| {
+                        let run = rank.run_variant(VariantCfg::v5(), THREADS, true);
+                        RankRun {
+                            energy: run.energy,
+                            tasks: run.report.tasks,
+                            donated: run.steal.donated_chains,
+                            stolen: run.steal.stolen_chains,
+                        }
+                    })
+                    .collect();
+                rank.finish();
+                runs
+            })
+        })
+        .collect();
+    handles.into_iter().map(|h| h.join().unwrap()).collect()
+}
+
+/// The source-fed path under oversubscription: chains claimed from the
+/// ledger, reads settled inline (1 rank: every read is local) or from the
+/// comm thread (2 ranks), and chains migrating between ranks — 20 units
+/// per mesh at 8 workers per rank. Every unit executes exactly the
+/// library run's tasks, matches the reference to 1e-12, and lands every
+/// donated chain on a thief.
+#[test]
+fn source_fed_dist_runs_are_stable_under_oversubscription() {
+    let space = TileSpace::build(&scale::small());
+    for ranks in [1, 2] {
+        let (ins, ws) = verify::prepare(&space, ranks);
+        let e_ref = verify::reference_energy(&ws);
+        let g = build_graph(ins, VariantCfg::v5(), Some(ws));
+        let expected = NativeRuntime::new(1).run(&g).tasks;
+
+        let runs = dist_runs(ranks);
+        for iter in 0..ITERS_DIST {
+            let unit: Vec<&RankRun> = runs.iter().map(|r| &r[iter]).collect();
+            let tasks: u64 = unit.iter().map(|r| r.tasks).sum();
+            assert_eq!(tasks, expected, "{ranks} ranks, unit {iter}: task count");
+            let e = unit[0].energy.expect("the leader reports the energy");
+            assert!(
+                rel_diff(e_ref, e) < 1e-12,
+                "{ranks} ranks, unit {iter}: energy {e} vs reference {e_ref}"
+            );
+            assert!(unit[1..].iter().all(|r| r.energy.is_none()));
+            let donated: u64 = unit.iter().map(|r| r.donated).sum();
+            let stolen: u64 = unit.iter().map(|r| r.stolen).sum();
+            assert_eq!(
+                donated, stolen,
+                "{ranks} ranks, unit {iter}: donated != stolen"
+            );
+        }
     }
 }
