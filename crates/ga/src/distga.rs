@@ -8,10 +8,12 @@
 
 use crate::cache::TileCache;
 use crate::dist::Distribution;
+use crate::stats::{thread_slot, SLOTS};
 use crate::{GaGetCallback, GangView};
 use comm::{Endpoint, ShardStore, WireSlice};
 use parking_lot::{Condvar as PlCondvar, Mutex};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
+use std::ops::Range;
 use std::sync::{Arc, Condvar, Mutex as StdMutex, OnceLock};
 
 /// Array ids are namespaced by gang tag: `id = (tag << NS_SHIFT) | idx`,
@@ -30,13 +32,35 @@ pub(crate) fn ns_tag(h: usize) -> u32 {
 
 struct DistArray {
     dist: Distribution,
-    /// Global offset of this rank's shard (the gang-logical node's owned
-    /// range start — precomputed because the store does not know which
-    /// logical node this rank is within each array's gang).
-    base: usize,
-    /// This rank's owned slice, indexed by `global - base`.
+    /// Global offsets of this rank's shard (the gang-logical node's owned
+    /// range — precomputed because the store does not know which logical
+    /// node this rank is within each array's gang).
+    owned: Range<usize>,
+    /// This rank's owned slice, indexed by `global - owned.start`.
     shard: Mutex<Vec<f64>>,
 }
+
+impl DistArray {
+    fn new(dist: Distribution, owned: Range<usize>, shard: Vec<f64>) -> Arc<Self> {
+        Arc::new(Self {
+            dist,
+            owned,
+            shard: Mutex::new(shard),
+        })
+    }
+
+    /// Copy the owned global range `[offset, offset+out.len())` out.
+    fn copy_out(&self, offset: usize, out: &mut [f64]) {
+        let s = offset - self.owned.start;
+        out.copy_from_slice(&self.shard.lock()[s..s + out.len()]);
+    }
+}
+
+/// The store's live arrays as one thread slot sees them, on cache lines
+/// of its own.
+#[derive(Default)]
+#[repr(align(128))]
+struct View(Mutex<BTreeMap<u32, Arc<DistArray>>>);
 
 #[derive(Default)]
 struct StoreState {
@@ -56,6 +80,14 @@ struct StoreState {
 pub struct DistStore {
     rank: usize,
     state: Mutex<StoreState>,
+    /// Per thread slot, a copy of `state.arrays`. Every lookup goes
+    /// through the caller's view first, so the all-local read path takes
+    /// no store-wide lock and bumps no shared refcount: it borrows the
+    /// array under a lock only its own thread slot takes. Writers
+    /// (create, destroy, restore) refresh every view under the state
+    /// lock, so a destroyed array leaves every view at once — no thread
+    /// keeps it alive.
+    views: Box<[View]>,
     created: PlCondvar,
     /// The owning `Ga`'s tile cache, attached at `init_dist_cfg`. Every
     /// shard mutation — the local fast paths *and* incoming `Put`/`Acc`
@@ -71,6 +103,7 @@ impl DistStore {
         Arc::new(Self {
             rank,
             state: Mutex::new(StoreState::default()),
+            views: (0..SLOTS).map(|_| View::default()).collect(),
             created: PlCondvar::new(),
             cache: OnceLock::new(),
         })
@@ -92,18 +125,26 @@ impl DistStore {
     /// ids as long as they process the gang's jobs in the same order.
     pub(crate) fn create_gang(&self, tag: u32, len: usize, nodes: usize, my_node: usize) -> usize {
         let dist = Distribution::new(len, nodes);
-        let r = dist.range_of(my_node);
-        let base = r.start;
-        let shard = Mutex::new(vec![0.0; r.len()]);
+        let owned = dist.range_of(my_node);
+        let shard = vec![0.0; owned.len()];
         let mut st = self.state.lock();
         let idx = st.next_idx.entry(tag).or_insert(0);
         assert!(*idx < (1 << NS_SHIFT), "namespace {tag} exhausted");
         let id = ((tag as usize) << NS_SHIFT) | *idx as usize;
         *idx += 1;
         st.arrays
-            .insert(id as u32, Arc::new(DistArray { dist, base, shard }));
+            .insert(id as u32, DistArray::new(dist, owned, shard));
+        self.refresh_views(&st);
         self.created.notify_all();
         id
+    }
+
+    /// Make every view a copy of `st.arrays` (the caller holds the state
+    /// lock, so views change in the order the state does).
+    fn refresh_views(&self, st: &StoreState) {
+        for v in self.views.iter() {
+            *v.0.lock() = st.arrays.iter().map(|(&id, a)| (id, a.clone())).collect();
+        }
     }
 
     /// Drop the array's shard and tombstone its id (plan-cache
@@ -116,6 +157,7 @@ impl DistStore {
             let mut st = self.state.lock();
             st.arrays.remove(&(h as u32));
             st.destroyed.insert(h as u32);
+            self.refresh_views(&st);
         }
         self.created.notify_all();
         if let Some(c) = self.cache.get() {
@@ -123,12 +165,34 @@ impl DistStore {
         }
     }
 
-    /// `None` means destroyed. A missing id that is not tombstoned is
+    /// `None` means destroyed. Looked up in the calling thread's view,
+    /// else in the store's state (see [`Self::with_array`]).
+    fn array(&self, h: usize) -> Option<Arc<DistArray>> {
+        self.with_array(h, |a| a.cloned())
+    }
+
+    /// Run `f` on array `h` (`None`: destroyed) as the calling thread's
+    /// view holds it — borrowed, no store lock, no refcount — falling
+    /// back to the store's state when the view lacks it (destroyed, or
+    /// not created here yet). `f` runs under the view's lock, so it must
+    /// be short and must not call back into the store.
+    fn with_array<R>(&self, h: usize, f: impl FnOnce(Option<&Arc<DistArray>>) -> R) -> R {
+        let view = self.views[thread_slot()].0.lock();
+        match view.get(&(h as u32)) {
+            Some(a) => f(Some(a)),
+            None => {
+                drop(view);
+                f(self.wait_for(h).as_ref())
+            }
+        }
+    }
+
+    /// The state's view of `h`. A missing id that is not tombstoned is
     /// awaited: creates are collective by convention but not
     /// synchronized, so a remote request can reach the progress thread
     /// before this rank's application thread has made the matching
     /// `create`. The request itself proves the create is coming.
-    fn array(&self, h: usize) -> Option<Arc<DistArray>> {
+    fn wait_for(&self, h: usize) -> Option<Arc<DistArray>> {
         let mut st = self.state.lock();
         loop {
             if let Some(a) = st.arrays.get(&(h as u32)) {
@@ -151,11 +215,15 @@ impl DistStore {
         }
     }
 
-    /// As [`Self::array`], for application paths that must never touch a
-    /// destroyed array (only late wire duplicates legitimately can).
+    /// For application paths that must never touch a destroyed array
+    /// (only late wire duplicates legitimately can).
+    fn used_after_destroy(&self, h: usize) -> ! {
+        panic!("array {h} used after destroy on rank {}", self.rank)
+    }
+
+    /// As [`Self::array`], for application paths.
     fn live(&self, h: usize) -> Arc<DistArray> {
-        self.array(h)
-            .unwrap_or_else(|| panic!("array {h} used after destroy on rank {}", self.rank))
+        self.array(h).unwrap_or_else(|| self.used_after_destroy(h))
     }
 
     pub(crate) fn dist_of(&self, h: usize) -> Distribution {
@@ -167,13 +235,27 @@ impl DistStore {
     /// destroyed array reads as zeros (late duplicate gets after a plan
     /// eviction).
     pub(crate) fn read_local(&self, h: usize, offset: usize, out: &mut [f64]) {
-        match self.array(h) {
-            Some(a) => {
-                let s = a.base;
-                out.copy_from_slice(&a.shard.lock()[offset - s..offset - s + out.len()]);
-            }
+        self.with_array(h, |a| match a {
+            Some(a) => a.copy_out(offset, out),
             None => out.fill(0.0),
-        }
+        })
+    }
+
+    /// The all-local get, resolved with one lookup: copy `[offset,
+    /// offset+out.len())` into `out` if this rank owns all of it, else
+    /// return false with `out` untouched. An application read, so a
+    /// destroyed array panics.
+    pub(crate) fn read_owned(&self, h: usize, offset: usize, out: &mut [f64]) -> bool {
+        self.with_array(h, |a| {
+            let Some(a) = a else {
+                self.used_after_destroy(h)
+            };
+            let owned = offset >= a.owned.start && offset + out.len() <= a.owned.end;
+            if owned {
+                a.copy_out(offset, out);
+            }
+            owned
+        })
     }
 
     /// Run `f` over this rank's whole shard of `h` in place — its owned
@@ -185,14 +267,14 @@ impl DistStore {
     ) -> R {
         let a = self.live(h);
         let shard = a.shard.lock();
-        f(a.base..a.base + shard.len(), &shard)
+        f(a.owned.clone(), &shard)
     }
 
     pub(crate) fn write_local(&self, h: usize, offset: usize, data: &[f64]) {
         let Some(a) = self.array(h) else {
             return; // destroyed: late duplicate is dropped
         };
-        let s = a.base;
+        let s = a.owned.start;
         a.shard.lock()[offset - s..offset - s + data.len()].copy_from_slice(data);
         // Invalidate *after* the shard holds the new value: a concurrent
         // reader either hits the doomed entry (pre-write value, allowed
@@ -207,7 +289,7 @@ impl DistStore {
         let Some(a) = self.array(h) else {
             return; // destroyed: late duplicate is dropped
         };
-        let s = a.base;
+        let s = a.owned.start;
         {
             let mut shard = a.shard.lock();
             for (dst, x) in shard[offset - s..offset - s + data.len()]
@@ -248,7 +330,7 @@ impl DistStore {
                     id,
                     a.dist.len(),
                     a.dist.nodes(),
-                    a.base,
+                    a.owned.start,
                     a.shard.lock().clone(),
                 )
             })
@@ -279,19 +361,14 @@ impl DistStore {
         for (id, len, nodes, base, shard) in snap.arrays {
             touched.push(id);
             let dist = Distribution::new(len, nodes);
-            fresh.arrays.insert(
-                id,
-                Arc::new(DistArray {
-                    dist,
-                    base,
-                    shard: Mutex::new(shard),
-                }),
-            );
+            let owned = base..base + shard.len();
+            fresh.arrays.insert(id, DistArray::new(dist, owned, shard));
         }
         {
             let mut st = self.state.lock();
             touched.extend(st.arrays.keys().copied());
             *st = fresh;
+            self.refresh_views(&st);
         }
         self.created.notify_all();
         if let Some(c) = self.cache.get() {
@@ -427,4 +504,63 @@ pub(crate) fn nxtval_reset_collective(ep: &Endpoint, view: &GangView) {
         ep.nxtval_reset(view.members[0]);
     }
     ep.barrier_gang(view.mask);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc::channel;
+
+    #[test]
+    fn destroy_frees_the_shard_and_earlier_readers_read_zeros() {
+        let store = DistStore::new(0, 1);
+        let h = store.create_gang(0, 8, 1, 0);
+        store.write_local(h, 0, &[1.0; 8]);
+        let shard = Arc::downgrade(&store.array(h).unwrap());
+        let (read_tx, read_rx) = channel();
+        let (gone_tx, gone_rx) = channel();
+        std::thread::scope(|s| {
+            let store: &DistStore = &store;
+            let reader = s.spawn(move || {
+                let before = ShardStore::read(store, h as u32, 2, 4);
+                read_tx.send(()).unwrap();
+                gone_rx.recv().unwrap();
+                (before, ShardStore::read(store, h as u32, 2, 4))
+            });
+            read_rx.recv().unwrap();
+            store.destroy(h);
+            // The reader is alive and has looked the array up: nothing it
+            // keeps may hold the shard past the destroy.
+            let pinned = shard.upgrade().is_some();
+            gone_tx.send(()).unwrap();
+            let (before, after) = reader.join().unwrap();
+            assert!(!pinned, "a view still pins the shard");
+            assert_eq!(before, vec![1.0; 4]);
+            assert_eq!(after, vec![0.0; 4], "a destroyed array reads as zeros");
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "used after destroy")]
+    fn an_application_read_of_a_destroyed_array_panics() {
+        let store = DistStore::new(0, 1);
+        let h = store.create_gang(0, 8, 1, 0);
+        let mut out = [0.0; 4];
+        assert!(store.read_owned(h, 0, &mut out));
+        store.destroy(h);
+        store.read_owned(h, 0, &mut out);
+    }
+
+    #[test]
+    fn only_the_owned_range_reads_locally() {
+        let store = DistStore::new(1, 2);
+        let h = store.create_gang(0, 10, 2, 1); // rank 1 owns [5, 10)
+        store.write_local(h, 5, &[7.0; 5]);
+        let mut out = [0.0; 3];
+        assert!(store.read_owned(h, 6, &mut out));
+        assert_eq!(out, [7.0; 3]);
+        let mut out = [-1.0; 3];
+        assert!(!store.read_owned(h, 3, &mut out), "[3, 6) is partly remote");
+        assert_eq!(out, [-1.0; 3], "a refused read leaves the buffer alone");
+    }
 }

@@ -426,7 +426,9 @@ impl Ga {
     /// it, with no copy and no buffer. `None` when that shard does not
     /// live in this process (distributed mode, a node other than this
     /// rank's). The shard's lock is held while `f` runs, so writers to
-    /// it wait: keep `f` short, and call no operation on `h` from it.
+    /// it wait: keep `f` short, and call no `Ga` operation from it (a
+    /// local read holds its thread's array view while it takes a shard
+    /// lock, so the reverse order could deadlock).
     pub fn access<R>(
         &self,
         h: GaHandle,
@@ -468,20 +470,10 @@ impl Ga {
                 }
                 self.stats.record_locality(out.len() * 8, 0);
             }
-            Backend::Dist { store, view, .. } => {
-                let dist = store.dist_of(h.0);
-                let me = view.my_node;
-                let pieces = dist.owners_of(offset, out.len());
-                if pieces.iter().all(|(node, _)| *node == me) {
+            Backend::Dist { store, .. } => {
+                if store.read_owned(h.0, offset, out) {
                     // Entirely this rank's shard: straight memcpy, no
                     // buffer hand-off, no cache involvement.
-                    for (_, range) in &pieces {
-                        store.read_local(
-                            h.0,
-                            range.start,
-                            &mut out[range.start - offset..range.end - offset],
-                        );
-                    }
                     self.stats.record_locality(out.len() * 8, 0);
                 } else {
                     let slot = WaitSlot::new();
@@ -573,9 +565,10 @@ impl Ga {
     }
 
     /// Distributed read of `[offset, offset+buf.len())` through the tile
-    /// cache: all-local ranges short-circuit; cached blocks are served
-    /// from memory; concurrent readers of one uncached block coalesce
-    /// onto a single fill whose completion feeds every waiter.
+    /// cache: all-local ranges short-circuit (one array lookup, no store
+    /// lock, no shared write); cached blocks are served from memory;
+    /// concurrent readers of one uncached block coalesce onto a single
+    /// fill whose completion feeds every waiter.
     fn dist_fetch(
         &self,
         h: GaHandle,
@@ -584,33 +577,16 @@ impl Ga {
         prio: i64,
         cb: GaGetCallback,
     ) {
-        let Backend::Dist {
-            store, cache, view, ..
-        } = &self.backend
-        else {
+        let Backend::Dist { store, cache, .. } = &self.backend else {
             unreachable!("dist_fetch on local backend")
         };
         let len = buf.len();
-        let dist = store.dist_of(h.0);
-        let me = view.my_node;
-        let pieces = dist.owners_of(offset, len);
-        let remote_b: usize = pieces
-            .iter()
-            .filter(|(node, _)| *node != me)
-            .map(|(_, r)| r.len() * 8)
-            .sum();
-        if remote_b == 0 {
-            for (_, range) in &pieces {
-                store.read_local(
-                    h.0,
-                    range.start,
-                    &mut buf[range.start - offset..range.end - offset],
-                );
-            }
+        if store.read_owned(h.0, offset, &mut buf) {
             self.stats.record_locality(len * 8, 0);
             cb(buf);
             return;
         }
+        let pieces = store.dist_of(h.0).owners_of(offset, len);
         if !cache.enabled() {
             self.fetch_assemble(h, offset, buf, prio, cb, &pieces);
             return;
@@ -1091,6 +1067,26 @@ mod tests {
         assert_eq!(ga.stats().get_bytes(), 40);
         assert_eq!(ga.stats().acc_bytes(), 32);
         assert_eq!(ga.stats().gets(), 1);
+    }
+
+    #[test]
+    fn stats_stay_exact_under_concurrent_gets() {
+        // Each thread counts into its own slot; reads sum the slots.
+        let ga = Ga::init(2);
+        let h = ga.create(16);
+        std::thread::scope(|s| {
+            for t in 0..4 {
+                let ga = &ga;
+                s.spawn(move || {
+                    for i in 0..10_000 {
+                        ga.get(h, (t + i) % 8, 5);
+                    }
+                });
+            }
+        });
+        assert_eq!(ga.stats().gets(), 40_000);
+        assert_eq!(ga.stats().get_bytes(), 40_000 * 40);
+        assert_eq!(ga.stats().local_bytes(), 40_000 * 40);
     }
 
     #[test]

@@ -1,157 +1,250 @@
 //! Operation counters for auditing executions (how many gets/accs/nxtvals
 //! a given execution model issued, and how many bytes moved).
+//!
+//! The counters are kept per thread: each thread adds to its own slot,
+//! padded to cache lines of its own, and a read sums the slots. A get on
+//! one worker therefore writes no line another worker's get writes —
+//! with one shared word per counter, every get of a two-worker rank paid
+//! four cache-line transfers just to be counted.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+
+/// Per-thread slots, here and in [`crate::DistStore`]'s array views: more
+/// than the threads of one rank (application, comm progress, a handful of
+/// workers). Threads beyond that share slots, which stays exact (the
+/// slots are atomic) and costs only the sharing.
+pub(crate) const SLOTS: usize = 16;
+
+/// The calling thread's slot, handed out round-robin on first use.
+pub(crate) fn thread_slot() -> usize {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    thread_local! {
+        static SLOT: usize = NEXT.fetch_add(1, Ordering::Relaxed) % SLOTS;
+    }
+    SLOT.with(|s| *s)
+}
+
+/// The counters, in slot order.
+#[derive(Clone, Copy)]
+enum C {
+    Gets,
+    GetBytes,
+    Puts,
+    PutBytes,
+    Accs,
+    AccBytes,
+    Nxtvals,
+    LocalBytes,
+    RemoteBytes,
+    CacheHits,
+    CacheJoins,
+    CacheMisses,
+    CacheInvalidations,
+    CacheHitBytes,
+    RemoteGetBytes,
+    StaleReads,
+    CacheRetained,
+}
+
+const NAMES: [&str; 17] = [
+    "gets",
+    "get_bytes",
+    "puts",
+    "put_bytes",
+    "accs",
+    "acc_bytes",
+    "nxtvals",
+    "local_bytes",
+    "remote_bytes",
+    "cache_hits",
+    "cache_joins",
+    "cache_misses",
+    "cache_invalidations",
+    "cache_hit_bytes",
+    "remote_get_bytes",
+    "stale_reads",
+    "cache_retained",
+];
+
+/// One thread's counters.
+#[derive(Default)]
+#[repr(align(128))]
+struct Slot([AtomicU64; NAMES.len()]);
 
 /// Thread-safe operation counters.
-#[derive(Debug, Default)]
 pub struct GaStats {
-    gets: AtomicU64,
-    get_bytes: AtomicU64,
-    puts: AtomicU64,
-    put_bytes: AtomicU64,
-    accs: AtomicU64,
-    acc_bytes: AtomicU64,
-    nxtvals: AtomicU64,
-    local_bytes: AtomicU64,
-    remote_bytes: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_joins: AtomicU64,
-    cache_misses: AtomicU64,
-    cache_invalidations: AtomicU64,
-    cache_hit_bytes: AtomicU64,
-    remote_get_bytes: AtomicU64,
-    stale_reads: AtomicU64,
-    cache_retained: AtomicU64,
+    slots: Box<[Slot]>,
+}
+
+impl Default for GaStats {
+    fn default() -> Self {
+        Self {
+            slots: (0..SLOTS).map(|_| Slot::default()).collect(),
+        }
+    }
+}
+
+impl std::fmt::Debug for GaStats {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let mut d = f.debug_struct("GaStats");
+        for (i, name) in NAMES.iter().enumerate() {
+            d.field(name, &self.sum_at(i));
+        }
+        d.finish()
+    }
 }
 
 impl GaStats {
+    fn add(&self, c: C, n: u64) {
+        self.slots[thread_slot()].0[c as usize].fetch_add(n, Ordering::Relaxed);
+    }
+
+    fn sum_at(&self, i: usize) -> u64 {
+        self.slots
+            .iter()
+            .map(|s| s.0[i].load(Ordering::Relaxed))
+            .sum()
+    }
+
+    fn sum(&self, c: C) -> u64 {
+        self.sum_at(c as usize)
+    }
+
     pub(crate) fn record_get(&self, bytes: usize) {
-        self.gets.fetch_add(1, Ordering::Relaxed);
-        self.get_bytes.fetch_add(bytes as u64, Ordering::Relaxed);
+        self.add(C::Gets, 1);
+        self.add(C::GetBytes, bytes as u64);
     }
     pub(crate) fn record_put(&self, bytes: usize) {
-        self.puts.fetch_add(1, Ordering::Relaxed);
-        self.put_bytes.fetch_add(bytes as u64, Ordering::Relaxed);
+        self.add(C::Puts, 1);
+        self.add(C::PutBytes, bytes as u64);
     }
     pub(crate) fn record_acc(&self, bytes: usize) {
-        self.accs.fetch_add(1, Ordering::Relaxed);
-        self.acc_bytes.fetch_add(bytes as u64, Ordering::Relaxed);
+        self.add(C::Accs, 1);
+        self.add(C::AccBytes, bytes as u64);
     }
     pub(crate) fn record_nxtval(&self) {
-        self.nxtvals.fetch_add(1, Ordering::Relaxed);
+        self.add(C::Nxtvals, 1);
     }
     /// Split the bytes of one operation by whether they stayed on the
     /// calling rank or crossed rank boundaries. The in-process backend
     /// counts everything as local (there is no wire); the distributed
     /// backend splits by shard ownership.
     pub(crate) fn record_locality(&self, local: usize, remote: usize) {
-        self.local_bytes.fetch_add(local as u64, Ordering::Relaxed);
-        self.remote_bytes
-            .fetch_add(remote as u64, Ordering::Relaxed);
+        self.add(C::LocalBytes, local as u64);
+        self.add(C::RemoteBytes, remote as u64);
     }
 
     /// Number of `get` operations.
     pub fn gets(&self) -> u64 {
-        self.gets.load(Ordering::Relaxed)
+        self.sum(C::Gets)
     }
     /// Bytes read by `get` operations.
     pub fn get_bytes(&self) -> u64 {
-        self.get_bytes.load(Ordering::Relaxed)
+        self.sum(C::GetBytes)
     }
     /// Number of `put` operations.
     pub fn puts(&self) -> u64 {
-        self.puts.load(Ordering::Relaxed)
+        self.sum(C::Puts)
     }
     /// Bytes written by `put` operations.
     pub fn put_bytes(&self) -> u64 {
-        self.put_bytes.load(Ordering::Relaxed)
+        self.sum(C::PutBytes)
     }
     /// Number of accumulate operations.
     pub fn accs(&self) -> u64 {
-        self.accs.load(Ordering::Relaxed)
+        self.sum(C::Accs)
     }
     /// Bytes accumulated.
     pub fn acc_bytes(&self) -> u64 {
-        self.acc_bytes.load(Ordering::Relaxed)
+        self.sum(C::AccBytes)
     }
     /// Number of NXTVAL acquisitions.
     pub fn nxtvals(&self) -> u64 {
-        self.nxtvals.load(Ordering::Relaxed)
+        self.sum(C::Nxtvals)
     }
     /// Bytes of get/put/acc traffic whose owner was the calling rank.
     pub fn local_bytes(&self) -> u64 {
-        self.local_bytes.load(Ordering::Relaxed)
+        self.sum(C::LocalBytes)
     }
     /// Bytes of get/put/acc traffic that crossed rank boundaries.
     pub fn remote_bytes(&self) -> u64 {
-        self.remote_bytes.load(Ordering::Relaxed)
+        self.sum(C::RemoteBytes)
     }
 
     // ---- tile-cache counters (distributed read path) ----
 
     pub(crate) fn record_cache_hit(&self, bytes: usize) {
-        self.cache_hits.fetch_add(1, Ordering::Relaxed);
-        self.cache_hit_bytes
-            .fetch_add(bytes as u64, Ordering::Relaxed);
+        self.add(C::CacheHits, 1);
+        self.add(C::CacheHitBytes, bytes as u64);
     }
     pub(crate) fn record_cache_join(&self, bytes: usize) {
-        self.cache_joins.fetch_add(1, Ordering::Relaxed);
-        self.cache_hit_bytes
-            .fetch_add(bytes as u64, Ordering::Relaxed);
+        self.add(C::CacheJoins, 1);
+        self.add(C::CacheHitBytes, bytes as u64);
     }
     pub(crate) fn record_cache_miss(&self) {
-        self.cache_misses.fetch_add(1, Ordering::Relaxed);
+        self.add(C::CacheMisses, 1);
     }
     pub(crate) fn record_cache_invalidations(&self, n: u64) {
-        self.cache_invalidations.fetch_add(n, Ordering::Relaxed);
+        self.add(C::CacheInvalidations, n);
     }
     pub(crate) fn record_remote_get_bytes(&self, bytes: usize) {
-        self.remote_get_bytes
-            .fetch_add(bytes as u64, Ordering::Relaxed);
+        self.add(C::RemoteGetBytes, bytes as u64);
     }
     pub(crate) fn record_stale_read(&self) {
-        self.stale_reads.fetch_add(1, Ordering::Relaxed);
+        self.add(C::StaleReads, 1);
     }
     pub(crate) fn record_cache_retained(&self, n: u64) {
-        self.cache_retained.fetch_add(n, Ordering::Relaxed);
+        self.add(C::CacheRetained, n);
     }
 
     /// Gets served entirely from the local tile cache.
     pub fn cache_hits(&self) -> u64 {
-        self.cache_hits.load(Ordering::Relaxed)
+        self.sum(C::CacheHits)
     }
     /// Gets that joined an in-flight fill of the same block and shared
     /// its wire transfer.
     pub fn cache_joins(&self) -> u64 {
-        self.cache_joins.load(Ordering::Relaxed)
+        self.sum(C::CacheJoins)
     }
     /// Gets that missed the cache and fetched over the wire.
     pub fn cache_misses(&self) -> u64 {
-        self.cache_misses.load(Ordering::Relaxed)
+        self.sum(C::CacheMisses)
     }
     /// Cached blocks dropped because a local or incoming Put/Acc
     /// overlapped them (or a sync flushed them).
     pub fn cache_invalidations(&self) -> u64 {
-        self.cache_invalidations.load(Ordering::Relaxed)
+        self.sum(C::CacheInvalidations)
     }
     /// Bytes served from cached blocks (hits and joins).
     pub fn cache_hit_bytes(&self) -> u64 {
-        self.cache_hit_bytes.load(Ordering::Relaxed)
+        self.sum(C::CacheHitBytes)
     }
     /// Remote bytes actually requested from the comm endpoint by the get
     /// path — reconciles against the endpoint's `get_req_bytes`.
     pub fn remote_get_bytes(&self) -> u64 {
-        self.remote_get_bytes.load(Ordering::Relaxed)
+        self.sum(C::RemoteGetBytes)
     }
     /// Verified cache hits whose cached block differed from the owner's
     /// shard (must stay zero; counted only in `verify_reads` mode).
     pub fn stale_reads(&self) -> u64 {
-        self.stale_reads.load(Ordering::Relaxed)
+        self.sum(C::StaleReads)
     }
     /// Entries of pinned (read-mostly) arrays that survived a sync
     /// flush, summed over flushes — the epoch-retention payoff.
     pub fn cache_retained(&self) -> u64 {
-        self.cache_retained.load(Ordering::Relaxed)
+        self.sum(C::CacheRetained)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_counter_has_a_name() {
+        assert_eq!(C::CacheRetained as usize + 1, NAMES.len());
+        let stats = GaStats::default();
+        stats.record_cache_retained(7);
+        assert!(format!("{stats:?}").contains("cache_retained: 7"));
     }
 }

@@ -20,17 +20,20 @@
 //! in [`sched`]: a max-priority queue with FIFO tie-breaking, which is what
 //! makes the paper's v2-vs-v4 priority experiment reproducible.
 
+mod completions;
 pub mod cost;
 pub mod native;
 pub mod pool;
+mod report;
 pub mod sched;
 pub mod shard;
 pub mod simengine;
 pub mod tracker;
 
 pub use cost::CostModel;
-pub use native::{NativeReport, NativeRuntime, SourcePoll, StealStats, WorkSource};
+pub use native::{NativeRuntime, SourcePoll, WorkSource};
 pub use pool::{PoolStats, TilePool};
+pub use report::{NativeReport, StealStats};
 pub use sched::SchedPolicy;
 pub use shard::IdleGate;
 pub use simengine::{SimEngine, SimReport};

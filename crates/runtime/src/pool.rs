@@ -11,20 +11,22 @@
 //! from a free list — zero heap allocations per task.
 //!
 //! Sharding mirrors [`crate::shard::ShardMap`]: each shard is a small
-//! mutex around `size class -> free list`, and a thread goes to the shard
-//! its `ThreadId` hashes to, so concurrent checkouts by different workers
-//! touch different locks. A checkout that misses its home shard scans the
-//! others before allocating fresh — recycled buffers are never stranded on
-//! the shard of a thread that no longer exists, which keeps repeat runs
+//! padded mutex around `size class -> free list` plus its own counters,
+//! and each thread that touches the pool is handed its own home shard in
+//! turn, so concurrent checkouts by different workers touch different
+//! locks and different cache lines — a checkout's whole footprint is its
+//! home shard. A checkout that misses its home shard scans the others
+//! before allocating fresh — recycled buffers are never stranded on the
+//! shard of a thread that no longer exists, which keeps repeat runs
 //! miss-free even though worker threads (and their shard homes) change
-//! between runs.
+//! between runs. [`TilePool::stats`] sums the shards' counters.
 
-use crate::shard::FxHasher;
-use parking_lot::Mutex;
+use crossbeam::utils::CachePadded;
+use parking_lot::{Mutex, MutexGuard};
 use ptg::Payload;
+use std::cell::Cell;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Smallest pooled size class (doubles). Requests below this still round
 /// up to it; buffers whose capacity fell below it are dropped on recycle
@@ -32,7 +34,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 const MIN_CLASS: usize = 8;
 
 /// Snapshot of the pool's counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {
     /// Checkouts served from a free list.
     pub hits: u64,
@@ -56,19 +58,40 @@ impl PoolStats {
         }
         self.hits as f64 / total as f64
     }
+
+    fn add(&mut self, o: &PoolStats) {
+        self.hits += o.hits;
+        self.misses += o.misses;
+        self.recycles += o.recycles;
+        self.cow_clones += o.cow_clones;
+        self.bytes_allocated += o.bytes_allocated;
+    }
 }
 
-type FreeLists = HashMap<usize, Vec<Vec<f64>>>;
+/// One shard: free lists by size class, and the counters of the
+/// operations that took this shard's lock.
+#[derive(Default)]
+struct Shard {
+    free: HashMap<usize, Vec<Vec<f64>>>,
+    stats: PoolStats,
+}
+
+impl Shard {
+    fn pop(&mut self, class: usize) -> Option<Vec<f64>> {
+        self.free.get_mut(&class).and_then(Vec::pop)
+    }
+}
 
 /// Sharded free-list allocator for `f64` tile buffers.
 pub struct TilePool {
-    shards: Vec<Mutex<FreeLists>>,
-    mask: u64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    recycles: AtomicU64,
-    cow_clones: AtomicU64,
-    bytes_allocated: AtomicU64,
+    shards: Vec<CachePadded<Mutex<Shard>>>,
+    /// Next home shard to hand a newly arriving thread.
+    next_home: AtomicUsize,
+}
+
+thread_local! {
+    /// The pool this thread last used and its home shard there.
+    static HOME: Cell<(usize, usize)> = const { Cell::new((0, 0)) };
 }
 
 impl Default for TilePool {
@@ -89,37 +112,51 @@ impl TilePool {
     pub fn new(shards: usize) -> Self {
         let n = shards.max(1).next_power_of_two();
         Self {
-            shards: (0..n).map(|_| Mutex::new(HashMap::new())).collect(),
-            mask: (n - 1) as u64,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            recycles: AtomicU64::new(0),
-            cow_clones: AtomicU64::new(0),
-            bytes_allocated: AtomicU64::new(0),
+            shards: (0..n)
+                .map(|_| CachePadded::new(Mutex::new(Shard::default())))
+                .collect(),
+            next_home: AtomicUsize::new(0),
         }
     }
 
-    /// The calling thread's home shard.
+    /// The calling thread's home shard: handed out round-robin the first
+    /// time a thread checks out or recycles here (and again if it used
+    /// another pool since), so the first `shards` threads each get their
+    /// own.
     fn home(&self) -> usize {
-        let mut h = FxHasher::default();
-        std::thread::current().id().hash(&mut h);
-        ((h.finish() >> 48) & self.mask) as usize
+        let me = self as *const Self as usize;
+        HOME.with(|h| {
+            let (pool, home) = h.get();
+            if pool == me {
+                return home;
+            }
+            let home = self.next_home.fetch_add(1, Ordering::Relaxed) % self.shards.len();
+            h.set((me, home));
+            home
+        })
     }
 
-    /// Pop a free buffer of class `class`, checking the home shard first
-    /// and then every other shard.
-    fn pop_free(&self, class: usize) -> Option<Vec<f64>> {
+    fn lock(&self, idx: usize) -> MutexGuard<'_, Shard> {
+        self.shards[idx].lock()
+    }
+
+    /// Check out a buffer of class `class`: a free one from the home
+    /// shard, else from any other shard, else a fresh allocation. Each
+    /// hit is counted in the shard it came from, a miss in the home
+    /// shard.
+    fn take(&self, class: usize) -> Option<Vec<f64>> {
         let home = self.home();
         let n = self.shards.len();
         for off in 0..n {
-            let idx = (home + off) % n;
-            let mut shard = self.shards[idx].lock();
-            if let Some(list) = shard.get_mut(&class) {
-                if let Some(v) = list.pop() {
-                    return Some(v);
-                }
+            let mut shard = self.lock((home + off) % n);
+            if let Some(v) = shard.pop(class) {
+                shard.stats.hits += 1;
+                return Some(v);
             }
         }
+        let mut shard = self.lock(home);
+        shard.stats.misses += 1;
+        shard.stats.bytes_allocated += (class * 8) as u64;
         None
     }
 
@@ -130,18 +167,9 @@ impl TilePool {
             return Vec::new();
         }
         let class = class_of(len);
-        let mut v = match self.pop_free(class) {
-            Some(v) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                v
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                self.bytes_allocated
-                    .fetch_add((class * 8) as u64, Ordering::Relaxed);
-                Vec::with_capacity(class)
-            }
-        };
+        let mut v = self
+            .take(class)
+            .unwrap_or_else(|| Vec::with_capacity(class));
         v.clear();
         v.resize(len, 0.0);
         v
@@ -157,28 +185,18 @@ impl TilePool {
             return Vec::new();
         }
         let class = class_of(len);
-        match self.pop_free(class) {
-            Some(mut v) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                // Only elements past the previous length (still within
-                // the initialized capacity class after a recycle round
-                // trip, but possibly never written) need a defined value.
-                if v.len() < len {
-                    v.resize(len, 0.0);
-                } else {
-                    v.truncate(len);
-                }
-                v
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                self.bytes_allocated
-                    .fetch_add((class * 8) as u64, Ordering::Relaxed);
-                let mut v = Vec::with_capacity(class);
-                v.resize(len, 0.0);
-                v
-            }
+        let mut v = self
+            .take(class)
+            .unwrap_or_else(|| Vec::with_capacity(class));
+        // Only elements past the previous length (still within the
+        // initialized capacity class after a recycle round trip, but
+        // possibly never written) need a defined value.
+        if v.len() < len {
+            v.resize(len, 0.0);
+        } else {
+            v.truncate(len);
         }
+        v
     }
 
     /// Return a buffer to the pool. Buffers too small to pool are dropped.
@@ -195,9 +213,9 @@ impl TilePool {
         } else {
             cap.next_power_of_two() / 2
         };
-        self.recycles.fetch_add(1, Ordering::Relaxed);
-        let home = self.home();
-        self.shards[home].lock().entry(class).or_default().push(v);
+        let mut shard = self.lock(self.home());
+        shard.stats.recycles += 1;
+        shard.free.entry(class).or_default().push(v);
     }
 
     /// Recycle the buffer behind `p` if this was the last reference;
@@ -215,7 +233,7 @@ impl TilePool {
         match std::sync::Arc::try_unwrap(p) {
             Ok(v) => v,
             Err(shared) => {
-                self.cow_clones.fetch_add(1, Ordering::Relaxed);
+                self.lock(self.home()).stats.cow_clones += 1;
                 let mut v = self.checkout(shared.len());
                 v.copy_from_slice(&shared);
                 v
@@ -223,22 +241,19 @@ impl TilePool {
         }
     }
 
-    /// Counter snapshot.
+    /// Counter snapshot: the shards' counters, summed.
     pub fn stats(&self) -> PoolStats {
-        PoolStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            recycles: self.recycles.load(Ordering::Relaxed),
-            cow_clones: self.cow_clones.load(Ordering::Relaxed),
-            bytes_allocated: self.bytes_allocated.load(Ordering::Relaxed),
+        let mut total = PoolStats::default();
+        for i in 0..self.shards.len() {
+            total.add(&self.lock(i).stats);
         }
+        total
     }
 
     /// Free buffers currently held, across all shards and classes.
     pub fn free_buffers(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().values().map(Vec::len).sum::<usize>())
+        (0..self.shards.len())
+            .map(|i| self.lock(i).free.values().map(Vec::len).sum::<usize>())
             .sum()
     }
 }
@@ -357,6 +372,20 @@ mod tests {
         assert_eq!(got.len(), 8);
         assert_eq!(pool.stats().misses, before);
         assert_eq!(pool.stats().hits, 8);
+    }
+
+    #[test]
+    fn threads_get_distinct_home_shards() {
+        let pool = TilePool::new(8);
+        let homes: Vec<usize> = std::thread::scope(|s| {
+            let a = s.spawn(|| pool.home());
+            let b = s.spawn(|| pool.home());
+            vec![a.join().unwrap(), b.join().unwrap()]
+        });
+        assert_ne!(homes[0], homes[1]);
+        // A thread keeps its home from call to call.
+        let mine = pool.home();
+        assert_eq!(pool.home(), mine);
     }
 
     #[test]

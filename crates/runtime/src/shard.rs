@@ -7,22 +7,24 @@
 //! [`crate::native::NativeRuntime`] is built from:
 //!
 //! * [`ShardMap`] — a DashMap-style hash map split into N independently
-//!   locked shards, picked by the key's locality group (the chain), so
-//!   one chain's entries share a shard and workers on different chains
-//!   touch different locks;
+//!   locked, cache-line-padded shards, picked by the key's locality group
+//!   (the chain), so one chain's entries share a shard and workers on
+//!   different chains touch different locks *and* different lines;
 //! * [`ShardedTracker`] — the symbolic dependency tracker re-expressed
-//!   over a [`ShardMap`] plus one atomic live-task counter,
-//!   replacing the globally locked [`crate::tracker::Tracker`] on the
-//!   native completion path;
-//! * [`IdleGate`] — an eventcount-style parking protocol replacing the
-//!   single condvar, so a task push is one atomic bump (plus a wakeup only
-//!   when somebody actually sleeps) instead of a thundering broadcast.
+//!   over a [`ShardMap`], replacing the globally locked
+//!   [`crate::tracker::Tracker`] on the native completion path. It keeps
+//!   no live-task counter: the engine decides quiescence at its all-idle
+//!   scan, where every discovered task that has not run is in the map;
+//! * [`IdleGate`] — an eventcount whose waiters register before they
+//!   re-check for work, so a push with nobody waiting is one fence and
+//!   one read of a line no worker writes, instead of an atomic bump.
 
+use crossbeam::utils::CachePadded;
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use ptg::{TaskGraph, TaskKey};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicU64, Ordering};
 
 /// A fast, non-cryptographic hasher (FxHash-style multiply-xor): dispatch
 /// keys are tiny fixed-size structs, so SipHash would dominate the cost of
@@ -100,11 +102,14 @@ impl Grouped for (TaskKey, u32) {
 /// one chain — its tasks' remaining-input counts and their payloads —
 /// lives in one shard: a worker running a chain touches one lock and one
 /// set of cache lines, and two workers on different chains trade neither
-/// (unless their groups collide on a shard). This is the "DashMap built
-/// from approved crates" shape: lock-free readers are not needed because
-/// every dispatch operation is a short insert/remove critical section.
+/// (unless their groups collide on a shard). Each shard is padded to its
+/// own cache lines: unpadded, two shards' mutex words share a line and
+/// two chains' locks would bounce it between cores. This is the "DashMap
+/// built from approved crates" shape: lock-free readers are not needed
+/// because every dispatch operation is a short insert/remove critical
+/// section.
 pub struct ShardMap<K, V> {
-    shards: Vec<Mutex<HashMap<K, V, FxBuild>>>,
+    shards: Vec<CachePadded<Mutex<HashMap<K, V, FxBuild>>>>,
     mask: u64,
 }
 
@@ -113,7 +118,9 @@ impl<K: Hash + Eq + Grouped, V> ShardMap<K, V> {
     pub fn new(shards: usize) -> Self {
         let n = shards.max(1).next_power_of_two();
         Self {
-            shards: (0..n).map(|_| Mutex::new(HashMap::default())).collect(),
+            shards: (0..n)
+                .map(|_| CachePadded::new(Mutex::new(HashMap::default())))
+                .collect(),
             mask: (n - 1) as u64,
         }
     }
@@ -154,14 +161,14 @@ impl<K: Hash + Eq + Grouped, V> ShardMap<K, V> {
 /// Semantics are identical to [`crate::tracker::Tracker`] (discovered
 /// tasks map to their remaining-input count; nothing else is ever
 /// materialized), but `deliver()` on the completion path locks only the
-/// shard owning the destination's chain, and quiescence is a single atomic
-/// counter — no global lock anywhere. That counter is the only word every
-/// worker writes per task: discovered/completed tallies would be two more
-/// cache lines bouncing between cores on every task, for a statistic the
-/// engine reports anyway (`NativeReport::tasks`).
+/// shard owning the destination's chain — no global lock and no global
+/// word anywhere. There is no live-task counter: once every worker is
+/// idle with nothing queued or deferred, each discovered task has either
+/// run or still waits in this map, so [`ShardedTracker::starved`] read at
+/// that point *is* the live count (zero for a finished run, the stuck
+/// tasks for a deadlocked one).
 pub struct ShardedTracker {
     missing: ShardMap<TaskKey, usize>,
-    live: AtomicU64,
 }
 
 impl ShardedTracker {
@@ -169,14 +176,7 @@ impl ShardedTracker {
     pub fn new(shards: usize) -> Self {
         Self {
             missing: ShardMap::new(shards),
-            live: AtomicU64::new(0),
         }
-    }
-
-    /// Register a root task (zero task inputs). Returns the key, ready.
-    pub fn add_root(&self, key: TaskKey) -> TaskKey {
-        self.live.fetch_add(1, Ordering::SeqCst);
-        key
     }
 
     /// Deliver one input to `dst`. Returns `Some(dst)` when this delivery
@@ -198,7 +198,6 @@ impl ShardedTracker {
                 }
             }
             std::collections::hash_map::Entry::Vacant(v) => {
-                self.live.fetch_add(1, Ordering::SeqCst);
                 let n = graph.class_of(dst).num_inputs(dst, graph.ctx());
                 debug_assert!(
                     n > 0,
@@ -215,35 +214,34 @@ impl ShardedTracker {
         }
     }
 
-    /// Mark a task completed. Returns true when this completion reached
-    /// quiescence (the caller should initiate shutdown exactly once —
-    /// only one completion can observe the drop to zero).
-    pub fn complete(&self, _key: TaskKey) -> bool {
-        let prev = self.live.fetch_sub(1, Ordering::SeqCst);
-        debug_assert!(prev > 0, "completion without a live task");
-        prev == 1
-    }
-
-    /// No live tasks remain.
-    pub fn is_quiescent(&self) -> bool {
-        self.live.load(Ordering::SeqCst) == 0
-    }
-
     /// Tasks that were discovered but still wait for inputs.
     pub fn starved(&self) -> usize {
         self.missing.len()
     }
 }
 
-/// Eventcount-style idle gate: producers bump an epoch on every push and
-/// wake a sleeper only if one exists; consumers snapshot the epoch,
-/// re-check their queues, and park only if no push intervened. This is
-/// the classic two-phase protocol that makes lost wakeups impossible
-/// without serializing producers through a condvar mutex.
+/// Waiter count in the low half of [`IdleGate`]'s state word.
+const WAITER: u64 = 1;
+/// One notification in the high half (the epoch).
+const EPOCH: u64 = 1 << 32;
+
+/// Dekker-style eventcount. A consumer *registers* ([`IdleGate::prepare`])
+/// before it re-checks for work, then either parks ([`IdleGate::wait`])
+/// or withdraws ([`IdleGate::cancel`]); a producer publishes its work,
+/// fences, and reads the waiter count. The two fences order each side's
+/// write before its read, so either the producer sees the registration
+/// (and bumps the epoch and wakes) or the consumer's re-check sees the
+/// work — never neither, which is what makes lost wakeups impossible.
+/// With nobody registered, [`IdleGate::notify_one`] is one fence and one
+/// read of a line only parking workers write: the engine's per-task push
+/// path writes nothing shared here.
+///
+/// The state word packs the epoch (high 32 bits) and the registered
+/// waiters (low 32), so a ticket and its registration are one atomic
+/// step.
 #[derive(Default)]
 pub struct IdleGate {
-    epoch: AtomicU64,
-    sleepers: AtomicU64,
+    state: CachePadded<AtomicU64>,
     lock: Mutex<()>,
     cv: Condvar,
 }
@@ -254,40 +252,60 @@ impl IdleGate {
         Self::default()
     }
 
-    /// Phase one: snapshot the epoch *before* re-checking for work.
-    pub fn prepare(&self) -> u64 {
-        self.epoch.load(Ordering::SeqCst)
+    /// Phase one: register as a waiter and take a ticket, *before*
+    /// re-checking for work. Must be matched by exactly one
+    /// [`IdleGate::wait`] or [`IdleGate::cancel`].
+    pub fn prepare(&self) -> u32 {
+        let prev = self.state.fetch_add(WAITER, Ordering::SeqCst);
+        fence(Ordering::SeqCst);
+        (prev >> 32) as u32
     }
 
-    /// Phase two: park until the epoch moves past `ticket`. Returns
-    /// immediately if a producer already advanced it.
-    pub fn wait(&self, ticket: u64) {
+    /// Withdraw a registration: the re-check found work.
+    pub fn cancel(&self) {
+        self.state.fetch_sub(WAITER, Ordering::SeqCst);
+    }
+
+    /// Phase two: park until a notification moves the epoch past
+    /// `ticket` (immediately, if one already has), then withdraw.
+    pub fn wait(&self, ticket: u32) {
         let mut g = self.lock.lock();
-        if self.epoch.load(Ordering::SeqCst) != ticket {
-            return;
-        }
-        self.sleepers.fetch_add(1, Ordering::SeqCst);
-        while self.epoch.load(Ordering::SeqCst) == ticket {
+        while (self.state.load(Ordering::SeqCst) >> 32) as u32 == ticket {
             self.cv.wait(&mut g);
         }
-        self.sleepers.fetch_sub(1, Ordering::SeqCst);
+        drop(g);
+        self.cancel();
     }
 
-    /// Announce one unit of new work: advance the epoch; take the condvar
-    /// lock only when somebody is actually parked.
+    /// Announce one unit of new work, published before this call.
     pub fn notify_one(&self) {
-        self.epoch.fetch_add(1, Ordering::SeqCst);
-        if self.sleepers.load(Ordering::SeqCst) > 0 {
-            let _g = self.lock.lock();
+        if self.registered() {
+            self.bump();
             self.cv.notify_one();
         }
     }
 
-    /// Wake every parked worker (shutdown).
+    /// Wake every registered waiter (shutdown, a steal grant).
     pub fn notify_all(&self) {
-        self.epoch.fetch_add(1, Ordering::SeqCst);
-        let _g = self.lock.lock();
-        self.cv.notify_all();
+        if self.registered() {
+            self.bump();
+            self.cv.notify_all();
+        }
+    }
+
+    /// The producer half of the handshake: order the caller's publication
+    /// before the read of the waiter count.
+    fn registered(&self) -> bool {
+        fence(Ordering::SeqCst);
+        self.state.load(Ordering::Relaxed) & (EPOCH - 1) != 0
+    }
+
+    /// Advance the epoch, then pass through the condvar's lock: a waiter
+    /// that read the old epoch under it is inside `cv.wait` by the time
+    /// the caller's notify runs.
+    fn bump(&self) {
+        self.state.fetch_add(EPOCH, Ordering::SeqCst);
+        drop(self.lock.lock());
     }
 }
 
@@ -380,10 +398,62 @@ mod tests {
             }
         });
         assert_eq!(ready.load(Ordering::SeqCst), 1);
+        // Discovered exactly once, and nothing left waiting: a 801st
+        // delivery would discover it afresh.
         assert_eq!(t.starved(), 0);
-        // Discovered exactly once: one completion takes it to quiescence.
-        assert!(t.complete(dst));
-        assert!(t.is_quiescent());
+    }
+
+    /// Registered waiters (the low half of the gate's state word).
+    fn waiters(gate: &IdleGate) -> u64 {
+        gate.state.load(Ordering::SeqCst) & (EPOCH - 1)
+    }
+
+    #[test]
+    fn idle_gate_loses_no_wakeup_under_load() {
+        // Two threads play ping-pong through one gate, 100 000 rounds
+        // each: a round is prepare / re-check for an item / wait or
+        // cancel, then publish an item for the other thread and
+        // notify_one. Every round risks a park against the other
+        // thread's push; a lost wakeup leaves both parked for good.
+        const ROUNDS: u64 = 100_000;
+        let gate = Arc::new(IdleGate::new());
+        let inbox = Arc::new([AtomicU64::new(1), AtomicU64::new(0)]);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let run = {
+            let (gate, inbox) = (gate.clone(), inbox.clone());
+            std::thread::spawn(move || {
+                std::thread::scope(|s| {
+                    for me in 0..2 {
+                        let (gate, inbox) = (&gate, &inbox);
+                        s.spawn(move || {
+                            for _ in 0..ROUNDS {
+                                loop {
+                                    let ticket = gate.prepare();
+                                    if inbox[me].swap(0, Ordering::SeqCst) == 1 {
+                                        gate.cancel();
+                                        break;
+                                    }
+                                    // The engine polls its source and runs
+                                    // the idle scan here: widen the window
+                                    // a push can land in.
+                                    for _ in 0..64 {
+                                        std::hint::spin_loop();
+                                    }
+                                    gate.wait(ticket);
+                                }
+                                inbox[1 - me].store(1, Ordering::SeqCst);
+                                gate.notify_one();
+                            }
+                        });
+                    }
+                });
+                tx.send(()).unwrap();
+            })
+        };
+        rx.recv_timeout(std::time::Duration::from_secs(300))
+            .expect("both threads parked with an item published: lost wakeup");
+        run.join().unwrap();
+        assert_eq!(waiters(&gate), 0, "a prepare was never waited or cancelled");
     }
 
     #[test]
@@ -394,6 +464,9 @@ mod tests {
         let t = gate.prepare();
         gate.notify_one();
         gate.wait(t); // returns immediately; a lost wakeup would hang here
+        assert_eq!(waiters(&gate), 0);
+        gate.notify_one(); // nobody registered: no epoch bump
+        assert_eq!(gate.state.load(Ordering::SeqCst), EPOCH);
     }
 
     #[test]

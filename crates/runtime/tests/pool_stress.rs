@@ -123,6 +123,34 @@ fn cross_shard_fallback_survives_concurrent_checkout_recycle() {
     assert_eq!(pool.free_buffers(), 4, "all buffers returned");
 }
 
+/// The counters live beside each shard's free lists and are summed on
+/// read: under four threads' concurrent traffic none may be lost or
+/// counted twice.
+#[test]
+fn counters_stay_exact_under_concurrent_traffic() {
+    const OPS: u64 = 10_000;
+    let pool = Arc::new(TilePool::new(8));
+    std::thread::scope(|s| {
+        for t in 0..4u64 {
+            let pool = pool.clone();
+            s.spawn(move || {
+                for i in 0..OPS {
+                    let v = if (t + i) % 2 == 0 {
+                        pool.checkout(64 + (i % 3) as usize * 100)
+                    } else {
+                        pool.checkout_dirty(64)
+                    };
+                    pool.recycle(v);
+                }
+            });
+        }
+    });
+    let s = pool.stats();
+    assert_eq!(s.hits + s.misses, 4 * OPS, "{s:?}");
+    assert_eq!(s.recycles, 4 * OPS, "{s:?}");
+    assert_eq!(pool.free_buffers() as u64, s.misses, "{s:?}");
+}
+
 /// Mixed zeroed and dirty checkouts share the free lists without
 /// leaking stale contents into the zeroed path.
 #[test]
