@@ -82,17 +82,17 @@ echo "==> comm smoke (4 ranks x 4 workers over sockets, v1..v5 + fused v5 vs sin
 # bit for bit (owner-computes: two words per rank travel, no tiles).
 cargo run -q --release -p bench-harness --bin mesh_gate -- comm-smoke
 
-echo "==> comm chaos matrix (4 ranks x 4 workers over sockets, fault schedules + kill/restart matrix, fixed seeds)"
+echo "==> comm chaos matrix (4 ranks x 4 workers over sockets, fault schedules + kill matrix, fixed seeds)"
 # The 4-rank loopback matrix (7 schedules x 2 variants, plus comm-level
 # chaos) already ran under `cargo test`; this adds the real-socket pass.
-# The same invocation also runs the kill/restart death matrix: four
-# scripted death schedules (mid-gemm, mid-barrier, mid-submit, and
-# kill-then-restart) where the survivors' failure detector must confirm
-# the victim's death — plus a clean control that must show zero detector
-# false positives and zero recovery activity. Fixed seed so a red run
-# replays exactly; fails on energy divergence, any recovery activity in
-# the clean control, or any verified-stale cached read under faults
-# (the cache runs with verify_reads here too).
+# The same invocation also runs the kill matrix: three scripted death
+# schedules (mid-gemm, mid-barrier, mid-submit) where the survivors'
+# failure detector must confirm the victim's death — plus a clean
+# control that must show zero detector false positives and zero
+# recovery activity. Fixed seed so a red run replays exactly; fails on
+# energy divergence, any recovery activity in the clean control, or any
+# verified-stale cached read under faults (the cache runs with
+# verify_reads here too).
 cargo run -q --release -p bench-harness --bin mesh_gate -- chaos --seed c0ffee00
 
 echo "==> service smoke (4-rank socket daemons, 2-gang configuration, 2 tenants, 4 jobs)"
@@ -111,14 +111,14 @@ echo "$smoke_out" | grep -q "SERVICE SMOKE OK" || { echo "service smoke failed";
 echo "$smoke_out" | grep -q "gangs 0b[01]*/0b[01]*" || { echo "gang fields malformed in smoke output"; exit 1; }
 echo "$smoke_out" | grep -q "0 retries, 0 stale reads" || { echo "smoke not clean"; exit 1; }
 
-echo "==> service recovery gate (4-rank socket daemons, rank 3 killed mid-stream, checkpoint + replay gates)"
+echo "==> service recovery gate (4-rank socket daemons, rank 3 killed mid-stream, fence + replay gates)"
 # The kill-mid-run survival story over real OS processes: rank 3's
 # transport goes dark at a scripted frame index while six full-mesh
 # jobs stream through the service. Every survivor's detector must
 # confirm the death, the gateway must fence the victim and requeue the
 # jobs caught on the broken mesh, the replays must match their per-job
-# reference energies to 1e-12 with zero stale reads, and job-boundary
-# checkpoints must land on disk — each a gate inside the binary that
+# reference energies to 1e-12 with zero stale reads, and the survivors
+# must suppress the poisoned runs — each a gate inside the binary that
 # precedes `RECOVERY OK`, whose line also carries the detect/recover
 # timeline. The printed --kill-at/--seed pair replays a red run exactly.
 rec_out=$(cargo run -q --release -p bench-harness --bin mesh_gate -- recovery)

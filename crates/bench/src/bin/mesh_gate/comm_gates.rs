@@ -9,7 +9,7 @@ use ccsd::{DistRank, VariantCfg};
 use comm::fault::{FaultPlan, FaultTransport};
 use comm::CommConfig;
 use global_arrays::TileCacheConfig;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use tensor_kernels::rel_diff;
 
 /// Workers per rank beside the comm progress thread: the fused engine's
@@ -45,7 +45,7 @@ fn record_health(f: &mut Fragment, dr: &DistRank, injected: u64) {
         ("dups", s.dup_requests + s.dup_replies),
         ("suspects", s.suspects),
         ("confirmed_deaths", s.confirmed_deaths),
-        ("rejoins", s.rejoins),
+        ("fenced_rx", s.fenced_rx),
         ("injected", injected),
         ("cache_hits", ga.cache_hits()),
         ("stale_reads", ga.stale_reads()),
@@ -101,7 +101,7 @@ pub fn smoke(port: u16) -> Result<(), String> {
     let e_ref = reference(&tce::scale::tiny());
     eprintln!("# reference energy (single process): {e_ref:.15}");
     let role = ("smoke", &[][..]);
-    let (frags, ()) = run_mesh("mesh_gate comm-smoke", port, role, None, move |_| {
+    let (frags, ()) = run_mesh("mesh_gate comm-smoke", port, role, None, move || {
         (smoke_rank(0, port), ())
     })?;
     for (name, _) in smoke_variants() {
@@ -263,28 +263,11 @@ pub fn kill_rank(rank: usize, port: u16, schedule: &str, seed: u64) -> Fragment 
             energy = run.energy;
         }
         // Stop issuing collectives at the first confirmed death: every
-        // further run would be poisoned anyway, and — critically — a
-        // scripted Restart readmits the victim with its collective
-        // epochs far behind the survivors'. Once everyone is alive
-        // again nothing poison-releases, so a live-but-desynced
-        // barrier would block forever. Fencing the workload at the
-        // first death keeps a rejoin purely observational, mirroring
-        // the service layer (sticky gateway fence, re-plan on the
-        // survivors).
+        // further run would be poisoned anyway (the verdict is final),
+        // mirroring the service layer, which fences the dead rank for
+        // good and re-plans on the survivors.
         if dr.endpoint().dead_mask() != 0 {
             break;
-        }
-    }
-    if schedule == "kill_restart" {
-        // Linger until the restarted rank is readmitted: survivors keep
-        // probing the corpse at a slow cadence, the scripted Restart
-        // eventually lets those pings through, and the pong handshake
-        // clears the dead mask on both sides. Observing the rejoin here
-        // instead of racing it against teardown makes the rejoin gate
-        // deterministic.
-        let t0 = Instant::now();
-        while dr.endpoint().dead_mask() != 0 && t0.elapsed() < Duration::from_secs(30) {
-            std::thread::sleep(Duration::from_millis(20));
         }
     }
     let mut f = Fragment::new(rank);
@@ -295,9 +278,9 @@ pub fn kill_rank(rank: usize, port: u16, schedule: &str, seed: u64) -> Fragment 
     } else {
         // No clean collective teardown on a mesh that saw a death: the
         // sync inside `finish` needs matching barrier epochs on every
-        // rank, and after a kill (or a mid-run readmission) those are
-        // gone for good. Shut the engine down directly — terminating
-        // without the victim is exactly the behavior under test.
+        // rank, and after a kill those are gone for good. Shut the
+        // engine down directly — terminating without the victim is
+        // exactly the behavior under test.
         dr.endpoint().shutdown();
     }
     f
@@ -322,9 +305,6 @@ fn check_kill(schedule: &str, e_ref: f64, frags: &[Fragment]) -> Result<(), Stri
     if sum(frags, "injected") == 0 {
         return Err("the kill never fired".into());
     }
-    if schedule == "kill_restart" && sum(frags, "rejoins") == 0 {
-        return Err("the restarted rank was never welcomed back".into());
-    }
     Ok(())
 }
 
@@ -340,10 +320,9 @@ fn check_kill(schedule: &str, e_ref: f64, frags: &[Fragment]) -> Result<(), Stri
 /// every death schedule plus a detector-armed clean control, the highest
 /// rank the victim — the failure-model claims: every rank **terminates**
 /// (the detector's poison-release is the only way out of a barrier with
-/// a corpse in it), the survivors confirm the death, the restart
-/// schedule produces a rejoin, and the armed detector on a healthy mesh
-/// shows zero suspects, zero deaths, and an unchanged 1e-12 energy. Each
-/// line prints the seed that replays it.
+/// a corpse in it), the survivors confirm the death, and the armed
+/// detector on a healthy mesh shows zero suspects, zero deaths, and an
+/// unchanged 1e-12 energy. Each line prints the seed that replays it.
 pub fn chaos(base_port: u16, seed_base: u64) -> Result<(), String> {
     let e_ref = reference(&tce::scale::tiny());
     eprintln!("# reference energy (single process): {e_ref:.15}");
@@ -372,18 +351,18 @@ pub fn chaos(base_port: u16, seed_base: u64) -> Result<(), String> {
         };
         let sched = schedule.to_string();
         let extra = [sched.clone(), seed.to_string()];
-        let (frags, ()) = run_mesh(&replay, port, (role, &extra), None, move |_| match kill {
+        let (frags, ()) = run_mesh(&replay, port, (role, &extra), None, move || match kill {
             None => (fault_rank(0, port, &sched, seed), ()),
             Some(_) => (kill_rank(0, port, &sched, seed), ()),
         })?;
         let n = |name| sum(&frags, name);
-        let [injected, retries, timeouts, dups, rejoins] =
-            ["injected", "retries", "timeouts", "dups", "rejoins"].map(n);
+        let [injected, retries, timeouts, dups, fenced_rx] =
+            ["injected", "retries", "timeouts", "dups", "fenced_rx"].map(n);
         let verdict = if kill.is_some() {
             let [suspects, deaths] =
                 ["suspects", "confirmed_deaths"].map(|c| sum(&frags[..RANKS - 1], c));
             println!(
-                "{schedule:>12} seed {seed:#012x}: {injected} frames blackholed  {suspects} suspects  {deaths} deaths confirmed by survivors  {rejoins} rejoins  all {RANKS} ranks terminated"
+                "{schedule:>12} seed {seed:#012x}: {injected} frames blackholed  {suspects} suspects  {deaths} deaths confirmed by survivors  {fenced_rx} fenced_rx  all {RANKS} ranks terminated"
             );
             check_kill(schedule, e_ref, &frags)
         } else {
@@ -414,7 +393,7 @@ mod tests {
     fn good() -> Vec<Fragment> {
         let rank = |rank: usize| {
             let mut f = Fragment::new(rank);
-            let zeroed = "timeouts retries dups suspects confirmed_deaths rejoins injected";
+            let zeroed = "timeouts retries dups suspects confirmed_deaths fenced_rx injected";
             zeroed.split(' ').for_each(|name| f.add(name, 0));
             f.add("stale_reads", 0);
             f.add("cache_hits", 4);
@@ -432,13 +411,13 @@ mod tests {
     }
 
     /// A kill schedule's passing shape: the victim (rank 3) blackholed
-    /// frames and, cut off, wrote the whole mesh off; rank 0 suspected,
-    /// confirmed and readmitted it.
+    /// frames and, cut off, wrote the whole mesh off; rank 0 suspected
+    /// and confirmed it.
     fn good_kill() -> Vec<Fragment> {
         let mut frags = good();
         frags[3].set("injected", 63);
         frags[3].set("confirmed_deaths", 3);
-        for (name, v) in [("suspects", 5), ("confirmed_deaths", 1), ("rejoins", 2)] {
+        for (name, v) in [("suspects", 5), ("confirmed_deaths", 1)] {
             frags[0].set(name, v);
         }
         frags
@@ -455,14 +434,11 @@ mod tests {
         assert_eq!(check_fault("drop", E_REF, &good()), Ok(()));
         assert_eq!(check_fault("clean", E_REF, &good()), Ok(()));
         assert_eq!(check_kill("clean", E_REF, &good()), Ok(()));
-        assert_eq!(check_kill("kill_restart", E_REF, &good_kill()), Ok(()));
-        // Recovery activity is what a fault schedule is *for*, and only a
-        // restart has a rejoin to show.
-        let (mut faulty, mut no_rejoin) = (good(), good_kill());
+        assert_eq!(check_kill("kill_gemm", E_REF, &good_kill()), Ok(()));
+        // Recovery activity is what a fault schedule is *for*.
+        let mut faulty = good();
         faulty[2].set("retries", 19);
-        no_rejoin[0].set("rejoins", 0);
         assert_eq!(check_fault("drop", E_REF, &faulty), Ok(()));
-        assert_eq!(check_kill("kill_gemm", E_REF, &no_rejoin), Ok(()));
     }
 
     #[test]
@@ -505,7 +481,6 @@ mod tests {
             (KILL, "kill_submit", 3, "injected", 0, "never fired"),
             // The victim's own count does not stand in for a survivor's.
             (KILL, "kill_gemm", 0, "confirmed_deaths", 0, "no survivor"),
-            (KILL, "kill_restart", 0, "rejoins", 0, "never welcomed"),
         ];
         for (gate, schedule, rank, name, v, want) in cases {
             let kill = schedule.starts_with("kill_");

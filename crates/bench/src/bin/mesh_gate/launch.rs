@@ -15,8 +15,7 @@ use std::process::{Child, Command};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-/// Longest any one mesh may live. The slowest healthy one (the
-/// `kill_restart` schedule, which lingers for its rejoin) takes seconds;
+/// Longest any one mesh may live. The slowest healthy one takes seconds;
 /// a mesh still running after this is hung, and CI must see an error
 /// naming the stuck rank rather than block.
 const MESH_DEADLINE: Duration = Duration::from_secs(180);
@@ -178,16 +177,16 @@ impl Drop for Mesh {
 
 /// One mesh of a gate, start to finish: ranks `1..RANKS` re-execute this
 /// binary as `rank <role> <rank> <port> <dir> <extra..>` (see `main`),
-/// `rank0` runs here (it is handed the mesh's temp dir), `victim` — a rank
-/// scripted to go dark, whose process then blocks for good — is killed
-/// once rank 0 is through, and the fragments of every other rank come
-/// back in rank order beside whatever else rank 0 has to tell.
+/// `rank0` runs here, `victim` — a rank scripted to go dark, whose
+/// process then blocks for good — is killed once rank 0 is through, and
+/// the fragments of every other rank come back in rank order beside
+/// whatever else rank 0 has to tell.
 pub fn run_mesh<T: Send + 'static>(
     replay: &str,
     port: u16,
     (role, extra): (&str, &[String]),
     victim: Option<usize>,
-    rank0: impl FnOnce(PathBuf) -> (Fragment, T) + Send + 'static,
+    rank0: impl FnOnce() -> (Fragment, T) + Send + 'static,
 ) -> Result<(Vec<Fragment>, T), String> {
     let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}; {replay}"))?;
     let mut mesh = Mesh::launch(replay, MESH_DEADLINE, 1..RANKS, |rank, dir| {
@@ -197,8 +196,7 @@ pub fn run_mesh<T: Send + 'static>(
             .args(extra);
         cmd
     })?;
-    let dir = mesh.dir.clone();
-    let (frag0, told) = mesh.run_rank0(move || rank0(dir))?;
+    let (frag0, told) = mesh.run_rank0(rank0)?;
     if let Some(rank) = victim {
         mesh.kill(rank);
     }

@@ -98,7 +98,7 @@ fn member(args: &[String]) {
         ("kill", [schedule, seed]) => comm_gates::kill_rank(rank, port, schedule, num(seed)),
         ("svc-smoke", []) => svc_gates::smoke_member(rank, port),
         ("recovery", [kill_at, seed]) => {
-            svc_gates::recovery_member(rank, port, dir, num(kill_at), num(seed))
+            svc_gates::recovery_member(rank, port, num(kill_at), num(seed))
         }
         _ => panic!("malformed member command line: {args:?}"),
     };

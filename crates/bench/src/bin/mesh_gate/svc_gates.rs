@@ -10,7 +10,6 @@ use comm::fault::{FaultEvent, FaultPlan, FaultTransport};
 use comm::{CommConfig, Transport};
 use global_arrays::TileCacheConfig;
 use std::collections::{BTreeMap, HashSet};
-use std::path::Path;
 use std::time::Duration;
 use svc::{JobSpec, JobState, RankDaemon, SvcConfig, Variant};
 use tensor_kernels::rel_diff;
@@ -69,7 +68,7 @@ fn tiny_job(tenant: u32, seed: Option<u64>, variant: Variant, ranks: usize) -> J
 }
 
 /// Two tenants at admission weights 2:1, at most two jobs open.
-fn svc_config(comm: CommConfig, verify_reads: bool, ckpt_dir: Option<&Path>) -> SvcConfig {
+fn svc_config(comm: CommConfig, verify_reads: bool) -> SvcConfig {
     SvcConfig {
         comm,
         cache: TileCacheConfig {
@@ -78,7 +77,6 @@ fn svc_config(comm: CommConfig, verify_reads: bool, ckpt_dir: Option<&Path>) -> 
         },
         max_open: 2,
         weights: vec![(1, 2), (2, 1)],
-        ckpt_dir: ckpt_dir.map(Path::to_path_buf),
         ..SvcConfig::default()
     }
 }
@@ -89,19 +87,18 @@ fn svc_config(comm: CommConfig, verify_reads: bool, ckpt_dir: Option<&Path>) -> 
 /// owners and compared; a warm plan serving stale data is exactly the
 /// failure this gate exists for.
 fn smoke_config() -> SvcConfig {
-    svc_config(CommConfig::default(), true, None)
+    svc_config(CommConfig::default(), true)
 }
 
 /// The recovery gate arms the production failure detector tight (suspect
 /// at 100 ms, dead at 500 ms over 20/80 ms retry timers — the same
 /// proportions production would run, shrunk so the gate finishes in
-/// seconds) and spills job-boundary shard checkpoints into `ckpt_dir`.
-/// `verify_reads` stays off: a tile cached before the death and
+/// seconds). `verify_reads` stays off: a tile cached before the death and
 /// re-verified against the corpse reads poisoned zeros by design, which
 /// would count as a stale hit; the 1e-12 energy gate on the replayed
 /// jobs is the correctness check here, exactly as in the chaos gate's
 /// kill schedules.
-fn recovery_config(ckpt_dir: &Path) -> SvcConfig {
+fn recovery_config() -> SvcConfig {
     let comm = CommConfig {
         retry_timeout: Duration::from_millis(20),
         retry_backoff_max: Duration::from_millis(80),
@@ -109,7 +106,7 @@ fn recovery_config(ckpt_dir: &Path) -> SvcConfig {
         dead_after: Duration::from_millis(500),
         ..CommConfig::default()
     };
-    svc_config(comm, false, Some(ckpt_dir))
+    svc_config(comm, false)
 }
 
 fn collect(daemon: &RankDaemon) -> Fragment {
@@ -127,14 +124,6 @@ fn collect(daemon: &RankDaemon) -> Fragment {
         ("suspects", s.suspects),
         ("confirmed_deaths", s.confirmed_deaths),
         ("poisoned_runs", daemon.poisoned_runs()),
-        (
-            "ckpt_count",
-            daemon.checkpointer().map_or(0, |c| c.checkpoints()),
-        ),
-        (
-            "ckpt_bytes",
-            daemon.checkpointer().map_or(0, |c| c.bytes_written()),
-        ),
     ] {
         f.add(name, v);
     }
@@ -249,7 +238,7 @@ pub fn smoke(port: u16) -> Result<(), String> {
     let e_tiny = reference(&tce::scale::tiny());
     eprintln!("# reference energy (tiny): {e_tiny:.15}");
     let role = ("svc-smoke", &[][..]);
-    let (frags, run) = run_mesh("mesh_gate svc-smoke", port, role, None, move |_| {
+    let (frags, run) = run_mesh("mesh_gate svc-smoke", port, role, None, move || {
         gateway_rank(port, smoke_config(), smoke_mix(e_tiny))
     })?;
     check_service(&run, &frags).map_err(|e| format!("smoke: {e}"))?;
@@ -376,7 +365,7 @@ fn recovery_mix() -> Vec<(JobSpec, f64)> {
 /// rest of the mesh observes one. Its daemon then blocks forever on the
 /// dead mesh; the parent kills the process, the multi-process equivalent
 /// of the in-process test leaking the victim's thread.
-pub fn recovery_member(rank: usize, port: u16, dir: &Path, kill_at: u64, seed: u64) -> Fragment {
+pub fn recovery_member(rank: usize, port: u16, kill_at: u64, seed: u64) -> Fragment {
     let mut transport: Box<dyn Transport> = Box::new(connect(rank, port));
     if rank == VICTIM {
         let plan = FaultPlan {
@@ -385,7 +374,7 @@ pub fn recovery_member(rank: usize, port: u16, dir: &Path, kill_at: u64, seed: u
         };
         transport = Box::new(FaultTransport::new(transport, plan));
     }
-    member_rank(transport, recovery_config(&dir.join("ckpt")))
+    member_rank(transport, recovery_config())
 }
 
 /// The kill-mid-run recovery gate: bring up the service with the last
@@ -404,7 +393,7 @@ pub fn recovery(port: u16, kill_at: u64, seed: u64) -> Result<(), String> {
         port,
         ("recovery", &extra),
         Some(VICTIM),
-        move |dir| gateway_rank(port, recovery_config(&dir.join("ckpt")), mix),
+        move || gateway_rank(port, recovery_config(), mix),
     )?;
     check_recovery(&run, &frags).map_err(|e| format!("recovery: {e}; {replay}"))?;
 
@@ -412,14 +401,12 @@ pub fn recovery(port: u16, kill_at: u64, seed: u64) -> Result<(), String> {
         .map(|j| j.done_ns.saturating_sub(run.first_fence_ns))
         .max()
         .unwrap_or(0);
-    let [ckpts, ckpt_bytes, poisoned] =
-        ["ckpt_count", "ckpt_bytes", "poisoned_runs"].map(|n| sum(&frags, n));
+    let poisoned = sum(&frags, "poisoned_runs");
     println!(
         "RECOVERY OK: {} jobs survived rank {VICTIM}'s death at frame {kill_at}: \
          {n}/{n} survivors confirmed it, {} job(s) requeued and replayed \
          off the fenced gang, detect <= {:.0} ms, \
-         recover {:.0} ms, {ckpts} checkpoints ({ckpt_bytes} bytes), \
-         {poisoned} poisoned runs suppressed, worst rel diff {:.2e}, 0 stale reads",
+         recover {:.0} ms, {poisoned} poisoned runs suppressed, worst rel diff {:.2e}, 0 stale reads",
         run.jobs.len(),
         run.requeued,
         run.detect_span_ns as f64 / 1e6,
@@ -432,8 +419,7 @@ pub fn recovery(port: u16, kill_at: u64, seed: u64) -> Result<(), String> {
 
 /// Death confirmed by every survivor, victim fenced alone, in-flight
 /// jobs requeued and replayed off the corpse's gang to 1e-12, poisoned
-/// runs suppressed, zero stale reads, checkpoints on disk. `frags` are
-/// the survivors'.
+/// runs suppressed, zero stale reads. `frags` are the survivors'.
 fn check_recovery(run: &ServiceRun, frags: &[Fragment]) -> Result<(), String> {
     check_jobs(run)?;
     if run.fenced != 1u64 << VICTIM {
@@ -475,14 +461,7 @@ fn check_recovery(run: &ServiceRun, frags: &[Fragment]) -> Result<(), String> {
                 .into(),
         );
     }
-    check_coherent(frags)?;
-    let (ckpts, ckpt_bytes) = (sum(frags, "ckpt_count"), sum(frags, "ckpt_bytes"));
-    if ckpts == 0 || ckpt_bytes == 0 {
-        return Err(format!(
-            "no job-boundary checkpoints hit the disk ({ckpts} epochs, {ckpt_bytes} bytes)"
-        ));
-    }
-    Ok(())
+    check_coherent(frags)
 }
 
 #[cfg(test)]
@@ -512,7 +491,7 @@ mod tests {
 
     fn frags(ranks: usize, counters: &[(&str, u64)]) -> Vec<Fragment> {
         let all = "plan_hits plan_misses jobs_run retries timeouts dups stale_reads suspects \
-                   confirmed_deaths poisoned_runs ckpt_count ckpt_bytes";
+                   confirmed_deaths poisoned_runs";
         let frag = |rank| {
             let mut f = Fragment::new(rank);
             all.split_whitespace().for_each(|name| f.add(name, 0));
@@ -533,18 +512,12 @@ mod tests {
 
     /// The recovery gate's shape: job 2 was caught on the full mesh when
     /// rank 3 died and replayed on {0,1,2}; every survivor saw the death,
-    /// rank 0 is the one that suppressed a run and wrote checkpoints.
+    /// rank 0 is the one that suppressed a run.
     fn good_recovery() -> (ServiceRun, Vec<Fragment>) {
         let mut run = run_of(&[(1, 0, 0b1111, 0), (2, 0, 0b0111, 0), (3, 0, 0b0111, 1)]);
         (run.fenced, run.requeued, run.requeued_ids) = (0b1000, 1, vec![2]);
         let mut frags = frags(VICTIM, &[("suspects", 2), ("confirmed_deaths", 1)]);
-        for (name, v) in [
-            ("poisoned_runs", 1),
-            ("ckpt_count", 7),
-            ("ckpt_bytes", 64_000),
-        ] {
-            frags[0].set(name, v);
-        }
+        frags[0].set("poisoned_runs", 1);
         (run, frags)
     }
 
@@ -602,7 +575,6 @@ mod tests {
             (|_, f| f[2].set("suspects", 0), "survivor rank 2 never"),
             (|_, f| f[0].set("poisoned_runs", 0), "no survivor"),
             (|_, f| f[0].set("stale_reads", 1), "1 cached reads"),
-            (|_, f| f[0].set("ckpt_bytes", 0), "(7 epochs, 0 bytes)"),
         ];
         each_fires(check_recovery, good_recovery, cases);
     }

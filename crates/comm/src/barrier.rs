@@ -362,17 +362,19 @@ impl Inner {
             // refill it with retransmitted enters until their own
             // detectors fire; those are not this rank's operations.)
             g.entered.clear();
+            // Forget release confirmations too, even of a barrier that
+            // already released: the dead member will never ack, so the
+            // leader must not re-release to it forever, and shutdown's
+            // drain must not wait on it.
+            g.release_retry = None;
+            g.ack_epoch = 0;
+            g.acked.clear();
             if g.released == g.next {
                 continue;
             }
             poisoned += 1;
             g.released = g.next;
             g.enters.clear();
-            g.release_retry = None;
-            // Forget release confirmations too: the dead member will
-            // never ack, and shutdown's drain must not wait on it.
-            g.ack_epoch = 0;
-            g.acked.clear();
         }
         if poisoned > 0 {
             self.stats

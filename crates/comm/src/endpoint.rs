@@ -174,8 +174,9 @@ counters! {
     suspects,
     /// Peers this rank declared dead (silent past `dead_after`).
     confirmed_deaths,
-    /// Dead peers that spoke again and were readmitted.
-    rejoins,
+    /// Frames from confirmed-dead peers dropped before dispatch (a
+    /// death is final; see [`crate::liveness`]).
+    fenced_rx,
     /// Pending operations aborted because their target died (gets
     /// completed with zeros, calls with their fallback, acks
     /// force-completed, collective waits poison-released, ...).
@@ -399,17 +400,6 @@ impl Endpoint {
             .write(peer, array, offset, data, Some(alpha), None);
     }
 
-    /// Current value of this rank's local NXTVAL counter (checkpointed
-    /// by the GA layer).
-    pub fn local_counter(&self) -> i64 {
-        self.inner.counter.load(Ordering::SeqCst)
-    }
-
-    /// Overwrite this rank's local NXTVAL counter (checkpoint restore).
-    pub fn set_local_counter(&self, v: i64) {
-        self.inner.counter.store(v, Ordering::SeqCst);
-    }
-
     /// Block until every put/accumulate this rank posted has been applied
     /// and acknowledged by its target.
     pub fn fence(&self) {
@@ -600,9 +590,9 @@ impl Inner {
                 .bytes_rx
                 .fetch_add(body.len() as u64, Ordering::Relaxed);
             // Liveness piggybacks on every received frame; a frame from a
-            // confirmed-dead peer readmits it.
-            if from != self.rank {
-                self.note_rx(from);
+            // confirmed-dead peer is dropped undispatched.
+            if from != self.rank && !self.note_rx(from) {
+                continue;
             }
             // Data-bearing get replies take the zero-copy path: the
             // payload is delivered as a borrowed view of `body` and

@@ -93,17 +93,13 @@ pub enum FaultEvent {
     Stall { at: u64, pause: Duration },
     /// When the global inbound counter reaches `at`, the rank owning
     /// this transport *dies*: every inbound and outbound frame is
-    /// silently discarded from then on (arrival indices keep counting
-    /// while dead, so a later [`FaultEvent::Restart`] still fires). The
-    /// failure detector on the surviving ranks must notice the silence;
-    /// the dead rank's own detector must notice it hears no one, so its
-    /// blocked operations abort and its threads terminate.
+    /// silently discarded from then on, until the transport is disarmed.
+    /// The failure detector on the surviving ranks must notice the
+    /// silence; the dead rank's own detector must notice it hears no
+    /// one, so its blocked operations abort and its threads terminate.
+    /// A disarmed victim speaks again, but its peers' verdicts are final:
+    /// they drop what it sends.
     Kill { at: u64 },
-    /// When the global inbound counter reaches `at` (list after the
-    /// matching [`FaultEvent::Kill`], with a larger index), the dead
-    /// rank rejoins: frames flow again, and the first one a survivor
-    /// receives clears its dead mark.
-    Restart { at: u64 },
 }
 
 /// A seeded fault schedule: per-frame fault probabilities plus scripted
@@ -178,7 +174,7 @@ impl FaultPlan {
     /// distributed CCSD run: early (mid-submit), mid (inside the GEMM
     /// data exchange), late (inside the end-of-iteration barrier).
     pub fn death_schedule_names() -> &'static [&'static str] {
-        &["kill_gemm", "kill_barrier", "kill_submit", "kill_restart"]
+        &["kill_gemm", "kill_barrier", "kill_submit"]
     }
 
     /// Look up a named schedule. Probabilities are tuned so small-scale
@@ -198,20 +194,6 @@ impl FaultPlan {
             },
             "kill_submit" => Self {
                 events: vec![FaultEvent::Kill { at: 25 }],
-                ..base
-            },
-            "kill_restart" => Self {
-                // The dark window must outlast the survivors' `dead_after`
-                // verdict even under heavy retry traffic (retries keep the
-                // victim's arrival counter climbing while it is dark): a
-                // restart that beats the detector is just a long stall.
-                // After the deaths are confirmed the counter advances only
-                // by the survivors' slow probes, so the revival lands a
-                // few seconds later, well inside their rejoin linger.
-                events: vec![
-                    FaultEvent::Kill { at: 100 },
-                    FaultEvent::Restart { at: 400 },
-                ],
                 ..base
             },
             "clean" => base,
@@ -332,7 +314,7 @@ pub struct FaultTransport {
     state: Mutex<FaultState>,
     counters: Arc<FaultCounters>,
     armed: Arc<AtomicBool>,
-    /// True while the rank is inside a Kill..Restart dark window.
+    /// True once a scripted `Kill` has fired (and the plan is armed).
     killed: Arc<AtomicBool>,
 }
 
@@ -375,31 +357,18 @@ impl FaultTransport {
         self.armed.clone()
     }
 
-    /// Shared handle observing whether the rank is currently dead (inside
-    /// a `Kill..Restart` dark window). Updated as frames pass through, so
-    /// it flips within one frame of the scripted index.
+    /// Shared handle observing whether the rank is dead (a scripted
+    /// `Kill` has fired). Updated as frames pass through, so it flips
+    /// within one frame of the scripted index.
     pub fn killed_handle(&self) -> Arc<AtomicBool> {
         self.killed.clone()
     }
 
-    /// Is the rank dark at global arrival index `global`? A `Kill` whose
-    /// index has been reached turns the lights off; a later `Restart`
-    /// (listed after it) turns them back on.
-    fn dark(&self, global: u64) -> bool {
-        let mut dark = false;
-        for e in &self.plan.events {
-            match e {
-                FaultEvent::Kill { at } if global >= *at => dark = true,
-                FaultEvent::Restart { at } if global >= *at => dark = false,
-                _ => {}
-            }
-        }
-        dark
-    }
-
-    /// Recompute and publish the dark flag; returns it.
+    /// Recompute and publish the dark flag — has a `Kill` whose index
+    /// `global` reached fired? — and return it.
     fn update_dark(&self, global: u64) -> bool {
-        let dark = self.dark(global);
+        let dark = (self.plan.events.iter())
+            .any(|e| matches!(e, FaultEvent::Kill { at } if global >= *at));
         self.killed.store(dark, Ordering::SeqCst);
         dark
     }
@@ -530,9 +499,7 @@ impl Transport for FaultTransport {
                     std::thread::sleep(pause);
                 }
             }
-            // A dead rank hears nothing — but keeps counting arrivals, so
-            // a scripted Restart still fires once enough traffic (peer
-            // pings included) has washed over the corpse.
+            // A dead rank hears nothing.
             if self.update_dark(global) {
                 self.counters.killed_frames.fetch_add(1, Ordering::Relaxed);
                 continue;
@@ -643,14 +610,13 @@ mod tests {
         assert!(FaultPlan::named("no-such", 9).is_none());
     }
 
-    /// A Kill..Restart window silences both directions exactly between
-    /// its indices, arrivals keep counting while dead, and the killed
-    /// handle tracks the window.
+    /// A Kill silences both directions from its index on, for good, and
+    /// the killed handle flips with it.
     #[test]
-    fn kill_window_silences_both_directions_then_restarts() {
+    fn kill_silences_both_directions_for_good() {
         let mut ranks = loopback(2);
         let plan = FaultPlan {
-            events: vec![FaultEvent::Kill { at: 4 }, FaultEvent::Restart { at: 8 }],
+            events: vec![FaultEvent::Kill { at: 4 }],
             ..FaultPlan::clean(0)
         };
         let r1 = FaultTransport::new(Box::new(ranks.pop().unwrap()), plan);
@@ -665,23 +631,23 @@ mod tests {
             if let Some((_, f)) = r1.recv_timeout(Duration::from_millis(20)) {
                 got.push(f[0]);
             }
-            if i == 5 {
-                assert!(killed.load(Ordering::SeqCst), "inside the dark window");
+            if i == 2 {
+                assert!(!killed.load(Ordering::SeqCst), "alive before the kill");
             }
         }
         // Arrival indices are 1-based (global is bumped before the
-        // check): frames 1..=3 arrive, 4..=7 die, 8.. arrive again.
-        assert_eq!(got, vec![0, 1, 2, 7, 8, 9, 10, 11]);
-        assert!(!killed.load(Ordering::SeqCst), "restarted");
+        // check): frames 1..=3 arrive, every later one dies.
+        assert_eq!(got, vec![0, 1, 2]);
+        assert!(killed.load(Ordering::SeqCst), "still dead at the end");
         let mut echoed = Vec::new();
         while let Some((_, f)) = r0.recv_timeout(Duration::from_millis(20)) {
             echoed.push(f[0]);
         }
-        assert!(
-            !echoed.contains(&104) && !echoed.contains(&106),
-            "frames sent while dead must be lost, got {echoed:?}"
-        );
-        assert!(c.killed_frames.load(Ordering::Relaxed) >= 4);
+        // A send checks the arrivals so far: 100..=103 leave before the
+        // fourth arrival kills the rank, 104.. are lost.
+        assert_eq!(echoed, vec![100, 101, 102, 103]);
+        // Nine inbound (3..=11) and eight outbound (104..=111) discards.
+        assert_eq!(c.killed_frames.load(Ordering::Relaxed), 17);
     }
 
     #[test]

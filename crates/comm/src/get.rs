@@ -367,7 +367,7 @@ impl Inner {
 
     /// Abort every get queued or in flight toward the dead peer `p`:
     /// each completes with a zeroed payload (its consumers are
-    /// re-executed from a checkpoint, never trusted).
+    /// re-executed from the job spec on the survivors, never trusted).
     pub(crate) fn abort_gets(&self, p: usize) {
         let dead: Vec<PendingGet> = {
             let mut g = self.gets.lock().unwrap();

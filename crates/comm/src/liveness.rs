@@ -1,6 +1,13 @@
 //! The failure detector: piggybacked liveness, suspicion, ping, death
-//! verdicts, poison-abort toward the dead, and readmission of a peer
-//! that speaks again.
+//! verdicts and poison-abort toward the dead.
+//!
+//! A death is final. Once a peer is confirmed dead it stays in
+//! [`Endpoint::dead_mask`] for the endpoint's lifetime: nobody probes it
+//! again, and any frame it still manages to send is dropped before
+//! dispatch (counted in `fenced_rx`). A rank that comes back has missed
+//! collective epochs and holds a stale shard, so readmitting it would
+//! hang the next barrier or serve wrong data; recovery is re-execution
+//! on the survivors instead.
 
 use crate::barrier::mask_members;
 use crate::endpoint::{Endpoint, Inner};
@@ -20,9 +27,6 @@ pub trait FailureHandler: Send + Sync {
     /// now confirmed dead. Its bit is already set in
     /// [`Endpoint::dead_mask`].
     fn on_death(&self, rank: usize);
-    /// A frame arrived from a rank previously confirmed dead: it
-    /// rejoined. Its dead-mask bit is already cleared.
-    fn on_rejoin(&self, _rank: usize) {}
 }
 
 /// Failure-detector bookkeeping, allocated only when
@@ -60,8 +64,7 @@ impl Endpoint {
     }
 
     /// Bitmask of peers this rank's detector has confirmed dead (empty
-    /// when the detector is disabled). A rank that rejoins clears its
-    /// bit.
+    /// when the detector is disabled). Bits are only ever set.
     pub fn dead_mask(&self) -> u64 {
         self.inner.dead_mask.load(Ordering::SeqCst)
     }
@@ -69,28 +72,21 @@ impl Endpoint {
 
 impl Inner {
     /// Record a received frame from `from` in the failure detector:
-    /// refresh its liveness, close any open suspicion episode, and
-    /// readmit it if it was confirmed dead.
-    pub(crate) fn note_rx(&self, from: usize) {
-        let Some(lv) = &self.liveness else { return };
-        let rejoined = {
-            let mut lv = lv.lock().unwrap();
-            lv.last_rx[from] = Instant::now();
-            lv.suspect[from] = false;
-            let bit = 1u64 << from;
-            let was_dead = self.dead_mask.load(Ordering::SeqCst) & bit != 0;
-            if was_dead {
-                self.dead_mask.fetch_and(!bit, Ordering::SeqCst);
-                self.stats.rejoins.fetch_add(1, Ordering::Relaxed);
-            }
-            was_dead
+    /// refresh its liveness and close any open suspicion episode.
+    /// Returns `false` — drop the frame undispatched — when `from` is
+    /// confirmed dead. Always `true` with the detector disabled.
+    pub(crate) fn note_rx(&self, from: usize) -> bool {
+        let Some(lv) = &self.liveness else {
+            return true;
         };
-        if rejoined {
-            let h = self.failure_handler.lock().unwrap().clone();
-            if let Some(h) = h {
-                h.on_rejoin(from);
-            }
+        if self.dead_mask.load(Ordering::SeqCst) & (1u64 << from) != 0 {
+            self.stats.fenced_rx.fetch_add(1, Ordering::Relaxed);
+            return false;
         }
+        let mut lv = lv.lock().unwrap();
+        lv.last_rx[from] = Instant::now();
+        lv.suspect[from] = false;
+        true
     }
 
     /// The failure-detector scan, sharing `check_timeouts`'s throttle.
@@ -98,8 +94,7 @@ impl Inner {
     /// the peer; silence past `dead_after` confirms death: the dead-mask
     /// bit is published, everything pending toward the peer aborts, and
     /// the failure handler fires (after every engine lock is released).
-    /// Dead peers keep being probed at a slow cadence so a restarted
-    /// rank is noticed and readmitted.
+    /// Dead peers are skipped: they are never pinged again.
     pub(crate) fn check_liveness(&self) {
         let (Some(lv), Some(suspect_after)) = (&self.liveness, self.cfg.suspect_after) else {
             return;
@@ -111,14 +106,7 @@ impl Inner {
         {
             let mut lv = lv.lock().unwrap();
             let dead = self.dead_mask.load(Ordering::SeqCst);
-            for p in (0..self.nranks).filter(|&p| p != self.rank) {
-                if dead & (1u64 << p) != 0 {
-                    if now.duration_since(lv.last_ping[p]) >= suspect_after {
-                        lv.last_ping[p] = now;
-                        pings.push(p);
-                    }
-                    continue;
-                }
+            for p in (0..self.nranks).filter(|&p| p != self.rank && dead & (1u64 << p) == 0) {
                 let silent = now.duration_since(lv.last_rx[p]);
                 if silent >= self.cfg.dead_after {
                     lv.suspect[p] = false;

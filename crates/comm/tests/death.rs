@@ -4,14 +4,14 @@
 //! operations blocked on it, and the victim's own detector notices the
 //! silent world so its threads unblock too. A clean run with the
 //! detector enabled doubles as the false-positive/overhead gate, and a
-//! disarm-based restart proves a revived rank is re-admitted by the
-//! ping machinery alone.
+//! disarm-based revival proves a death is final: nobody probes the
+//! corpse, and what it sends afterwards is dropped unapplied.
 //!
 //! Content is deliberately *not* asserted on kill runs: a dead gang
 //! member poisons collective results by design (aborted gets complete
-//! with zeros). The layers above recover correctness by re-executing
-//! from a checkpoint — proven in the ga/svc suites; here the contract
-//! is detection, unblocking, and replayability.
+//! with zeros). The service layer recovers correctness by re-executing
+//! the job from its spec on live ranks — proven in the svc suite; here
+//! the contract is detection, unblocking, finality and replayability.
 //!
 //! Every failure message carries the schedule description and seed so
 //! a failing run replays exactly.
@@ -107,8 +107,15 @@ struct Run {
     stores: Vec<Arc<MemStore>>,
     armed: Vec<Arc<AtomicBool>>,
     killed: Vec<Arc<AtomicBool>>,
+    counters: Vec<Arc<FaultCounters>>,
     draws: Vec<Vec<i64>>,
-    injected: u64,
+}
+
+impl Run {
+    /// Frames every rank's injector faulted so far.
+    fn injected(&self) -> u64 {
+        self.counters.iter().map(|c| c.total()).sum()
+    }
 }
 
 /// Run the collective workload over a 4-rank loopback mesh where the
@@ -121,8 +128,7 @@ fn death_run(victim_events: Vec<FaultEvent>, rounds: usize, seed: u64, replay: &
     let mut armed: Vec<Arc<AtomicBool>> = Vec::new();
     let mut killed: Vec<Arc<AtomicBool>> = Vec::new();
     // Endpoints live in the test thread and outlive every worker, so
-    // detection, aborts and post-run rejoin probing keep running after
-    // the workload exits.
+    // detection and aborts keep running after the workload exits.
     let eps: Vec<Arc<Endpoint>> = loopback(RANKS)
         .into_iter()
         .zip(&stores)
@@ -173,8 +179,8 @@ fn death_run(victim_events: Vec<FaultEvent>, rounds: usize, seed: u64, replay: &
         stores,
         armed,
         killed,
+        counters,
         draws,
-        injected: counters.iter().map(|c| c.total()).sum(),
     }
 }
 
@@ -187,7 +193,7 @@ fn death_run(victim_events: Vec<FaultEvent>, rounds: usize, seed: u64, replay: &
 fn clean_mesh_with_detector_has_no_false_positives() {
     const ROUNDS: usize = 6;
     let run = death_run(vec![], ROUNDS, 0xDEAD_0000, "clean detector control");
-    assert_eq!(run.injected, 0);
+    assert_eq!(run.injected(), 0);
     let mut all: Vec<i64> = run.draws.concat();
     all.sort_unstable();
     assert_eq!(
@@ -198,7 +204,7 @@ fn clean_mesh_with_detector_has_no_false_positives() {
     for (r, ep) in run.eps.iter().enumerate() {
         let s = ep.stats();
         assert_eq!(
-            (s.confirmed_deaths, s.aborted_ops, s.rejoins),
+            (s.confirmed_deaths, s.aborted_ops, s.fenced_rx),
             (0, 0, 0),
             "rank {r}: detector false positive on a clean mesh: {s:?}"
         );
@@ -229,7 +235,7 @@ fn mid_run_kill_is_detected_and_survivors_unblock() {
     let replay = format!("death schedule Kill{{at: 60}} seed {seed:#x}");
     let run = death_run(vec![FaultEvent::Kill { at: 60 }], 8, seed, &replay);
     assert!(
-        run.injected > 0,
+        run.injected() > 0,
         "kill injected nothing — vacuous: {replay}"
     );
     let bit = 1u64 << VICTIM;
@@ -287,7 +293,7 @@ fn kill_during_barrier_poison_releases_the_waiters() {
     let replay = format!("death schedule Kill{{at: 4}} seed {seed:#x}");
     let run = death_run(vec![FaultEvent::Kill { at: 4 }], 2, seed, &replay);
     assert!(
-        run.injected > 0,
+        run.injected() > 0,
         "kill injected nothing — vacuous: {replay}"
     );
     let mut aborted = 0;
@@ -305,48 +311,84 @@ fn kill_during_barrier_poison_releases_the_waiters() {
     );
 }
 
-/// Restart: after every survivor has confirmed the death, the victim's
-/// transport is revived (disarmed, the harness's restart switch). The
-/// slow probes survivors keep sending at a dead peer are answered
-/// again, every rank re-admits every other, and the link serves real
-/// traffic — no application-level handshake needed.
+/// A death is final. Once every rank has reached its verdict (the
+/// survivors on the victim, the victim on the silent world) and while the
+/// victim is still dark, nothing washes over it any more: nobody probes
+/// a confirmed-dead peer, so its injector discards no new frame across
+/// many detector scans. Revived (disarmed), the victim's put, acc and
+/// NXTVAL toward rank 0 go out on the wire, and rank 0 drops every one
+/// undispatched: its store is unchanged, every survivor keeps the
+/// victim's bit, and the drops are counted.
 #[test]
-fn restarted_rank_rejoins_and_serves_again() {
+fn a_revived_rank_stays_fenced() {
     let seed = 0xDEAD_0003u64;
-    let replay = format!("death schedule Kill{{at: 60}}+restart seed {seed:#x}");
+    let replay = format!("death schedule Kill{{at: 60}}, then disarm, seed {seed:#x}");
     let run = death_run(vec![FaultEvent::Kill { at: 60 }], 8, seed, &replay);
     let bit = 1u64 << VICTIM;
-    for (r, ep) in run.eps.iter().enumerate().filter(|(r, _)| *r != VICTIM) {
-        assert_eq!(ep.dead_mask() & bit, bit, "survivor {r}: {replay}");
-    }
-    // Revive the victim: frames flow again in both directions.
-    run.armed[VICTIM].store(false, Ordering::SeqCst);
+    let survivors_mask = ((1u64 << RANKS) - 1) & !bit;
     let deadline = Instant::now() + Duration::from_secs(20);
-    loop {
-        let readmitted = run.eps.iter().enumerate().all(|(r, ep)| {
-            let healed = if r == VICTIM {
-                ep.dead_mask() == 0
-            } else {
-                ep.dead_mask() & bit == 0
-            };
-            healed && ep.stats().rejoins >= 1
-        });
-        if readmitted {
-            break;
-        }
+    while !run.eps.iter().enumerate().all(|(r, ep)| {
+        let want = if r == VICTIM { survivors_mask } else { bit };
+        ep.dead_mask() == want
+    }) {
         assert!(
             Instant::now() < deadline,
-            "mesh never re-admitted the restarted rank: {replay}"
+            "verdicts never settled: {replay}"
         );
-        std::thread::sleep(Duration::from_millis(10));
+        std::thread::sleep(Duration::from_millis(5));
     }
-    // The healed link must carry real one-sided traffic again.
-    run.eps[0].put(VICTIM, 0, 0, &[41.0]);
+    // Long enough for any periodic probe to show (the detector pings a
+    // suspect at most every `suspect_after / 2`), and far more than ten
+    // detector scans (one per `retry_timeout / 4`).
+    let cfg = death_cfg();
+    let quiet = cfg.suspect_after.unwrap() * 4;
+    assert!(quiet >= cfg.retry_timeout / 4 * 10);
+    let victim = &run.counters[VICTIM];
+    let before = victim.killed_frames.load(Ordering::SeqCst);
+    std::thread::sleep(quiet);
     assert_eq!(
-        run.eps[0].get_blocking(VICTIM, 0, 0, 1),
-        vec![41.0],
-        "restarted rank must serve gets again: {replay}"
+        victim.killed_frames.load(Ordering::SeqCst),
+        before,
+        "frames still reach or leave the corpse after every verdict: {replay}"
     );
+    assert!(run.killed[VICTIM].load(Ordering::SeqCst), "{replay}");
+
+    // Revive the victim and have it write into, and draw from, rank 0.
+    let snapshot = |store: &MemStore| -> Vec<Vec<f64>> {
+        (store.arrays.iter())
+            .map(|a| a.lock().unwrap().clone())
+            .collect()
+    };
+    let store0 = snapshot(&run.stores[0]);
+    run.armed[VICTIM].store(false, Ordering::SeqCst);
+    let v = &run.eps[VICTIM];
+    v.put(0, 1, 0, &[41.0]);
+    v.acc(0, 0, 0, &[1.0; SLOTS], 1.0);
+    v.fence();
+    assert_eq!(v.nxtval(0), i64::MAX, "a fenced draw is dry: {replay}");
+    // Rank 0 must have seen (and dropped) at least one of them; give the
+    // frames a moment, then let every survivor's scans run a while more.
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while run.eps[0].stats().fenced_rx == 0 {
+        assert!(
+            Instant::now() < deadline,
+            "rank 0 never received the revived rank's frames: {replay}"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    std::thread::sleep(quiet);
+    assert_eq!(
+        snapshot(&run.stores[0]),
+        store0,
+        "a fenced rank's writes reached rank 0's store: {replay}"
+    );
+    for (r, ep) in run.eps.iter().enumerate().filter(|(r, _)| *r != VICTIM) {
+        assert_eq!(
+            ep.dead_mask() & bit,
+            bit,
+            "survivor {r} readmitted the victim: {replay}"
+        );
+    }
 }
 
 /// Every named death schedule faults exactly the same frames when

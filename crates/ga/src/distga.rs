@@ -84,7 +84,7 @@ pub struct DistStore {
     /// through the caller's view first, so the all-local read path takes
     /// no store-wide lock and bumps no shared refcount: it borrows the
     /// array under a lock only its own thread slot takes. Writers
-    /// (create, destroy, restore) refresh every view under the state
+    /// (create, destroy) refresh every view under the state
     /// lock, so a destroyed array leaves every view at once — no thread
     /// keeps it alive.
     views: Box<[View]>,
@@ -312,82 +312,6 @@ impl DistStore {
             c.invalidate_array(h);
         }
     }
-
-    /// Copy out everything a checkpoint needs (see [`crate::ckpt`]):
-    /// every live array's shard plus the allocation cursors and
-    /// tombstones that make post-restore creates agree with the other
-    /// ranks. Arrays are sorted by id so the serialized image is
-    /// byte-stable. Taken under the state lock — a consistent cut of
-    /// this rank's shards (epoch alignment, i.e. not racing in-flight
-    /// remote writes, is the caller's fence + barrier).
-    pub(crate) fn snapshot_state(&self) -> StoreSnapshot {
-        let st = self.state.lock();
-        let mut arrays: Vec<_> = st
-            .arrays
-            .iter()
-            .map(|(&id, a)| {
-                (
-                    id,
-                    a.dist.len(),
-                    a.dist.nodes(),
-                    a.owned.start,
-                    a.shard.lock().clone(),
-                )
-            })
-            .collect();
-        arrays.sort_by_key(|e| e.0);
-        let mut next_idx: Vec<(u32, u32)> = st.next_idx.iter().map(|(&t, &n)| (t, n)).collect();
-        next_idx.sort_unstable();
-        let mut destroyed: Vec<u32> = st.destroyed.iter().copied().collect();
-        destroyed.sort_unstable();
-        StoreSnapshot {
-            arrays,
-            next_idx,
-            destroyed,
-        }
-    }
-
-    /// Replace the whole store state with a restored snapshot and drop
-    /// every cached block of both the old and the restored arrays — a
-    /// rejoining rank must serve exactly the checkpointed bytes, never a
-    /// pre-crash cache line.
-    pub(crate) fn replace_state(&self, snap: StoreSnapshot) {
-        let mut fresh = StoreState {
-            next_idx: snap.next_idx.into_iter().collect(),
-            destroyed: snap.destroyed.into_iter().collect(),
-            ..StoreState::default()
-        };
-        let mut touched: Vec<u32> = Vec::new();
-        for (id, len, nodes, base, shard) in snap.arrays {
-            touched.push(id);
-            let dist = Distribution::new(len, nodes);
-            let owned = base..base + shard.len();
-            fresh.arrays.insert(id, DistArray::new(dist, owned, shard));
-        }
-        {
-            let mut st = self.state.lock();
-            touched.extend(st.arrays.keys().copied());
-            *st = fresh;
-            self.refresh_views(&st);
-        }
-        self.created.notify_all();
-        if let Some(c) = self.cache.get() {
-            touched.sort_unstable();
-            touched.dedup();
-            for id in touched {
-                c.invalidate_array(id as usize);
-            }
-        }
-    }
-}
-
-/// A consistent copy of one rank's store, the payload of a checkpoint:
-/// per array `(id, total_len, gang_nodes, shard_base, shard)`, plus the
-/// per-namespace allocation cursors and destroyed-id tombstones.
-pub(crate) struct StoreSnapshot {
-    pub(crate) arrays: Vec<(u32, usize, usize, usize, Vec<f64>)>,
-    pub(crate) next_idx: Vec<(u32, u32)>,
-    pub(crate) destroyed: Vec<u32>,
 }
 
 /// The progress engine's view: offsets arrive global, exactly as the

@@ -31,14 +31,12 @@
 //! DESIGN.md §4.6).
 
 pub mod cache;
-pub mod ckpt;
 pub mod dist;
 pub mod distga;
 pub mod hash;
 pub mod stats;
 
 pub use cache::TileCacheConfig;
-pub use ckpt::Checkpointer;
 pub use dist::Distribution;
 pub use distga::DistStore;
 pub use hash::HashIndex;
@@ -307,40 +305,6 @@ impl Ga {
         match &self.backend {
             Backend::Local { .. } => None,
             Backend::Dist { ep, .. } => Some(ep),
-        }
-    }
-
-    /// The rank-local shard store in distributed mode (checkpoint /
-    /// restore entry point, see [`ckpt`]).
-    pub fn dist_store(&self) -> Option<&Arc<DistStore>> {
-        match &self.backend {
-            Backend::Local { .. } => None,
-            Backend::Dist { store, .. } => Some(store),
-        }
-    }
-
-    /// Spill an epoch-aligned checkpoint of this rank's shards and
-    /// NXTVAL counter through `ck`. The caller brackets this with
-    /// [`Self::sync`] so no in-flight remote write races the image.
-    /// Returns the image size in bytes; no-op (zero) in local mode,
-    /// which cannot lose a rank.
-    pub fn checkpoint(&self, ck: &Checkpointer, epoch: u64) -> std::io::Result<u64> {
-        match &self.backend {
-            Backend::Local { .. } => Ok(0),
-            Backend::Dist { ep, store, .. } => ck.save(store, epoch, ep.local_counter()),
-        }
-    }
-
-    /// Restore this rank's shards and NXTVAL counter from `ck`'s spill
-    /// file; returns the image's epoch. Panics on the local backend.
-    pub fn restore(&self, ck: &Checkpointer) -> std::io::Result<u64> {
-        match &self.backend {
-            Backend::Local { .. } => panic!("restore requires the distributed backend"),
-            Backend::Dist { ep, store, .. } => {
-                let (epoch, nxtval) = ck.load(store)?;
-                ep.set_local_counter(nxtval);
-                Ok(epoch)
-            }
         }
     }
 

@@ -60,11 +60,6 @@ pub struct SvcConfig {
     /// identical on every rank: the weight also picks the job's
     /// priority band, and graphs must agree across ranks.
     pub weights: Vec<(u32, u64)>,
-    /// When set, every rank spills an epoch-aligned checkpoint of its
-    /// shard store (and NXTVAL counter) to this directory at each job
-    /// boundary, so a restarted rank can restore instead of rejoining
-    /// cold.
-    pub ckpt_dir: Option<std::path::PathBuf>,
 }
 
 impl Default for SvcConfig {
@@ -76,7 +71,6 @@ impl Default for SvcConfig {
             plan_cache: PlanCacheConfig::default(),
             max_open: 2,
             weights: Vec::new(),
-            ckpt_dir: None,
         }
     }
 }
@@ -264,21 +258,14 @@ impl JobHandler for Handler {
 /// Recovery orchestration, driven by the comm failure detector on the
 /// gateway rank: a confirmed death fences the rank and requeues its
 /// gangs' jobs (re-dispatching them onto live ranks immediately when a
-/// gang packs); a rejoin unfences it. Non-gateway ranks do nothing here
-/// — their side of recovery is the poisoned-run suppression in
-/// [`RankDaemon::execute`]. Called from the progress thread: both paths
-/// only post asynchronous sends, never block on collectives.
+/// gang packs). The fence is permanent, as the verdict is. Non-gateway
+/// ranks do nothing here — their side of recovery is the poisoned-run
+/// suppression in [`RankDaemon::execute`]. Called from the progress
+/// thread: it only posts asynchronous sends, never blocks on collectives.
 impl comm::FailureHandler for Handler {
     fn on_death(&self, rank: usize) {
         if let Some(gw) = &self.gateway {
             let d = gw.fence_rank(rank);
-            self.issue(d);
-        }
-    }
-
-    fn on_rejoin(&self, rank: usize) {
-        if let Some(gw) = &self.gateway {
-            let d = gw.unfence_rank(rank);
             self.issue(d);
         }
     }
@@ -302,8 +289,6 @@ pub struct RankDaemon {
     weights: HashMap<u32, u64>,
     scfg: StealConfig,
     records: Mutex<Vec<JobRecord>>,
-    /// Job-boundary shard checkpointing (when `SvcConfig::ckpt_dir`).
-    ckpt: Option<global_arrays::Checkpointer>,
     /// Runs whose gang lost a member mid-run: result suppressed, plan
     /// purged; the gateway re-dispatches the job elsewhere.
     poisoned_runs: AtomicU64,
@@ -328,14 +313,10 @@ impl RankDaemon {
         });
         ep.set_job_handler(Some(handler.clone()));
         // The same handler drives recovery: on the gateway rank a
-        // confirmed death fences + requeues, a rejoin unfences. (A
-        // no-op on other ranks, and entirely inert unless the detector
-        // is enabled via `CommConfig::suspect_after`.)
+        // confirmed death fences + requeues. (A no-op on other ranks,
+        // and entirely inert unless the detector is enabled via
+        // `CommConfig::suspect_after`.)
         ep.set_failure_handler(handler.clone());
-        let ckpt = cfg
-            .ckpt_dir
-            .as_ref()
-            .map(|d| global_arrays::Checkpointer::new(d, rank).expect("checkpoint dir unusable"));
         // No rank returns (and so no tenant can submit) until every
         // rank's handler is live — otherwise an early Submit AM would
         // find no service and record a rejection for its sequence.
@@ -352,7 +333,6 @@ impl RankDaemon {
             weights: cfg.weights.iter().copied().collect(),
             scfg: cfg.steal,
             records: Mutex::new(Vec::new()),
-            ckpt,
             poisoned_runs: AtomicU64::new(0),
         }
     }
@@ -423,11 +403,6 @@ impl RankDaemon {
             .load(std::sync::atomic::Ordering::Relaxed)
     }
 
-    /// The job-boundary checkpointer, when configured.
-    pub fn checkpointer(&self) -> Option<&global_arrays::Checkpointer> {
-        self.ckpt.as_ref()
-    }
-
     /// The executor loop: run dispatched jobs in this rank's seq order
     /// until the halt frame. Collective per gang — all members of a
     /// gang execute that gang's jobs in the same relative order, while
@@ -443,14 +418,6 @@ impl RankDaemon {
                     let (gang, ordinal) = (words[2], words[3]);
                     self.execute(job_id, gang, ordinal, &words[4..]);
                     self.exec.note_done(job_id, gang);
-                    if let Some(ck) = &self.ckpt {
-                        // Job boundary = checkpoint epoch: this rank is
-                        // quiesced (one gang slot per rank), so the
-                        // image is a consistent cut of its shards.
-                        // Best-effort — a full spill disk must not
-                        // take the service down.
-                        let _ = self.root.checkpoint(ck, seq);
-                    }
                 }
                 k => panic!("unknown dispatch kind {k}"),
             }
@@ -533,7 +500,9 @@ impl RankDaemon {
         // requeue) the job onto live ranks — and purge the plan so a
         // later job on this gang mask rebuilds from clean fills. Every
         // surviving member sees the same dead mask after its run and
-        // purges in lockstep.
+        // purges in lockstep; a death is final, so no revival can clear
+        // the bit before this check and pass a poisoned energy off as
+        // a result.
         if self.ep.dead_mask() & gang != 0 {
             self.plans.purge(&key);
             self.poisoned_runs

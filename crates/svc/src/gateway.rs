@@ -85,7 +85,7 @@ struct GwState {
     /// rank hosts at most one running job at a time (its gang slot).
     busy: u64,
     /// Ranks the failure detector confirmed dead (or the operator
-    /// fenced): never packed into new gangs until unfenced.
+    /// fenced): never packed into a new gang again.
     fenced: u64,
     /// Jobs pulled back from a fenced gang and requeued.
     requeued: u64,
@@ -180,7 +180,7 @@ impl Gateway {
     }
 
     /// Gang size a spec's `ranks` request resolves to on this mesh,
-    /// clamped to the largest contiguous window of unfenced ranks — a
+    /// clamped to the largest contiguous window of live ranks — a
     /// full-mesh request must still be schedulable after a rank dies,
     /// on the shrunken mesh that remains.
     fn gang_size(&self, requested: usize, fenced: u64) -> usize {
@@ -295,7 +295,7 @@ impl Gateway {
     /// [`JobState::Requeued`]) and re-dispatched as soon as a gang of
     /// live ranks can be packed — possibly a smaller one than the spec
     /// requested, if the mesh shrank (`gang_size` clamps to the largest
-    /// unfenced window). Survivors of the broken gang finish their
+    /// live window). Survivors of the broken gang finish their
     /// poison-released runs and either suppress the report daemon-side
     /// (the run observed the death) or have it ignored here (the job is
     /// no longer `Running`). Idempotent per rank; returns the unlocked
@@ -338,17 +338,6 @@ impl Gateway {
             // tenant's fair share.
             q.dispatched = q.dispatched.saturating_sub(1);
         }
-        self.pump(&mut st)
-    }
-
-    /// Unfence `rank` (it rejoined): it may be packed into new gangs
-    /// again. Returns any dispatches the regrown mesh unlocks.
-    pub fn unfence_rank(&self, rank: usize) -> Vec<Dispatch> {
-        let mut st = self.st.lock().unwrap();
-        if st.fenced & (1u64 << rank) == 0 {
-            return Vec::new();
-        }
-        st.fenced &= !(1u64 << rank);
         self.pump(&mut st)
     }
 
@@ -715,29 +704,22 @@ mod tests {
         // A full-mesh job must still be schedulable on the 3 live ranks.
         let (_, d) = gw.submit(&spec(0));
         assert_eq!(d.len(), 1, "clamped job dispatches");
-        assert_eq!(frame_of(&d[0], 0)[2], 0b0111, "largest unfenced window");
-        gw.record_done(0, 1, 0);
-        gw.record_done(1, 1, 0);
-        gw.record_done(2, 1, 0);
-        // The rank rejoins: the next full-mesh job uses all four again.
-        let d = gw.unfence_rank(3);
-        assert!(d.is_empty());
-        assert_eq!(gw.fenced(), 0);
-        let (_, d) = gw.submit(&spec(0));
-        assert_eq!(frame_of(&d[0], 0)[2], 0b1111);
+        assert_eq!(frame_of(&d[0], 0)[2], 0b0111, "largest live window");
     }
 
+    /// The gateway's own detector never declares its own rank dead, so
+    /// fencing every peer still leaves rank 0: a full-mesh job clamps onto
+    /// it alone and runs at once.
     #[test]
-    fn fencing_every_rank_parks_the_queue_until_rejoin() {
-        let gw = Gateway::new(2, 1, &[]);
-        gw.fence_rank(0);
+    fn fencing_every_peer_clamps_a_full_mesh_job_onto_rank_0_alone() {
+        let gw = Gateway::new(3, 1, &[]);
         gw.fence_rank(1);
+        gw.fence_rank(2);
         let (id, d) = gw.submit(&spec(0));
-        assert!(d.is_empty(), "no live window: job waits");
-        assert_eq!(gw.status(id.unwrap()).0, JobState::Queued as u8);
-        let d = gw.unfence_rank(0);
         assert_eq!(d.len(), 1, "one live rank is enough after the clamp");
-        assert_eq!(frame_of(&d[0], 0)[2], 0b01);
+        assert_eq!(frame_of(&d[0], 0)[2], 0b001);
+        assert_eq!(gw.status(id.unwrap()).0, JobState::Running as u8);
+        assert_eq!(gw.fenced(), 0b110);
     }
 
     #[test]
