@@ -42,25 +42,6 @@ if [ -n "$big" ]; then
     exit 1
 fi
 
-echo "==> bench smoke (kernels, quick mode)"
-cargo bench -q -p bench-harness --bench kernels -- --test
-
-echo "==> bench smoke (chain_epilogue, quick mode)"
-cargo bench -q -p bench-harness --bench chain_epilogue -- --test
-
-echo "==> BENCH_epilogue.json well-formed"
-# Quick mode writes under target/; the committed copy lives at the root.
-for f in target/BENCH_epilogue.json BENCH_epilogue.json; do
-    if [ -f "$f" ]; then
-        if command -v jq >/dev/null 2>&1; then
-            jq -e '.epilogue.speedup and .data_path_bytes.ratio' "$f" >/dev/null
-        else
-            python3 -c "import json,sys; d=json.load(open(sys.argv[1])); d['epilogue']['speedup']; d['data_path_bytes']['ratio']" "$f"
-        fi
-        echo "    $f OK"
-    fi
-done
-
 echo "==> perf smoke (the pinned benchmark of BENCHMARK.json, every workload once)"
 # The pipeline's own invocation in smoke form, through the package's own
 # manifest and pinned lock file: a protocol change that breaks the
@@ -69,7 +50,7 @@ echo "==> perf smoke (the pinned benchmark of BENCHMARK.json, every workload onc
 # pipeline.
 cargo run --release --quiet --manifest-path crates/bench/src/bin/perf/Cargo.toml -- smoke
 
-echo "==> comm smoke (4 ranks x 4 workers over sockets, v1..v5 + fused v5 vs single-process energies, verified tile cache)"
+echo "==> comm smoke (4 ranks x 4 workers over sockets, v1..v5 vs single-process energies, verified tile cache)"
 # The smoke runs every rank with 4 stealing workers beside the comm
 # progress thread (the fused-engine hot configuration) and the tile
 # cache in paranoia mode: each cache hit is re-fetched fresh from the

@@ -65,28 +65,18 @@ fn tiny_rank(transport: Box<dyn comm::Transport>, cfg: CommConfig, verify_reads:
 
 // ---- comm-smoke -----------------------------------------------------
 
-/// All five variants, and the fused chain epilogue, which must survive
-/// the socket mesh too.
-fn smoke_variants() -> Vec<(&'static str, VariantCfg)> {
-    let mut v: Vec<_> = (VariantCfg::all().into_iter())
-        .map(|cfg| (cfg.name, cfg))
-        .collect();
-    v.push(("v5f", VariantCfg::v5().fused()));
-    v
-}
-
 /// One rank of the smoke: the stock comm configuration, and the cache in
 /// paranoia mode — every hit is re-fetched fresh from the owners and
 /// compared, and any mismatch counts a stale read that fails CI.
 pub fn smoke_rank(rank: usize, port: u16) -> Fragment {
     let dr = tiny_rank(Box::new(connect(rank, port)), CommConfig::default(), true);
     let mut f = Fragment::new(rank);
-    for (name, cfg) in smoke_variants() {
+    for cfg in VariantCfg::all() {
         let run = dr.run_variant(cfg, WORKERS, true);
-        f.add_energy(&format!("{name}.energy"), run.energy);
+        f.add_energy(&format!("{}.energy", cfg.name), run.energy);
     }
-    // The energy reduction once more, over the output the last run
-    // (v5f) left: it must move no tile and reproduce that run's bits.
+    // The energy reduction once more, over the output the last run (v5)
+    // left: it must move no tile and reproduce that run's bits.
     let ga = dr.workspace().ga.stats();
     let pulled = ga.remote_get_bytes();
     f.add_energy("reduce.energy", dr.energy());
@@ -104,10 +94,10 @@ pub fn smoke(port: u16) -> Result<(), String> {
     let (frags, ()) = run_mesh("mesh_gate comm-smoke", port, role, None, move || {
         (smoke_rank(0, port), ())
     })?;
-    for (name, _) in smoke_variants() {
+    for name in VariantCfg::all().map(|cfg| cfg.name) {
         if let Some(e) = frags[0].energy(&format!("{name}.energy")) {
             let d = rel_diff(e_ref, e);
-            println!("{name:>3} over {RANKS}-rank sockets: {e:.15}  (rel diff {d:.2e})");
+            println!("{name} over {RANKS}-rank sockets: {e:.15}  (rel diff {d:.2e})");
         }
     }
     check_smoke(e_ref, &frags).map_err(|e| format!("smoke FAILED: {e}"))?;
@@ -120,7 +110,7 @@ pub fn smoke(port: u16) -> Result<(), String> {
 }
 
 fn check_smoke(e_ref: f64, frags: &[Fragment]) -> Result<(), String> {
-    for (name, _) in smoke_variants() {
+    for name in VariantCfg::all().map(|cfg| cfg.name) {
         check_energy(name, e_ref, frags[0].energy(&format!("{name}.energy")))?;
     }
     check_reduce_moves_no_tiles(frags)?;
@@ -139,10 +129,10 @@ fn check_reduce_moves_no_tiles(frags: &[Fragment]) -> Result<(), String> {
         return Err(format!("rank {rank}'s energy reduction pulled {b} bytes"));
     }
     let bits = |name| frags[0].energy(name).map(f64::to_bits);
-    let (run, again) = (bits("v5f.energy"), bits("reduce.energy"));
+    let (run, again) = (bits("v5.energy"), bits("reduce.energy"));
     if run.is_none() || run != again {
         return Err(format!(
-            "the repeated energy reduction gave {again:x?}, the v5f run {run:x?}"
+            "the repeated energy reduction gave {again:x?}, the v5 run {run:x?}"
         ));
     }
     Ok(())
@@ -400,7 +390,7 @@ mod tests {
             f.add("donated", if rank == 1 { 5 } else { 0 });
             f.add("stolen", if rank == 2 { 5 } else { 0 });
             f.add_energy("energy", (rank == 0).then_some(E_REF));
-            for (name, _) in smoke_variants() {
+            for name in VariantCfg::all().map(|cfg| cfg.name) {
                 f.add_energy(&format!("{name}.energy"), (rank == 0).then_some(E_REF));
             }
             f.add_energy("reduce.energy", (rank == 0).then_some(E_REF));
@@ -461,7 +451,7 @@ mod tests {
             (KILL, "clean", 1, "stale_reads", 1, "1 cached reads"),
             (FAULT, "reorder", 0, "energy", off, "reorder: energy"),
             (KILL, "clean", 0, "energy", off, "healthy run: energy"),
-            (SMOKE, "", 0, "v5f.energy", off, "v5f: energy"),
+            (SMOKE, "", 0, "v5.energy", off, "v5: energy"),
             (
                 SMOKE,
                 "",

@@ -7,7 +7,7 @@
 //! come from).
 //!
 //! ```text
-//! mesh_gate comm-smoke   # v1..v5 + fused v5 reproduce the single-process energy
+//! mesh_gate comm-smoke   # v1..v5 reproduce the single-process energy
 //! mesh_gate chaos        # every fault schedule, then every death schedule
 //! mesh_gate svc-smoke    # job service: two 2-rank-gang jobs, then two full-mesh jobs
 //! mesh_gate recovery     # job service survives its last rank dying mid-stream

@@ -49,14 +49,6 @@ pub struct VariantCfg {
     pub reader_offset: i64,
     /// Priority offset of the GEMM class (paper: +1).
     pub gemm_offset: i64,
-    /// Fuse the chain epilogue into the GEMM writeback: the reduction
-    /// root's `daxpy` (ScaleAccumulate), a single-branch SORT
-    /// (PermutedScatter), and the serial SORT's staging loop
-    /// (`sort_4_merge`) all collapse into one pass over C. Only active
-    /// for unchained variants with `segment_height == 1` (see
-    /// [`CcsdCtx::fuse_active`]); off by default so the unfused graph
-    /// shape remains the reference.
-    pub fuse_epilogue: bool,
 }
 
 impl VariantCfg {
@@ -71,7 +63,6 @@ impl VariantCfg {
             priorities: true,
             reader_offset: 5,
             gemm_offset: 1,
-            fuse_epilogue: false,
         }
     }
     /// v2: parallel GEMMs and SORTs, single WRITE, **no priorities**.
@@ -85,7 +76,6 @@ impl VariantCfg {
             priorities: false,
             reader_offset: 5,
             gemm_offset: 1,
-            fuse_epilogue: false,
         }
     }
     /// v3: everything parallel (GEMMs, SORTs, WRITEs), priorities.
@@ -99,7 +89,6 @@ impl VariantCfg {
             priorities: true,
             reader_offset: 5,
             gemm_offset: 1,
-            fuse_epilogue: false,
         }
     }
     /// v4: parallel GEMMs and SORTs, single WRITE, priorities.
@@ -113,7 +102,6 @@ impl VariantCfg {
             priorities: true,
             reader_offset: 5,
             gemm_offset: 1,
-            fuse_epilogue: false,
         }
     }
     /// v5: parallel GEMMs, one SORT, one WRITE, priorities (the winner).
@@ -127,7 +115,6 @@ impl VariantCfg {
             priorities: true,
             reader_offset: 5,
             gemm_offset: 1,
-            fuse_epilogue: false,
         }
     }
 
@@ -135,21 +122,6 @@ impl VariantCfg {
     pub fn offsets(mut self, reader: i64, gemm: i64) -> Self {
         self.reader_offset = reader;
         self.gemm_offset = gemm;
-        self
-    }
-
-    /// Request the fused chain epilogue (see `fuse_epilogue`). The name
-    /// gains an "f" suffix so traces and bench rows stay unambiguous.
-    pub fn fused(mut self) -> Self {
-        self.fuse_epilogue = true;
-        self.name = match self.name {
-            "v1" => "v1f",
-            "v2" => "v2f",
-            "v3" => "v3f",
-            "v4" => "v4f",
-            "v5" => "v5f",
-            other => other,
-        };
         self
     }
 
@@ -166,7 +138,6 @@ impl VariantCfg {
             priorities: true,
             reader_offset: 5,
             gemm_offset: 1,
-            fuse_epilogue: false,
         }
     }
     /// All five, in paper order.
@@ -242,16 +213,6 @@ impl CcsdCtx {
         self.ins.num_chains() as i64 - l1 + offset * self.nodes as i64
     }
 
-    /// Whether the fused chain epilogue applies to this graph: the final
-    /// GEMM of a chain can absorb the reduction root and a single-branch
-    /// SORT only when it is a *leaf* (`h == 1`) — with chained GEMMs (v1)
-    /// or taller segments the last GEMM's C input is a running partial
-    /// that already contains earlier GEMMs' contributions, so there is no
-    /// single fusable addend (DESIGN.md §4.4).
-    pub fn fuse_active(&self) -> bool {
-        self.cfg.fuse_epilogue && !self.cfg.chained_gemms && self.cfg.segment_height == 1
-    }
-
     /// Width of reduction level `s` for a chain of `len` GEMMs
     /// (level 0 = the GEMMs themselves).
     pub fn reduce_width(len: usize, s: usize) -> usize {
@@ -324,39 +285,6 @@ mod tests {
             ..ctx
         };
         assert_eq!(ctx2.prio(0, 5), 0, "v2 disables priorities");
-    }
-
-    #[test]
-    fn fused_builder_and_activation() {
-        for cfg in VariantCfg::all() {
-            assert!(!cfg.fuse_epilogue, "fusion must be off by default");
-        }
-        let f = VariantCfg::v5().fused();
-        assert!(f.fuse_epilogue);
-        assert_eq!(f.name, "v5f");
-        let space = tce::TileSpace::build(&tce::scale::tiny());
-        let ins = Arc::new(tce::inspect(&space, 2));
-        let mk = |cfg| CcsdCtx {
-            ins: ins.clone(),
-            cfg,
-            nodes: 1,
-            ws: None,
-            pool: Default::default(),
-            rank: None,
-            prefetch: false,
-            external_roots: false,
-        };
-        assert!(mk(VariantCfg::v5().fused()).fuse_active());
-        assert!(mk(VariantCfg::v2().fused()).fuse_active());
-        assert!(!mk(VariantCfg::v5()).fuse_active(), "off by default");
-        assert!(
-            !mk(VariantCfg::v1().fused()).fuse_active(),
-            "chained C has no single fusable addend"
-        );
-        assert!(
-            !mk(VariantCfg::height(3).fused()).fuse_active(),
-            "taller segments keep the unfused epilogue"
-        );
     }
 
     #[test]

@@ -23,10 +23,7 @@ use parsec_rt::TilePool;
 use ptg::{Activity, Dep, GraphCtx, Payload, TaskClass, TaskCost, TaskGraph, TaskKey};
 use std::sync::Arc;
 use tce::Inspection;
-use tensor_kernels::{
-    dgemm_blocked, dgemm_packed_epilogue, dgemm_packed_with, epilogue_params, packed_profitable,
-    sort_4, sort_4_merge, sort_4_strided, Epilogue, GemmParams, SortSpec, Trans,
-};
+use tensor_kernels::{dgemm_with, scratch_lens, sort_4, sort_4_strided, Trans};
 
 /// Class ids (indices into the graph's class table).
 pub const READ_A: u32 = 0;
@@ -50,17 +47,9 @@ fn own(c: &CcsdCtx, p: Payload) -> Vec<f64> {
     c.pool.own(p)
 }
 
-/// Leaves of chain `l1`'s reduction tree: one per segment normally; with
-/// the fused epilogue the final GEMM is not a leaf — it *consumes* the
-/// tree's root as its epilogue addend — so only the first `len - 1`
-/// GEMMs feed the tree.
+/// Leaves of chain `l1`'s reduction tree: one per segment.
 fn reduce_leaves(c: &CcsdCtx, l1: i64) -> usize {
-    let len = c.chain(l1).gemms.len();
-    if c.fuse_active() {
-        len - 1
-    } else {
-        len.div_ceil(c.cfg.segment_height)
-    }
+    c.chain(l1).gemms.len().div_ceil(c.cfg.segment_height)
 }
 
 /// Successor deps from a chain's final C matrix to its SORT stage.
@@ -285,23 +274,13 @@ impl TaskClass for Gemm {
         "GEMM"
     }
     fn num_flows(&self) -> usize {
-        4 // 0: A in, 1: B in, 2: C in/out, 3: fused epilogue addend in
+        3 // 0: A in, 1: B in, 2: C in/out
     }
     fn roots(&self, _ctx: &dyn GraphCtx, _out: &mut Vec<TaskKey>) {}
     fn num_inputs(&self, key: TaskKey, ctx: &dyn GraphCtx) -> usize {
         let c = cc(ctx);
         if c.cfg.chained_gemms {
             3
-        } else if c.fuse_active() {
-            // Leaf GEMMs take only A and B; the final GEMM additionally
-            // consumes the reduction root as its epilogue addend (flow 3)
-            // when the chain has one.
-            let len = c.chain(key.params[0]).gemms.len() as i64;
-            if key.params[1] + 1 == len && len > 1 {
-                3
-            } else {
-                2
-            }
         } else {
             // Segment-internal GEMMs chain their C from the predecessor;
             // segment heads start a fresh private C.
@@ -326,40 +305,6 @@ impl TaskClass for Gemm {
                 });
             } else {
                 c_to_sorts(c, l1, 2, out);
-            }
-        } else if c.fuse_active() {
-            if l2 + 1 == len {
-                // The final GEMM's writeback already performed the chain
-                // epilogue: single-branch chains leave it *sorted* and go
-                // straight to the WRITE stage (no SORT task exists);
-                // multi-branch chains leave it merged-with-addend and fan
-                // out to the SORT remaps as usual.
-                let chain = c.chain(l1);
-                if chain.sorts.len() == 1 {
-                    for w in 0..chain.sorts[0].owners.len() {
-                        out.push(Dep {
-                            src_flow: 2,
-                            dst: TaskKey::new(WRITE, &[l1, 0, w as i64]),
-                            dst_flow: 0,
-                        });
-                    }
-                } else {
-                    c_to_sorts(c, l1, 2, out);
-                }
-            } else if reduce_leaves(c, l1) == 1 {
-                // Two-GEMM chain: the lone leaf feeds the final GEMM's
-                // addend flow directly, no reduction tree.
-                out.push(Dep {
-                    src_flow: 2,
-                    dst: TaskKey::new(GEMM, &[l1, len - 1]),
-                    dst_flow: 3,
-                });
-            } else {
-                out.push(Dep {
-                    src_flow: 2,
-                    dst: TaskKey::new(REDUCE, &[l1, 1, l2 / 2]),
-                    dst_flow: (l2 % 2) as u32,
-                });
             }
         } else {
             let h = c.cfg.segment_height as i64;
@@ -406,17 +351,8 @@ impl TaskClass for Gemm {
             flops: 2 * (chain.m * chain.n * k) as u64,
         }
     }
-    fn flow_bytes(&self, key: TaskKey, _flow: u32, dst: TaskKey, ctx: &dyn GraphCtx) -> u64 {
-        let c = cc(ctx);
-        let chain = c.chain(key.params[0]);
-        if dst.class == WRITE {
-            // Fused single-branch chain: the sorted tile goes straight
-            // to WRITE, split per owner node as SORT's output would be.
-            let sort = &chain.sorts[dst.params[1] as usize];
-            (sort.owners[dst.params[2] as usize].1.len() * 8) as u64
-        } else {
-            chain.c_bytes()
-        }
+    fn flow_bytes(&self, key: TaskKey, _flow: u32, _dst: TaskKey, ctx: &dyn GraphCtx) -> u64 {
+        cc(ctx).chain(key.params[0]).c_bytes()
     }
     fn execute(
         &self,
@@ -426,108 +362,45 @@ impl TaskClass for Gemm {
     ) -> Vec<Option<Payload>> {
         let c = cc(ctx);
         if c.ws.is_none() {
-            return vec![None; 4];
+            return vec![None; 3];
         }
         let chain = c.chain(key.params[0]);
         let g = &chain.gemms[key.params[1] as usize];
         let a = inputs[0].take().expect("A operand");
         let b = inputs[1].take().expect("B operand");
         let (m, n, k) = (chain.m, chain.n, g.k);
-        if c.fuse_active() && key.params[1] + 1 == chain.gemms.len() as i64 {
-            // Fused final GEMM: fold the reduction root's accumulate —
-            // and, for single-branch chains, the SORT remap — into the
-            // packed engine's writeback. C is produced once, in its
-            // final (merged / sorted) form.
-            let addend = (chain.gemms.len() > 1).then(|| inputs[3].take().expect("reduce addend"));
-            let x = addend.as_deref().map(|v| v.as_slice());
-            let epi = if chain.sorts.len() == 1 {
-                let s = &chain.sorts[0];
-                Epilogue::PermutedScatter {
-                    dims: chain.cdims,
-                    perm: s.perm,
-                    factor: s.factor,
-                    gamma: 1.0,
-                    x,
-                }
-            } else {
-                match x {
-                    Some(x) => Epilogue::ScaleAccumulate {
-                        beta: 0.0,
-                        gamma: 1.0,
-                        x,
-                    },
-                    None => Epilogue::Overwrite { beta: 0.0 },
-                }
-            };
-            let params = GemmParams::default();
-            // The scatter epilogue widens kc internally; checkout the
-            // packing scratch at the effective sizes.
-            let ep = epilogue_params(&params, &epi, k);
-            // Every byte of C and of the packing panels is written
-            // before it is read, so none of these need the zero pass.
-            let mut cbuf = c.pool.checkout_dirty(m * n);
-            let mut ap = c.pool.checkout_dirty(ep.packed_a_len(m, k));
-            let mut bp = c.pool.checkout_dirty(ep.packed_b_len(n, k));
-            dgemm_packed_epilogue(
-                &params,
-                Trans::T,
-                g.tb,
-                m,
-                n,
-                k,
-                1.0,
-                &a,
-                &b,
-                epi,
-                &mut cbuf,
-                &mut ap,
-                &mut bp,
-            );
-            c.pool.recycle(ap);
-            c.pool.recycle(bp);
-            c.pool.release(a);
-            c.pool.release(b);
-            if let Some(x) = addend {
-                c.pool.release(x);
-            }
-            return vec![None, None, Some(Arc::new(cbuf)), None];
-        }
         let segment_head = !c.cfg.chained_gemms && key.params[1] % c.cfg.segment_height as i64 == 0;
         let mut cbuf = if c.cfg.chained_gemms || !segment_head {
             own(c, inputs[2].take().expect("C from predecessor"))
         } else {
             c.pool.checkout(chain.m * chain.n)
         };
-        if packed_profitable(m, n, k) {
-            // Packing scratch comes from the pool too: after warm-up a
-            // GEMM task performs no heap allocation at all.
-            let params = GemmParams::default();
-            let mut ap = c.pool.checkout_dirty(params.packed_a_len(m, k));
-            let mut bp = c.pool.checkout_dirty(params.packed_b_len(n, k));
-            dgemm_packed_with(
-                &params,
-                Trans::T,
-                g.tb,
-                m,
-                n,
-                k,
-                1.0,
-                &a,
-                &b,
-                1.0,
-                &mut cbuf,
-                &mut ap,
-                &mut bp,
-            );
-            c.pool.recycle(ap);
-            c.pool.recycle(bp);
-        } else {
-            dgemm_blocked(Trans::T, g.tb, m, n, k, 1.0, &a, &b, 1.0, &mut cbuf);
-        }
+        // Packing scratch comes from the pool too (none when the kernel
+        // takes its small path): after warm-up a GEMM task performs no
+        // heap allocation at all.
+        let (la, lb) = scratch_lens(m, n, k);
+        let mut ap = c.pool.checkout_dirty(la);
+        let mut bp = c.pool.checkout_dirty(lb);
+        dgemm_with(
+            Trans::T,
+            g.tb,
+            m,
+            n,
+            k,
+            1.0,
+            &a,
+            &b,
+            1.0,
+            &mut cbuf,
+            &mut ap,
+            &mut bp,
+        );
+        c.pool.recycle(ap);
+        c.pool.recycle(bp);
         // Operand tiles feed exactly this GEMM: recycle their buffers.
         c.pool.release(a);
         c.pool.release(b);
-        vec![None, None, Some(Arc::new(cbuf)), None]
+        vec![None, None, Some(Arc::new(cbuf))]
     }
 }
 
@@ -554,17 +427,6 @@ impl TaskClass for Reduce {
         let (l1, s, i) = (key.params[0], key.params[1] as usize, key.params[2]);
         let len = reduce_leaves(c, l1);
         if CcsdCtx::reduce_width(len, s) == 1 {
-            if c.fuse_active() {
-                // Root of the fused tree: hand the merged partial to the
-                // final GEMM's epilogue addend flow.
-                let last = c.chain(l1).gemms.len() as i64 - 1;
-                out.push(Dep {
-                    src_flow: 2,
-                    dst: TaskKey::new(GEMM, &[l1, last]),
-                    dst_flow: 3,
-                });
-                return;
-            }
             c_to_sorts(c, l1, 2, out);
         } else {
             out.push(Dep {
@@ -677,11 +539,6 @@ impl TaskClass for Sort {
         let bytes = if c.cfg.parallel_sort {
             // One remap: read C, write sorted_i.
             b + b * w(chain.sorts[key.params[1] as usize].perm)
-        } else if c.fuse_active() {
-            // One-pass merge (`sort_4_merge`): read C once per cache
-            // block, read-modify-write each branch's destination region
-            // blockwise (always the blocked walk, no stride penalty).
-            b + 2 * nb * b
         } else {
             // Staged loop: read C once, write each branch into the
             // staging tile (stride penalty per the path taken), then a
@@ -715,24 +572,6 @@ impl TaskClass for Sort {
             let mut sorted = c.pool.checkout_dirty(cbuf.len());
             sort_4(&cbuf, &mut sorted, chain.cdims, s.perm, s.factor);
             sorted
-        } else if c.fuse_active() {
-            // One-pass merge: every branch destination is written while
-            // each source cache block is hot; the staging tile and its
-            // extra round trips are gone.
-            let mut specs = [SortSpec {
-                perm: [0, 1, 2, 3],
-                factor: 0.0,
-            }; 4];
-            for (d, s) in specs.iter_mut().zip(&chain.sorts) {
-                *d = SortSpec {
-                    perm: s.perm,
-                    factor: s.factor,
-                };
-            }
-            // `sort_4_merge` fills its destination itself.
-            let mut merged = c.pool.checkout_dirty(cbuf.len());
-            sort_4_merge(&cbuf, &mut merged, chain.cdims, &specs[..chain.sorts.len()]);
-            merged
         } else {
             // Serial merge: Csorted = sum_i sort_i(C). All active branches
             // target the same destination block (asserted at inspection).
@@ -1076,79 +915,6 @@ mod tests {
     }
 
     #[test]
-    fn fused_variants_audit_clean() {
-        for cfg in VariantCfg::all() {
-            let g = graph(cfg.fused(), 3);
-            let a = audit(&g, 1_000_000).unwrap_or_else(|e| panic!("{}: {e}", cfg.name));
-            assert!(a.total_tasks > 0, "{}", cfg.name);
-        }
-        // Fused request on taller segments is a structural no-op.
-        let g = graph(VariantCfg::height(3).fused(), 2);
-        audit(&g, 1_000_000).unwrap();
-    }
-
-    #[test]
-    fn fusion_prunes_sorts_and_reduces_but_keeps_writes() {
-        let space = TileSpace::build(&scale::tiny());
-        let ins = Arc::new(inspect(&space, 2));
-        let a5 = audit(&build_graph(ins.clone(), VariantCfg::v5(), None), 1_000_000).unwrap();
-        let f5 = audit(
-            &build_graph(ins.clone(), VariantCfg::v5().fused(), None),
-            1_000_000,
-        )
-        .unwrap();
-        // The WRITE stage is untouched by fusion.
-        assert_eq!(a5.tasks_per_class["WRITE_C"], f5.tasks_per_class["WRITE_C"]);
-        assert_eq!(a5.tasks_per_class["GEMM"], f5.tasks_per_class["GEMM"]);
-        // Single-branch chains lose their SORT task entirely...
-        let single_branch = ins.chains.iter().filter(|c| c.sorts.len() == 1).count();
-        assert!(single_branch > 0, "workload must have single-branch chains");
-        assert_eq!(
-            f5.tasks_per_class["SORT"],
-            a5.tasks_per_class["SORT"] - single_branch
-        );
-        // ...and every chain loses one reduction level's worth of tasks:
-        // the root daxpy now rides the final GEMM's writeback.
-        assert!(
-            f5.tasks_per_class.get("REDUCE").copied().unwrap_or(0) < a5.tasks_per_class["REDUCE"],
-            "fusion must shrink the reduction tree"
-        );
-        // v1 fused: graph shape is identical (fusion cannot apply).
-        let a1 = audit(&build_graph(ins.clone(), VariantCfg::v1(), None), 1_000_000).unwrap();
-        let f1 = audit(&build_graph(ins, VariantCfg::v1().fused(), None), 1_000_000).unwrap();
-        assert_eq!(a1.tasks_per_class, f1.tasks_per_class);
-        assert_eq!(a1.depth, f1.depth);
-    }
-
-    #[test]
-    fn fused_gemm_feeds_write_with_owner_split_bytes() {
-        let space = TileSpace::build(&scale::tiny());
-        let ins = Arc::new(inspect(&space, 3));
-        let g = build_graph(ins.clone(), VariantCfg::v5().fused(), None);
-        let ctx = g.ctx();
-        for (l1, chain) in ins.chains.iter().enumerate() {
-            if chain.sorts.len() != 1 {
-                continue;
-            }
-            let last = chain.gemms.len() as i64 - 1;
-            let gemm = TaskKey::new(GEMM, &[l1 as i64, last]);
-            let mut deps = Vec::new();
-            g.class_of(gemm).successors(gemm, ctx, &mut deps);
-            assert!(
-                deps.iter().all(|d| d.dst.class == WRITE),
-                "single-branch fused final GEMM must feed WRITE directly"
-            );
-            let total: u64 = deps
-                .iter()
-                .map(|d| g.class_of(gemm).flow_bytes(gemm, 2, d.dst, ctx))
-                .sum();
-            assert_eq!(total, chain.c_bytes());
-            return;
-        }
-        panic!("no single-branch chain at this scale");
-    }
-
-    #[test]
     fn sort_cost_matches_the_path_taken() {
         use crate::ctx::SORT_STRIDE_FACTOR;
         use tensor_kernels::sort_4_strided;
@@ -1172,9 +938,8 @@ mod tests {
                 assert_eq!(bytes, b + b * w, "chain {l1} branch {i}");
             }
         }
-        // Serial sort, unfused vs fused: staging traffic disappears.
+        // Serial sort: the staged loop's traffic per branch.
         let g5 = build_graph(ins.clone(), VariantCfg::v5(), None);
-        let f5 = build_graph(ins.clone(), VariantCfg::v5().fused(), None);
         for (l1, chain) in ins.chains.iter().enumerate() {
             let b = chain.c_bytes();
             let nb = chain.sorts.len() as u64;
@@ -1193,12 +958,7 @@ mod tests {
                     }
                 })
                 .sum();
-            assert_eq!(bytes, b + strided + 3 * nb * b, "chain {l1} unfused");
-            let TaskCost::Memory { bytes: fused } = f5.class_of(key).cost(key, f5.ctx()) else {
-                panic!("SORT must be memory-bound");
-            };
-            assert_eq!(fused, b + 2 * nb * b, "chain {l1} fused");
-            assert!(fused < bytes, "fused merge must charge fewer bytes");
+            assert_eq!(bytes, b + strided + 3 * nb * b, "chain {l1}");
         }
     }
 

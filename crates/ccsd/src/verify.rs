@@ -122,38 +122,6 @@ mod tests {
         }
     }
 
-    /// The fused chain epilogue preserves the 14-digit agreement: every
-    /// variant with fusion requested — including v1 and taller segments,
-    /// where the request is a structural no-op — matches the reference
-    /// on both engines.
-    #[test]
-    fn fused_variants_match_reference() {
-        let space = TileSpace::build(&scale::tiny());
-        let (ins, ws) = prepare(&space, 3);
-        let e_ref = reference_energy(&ws);
-        assert!(e_ref.abs() > 1e-12);
-        for cfg in VariantCfg::all() {
-            let f = cfg.fused();
-            let e_nat = variant_energy_native(&ins, &ws, f, 3);
-            assert!(
-                rel_diff(e_ref, e_nat) < 1e-12,
-                "{} native: {e_nat} vs reference {e_ref}",
-                f.name
-            );
-            let e_sim = variant_energy_sim(&ins, &ws, f, 2);
-            assert!(
-                rel_diff(e_ref, e_sim) < 1e-12,
-                "{} simulated: {e_sim} vs reference {e_ref}",
-                f.name
-            );
-        }
-        let e_h = variant_energy_native(&ins, &ws, VariantCfg::height(3).fused(), 2);
-        assert!(
-            rel_diff(e_ref, e_h) < 1e-12,
-            "height-3 fused no-op: {e_h} vs {e_ref}"
-        );
-    }
-
     /// A two-kernel workload (t2_7 + t2_2 chains pooled, as inside one of
     /// NWChem's work levels) still verifies across engines.
     #[test]

@@ -94,8 +94,7 @@ fn all_variants_steady_state_zero_misses() {
     let space = TileSpace::build(&scale::tiny());
     let (ins, ws) = prepare(&space, 3);
     let e_ref = reference_energy(&ws);
-    let fused: Vec<VariantCfg> = VariantCfg::all().into_iter().map(|c| c.fused()).collect();
-    for cfg in VariantCfg::all().into_iter().chain(fused) {
+    for cfg in VariantCfg::all() {
         let pool = Arc::new(TilePool::new(8));
         let e1 = variant_energy_native_pooled(
             &ins,

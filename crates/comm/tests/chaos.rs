@@ -56,14 +56,24 @@ impl ShardStore for MemStore {
     }
 }
 
-/// Chaos timing: retry fast so injected losses recover in milliseconds,
-/// and a small eager threshold so both protocol paths are exercised.
-fn chaos_cfg() -> CommConfig {
+/// The clean control's configuration: the stock retry timers, so a
+/// loaded machine's scheduling delay is never mistaken for a lost frame
+/// (mesh_gate's clean control runs on them too), and a small eager
+/// threshold so both protocol paths are exercised.
+fn clean_cfg() -> CommConfig {
     CommConfig {
         eager_threshold: 256,
+        ..CommConfig::default()
+    }
+}
+
+/// Chaos timing: as [`clean_cfg`], but retry fast so injected losses
+/// recover in milliseconds.
+fn chaos_cfg() -> CommConfig {
+    CommConfig {
         retry_timeout: Duration::from_millis(15),
         retry_backoff_max: Duration::from_millis(60),
-        ..CommConfig::default()
+        ..clean_cfg()
     }
 }
 
@@ -147,7 +157,7 @@ struct RunOutcome {
 
 /// Run the collective workload over a faulty 4-rank loopback mesh.
 /// Panics (with the replay seed) on divergence or non-termination.
-fn chaos_run(name: &str, seed: u64) -> RunOutcome {
+fn chaos_run(name: &str, seed: u64, cfg: CommConfig) -> RunOutcome {
     let replay = format!(
         "chaos schedule `{name}` seed {seed} — replay: FaultPlan::named(\"{name}\", {seed})"
     );
@@ -167,7 +177,7 @@ fn chaos_run(name: &str, seed: u64) -> RunOutcome {
         .map(|(r, (t, store))| {
             let ft = FaultTransport::new(Box::new(t), plan(r));
             counters.push(ft.counters());
-            Endpoint::spawn(Box::new(ft), store.clone(), chaos_cfg())
+            Endpoint::spawn(Box::new(ft), store.clone(), cfg.clone())
         })
         .collect();
     let (tx, rx) = mpsc::channel();
@@ -257,7 +267,7 @@ fn chaos_run(name: &str, seed: u64) -> RunOutcome {
 /// network behaves.
 #[test]
 fn clean_run_shows_zero_recovery_activity() {
-    let out = chaos_run("clean", 0xC0FFEE);
+    let out = chaos_run("clean", 0xC0FFEE, clean_cfg());
     assert_eq!(out.injected, 0);
     for (r, s) in out.stats.iter().enumerate() {
         assert_eq!(
@@ -271,7 +281,7 @@ fn clean_run_shows_zero_recovery_activity() {
 }
 
 fn assert_schedule_survives(name: &str, seed: u64) {
-    let out = chaos_run(name, seed);
+    let out = chaos_run(name, seed, chaos_cfg());
     assert!(
         out.injected > 0,
         "schedule `{name}` seed {seed} injected nothing — vacuous"
@@ -280,7 +290,7 @@ fn assert_schedule_survives(name: &str, seed: u64) {
 
 #[test]
 fn survives_drop() {
-    let out = chaos_run("drop", 0xD09_0001);
+    let out = chaos_run("drop", 0xD09_0001, chaos_cfg());
     assert!(out.injected > 0);
     // Lost frames can only be recovered by retries.
     let retries: u64 = out.stats.iter().map(|s| s.retries).sum();
@@ -294,7 +304,7 @@ fn survives_delay() {
 
 #[test]
 fn survives_duplicate() {
-    let out = chaos_run("duplicate", 0xD0B1_0003);
+    let out = chaos_run("duplicate", 0xD0B1_0003, chaos_cfg());
     assert!(out.injected > 0);
     // Duplicated frames must be caught by dedup or absorbed as dup
     // completions somewhere in the mesh.
@@ -313,7 +323,7 @@ fn survives_reorder() {
 
 #[test]
 fn survives_partition() {
-    let out = chaos_run("partition", 0xBA47_0005);
+    let out = chaos_run("partition", 0xBA47_0005, chaos_cfg());
     assert!(out.injected > 0);
     let retries: u64 = out.stats.iter().map(|s| s.retries).sum();
     assert!(retries > 0, "a partition window must force retries");

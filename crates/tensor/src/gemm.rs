@@ -1,25 +1,25 @@
 //! Column-major `DGEMM`: `C = alpha * op(A) * op(B) + beta * C`.
 //!
-//! Two engines, one entry point:
+//! One entry point, [`dgemm_with`] ([`dgemm`] when the caller keeps no
+//! packing scratch), choosing between two engines by problem volume:
 //!
-//! * [`dgemm_blocked`] — the direct kernels: the TCE-generated chains
-//!   call `dgemm('T', 'N', ...)` (Figure 1's task body), so the `T x N`
-//!   case gets a 4x4 register-blocked microkernel ([`tn_block_4x4`]);
-//!   the other combinations get layout-friendly loop orderings. No
-//!   packing, no cache blocking: fast for tiles that fit in L1/L2.
-//! * [`dgemm_packed`] — the BLIS-style engine: panels of `op(A)` and
-//!   `op(B)` are packed into contiguous scratch ([`crate::pack`]),
-//!   normalizing all four transpose combinations, and an `MR x NR`
-//!   register microkernel (AVX2+FMA when the CPU has it) runs a
-//!   `MC/KC/NC`-blocked loop nest over them. Wins once the operands
+//! * the small path ([`dgemm_blocked`]) — direct kernels: the
+//!   TCE-generated chains call `dgemm('T', 'N', ...)` (Figure 1's task
+//!   body), so the `T x N` case gets a 4x4 register-blocked microkernel
+//!   ([`tn_block_4x4`]); the other combinations get layout-friendly loop
+//!   orderings. No packing, no cache blocking: fast for tiles that fit in
+//!   L1/L2.
+//! * the packed engine ([`dgemm_packed`]) — BLIS-style: panels of
+//!   `op(A)` and `op(B)` are packed into contiguous scratch
+//!   ([`crate::pack`]), normalizing all four transpose combinations, and
+//!   an `MR x NR` register microkernel (AVX2+FMA when the CPU has it) runs
+//!   an `MC/KC/NC`-blocked loop nest over them. Wins once the operands
 //!   outgrow cache or the wide units are worth unlocking.
 //!
-//! [`dgemm`] dispatches between them by problem volume; both are exact
-//! against [`dgemm_naive`] in the property tests.
+//! Both are exact against the textbook oracle in the tests.
 
 use crate::cm;
-use crate::pack::{self, microkernel, GemmParams, MR, NR};
-use crate::sort4::{is_perm, out_steps, sort_4, Perm4};
+use crate::pack::{self, microkernel, GemmParams, BLOCKS, MR, NR};
 
 /// Transposition flag for one GEMM operand.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,12 +49,8 @@ impl Trans {
 ///   when `tb == T`.
 ///
 /// All matrices are dense column-major with no leading-dimension padding.
-/// Panics if slice lengths do not match the shapes.
-///
-/// Dispatches to the packed cache-blocked engine ([`dgemm_packed`]) when
-/// the problem is large enough to amortize packing and the SIMD
-/// microkernel is available, and to the direct kernels
-/// ([`dgemm_blocked`]) otherwise.
+/// Panics if slice lengths do not match the shapes. Packing scratch, when
+/// the packed engine runs, is allocated per call; see [`dgemm_with`].
 #[allow(clippy::too_many_arguments)]
 pub fn dgemm(
     ta: Trans,
@@ -68,10 +64,47 @@ pub fn dgemm(
     beta: f64,
     c: &mut [f64],
 ) {
+    let (mut ap, mut bp) = (Vec::new(), Vec::new());
+    dgemm_with(ta, tb, m, n, k, alpha, a, b, beta, c, &mut ap, &mut bp);
+}
+
+/// [`dgemm`] with caller-owned packing scratch: runs the packed engine
+/// when the problem is large enough to amortize packing and the SIMD
+/// microkernel is available, the small path otherwise.
+///
+/// `ap`/`bp` are grown to at least [`scratch_lens`] when shorter, and
+/// their contents on entry are irrelevant; buffers of that length (e.g.
+/// from a tile pool) make the call allocation-free. The small path
+/// leaves them untouched.
+#[allow(clippy::too_many_arguments)]
+pub fn dgemm_with(
+    ta: Trans,
+    tb: Trans,
+    m: usize,
+    n: usize,
+    k: usize,
+    alpha: f64,
+    a: &[f64],
+    b: &[f64],
+    beta: f64,
+    c: &mut [f64],
+    ap: &mut Vec<f64>,
+    bp: &mut Vec<f64>,
+) {
     if packed_profitable(m, n, k) {
-        dgemm_packed(ta, tb, m, n, k, alpha, a, b, beta, c);
+        packed(&BLOCKS, ta, tb, m, n, k, alpha, a, b, beta, c, ap, bp);
     } else {
         dgemm_blocked(ta, tb, m, n, k, alpha, a, b, beta, c);
+    }
+}
+
+/// Lengths of the packed-A and packed-B scratch [`dgemm_with`] uses for
+/// an `m x n x k` product; `(0, 0)` when it takes the small path.
+pub fn scratch_lens(m: usize, n: usize, k: usize) -> (usize, usize) {
+    if packed_profitable(m, n, k) {
+        (BLOCKS.packed_a_len(m, k), BLOCKS.packed_b_len(n, k))
+    } else {
+        (0, 0)
     }
 }
 
@@ -79,16 +112,26 @@ pub fn dgemm(
 /// this the tile fits comfortably in cache and packing is pure overhead.
 const PACKED_MIN_VOLUME: usize = 16 * 1024;
 
-/// `true` when [`dgemm`] would route an `m x n x k` product through the
-/// packed engine. Exposed so callers that manage their own packing
-/// scratch (the pooled chain executor) take the same branch.
-pub fn packed_profitable(m: usize, n: usize, k: usize) -> bool {
+fn packed_profitable(m: usize, n: usize, k: usize) -> bool {
     m * n * k >= PACKED_MIN_VOLUME && pack::simd_available()
 }
 
-/// The direct (non-packing) kernels; see the module docs.
+/// `C *= beta`, with `beta == 0` overwriting (NaN in `C` does not
+/// survive) and `beta == 1` a no-op.
+fn scale(c: &mut [f64], beta: f64) {
+    if beta == 0.0 {
+        c.fill(0.0);
+    } else if beta != 1.0 {
+        for x in c.iter_mut() {
+            *x *= beta;
+        }
+    }
+}
+
+/// The small path: the direct (non-packing) kernels; see the module
+/// docs.
 #[allow(clippy::too_many_arguments)]
-pub fn dgemm_blocked(
+fn dgemm_blocked(
     ta: Trans,
     tb: Trans,
     m: usize,
@@ -104,15 +147,7 @@ pub fn dgemm_blocked(
     assert_eq!(b.len(), k * n, "B has wrong size");
     assert_eq!(c.len(), m * n, "C has wrong size");
 
-    if beta != 1.0 {
-        if beta == 0.0 {
-            c.fill(0.0);
-        } else {
-            for x in c.iter_mut() {
-                *x *= beta;
-            }
-        }
-    }
+    scale(c, beta);
     if alpha == 0.0 || m == 0 || n == 0 {
         return;
     }
@@ -256,9 +291,8 @@ fn tn_block_4x4(
     }
 }
 
-/// Packed cache-blocked GEMM with default [`GemmParams`] and internally
-/// allocated packing scratch. For repeated calls, use
-/// [`dgemm_packed_with`] with reused scratch buffers.
+/// The packed cache-blocked engine alone, whatever the problem size, with
+/// packing scratch allocated per call.
 #[allow(clippy::too_many_arguments)]
 pub fn dgemm_packed(
     ta: Trans,
@@ -272,24 +306,16 @@ pub fn dgemm_packed(
     beta: f64,
     c: &mut [f64],
 ) {
-    let params = GemmParams::default();
-    let mut ap = Vec::new();
-    let mut bp = Vec::new();
-    dgemm_packed_with(
-        &params, ta, tb, m, n, k, alpha, a, b, beta, c, &mut ap, &mut bp,
+    let (mut ap, mut bp) = (Vec::new(), Vec::new());
+    packed(
+        &BLOCKS, ta, tb, m, n, k, alpha, a, b, beta, c, &mut ap, &mut bp,
     );
 }
 
-/// Packed cache-blocked GEMM: BLIS loop nest over `params` blocks.
-///
-/// `ap`/`bp` are packing scratch; they are resized to at most
-/// [`GemmParams::packed_a_len`] / [`GemmParams::packed_b_len`] and their
-/// contents on entry are irrelevant. Passing buffers with that capacity
-/// (e.g. from a tile pool) makes the call allocation-free.
-///
-/// This is the [`Epilogue::Overwrite`] case of [`dgemm_packed_epilogue`].
+/// Packed cache-blocked GEMM: BLIS loop nest over `params` blocks, with
+/// the scratch contract of [`dgemm_with`] (sized by `params`).
 #[allow(clippy::too_many_arguments)]
-pub fn dgemm_packed_with(
+fn packed(
     params: &GemmParams,
     ta: Trans,
     tb: Trans,
@@ -304,153 +330,13 @@ pub fn dgemm_packed_with(
     ap: &mut Vec<f64>,
     bp: &mut Vec<f64>,
 ) {
-    dgemm_packed_epilogue(
-        params,
-        ta,
-        tb,
-        m,
-        n,
-        k,
-        alpha,
-        a,
-        b,
-        Epilogue::Overwrite { beta },
-        c,
-        ap,
-        bp,
-    );
-}
-
-/// What the packed engine does with each macro-tile of the product as it
-/// leaves the registers — the fusion point for the stages that would
-/// otherwise re-read `C` from memory (the REDUCE `daxpy`, the SORT
-/// remap).
-#[derive(Debug, Clone, Copy)]
-pub enum Epilogue<'a> {
-    /// `C = alpha * op(A)op(B) + beta * C` — the classic BLAS contract;
-    /// `beta` is folded into the first visit of each element instead of
-    /// a separate pre-scaling pass over `C`.
-    Overwrite {
-        /// Scale applied to the existing contents of `C`.
-        beta: f64,
-    },
-    /// `C = beta * C + alpha * op(A)op(B) + gamma * X` — fuses a
-    /// `daxpy`-style accumulate of `x` (e.g. a reduction-tree partial)
-    /// into the writeback while the tile is register-hot. `x` is read
-    /// once, on the first visit of each element.
-    ScaleAccumulate {
-        /// Scale applied to the existing contents of `C`.
-        beta: f64,
-        /// Scale applied to the addend `x`.
-        gamma: f64,
-        /// Addend, `m * n` column-major like `C`.
-        x: &'a [f64],
-    },
-    /// `C[perm(i)] = factor * (alpha * op(A)op(B)[i] + gamma * X[i])` —
-    /// fuses a single-branch `TCE_SORT_4` (and optionally the reduction
-    /// root's accumulate) into the writeback, so the *sorted* tile is
-    /// produced without ever materializing the unsorted product. The
-    /// `m x n` product is interpreted as the 4-index tile `dims`
-    /// (`dims[0] * dims[1] == m`, column-major) and `C` is fully
-    /// overwritten in the permuted layout.
-    ///
-    /// Requires every element to be written exactly once, so the engine
-    /// internally widens `kc` to cover all of `k` (see
-    /// [`epilogue_params`]).
-    PermutedScatter {
-        /// Input-tile shape; `dims[0] * dims[1] == m`, product `m * n`.
-        dims: [usize; 4],
-        /// Output index `q` is input index `perm[q]` (as in `sort_4`).
-        perm: Perm4,
-        /// Sign/scale factor applied after the sum.
-        factor: f64,
-        /// Scale applied to the addend `x` (ignored when `x` is `None`).
-        gamma: f64,
-        /// Optional addend in the *unsorted* layout (`m * n`
-        /// column-major).
-        x: Option<&'a [f64]>,
-    },
-}
-
-/// Effective blocking parameters of the packed engine under `epi`: the
-/// scatter epilogue needs a single pass over `k` (each destination
-/// element is written exactly once), so `kc` is clamped to cover all of
-/// it. Callers sizing their own packing scratch (pool checkouts) must
-/// use these parameters, not the raw ones.
-pub fn epilogue_params(params: &GemmParams, epi: &Epilogue<'_>, k: usize) -> GemmParams {
-    match epi {
-        Epilogue::PermutedScatter { .. } => GemmParams {
-            kc: params.kc.max(k.max(1)),
-            ..*params
-        },
-        _ => *params,
-    }
-}
-
-/// Packed cache-blocked GEMM with a pluggable macro-tile writeback; see
-/// [`Epilogue`] for the semantics of each variant and
-/// [`dgemm_packed_with`] for the scratch-buffer contract.
-#[allow(clippy::too_many_arguments)]
-pub fn dgemm_packed_epilogue(
-    params: &GemmParams,
-    ta: Trans,
-    tb: Trans,
-    m: usize,
-    n: usize,
-    k: usize,
-    alpha: f64,
-    a: &[f64],
-    b: &[f64],
-    epi: Epilogue<'_>,
-    c: &mut [f64],
-    ap: &mut Vec<f64>,
-    bp: &mut Vec<f64>,
-) {
-    params.assert_valid();
     assert_eq!(a.len(), m * k, "A has wrong size");
     assert_eq!(b.len(), k * n, "B has wrong size");
     assert_eq!(c.len(), m * n, "C has wrong size");
-    match &epi {
-        Epilogue::Overwrite { .. } => {}
-        Epilogue::ScaleAccumulate { x, .. } => {
-            assert_eq!(x.len(), m * n, "epilogue addend has wrong size");
-        }
-        Epilogue::PermutedScatter { dims, perm, x, .. } => {
-            assert!(is_perm(perm), "not a permutation: {perm:?}");
-            assert_eq!(dims.iter().product::<usize>(), m * n, "dims/C mismatch");
-            assert_eq!(dims[0] * dims[1], m, "dims rows != m");
-            if let Some(x) = x {
-                assert_eq!(x.len(), m * n, "epilogue addend has wrong size");
-            }
-        }
-    }
-    let params = epilogue_params(params, &epi, k);
-
     if alpha == 0.0 || m == 0 || n == 0 || k == 0 {
-        epilogue_degenerate(&epi, c);
+        scale(c, beta);
         return;
     }
-
-    // Output strides of the scatter, indexed by input axis (zeros
-    // otherwise; unused).
-    let step = match &epi {
-        Epilogue::PermutedScatter { dims, perm, .. } => out_steps(*dims, *perm),
-        _ => [0; 4],
-    };
-    // Scatter destination offsets, hoisted: the row and column maps are
-    // fixed for the whole call, so the writeback does two table lookups
-    // per element instead of div/mod address arithmetic.
-    let (row_off, col_off) = match &epi {
-        Epilogue::PermutedScatter { dims, .. } => (
-            (0..m)
-                .map(|r| (r % dims[0]) * step[0] + (r / dims[0]) * step[1])
-                .collect::<Vec<usize>>(),
-            (0..n)
-                .map(|q| (q % dims[2]) * step[2] + (q / dims[2]) * step[3])
-                .collect::<Vec<usize>>(),
-        ),
-        _ => (Vec::new(), Vec::new()),
-    };
 
     let a_len = params.packed_a_len(m, k);
     let b_len = params.packed_b_len(n, k);
@@ -466,6 +352,10 @@ pub fn dgemm_packed_epilogue(
         let ncc = params.nc.min(n - jc);
         for pc in (0..k).step_by(params.kc) {
             let kcc = params.kc.min(k - pc);
+            // `beta` is folded into each C element's first visit (its
+            // pc == 0 one) instead of a separate pre-scaling pass; later
+            // kc blocks accumulate.
+            let beta = if pc == 0 { beta } else { 1.0 };
             pack::pack_b(tb, b, k, n, pc, kcc, jc, ncc, bp);
             for ic in (0..m).step_by(params.mc) {
                 let mcc = params.mc.min(m - ic);
@@ -479,158 +369,28 @@ pub fn dgemm_packed_epilogue(
                         microkernel(kcc, apanel, bpanel, &mut tile);
                         // Clipped writeback: the tile rows/columns past
                         // the block edge are zero-padded products and
-                        // are simply not stored. Each C element's first
-                        // visit is its pc == 0 one; later kc blocks
-                        // accumulate.
+                        // are simply not stored.
                         let c0 = ic + ir * MR;
-                        match &epi {
-                            Epilogue::Overwrite { beta } => {
-                                let beta = if pc == 0 { *beta } else { 1.0 };
-                                for j in 0..nr_eff {
-                                    let cj = &mut c[(jc + jr * NR + j) * m + c0..][..mr_eff];
-                                    let tj = &tile[j * MR..j * MR + mr_eff];
-                                    if beta == 1.0 {
-                                        for (cij, &tij) in cj.iter_mut().zip(tj) {
-                                            *cij += alpha * tij;
-                                        }
-                                    } else if beta == 0.0 {
-                                        for (cij, &tij) in cj.iter_mut().zip(tj) {
-                                            *cij = alpha * tij;
-                                        }
-                                    } else {
-                                        for (cij, &tij) in cj.iter_mut().zip(tj) {
-                                            *cij = beta * *cij + alpha * tij;
-                                        }
-                                    }
+                        for j in 0..nr_eff {
+                            let cj = &mut c[(jc + jr * NR + j) * m + c0..][..mr_eff];
+                            let tj = &tile[j * MR..j * MR + mr_eff];
+                            if beta == 1.0 {
+                                for (cij, &tij) in cj.iter_mut().zip(tj) {
+                                    *cij += alpha * tij;
                                 }
-                            }
-                            Epilogue::ScaleAccumulate { beta, gamma, x } => {
-                                for j in 0..nr_eff {
-                                    let col = (jc + jr * NR + j) * m + c0;
-                                    let cj = &mut c[col..col + mr_eff];
-                                    let tj = &tile[j * MR..j * MR + mr_eff];
-                                    if pc != 0 {
-                                        for (cij, &tij) in cj.iter_mut().zip(tj) {
-                                            *cij += alpha * tij;
-                                        }
-                                    } else {
-                                        let xj = &x[col..col + mr_eff];
-                                        if *beta == 0.0 {
-                                            for i in 0..mr_eff {
-                                                cj[i] = alpha * tj[i] + gamma * xj[i];
-                                            }
-                                        } else {
-                                            for i in 0..mr_eff {
-                                                cj[i] =
-                                                    beta * cj[i] + alpha * tj[i] + gamma * xj[i];
-                                            }
-                                        }
-                                    }
+                            } else if beta == 0.0 {
+                                for (cij, &tij) in cj.iter_mut().zip(tj) {
+                                    *cij = alpha * tij;
                                 }
-                            }
-                            Epilogue::PermutedScatter {
-                                factor, gamma, x, ..
-                            } => {
-                                // Single visit (kc covers k): scatter the
-                                // finished elements straight to their
-                                // permuted destinations.
-                                debug_assert_eq!(pc, 0);
-                                for j in 0..nr_eff {
-                                    let q = jc + jr * NR + j;
-                                    let obase = col_off[q];
-                                    let roff = &row_off[c0..c0 + mr_eff];
-                                    let tj = &tile[j * MR..j * MR + mr_eff];
-                                    match x {
-                                        Some(x) => {
-                                            let xj = &x[q * m + c0..q * m + c0 + mr_eff];
-                                            for i in 0..mr_eff {
-                                                c[obase + roff[i]] =
-                                                    factor * (alpha * tj[i] + gamma * xj[i]);
-                                            }
-                                        }
-                                        None => {
-                                            for i in 0..mr_eff {
-                                                c[obase + roff[i]] = factor * alpha * tj[i];
-                                            }
-                                        }
-                                    }
+                            } else {
+                                for (cij, &tij) in cj.iter_mut().zip(tj) {
+                                    *cij = beta * *cij + alpha * tij;
                                 }
                             }
                         }
                     }
                 }
             }
-        }
-    }
-}
-
-/// The epilogue with a zero product contribution (`alpha == 0` or a
-/// degenerate dimension): what remains of each contract.
-fn epilogue_degenerate(epi: &Epilogue<'_>, c: &mut [f64]) {
-    match epi {
-        Epilogue::Overwrite { beta } => {
-            if *beta == 0.0 {
-                c.fill(0.0);
-            } else if *beta != 1.0 {
-                for x in c.iter_mut() {
-                    *x *= beta;
-                }
-            }
-        }
-        Epilogue::ScaleAccumulate { beta, gamma, x } => {
-            if *beta == 0.0 {
-                for (ci, &xi) in c.iter_mut().zip(*x) {
-                    *ci = gamma * xi;
-                }
-            } else {
-                for (ci, &xi) in c.iter_mut().zip(*x) {
-                    *ci = beta * *ci + gamma * xi;
-                }
-            }
-        }
-        Epilogue::PermutedScatter {
-            dims,
-            perm,
-            factor,
-            gamma,
-            x,
-        } => match x {
-            Some(x) => sort_4(x, c, *dims, *perm, factor * gamma),
-            None => c.fill(0.0),
-        },
-    }
-}
-
-/// Textbook reference implementation (element addressing only), used as the
-/// oracle in property tests.
-#[allow(clippy::too_many_arguments)]
-pub fn dgemm_naive(
-    ta: Trans,
-    tb: Trans,
-    m: usize,
-    n: usize,
-    k: usize,
-    alpha: f64,
-    a: &[f64],
-    b: &[f64],
-    beta: f64,
-    c: &mut [f64],
-) {
-    let at = |i: usize, l: usize| match ta {
-        Trans::N => a[cm(i, l, m)],
-        Trans::T => a[cm(l, i, k)],
-    };
-    let bt = |l: usize, j: usize| match tb {
-        Trans::N => b[cm(l, j, k)],
-        Trans::T => b[cm(j, l, n)],
-    };
-    for j in 0..n {
-        for i in 0..m {
-            let mut acc = 0.0;
-            for l in 0..k {
-                acc += at(i, l) * bt(l, j);
-            }
-            c[cm(i, j, m)] = alpha * acc + beta * c[cm(i, j, m)];
         }
     }
 }
@@ -643,10 +403,31 @@ pub fn gemm_flops(m: usize, n: usize, k: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::dgemm_naive;
+    use proptest::prelude::*;
 
     fn seq(n: usize) -> Vec<f64> {
         (0..n).map(|i| (i + 1) as f64).collect()
     }
+
+    /// Deterministic pseudo-random operand in [-0.5, 0.5).
+    fn gen(len: usize, seed: u64, salt: u64) -> Vec<f64> {
+        (0..len)
+            .map(|i| {
+                let x = (i as u64)
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(seed ^ salt);
+                ((x >> 11) as f64 / (1u64 << 53) as f64) - 0.5
+            })
+            .collect()
+    }
+
+    /// Shrunk blocks: every small size straddles some cache-block edge.
+    const SMALL_BLOCKS: GemmParams = GemmParams {
+        mc: 16,
+        kc: 8,
+        nc: 12,
+    };
 
     #[test]
     fn identity_times_matrix() {
@@ -705,7 +486,7 @@ mod tests {
             let c0: Vec<f64> = (0..m * n).map(|i| i as f64 * 0.01 - 0.2).collect();
             let mut c1 = c0.clone();
             let mut c2 = c0;
-            dgemm(Trans::T, Trans::N, m, n, k, 1.25, &a, &b, -0.5, &mut c1);
+            dgemm_blocked(Trans::T, Trans::N, m, n, k, 1.25, &a, &b, -0.5, &mut c1);
             dgemm_naive(Trans::T, Trans::N, m, n, k, 1.25, &a, &b, -0.5, &mut c2);
             for (x, y) in c1.iter().zip(&c2) {
                 assert!((x - y).abs() < 1e-12, "{m}x{n}x{k}: {x} vs {y}");
@@ -744,13 +525,8 @@ mod tests {
 
     #[test]
     fn packed_agrees_with_naive_all_transposes() {
-        // Sizes straddling MR=8 / NR=6 micropanels and the custom block
+        // Sizes straddling MR=8 / NR=6 micropanels and the shrunk block
         // edges; every transpose combination.
-        let params = GemmParams {
-            mc: 16,
-            kc: 8,
-            nc: 12,
-        };
         for &(m, n, k) in &[(1, 1, 1), (8, 6, 8), (9, 7, 9), (17, 13, 11), (32, 24, 16)] {
             let a: Vec<f64> = (0..m * k).map(|i| (i as f64 * 0.7).sin()).collect();
             let b: Vec<f64> = (0..k * n).map(|i| (i as f64 * 0.3).cos()).collect();
@@ -760,8 +536,20 @@ mod tests {
                     let mut c1 = c0.clone();
                     let mut c2 = c0.clone();
                     let (mut ap, mut bp) = (Vec::new(), Vec::new());
-                    dgemm_packed_with(
-                        &params, ta, tb, m, n, k, 1.25, &a, &b, -0.5, &mut c1, &mut ap, &mut bp,
+                    packed(
+                        &SMALL_BLOCKS,
+                        ta,
+                        tb,
+                        m,
+                        n,
+                        k,
+                        1.25,
+                        &a,
+                        &b,
+                        -0.5,
+                        &mut c1,
+                        &mut ap,
+                        &mut bp,
                     );
                     dgemm_naive(ta, tb, m, n, k, 1.25, &a, &b, -0.5, &mut c2);
                     for (x, y) in c1.iter().zip(&c2) {
@@ -799,16 +587,15 @@ mod tests {
 
     #[test]
     fn packed_scratch_is_reused_without_realloc() {
-        let params = GemmParams::default();
         let (m, n, k) = (40, 40, 40);
         let a = seq(m * k);
         let b = seq(k * n);
         let mut c = vec![0.0; m * n];
-        let mut ap = vec![0.0; params.packed_a_len(m, k)];
-        let mut bp = vec![0.0; params.packed_b_len(n, k)];
+        let mut ap = vec![0.0; BLOCKS.packed_a_len(m, k)];
+        let mut bp = vec![0.0; BLOCKS.packed_b_len(n, k)];
         let (pa, pb) = (ap.as_ptr(), bp.as_ptr());
-        dgemm_packed_with(
-            &params,
+        packed(
+            &BLOCKS,
             Trans::T,
             Trans::N,
             m,
@@ -824,6 +611,12 @@ mod tests {
         );
         assert_eq!(ap.as_ptr(), pa, "A scratch reallocated");
         assert_eq!(bp.as_ptr(), pb, "B scratch reallocated");
+        // The entry point sizes its scratch the same way whenever it
+        // packs, and asks for none when it does not.
+        if pack::simd_available() {
+            assert_eq!(scratch_lens(m, n, k), (ap.len(), bp.len()));
+        }
+        assert_eq!(scratch_lens(4, 4, 4), (0, 0));
     }
 
     #[test]
@@ -844,226 +637,6 @@ mod tests {
     }
 
     #[test]
-    fn scale_accumulate_fuses_axpy_into_writeback() {
-        let params = GemmParams {
-            mc: 16,
-            kc: 8,
-            nc: 12,
-        };
-        let (m, n, k) = (17, 13, 19); // multiple kc blocks, clipped edges
-        let a: Vec<f64> = (0..m * k).map(|i| (i as f64 * 0.7).sin()).collect();
-        let b: Vec<f64> = (0..k * n).map(|i| (i as f64 * 0.3).cos()).collect();
-        let x: Vec<f64> = (0..m * n).map(|i| i as f64 * 0.11 - 3.0).collect();
-        let c0: Vec<f64> = (0..m * n).map(|i| 0.5 - i as f64 * 0.02).collect();
-        for beta in [0.0, 1.0, -0.75] {
-            let mut got = c0.clone();
-            let (mut ap, mut bp) = (Vec::new(), Vec::new());
-            dgemm_packed_epilogue(
-                &params,
-                Trans::T,
-                Trans::N,
-                m,
-                n,
-                k,
-                1.25,
-                &a,
-                &b,
-                Epilogue::ScaleAccumulate {
-                    beta,
-                    gamma: -2.0,
-                    x: &x,
-                },
-                &mut got,
-                &mut ap,
-                &mut bp,
-            );
-            let mut want = c0.clone();
-            dgemm_naive(Trans::T, Trans::N, m, n, k, 1.25, &a, &b, beta, &mut want);
-            for (w, xi) in want.iter_mut().zip(&x) {
-                *w += -2.0 * xi;
-            }
-            for (g, w) in got.iter().zip(&want) {
-                assert!((g - w).abs() < 1e-12, "beta={beta}: {g} vs {w}");
-            }
-        }
-        // beta == 0 must not propagate NaN from C.
-        let mut c = vec![f64::NAN];
-        let (mut ap, mut bp) = (Vec::new(), Vec::new());
-        dgemm_packed_epilogue(
-            &params,
-            Trans::N,
-            Trans::N,
-            1,
-            1,
-            1,
-            1.0,
-            &[3.0],
-            &[2.0],
-            Epilogue::ScaleAccumulate {
-                beta: 0.0,
-                gamma: 1.0,
-                x: &[4.0],
-            },
-            &mut c,
-            &mut ap,
-            &mut bp,
-        );
-        assert_eq!(c[0], 10.0);
-    }
-
-    #[test]
-    fn permuted_scatter_fuses_sort_into_writeback() {
-        use crate::sort4::sort_4_naive;
-        let params = GemmParams {
-            mc: 16,
-            kc: 8, // will be widened internally to cover k
-            nc: 12,
-        };
-        let dims = [5, 3, 7, 2];
-        let (m, n, k) = (dims[0] * dims[1], dims[2] * dims[3], 9);
-        let a: Vec<f64> = (0..m * k).map(|i| (i as f64 * 0.7).sin()).collect();
-        let b: Vec<f64> = (0..k * n).map(|i| (i as f64 * 0.3).cos()).collect();
-        let x: Vec<f64> = (0..m * n).map(|i| i as f64 * 0.09 - 1.0).collect();
-        for perm in [[2, 0, 3, 1], [0, 1, 3, 2], [3, 1, 2, 0]] {
-            for x_opt in [None, Some(x.as_slice())] {
-                let mut got = vec![f64::NAN; m * n]; // fully overwritten
-                let (mut ap, mut bp) = (Vec::new(), Vec::new());
-                dgemm_packed_epilogue(
-                    &params,
-                    Trans::T,
-                    Trans::N,
-                    m,
-                    n,
-                    k,
-                    1.25,
-                    &a,
-                    &b,
-                    Epilogue::PermutedScatter {
-                        dims,
-                        perm,
-                        factor: -0.5,
-                        gamma: 3.0,
-                        x: x_opt,
-                    },
-                    &mut got,
-                    &mut ap,
-                    &mut bp,
-                );
-                let mut prod = vec![0.0; m * n];
-                dgemm_naive(Trans::T, Trans::N, m, n, k, 1.25, &a, &b, 0.0, &mut prod);
-                if let Some(x) = x_opt {
-                    for (p, xi) in prod.iter_mut().zip(x) {
-                        *p += 3.0 * xi;
-                    }
-                }
-                let mut want = vec![0.0; m * n];
-                sort_4_naive(&prod, &mut want, dims, perm, -0.5);
-                for (g, w) in got.iter().zip(&want) {
-                    assert!((g - w).abs() < 1e-12, "perm {perm:?}: {g} vs {w}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn epilogue_params_widens_kc_for_scatter_only() {
-        let params = GemmParams {
-            mc: 16,
-            kc: 8,
-            nc: 12,
-        };
-        let scatter = Epilogue::PermutedScatter {
-            dims: [2, 2, 2, 2],
-            perm: [1, 0, 2, 3],
-            factor: 1.0,
-            gamma: 0.0,
-            x: None,
-        };
-        assert_eq!(epilogue_params(&params, &scatter, 40).kc, 40);
-        assert_eq!(epilogue_params(&params, &scatter, 4).kc, 8);
-        assert_eq!(
-            epilogue_params(&params, &Epilogue::Overwrite { beta: 0.0 }, 40).kc,
-            8
-        );
-    }
-
-    #[test]
-    fn degenerate_epilogues_keep_their_contracts() {
-        // alpha == 0 with ScaleAccumulate still applies beta and the addend.
-        let mut c = vec![2.0, 4.0];
-        let (mut ap, mut bp) = (Vec::new(), Vec::new());
-        dgemm_packed_epilogue(
-            &GemmParams::default(),
-            Trans::N,
-            Trans::N,
-            2,
-            1,
-            1,
-            0.0,
-            &[1.0, 1.0],
-            &[1.0],
-            Epilogue::ScaleAccumulate {
-                beta: 0.5,
-                gamma: 2.0,
-                x: &[10.0, 20.0],
-            },
-            &mut c,
-            &mut ap,
-            &mut bp,
-        );
-        assert_eq!(c, vec![21.0, 42.0]);
-        // k == 0 with a scatter and an addend degenerates to sort_4 of x.
-        let mut c2 = vec![0.0; 4];
-        dgemm_packed_epilogue(
-            &GemmParams::default(),
-            Trans::N,
-            Trans::N,
-            2,
-            2,
-            0,
-            1.0,
-            &[],
-            &[],
-            Epilogue::PermutedScatter {
-                dims: [2, 1, 2, 1],
-                perm: [2, 1, 0, 3],
-                factor: 2.0,
-                gamma: 0.5,
-                x: Some(&[1.0, 2.0, 3.0, 4.0]),
-            },
-            &mut c2,
-            &mut ap,
-            &mut bp,
-        );
-        // x as 2x2 [[1,3],[2,4]], transpose then scale by 2*0.5 = 1.
-        assert_eq!(c2, vec![1.0, 3.0, 2.0, 4.0]);
-        // k == 0 scatter without an addend zeroes the destination.
-        let mut c3 = vec![9.0; 4];
-        dgemm_packed_epilogue(
-            &GemmParams::default(),
-            Trans::N,
-            Trans::N,
-            2,
-            2,
-            0,
-            1.0,
-            &[],
-            &[],
-            Epilogue::PermutedScatter {
-                dims: [2, 1, 2, 1],
-                perm: [2, 1, 0, 3],
-                factor: 1.0,
-                gamma: 1.0,
-                x: None,
-            },
-            &mut c3,
-            &mut ap,
-            &mut bp,
-        );
-        assert_eq!(c3, vec![0.0; 4]);
-    }
-
-    #[test]
     fn trans_from_char() {
         assert_eq!(Trans::from_char('t'), Some(Trans::T));
         assert_eq!(Trans::from_char('N'), Some(Trans::N));
@@ -1073,5 +646,86 @@ mod tests {
     #[test]
     fn flop_count() {
         assert_eq!(gemm_flops(10, 20, 30), 12_000);
+    }
+
+    proptest! {
+        /// The packed engine agrees with the naive oracle to 1e-12 for all
+        /// four transpose combinations, degenerate alpha/beta, and odd and
+        /// prime sizes. The shrunk blocks put every size in the list on
+        /// both sides of some cache-block boundary, and sizes that are not
+        /// multiples of MR=8 / NR=6 exercise the zero-padded micropanels
+        /// and the clipped writeback.
+        #[test]
+        fn packed_block_edges_match_naive(
+            mi in 0usize..8,
+            ni in 0usize..8,
+            ki in 0usize..8,
+            alpha in prop_oneof![Just(0.0f64), Just(1.0), Just(-0.5), Just(2.0)],
+            beta in prop_oneof![Just(0.0f64), Just(1.0), Just(-0.5), Just(2.0)],
+            seed in 0u64..1000,
+        ) {
+            const ODD: [usize; 8] = [1, 5, 7, 9, 13, 17, 23, 31];
+            let (m, n, k) = (ODD[mi], ODD[ni], ODD[ki]);
+            let a = gen(m * k, seed, 21);
+            let b = gen(k * n, seed, 22);
+            let c0 = gen(m * n, seed, 23);
+            let mut ap = vec![0.0; SMALL_BLOCKS.packed_a_len(m, k)];
+            let mut bp = vec![0.0; SMALL_BLOCKS.packed_b_len(n, k)];
+            for ta in [Trans::N, Trans::T] {
+                for tb in [Trans::N, Trans::T] {
+                    let mut c1 = c0.clone();
+                    let mut c2 = c0.clone();
+                    packed(
+                        &SMALL_BLOCKS, ta, tb, m, n, k, alpha, &a, &b, beta, &mut c1, &mut ap,
+                        &mut bp,
+                    );
+                    dgemm_naive(ta, tb, m, n, k, alpha, &a, &b, beta, &mut c2);
+                    for (x, y) in c1.iter().zip(&c2) {
+                        prop_assert!(
+                            (x - y).abs() < 1e-12,
+                            "{ta:?}{tb:?} {m}x{n}x{k} a={alpha} b={beta}: {x} vs {y}"
+                        );
+                    }
+                }
+            }
+        }
+
+        /// The entry point agrees with the oracle on both sides of
+        /// `PACKED_MIN_VOLUME`: for a random `m x n` face, the largest
+        /// depth below the threshold and the smallest at or above it, in
+        /// all four transpose combinations, through pooled-style scratch.
+        #[test]
+        fn dgemm_matches_naive_across_the_packing_threshold(
+            m in 8usize..48,
+            n in 8usize..48,
+            alpha in prop_oneof![Just(1.0f64), Just(-0.5)],
+            beta in prop_oneof![Just(0.0f64), Just(1.0), Just(-1.5)],
+            seed in 0u64..1000,
+        ) {
+            let k_below = (PACKED_MIN_VOLUME - 1) / (m * n);
+            for k in [k_below, k_below + 1] {
+                prop_assert_eq!(m * n * k < PACKED_MIN_VOLUME, k == k_below);
+                let a = gen(m * k, seed, 31);
+                let b = gen(k * n, seed, 32);
+                let c0 = gen(m * n, seed, 33);
+                for ta in [Trans::N, Trans::T] {
+                    for tb in [Trans::N, Trans::T] {
+                        let (la, lb) = scratch_lens(m, n, k);
+                        let (mut ap, mut bp) = (vec![0.0; la], vec![0.0; lb]);
+                        let mut c1 = c0.clone();
+                        let mut c2 = c0.clone();
+                        dgemm_with(ta, tb, m, n, k, alpha, &a, &b, beta, &mut c1, &mut ap, &mut bp);
+                        dgemm_naive(ta, tb, m, n, k, alpha, &a, &b, beta, &mut c2);
+                        prop_assert_eq!((ap.len(), bp.len()), (la, lb), "scratch grew");
+                        for (x, y) in c1.iter().zip(&c2) {
+                            prop_assert!(
+                                (x - y).abs() < 1e-12,
+                                "{ta:?}{tb:?} {m}x{n}x{k}: {x} vs {y}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 }

@@ -6,23 +6,18 @@
 //! remap with a scale factor — "despite its name, the SORT operation does
 //! not perform actual sorting of the data"), and elementwise helpers
 //! (`DFILL`, `DAXPY`-style accumulation). This crate implements all of them
-//! in Fortran column-major convention, plus naive reference versions used
-//! by the property tests.
+//! in Fortran column-major convention; the tests check them against naive
+//! reference versions.
 
-pub mod gemm;
-pub mod pack;
-pub mod sort4;
-pub mod vecops;
+mod gemm;
+#[cfg(test)]
+mod oracle;
+mod pack;
+mod sort4;
+mod vecops;
 
-pub use gemm::{
-    dgemm, dgemm_blocked, dgemm_naive, dgemm_packed, dgemm_packed_epilogue, dgemm_packed_with,
-    epilogue_params, packed_profitable, Epilogue, Trans,
-};
-pub use pack::GemmParams;
-pub use sort4::{
-    invert_perm, sort_4, sort_4_merge, sort_4_multi, sort_4_naive, sort_4_strided, sort_4_tiled,
-    Perm4, SortSpec,
-};
+pub use gemm::{dgemm, dgemm_packed, dgemm_with, gemm_flops, scratch_lens, Trans};
+pub use sort4::{invert_perm, sort_4, sort_4_strided, Perm4};
 pub use vecops::{daxpy, ddot, dfill, max_abs_diff, rel_diff};
 
 /// Column-major linear index of `(i, j)` in an `m x _` matrix.

@@ -33,10 +33,10 @@ pub const MR: usize = 8;
 pub const NR: usize = 6;
 
 /// Cache-blocking parameters of the packed GEMM loop nest. All three are
-/// free (the kernels are correct for any values >= 1); the defaults size
-/// the packed A panel for L2 and the B micropanel for L1.
+/// free (the kernels are correct for any values >= 1); production runs
+/// [`BLOCKS`], and the tests shrink them so small sizes cross block edges.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GemmParams {
+pub(crate) struct GemmParams {
     /// Rows of `op(A)` per packed panel (L2 blocking).
     pub mc: usize,
     /// Depth of one packed panel pair (L1/L2 blocking).
@@ -45,27 +45,16 @@ pub struct GemmParams {
     pub nc: usize,
 }
 
-impl Default for GemmParams {
-    fn default() -> Self {
-        // A panel: 128 x 256 doubles = 256 KiB (fits a 1 MiB L2 with
-        // room for the B stream); B micropanel: 6 x 256 = 12 KiB (L1).
-        Self {
-            mc: 128,
-            kc: 256,
-            nc: 2048,
-        }
-    }
-}
+/// The blocks the packed engine runs with. A panel: 128 x 256 doubles =
+/// 256 KiB (fits a 1 MiB L2 with room for the B stream); B micropanel:
+/// 6 x 256 = 12 KiB (L1).
+pub(crate) const BLOCKS: GemmParams = GemmParams {
+    mc: 128,
+    kc: 256,
+    nc: 2048,
+};
 
 impl GemmParams {
-    /// Validate the parameters (all blocks nonzero).
-    pub fn assert_valid(&self) {
-        assert!(
-            self.mc >= 1 && self.kc >= 1 && self.nc >= 1,
-            "GEMM block sizes must be >= 1: {self:?}"
-        );
-    }
-
     /// Length of the packed-A scratch buffer for an `m x k` operand
     /// (largest `MC x KC` block, rows rounded up to full micropanels).
     pub fn packed_a_len(&self, m: usize, k: usize) -> usize {

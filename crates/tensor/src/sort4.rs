@@ -12,9 +12,6 @@
 /// `perm[q]`.
 pub type Perm4 = [usize; 4];
 
-/// Identity permutation.
-pub const IDENT: Perm4 = [0, 1, 2, 3];
-
 /// Validate that `p` is a permutation of `{0,1,2,3}`.
 pub fn is_perm(p: &Perm4) -> bool {
     let mut seen = [false; 4];
@@ -46,16 +43,6 @@ const SORT_TILE: usize = 32;
 /// in L1 and the blocked loop structure is pure overhead.
 const SORT_TILED_MIN: usize = 4096;
 
-/// One branch of a multi-destination remap: the permutation plus the
-/// permutational-symmetry sign factor of that branch.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SortSpec {
-    /// Output index `q` is input index `perm[q]`, as in [`sort_4`].
-    pub perm: Perm4,
-    /// Sign/scale factor applied to every element of this branch.
-    pub factor: f64,
-}
-
 /// Whether [`sort_4`] would take the cache-line-per-element strided walk
 /// for this remap (the `SORT_STRIDE_FACTOR` cost-model case), as opposed
 /// to the blocked path with contiguous writes or the contiguous
@@ -66,8 +53,6 @@ pub fn sort_4_strided(dims: [usize; 4], perm: Perm4) -> bool {
 
 /// Debug-mode guard against aliasing `src`/`dst`: the remap is a full
 /// overwrite of `dst` in permuted order and is never correct in place.
-/// The fused epilogue paths make accidental in-place calls easy to write,
-/// so every entry point checks.
 fn assert_no_alias(src: &[f64], dst: &[f64]) {
     if cfg!(debug_assertions) && !src.is_empty() && !dst.is_empty() {
         let (s0, s1) = (src.as_ptr() as usize, src.as_ptr() as usize + src.len() * 8);
@@ -85,7 +70,7 @@ fn assert_no_alias(src: &[f64], dst: &[f64]) {
 /// `i0 + d0*(i1 + d1*(i2 + d2*i3))`.
 ///
 /// Large tiles whose fastest output index is not the fastest input index
-/// take a cache-tiled path ([`sort_4_tiled`]) so writes stay contiguous
+/// take a cache-tiled path so writes stay contiguous
 /// within blocks instead of striding a cache line per element.
 pub fn sort_4(src: &[f64], dst: &mut [f64], dims: [usize; 4], perm: Perm4, factor: f64) {
     assert!(is_perm(&perm), "not a permutation: {perm:?}");
@@ -100,26 +85,9 @@ pub fn sort_4(src: &[f64], dst: &mut [f64], dims: [usize; 4], perm: Perm4, facto
     }
 }
 
-/// The cache-tiled remap, callable directly (the dispatch in [`sort_4`]
-/// picks it automatically for large strided permutations). Falls back to
-/// the linear walk when the permutation keeps index 0 in place, since
-/// then both walks are already contiguous.
-pub fn sort_4_tiled(src: &[f64], dst: &mut [f64], dims: [usize; 4], perm: Perm4, factor: f64) {
-    assert!(is_perm(&perm), "not a permutation: {perm:?}");
-    let total = dims.iter().product::<usize>();
-    assert_eq!(src.len(), total, "src size mismatch");
-    assert_eq!(dst.len(), total, "dst size mismatch");
-    assert_no_alias(src, dst);
-    if perm[0] != 0 {
-        sort_4_blocked(src, dst, dims, perm, factor);
-    } else {
-        sort_4_linear(src, dst, dims, perm, factor);
-    }
-}
-
 /// Output strides indexed by *input* axis: walking input axis `p`
 /// advances the output offset by `step[p]`.
-pub(crate) fn out_steps(dims: [usize; 4], perm: Perm4) -> [usize; 4] {
+fn out_steps(dims: [usize; 4], perm: Perm4) -> [usize; 4] {
     let odims = [dims[perm[0]], dims[perm[1]], dims[perm[2]], dims[perm[3]]];
     let ostride = [
         1,
@@ -193,184 +161,16 @@ fn sort_4_blocked(src: &[f64], dst: &mut [f64], dims: [usize; 4], perm: Perm4, f
     }
 }
 
-/// Where a fan remap sends each branch: its own buffer (`Multi`, full
-/// overwrite) or one shared accumulator (`Merge`, `+=`).
-enum FanDst<'a, 'b> {
-    Multi(&'a mut [&'b mut [f64]]),
-    Merge(&'a mut [f64]),
-}
-
-/// One cache block of a fan remap for a single branch. Picks the loop
-/// order by which side is contiguous: when the branch's output stride
-/// along the blocked axis `z` is 1 the inner loop streams `dst`;
-/// otherwise the inner loop streams `src` along input axis 0.
-#[allow(clippy::too_many_arguments)]
-fn fan_block(
-    src: &[f64],
-    dst: &mut [f64],
-    sbase: usize,
-    dbase: usize,
-    r0: core::ops::Range<usize>,
-    rz: core::ops::Range<usize>,
-    sz: usize,
-    step0: usize,
-    stepz: usize,
-    factor: f64,
-    accumulate: bool,
-) {
-    if stepz == 1 {
-        for i0 in r0 {
-            let s = sbase + i0;
-            let d = dbase + i0 * step0;
-            if accumulate {
-                for iz in rz.clone() {
-                    dst[d + iz] += factor * src[s + iz * sz];
-                }
-            } else {
-                for iz in rz.clone() {
-                    dst[d + iz] = factor * src[s + iz * sz];
-                }
-            }
-        }
-    } else {
-        for iz in rz {
-            let s = sbase + iz * sz;
-            let d = dbase + iz * stepz;
-            if accumulate {
-                for i0 in r0.clone() {
-                    dst[d + i0 * step0] += factor * src[s + i0];
-                }
-            } else {
-                for i0 in r0.clone() {
-                    dst[d + i0 * step0] = factor * src[s + i0];
-                }
-            }
-        }
-    }
-}
-
-/// Shared driver for [`sort_4_multi`] / [`sort_4_merge`]: one blocked
-/// pass over `src`, fanning each `SORT_TILE`-sided block out to every
-/// branch while it is cache-hot. Blocks over input axis 0 and axis `z`
-/// (the output-fastest input axis of the first strided branch), so the
-/// branch that would pay the worst write stride gets contiguous writes.
-fn sort_4_fan(src: &[f64], dims: [usize; 4], specs: &[SortSpec], mut out: FanDst<'_, '_>) {
-    let total = dims.iter().product::<usize>();
-    assert_eq!(src.len(), total, "src size mismatch");
-    for s in specs {
-        assert!(is_perm(&s.perm), "not a permutation: {:?}", s.perm);
-    }
-    match &mut out {
-        FanDst::Multi(dsts) => {
-            assert_eq!(dsts.len(), specs.len(), "one dst per branch");
-            for d in dsts.iter() {
-                assert_eq!(d.len(), total, "dst size mismatch");
-                assert_no_alias(src, d);
-            }
-        }
-        FanDst::Merge(d) => {
-            assert_eq!(d.len(), total, "dst size mismatch");
-            assert_no_alias(src, d);
-            d.fill(0.0);
-        }
-    }
-    if total == 0 {
-        return;
-    }
-    let z = specs
-        .iter()
-        .find(|s| s.perm[0] != 0)
-        .map(|s| s.perm[0])
-        .unwrap_or(1);
-    let istride = [1, dims[0], dims[0] * dims[1], dims[0] * dims[1] * dims[2]];
-    let steps: Vec<[usize; 4]> = specs.iter().map(|s| out_steps(dims, s.perm)).collect();
-    let rest: Vec<usize> = (1..4).filter(|&q| q != z).collect();
-    let (q1, q2) = (rest[0], rest[1]);
-    let sz = istride[z];
-    for iq2 in 0..dims[q2] {
-        for iq1 in 0..dims[q1] {
-            let sbase = iq1 * istride[q1] + iq2 * istride[q2];
-            for jz in (0..dims[z]).step_by(SORT_TILE) {
-                let jze = (jz + SORT_TILE).min(dims[z]);
-                for j0 in (0..dims[0]).step_by(SORT_TILE) {
-                    let j0e = (j0 + SORT_TILE).min(dims[0]);
-                    for (k, (spec, step)) in specs.iter().zip(&steps).enumerate() {
-                        let (dst, accumulate): (&mut [f64], bool) = match &mut out {
-                            FanDst::Multi(ds) => (&mut *ds[k], false),
-                            FanDst::Merge(d) => (&mut **d, true),
-                        };
-                        let dbase = iq1 * step[q1] + iq2 * step[q2];
-                        fan_block(
-                            src,
-                            dst,
-                            sbase,
-                            dbase,
-                            j0..j0e,
-                            jz..jze,
-                            sz,
-                            step[0],
-                            step[z],
-                            spec.factor,
-                            accumulate,
-                        );
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// One-pass multi-branch remap: read `src` once per cache block and
-/// write every branch's destination while the block is hot, instead of
-/// one full (possibly strided) pass over `src` per branch as repeated
-/// [`sort_4`] calls would do. Each `dsts[k]` is fully overwritten with
-/// branch `k`'s permuted, scaled copy — identical to
-/// `sort_4(src, dsts[k], dims, specs[k].perm, specs[k].factor)`.
-pub fn sort_4_multi(src: &[f64], dsts: &mut [&mut [f64]], dims: [usize; 4], specs: &[SortSpec]) {
-    sort_4_fan(src, dims, specs, FanDst::Multi(dsts));
-}
-
-/// One-pass merged remap: like [`sort_4_multi`] but every branch
-/// accumulates into the single `dst`, which is zero-filled first. This
-/// is the fused form of the serial-sort staging loop
-/// (`sort_4` into a temporary + `daxpy` per branch): the temporary tile
-/// and its extra round trip disappear. Branch contributions to a given
-/// element can arrive in a different order than the staged loop's, so
-/// results for three or more branches agree to rounding (1e-12), not
-/// bitwise.
-pub fn sort_4_merge(src: &[f64], dst: &mut [f64], dims: [usize; 4], specs: &[SortSpec]) {
-    sort_4_fan(src, dims, specs, FanDst::Merge(dst));
-}
-
-/// Naive reference remap (explicit 4-tuple addressing), the oracle for
-/// property tests.
-pub fn sort_4_naive(src: &[f64], dst: &mut [f64], dims: [usize; 4], perm: Perm4, factor: f64) {
-    assert_no_alias(src, dst);
-    let odims = [dims[perm[0]], dims[perm[1]], dims[perm[2]], dims[perm[3]]];
-    let iidx = |i: [usize; 4]| i[0] + dims[0] * (i[1] + dims[1] * (i[2] + dims[2] * i[3]));
-    let oidx = |o: [usize; 4]| o[0] + odims[0] * (o[1] + odims[1] * (o[2] + odims[2] * o[3]));
-    for i3 in 0..dims[3] {
-        for i2 in 0..dims[2] {
-            for i1 in 0..dims[1] {
-                for i0 in 0..dims[0] {
-                    let i = [i0, i1, i2, i3];
-                    let o = [i[perm[0]], i[perm[1]], i[perm[2]], i[perm[3]]];
-                    dst[oidx(o)] = factor * src[iidx(i)];
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::sort_4_naive;
 
     #[test]
     fn identity_is_scaled_copy() {
         let src: Vec<f64> = (0..24).map(|x| x as f64).collect();
         let mut dst = vec![0.0; 24];
-        sort_4(&src, &mut dst, [2, 3, 2, 2], IDENT, 2.0);
+        sort_4(&src, &mut dst, [2, 3, 2, 2], [0, 1, 2, 3], 2.0);
         for (i, v) in dst.iter().enumerate() {
             assert_eq!(*v, 2.0 * i as f64);
         }
@@ -434,7 +234,7 @@ mod tests {
                         }
                         let mut got = vec![0.0; n];
                         let mut want = vec![0.0; n];
-                        sort_4_tiled(&src, &mut got, dims, p, -0.5);
+                        sort_4(&src, &mut got, dims, p, -0.5);
                         sort_4_naive(&src, &mut want, dims, p, -0.5);
                         assert_eq!(got, want, "perm {p:?}");
                     }
@@ -481,69 +281,6 @@ mod tests {
         assert!(!sort_4_strided([64, 8, 8, 8], [0, 2, 1, 3]));
         assert!(sort_4_strided([8, 8, 8, 4], [1, 0, 2, 3])); // 2048 < min
         assert!(!sort_4_strided([8, 8, 8, 8], [1, 0, 2, 3])); // 4096 >= min
-    }
-
-    #[test]
-    fn multi_matches_repeated_sort_4() {
-        for dims in [[5, 3, 2, 7], [17, 9, 5, 11]] {
-            let n: usize = dims.iter().product();
-            let src: Vec<f64> = (0..n).map(|x| (x as f64).cos()).collect();
-            let specs = [
-                SortSpec {
-                    perm: [2, 0, 3, 1],
-                    factor: -1.0,
-                },
-                SortSpec {
-                    perm: [0, 1, 3, 2],
-                    factor: 0.5,
-                },
-                SortSpec {
-                    perm: [3, 2, 1, 0],
-                    factor: 2.0,
-                },
-            ];
-            let mut got: Vec<Vec<f64>> = vec![vec![0.0; n]; specs.len()];
-            {
-                let mut views: Vec<&mut [f64]> = got.iter_mut().map(|v| v.as_mut_slice()).collect();
-                sort_4_multi(&src, &mut views, dims, &specs);
-            }
-            for (g, s) in got.iter().zip(&specs) {
-                let mut want = vec![0.0; n];
-                sort_4(&src, &mut want, dims, s.perm, s.factor);
-                assert_eq!(*g, want, "dims {dims:?} perm {:?}", s.perm);
-            }
-        }
-    }
-
-    #[test]
-    fn merge_matches_staged_sort_plus_axpy() {
-        let dims = [6, 5, 4, 3];
-        let n: usize = dims.iter().product();
-        let src: Vec<f64> = (0..n).map(|x| (x as f64 * 0.37).sin()).collect();
-        let specs = [
-            SortSpec {
-                perm: [1, 0, 2, 3],
-                factor: 1.0,
-            },
-            SortSpec {
-                perm: [2, 3, 0, 1],
-                factor: -0.25,
-            },
-        ];
-        let mut got = vec![1.0; n]; // pre-existing contents must be discarded
-        sort_4_merge(&src, &mut got, dims, &specs);
-        let mut want = vec![0.0; n];
-        let mut tmp = vec![0.0; n];
-        for s in &specs {
-            sort_4(&src, &mut tmp, dims, s.perm, s.factor);
-            for (w, t) in want.iter_mut().zip(&tmp) {
-                *w += t;
-            }
-        }
-        let scale: f64 = want.iter().fold(0.0f64, |m, v| m.max(v.abs())).max(1.0);
-        for (g, w) in got.iter().zip(&want) {
-            assert!((g - w).abs() <= 1e-12 * scale, "{g} vs {w}");
-        }
     }
 
     #[test]

@@ -2,9 +2,8 @@
 //! utilities for the "matched up to the 14th digit" agreement checks.
 //!
 //! `dfill`/`daxpy` carry the same runtime AVX2+FMA dispatch as the GEMM
-//! microkernel ([`crate::pack::simd_available`]), so the accumulates that
-//! stay *unfused* (reduction-tree interior nodes, staged sorts) are not
-//! left scalar while the fused epilogues run vectorized.
+//! microkernel ([`crate::pack::simd_available`]): the chain's accumulates
+//! (reduction-tree nodes, the serial SORT's merge) run vectorized too.
 
 /// `DFILL`: set every element to `value`.
 pub fn dfill(x: &mut [f64], value: f64) {
