@@ -180,10 +180,7 @@ pub fn fault_rank(rank: usize, port: u16, schedule: &str, seed: u64) -> Fragment
 /// processes can exceed a 20 ms timer). `detector` arms the failure
 /// detector with `(suspect_after, dead_after)`.
 fn chaos_timers(schedule: &str, detector: Option<(Duration, Duration)>) -> CommConfig {
-    let mut cfg = CommConfig {
-        eager_threshold: 1024,
-        ..CommConfig::default()
-    };
+    let mut cfg = CommConfig::default();
     if schedule != "clean" {
         cfg.retry_timeout = Duration::from_millis(20);
         cfg.retry_backoff_max = Duration::from_millis(80);

@@ -66,8 +66,8 @@ impl DistRank {
         Self::with_config(transport, space, kernels, CommConfig::default())
     }
 
-    /// As [`DistRank::new`] with an explicit comm configuration (eager
-    /// threshold, in-flight get caps) and the default tile cache.
+    /// As [`DistRank::new`] with an explicit comm configuration
+    /// (in-flight get caps, batching, timers) and the default tile cache.
     pub fn with_config(
         transport: Box<dyn Transport>,
         space: &TileSpace,

@@ -28,12 +28,9 @@ use tensor_kernels::rel_diff;
 
 const RANKS: usize = 4;
 
-/// Fast retries so injected losses recover in milliseconds, and an
-/// eager threshold low enough that tiny-scale tiles exercise both the
-/// eager and rendezvous protocol paths under faults.
+/// Fast retries so injected losses recover in milliseconds.
 fn chaos_cfg() -> CommConfig {
     CommConfig {
-        eager_threshold: 1024,
         retry_timeout: Duration::from_millis(20),
         retry_backoff_max: Duration::from_millis(80),
         ..CommConfig::default()
@@ -233,7 +230,8 @@ fn dist_ccsd_survives_stall() {
 }
 
 /// The batched-read gauntlet: drop, duplicate and reorder at once, so
-/// `MultiGet` frames and their replies are lost, repeated and swapped.
+/// multi-part `Get` frames and their replies are lost, repeated and
+/// swapped.
 /// The batch must retry/dedup as one unit, the cache must stay coherent
 /// (zero verified-stale reads via `assert_energies`), and the energy
 /// must still land within 1e-12.

@@ -68,22 +68,17 @@ pub(crate) enum Completion {
     /// A `call`: hand the reply words to the callback.
     Call(Am, CallCallback),
     /// A put or accumulate: counted by `fence`, optionally blocking its
-    /// poster. `parked` is a rendezvous payload frame held until the
-    /// target's clear-to-send — and on until the final ack, so a
-    /// duplicated or re-triggered CTS can always be answered.
+    /// poster.
     Write {
         acc: bool,
-        eager: bool,
         waiter: Option<mpsc::Sender<()>>,
-        parked: Option<Vec<u8>>,
     },
 }
 
 /// One in-flight non-get request.
 pub(crate) struct Pending {
     peer: usize,
-    /// Frame retransmitted on timeout: the whole request, or the RTS of a
-    /// rendezvous (the parked payload re-flows via CTS).
+    /// Frame retransmitted on timeout: the whole request.
     frame: Vec<u8>,
     retry: Retry,
     retries: u32,
@@ -223,12 +218,10 @@ impl Inner {
                 }
                 cb(reply.unwrap_or(am.spec().fallback));
             }
-            Completion::Write {
-                acc, eager, waiter, ..
-            } => {
+            Completion::Write { acc, waiter } => {
                 if reply.is_some() {
-                    let quad = if acc { self.ids.acc } else { self.ids.put };
-                    self.span(quad[(p.retries > 0) as usize][eager as usize], p.posted_ns);
+                    let pair = if acc { self.ids.acc } else { self.ids.put };
+                    self.span(pair[(p.retries > 0) as usize], p.posted_ns);
                 }
                 let mut n = self.outstanding.lock().unwrap();
                 *n -= 1;
@@ -240,26 +233,6 @@ impl Inner {
                     let _ = w.send(());
                 }
             }
-        }
-    }
-
-    /// Clear-to-send for a parked rendezvous payload. The entry stays
-    /// until the final ack, so a duplicated CTS re-sends the
-    /// (dedup-protected) payload.
-    pub(crate) fn clear_to_send(&self, token: u64) {
-        let parked = match self.pending.lock().unwrap().get(&token) {
-            Some(Pending {
-                peer,
-                done: Completion::Write {
-                    parked: Some(f), ..
-                },
-                ..
-            }) => Some((*peer, f.clone())),
-            _ => None,
-        };
-        match parked {
-            Some((peer, frame)) => self.send_frame(peer, frame),
-            None => self.dup_reply(),
         }
     }
 

@@ -54,9 +54,6 @@ pub trait ShardStore: Send + Sync + 'static {
 /// Progress-engine tuning knobs.
 #[derive(Debug, Clone)]
 pub struct CommConfig {
-    /// Payloads of at most this many bytes travel eagerly; larger ones
-    /// rendezvous (default 4 KiB — a few small tiles).
-    pub eager_threshold: usize,
     /// Maximum outstanding gets per target rank; further posts queue by
     /// destination block, priority breaking ties (default 4).
     pub max_inflight_gets: usize,
@@ -69,9 +66,9 @@ pub struct CommConfig {
     /// is transient loss, and termination comes from the transport
     /// eventually delivering, not from giving up.
     pub retry_backoff_max: Duration,
-    /// Maximum queued gets packed into one `MultiGet` frame when a freed
-    /// in-flight slot drains the queue (default 8). `1` disables
-    /// batching entirely — every request travels as a plain `Get`.
+    /// Maximum queued gets packed into one `Get` frame when a freed
+    /// in-flight slot drains the queue (default 8). `1` sends one part
+    /// per frame.
     pub max_batch_parts: usize,
     /// Failure detector: a peer silent for this long turns *suspect* and
     /// gets pinged (liveness piggybacks on every received frame, so only
@@ -91,7 +88,6 @@ pub struct CommConfig {
 impl Default for CommConfig {
     fn default() -> Self {
         Self {
-            eager_threshold: 4096,
             max_inflight_gets: 4,
             retry_timeout: Duration::from_secs(1),
             retry_backoff_max: Duration::from_secs(4),
@@ -138,9 +134,11 @@ counters! {
     puts,
     accs,
     nxtvals,
-    /// Payload transfers by protocol, counted where the choice is made
-    /// (get replies on the server, puts/accs on the sender).
+    /// Payload transfers, counted where the data is sent (get reply
+    /// parts on the server, puts/accs on the sender). Every payload
+    /// rides in its first frame.
     eager_payloads,
+    /// Always 0: kept only for perf's `comm.rndv_ratio` row.
     rndv_payloads,
     /// Pending-operation deadlines that expired (one per retransmission
     /// decision). Zero on a healthy network.
@@ -158,8 +156,8 @@ counters! {
     /// Get payload bytes actually delivered off the wire; equals
     /// `get_req_bytes` once the pipeline drains.
     get_wire_bytes,
-    /// `MultiGet` batch frames sent, and the gets they carried. Batch
-    /// occupancy is `multi_parts / multi_gets`.
+    /// `Get` frames sent carrying at least 2 parts, and the parts they
+    /// carried. Batch occupancy is `multi_parts / multi_gets`.
     multi_gets,
     multi_parts,
     /// Steal requests this rank posted (thief side).
@@ -199,27 +197,23 @@ pub(crate) const DIAG_CAP: usize = 1 << 14;
 /// so the ids computed at spawn stay valid for every trace
 /// [`Endpoint::take_trace`] swaps in.
 pub(crate) struct TraceIds {
-    /// Block transfers, indexed `[retransmitted][eager]`.
-    pub(crate) get: [[u16; 2]; 2],
-    pub(crate) put: [[u16; 2]; 2],
-    pub(crate) acc: [[u16; 2]; 2],
+    /// Block transfers, indexed `[retransmitted]`.
+    pub(crate) get: [u16; 2],
+    pub(crate) put: [u16; 2],
+    pub(crate) acc: [u16; 2],
     /// Call round trips, by AM id (`None`: not worth a span).
     pub(crate) am: Vec<Option<u16>>,
 }
 
 fn fresh_trace() -> (Trace, TraceIds) {
     let mut t = Trace::new();
-    let mut quad = |name: &str| {
+    let mut pair = |name: &str| {
         [false, true].map(|retrans| {
-            [false, true].map(|eager| {
-                let proto = if eager { "EAGER" } else { "RNDV" };
-                let suffix = if retrans { "_RETRY" } else { "" };
-                let kind = ActivityKind::Comm { eager, retrans };
-                t.class(&format!("{name}_{proto}{suffix}"), kind)
-            })
+            let suffix = if retrans { "_RETRY" } else { "" };
+            t.class(&format!("{name}{suffix}"), ActivityKind::Comm { retrans })
         })
     };
-    let (get, put, acc) = (quad("GET"), quad("PUT"), quad("ACC"));
+    let (get, put, acc) = (pair("GET"), pair("PUT"), pair("ACC"));
     let am = Am::ALL
         .iter()
         .map(|am| am.spec().trace.map(|kind| t.class(am.spec().name, kind)))
@@ -243,10 +237,6 @@ pub(crate) struct Inner {
     pub(crate) counter: Arc<AtomicI64>,
     /// The get pipeline's own table.
     pub(crate) gets: Mutex<GetPipe>,
-    /// Rendezvous get payloads parked until the requester pulls. Keyed
-    /// by (requesting rank, its token): tokens are allocated
-    /// independently on every rank, so alone they collide across peers.
-    pub(crate) rndv_serve: Mutex<HashMap<(usize, u64), Vec<f64>>>,
     /// The one pending-request map: every in-flight call, put and
     /// accumulate this rank posted, by token.
     pub(crate) pending: Mutex<HashMap<u64, Pending>>,
@@ -312,7 +302,6 @@ impl Endpoint {
             shutdown: AtomicBool::new(false),
             counter: Arc::new(AtomicI64::new(0)),
             gets: Mutex::new(GetPipe::new(nranks)),
-            rndv_serve: Mutex::new(HashMap::new()),
             pending: Mutex::new(HashMap::new()),
             dedup: Mutex::new((0..nranks).map(|_| PeerDedup::default()).collect()),
             handlers: Am::ALL.iter().map(|_| Mutex::new(None)).collect(),
@@ -490,15 +479,6 @@ impl Inner {
         self.send_frame(to, msg.encode());
     }
 
-    pub(crate) fn count_payload(&self, eager: bool) {
-        let counter = if eager {
-            &self.stats.eager_payloads
-        } else {
-            &self.stats.rndv_payloads
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-
     pub(crate) fn dup_reply(&self) {
         self.stats.dup_replies.fetch_add(1, Ordering::Relaxed);
     }
@@ -516,9 +496,8 @@ impl Inner {
         }
     }
 
-    /// Post a put (`alpha: None`) or accumulate as one request: eager
-    /// payloads ride in the request frame itself; larger ones park their
-    /// frame behind an RTS and flow when the target clears them.
+    /// Post a put (`alpha: None`) or accumulate as one request frame
+    /// carrying its data.
     fn write(
         &self,
         peer: usize,
@@ -530,9 +509,8 @@ impl Inner {
     ) {
         let token = self.token.fetch_add(1, Ordering::Relaxed);
         let seq = self.seq_tx[peer].fetch_add(1, Ordering::Relaxed);
-        let (offset, data, len) = (offset as u64, data.to_vec(), data.len() as u64);
-        let eager = data.len() * 8 <= self.cfg.eager_threshold;
-        let payload = match alpha {
+        let (offset, data) = (offset as u64, data.to_vec());
+        let frame = match alpha {
             None => Msg::Put {
                 token,
                 seq,
@@ -550,24 +528,11 @@ impl Inner {
             },
         }
         .encode();
-        let (frame, parked) = if eager {
-            (payload, None)
-        } else {
-            let rts = Msg::Rts {
-                token,
-                array,
-                offset,
-                len,
-            };
-            (rts.encode(), Some(payload))
-        };
         *self.outstanding.lock().unwrap() += 1;
-        self.count_payload(eager);
+        self.stats.eager_payloads.fetch_add(1, Ordering::Relaxed);
         let done = Completion::Write {
             acc: alpha.is_some(),
-            eager,
             waiter,
-            parked,
         };
         self.request(token, peer, frame, done);
     }
@@ -594,14 +559,11 @@ impl Inner {
             if from != self.rank && !self.note_rx(from) {
                 continue;
             }
-            // Data-bearing get replies take the zero-copy path: the
-            // payload is delivered as a borrowed view of `body` and
-            // copied once, straight into the reader's buffer.
+            // Get replies take the zero-copy path: each part is
+            // delivered as a borrowed view of `body` and copied once,
+            // straight into the reader's buffer.
             match Msg::reply_view(&body).expect("malformed frame") {
-                Some(ReplyView::Single { token, eager, data }) => {
-                    self.finish_get(token, data, eager)
-                }
-                Some(ReplyView::Multi { token, parts }) => self.finish_batch(token, &parts),
+                Some(ReplyView { token, parts }) => self.finish_get(token, &parts),
                 None => self.handle(from, Msg::decode(&body).expect("malformed frame")),
             }
         }
@@ -633,9 +595,7 @@ impl Inner {
     fn handle(&self, from: usize, msg: Msg) {
         match msg {
             // ---- serving side: requests against the local shard ----
-            Msg::Get { token, spec } => self.serve_get(from, token, spec),
-            Msg::GetPull { token } => self.serve_pull(from, token),
-            Msg::MultiGet { token, parts } => self.serve_multi(from, token, &parts),
+            Msg::Get { token, parts } => self.serve_get(from, token, &parts),
             Msg::Put {
                 token,
                 seq,
@@ -663,7 +623,6 @@ impl Inner {
                 }
                 self.post(from, &Msg::Ack { token });
             }
-            Msg::Rts { token, .. } => self.post(from, &Msg::Cts { token }),
             Msg::Call {
                 token,
                 seq,
@@ -679,8 +638,6 @@ impl Inner {
             Msg::Ping { token } => self.post(from, &Msg::Pong { token }),
 
             // ---- requesting side: completions of our own posts ----
-            Msg::GetReplyRndv { token, .. } => self.on_get_announce(from, token),
-            Msg::Cts { token } => self.clear_to_send(token),
             Msg::Ack { token } => self.finish_request(token, &[]),
             Msg::Return { token, words } => self.finish_request(token, &words),
             Msg::BarrierRelease { epoch, gang, words } => {
@@ -693,9 +650,7 @@ impl Inner {
             } => self.on_barrier_ack(epoch, who, gang),
             // The pong's work was done by `note_rx` on arrival.
             Msg::Pong { .. } => {}
-            Msg::GetReplyEager { .. } | Msg::GetReplyData { .. } | Msg::GetReplyMulti { .. } => {
-                unreachable!("data-bearing get replies are routed through reply_view")
-            }
+            Msg::GetReply { .. } => unreachable!("get replies are routed through reply_view"),
         }
     }
 }

@@ -214,10 +214,11 @@ impl FaultPlan {
                 ..base
             },
             // Aimed at the batched read path: simultaneous loss,
-            // duplication and reordering makes retried `MultiGet` frames
-            // race their own replies, so batch retry/dedup must treat
-            // each batch as one unit and the tile cache must never serve
-            // a block a duplicated late reply would have overwritten.
+            // duplication and reordering makes retried multi-part `Get`
+            // frames race their own replies, so batch retry/dedup must
+            // treat each batch as one unit and the tile cache must never
+            // serve a block a duplicated late reply would have
+            // overwritten.
             "coalesce" => Self {
                 drop_p: 0.04,
                 dup_p: 0.10,

@@ -10,7 +10,9 @@
 //! `max_L1 - L1 + offset * P` priorities shape which *tasks* run and
 //! post first, not the order a deep queue drains in. Every completed
 //! frame frees a slot and launches the next queued requests toward that
-//! rank, packed into one `MultiGet` when the queue has depth.
+//! rank, packed into one `Get` frame of up to `max_batch_parts` parts.
+//! A lone read is the one-part case of the same frame: there is one
+//! request shape, one reply shape and one retry unit.
 //!
 //! This is the one hot path that keeps its own table instead of riding
 //! [`crate::call`]: replies are delivered zero-copy from the frame
@@ -33,23 +35,19 @@ use std::time::Instant;
 /// frame — so callbacks copy once, straight into their own buffer.
 pub type GetCallback = Box<dyn FnOnce(WireSlice<'_>) + Send>;
 
-/// Byte ceiling on one batch's total reply payload. Batched replies are
-/// always inline — this cap bounds the frame where the rendezvous
-/// protocol would otherwise pace it.
+/// Byte ceiling on one frame's total reply payload. The first part is
+/// exempt, so one oversized read still travels, alone in its frame.
 const MAX_BATCH_BYTES: usize = 256 * 1024;
 
+/// One read, queued or riding a batch (the batch owns the retry).
 struct PendingGet {
     peer: usize,
     posted_ns: u64,
     cb: GetCallback,
     spec: GetSpec,
-    /// `None` while the request sits in the peer's queue or rides a
-    /// batch (the batch owns the retry); armed when launched alone.
-    retry: Option<Retry>,
-    retries: u32,
 }
 
-/// One `MultiGet` batch in flight: the sub-request tokens it carries (in
+/// One `Get` frame in flight: the sub-request tokens it carries (in
 /// frame order) and its retry state. The batch is the retry unit — a
 /// timeout resends the whole frame, a reply completes every sub.
 struct PendingBatch {
@@ -125,8 +123,6 @@ impl Endpoint {
                     posted_ns: i.now_ns(),
                     cb,
                     spec,
-                    retry: None,
-                    retries: 0,
                 },
             );
             let key = (Reverse((array, spec.offset)), prio, Reverse(token));
@@ -155,11 +151,10 @@ impl Endpoint {
 
 impl Inner {
     /// Drain `peer`'s get queue into its free in-flight slots. Each slot
-    /// takes one *frame*: the single best queued request, or — when the
-    /// queue has depth — up to `max_batch_parts` of them packed into one
-    /// `MultiGet`. Consecutive pops are adjacent destination blocks, so
-    /// the packed frame is spatially dense. Frames are sent after the
-    /// lock is released.
+    /// takes one `Get` frame of up to `max_batch_parts` queued requests.
+    /// Consecutive pops are adjacent destination blocks, so the packed
+    /// frame is spatially dense. Frames are sent after the lock is
+    /// released.
     fn pump(&self, peer: usize) {
         let mut to_send: Vec<Msg> = Vec::new();
         {
@@ -183,32 +178,28 @@ impl Inner {
                     st.queue.pop();
                     group.push((token, spec));
                 }
-                let Some(&(token, spec)) = group.first() else {
+                if group.is_empty() {
                     break;
-                };
+                }
                 st.inflight += 1;
-                if group.len() == 1 {
-                    let pg = g.pending.get_mut(&token).expect("queued get pending");
-                    pg.retry = Some(Retry::new(&self.cfg));
-                    to_send.push(Msg::Get { token, spec });
-                } else {
-                    let token = self.token.fetch_add(1, Ordering::Relaxed);
+                if group.len() > 1 {
                     self.stats.multi_gets.fetch_add(1, Ordering::Relaxed);
                     self.stats
                         .multi_parts
                         .fetch_add(group.len() as u64, Ordering::Relaxed);
-                    let (subs, parts) = group.into_iter().unzip();
-                    g.batches.insert(
-                        token,
-                        PendingBatch {
-                            peer,
-                            subs,
-                            retry: Retry::new(&self.cfg),
-                            retries: 0,
-                        },
-                    );
-                    to_send.push(Msg::MultiGet { token, parts });
                 }
+                let token = self.token.fetch_add(1, Ordering::Relaxed);
+                let (subs, parts) = group.into_iter().unzip();
+                g.batches.insert(
+                    token,
+                    PendingBatch {
+                        peer,
+                        subs,
+                        retry: Retry::new(&self.cfg),
+                        retries: 0,
+                    },
+                );
+                to_send.push(Msg::Get { token, parts });
             }
         }
         for msg in &to_send {
@@ -216,65 +207,22 @@ impl Inner {
         }
     }
 
-    /// Serve a `Get`. Reads are idempotent: a retransmitted request
-    /// simply reads again. A rendezvous re-announce overwrites the parked
-    /// payload under the same (peer, token) key, so retried tokens never
-    /// leak server state.
-    pub(crate) fn serve_get(&self, from: usize, token: u64, spec: GetSpec) {
-        let data = self
-            .store
-            .read(spec.array, spec.offset as usize, spec.len as usize);
-        let eager = data.len() * 8 <= self.cfg.eager_threshold;
-        self.count_payload(eager);
-        if eager {
-            self.post(from, &Msg::GetReplyEager { token, data });
-        } else {
-            let len = data.len() as u64;
-            self.rndv_serve.lock().unwrap().insert((from, token), data);
-            self.post(from, &Msg::GetReplyRndv { token, len });
-        }
-    }
-
-    /// Serve a `GetPull`. A duplicate pull (its payload already served)
-    /// is a counted no-op; the requester's own retry machinery recovers
-    /// if the served payload was the one lost.
-    pub(crate) fn serve_pull(&self, from: usize, token: u64) {
-        let parked = self.rndv_serve.lock().unwrap().remove(&(from, token));
-        match parked {
-            Some(data) => self.post(from, &Msg::GetReplyData { token, data }),
-            None => {
-                self.stats.dup_requests.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Serve a `MultiGet`: every part inline in one reply frame — the
-    /// requester's batch byte cap bounds it, so no rendezvous pacing is
-    /// needed. Idempotent like `Get`.
-    pub(crate) fn serve_multi(&self, from: usize, token: u64, parts: &[GetSpec]) {
+    /// Serve a `Get`: every part in one reply frame — the requester's
+    /// batch byte cap bounds it. Reads are idempotent: a retransmitted
+    /// request simply reads again, so no server state is kept.
+    pub(crate) fn serve_get(&self, from: usize, token: u64, parts: &[GetSpec]) {
         let parts: Vec<Vec<f64>> = parts
             .iter()
             .map(|p| self.store.read(p.array, p.offset as usize, p.len as usize))
             .collect();
-        for _ in &parts {
-            self.count_payload(true);
-        }
-        self.post(from, &Msg::GetReplyMulti { token, parts });
-    }
-
-    /// A rendezvous announce arrived. Pull even when no get is pending:
-    /// an announce from a retransmitted request whose first round already
-    /// completed still parked a payload at the server — the pull
-    /// garbage-collects it (and its data lands as a counted duplicate).
-    pub(crate) fn on_get_announce(&self, from: usize, token: u64) {
-        if !self.gets.lock().unwrap().pending.contains_key(&token) {
-            self.dup_reply();
-        }
-        self.post(from, &Msg::GetPull { token });
+        self.stats
+            .eager_payloads
+            .fetch_add(parts.len() as u64, Ordering::Relaxed);
+        self.post(from, &Msg::GetReply { token, parts });
     }
 
     /// Latency sample, wire-byte count and trace span of one delivered get.
-    fn record_get(&self, pg: &PendingGet, eager: bool, retried: bool) {
+    fn record_get(&self, pg: &PendingGet, retried: bool) {
         let mut lat = self.get_lat.lock().unwrap();
         if lat.len() < DIAG_CAP {
             lat.push(self.now_ns() - pg.posted_ns);
@@ -285,31 +233,14 @@ impl Inner {
         self.stats
             .get_wire_bytes
             .fetch_add(pg.spec.len * 8, Ordering::Relaxed);
-        self.span(self.ids.get[retried as usize][eager as usize], pg.posted_ns);
+        self.span(self.ids.get[retried as usize], pg.posted_ns);
     }
 
-    /// A single get's data arrived (eager, or the rendezvous bulk frame).
-    pub(crate) fn finish_get(&self, token: u64, data: WireSlice<'_>, eager: bool) {
-        let pg = {
-            let mut g = self.gets.lock().unwrap();
-            // A late or duplicate reply (the original racing its own
-            // retry) finds no pending entry: counted, dropped, and
-            // crucially *not* double-freeing the in-flight slot.
-            let Some(pg) = g.pending.remove(&token) else {
-                drop(g);
-                return self.dup_reply();
-            };
-            g.peers[pg.peer].inflight -= 1;
-            pg
-        };
-        self.record_get(&pg, eager, pg.retries > 0);
-        self.pump(pg.peer);
-        (pg.cb)(data);
-    }
-
-    /// Complete every sub-request of a `MultiGet` batch from its one
-    /// reply frame; the batch held one in-flight slot.
-    pub(crate) fn finish_batch(&self, token: u64, parts: &[WireSlice<'_>]) {
+    /// Complete every sub-request of a `Get` frame from its one reply;
+    /// the frame held one in-flight slot. A late or duplicate reply (the
+    /// original racing its own retry) finds no batch: counted, dropped,
+    /// and crucially *not* double-freeing the slot.
+    pub(crate) fn finish_get(&self, token: u64, parts: &[WireSlice<'_>]) {
         let (batch, subs) = {
             let mut g = self.gets.lock().unwrap();
             let Some(batch) = g.batches.remove(&token) else {
@@ -319,7 +250,7 @@ impl Inner {
             assert_eq!(
                 batch.subs.len(),
                 parts.len(),
-                "multi-get reply part count mismatch"
+                "get reply part count mismatch"
             );
             // Subs complete (or abort) only together with their batch, so
             // each is still pending here.
@@ -332,7 +263,7 @@ impl Inner {
             (batch, subs)
         };
         for pg in &subs {
-            self.record_get(pg, true, batch.retries > 0);
+            self.record_get(pg, batch.retries > 0);
         }
         self.pump(batch.peer);
         for (pg, part) in subs.into_iter().zip(parts) {
@@ -349,18 +280,11 @@ impl Inner {
         let cap = self.cfg.retry_backoff_max;
         let mut guard = self.gets.lock().unwrap();
         let g = &mut *guard;
-        for (&token, pg) in g.pending.iter_mut() {
-            if pg.retry.as_mut().is_some_and(|r| r.due(now, cap)) {
-                pg.retries += 1;
-                let spec = pg.spec;
-                resend.push((pg.peer, Msg::Get { token, spec }.encode()));
-            }
-        }
         for (&token, b) in g.batches.iter_mut() {
             if b.retry.due(now, cap) {
                 b.retries += 1;
                 let parts = b.subs.iter().map(|t| g.pending[t].spec).collect();
-                resend.push((b.peer, Msg::MultiGet { token, parts }.encode()));
+                resend.push((b.peer, Msg::Get { token, parts }.encode()));
             }
         }
     }
@@ -379,10 +303,6 @@ impl Inner {
                 .map(|(_, pg)| pg)
                 .collect()
         };
-        self.rndv_serve
-            .lock()
-            .unwrap()
-            .retain(|&(from, _), _| from != p);
         self.stats
             .aborted_ops
             .fetch_add(dead.len() as u64, Ordering::Relaxed);

@@ -22,11 +22,14 @@
 //!   per peer, so sequence numbers, timeout-retry, at-most-once apply,
 //!   "a duplicate re-receives the recorded reply" and abort toward a
 //!   dead peer are each written once.
-//! * [`get`] — the read pipeline. Small payloads travel eagerly; above
-//!   [`CommConfig::eager_threshold`] replies rendezvous
-//!   (announce/pull). Asynchronous gets are throttled per peer, queued
-//!   by destination block (task priority only breaks ties within one
-//!   block) and batched into `MultiGet` frames.
+//! * [`get`] — the read pipeline. Asynchronous gets are throttled per
+//!   peer, queued by destination block (task priority only breaks ties
+//!   within one block) and batched into `Get` frames of one or more
+//!   parts, each answered by one `GetReply` carrying every part.
+//!
+//! There is one payload protocol: data rides in the first frame that
+//! can carry it — a put or accumulate in its request, a read in its
+//! reply — so every transfer is one frame each way.
 //! * [`barrier`] — the gang-scoped enter/release/ack collective: an
 //!   allgather of a few words per member
 //!   ([`Endpoint::allgather_gang`]), of which a barrier is the
@@ -104,30 +107,43 @@ mod tests {
         let mut t = loopback(2);
         let t1 = t.pop().unwrap();
         let t0 = t.pop().unwrap();
-        let s0 = MemStore::new(&[64, 1024]);
-        let s1 = MemStore::new(&[64, 1024]);
+        let s0 = MemStore::new(&[64, 8192]);
+        let s1 = MemStore::new(&[64, 8192]);
         let e0 = Endpoint::spawn(Box::new(t0), s0.clone(), CommConfig::default());
         let e1 = Endpoint::spawn(Box::new(t1), s1.clone(), CommConfig::default());
         (e0, e1, s0, s1)
     }
 
     #[test]
-    fn put_get_roundtrip_eager_and_rendezvous() {
+    fn every_large_payload_costs_one_frame_each_way() {
         let (e0, e1, _s0, s1) = pair();
-        // Eager: 8 elements = 64 bytes, well under the threshold.
-        e0.put(1, 0, 3, &[1.0, 2.0, 3.0]);
-        assert_eq!(e0.get_blocking(1, 0, 3, 3), vec![1.0, 2.0, 3.0]);
-        // Rendezvous: 1024 elements = 8 KiB, over the 4 KiB threshold.
-        let big: Vec<f64> = (0..1024).map(|i| i as f64).collect();
-        e0.put(1, 1, 0, &big);
+        // 64 KiB payloads: the data rides in the request (put, acc) or
+        // the reply (get), answered by one frame from the target.
+        let big: Vec<f64> = (0..8192).map(|i| i as f64).collect();
+        let frames = || (e0.stats().msgs_tx, e1.stats().msgs_tx);
+        let cost = |op: &dyn Fn()| {
+            let (p0, p1) = frames();
+            op();
+            let (n0, n1) = frames();
+            (n0 - p0, n1 - p1)
+        };
+        assert_eq!(cost(&|| e0.put(1, 1, 0, &big)), (1, 1), "put");
         assert_eq!(s1.arrays[1].lock().unwrap().clone(), big);
-        assert_eq!(e0.get_blocking(1, 1, 0, 1024), big);
-        // Protocol choice is counted where it is made: e0 decided for its
-        // two puts (one each way); e1 decided for the two get replies.
+        let acc = || {
+            e0.acc(1, 1, 0, &big, 1.0);
+            e0.fence();
+        };
+        assert_eq!(cost(&acc), (1, 1), "acc + fence");
+        let twice: Vec<f64> = big.iter().map(|x| 2.0 * x).collect();
+        let get = || assert_eq!(e0.get_blocking(1, 1, 0, big.len()), twice);
+        assert_eq!(cost(&get), (1, 1), "lone get");
+        // Payloads are counted where the data is sent: e0 sent the put
+        // and the acc, e1 the get reply.
         let (s0, s1) = (e0.stats(), e1.stats());
-        assert_eq!((s0.puts, s0.gets), (2, 2));
-        assert_eq!((s0.eager_payloads, s0.rndv_payloads), (1, 1));
-        assert_eq!((s1.eager_payloads, s1.rndv_payloads), (1, 1));
+        assert_eq!((s0.puts, s0.accs, s0.gets), (1, 1, 1));
+        assert_eq!((s0.eager_payloads, s1.eager_payloads), (2, 1));
+        // A lone read is a one-part frame, not a batch.
+        assert_eq!((s0.multi_gets, s0.multi_parts), (0, 0));
     }
 
     #[test]
@@ -234,7 +250,7 @@ mod tests {
     #[test]
     fn queued_gets_batch_into_multi_frames() {
         // Cap of 1 with batching: the 7 queued gets drain as one
-        // MultiGet frame when the head-start get's slot frees.
+        // 7-part Get frame when the head-start get's slot frees.
         let (e0, order) = drain_order(
             CommConfig {
                 max_inflight_gets: 1,

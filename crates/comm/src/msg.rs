@@ -13,13 +13,12 @@
 //! below: the enum variant, its tag, the encoder and the decoder all
 //! derive from that one row, so adding a kind is a one-place edit.
 //!
-//! The one-sided protocol follows the classic eager/rendezvous split:
-//! payloads at most the configured threshold ride inside the request or
-//! reply (`Get` -> `GetReplyEager`, `Put`, `Acc`); larger transfers
-//! exchange control messages first (`GetReplyRndv`/`GetPull`,
-//! `Rts`/`Cts`) so the receiver paces the bulk data frames. Everything
-//! that is not block access or a barrier — the shared counter, steals,
-//! job control — is a [`Msg::Call`] answered by a [`Msg::Return`].
+//! The one-sided protocol has one payload path: data always rides in
+//! the first frame that can carry it. A `Put` or `Acc` carries its data
+//! in the request and is answered by an `Ack`; a `Get` names one or more
+//! ranges and its one `GetReply` carries every part. Everything that is
+//! not block access or a barrier — the shared counter, steals, job
+//! control — is a [`Msg::Call`] answered by a [`Msg::Return`].
 
 use crate::am::Am;
 use crate::fault::SplitMix64;
@@ -50,8 +49,7 @@ impl std::fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-/// One read range: the body of a [`Msg::Get`], one part of a
-/// [`Msg::MultiGet`].
+/// One read range: one part of a [`Msg::Get`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GetSpec {
     pub array: u32,
@@ -250,78 +248,59 @@ macro_rules! messages {
     };
 }
 
-// Tags the hand-written `reply_view` fast path matches on.
-const T_GET_EAGER: u8 = 2;
-const T_GET_DATA: u8 = 5;
-const T_GET_MULTI: u8 = 17;
+// The tag the hand-written `reply_view` fast path matches on.
+const T_GET_REPLY: u8 = 2;
 
 messages! {
-    /// One-sided read request for `spec.len` elements of `spec.array` at
-    /// the global `spec.offset` (the range must lie within the target's
-    /// shard).
-    Get = 1 { token: u64, spec: GetSpec }
-    /// Small read served inline.
-    GetReplyEager = T_GET_EAGER { token: u64, data: Vec<f64> }
-    /// Large read announced; the requester pulls when ready.
-    GetReplyRndv = 3 { token: u64, len: u64 }
-    /// Requester is ready for the announced bulk data.
-    GetPull = 4 { token: u64 }
-    /// Bulk read data (rendezvous completion).
-    GetReplyData = T_GET_DATA { token: u64, data: Vec<f64> }
-    /// One-sided overwrite: inline when small, else the bulk frame that
-    /// follows an `Rts`/`Cts` exchange — the target applies both alike.
-    Put = 6 { token: u64, seq: u64, array: u32, offset: u64, data: Vec<f64> }
-    /// One-sided accumulate `shard[offset..] += alpha * data`, eager or
-    /// post-rendezvous like `Put`.
-    Acc = 7 { token: u64, seq: u64, array: u32, offset: u64, alpha: f64, data: Vec<f64> }
-    /// A large put or accumulate announced (request to send).
-    Rts = 8 { token: u64, array: u32, offset: u64, len: u64 }
-    /// Target is ready for the announced data (clear to send).
-    Cts = 9 { token: u64 }
+    /// One-sided read of one or more ranges (each must lie within the
+    /// target's shard). `token` identifies the whole frame — it retries,
+    /// dedups and completes as a single unit; parts are matched to their
+    /// requests by position. A lone read is a one-part `Get`.
+    Get = 1 { token: u64, parts: Vec<GetSpec> }
+    /// Reply to a `Get`: one payload per requested part, in request
+    /// order, all in this one frame (the requester's batch byte cap
+    /// bounds it).
+    GetReply = T_GET_REPLY { token: u64, parts: Vec<Vec<f64>> }
+    /// One-sided overwrite, its data carried in the request.
+    Put = 3 { token: u64, seq: u64, array: u32, offset: u64, data: Vec<f64> }
+    /// One-sided accumulate `shard[offset..] += alpha * data`, its data
+    /// carried in the request like `Put`.
+    Acc = 4 { token: u64, seq: u64, array: u32, offset: u64, alpha: f64, data: Vec<f64> }
     /// Put or accumulate applied to the target shard.
-    Ack = 10 { token: u64 }
+    Ack = 5 { token: u64 }
     /// Generic request: run active message `am` on the target with
     /// argument `words`. `seq` orders and dedups sequenced AMs (see the
     /// AM table in [`crate::am`]); idempotent AMs send 0 and the target
     /// ignores it.
-    Call = 11 { token: u64, seq: u64, am: Am, words: Vec<u64> }
+    Call = 6 { token: u64, seq: u64, am: Am, words: Vec<u64> }
     /// The reply to a `Call`. A retransmitted sequenced call re-receives
     /// the recorded words of its first execution, never a second run.
-    Return = 12 { token: u64, words: Vec<u64> }
+    Return = 7 { token: u64, words: Vec<u64> }
     /// Rank `from` entered collective `epoch` of the rank group `gang` (a
     /// bitmask of participating ranks; sent to the group's leader — its
     /// lowest member rank), contributing `words` (empty for a plain
     /// barrier). `gang == full mesh` is the classic global barrier
     /// counted on rank 0.
-    BarrierEnter = 13 { epoch: u64, from: u32, gang: u64, words: Vec<u64> }
+    BarrierEnter = 8 { epoch: u64, from: u32, gang: u64, words: Vec<u64> }
     /// All members of `gang` entered collective `epoch` (broadcast by the
     /// group leader to the members); `words` holds every member's
     /// contribution, in ascending member-rank order.
-    BarrierRelease = 14 { epoch: u64, gang: u64, words: Vec<Vec<u64>> }
+    BarrierRelease = 9 { epoch: u64, gang: u64, words: Vec<Vec<u64>> }
     /// Rank `from` confirms receipt of the release of `epoch` in group
     /// `gang` (sent to the group leader). Releases are fire-and-forget
     /// on their first posting; the counter rank keeps re-releasing to
     /// unconfirmed members from its retry sweep and holds its own
     /// teardown until every member has acked, so a lost release cannot
     /// strand a waiter against a dead counter (see `Endpoint::shutdown`).
-    BarrierAck = 15 { epoch: u64, from: u32, gang: u64 }
-    /// Batched read: several same-destination gets packed into one frame.
-    /// `token` identifies the whole batch — it retries, dedups and
-    /// completes as a single unit; parts are matched to their requests by
-    /// position.
-    MultiGet = 16 { token: u64, parts: Vec<GetSpec> }
-    /// Reply to a `MultiGet`: one payload per requested part, in request
-    /// order, always inline (batching replaces the rendezvous round trip
-    /// — the batch byte cap bounds the frame instead).
-    GetReplyMulti = T_GET_MULTI { token: u64, parts: Vec<Vec<f64>> }
+    BarrierAck = 10 { epoch: u64, from: u32, gang: u64 }
     /// Liveness probe toward a peer with no recent traffic: the failure
     /// detector piggybacks on every received frame, so pings are only
     /// sent on idle links once a peer turns suspect. Idempotent and
     /// unsequenced — a duplicate ping just draws another pong.
-    Ping = 18 { token: u64 }
+    Ping = 11 { token: u64 }
     /// Answer to a `Ping`; any received frame clears suspicion, this one
     /// just exists so an otherwise-silent peer has something to say.
-    Pong = 19 { token: u64 }
+    Pong = 12 { token: u64 }
 }
 
 /// A borrowed view of one payload inside a received frame: either raw
@@ -378,52 +357,34 @@ impl WireSlice<'_> {
     }
 }
 
-/// A validated, zero-copy decode of a data-bearing get reply. Produced
-/// by [`Msg::reply_view`] on the hot receive path so reply payloads flow
+/// A validated, zero-copy decode of a `GetReply`. Produced by
+/// [`Msg::reply_view`] on the hot receive path so reply payloads flow
 /// from the frame buffer to their destination in one copy.
-pub enum ReplyView<'a> {
-    /// `GetReplyEager` (eager = true) or `GetReplyData` (eager = false).
-    Single {
-        token: u64,
-        eager: bool,
-        data: WireSlice<'a>,
-    },
-    /// `GetReplyMulti`: per-part payloads in request order.
-    Multi {
-        token: u64,
-        parts: Vec<WireSlice<'a>>,
-    },
+pub struct ReplyView<'a> {
+    pub token: u64,
+    /// Per-part payloads, in request order.
+    pub parts: Vec<WireSlice<'a>>,
 }
 
 impl Msg {
-    /// Zero-copy fast path for data-bearing get replies: if `body` is a
-    /// `GetReplyEager`, `GetReplyData` or `GetReplyMulti` frame, return a
-    /// validated borrowed view of its payload(s); `Ok(None)` for every
-    /// other tag (which callers route through [`Msg::decode`]).
-    /// Validation is as strict as `decode`: truncated bodies and trailing
-    /// bytes are rejected, never misread.
+    /// Zero-copy fast path for get replies: if `body` is a `GetReply`
+    /// frame, return a validated borrowed view of its parts; `Ok(None)`
+    /// for every other tag (which callers route through
+    /// [`Msg::decode`]). Validation is as strict as `decode`: truncated
+    /// bodies and trailing bytes are rejected, never misread.
     pub fn reply_view(body: &[u8]) -> Result<Option<ReplyView<'_>>, CodecError> {
         let mut r = Reader { buf: body, pos: 0 };
-        let tag = u8::take(&mut r)?;
-        let view = match tag {
-            T_GET_EAGER | T_GET_DATA => ReplyView::Single {
-                token: u64::take(&mut r)?,
-                eager: tag == T_GET_EAGER,
-                data: r.data_view()?,
-            },
-            T_GET_MULTI => {
-                let token = u64::take(&mut r)?;
-                let n = r.count(8)?;
-                let mut parts = Vec::with_capacity(n);
-                for _ in 0..n {
-                    parts.push(r.data_view()?);
-                }
-                ReplyView::Multi { token, parts }
-            }
-            _ => return Ok(None),
-        };
+        if u8::take(&mut r)? != T_GET_REPLY {
+            return Ok(None);
+        }
+        let token = u64::take(&mut r)?;
+        let n = r.count(8)?;
+        let mut parts = Vec::with_capacity(n);
+        for _ in 0..n {
+            parts.push(r.data_view()?);
+        }
         r.finish()?;
-        Ok(Some(view))
+        Ok(Some(ReplyView { token, parts }))
     }
 }
 
@@ -440,7 +401,7 @@ mod tests {
                 let body = m.encode();
                 assert_eq!(body[0], tag, "{name} leads with its table tag");
                 assert_eq!(Msg::decode(&body).unwrap(), m);
-                let fast = [T_GET_EAGER, T_GET_DATA, T_GET_MULTI].contains(&tag);
+                let fast = tag == T_GET_REPLY;
                 assert_eq!(Msg::reply_view(&body).unwrap().is_some(), fast, "{name}");
             }
         }
@@ -475,37 +436,23 @@ mod tests {
 
     #[test]
     fn reply_view_matches_decode() {
-        let single = Msg::GetReplyEager {
-            token: 9,
-            data: vec![1.0, 2.0, 3.0],
-        };
-        match Msg::reply_view(&single.encode()).unwrap() {
-            Some(ReplyView::Single { token, eager, data }) => {
-                assert_eq!((token, eager), (9, true));
-                assert_eq!(data.to_vec(), vec![1.0, 2.0, 3.0]);
-                let mut out = [0.0; 3];
-                data.copy_into(&mut out);
-                assert_eq!(out, [1.0, 2.0, 3.0]);
-            }
-            _ => panic!("expected single view"),
-        }
-        let multi = Msg::GetReplyMulti {
+        let reply = Msg::GetReply {
             token: 10,
             parts: vec![vec![4.0], vec![], vec![5.0, 6.0]],
         };
-        match Msg::reply_view(&multi.encode()).unwrap() {
-            Some(ReplyView::Multi { token, parts }) => {
-                assert_eq!(token, 10);
-                let got: Vec<Vec<f64>> = parts.iter().map(|p| p.to_vec()).collect();
-                assert_eq!(got, vec![vec![4.0], vec![], vec![5.0, 6.0]]);
-            }
-            _ => panic!("expected multi view"),
-        }
-        // Strictness matches decode: trailing bytes rejected.
-        let mut body = single.encode();
+        let body = reply.encode();
+        let view = Msg::reply_view(&body).unwrap().expect("a GetReply");
+        assert_eq!(view.token, 10);
+        let got: Vec<Vec<f64>> = view.parts.iter().map(|p| p.to_vec()).collect();
+        assert_eq!(got, vec![vec![4.0], vec![], vec![5.0, 6.0]]);
+        let mut out = [0.0; 2];
+        view.parts[2].copy_into(&mut out);
+        assert_eq!(out, [5.0, 6.0]);
+        // Strictness matches decode: trailing bytes and truncation rejected.
+        let mut body = body.clone();
         body.push(0);
         assert!(Msg::reply_view(&body).is_err());
-        let mut trunc = multi.encode();
+        let mut trunc = reply.encode();
         trunc.truncate(trunc.len() - 1);
         assert!(Msg::reply_view(&trunc).is_err());
     }
@@ -515,19 +462,22 @@ mod tests {
         // An element count far beyond the body must fail cleanly, for
         // f64 payloads, word vectors and nested parts alike.
         for m in [
-            Msg::GetReplyEager {
+            Msg::Put {
                 token: 1,
+                seq: 0,
+                array: 0,
+                offset: 0,
                 data: vec![],
             },
             Msg::Return {
                 token: 1,
                 words: vec![],
             },
-            Msg::MultiGet {
+            Msg::Get {
                 token: 1,
                 parts: vec![],
             },
-            Msg::GetReplyMulti {
+            Msg::GetReply {
                 token: 1,
                 parts: vec![],
             },

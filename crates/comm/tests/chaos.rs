@@ -14,9 +14,11 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
 const RANKS: usize = 4;
-/// Eager-sized payload (elements): 16 f64 = 128 B, under the threshold.
+/// Small payload (elements): 16 f64 = 128 B.
 const SLOTS: usize = 16;
-/// Rendezvous-sized payload (elements): 64 f64 = 512 B, over it.
+/// Large payload (elements): 64 f64 = 512 B. Two sizes, so get frames
+/// carry both one part and several, and retransmitted writes resend
+/// both sizes.
 const BIG: usize = 64;
 /// NXTVAL draws per rank before / after the reset.
 const DRAWS1: usize = 8;
@@ -29,8 +31,8 @@ struct MemStore {
 
 impl MemStore {
     fn new() -> Arc<Self> {
-        // 0: eager acc target, 1: put target (one BIG region per
-        // writer), 2: rendezvous acc target.
+        // 0: small acc target, 1: put target (one BIG region per
+        // writer), 2: large acc target.
         Arc::new(Self {
             arrays: [SLOTS, RANKS * BIG, BIG]
                 .iter()
@@ -56,24 +58,15 @@ impl ShardStore for MemStore {
     }
 }
 
-/// The clean control's configuration: the stock retry timers, so a
+/// Chaos timing: retry fast so injected losses recover in
+/// milliseconds. The clean control keeps the stock retry timers, so a
 /// loaded machine's scheduling delay is never mistaken for a lost frame
-/// (mesh_gate's clean control runs on them too), and a small eager
-/// threshold so both protocol paths are exercised.
-fn clean_cfg() -> CommConfig {
-    CommConfig {
-        eager_threshold: 256,
-        ..CommConfig::default()
-    }
-}
-
-/// Chaos timing: as [`clean_cfg`], but retry fast so injected losses
-/// recover in milliseconds.
+/// (mesh_gate's clean control runs on them too).
 fn chaos_cfg() -> CommConfig {
     CommConfig {
         retry_timeout: Duration::from_millis(15),
         retry_backoff_max: Duration::from_millis(60),
-        ..clean_cfg()
+        ..CommConfig::default()
     }
 }
 
@@ -84,13 +77,13 @@ fn pattern(r: usize, p: usize) -> Vec<f64> {
         .collect()
 }
 
-/// One rank's share of the collective workload. Exercises eager and
-/// rendezvous puts/accs, priority-queued async gets, blocking gets,
+/// One rank's share of the collective workload. Exercises small and
+/// large puts/accs, priority-queued async gets, blocking gets,
 /// NXTVAL with a mid-run reset, fences and barriers.
 fn workload(ep: &Endpoint, r: usize) -> (Vec<i64>, Vec<i64>) {
     let n = ep.nranks();
-    // One-sided writes to every peer: rendezvous put into our region of
-    // their array 1, an eager acc and a rendezvous acc.
+    // One-sided writes to every peer: a large put into our region of
+    // their array 1, a small acc and a large acc.
     for p in (0..n).filter(|&p| p != r) {
         ep.put(p, 1, r * BIG, &pattern(r, p));
         ep.acc(p, 0, 0, &[1.0; SLOTS], 1.0);
@@ -100,10 +93,10 @@ fn workload(ep: &Endpoint, r: usize) -> (Vec<i64>, Vec<i64>) {
     // Read back what peer (r+1)%n received from every writer, async at
     // distinct priorities, checking content in the callbacks.
     let p = (r + 1) % n;
-    let (tx, rx) = mpsc::channel::<(usize, bool, Vec<f64>)>();
+    let (tx, rx) = mpsc::channel::<(usize, Vec<f64>)>();
     let mut expected = 0;
     for q in (0..n).filter(|&q| q != p) {
-        for (eager, len) in [(true, 8usize), (false, BIG)] {
+        for len in [8usize, BIG] {
             let tx = tx.clone();
             ep.get_async(
                 p,
@@ -112,7 +105,7 @@ fn workload(ep: &Endpoint, r: usize) -> (Vec<i64>, Vec<i64>) {
                 len,
                 q as i64,
                 Box::new(move |data: comm::WireSlice<'_>| {
-                    let _ = tx.send((q, eager, data.to_vec()));
+                    let _ = tx.send((q, data.to_vec()));
                 }),
             );
             expected += 2;
@@ -122,16 +115,16 @@ fn workload(ep: &Endpoint, r: usize) -> (Vec<i64>, Vec<i64>) {
     let acc0 = ep.get_blocking(p, 0, 0, SLOTS);
     assert!(
         acc0.iter().all(|&v| v == (n - 1) as f64),
-        "rank {r}: eager acc target wrong: {acc0:?}"
+        "rank {r}: small acc target wrong: {acc0:?}"
     );
     let acc2 = ep.get_blocking(p, 2, 0, BIG);
     assert!(
         acc2.iter().all(|&v| v == 0.5 * (n - 1) as f64),
-        "rank {r}: rndv acc target wrong"
+        "rank {r}: large acc target wrong"
     );
     expected /= 2;
     for _ in 0..expected {
-        let (q, _eager, data) = rx
+        let (q, data) = rx
             .recv_timeout(Duration::from_secs(60))
             .expect("async get never completed");
         let want = pattern(q, p);
@@ -267,7 +260,7 @@ fn chaos_run(name: &str, seed: u64, cfg: CommConfig) -> RunOutcome {
 /// network behaves.
 #[test]
 fn clean_run_shows_zero_recovery_activity() {
-    let out = chaos_run("clean", 0xC0FFEE, clean_cfg());
+    let out = chaos_run("clean", 0xC0FFEE, CommConfig::default());
     assert_eq!(out.injected, 0);
     for (r, s) in out.stats.iter().enumerate() {
         assert_eq!(
@@ -362,7 +355,7 @@ fn fault_decisions_replay_deterministically() {
 }
 
 /// Satellite regression: late, duplicate, or orphaned completions — an
-/// eager get reply with no pending get, a stray ack — are counted
+/// get reply with no pending get, a stray ack — are counted
 /// no-ops; the engine keeps serving instead of aborting the process.
 #[test]
 fn orphan_completions_are_counted_noops() {
@@ -377,9 +370,9 @@ fn orphan_completions_are_counted_noops() {
     // None of these have a pending operation on rank 0.
     injector.send(
         0,
-        Msg::GetReplyEager {
+        Msg::GetReply {
             token: 9999,
-            data: vec![1.0],
+            parts: vec![vec![1.0]],
         }
         .encode(),
     );
@@ -395,9 +388,9 @@ fn orphan_completions_are_counted_noops() {
     );
     injector.send(
         0,
-        Msg::GetReplyData {
+        Msg::GetReply {
             token: 9995,
-            data: vec![2.0],
+            parts: vec![vec![2.0], vec![3.0]],
         }
         .encode(),
     );

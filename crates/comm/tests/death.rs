@@ -28,9 +28,9 @@ const RANKS: usize = 4;
 /// and a live leader — the service layer's placement makes the same
 /// choice when it can.
 const VICTIM: usize = 3;
-/// Eager-sized payload (elements): 16 f64 = 128 B, under the threshold.
+/// Small payload (elements): 16 f64 = 128 B.
 const SLOTS: usize = 16;
-/// Rendezvous-sized payload (elements): 64 f64 = 512 B, over it.
+/// Large payload (elements): 64 f64 = 512 B.
 const BIG: usize = 64;
 
 /// Trivial shard store: each array one flat local vector.
@@ -40,7 +40,7 @@ struct MemStore {
 
 impl MemStore {
     fn new() -> Arc<Self> {
-        // 0: eager acc target, 1: put target (one BIG region per writer).
+        // 0: small acc target, 1: put target (one BIG region per writer).
         Arc::new(Self {
             arrays: [SLOTS, RANKS * BIG]
                 .iter()
@@ -72,7 +72,6 @@ impl ShardStore for MemStore {
 /// of the deadline.
 fn death_cfg() -> CommConfig {
     CommConfig {
-        eager_threshold: 256,
         retry_timeout: Duration::from_millis(15),
         retry_backoff_max: Duration::from_millis(60),
         suspect_after: Some(Duration::from_millis(60)),
@@ -82,7 +81,7 @@ fn death_cfg() -> CommConfig {
 }
 
 /// One rank's share of a collective workload that must *terminate* even
-/// when a peer dies mid-run: rendezvous puts, eager accs, fences,
+/// when a peer dies mid-run: large puts, small accs, fences,
 /// blocking gets, NXTVAL draws and barriers, with no content asserts
 /// (post-kill, aborted gets return zeros and NXTVAL the no-more-work
 /// sentinel — by design).

@@ -30,8 +30,6 @@ use std::sync::Arc;
 /// Tile-cache tuning knobs.
 #[derive(Debug, Clone)]
 pub struct TileCacheConfig {
-    /// Master switch; `false` reproduces the uncached PR-5 read path.
-    pub enabled: bool,
     /// Byte budget for cached blocks; FIFO eviction beyond it (default
     /// 256 MiB — comfortably the working set of the bench scales).
     pub capacity_bytes: usize,
@@ -43,7 +41,6 @@ pub struct TileCacheConfig {
 impl Default for TileCacheConfig {
     fn default() -> Self {
         Self {
-            enabled: true,
             capacity_bytes: 256 * 1024 * 1024,
             verify_reads: false,
         }
@@ -124,10 +121,6 @@ impl TileCache {
         })
     }
 
-    pub(crate) fn enabled(&self) -> bool {
-        self.cfg.enabled
-    }
-
     pub(crate) fn verify_reads(&self) -> bool {
         self.cfg.verify_reads
     }
@@ -161,6 +154,23 @@ impl TileCache {
                 Lookup::Fill { fill, buf, cb }
             }
         }
+    }
+
+    /// The completion of `fill`'s wire transfer: deposit the assembled
+    /// block, serve every reader parked on it, then the owner's `cb`.
+    pub(crate) fn completion(
+        self: &Arc<Self>,
+        fill: Arc<Fill>,
+        cb: GaGetCallback,
+    ) -> GaGetCallback {
+        let cache = self.clone();
+        Box::new(move |assembled: Vec<f64>| {
+            for mut w in cache.complete(&fill, &assembled) {
+                w.buf.copy_from_slice(&assembled);
+                (w.cb)(w.buf);
+            }
+            cb(assembled);
+        })
     }
 
     /// Deposit a completed fill's block and collect its parked waiters.
@@ -202,7 +212,7 @@ impl TileCache {
     /// this rank's shard. In-flight fills are detached (their completion
     /// will not be cached).
     pub(crate) fn invalidate_overlap(&self, array: usize, offset: usize, len: usize) {
-        if !self.cfg.enabled || len == 0 {
+        if len == 0 {
             return;
         }
         let mut st = self.state.lock();
@@ -227,9 +237,6 @@ impl TileCache {
 
     /// Drop every entry of `array` (collective `zero`).
     pub(crate) fn invalidate_array(&self, array: usize) {
-        if !self.cfg.enabled {
-            return;
-        }
         let mut st = self.state.lock();
         let doomed: Vec<Key> = st
             .map
@@ -374,7 +381,6 @@ mod tests {
     fn cache(cap: usize) -> Arc<TileCache> {
         TileCache::new(
             TileCacheConfig {
-                enabled: true,
                 capacity_bytes: cap,
                 verify_reads: false,
             },

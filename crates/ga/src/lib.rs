@@ -491,7 +491,7 @@ impl Ga {
 
     /// Warm the tile cache for a later read of `[offset, offset+len)`:
     /// a miss starts the coalescable fill, a hit or in-flight fill (or
-    /// an all-local / uncached range) is left alone. Nothing is
+    /// an all-local range) is left alone. Nothing is
     /// delivered, so the `verify_reads` oracle is skipped — which is
     /// what makes this, unlike [`Ga::get_async`], safe to call from the
     /// progress thread (a blocking verify there would deadlock against
@@ -503,9 +503,6 @@ impl Ga {
         else {
             return; // local backend: every read is already a memcpy
         };
-        if !cache.enabled() {
-            return; // nowhere to park the bytes: fetching would waste wire
-        }
         let dist = store.dist_of(h.0);
         let pieces = dist.owners_of(offset, len);
         if pieces.iter().all(|(node, _)| *node == view.my_node) {
@@ -514,16 +511,8 @@ impl Ga {
         match cache.lookup((h.0, offset, len), vec![0.0; len], Box::new(|_| {})) {
             Lookup::Hit { .. } | Lookup::Joined => {}
             Lookup::Fill { fill, buf, cb } => {
-                let cache = cache.clone();
-                let final_cb: GaGetCallback = Box::new(move |assembled: Vec<f64>| {
-                    let waiters = cache.complete(&fill, &assembled);
-                    for mut w in waiters {
-                        w.buf.copy_from_slice(&assembled);
-                        (w.cb)(w.buf);
-                    }
-                    cb(assembled);
-                });
-                self.fetch_assemble(h, offset, buf, prio, final_cb, &pieces);
+                let cb = cache.completion(fill, cb);
+                self.fetch_assemble(h, offset, buf, prio, cb, &pieces);
             }
         }
     }
@@ -551,10 +540,6 @@ impl Ga {
             return;
         }
         let pieces = store.dist_of(h.0).owners_of(offset, len);
-        if !cache.enabled() {
-            self.fetch_assemble(h, offset, buf, prio, cb, &pieces);
-            return;
-        }
         match cache.lookup((h.0, offset, len), buf, cb) {
             Lookup::Hit { data, mut buf, cb } => {
                 // Served from cache: no wire traffic, all bytes local.
@@ -577,23 +562,15 @@ impl Ga {
                 self.stats.record_locality(len * 8, 0);
             }
             Lookup::Fill { fill, buf, cb } => {
-                let cache = cache.clone();
-                let final_cb: GaGetCallback = Box::new(move |assembled: Vec<f64>| {
-                    let waiters = cache.complete(&fill, &assembled);
-                    for mut w in waiters {
-                        w.buf.copy_from_slice(&assembled);
-                        (w.cb)(w.buf);
-                    }
-                    cb(assembled);
-                });
-                self.fetch_assemble(h, offset, buf, prio, final_cb, &pieces);
+                let cb = cache.completion(fill, cb);
+                self.fetch_assemble(h, offset, buf, prio, cb, &pieces);
             }
         }
     }
 
-    /// Uncached read: local pieces by memcpy, each remote piece one wire
-    /// get, assembled into `buf` and handed to `cb` when the last piece
-    /// lands.
+    /// The cache's fill path: local pieces by memcpy, each remote piece
+    /// one wire get, assembled into `buf` and handed to `cb` when the
+    /// last piece lands.
     fn fetch_assemble(
         &self,
         h: GaHandle,

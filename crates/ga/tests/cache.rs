@@ -31,9 +31,6 @@ fn run_ranks_cfg<T: Send + 'static>(
             std::thread::spawn(move || {
                 let store = DistStore::new(rank, n);
                 let cfg = comm::CommConfig {
-                    // Small enough that assembly gets also cross the
-                    // rendezvous path on full-array reads.
-                    eager_threshold: 256,
                     retry_timeout: Duration::from_millis(20),
                     retry_backoff_max: Duration::from_millis(80),
                     ..comm::CommConfig::default()
@@ -245,30 +242,6 @@ fn repeated_remote_reads_hit_the_cache() {
         );
         assert_eq!(hits, 2, "rank {rank}: both re-reads must hit");
         assert_eq!(hit_bytes, 2 * 32 * 8, "rank {rank}: hit bytes accounted");
-    }
-}
-
-/// `enabled: false` reproduces the uncached PR-5 read path exactly:
-/// correct values, zero cache traffic counted.
-#[test]
-fn disabled_cache_is_fully_transparent() {
-    let cfg = TileCacheConfig {
-        enabled: false,
-        ..TileCacheConfig::default()
-    };
-    let results = run_ranks_cfg(2, cfg, |ga| {
-        let h = ga.create(32);
-        let fill: Vec<f64> = (0..32).map(|x| x as f64 + 0.5).collect();
-        ga.put_collective(h, 0, &fill);
-        ga.sync();
-        assert_eq!(ga.get(h, 0, 32), fill);
-        assert_eq!(ga.get(h, 0, 32), fill);
-        let gs = ga.stats();
-        (gs.cache_hits(), gs.cache_misses(), gs.remote_get_bytes())
-    });
-    for (hits, misses, wire) in results {
-        assert_eq!((hits, misses), (0, 0), "disabled cache must count nothing");
-        assert_eq!(wire, 2 * 16 * 8, "both reads pay full remote traffic");
     }
 }
 

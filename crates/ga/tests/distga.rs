@@ -60,9 +60,6 @@ fn run_ranks_chaos<T: Send + 'static>(
             std::thread::spawn(move || {
                 let store = DistStore::new(rank, n);
                 let cfg = comm::CommConfig {
-                    // Tiny arrays: a 64-byte threshold still pushes the
-                    // assembly gets through the rendezvous path.
-                    eager_threshold: 64,
                     retry_timeout: Duration::from_millis(20),
                     retry_backoff_max: Duration::from_millis(80),
                     ..comm::CommConfig::default()

@@ -46,7 +46,8 @@ const REPLY_TIMEOUT: Duration = Duration::from_secs(60);
 /// Service-layer tuning for one rank.
 #[derive(Debug, Clone)]
 pub struct SvcConfig {
-    /// Comm engine configuration (eager threshold, in-flight caps).
+    /// Comm engine configuration (in-flight caps, batching, retry and
+    /// failure-detector timers).
     pub comm: CommConfig,
     /// Tile-cache configuration (capacity, `verify_reads`).
     pub cache: TileCacheConfig,

@@ -181,7 +181,6 @@ fn four_rank_service_reuses_plans_across_tenants() {
 /// Fast retries so injected losses recover in milliseconds.
 fn chaos_cfg() -> CommConfig {
     CommConfig {
-        eager_threshold: 1024,
         retry_timeout: Duration::from_millis(20),
         retry_backoff_max: Duration::from_millis(80),
         ..CommConfig::default()

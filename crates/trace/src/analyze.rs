@@ -193,7 +193,7 @@ pub fn comm_overlap(trace: &Trace) -> BTreeMap<u32, NodeOverlap> {
                 .entry(s.who.node)
                 .or_default()
                 .push((s.begin, s.end, false)),
-            ActivityKind::Comm { retrans, .. } => comm
+            ActivityKind::Comm { retrans } => comm
                 .entry(s.who.node)
                 .or_default()
                 .push((s.begin, s.end, retrans)),
@@ -374,20 +374,8 @@ mod tests {
     fn overlap_splits_recovery_from_useful_traffic() {
         let mut t = Trace::new();
         let g = t.class("GEMM", ActivityKind::Compute);
-        let ok = t.class(
-            "GET_EAGER",
-            ActivityKind::Comm {
-                eager: true,
-                retrans: false,
-            },
-        );
-        let rt = t.class(
-            "GET_EAGER_RETRY",
-            ActivityKind::Comm {
-                eager: true,
-                retrans: true,
-            },
-        );
+        let ok = t.class("GET", ActivityKind::Comm { retrans: false });
+        let rt = t.class("GET_RETRY", ActivityKind::Comm { retrans: true });
         t.push(w(0, 0), g, 0, 30);
         t.push(w(0, 7), ok, 0, 10);
         t.push(w(0, 7), rt, 10, 30);

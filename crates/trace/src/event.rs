@@ -30,13 +30,10 @@ pub enum ActivityKind {
     Compute,
     /// Data movement (GA gets/puts, runtime transfers).
     Communication,
-    /// Data movement recorded by the comm progress engine, tagged with
-    /// the protocol it used. Analyses treat this as communication; the
-    /// tags let reports split eager from rendezvous traffic and useful
+    /// Data movement recorded by the comm progress engine. Analyses
+    /// treat this as communication; the tag lets reports split useful
     /// transfers from retransmission recovery.
     Comm {
-        /// `true` for eager payloads, `false` for rendezvous.
-        eager: bool,
         /// `true` when the operation needed at least one retransmission
         /// before completing (recovery traffic, not useful prefetch).
         retrans: bool,
@@ -215,10 +212,8 @@ impl Trace {
                 .collect();
             let cat = match self.class_kind(s.class) {
                 ActivityKind::Compute => "compute",
-                ActivityKind::Communication => "comm",
-                ActivityKind::Comm { retrans: true, .. } => "comm-retry",
-                ActivityKind::Comm { eager: true, .. } => "comm-eager",
-                ActivityKind::Comm { eager: false, .. } => "comm-rndv",
+                ActivityKind::Communication | ActivityKind::Comm { retrans: false } => "comm",
+                ActivityKind::Comm { retrans: true } => "comm-retry",
                 ActivityKind::Steal => "steal",
                 ActivityKind::Job => "job",
                 ActivityKind::Runtime => "runtime",

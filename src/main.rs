@@ -9,6 +9,9 @@
 //! parsec-ccsd-repro dot      [--scale S] [--nodes N] [--variant V] [-o FILE]
 //! ```
 //!
+//! `--nodes` and `--cores` are integers >= 1; `--policy` applies only to
+//! `simulate` of a PTG variant. Bad input exits 1 with `error: ...`.
+//!
 //! `simulate --trace x.json` writes a Chrome trace-event file loadable in
 //! Perfetto / `chrome://tracing`; `.csv` writes the flat span table.
 
@@ -23,6 +26,17 @@ fn arg(args: &[String], key: &str) -> Option<String> {
         .position(|a| a == key)
         .and_then(|i| args.get(i + 1))
         .cloned()
+}
+
+/// A count option: `default` when absent, else an integer >= 1.
+fn count(args: &[String], key: &str, default: usize) -> Result<usize, String> {
+    let Some(v) = arg(args, key) else {
+        return Ok(default);
+    };
+    match v.parse::<usize>() {
+        Ok(n) if n >= 1 => Ok(n),
+        _ => Err(format!("{key} must be an integer >= 1, got `{v}`")),
+    }
 }
 
 fn scale(args: &[String]) -> Result<SpaceConfig, String> {
@@ -93,12 +107,14 @@ fn run() -> Result<(), String> {
     let Some((cmd, args)) = all.split_first() else {
         return Err("usage: parsec-ccsd-repro <inspect|simulate|verify|dot> [options]".into());
     };
-    let nodes: usize = arg(args, "--nodes")
-        .map(|v| v.parse().unwrap_or(4))
-        .unwrap_or(4);
-    let cores: usize = arg(args, "--cores")
-        .map(|v| v.parse().unwrap_or(3))
-        .unwrap_or(3);
+    let nodes = count(args, "--nodes", 4)?;
+    let cores = count(args, "--cores", 3)?;
+    // Only simulate's PTG engine schedules by policy; anywhere else the
+    // option would be silently ignored.
+    let is_original = arg(args, "--variant").as_deref() == Some("original");
+    if args.iter().any(|a| a == "--policy") && (cmd != "simulate" || is_original) {
+        return Err("--policy applies only to `simulate` of a PTG variant".into());
+    }
     let space = TileSpace::build(&scale(args)?);
     let ks = kernels(args)?;
 
@@ -138,7 +154,7 @@ fn run() -> Result<(), String> {
         "simulate" => {
             let ins = Arc::new(inspect_kernels(&space, nodes, &ks));
             let want_trace = arg(args, "--trace");
-            if arg(args, "--variant").as_deref() == Some("original") {
+            if is_original {
                 let rep = simulate_baseline(
                     &ins,
                     &BaselineCfg::new(nodes, cores).collect_trace(want_trace.is_some()),
