@@ -106,6 +106,18 @@ rec_out=$(cargo run -q --release -p bench-harness --bin mesh_gate -- recovery)
 echo "$rec_out"
 echo "$rec_out" | grep -q "RECOVERY OK" || { echo "service recovery gate failed"; exit 1; }
 
+echo "==> paper figures (fig9, fig10_13, ablations regenerated at paper scale, diffed against results/)"
+# `results/<figure>.txt` is exactly `paper <figure>`'s stdout and the
+# simulator is bit-deterministic, so any drift in a number or a
+# `claim: … — holds | diverges` verdict shows as a diff. These three run
+# the 32-node paper-scale workload (20-50 s each in release), too slow for
+# the debug `cargo test`; graph_shapes and multikernel are diffed there,
+# in tests/cli.rs. Output goes to the pipe only, never into the tree.
+for figure in fig9 fig10_13 ablations; do
+    target/release/parsec-ccsd-repro paper "$figure" | diff - "results/$figure.txt" \
+        || { echo "results/$figure.txt differs from a regeneration"; exit 1; }
+done
+
 echo "==> tree unchanged"
 tree_after=$(git status --porcelain 2>/dev/null || echo "not a git checkout")
 if [ "$tree_before" != "$tree_after" ]; then

@@ -23,7 +23,6 @@ mod fragment;
 mod launch;
 mod svc_gates;
 
-use bench_harness::arg_value;
 use fragment::Fragment;
 use std::path::Path;
 use std::process::ExitCode;
@@ -42,6 +41,14 @@ pub fn connect(rank: usize, port: u16) -> comm::SocketTransport {
 pub fn reference(cfg: &tce::SpaceConfig) -> f64 {
     let space = tce::TileSpace::build(cfg);
     ccsd::verify::reference_energy(&tce::build_workspace(&space, 1))
+}
+
+/// Value of a `--key value` argument.
+fn arg_value(args: &[String], key: &str) -> Option<String> {
+    args.iter()
+        .position(|a| a == key)
+        .and_then(|i| args.get(i + 1))
+        .cloned()
 }
 
 /// `(--seed, --kill-at, --port)`; no other option exists.

@@ -47,7 +47,7 @@ pub struct BaselineCfg {
     /// CC iteration (60+ generated subroutines) into seven such levels;
     /// the chains of a single subroutine like `icsd_t2_7` form one NXTVAL
     /// work pool inside one level, so the default here is 1. Use larger
-    /// values to study the barrier effect (the `ablations` bench).
+    /// values to study the barrier effect (`paper ablations`).
     pub levels: usize,
     /// Record a Gantt trace.
     pub collect_trace: bool,

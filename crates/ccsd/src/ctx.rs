@@ -1,6 +1,6 @@
 //! Shared graph context and variant configuration.
 
-use parsec_rt::TilePool;
+use parsec_rt::{SchedPolicy, TilePool};
 use ptg::GraphCtx;
 use std::sync::Arc;
 use tce::{Inspection, Workspace};
@@ -35,8 +35,8 @@ pub struct VariantCfg {
     /// through the reduction tree. The paper evaluates the two extremes —
     /// `h = 1` (v2-v5, maximum parallelism) and the full chain (v1,
     /// maximum locality) — and notes the height "can vary"; intermediate
-    /// heights are this reproduction's extension, swept by the
-    /// `ablations` bench. Ignored when `chained_gemms` is set.
+    /// heights are this reproduction's extension, swept by
+    /// `paper ablations`. Ignored when `chained_gemms` is set.
     pub segment_height: usize,
     /// Four independent SORT_i tasks (v1-v4) vs one serial SORT (v5).
     pub parallel_sort: bool,
@@ -143,6 +143,17 @@ impl VariantCfg {
     /// All five, in paper order.
     pub fn all() -> [Self; 5] {
         [Self::v1(), Self::v2(), Self::v3(), Self::v4(), Self::v5()]
+    }
+
+    /// The scheduler this variant runs under unless a study picks another:
+    /// priority order (FIFO among equals) when it has priorities, plain
+    /// FIFO when it has none.
+    pub fn policy(&self) -> SchedPolicy {
+        if self.priorities {
+            SchedPolicy::PriorityFifo
+        } else {
+            SchedPolicy::Fifo
+        }
     }
 }
 

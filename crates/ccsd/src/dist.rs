@@ -18,7 +18,7 @@ use crate::steal::{ChainSource, PrefetchFn, StealConfig, StealSummary};
 use crate::variants::build_graph_external;
 use comm::{CommConfig, Endpoint, Transport};
 use global_arrays::{DistStore, Ga, GangView, TileCacheConfig};
-use parsec_rt::{NativeReport, NativeRuntime, SchedPolicy, TilePool};
+use parsec_rt::{NativeReport, NativeRuntime, TilePool};
 use ptg::TaskGraph;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -276,13 +276,8 @@ impl DistRank {
         // symmetric teardown race is benign: a rank that finished its
         // run has a drained ledger, so its dry answer is truthful.)
         self.ws.ga.sync();
-        let policy = if cfg.priorities {
-            SchedPolicy::PriorityFifo
-        } else {
-            SchedPolicy::Fifo
-        };
         let report = NativeRuntime::new(threads)
-            .policy(policy)
+            .policy(cfg.policy())
             .node(self.my_node() as u32)
             .epoch(self.ep.epoch())
             .source(source.clone())

@@ -44,12 +44,7 @@ pub fn variant_energy_native(
 ) -> f64 {
     ws.reset_output();
     let graph = build_graph(ins.clone(), cfg, Some(ws.clone()));
-    let policy = if cfg.priorities {
-        SchedPolicy::PriorityFifo
-    } else {
-        SchedPolicy::Fifo
-    };
-    NativeRuntime::new(threads).policy(policy).run(&graph);
+    NativeRuntime::new(threads).policy(cfg.policy()).run(&graph);
     energy::energy(ws)
 }
 
@@ -80,13 +75,8 @@ pub fn variant_energy_sim(
 ) -> f64 {
     ws.reset_output();
     let graph = build_graph(ins.clone(), cfg, Some(ws.clone()));
-    let policy = if cfg.priorities {
-        SchedPolicy::PriorityFifo
-    } else {
-        SchedPolicy::Fifo
-    };
     SimEngine::new(ws.ga.nnodes(), cores)
-        .policy(policy)
+        .policy(cfg.policy())
         .execute_bodies(true)
         .run(&graph);
     energy::energy(ws)

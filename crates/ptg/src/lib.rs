@@ -13,7 +13,7 @@
 //! * [`dsl`] — a JDF-like textual format able to express the paper's
 //!   Figure 1 (chained GEMMs) and Figure 2 (parallel GEMMs + reduction);
 //! * [`validate`] — an exhaustive walker used in tests and in the
-//!   `graph_shapes` harness to audit small graphs (Figures 4-7).
+//!   `paper graph_shapes` to audit small graphs (Figures 4-7).
 //!
 //! Engines that execute PTGs (threaded and simulated) live in the
 //! `parsec-rt` crate.

@@ -4,7 +4,7 @@
 //! module intentionally does the opposite: it materializes the entire DAG
 //! by walking successors from the roots, then checks structural invariants
 //! and computes shape statistics. It backs the unit tests of the CCSD
-//! variant graphs and the `graph_shapes` harness that regenerates the
+//! variant graphs and `paper graph_shapes`, which regenerates the
 //! variant diagrams of Figures 4-7 as numbers (task counts per class, DAG
 //! depth, width).
 

@@ -243,7 +243,7 @@ pub fn comm_share_of_busy(trace: &Trace) -> f64 {
 
 /// Utilization timeline: the fraction of workers busy in each of
 /// `buckets` equal time slices of the trace extent, in `[0, 1]`. The
-/// textual complement of the Gantt chart — `fig10_13` uses it to show the
+/// textual complement of the Gantt chart — `paper fig10_13` uses it to show the
 /// legacy model's barrier troughs vs the variants' steady ramps.
 pub fn utilization_timeline(trace: &Trace, buckets: usize) -> Vec<f64> {
     let Some((t0, t1)) = trace.extent() else {

@@ -7,13 +7,18 @@
 //!                            [--trace FILE.{json,csv}] [--kernels ...]
 //! parsec-ccsd-repro verify   [--scale S] [--nodes N] [--kernels ...]
 //! parsec-ccsd-repro dot      [--scale S] [--nodes N] [--variant V] [-o FILE]
+//! parsec-ccsd-repro paper    <fig9|fig10_13|ablations|graph_shapes|multikernel> [--scale S]
 //! ```
 //!
 //! `--nodes` and `--cores` are integers >= 1; `--policy` applies only to
-//! `simulate` of a PTG variant. Bad input exits 1 with `error: ...`.
+//! `simulate` of a PTG variant. `paper` prints one figure of the paper's
+//! evaluation in its fixed configuration (`src/paper.rs`); `--scale` is its
+//! only option. Bad input exits 1 with `error: ...`.
 //!
 //! `simulate --trace x.json` writes a Chrome trace-event file loadable in
 //! Perfetto / `chrome://tracing`; `.csv` writes the flat span table.
+
+mod paper;
 
 use ccsd::{build_graph, simulate_baseline, verify, BaselineCfg, VariantCfg};
 use parsec_rt::{SchedPolicy, SimEngine};
@@ -39,13 +44,13 @@ fn count(args: &[String], key: &str, default: usize) -> Result<usize, String> {
     }
 }
 
-fn scale(args: &[String]) -> Result<SpaceConfig, String> {
-    Ok(match arg(args, "--scale").as_deref() {
-        None | Some("small") => tce::scale::small(),
-        Some("tiny") => tce::scale::tiny(),
-        Some("medium") => tce::scale::medium(),
-        Some("paper") => tce::scale::paper(),
-        Some(other) => return Err(format!("unknown scale `{other}`")),
+fn scale(name: &str) -> Result<SpaceConfig, String> {
+    Ok(match name {
+        "tiny" => tce::scale::tiny(),
+        "small" => tce::scale::small(),
+        "medium" => tce::scale::medium(),
+        "paper" => tce::scale::paper(),
+        other => return Err(format!("unknown scale `{other}`")),
     })
 }
 
@@ -87,13 +92,7 @@ fn variant(args: &[String]) -> Result<VariantCfg, String> {
 
 fn policy(args: &[String], cfg: &VariantCfg) -> Result<SchedPolicy, String> {
     Ok(match arg(args, "--policy").as_deref() {
-        None => {
-            if cfg.priorities {
-                SchedPolicy::PriorityFifo
-            } else {
-                SchedPolicy::Fifo
-            }
-        }
+        None => cfg.policy(),
         Some("prio-fifo") => SchedPolicy::PriorityFifo,
         Some("prio-lifo") => SchedPolicy::PriorityLifo,
         Some("fifo") => SchedPolicy::Fifo,
@@ -105,8 +104,26 @@ fn policy(args: &[String], cfg: &VariantCfg) -> Result<SchedPolicy, String> {
 fn run() -> Result<(), String> {
     let all: Vec<String> = std::env::args().skip(1).collect();
     let Some((cmd, args)) = all.split_first() else {
-        return Err("usage: parsec-ccsd-repro <inspect|simulate|verify|dot> [options]".into());
+        return Err(
+            "usage: parsec-ccsd-repro <inspect|simulate|verify|dot|paper> [options]".into(),
+        );
     };
+    if cmd == "paper" {
+        // A figure is a fixed configuration: any option but --scale would
+        // be silently ignored.
+        return match args {
+            [figure] => paper::run(figure, None),
+            [figure, key, name] if key == "--scale" => paper::run(figure, Some(scale(name)?)),
+            [] => Err(format!(
+                "usage: parsec-ccsd-repro paper <{}> [--scale S]",
+                paper::FIGURES
+            )),
+            [_, rest @ ..] => Err(format!(
+                "`paper` takes a figure and at most `--scale S`, not `{}`",
+                rest.join(" ")
+            )),
+        };
+    }
     let nodes = count(args, "--nodes", 4)?;
     let cores = count(args, "--cores", 3)?;
     // Only simulate's PTG engine schedules by policy; anywhere else the
@@ -115,7 +132,10 @@ fn run() -> Result<(), String> {
     if args.iter().any(|a| a == "--policy") && (cmd != "simulate" || is_original) {
         return Err("--policy applies only to `simulate` of a PTG variant".into());
     }
-    let space = TileSpace::build(&scale(args)?);
+    let space = TileSpace::build(&match arg(args, "--scale") {
+        Some(name) => scale(&name)?,
+        None => tce::scale::small(),
+    });
     let ks = kernels(args)?;
 
     match cmd.as_str() {
