@@ -1,11 +1,11 @@
-//! Microbenchmarks of the runtime substrate: scheduler queues, the
-//! symbolic tracker, the event queue, the processor-sharing resource, and
-//! whole-engine task throughput.
+//! Microbenchmarks of the runtime substrate: the ready queue, the event
+//! queue, the processor-sharing resource, and whole-engine task
+//! throughput.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use dcsim::{EventQueue, PsResource};
 use parsec_rt::sched::ReadyQueue;
-use parsec_rt::{NativeRuntime, SchedPolicy};
+use parsec_rt::NativeRuntime;
 use ptg::{Activity, Dep, GraphCtx, Payload, PlainCtx, TaskClass, TaskGraph, TaskKey};
 use std::hint::black_box;
 use std::sync::Arc;
@@ -17,7 +17,7 @@ fn bench_ready_queue(c: &mut Criterion) {
     g.throughput(Throughput::Elements(n));
     g.bench_function("push_pop_10k_prio", |b| {
         b.iter(|| {
-            let mut q = ReadyQueue::new(SchedPolicy::PriorityFifo);
+            let mut q = ReadyQueue::new();
             for i in 0..n {
                 q.push(TaskKey::new(0, &[i as i64]), (i % 100) as i64);
             }

@@ -1,6 +1,6 @@
 //! Shared graph context and variant configuration.
 
-use parsec_rt::{SchedPolicy, TilePool};
+use parsec_rt::TilePool;
 use ptg::GraphCtx;
 use std::sync::Arc;
 use tce::{Inspection, Workspace};
@@ -143,17 +143,6 @@ impl VariantCfg {
     /// All five, in paper order.
     pub fn all() -> [Self; 5] {
         [Self::v1(), Self::v2(), Self::v3(), Self::v4(), Self::v5()]
-    }
-
-    /// The scheduler this variant runs under unless a study picks another:
-    /// priority order (FIFO among equals) when it has priorities, plain
-    /// FIFO when it has none.
-    pub fn policy(&self) -> SchedPolicy {
-        if self.priorities {
-            SchedPolicy::PriorityFifo
-        } else {
-            SchedPolicy::Fifo
-        }
     }
 }
 

@@ -242,7 +242,7 @@ impl DistRank {
     /// Collectively execute a prebuilt graph (see
     /// [`DistRank::build_run_graph`]); `cfg` must be the configuration
     /// the graph was built with (it also steers the steal source's
-    /// chain expansion and the scheduling policy).
+    /// chain expansion).
     pub fn run_variant_graph(
         &self,
         graph: &TaskGraph,
@@ -277,7 +277,6 @@ impl DistRank {
         // run has a drained ledger, so its dry answer is truthful.)
         self.ws.ga.sync();
         let report = NativeRuntime::new(threads)
-            .policy(cfg.policy())
             .node(self.my_node() as u32)
             .epoch(self.ep.epoch())
             .source(source.clone())

@@ -7,7 +7,7 @@
 
 use crate::ctx::VariantCfg;
 use crate::variants::{build_graph, build_graph_pooled};
-use parsec_rt::{NativeRuntime, SchedPolicy, SimEngine, TilePool};
+use parsec_rt::{NativeRuntime, SimEngine, TilePool};
 use std::sync::Arc;
 use tce::{energy, reference, TileSpace, Workspace};
 
@@ -44,24 +44,22 @@ pub fn variant_energy_native(
 ) -> f64 {
     ws.reset_output();
     let graph = build_graph(ins.clone(), cfg, Some(ws.clone()));
-    NativeRuntime::new(threads).policy(cfg.policy()).run(&graph);
+    NativeRuntime::new(threads).run(&graph);
     energy::energy(ws)
 }
 
-/// As [`variant_energy_native`], sharing a caller-owned tile pool and
-/// scheduling policy — the harness for pool-reuse measurements across
-/// repeated runs.
+/// As [`variant_energy_native`], sharing a caller-owned tile pool — the
+/// harness for pool-reuse measurements across repeated runs.
 pub fn variant_energy_native_pooled(
     ins: &Arc<tce::Inspection>,
     ws: &Arc<Workspace>,
     cfg: VariantCfg,
     threads: usize,
-    policy: SchedPolicy,
     pool: Arc<TilePool>,
 ) -> f64 {
     ws.reset_output();
     let graph = build_graph_pooled(ins.clone(), cfg, Some(ws.clone()), pool);
-    NativeRuntime::new(threads).policy(policy).run(&graph);
+    NativeRuntime::new(threads).run(&graph);
     energy::energy(ws)
 }
 
@@ -76,7 +74,6 @@ pub fn variant_energy_sim(
     ws.reset_output();
     let graph = build_graph(ins.clone(), cfg, Some(ws.clone()));
     SimEngine::new(ws.ga.nnodes(), cores)
-        .policy(cfg.policy())
         .execute_bodies(true)
         .run(&graph);
     energy::energy(ws)

@@ -7,57 +7,44 @@
 
 use ccsd::verify::{prepare, reference_energy, variant_energy_native_pooled};
 use ccsd::VariantCfg;
-use parsec_rt::{SchedPolicy, TilePool};
+use parsec_rt::TilePool;
 use std::sync::Arc;
 use tce::{scale, TileSpace};
 use tensor_kernels::rel_diff;
 
-const POLICIES: [SchedPolicy; 5] = [
-    SchedPolicy::PriorityFifo,
-    SchedPolicy::PriorityLifo,
-    SchedPolicy::Fifo,
-    SchedPolicy::Lifo,
-    SchedPolicy::ChainAffinity,
-];
-
-/// With one worker the execution order under a fixed policy is
-/// deterministic, so after one warm-up run the pool's working set is
-/// complete: the repeat run must have zero misses (and no copy-on-write
-/// clones — every buffer handoff in the chain is single-consumer by the
-/// time the consumer runs).
+/// With one worker the execution order under the engine's one ready
+/// order (priority+FIFO) is deterministic, so after one warm-up run the
+/// pool's working set is complete: the repeat run must have zero misses
+/// (and no copy-on-write clones — every buffer handoff in the chain is
+/// single-consumer by the time the consumer runs).
 #[test]
 fn v5_reaches_zero_misses_after_warmup_on_every_policy() {
     let space = TileSpace::build(&scale::tiny());
     let (ins, ws) = prepare(&space, 3);
     let e_ref = reference_energy(&ws);
     let pool = Arc::new(TilePool::new(8));
-    for policy in POLICIES {
-        let e1 = variant_energy_native_pooled(&ins, &ws, VariantCfg::v5(), 1, policy, pool.clone());
-        assert!(
-            rel_diff(e_ref, e1) < 1e-12,
-            "{policy:?} warm-up energy: {e1} vs {e_ref}"
-        );
-        let warm = pool.stats();
-        let e2 = variant_energy_native_pooled(&ins, &ws, VariantCfg::v5(), 1, policy, pool.clone());
-        assert!(
-            rel_diff(e_ref, e2) < 1e-12,
-            "{policy:?} steady energy: {e2} vs {e_ref}"
-        );
-        let s = pool.stats();
-        assert_eq!(
-            s.misses, warm.misses,
-            "{policy:?}: steady-state run allocated fresh buffers"
-        );
-        assert_eq!(
-            s.bytes_allocated, warm.bytes_allocated,
-            "{policy:?}: steady-state run grew the pool"
-        );
-        assert!(s.hits > warm.hits, "{policy:?}: repeat run used no pool?");
-        assert_eq!(
-            s.cow_clones, 0,
-            "{policy:?}: single-consumer handoffs COWed"
-        );
-    }
+    let e1 = variant_energy_native_pooled(&ins, &ws, VariantCfg::v5(), 1, pool.clone());
+    assert!(
+        rel_diff(e_ref, e1) < 1e-12,
+        "warm-up energy: {e1} vs {e_ref}"
+    );
+    let warm = pool.stats();
+    let e2 = variant_energy_native_pooled(&ins, &ws, VariantCfg::v5(), 1, pool.clone());
+    assert!(
+        rel_diff(e_ref, e2) < 1e-12,
+        "steady energy: {e2} vs {e_ref}"
+    );
+    let s = pool.stats();
+    assert_eq!(
+        s.misses, warm.misses,
+        "steady-state run allocated fresh buffers"
+    );
+    assert_eq!(
+        s.bytes_allocated, warm.bytes_allocated,
+        "steady-state run grew the pool"
+    );
+    assert!(s.hits > warm.hits, "repeat run used no pool?");
+    assert_eq!(s.cow_clones, 0, "single-consumer handoffs COWed");
 }
 
 /// Every buffer the graph checks out is returned: at quiescence the pool
@@ -68,14 +55,7 @@ fn all_checkouts_return_to_the_pool() {
     let space = TileSpace::build(&scale::tiny());
     let (ins, ws) = prepare(&space, 3);
     let pool = Arc::new(TilePool::new(8));
-    variant_energy_native_pooled(
-        &ins,
-        &ws,
-        VariantCfg::v5(),
-        1,
-        SchedPolicy::PriorityFifo,
-        pool.clone(),
-    );
+    variant_energy_native_pooled(&ins, &ws, VariantCfg::v5(), 1, pool.clone());
     let s = pool.stats();
     assert_eq!(
         s.recycles,
@@ -96,24 +76,10 @@ fn all_variants_steady_state_zero_misses() {
     let e_ref = reference_energy(&ws);
     for cfg in VariantCfg::all() {
         let pool = Arc::new(TilePool::new(8));
-        let e1 = variant_energy_native_pooled(
-            &ins,
-            &ws,
-            cfg,
-            1,
-            SchedPolicy::PriorityFifo,
-            pool.clone(),
-        );
+        let e1 = variant_energy_native_pooled(&ins, &ws, cfg, 1, pool.clone());
         assert!(rel_diff(e_ref, e1) < 1e-12, "{}: {e1} vs {e_ref}", cfg.name);
         let warm = pool.stats();
-        let e2 = variant_energy_native_pooled(
-            &ins,
-            &ws,
-            cfg,
-            1,
-            SchedPolicy::PriorityFifo,
-            pool.clone(),
-        );
+        let e2 = variant_energy_native_pooled(&ins, &ws, cfg, 1, pool.clone());
         assert!(rel_diff(e_ref, e2) < 1e-12, "{}: {e2} vs {e_ref}", cfg.name);
         let s = pool.stats();
         assert_eq!(
@@ -136,14 +102,7 @@ fn pooled_execution_multithreaded_is_exact() {
     let e_ref = reference_energy(&ws);
     let pool = Arc::new(TilePool::new(8));
     for _ in 0..3 {
-        let e = variant_energy_native_pooled(
-            &ins,
-            &ws,
-            VariantCfg::v5(),
-            3,
-            SchedPolicy::PriorityFifo,
-            pool.clone(),
-        );
+        let e = variant_energy_native_pooled(&ins, &ws, VariantCfg::v5(), 3, pool.clone());
         assert!(rel_diff(e_ref, e) < 1e-12, "{e} vs {e_ref}");
     }
     let s = pool.stats();

@@ -40,10 +40,9 @@ pub const MAX_PARAMS: usize = 4;
 /// `params[0]` is the task's *locality group*: tasks that share it are
 /// expected to touch the same data and run best on one thread — in the
 /// CCSD graphs it is the chain index `L1` of every class. Engines rely on
-/// it: the native engine keeps one group's dependency state in one lock
-/// shard, and `SchedPolicy::ChainAffinity` prefers successors of the
-/// group that just ran. A graph without such structure loses nothing
-/// but locality by ignoring the convention.
+/// it: the native engine keeps one group's dependency state and payloads
+/// in one lock shard. A graph without such structure loses nothing but
+/// locality by ignoring the convention.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TaskKey {
     pub class: ClassId,

@@ -16,9 +16,13 @@
 //!   advancing virtual time, so one run yields both numerics and timing.
 //!
 //! Both engines discover tasks symbolically through the PTG — the graph is
-//! never materialized (see [`tracker`]) — and share the scheduling policies
-//! in [`sched`]: a max-priority queue with FIFO tie-breaking, which is what
-//! makes the paper's v2-vs-v4 priority experiment reproducible.
+//! never materialized — with one dependency tracker,
+//! [`shard::ShardedTracker`], and release ready tasks in one order
+//! ([`sched`]): highest priority first, FIFO among equals, PaRSEC's
+//! default, which is what makes the paper's v2-vs-v4 priority experiment
+//! reproducible. Where ready tasks wait differs: per-worker deques and
+//! whole-chain claims in the native engine, one heap per node in the
+//! simulator.
 
 mod completions;
 pub mod cost;
@@ -28,7 +32,6 @@ mod report;
 pub mod sched;
 pub mod shard;
 pub mod simengine;
-pub mod tracker;
 
 pub use cost::CostModel;
 pub use native::{NativeRuntime, SourcePoll, WorkSource};

@@ -36,9 +36,10 @@
 //! it shuts the run down. Whatever is then still waiting for inputs is
 //! a deadlock, which [`NativeRuntime::run`] reports.
 //!
-//! The price of sharding is that a [`SchedPolicy`]'s ordering becomes a
-//! *local* discipline (each worker orders its own deque; steals are
-//! oldest-first) rather than a total order over all ready tasks — the
+//! The price of sharding is that the ready order (highest priority
+//! first, FIFO among equals) becomes a *local* discipline — each worker
+//! pushes a batch into its FIFO deque best first; steals are
+//! oldest-first — rather than a total order over all ready tasks: the
 //! same approximation PaRSEC's default scheduler makes, and invisible to
 //! numerics because task graphs order all value-carrying dependencies
 //! explicitly.
@@ -97,7 +98,6 @@ pub trait WorkSource: Send + Sync {
 #[derive(Clone)]
 pub struct NativeRuntime {
     threads: usize,
-    policy: SchedPolicy,
     node: u32,
     epoch: Option<Instant>,
     source: Option<Arc<dyn WorkSource>>,
@@ -110,7 +110,6 @@ const IDLE_EXIT: u64 = (1 << 32) - 1;
 
 struct Shared<'g> {
     graph: &'g TaskGraph,
-    policy: SchedPolicy,
     tracker: ShardedTracker,
     store: ShardMap<(TaskKey, u32), Payload>,
     injector: Injector<TaskKey>,
@@ -128,22 +127,20 @@ struct Shared<'g> {
 }
 
 impl NativeRuntime {
-    /// Engine with `threads >= 1` workers and the default (priority+FIFO)
-    /// policy.
+    /// Engine with `threads >= 1` workers.
     pub fn new(threads: usize) -> Self {
         assert!(threads >= 1, "need at least one worker");
         Self {
             threads,
-            policy: SchedPolicy::PriorityFifo,
             node: 0,
             epoch: None,
             source: None,
         }
     }
 
-    /// Override the scheduling policy.
-    pub fn policy(mut self, policy: SchedPolicy) -> Self {
-        self.policy = policy;
+    /// Does nothing: priority+FIFO, the only [`SchedPolicy`], is the
+    /// engine's order. Kept so that callers that name it keep building.
+    pub fn policy(self, _policy: SchedPolicy) -> Self {
         self
     }
 
@@ -170,43 +167,19 @@ impl NativeRuntime {
         self
     }
 
-    /// Owner-pop discipline for a worker's deque under `policy`.
-    fn new_deque(policy: SchedPolicy) -> Worker<TaskKey> {
-        match policy {
-            SchedPolicy::PriorityFifo | SchedPolicy::Fifo => Worker::new_fifo(),
-            SchedPolicy::PriorityLifo | SchedPolicy::Lifo | SchedPolicy::ChainAffinity => {
-                Worker::new_lifo()
-            }
-        }
-    }
-
     /// Execute `graph` to quiescence. Panics if the graph deadlocks
     /// (declared inputs that no task delivers).
     pub fn run(&self, graph: &TaskGraph) -> NativeReport {
-        let ctx = graph.ctx();
-        let mut roots: Vec<(TaskKey, i64)> = graph
-            .roots()
-            .iter()
-            .map(|&r| (r, graph.class_of(r).priority(r, ctx)))
-            .collect();
-        // The injector is stolen oldest-first: order the roots so steals
-        // respect the policy (stable sort keeps readiness order on ties).
-        match self.policy {
-            SchedPolicy::PriorityFifo | SchedPolicy::PriorityLifo | SchedPolicy::ChainAffinity => {
-                roots.sort_by_key(|&(_, p)| std::cmp::Reverse(p));
-            }
-            SchedPolicy::Fifo => {}
-            SchedPolicy::Lifo => roots.reverse(),
-        }
+        // The injector is stolen oldest-first: push the roots best first.
+        let mut roots = graph.roots();
+        by_priority(graph, &mut roots);
 
         let shards = (self.threads * 4).clamp(8, 64);
         let injector = Injector::new();
-        for &(r, _) in &roots {
+        for &r in &roots {
             injector.push(r);
         }
-        let locals: Vec<Worker<TaskKey>> = (0..self.threads)
-            .map(|_| Self::new_deque(self.policy))
-            .collect();
+        let locals: Vec<Worker<TaskKey>> = (0..self.threads).map(|_| Worker::new_fifo()).collect();
         let stealers: Vec<Stealer<TaskKey>> = locals.iter().map(|w| w.stealer()).collect();
         let gate = Arc::new(IdleGate::new());
         if let Some(src) = &self.source {
@@ -214,7 +187,6 @@ impl NativeRuntime {
         }
         let shared = Shared {
             graph,
-            policy: self.policy,
             tracker: ShardedTracker::new(shards),
             store: ShardMap::new(shards),
             injector,
@@ -256,6 +228,14 @@ impl NativeRuntime {
     }
 }
 
+/// Highest priority first; the stable sort keeps readiness order among
+/// equals. A worker's FIFO deque and the injector both pop oldest-first,
+/// so pushing in this order publishes priority+FIFO.
+fn by_priority(graph: &TaskGraph, keys: &mut [TaskKey]) {
+    let ctx = graph.ctx();
+    keys.sort_by_cached_key(|&k| std::cmp::Reverse(graph.class_of(k).priority(k, ctx)));
+}
+
 /// xorshift64*: cheap per-worker victim randomization.
 fn next_rand(state: &mut u64) -> u64 {
     let mut x = *state;
@@ -280,7 +260,6 @@ struct WorkerLoop<'s, 'g> {
     deferred: u64,
     deps: Vec<ptg::Dep>,
     ready: Vec<(TaskKey, i64)>,
-    last_chain: Option<i64>,
 }
 
 impl<'s, 'g> WorkerLoop<'s, 'g> {
@@ -295,7 +274,6 @@ impl<'s, 'g> WorkerLoop<'s, 'g> {
             deferred: 0,
             deps: Vec::new(),
             ready: Vec::new(),
-            last_chain: None,
         }
     }
 
@@ -452,27 +430,13 @@ impl<'s, 'g> WorkerLoop<'s, 'g> {
     }
 
     /// Seed externally-sourced tasks (chain roots claimed from the ledger
-    /// or stolen from another rank) into the own deque, ordered for the
-    /// deque's pop end like [`WorkerLoop::settle`] orders released
-    /// successors.
-    fn seed(&mut self, keys: Vec<TaskKey>) {
+    /// or stolen from another rank) into the own deque, best first like
+    /// [`WorkerLoop::settle`] publishes released successors.
+    fn seed(&mut self, mut keys: Vec<TaskKey>) {
         let shared = self.shared;
-        let graph = shared.graph;
-        let ctx = graph.ctx();
         self.out.external_tasks += keys.len() as u64;
-        let mut seeded: Vec<(TaskKey, i64)> = keys
-            .into_iter()
-            .map(|k| (k, graph.class_of(k).priority(k, ctx)))
-            .collect();
-        match shared.policy {
-            SchedPolicy::PriorityFifo => seeded.sort_by_key(|&(_, p)| std::cmp::Reverse(p)),
-            SchedPolicy::PriorityLifo | SchedPolicy::ChainAffinity => {
-                seeded.sort_by_key(|&(_, p)| p)
-            }
-            SchedPolicy::Fifo => {}
-            SchedPolicy::Lifo => seeded.reverse(),
-        }
-        for &(k, _) in seeded.iter() {
+        by_priority(shared.graph, &mut keys);
+        for k in keys {
             self.local.push(k);
         }
         shared.gate.notify_all();
@@ -537,14 +501,13 @@ impl<'s, 'g> WorkerLoop<'s, 'g> {
     }
 
     /// Post-execution bookkeeping: store outputs, deliver dependencies,
-    /// publish newly-ready tasks in policy order. Shared by the
+    /// publish newly-ready tasks best first. Shared by the
     /// synchronous path and the completion drain.
     fn settle(&mut self, key: TaskKey, outputs: Vec<Option<Payload>>) {
         let shared = self.shared;
         let graph = shared.graph;
         let ctx = graph.ctx();
         let class = graph.class_of(key);
-        self.last_chain = Some(key.params[0]);
         assert_eq!(
             outputs.len(),
             class.num_flows(),
@@ -577,22 +540,10 @@ impl<'s, 'g> WorkerLoop<'s, 'g> {
             }
         }
 
-        // Order the batch for the local deque's pop end, then publish. The
-        // policy is approximate across workers (steals are oldest-first) but
-        // exact within the batch.
-        match shared.policy {
-            // FIFO deque pops oldest-first: push best first.
-            SchedPolicy::PriorityFifo => ready.sort_by_key(|&(_, p)| std::cmp::Reverse(p)),
-            // LIFO deque pops newest-first: push best last.
-            SchedPolicy::PriorityLifo => ready.sort_by_key(|&(_, p)| p),
-            SchedPolicy::Fifo | SchedPolicy::Lifo => {}
-            // Same-chain tasks (hot C tile) last, highest priority among them
-            // very last, so the owner pops them first.
-            SchedPolicy::ChainAffinity => {
-                let chain = self.last_chain;
-                ready.sort_by_key(|&(k, p)| (chain == Some(k.params[0]), p));
-            }
-        }
+        // Publish the batch best first, like `by_priority` (the priorities
+        // are already at hand). The order is approximate across workers
+        // (steals are oldest-first) but exact within the batch.
+        ready.sort_by_key(|&(_, p)| std::cmp::Reverse(p));
         for &(k, _) in ready.iter() {
             self.local.push(k);
             shared.gate.notify_one();
@@ -601,4 +552,4 @@ impl<'s, 'g> WorkerLoop<'s, 'g> {
 }
 
 #[cfg(test)]
-mod tests;
+pub(crate) mod tests;

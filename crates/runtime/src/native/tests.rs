@@ -82,31 +82,25 @@ fn single_thread_works() {
         })],
         Arc::new(PlainCtx { nodes: 1 }),
     );
-    let rep = NativeRuntime::new(1).policy(SchedPolicy::Fifo).run(&g);
+    let rep = NativeRuntime::new(1).run(&g);
     assert_eq!(rep.tasks, 4);
 }
 
+/// The one ready order (priority+FIFO) runs a 16-leaf fan-in at 4
+/// workers.
 #[test]
 fn all_policies_execute_fan_in() {
-    for policy in [
-        SchedPolicy::PriorityFifo,
-        SchedPolicy::PriorityLifo,
-        SchedPolicy::Fifo,
-        SchedPolicy::Lifo,
-        SchedPolicy::ChainAffinity,
-    ] {
-        let total = Arc::new(AtomicU64::new(0));
-        let g = TaskGraph::new(
-            vec![Arc::new(Reduce {
-                n: 16,
-                total: total.clone(),
-            })],
-            Arc::new(PlainCtx { nodes: 1 }),
-        );
-        let rep = NativeRuntime::new(4).policy(policy).run(&g);
-        assert_eq!(rep.tasks, 17, "{policy:?}");
-        assert_eq!(total.load(Ordering::Relaxed), 120, "{policy:?}");
-    }
+    let total = Arc::new(AtomicU64::new(0));
+    let g = TaskGraph::new(
+        vec![Arc::new(Reduce {
+            n: 16,
+            total: total.clone(),
+        })],
+        Arc::new(PlainCtx { nodes: 1 }),
+    );
+    let rep = NativeRuntime::new(4).run(&g);
+    assert_eq!(rep.tasks, 17);
+    assert_eq!(total.load(Ordering::Relaxed), 120);
 }
 
 /// Leaves defer their execution to a helper thread (as readers defer
@@ -455,9 +449,11 @@ fn reduce_graph_task_count_and_total() {
 }
 
 /// `n` leaves feeding a sink that declares one input more than they
-/// deliver: the run can only end in the deadlock report.
-struct Undelivered {
-    n: i64,
+/// deliver: the run can only end in the deadlock report. The simulator's
+/// deadlock tests run it too, with the leaves placed round-robin over
+/// the nodes and the sink on node 0.
+pub(crate) struct Undelivered {
+    pub(crate) n: i64,
 }
 impl ptg::TaskClass for Undelivered {
     fn name(&self) -> &str {
@@ -484,6 +480,9 @@ impl ptg::TaskClass for Undelivered {
                 dst_flow: 0,
             });
         }
+    }
+    fn placement(&self, key: TaskKey, ctx: &dyn GraphCtx) -> usize {
+        key.params[1] as usize % ctx.nodes()
     }
     fn execute(
         &self,

@@ -1,37 +1,32 @@
-//! Ready-queue scheduling policies.
+//! The ready order.
 //!
 //! "PaRSEC includes multiple task scheduling algorithms" — the default one
 //! (used for all experiments in the paper) "takes task priorities into
 //! consideration ... between two available tasks, the one with a higher
 //! priority will execute first". Ties are broken FIFO by readiness order,
-//! which is precisely what makes the no-priority variant v2 execute all
-//! reader tasks (ready at t=0) before any GEMM, reproducing Figure 11's
-//! startup idle gap.
+//! which is precisely what makes the no-priority variant v2 (every
+//! priority 0) execute all reader tasks (ready at t=0) before any GEMM,
+//! reproducing Figure 11's startup idle gap. Both engines use this one
+//! order and no other.
 
 use ptg::TaskKey;
-use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
+use std::collections::BinaryHeap;
 
-/// Tie-breaking / ordering discipline of the ready queue.
+/// The scheduler both engines run: highest priority first, FIFO among
+/// equals (PaRSEC's default). It is the only one; the type remains so
+/// that callers written against [`crate::NativeRuntime::policy`] keep
+/// building.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedPolicy {
     /// Highest priority first; FIFO among equals (PaRSEC default).
     #[default]
     PriorityFifo,
-    /// Highest priority first; LIFO among equals (locality-biased).
-    PriorityLifo,
-    /// Ignore priorities entirely; FIFO by readiness.
-    Fifo,
-    /// Ignore priorities entirely; LIFO by readiness.
-    Lifo,
-    /// Cache-reuse scheduler: a worker first looks for a ready task of
-    /// the chain it last executed (its C tile is still hot), falling back
-    /// to priority+FIFO order. One of the alternative objective functions
-    /// the paper's Section IV-C attributes to PaRSEC's scheduler family.
-    ChainAffinity,
 }
 
 #[derive(Debug, PartialEq, Eq)]
 struct Entry {
+    /// `(priority, -readiness sequence)`: the max is the oldest of the
+    /// highest priority.
     sort: (i64, i64),
     key: TaskKey,
 }
@@ -47,117 +42,41 @@ impl Ord for Entry {
     }
 }
 
-/// A max-queue of ready tasks under one policy.
-///
-/// For [`SchedPolicy::ChainAffinity`], the queue additionally maintains
-/// per-chain buckets (keyed by the task's first parameter). A heap pop
-/// eagerly removes the task's bucket copy and a bucket pop leaves a
-/// tombstone in `taken` for the heap to skip; buckets are pruned from the
-/// map the moment they empty, so a long run over many chains cannot
-/// accumulate dead buckets (`taken` likewise drains to empty once the
-/// heap surfaces the tombstoned keys).
-#[derive(Debug)]
+/// A max-queue of ready tasks in priority-then-FIFO order.
+#[derive(Debug, Default)]
 pub struct ReadyQueue {
     heap: BinaryHeap<Entry>,
-    policy: SchedPolicy,
     seq: i64,
-    len: usize,
-    buckets: HashMap<i64, VecDeque<TaskKey>>,
-    taken: HashSet<TaskKey>,
 }
 
 impl ReadyQueue {
-    /// Empty queue with the given policy.
-    pub fn new(policy: SchedPolicy) -> Self {
-        Self {
-            heap: BinaryHeap::new(),
-            policy,
-            seq: 0,
-            len: 0,
-            buckets: HashMap::new(),
-            taken: HashSet::new(),
-        }
+    /// Empty queue.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Insert a ready task with its priority.
     pub fn push(&mut self, key: TaskKey, priority: i64) {
         self.seq += 1;
-        self.len += 1;
-        let sort = match self.policy {
-            SchedPolicy::PriorityFifo | SchedPolicy::ChainAffinity => (priority, -self.seq),
-            SchedPolicy::PriorityLifo => (priority, self.seq),
-            SchedPolicy::Fifo => (0, -self.seq),
-            SchedPolicy::Lifo => (0, self.seq),
-        };
-        self.heap.push(Entry { sort, key });
-        if self.policy == SchedPolicy::ChainAffinity {
-            self.buckets
-                .entry(key.params[0])
-                .or_default()
-                .push_back(key);
-        }
+        self.heap.push(Entry {
+            sort: (priority, -self.seq),
+            key,
+        });
     }
 
     /// Remove the best task.
     pub fn pop(&mut self) -> Option<TaskKey> {
-        self.pop_hint(None)
-    }
-
-    /// Remove the best task for a worker whose cache last held `hint`'s
-    /// chain. Only [`SchedPolicy::ChainAffinity`] honors the hint.
-    pub fn pop_hint(&mut self, hint: Option<i64>) -> Option<TaskKey> {
-        if self.policy == SchedPolicy::ChainAffinity {
-            if let Some(chain) = hint {
-                if let Some(bucket) = self.buckets.get_mut(&chain) {
-                    // Heap pops scrub buckets eagerly, so anything still
-                    // here has not been handed out.
-                    let got = bucket.pop_front();
-                    if bucket.is_empty() {
-                        self.buckets.remove(&chain);
-                    }
-                    if let Some(key) = got {
-                        self.taken.insert(key); // tombstone for the heap copy
-                        self.len -= 1;
-                        return Some(key);
-                    }
-                }
-            }
-            // Fall back to priority order, skipping bucket-taken tasks.
-            while let Some(e) = self.heap.pop() {
-                if self.taken.remove(&e.key) {
-                    continue;
-                }
-                // Scrub the bucket copy now (and prune the bucket if that
-                // empties it) instead of leaving it to rot in the map.
-                let chain = e.key.params[0];
-                if let Some(bucket) = self.buckets.get_mut(&chain) {
-                    if let Some(pos) = bucket.iter().position(|k| *k == e.key) {
-                        bucket.remove(pos);
-                    }
-                    if bucket.is_empty() {
-                        self.buckets.remove(&chain);
-                    }
-                }
-                self.len -= 1;
-                return Some(e.key);
-            }
-            return None;
-        }
-        let got = self.heap.pop().map(|e| e.key);
-        if got.is_some() {
-            self.len -= 1;
-        }
-        got
+        self.heap.pop().map(|e| e.key)
     }
 
     /// Number of queued tasks.
     pub fn len(&self) -> usize {
-        self.len
+        self.heap.len()
     }
 
     /// True if no tasks are queued.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.heap.is_empty()
     }
 }
 
@@ -171,103 +90,27 @@ mod tests {
 
     #[test]
     fn priority_fifo_orders_by_priority_then_insertion() {
-        let mut q = ReadyQueue::new(SchedPolicy::PriorityFifo);
+        let mut q = ReadyQueue::new();
         q.push(k(1), 5);
         q.push(k(2), 10);
         q.push(k(3), 5);
+        assert_eq!(q.len(), 3);
         assert_eq!(q.pop(), Some(k(2)));
         assert_eq!(q.pop(), Some(k(1))); // FIFO among priority 5
         assert_eq!(q.pop(), Some(k(3)));
         assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn fifo_ignores_priority() {
-        let mut q = ReadyQueue::new(SchedPolicy::Fifo);
-        q.push(k(1), 0);
-        q.push(k(2), 100);
-        assert_eq!(q.pop(), Some(k(1)));
-        assert_eq!(q.pop(), Some(k(2)));
-    }
-
-    #[test]
-    fn lifo_reverses() {
-        let mut q = ReadyQueue::new(SchedPolicy::Lifo);
-        q.push(k(1), 0);
-        q.push(k(2), 0);
-        assert_eq!(q.pop(), Some(k(2)));
-        assert_eq!(q.pop(), Some(k(1)));
-    }
-
-    #[test]
-    fn chain_affinity_prefers_hot_chain() {
-        let mut q = ReadyQueue::new(SchedPolicy::ChainAffinity);
-        let t = |chain: i64, pos: i64| TaskKey::new(0, &[chain, pos]);
-        q.push(t(0, 0), 100); // highest priority
-        q.push(t(1, 0), 50);
-        q.push(t(1, 1), 50);
-        // No hint: priority order.
-        assert_eq!(q.pop_hint(None), Some(t(0, 0)));
-        // Hot chain 1: its tasks win despite lower priority order ties.
-        assert_eq!(q.pop_hint(Some(1)), Some(t(1, 0)));
-        assert_eq!(q.pop_hint(Some(1)), Some(t(1, 1)));
-        assert_eq!(q.pop_hint(Some(1)), None);
         assert!(q.is_empty());
     }
 
     #[test]
-    fn chain_affinity_mixed_paths_stay_consistent() {
-        let mut q = ReadyQueue::new(SchedPolicy::ChainAffinity);
-        let t = |chain: i64, pos: i64| TaskKey::new(0, &[chain, pos]);
-        q.push(t(2, 0), 10);
-        q.push(t(3, 0), 90);
-        // Heap pop takes the chain-3 task...
-        assert_eq!(q.pop_hint(None), Some(t(3, 0)));
-        assert_eq!(q.len(), 1);
-        // ...and the bucket path must not hand it out again.
-        assert_eq!(q.pop_hint(Some(3)), Some(t(2, 0)));
-        assert_eq!(q.pop_hint(Some(2)), None);
-    }
-
-    #[test]
-    fn chain_affinity_releases_bucket_memory() {
-        // Regression: empty chain buckets used to linger in the map
-        // forever (and heap-popped keys lingered in their buckets), so a
-        // long-running queue over many chains grew without bound.
-        let mut q = ReadyQueue::new(SchedPolicy::ChainAffinity);
-        let t = |chain: i64, pos: i64| TaskKey::new(0, &[chain, pos]);
-        for round in 0..50 {
-            for chain in 0..20 {
-                q.push(t(chain, round), chain);
-            }
-            // Drain through both paths: bucket hits for even chains, heap
-            // order for the rest.
-            for chain in (0..20).step_by(2) {
-                assert!(q.pop_hint(Some(chain)).is_some());
-            }
-            while q.pop_hint(None).is_some() {}
-            assert!(q.is_empty());
-            assert!(
-                q.buckets.is_empty(),
-                "round {round}: {} dead bucket(s) retained",
-                q.buckets.len()
-            );
-            assert!(
-                q.taken.is_empty(),
-                "round {round}: {} tombstone(s) retained",
-                q.taken.len()
-            );
+    fn equal_priorities_are_fifo() {
+        // v2's graph: every priority 0, so readiness order is the order.
+        let mut q = ReadyQueue::new();
+        for i in 0..5 {
+            q.push(k(i), 0);
         }
-    }
-
-    #[test]
-    fn priority_lifo_breaks_ties_by_recency() {
-        let mut q = ReadyQueue::new(SchedPolicy::PriorityLifo);
-        q.push(k(1), 5);
-        q.push(k(2), 5);
-        q.push(k(3), 9);
-        assert_eq!(q.pop(), Some(k(3)));
-        assert_eq!(q.pop(), Some(k(2)));
-        assert_eq!(q.pop(), Some(k(1)));
+        for i in 0..5 {
+            assert_eq!(q.pop(), Some(k(i)));
+        }
     }
 }

@@ -4,17 +4,18 @@
 //! "fewer mutex lock/unlock operations", and PaRSEC's own scheduler keeps
 //! per-worker state precisely so that task completion touches no global
 //! lock. This module provides the pieces the sharded dispatch path of
-//! [`crate::native::NativeRuntime`] is built from:
+//! [`crate::native::NativeRuntime`] is built from (the simulator uses the
+//! tracker too, with one shard):
 //!
 //! * [`ShardMap`] — a DashMap-style hash map split into N independently
 //!   locked, cache-line-padded shards, picked by the key's locality group
 //!   (the chain), so one chain's entries share a shard and workers on
 //!   different chains touch different locks *and* different lines;
-//! * [`ShardedTracker`] — the symbolic dependency tracker re-expressed
-//!   over a [`ShardMap`], replacing the globally locked
-//!   [`crate::tracker::Tracker`] on the native completion path. It keeps
-//!   no live-task counter: the engine decides quiescence at its all-idle
-//!   scan, where every discovered task that has not run is in the map;
+//! * [`ShardedTracker`] — the symbolic dependency tracker over a
+//!   [`ShardMap`]. It keeps no live-task counter: an engine decides
+//!   quiescence where it knows every ready task has run (the native
+//!   all-idle scan, the simulator's empty event queue), and there every
+//!   discovered task that has not run is in the map;
 //! * [`IdleGate`] — an eventcount whose waiters register before they
 //!   re-check for work, so a push with nobody waiting is one fence and
 //!   one read of a line no worker writes, instead of an atomic bump.
@@ -158,15 +159,18 @@ impl<K: Hash + Eq + Grouped, V> ShardMap<K, V> {
 
 /// Dependence tracking for the in-flight frontier, sharded.
 ///
-/// Semantics are identical to [`crate::tracker::Tracker`] (discovered
-/// tasks map to their remaining-input count; nothing else is ever
-/// materialized), but `deliver()` on the completion path locks only the
-/// shard owning the destination's chain — no global lock and no global
-/// word anywhere. There is no live-task counter: once every worker is
-/// idle with nothing queued or deferred, each discovered task has either
-/// run or still waits in this map, so [`ShardedTracker::starved`] read at
-/// that point *is* the live count (zero for a finished run, the stuck
-/// tasks for a deadlocked one).
+/// The defining property of the PTG execution model — emphasized by the
+/// paper against "Dynamic Task Discovery" runtimes — is that the DAG is
+/// never built in memory. The tracker holds state only for tasks that
+/// have received some but not all of their inputs: a map from task to
+/// its remaining-input count. Everything else is recomputed
+/// symbolically from the task classes. `deliver()` on the completion
+/// path locks only the shard owning the destination's chain — no global
+/// lock and no global word anywhere. There is no live-task counter: once
+/// every ready task has run, each discovered task has either run or
+/// still waits in this map, so [`ShardedTracker::starved`] read at that
+/// point *is* the live count (zero for a finished run, the stuck tasks
+/// for a deadlocked one).
 pub struct ShardedTracker {
     missing: ShardMap<TaskKey, usize>,
 }
@@ -312,6 +316,7 @@ impl IdleGate {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ptg::{Dep, GraphCtx, Payload, PlainCtx, TaskClass};
     use std::sync::atomic::AtomicUsize;
     use std::sync::Arc;
 
@@ -353,12 +358,75 @@ mod tests {
         assert_eq!(m.len(), 64);
     }
 
+    /// DIAMOND: A -> B, A -> C, {B, C} -> D.
+    struct Diamond;
+    impl TaskClass for Diamond {
+        fn name(&self) -> &str {
+            "D"
+        }
+        fn num_flows(&self) -> usize {
+            1
+        }
+        fn roots(&self, _ctx: &dyn GraphCtx, out: &mut Vec<TaskKey>) {
+            out.push(TaskKey::new(0, &[0]));
+        }
+        fn num_inputs(&self, key: TaskKey, _ctx: &dyn GraphCtx) -> usize {
+            match key.params[0] {
+                0 => 0,
+                1 | 2 => 1,
+                3 => 2,
+                _ => unreachable!(),
+            }
+        }
+        fn successors(&self, key: TaskKey, _ctx: &dyn GraphCtx, out: &mut Vec<Dep>) {
+            let dep = |i| Dep {
+                src_flow: 0,
+                dst: TaskKey::new(0, &[i]),
+                dst_flow: 0,
+            };
+            match key.params[0] {
+                0 => {
+                    out.push(dep(1));
+                    out.push(dep(2));
+                }
+                1 | 2 => out.push(dep(3)),
+                _ => {}
+            }
+        }
+        fn execute(
+            &self,
+            _key: TaskKey,
+            _ctx: &dyn GraphCtx,
+            _inputs: &mut [Option<Payload>],
+        ) -> Vec<Option<Payload>> {
+            vec![None]
+        }
+    }
+
+    #[test]
+    fn diamond_discovery() {
+        let g = TaskGraph::new(vec![Arc::new(Diamond)], Arc::new(PlainCtx { nodes: 1 }));
+        let t = ShardedTracker::new(1);
+        let key = |i| TaskKey::new(0, &[i]);
+
+        // A completes, delivering to B and C: each is ready at once.
+        assert_eq!(t.deliver(&g, key(1)), Some(key(1)));
+        assert_eq!(t.deliver(&g, key(2)), Some(key(2)));
+        assert_eq!(t.starved(), 0);
+
+        // B completes: D has 1 of 2 inputs.
+        assert_eq!(t.deliver(&g, key(3)), None);
+        assert_eq!(t.starved(), 1);
+
+        // C completes: D ready, nothing left waiting.
+        assert_eq!(t.deliver(&g, key(3)), Some(key(3)));
+        assert_eq!(t.starved(), 0);
+    }
+
     #[test]
     fn concurrent_deliveries_count_exactly() {
         // 8 threads hammer deliver() on a fan-in task with 800 inputs;
         // exactly one thread must observe readiness.
-        use ptg::{Dep, GraphCtx, Payload, PlainCtx, TaskClass};
-
         struct FanIn;
         impl TaskClass for FanIn {
             fn name(&self) -> &str {

@@ -9,10 +9,13 @@
 //! memory-bound tasks, and one node-wide mutex protecting WRITE critical
 //! sections.
 //!
-//! Scheduling is identical to the native engine (same [`ReadyQueue`], same
-//! symbolic [`Tracker`]): per-node ready queues, static placement between
-//! nodes, dynamic dispatch within a node. Task durations come from each
-//! class's [`TaskCost`]:
+//! Dependencies are tracked by the native engine's [`ShardedTracker`] (one
+//! shard: events run one at a time), and ready tasks leave in the same
+//! order, highest priority first and FIFO among equals. What differs is
+//! where they wait: one [`ReadyQueue`] heap per node, which its free cores
+//! pop in turn, where the native engine has per-worker deques and chain
+//! claims. Placement between nodes is static. Task durations come from
+//! each class's [`TaskCost`]:
 //!
 //! * `Cpu`   — core busy `flops / core_gflops`;
 //! * `Memory` — core busy while `bytes` stream through the shared bus;
@@ -29,8 +32,8 @@
 //! for the agreement checks.
 
 use crate::cost::CostModel;
-use crate::sched::{ReadyQueue, SchedPolicy};
-use crate::tracker::Tracker;
+use crate::sched::ReadyQueue;
+use crate::shard::ShardedTracker;
 use dcsim::{EventQueue, MutexResource, Nic, PsResource, SimTime};
 use ptg::{Activity, Dep, Payload, TaskCost, TaskGraph, TaskKey};
 use std::collections::HashMap;
@@ -43,8 +46,6 @@ pub struct SimEngine {
     pub nodes: usize,
     /// Compute cores per node (the communication thread is extra).
     pub cores_per_node: usize,
-    /// Ready-queue policy.
-    pub policy: SchedPolicy,
     /// Hardware model.
     pub cost: CostModel,
     /// Run real task bodies while simulating.
@@ -54,23 +55,16 @@ pub struct SimEngine {
 }
 
 impl SimEngine {
-    /// Engine for `nodes x cores_per_node` with default model and policy.
+    /// Engine for `nodes x cores_per_node` with the default model.
     pub fn new(nodes: usize, cores_per_node: usize) -> Self {
         assert!(nodes >= 1 && cores_per_node >= 1);
         Self {
             nodes,
             cores_per_node,
-            policy: SchedPolicy::PriorityFifo,
             cost: CostModel::default(),
             execute_bodies: false,
             collect_trace: false,
         }
-    }
-
-    /// Set the scheduling policy.
-    pub fn policy(mut self, p: SchedPolicy) -> Self {
-        self.policy = p;
-        self
     }
 
     /// Set the cost model.
@@ -172,9 +166,6 @@ struct Running {
 struct NodeSt {
     ready: ReadyQueue,
     cores: Vec<Option<Running>>,
-    /// Chain (first task parameter) each core last executed, for the
-    /// cache-affinity scheduling policy.
-    last_chain: Vec<Option<i64>>,
     nic: Nic,
     bus: PsResource,
     mutex: MutexResource,
@@ -184,7 +175,7 @@ struct Engine<'g> {
     graph: &'g TaskGraph,
     cfg: SimEngine,
     nodes: Vec<NodeSt>,
-    tracker: Tracker,
+    tracker: ShardedTracker,
     store: HashMap<(TaskKey, u32), Payload>,
     psmap: HashMap<(usize, u64), PsPurpose>,
     /// wid -> (node, core, key) of a critical-section task.
@@ -217,9 +208,8 @@ impl<'g> Engine<'g> {
         let xfer_class = trace.class("XFER", ActivityKind::Communication);
         let nodes = (0..cfg.nodes)
             .map(|_| NodeSt {
-                ready: ReadyQueue::new(cfg.policy),
+                ready: ReadyQueue::new(),
                 cores: (0..cfg.cores_per_node).map(|_| None).collect(),
-                last_chain: vec![None; cfg.cores_per_node],
                 nic: Nic::new(cfg.cost.nic_bw_gbs, cfg.cost.nic_latency()),
                 bus: PsResource::new(cfg.cost.mem_capacity()),
                 mutex: MutexResource::new(),
@@ -229,7 +219,7 @@ impl<'g> Engine<'g> {
             graph,
             cfg,
             nodes,
-            tracker: Tracker::new(),
+            tracker: ShardedTracker::new(1),
             store: HashMap::new(),
             psmap: HashMap::new(),
             widmap: HashMap::new(),
@@ -257,7 +247,6 @@ impl<'g> Engine<'g> {
 
     fn seed(&mut self, q: &mut EventQueue<Ev>) {
         for r in self.graph.roots() {
-            self.tracker.add_root(r);
             self.enqueue_ready(0, r, q);
         }
     }
@@ -274,11 +263,9 @@ impl<'g> Engine<'g> {
             let Some(core) = self.nodes[node].cores.iter().position(|c| c.is_none()) else {
                 return;
             };
-            let hint = self.nodes[node].last_chain[core];
-            let Some(key) = self.nodes[node].ready.pop_hint(hint) else {
+            let Some(key) = self.nodes[node].ready.pop() else {
                 return;
             };
-            self.nodes[node].last_chain[core] = Some(key.params[0]);
             self.dispatch(now, node, core, key, q);
         }
     }
@@ -425,16 +412,16 @@ impl<'g> Engine<'g> {
             }
         }
         self.deps_buf = deps;
-        self.tracker.complete(key);
         self.tasks += 1;
     }
 
+    /// The event queue ran dry, so every ready task has run: whatever the
+    /// tracker still holds waits for inputs that will never arrive.
     fn finish(mut self, q: &EventQueue<Ev>) -> SimReport {
+        let starved = self.tracker.starved();
         assert!(
-            self.tracker.is_quiescent(),
-            "simulation deadlocked: {} task(s) starving, {} live",
-            self.tracker.starved(),
-            self.tracker.discovered() - self.tracker.completed(),
+            starved == 0,
+            "simulation deadlocked: {starved} task(s) still waiting for inputs"
         );
         let mutex_acquisitions = self.nodes.iter().map(|n| n.mutex.acquisitions()).sum();
         SimReport {
@@ -775,6 +762,27 @@ mod tests {
         let rep = SimEngine::new(2, 1).run(&g);
         assert_eq!(rep.messages, 1);
         assert!(rep.makespan > 1_000_000); // 5 MB at 5 GB/s = 1 ms wire
+    }
+
+    fn run_undelivered(nodes: usize, cores: usize) {
+        use crate::native::tests::Undelivered;
+        let g = TaskGraph::new(
+            vec![Arc::new(Undelivered { n: 16 })],
+            Arc::new(PlainCtx { nodes }),
+        );
+        SimEngine::new(nodes, cores).run(&g);
+    }
+
+    #[test]
+    #[should_panic(expected = "simulation deadlocked: 1 task(s) still waiting for inputs")]
+    fn undelivered_input_is_a_deadlock_at_one_core() {
+        run_undelivered(1, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "simulation deadlocked: 1 task(s) still waiting for inputs")]
+    fn undelivered_input_is_a_deadlock_at_two_nodes_of_three_cores() {
+        run_undelivered(2, 3);
     }
 
     #[test]

@@ -3,17 +3,18 @@
 //! ```text
 //! parsec-ccsd-repro inspect  [--scale S] [--nodes N] [--kernels t2_7,t2_2]
 //! parsec-ccsd-repro simulate [--scale S] [--nodes N] [--cores C]
-//!                            [--variant v1..v5|original|h<K>] [--policy P]
+//!                            [--variant v1..v5|original|h<K>]
 //!                            [--trace FILE.{json,csv}] [--kernels ...]
 //! parsec-ccsd-repro verify   [--scale S] [--nodes N] [--kernels ...]
 //! parsec-ccsd-repro dot      [--scale S] [--nodes N] [--variant V] [-o FILE]
+//!                            [--kernels ...]
 //! parsec-ccsd-repro paper    <fig9|fig10_13|ablations|graph_shapes|multikernel> [--scale S]
 //! ```
 //!
-//! `--nodes` and `--cores` are integers >= 1; `--policy` applies only to
-//! `simulate` of a PTG variant. `paper` prints one figure of the paper's
-//! evaluation in its fixed configuration (`src/paper.rs`); `--scale` is its
-//! only option. Bad input exits 1 with `error: ...`.
+//! `--nodes` and `--cores` are integers >= 1. A subcommand takes only the
+//! options its line shows, each with a value. `paper` prints one figure of
+//! the paper's evaluation in its fixed configuration (`src/paper.rs`).
+//! Bad input exits 1 with `error: ...`.
 //!
 //! `simulate --trace x.json` writes a Chrome trace-event file loadable in
 //! Perfetto / `chrome://tracing`; `.csv` writes the flat span table.
@@ -21,7 +22,7 @@
 mod paper;
 
 use ccsd::{build_graph, simulate_baseline, verify, BaselineCfg, VariantCfg};
-use parsec_rt::{SchedPolicy, SimEngine};
+use parsec_rt::SimEngine;
 use std::process::ExitCode;
 use std::sync::Arc;
 use tce::{inspect_kernels, Kernel, SpaceConfig, TileSpace};
@@ -90,15 +91,25 @@ fn variant(args: &[String]) -> Result<VariantCfg, String> {
     })
 }
 
-fn policy(args: &[String], cfg: &VariantCfg) -> Result<SchedPolicy, String> {
-    Ok(match arg(args, "--policy").as_deref() {
-        None => cfg.policy(),
-        Some("prio-fifo") => SchedPolicy::PriorityFifo,
-        Some("prio-lifo") => SchedPolicy::PriorityLifo,
-        Some("fifo") => SchedPolicy::Fifo,
-        Some("lifo") => SchedPolicy::Lifo,
-        Some(other) => return Err(format!("unknown policy `{other}`")),
-    })
+/// `args` must be `key value` pairs whose keys `cmd` reads: an option it
+/// does not read would be silently ignored.
+fn check_options(cmd: &str, args: &[String]) -> Result<(), String> {
+    let only: &[&str] = match cmd {
+        "inspect" | "verify" => &[],
+        "simulate" => &["--cores", "--variant", "--trace"],
+        "dot" => &["--variant", "-o"],
+        other => return Err(format!("unknown command `{other}`")),
+    };
+    for pair in args.chunks(2) {
+        let key = pair[0].as_str();
+        if !["--scale", "--nodes", "--kernels"].contains(&key) && !only.contains(&key) {
+            return Err(format!("`{cmd}` does not take `{key}`"));
+        }
+        if pair.len() == 1 {
+            return Err(format!("{key} needs a value"));
+        }
+    }
+    Ok(())
 }
 
 fn run() -> Result<(), String> {
@@ -124,14 +135,9 @@ fn run() -> Result<(), String> {
             )),
         };
     }
+    check_options(cmd, args)?;
     let nodes = count(args, "--nodes", 4)?;
     let cores = count(args, "--cores", 3)?;
-    // Only simulate's PTG engine schedules by policy; anywhere else the
-    // option would be silently ignored.
-    let is_original = arg(args, "--variant").as_deref() == Some("original");
-    if args.iter().any(|a| a == "--policy") && (cmd != "simulate" || is_original) {
-        return Err("--policy applies only to `simulate` of a PTG variant".into());
-    }
     let space = TileSpace::build(&match arg(args, "--scale") {
         Some(name) => scale(&name)?,
         None => tce::scale::small(),
@@ -174,7 +180,7 @@ fn run() -> Result<(), String> {
         "simulate" => {
             let ins = Arc::new(inspect_kernels(&space, nodes, &ks));
             let want_trace = arg(args, "--trace");
-            if is_original {
+            if arg(args, "--variant").as_deref() == Some("original") {
                 let rep = simulate_baseline(
                     &ins,
                     &BaselineCfg::new(nodes, cores).collect_trace(want_trace.is_some()),
@@ -194,7 +200,6 @@ fn run() -> Result<(), String> {
                 let cfg = variant(args)?;
                 let graph = build_graph(ins, cfg, None);
                 let rep = SimEngine::new(nodes, cores)
-                    .policy(policy(args, &cfg)?)
                     .collect_trace(want_trace.is_some())
                     .run(&graph);
                 println!(
@@ -266,7 +271,7 @@ fn run() -> Result<(), String> {
                 None => print!("{dot}"),
             }
         }
-        other => return Err(format!("unknown command `{other}`")),
+        _ => unreachable!("check_options accepted `{cmd}`"),
     }
     Ok(())
 }

@@ -16,7 +16,7 @@
 //! per qualitative claim EXPERIMENTS.md cites.
 
 use ccsd::{build_graph, simulate_baseline, BaselineCfg, VariantCfg};
-use parsec_rt::{CostModel, SchedPolicy, SimEngine, SimReport};
+use parsec_rt::{CostModel, SimEngine, SimReport};
 use ptg::validate::audit;
 use ptg::TaskKey;
 use std::sync::Arc;
@@ -65,9 +65,9 @@ fn simulate(ins: &Arc<Inspection>, cfg: VariantCfg, engine: SimEngine) -> SimRep
     engine.run(&build_graph(ins.clone(), cfg, None))
 }
 
-/// `cfg` under its own policy on the unperturbed cost model.
+/// `cfg` on the unperturbed cost model.
 fn variant(ins: &Arc<Inspection>, cfg: VariantCfg, nodes: usize, cores: usize) -> SimReport {
-    simulate(ins, cfg, SimEngine::new(nodes, cores).policy(cfg.policy()))
+    simulate(ins, cfg, SimEngine::new(nodes, cores))
 }
 
 /// Segment heights swept between the paper's extremes: powers of two
@@ -195,10 +195,8 @@ fn fig10_13(ins: &Arc<Inspection>, nodes: usize, cores: usize) {
         max_rows: 16,
         legend: true,
     };
-    let traced = |cfg: VariantCfg| {
-        let engine = SimEngine::new(nodes, cores).policy(cfg.policy());
-        simulate(ins, cfg, engine.collect_trace(true))
-    };
+    let traced =
+        |cfg: VariantCfg| simulate(ins, cfg, SimEngine::new(nodes, cores).collect_trace(true));
 
     let v4 = traced(VariantCfg::v4());
     println!("\n=== Figure 10: trace of v4 (priority decreasing with chain number) ===");
@@ -246,40 +244,24 @@ fn fig10_13(ins: &Arc<Inspection>, nodes: usize, cores: usize) {
 
 /// Section IV's design decisions, one sweep each.
 fn ablations(ins: &Arc<Inspection>, nodes: usize, cores: usize) {
-    let run = |cfg: VariantCfg, policy: SchedPolicy, cost: CostModel| {
-        let engine = SimEngine::new(nodes, cores).policy(policy).cost(cost);
-        simulate(ins, cfg, engine).seconds()
+    let run = |cfg: VariantCfg, cost: CostModel| {
+        simulate(ins, cfg, SimEngine::new(nodes, cores).cost(cost)).seconds()
     };
-    let plain = |cfg: VariantCfg| run(cfg, SchedPolicy::PriorityFifo, CostModel::default());
+    let plain = |cfg: VariantCfg| run(cfg, CostModel::default());
 
     println!("\n## Scheduler policy (v4 graph, {nodes}x{cores})");
     let mut sched = Vec::new();
-    for (name, policy, cfg) in [
-        (
-            "priority+FIFO (paper default)",
-            SchedPolicy::PriorityFifo,
-            VariantCfg::v4(),
-        ),
-        ("priority+LIFO", SchedPolicy::PriorityLifo, VariantCfg::v4()),
-        (
-            "chain-affinity (cache reuse)",
-            SchedPolicy::ChainAffinity,
-            VariantCfg::v4(),
-        ),
-        (
-            "FIFO, no priorities (v2)",
-            SchedPolicy::Fifo,
-            VariantCfg::v2(),
-        ),
-        ("LIFO, no priorities", SchedPolicy::Lifo, VariantCfg::v2()),
+    for (name, cfg) in [
+        ("priority+FIFO (paper default)", VariantCfg::v4()),
+        ("FIFO, no priorities (v2)", VariantCfg::v2()),
     ] {
-        let t = run(cfg, policy, CostModel::default());
+        let t = plain(cfg);
         println!("{name:>32}: {t:.3} s");
         sched.push(t);
     }
     claim(
         "priority+FIFO beats FIFO without priorities",
-        sched[0] < sched[3],
+        sched[0] < sched[1],
     );
 
     println!("\n## Reader priority offset (prefetch pipeline depth, v4 base)");
@@ -310,8 +292,8 @@ fn ablations(ins: &Arc<Inspection>, nodes: usize, cores: usize) {
             mutex_op_us: 10.0 * mult,
             ..CostModel::default()
         };
-        let t3 = run(VariantCfg::v3(), SchedPolicy::PriorityFifo, cost.clone());
-        let t5 = run(VariantCfg::v5(), SchedPolicy::PriorityFifo, cost);
+        let t3 = run(VariantCfg::v3(), cost.clone());
+        let t5 = run(VariantCfg::v5(), cost);
         println!(
             "mutex op {:>7.1} us: v3 {t3:.3} s, v5 {t5:.3} s (v3/v5 = {:.3}x)",
             10.0 * mult,

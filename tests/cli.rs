@@ -1,7 +1,7 @@
 //! The command-line front end rejects bad input with exit status 1 and an
 //! `error: ...` line on stderr, before doing any work: non-numeric or
-//! zero `--nodes`/`--cores`, `--policy` where nothing schedules by it, and
-//! any option of `paper` but `--scale`. `paper <figure>` reproduces the
+//! zero `--nodes`/`--cores`, an option the subcommand does not read or
+//! one without a value, and any option of `paper` but `--scale`. `paper <figure>` reproduces the
 //! committed `results/<figure>.txt` byte for byte.
 
 use std::process::{Command, Output};
@@ -38,31 +38,29 @@ fn zero_counts_are_rejected() {
 }
 
 #[test]
-fn policy_outside_simulate_is_rejected() {
-    assert_rejected(
-        &["verify", "--scale", "tiny", "--policy", "bogus"],
-        "--policy",
-    );
-    assert_rejected(
-        &["inspect", "--scale", "tiny", "--policy", "fifo"],
-        "--policy",
-    );
-    assert_rejected(
-        &[
-            "simulate",
-            "--scale",
-            "tiny",
+fn options_a_subcommand_does_not_read_are_rejected() {
+    for (args, needle) in [
+        (
+            &["verify", "--scale", "tiny", "--cores", "4"][..],
+            "--cores",
+        ),
+        (
+            &["inspect", "--scale", "tiny", "--variant", "v3"],
             "--variant",
-            "original",
+        ),
+        (&["inspect", "--scale", "tiny", "--nodse", "2"], "--nodse"),
+        (
+            &["simulate", "--scale", "tiny", "--policy", "fifo"],
             "--policy",
-            "fifo",
-        ],
-        "--policy",
-    );
-    assert_rejected(
-        &["simulate", "--scale", "tiny", "--policy", "bogus"],
-        "unknown policy",
-    );
+        ),
+        (&["dot", "--scale", "tiny", "--trace", "x.csv"], "--trace"),
+        (
+            &["simulate", "--scale", "tiny", "--nodes"],
+            "--nodes needs a value",
+        ),
+    ] {
+        assert_rejected(args, needle);
+    }
 }
 
 #[test]
@@ -70,7 +68,7 @@ fn valid_counts_and_policy_run() {
     for args in [
         &["inspect", "--scale", "tiny", "--nodes", "2"][..],
         &[
-            "simulate", "--scale", "tiny", "--nodes", "1", "--cores", "1", "--policy", "fifo",
+            "simulate", "--scale", "tiny", "--nodes", "1", "--cores", "1",
         ],
     ] {
         let out = run(args);

@@ -2,7 +2,7 @@
 //! through both engines, plus shape assertions on the simulated curves.
 
 use ccsd::{build_graph, simulate_baseline, verify, BaselineCfg, VariantCfg};
-use parsec_rt::{NativeRuntime, SchedPolicy, SimEngine};
+use parsec_rt::{NativeRuntime, SimEngine};
 use ptg::dsl::DslBuilder;
 use ptg::PlainCtx;
 use std::sync::{Arc, Mutex};
@@ -140,9 +140,7 @@ fn dsl_and_rust_graphs_agree() {
     .compile(Arc::new(PlainCtx { nodes: 1 }))
     .unwrap();
 
-    let rep = NativeRuntime::new(3)
-        .policy(SchedPolicy::PriorityFifo)
-        .run(&graph);
+    let rep = NativeRuntime::new(3).run(&graph);
     assert_eq!(rep.tasks, n as u64 + 1);
     let expected: f64 = (1..=n).sum::<i64>() as f64;
     assert_eq!(*total.lock().unwrap(), expected);
@@ -169,34 +167,6 @@ fn dsl_graph_runs_on_simulator() {
     // Ten serial 1 ms steps plus dispatch overhead.
     assert!(rep.makespan >= 10_000_000, "makespan {}", rep.makespan);
     assert!(rep.makespan < 12_000_000, "makespan {}", rep.makespan);
-}
-
-/// The cache-affinity scheduling policy completes the workload with the
-/// same numerics (policy only affects order, never results).
-#[test]
-fn chain_affinity_policy_is_sound() {
-    let space = TileSpace::build(&scale::tiny());
-    let (ins, ws) = verify::prepare(&space, 2);
-    let e_ref = verify::reference_energy(&ws);
-
-    ws.reset_output();
-    let graph = build_graph(ins.clone(), VariantCfg::v5(), Some(ws.clone()));
-    NativeRuntime::new(3)
-        .policy(SchedPolicy::ChainAffinity)
-        .run(&graph);
-    let e = tce::energy::energy(&ws);
-    assert!(rel_diff(e_ref, e) < 1e-12, "{e} vs {e_ref}");
-
-    // And on the simulated engine.
-    ws.reset_output();
-    let graph = build_graph(ins.clone(), VariantCfg::v5(), Some(ws.clone()));
-    let rep = SimEngine::new(2, 3)
-        .policy(SchedPolicy::ChainAffinity)
-        .execute_bodies(true)
-        .run(&graph);
-    assert!(rep.tasks > 0);
-    let e = tce::energy::energy(&ws);
-    assert!(rel_diff(e_ref, e) < 1e-12, "sim: {e} vs {e_ref}");
 }
 
 /// Node-count invariance: distributing the Global Arrays across different

@@ -5,7 +5,7 @@
 //! tasks, wrong energies, or hangs.
 
 use ccsd::{build_graph, verify, DistRank, VariantCfg};
-use parsec_rt::{NativeRuntime, SchedPolicy};
+use parsec_rt::NativeRuntime;
 use ptg::{Dep, GraphCtx, Payload, PlainCtx, TaskClass, TaskGraph, TaskKey};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -101,36 +101,24 @@ fn fan_in_reduce_is_stable_under_oversubscription() {
 
 /// 50 runs of the full v5 CCSD variant graph at 8 workers: the task count
 /// must be identical every iteration and the energy must match the serial
-/// reference to 1e-12 every iteration, under every scheduling policy the
-/// engine offers (alternating per iteration).
+/// reference to 1e-12 every iteration.
 #[test]
 fn v5_variant_is_stable_under_oversubscription() {
     let space = TileSpace::build(&scale::tiny());
     let (ins, ws) = verify::prepare(&space, 2);
     let e_ref = verify::reference_energy(&ws);
-    let policies = [
-        SchedPolicy::PriorityFifo,
-        SchedPolicy::PriorityLifo,
-        SchedPolicy::Fifo,
-        SchedPolicy::Lifo,
-        SchedPolicy::ChainAffinity,
-    ];
 
     let mut tasks0 = None;
     for iter in 0..ITERS {
         ws.reset_output();
         let g = build_graph(ins.clone(), VariantCfg::v5(), Some(ws.clone()));
-        let policy = policies[iter % policies.len()];
-        let rep = NativeRuntime::new(THREADS).policy(policy).run(&g);
+        let rep = NativeRuntime::new(THREADS).run(&g);
         let tasks = *tasks0.get_or_insert(rep.tasks);
-        assert_eq!(
-            rep.tasks, tasks,
-            "iteration {iter} ({policy:?}): task count drifted"
-        );
+        assert_eq!(rep.tasks, tasks, "iteration {iter}: task count drifted");
         let e = tce::energy::energy(&ws);
         assert!(
             rel_diff(e_ref, e) < 1e-12,
-            "iteration {iter} ({policy:?}): energy {e} vs reference {e_ref}"
+            "iteration {iter}: energy {e} vs reference {e_ref}"
         );
     }
 }
