@@ -127,7 +127,9 @@ struct Shared<'g> {
 }
 
 impl NativeRuntime {
-    /// Engine with `threads >= 1` workers.
+    /// Engine with `threads >= 1` workers: the thread that calls
+    /// [`NativeRuntime::run`] is worker 0, and each run spawns the other
+    /// `threads - 1`, so a one-worker engine never creates a thread.
     pub fn new(threads: usize) -> Self {
         assert!(threads >= 1, "need at least one worker");
         Self {
@@ -167,8 +169,11 @@ impl NativeRuntime {
         self
     }
 
-    /// Execute `graph` to quiescence. Panics if the graph deadlocks
-    /// (declared inputs that no task delivers).
+    /// Execute `graph` to quiescence, running worker 0 on the calling
+    /// thread beside `threads - 1` scoped workers spawned for this run
+    /// and joined before it returns. Panics if the graph deadlocks
+    /// (declared inputs that no task delivers) or if a body panics, on
+    /// any worker.
     pub fn run(&self, graph: &TaskGraph) -> NativeReport {
         // The injector is stolen oldest-first: push the roots best first.
         let mut roots = graph.roots();
@@ -201,18 +206,25 @@ impl NativeRuntime {
         };
 
         let run_start = Instant::now();
+        let mut locals = locals.into_iter();
+        let mine = locals.next().expect("at least one worker");
         let outs: Vec<WorkerOut> = std::thread::scope(|scope| {
             let handles: Vec<_> = locals
-                .into_iter()
                 .enumerate()
-                .map(|(index, local)| {
+                .map(|(i, local)| {
                     let shared = &shared;
-                    scope.spawn(move || WorkerLoop::new(shared, local, index).run())
+                    scope.spawn(move || WorkerLoop::new(shared, local, i + 1).run())
                 })
                 .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker panicked"))
+            // The calling thread is worker 0: a one-worker run spawns
+            // nothing.
+            let first = WorkerLoop::new(&shared, mine, 0).run();
+            std::iter::once(first)
+                .chain(
+                    handles
+                        .into_iter()
+                        .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p))),
+                )
                 .collect()
         });
 
@@ -234,6 +246,19 @@ impl NativeRuntime {
 fn by_priority(graph: &TaskGraph, keys: &mut [TaskKey]) {
     let ctx = graph.ctx();
     keys.sort_by_cached_key(|&k| std::cmp::Reverse(graph.class_of(k).priority(k, ctx)));
+}
+
+/// Ends the run if a body panics on this worker, so that the others stop
+/// instead of parking forever and the panic reaches the caller.
+struct StopOnPanic<'s, 'g>(&'s Shared<'g>);
+
+impl Drop for StopOnPanic<'_, '_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.shutdown.store(true, Ordering::SeqCst);
+            self.0.gate.notify_all();
+        }
+    }
 }
 
 /// xorshift64*: cheap per-worker victim randomization.
@@ -282,6 +307,8 @@ impl<'s, 'g> WorkerLoop<'s, 'g> {
     /// the worker counted.
     fn run(mut self) -> WorkerOut {
         let shared = self.shared;
+        let _stop = StopOnPanic(shared);
+        crate::pool::rehome();
         loop {
             if shared.shutdown.load(Ordering::SeqCst) {
                 return self.out;

@@ -584,3 +584,102 @@ fn no_source_fan_in_never_hangs_or_loses_a_task() {
     }
     runs.join().unwrap();
 }
+
+/// `n` independent roots whose bodies call `body`.
+struct Roots {
+    n: i64,
+    body: Box<dyn Fn(TaskKey) + Send + Sync>,
+}
+impl ptg::TaskClass for Roots {
+    fn name(&self) -> &str {
+        "ROOTS"
+    }
+    fn num_flows(&self) -> usize {
+        1
+    }
+    fn roots(&self, _ctx: &dyn GraphCtx, out: &mut Vec<TaskKey>) {
+        out.extend((0..self.n).map(|i| TaskKey::new(0, &[i])));
+    }
+    fn num_inputs(&self, _key: TaskKey, _ctx: &dyn GraphCtx) -> usize {
+        0
+    }
+    fn successors(&self, _key: TaskKey, _ctx: &dyn GraphCtx, _out: &mut Vec<Dep>) {}
+    fn execute(
+        &self,
+        key: TaskKey,
+        _ctx: &dyn GraphCtx,
+        _inputs: &mut [Option<Payload>],
+    ) -> Vec<Option<Payload>> {
+        (self.body)(key);
+        vec![None]
+    }
+}
+
+fn roots_graph(n: i64, body: impl Fn(TaskKey) + Send + Sync + 'static) -> TaskGraph {
+    TaskGraph::new(
+        vec![Arc::new(Roots {
+            n,
+            body: Box::new(body),
+        })],
+        Arc::new(PlainCtx { nodes: 1 }),
+    )
+}
+
+/// A one-worker run is the calling thread: every body runs on it. The
+/// 3 000 bodies also fill several blocks of the span log, every span of
+/// which reaches the trace.
+#[test]
+fn one_worker_runs_every_body_on_the_calling_thread() {
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let log = seen.clone();
+    let g = roots_graph(3000, move |_| log.lock().push(std::thread::current().id()));
+    let rep = NativeRuntime::new(1).run(&g);
+    assert_eq!(rep.tasks, 3000);
+    assert_eq!(rep.trace.spans().len(), 3000);
+    let me = std::thread::current().id();
+    let seen = seen.lock();
+    assert_eq!(seen.len(), 3000);
+    assert!(seen.iter().all(|&t| t == me), "a body ran off the caller");
+}
+
+/// The calling thread is worker 0 of every run and keeps living between
+/// runs, while worker 1 is a new thread each time; still, the two never
+/// share a pool home (one shard lock per worker): 32 consecutive runs on
+/// one pool, each body waiting until both workers have one.
+#[test]
+fn two_workers_never_share_a_pool_home() {
+    let pool = Arc::new(crate::TilePool::new(8));
+    for run in 0..32 {
+        let arrived = Arc::new(AtomicU64::new(0));
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let (p, a, log) = (pool.clone(), arrived.clone(), seen.clone());
+        let g = roots_graph(2, move |_| {
+            // Hold this worker until the other has a body too, so each
+            // runs one.
+            a.fetch_add(1, Ordering::SeqCst);
+            let t = std::time::Instant::now();
+            while a.load(Ordering::SeqCst) < 2 && t.elapsed().as_secs() < 10 {
+                std::hint::spin_loop();
+            }
+            p.recycle(p.checkout(64));
+            log.lock().push((std::thread::current().id(), p.home()));
+        });
+        NativeRuntime::new(2).run(&g);
+        let seen = seen.lock();
+        assert_ne!(seen[0].0, seen[1].0, "run {run}: one worker ran both");
+        assert_ne!(
+            seen[0].1, seen[1].1,
+            "run {run}: both workers on home {}",
+            seen[0].1
+        );
+    }
+}
+
+/// A body that panics ends the run and the panic reaches the caller,
+/// whichever worker ran it; the other worker does not park forever.
+#[test]
+#[should_panic(expected = "body 5 failed")]
+fn a_panicking_body_reaches_the_caller() {
+    let g = roots_graph(16, |k| assert!(k.params[0] != 5, "body 5 failed"));
+    NativeRuntime::new(2).run(&g);
+}

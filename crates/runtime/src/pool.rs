@@ -15,11 +15,15 @@
 //! and each thread that touches the pool is handed its own home shard in
 //! turn, so concurrent checkouts by different workers touch different
 //! locks and different cache lines — a checkout's whole footprint is its
-//! home shard. A checkout that misses its home shard scans the others
-//! before allocating fresh — recycled buffers are never stranded on the
-//! shard of a thread that no longer exists, which keeps repeat runs
-//! miss-free even though worker threads (and their shard homes) change
-//! between runs. [`TilePool::stats`] sums the shards' counters.
+//! home shard. Homes are handed out per native run, not per thread for
+//! life: every worker forgets its home as a run starts (`rehome`), the
+//! calling thread — worker 0 of every run — included, so a run's workers
+//! take consecutive homes and never share one. A checkout that misses
+//! its home shard scans the others before allocating fresh — recycled
+//! buffers are never stranded on a home no worker holds any more (a
+//! spawned worker's, once its thread has exited), which keeps repeat
+//! runs miss-free even though the homes change between runs.
+//! [`TilePool::stats`] sums the shards' counters.
 
 use crossbeam::utils::CachePadded;
 use parking_lot::{Mutex, MutexGuard};
@@ -94,6 +98,15 @@ thread_local! {
     static HOME: Cell<(usize, usize)> = const { Cell::new((0, 0)) };
 }
 
+/// Forget the calling thread's home shard: its next checkout or recycle,
+/// in any pool, takes a fresh home round-robin. Every worker of a native
+/// run calls this as it starts, the calling thread included, so a run's
+/// workers take consecutive homes, exactly as threads spawned for the
+/// run would.
+pub(crate) fn rehome() {
+    HOME.with(|h| h.set((0, 0)));
+}
+
 impl Default for TilePool {
     fn default() -> Self {
         Self::new(8)
@@ -123,7 +136,7 @@ impl TilePool {
     /// time a thread checks out or recycles here (and again if it used
     /// another pool since), so the first `shards` threads each get their
     /// own.
-    fn home(&self) -> usize {
+    pub(crate) fn home(&self) -> usize {
         let me = self as *const Self as usize;
         HOME.with(|h| {
             let (pool, home) = h.get();

@@ -39,12 +39,42 @@ pub struct StealStats {
 /// own until then, never shared words bumped per task.
 #[derive(Default)]
 pub(crate) struct WorkerOut {
-    /// One `(class, begin ns, end ns)` span per task body it ran.
-    pub spans: Vec<(u32, u64, u64)>,
+    /// One span per task body it ran.
+    pub spans: SpanLog,
     pub external_tasks: u64,
     pub local_steals: u64,
     /// Mailed completions it drained.
     pub drained: u64,
+}
+
+/// A worker's `(class, begin ns, end ns)` spans, in blocks of a fixed
+/// size. Worker 0 is the calling thread, whose heap outlives the run: a
+/// log that doubled in place would leave a trail of ever larger holes
+/// between the run's small allocations there, while equal blocks are
+/// reused exactly by the next run. [`build_report`] copies the blocks
+/// into a trace allocated once, at its exact size, for the same reason.
+#[derive(Default)]
+pub(crate) struct SpanLog {
+    blocks: Vec<Vec<(u32, u64, u64)>>,
+}
+
+impl SpanLog {
+    const BLOCK: usize = 1024;
+
+    pub fn push(&mut self, span: (u32, u64, u64)) {
+        match self.blocks.last_mut() {
+            Some(b) if b.len() < Self::BLOCK => b.push(span),
+            _ => {
+                let mut b = Vec::with_capacity(Self::BLOCK);
+                b.push(span);
+                self.blocks.push(b);
+            }
+        }
+    }
+
+    pub fn len(&self) -> usize {
+        self.blocks.iter().map(Vec::len).sum()
+    }
 }
 
 /// Assemble a [`NativeReport`] from the workers' outputs (one span per
@@ -68,8 +98,10 @@ pub(crate) fn build_report(
             trace.class(c.name(), kind)
         })
         .collect();
+    let per_worker_tasks: Vec<u64> = outs.iter().map(|o| o.spans.len() as u64).collect();
+    trace.reserve(per_worker_tasks.iter().sum::<u64>() as usize);
     for (w, out) in outs.iter().enumerate() {
-        for &(class, b, e) in &out.spans {
+        for &(class, b, e) in out.spans.blocks.iter().flatten() {
             trace.push(
                 WorkerId::new(node, w as u32),
                 class_ids[class as usize],
@@ -78,7 +110,6 @@ pub(crate) fn build_report(
             );
         }
     }
-    let per_worker_tasks: Vec<u64> = outs.iter().map(|o| o.spans.len() as u64).collect();
     let sum = |f: fn(&WorkerOut) -> u64| outs.iter().map(f).sum();
     NativeReport {
         trace,

@@ -148,6 +148,12 @@ impl Trace {
         });
     }
 
+    /// Make room for `n` more spans in one allocation, for a caller that
+    /// knows how many it will push.
+    pub fn reserve(&mut self, n: usize) {
+        self.spans.reserve_exact(n);
+    }
+
     /// All recorded spans, in insertion order.
     pub fn spans(&self) -> &[Span] {
         &self.spans
