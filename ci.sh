@@ -14,16 +14,18 @@ cargo build --release
 echo "==> cargo test -q (workspace: includes the loopback chaos matrices)"
 cargo test --workspace -q
 
-echo "==> cargo test --release (engine, ga, ccsd and root stress tests, optimized)"
+echo "==> cargo test --release (comm sockets, engine, ga, ccsd and root stress tests, optimized)"
 # The step above builds in debug, where the engine's interleavings run
 # 10-30x slower than in the release build every benchmark and service
 # runs: a race that needs a tight window (a completion settling inline
 # while a sibling steals, a grant landing between claim and poll, a
 # worker waking during the all-idle scan) hides there. Run the
-# concurrency tests once more at release speed — the engine's unit
-# tests, ga's per-thread counters and array views, ccsd's loopback runs
-# and stress tests, and the root package's tests/stress.rs.
-cargo test --release -q -p parsec-rt -p global-arrays -p ccsd -p parsec-ccsd-repro
+# concurrency tests once more at release speed — comm's socket
+# transport (frame reassembly, the simultaneous 64 MiB replies that
+# deadlock blocking writes), the engine's unit tests, ga's per-thread
+# counters and array views, ccsd's loopback runs and stress tests, and
+# the root package's tests/stress.rs.
+cargo test --release -q -p comm -p parsec-rt -p global-arrays -p ccsd -p parsec-ccsd-repro
 
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings

@@ -278,7 +278,7 @@ fn dist_ccsd_socket_chaos_smoke() {
     let replay =
         format!("socket chaos `{name}` seed {seed} — replay: FaultPlan::named(\"{name}\", {seed})");
     let e_ref = reference();
-    let base = 34000 + (std::process::id() % 400) as u16 * 8;
+    let base = comm::free_port_base(RANKS);
     let (tx, rx) = mpsc::channel();
     let handles: Vec<_> = (0..RANKS)
         .map(|r| {

@@ -9,11 +9,13 @@
 //! * [`transport::loopback`] — N ranks as threads in one process, used by
 //!   tests and single-binary runs;
 //! * [`socket::SocketTransport`] — a real multi-process TCP mesh with
-//!   length-prefixed frames.
+//!   length-prefixed frames, each one `writev`, over nonblocking sockets
+//!   that the progress thread alone polls and reads.
 //!
 //! Each rank runs an [`Endpoint`] whose progress thread services active
-//! messages against the rank-local [`ShardStore`]. The engine is five
-//! small state machines around that thread:
+//! messages against the rank-local [`ShardStore`]; it is the rank's only
+//! communication thread. The engine is five small state machines around
+//! that thread:
 //!
 //! * [`call`] — the request table. One generic primitive,
 //!   [`Endpoint::call`] / [`Endpoint::serve`], carries every control
@@ -64,7 +66,7 @@ pub use fault::{FaultCounters, FaultEvent, FaultPlan, FaultTransport, SplitMix64
 pub use get::GetCallback;
 pub use liveness::FailureHandler;
 pub use msg::{CodecError, GetSpec, Msg, ReplyView, WireSlice};
-pub use socket::SocketTransport;
+pub use socket::{free_port_base, SocketTransport};
 pub use transport::{loopback, LoopbackTransport, Transport};
 
 #[cfg(test)]

@@ -4,19 +4,22 @@
 //! A [`Transport`] moves opaque frames (encoded message bodies) between
 //! ranks; it knows nothing of the protocol above it. Two backends exist:
 //!
-//! * [`loopback`] — N ranks inside one process, frames through in-memory
-//!   queues. Tests run real multi-rank executions with no sockets, and
-//!   still exercise the full codec (frames are encoded and decoded
-//!   exactly as on the wire).
+//! * [`loopback`] — N ranks inside one process, frames through one
+//!   condvar `Inbox` per rank. Tests run real multi-rank executions
+//!   with no sockets, and still exercise the full codec (frames are
+//!   encoded and decoded exactly as on the wire).
 //! * [`crate::socket::SocketTransport`] — real multi-process TCP mesh.
+//!   It spawns no thread: `recv_timeout`, on the progress thread, polls
+//!   and reads the sockets itself, and `send` never blocks.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 /// A reliable, ordered, rank-addressed frame carrier. `send` must be
-/// callable from any thread; `recv_timeout` is only ever called by the
-/// rank's progress thread.
+/// callable from any thread and must not block on the peer; `recv_timeout`
+/// is only ever called by the rank's progress thread, which may be the
+/// thread that moves the bytes.
 pub trait Transport: Send + Sync + 'static {
     /// This rank's index.
     fn rank(&self) -> usize;

@@ -371,7 +371,7 @@ fn bounded_plan_cache_evicts_and_rebuilds() {
 fn four_rank_socket_gangs_run_concurrently() {
     const RANKS: usize = 4;
     let e_small = reference(&scale::small());
-    let base = 35200 + (std::process::id() % 400) as u16 * 8;
+    let base = comm::free_port_base(RANKS);
     let handles: Vec<_> = (0..RANKS)
         .map(|r| {
             std::thread::spawn(move || {
