@@ -11,7 +11,7 @@ tree_before=$(git status --porcelain 2>/dev/null || echo "not a git checkout")
 echo "==> cargo build --release (default members: the root package and every crate)"
 cargo build --release
 
-echo "==> cargo test -q (workspace: includes the loopback chaos matrices)"
+echo "==> cargo test -q (workspace: includes the socket chaos and death matrices)"
 cargo test --workspace -q
 
 echo "==> cargo test --release (comm sockets, engine, ga, ccsd and root stress tests, optimized)"
@@ -23,7 +23,7 @@ echo "==> cargo test --release (comm sockets, engine, ga, ccsd and root stress t
 # concurrency tests once more at release speed — comm's socket
 # transport (frame reassembly, the simultaneous 64 MiB replies that
 # deadlock blocking writes), the engine's unit tests, ga's per-thread
-# counters and array views, ccsd's loopback runs and stress tests, and
+# counters and array views, ccsd's socket-mesh runs and stress tests, and
 # the root package's tests/stress.rs.
 cargo test --release -q -p comm -p parsec-rt -p global-arrays -p ccsd -p parsec-ccsd-repro
 
@@ -66,8 +66,9 @@ echo "==> comm smoke (4 ranks x 4 workers over sockets, v1..v5 vs single-process
 cargo run -q --release -p bench-harness --bin mesh_gate -- comm-smoke
 
 echo "==> comm chaos matrix (4 ranks x 4 workers over sockets, fault schedules + kill matrix, fixed seeds)"
-# The 4-rank loopback matrix (7 schedules x 2 variants, plus comm-level
-# chaos) already ran under `cargo test`; this adds the real-socket pass.
+# The 4-rank matrix (7 schedules x 2 variants, plus comm-level chaos and
+# death) already ran under `cargo test`, its ranks threads of one process
+# over a socket mesh; this adds the pass across OS processes.
 # The same invocation also runs the kill matrix: three scripted death
 # schedules (mid-gemm, mid-barrier, mid-submit) where the survivors'
 # failure detector must confirm the victim's death — plus a clean

@@ -334,7 +334,7 @@ mod tests {
     use tce::scale;
     use tensor_kernels::rel_diff;
 
-    /// Run `n` ranks (threads over loopback transports) through the same
+    /// Run `n` ranks (threads over one socket mesh) through the same
     /// collective closure; results in rank order.
     fn run_ranks<T: Send + 'static>(
         n: usize,
@@ -350,7 +350,8 @@ mod tests {
         f: impl Fn(&DistRank) -> T + Send + Sync + 'static,
     ) -> Vec<T> {
         let f = Arc::new(f);
-        let handles: Vec<_> = comm::loopback(n)
+        let handles: Vec<_> = comm::SocketTransport::mesh(n)
+            .unwrap()
             .into_iter()
             .map(|t| {
                 let (f, cfg) = (f.clone(), cfg.clone());
@@ -503,7 +504,8 @@ mod tests {
         // Two disjoint 2-rank gangs of one 4-rank mesh hold the same
         // output; each reduces it among its own members only.
         let data = Arc::new(data);
-        let handles: Vec<_> = comm::loopback(4)
+        let handles: Vec<_> = comm::SocketTransport::mesh(4)
+            .unwrap()
             .into_iter()
             .map(|t| {
                 let (space, data) = (space.clone(), data.clone());

@@ -1,10 +1,10 @@
 //! End-to-end chaos matrix: small-scale distributed CCSD (v2 and v5)
-//! over 4 ranks, with every rank's transport wrapped in a seeded
-//! [`FaultTransport`]. Each named fault schedule must terminate and
-//! reproduce the single-process reference energy to 1e-12 — the paper's
-//! claim that the task formulation decouples correctness from execution
-//! order, demonstrated under message loss, delay, duplication,
-//! reordering, partitions and stalls.
+//! over 4 ranks of one in-process socket mesh, with every rank's
+//! transport wrapped in a seeded [`FaultTransport`]. Each named fault
+//! schedule must terminate and reproduce the single-process reference
+//! energy to 1e-12 — the paper's claim that the task formulation
+//! decouples correctness from execution order, demonstrated under
+//! message loss, delay, duplication, reordering, partitions and stalls.
 //!
 //! On failure the panic message carries the schedule and seed; replay by
 //! running the test with the same constants (fault decisions are a pure
@@ -135,8 +135,11 @@ fn run_matrix(transports: Vec<FaultyRank>, replay: &str) -> Vec<RankResult> {
         .collect()
 }
 
-fn faulty_loopback(name: &str, seed: u64) -> Vec<FaultyRank> {
-    comm::loopback(RANKS)
+/// A 4-rank in-process socket mesh, rank `r` faulted by schedule `name`
+/// at `seed + r`.
+fn faulty_mesh(name: &str, seed: u64) -> Vec<FaultyRank> {
+    SocketTransport::mesh(RANKS)
+        .unwrap()
         .into_iter()
         .enumerate()
         .map(|(r, t)| {
@@ -184,7 +187,7 @@ fn chaos_schedule(name: &str, seed: u64) -> Vec<RankResult> {
         "ccsd chaos schedule `{name}` seed {seed} — replay: FaultPlan::named(\"{name}\", {seed})"
     );
     let e_ref = reference();
-    let results = run_matrix(faulty_loopback(name, seed), &replay);
+    let results = run_matrix(faulty_mesh(name, seed), &replay);
     assert_energies(&results, e_ref, &replay);
     results
 }
@@ -256,7 +259,7 @@ fn dist_ccsd_survives_coalesce() {
 fn dist_ccsd_clean_run_has_zero_recovery_activity() {
     let e_ref = reference();
     let replay = "clean run".to_string();
-    let results = run_matrix(faulty_loopback("clean", 7), &replay);
+    let results = run_matrix(faulty_mesh("clean", 7), &replay);
     assert_energies(&results, e_ref, &replay);
     for (r, res) in results.iter().enumerate() {
         let s = &res.stats;
@@ -266,78 +269,4 @@ fn dist_ccsd_clean_run_has_zero_recovery_activity() {
             "rank {r}: clean run must show zero recovery activity: {s:?}"
         );
     }
-}
-
-/// TCP-backend chaos smoke: the fault wrapper composes over real
-/// sockets exactly as over loopback (4 ranks as threads in one process,
-/// drop schedule, v5 energy still 1e-12).
-#[test]
-fn dist_ccsd_socket_chaos_smoke() {
-    let seed: u64 = 0x50CC_0007;
-    let name = "drop";
-    let replay =
-        format!("socket chaos `{name}` seed {seed} — replay: FaultPlan::named(\"{name}\", {seed})");
-    let e_ref = reference();
-    let base = comm::free_port_base(RANKS);
-    let (tx, rx) = mpsc::channel();
-    let handles: Vec<_> = (0..RANKS)
-        .map(|r| {
-            let tx = tx.clone();
-            let replay = replay.clone();
-            std::thread::spawn(move || {
-                let sock = SocketTransport::connect(r, RANKS, base, Duration::from_secs(30))
-                    .unwrap_or_else(|e| panic!("mesh failed: {e}; {replay}"));
-                let plan = FaultPlan::named(name, seed.wrapping_add(r as u64)).unwrap();
-                let ft = FaultTransport::new(Box::new(sock), plan);
-                let armed = ft.armed_handle();
-                let space = TileSpace::build(&scale::tiny());
-                let rank = DistRank::with_configs(
-                    Box::new(ft),
-                    &space,
-                    &[Kernel::T2_7],
-                    chaos_cfg(),
-                    verify_cache_cfg(),
-                );
-                let energy = rank.run_variant(VariantCfg::v5(), 4, true).energy;
-                // Fill-then-hit over the faulty sockets so the verified
-                // stale gate below is exercised, not vacuous.
-                let ws = rank.workspace();
-                let t2_len = ws.t2_layout.len();
-                assert_eq!(ws.ga.get(ws.t2, 0, t2_len), ws.ga.get(ws.t2, 0, t2_len));
-                let stale = ws.ga.stats().stale_reads();
-                armed.store(false, Ordering::SeqCst);
-                rank.finish();
-                tx.send(()).unwrap();
-                (energy, stale)
-            })
-        })
-        .collect();
-    for _ in 0..RANKS {
-        rx.recv_timeout(Duration::from_secs(240))
-            .unwrap_or_else(|_| panic!("socket run did not terminate: {replay}"));
-    }
-    let outcomes: Vec<(Option<f64>, u64)> = handles
-        .into_iter()
-        .map(|h| {
-            h.join().unwrap_or_else(|e| {
-                let msg = e
-                    .downcast_ref::<String>()
-                    .cloned()
-                    .or_else(|| e.downcast_ref::<&str>().map(|s| s.to_string()))
-                    .unwrap_or_default();
-                panic!("rank panicked: {msg}; {replay}")
-            })
-        })
-        .collect();
-    for (r, (_, stale)) in outcomes.iter().enumerate() {
-        assert_eq!(
-            *stale, 0,
-            "rank {r} cached stale data over sockets: {replay}"
-        );
-    }
-    let e = outcomes[0].0.expect("rank 0 energy");
-    assert!(
-        rel_diff(e_ref, e) < 1e-12,
-        "socket chaos energy {e} vs reference {e_ref}: {replay}"
-    );
 }

@@ -318,26 +318,14 @@ impl Endpoint {
             ids,
             cfg,
         });
-        let worker = inner.clone();
-        let thread = std::thread::Builder::new()
-            .name(format!("comm-progress-{rank}"))
-            .spawn(move || {
-                // A dead progress engine hangs every rank of the job
-                // without symptoms; turn protocol violations into a loud,
-                // immediate failure instead.
-                if std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| worker.progress_loop()))
-                    .is_err()
-                {
-                    eprintln!("comm-progress-{rank}: protocol panic, aborting");
-                    std::process::abort();
-                }
-            })
-            .expect("spawn progress thread");
         let ep = Arc::new(Self {
             inner,
-            thread: Mutex::new(Some(thread)),
+            thread: Mutex::new(None),
         });
         // The shared counter is the engine's own first client of `serve`.
+        // Both handlers are in place before the progress thread starts:
+        // a request it served in between would be answered with NXTVAL's
+        // "no more work" fallback.
         let counter = ep.inner.counter.clone();
         ep.serve(
             Am::NxtVal,
@@ -353,6 +341,22 @@ impl Endpoint {
                 Vec::new()
             })),
         );
+        let worker = ep.inner.clone();
+        let thread = std::thread::Builder::new()
+            .name(format!("comm-progress-{rank}"))
+            .spawn(move || {
+                // A dead progress engine hangs every rank of the job
+                // without symptoms; turn protocol violations into a loud,
+                // immediate failure instead.
+                if std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| worker.progress_loop()))
+                    .is_err()
+                {
+                    eprintln!("comm-progress-{rank}: protocol panic, aborting");
+                    std::process::abort();
+                }
+            })
+            .expect("spawn progress thread");
+        *ep.thread.lock().expect("nothing else holds it yet") = Some(thread);
         ep
     }
 

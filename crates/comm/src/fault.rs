@@ -1,6 +1,6 @@
 //! Deterministic fault injection for chaos testing.
 //!
-//! [`FaultTransport`] wraps any [`Transport`] (loopback or TCP mesh) and
+//! [`FaultTransport`] wraps any [`Transport`] (in practice a socket mesh) and
 //! perturbs *inbound* frames according to a seeded [`FaultPlan`]: frames
 //! may be dropped, delayed, duplicated or reordered, and scripted events
 //! can partition a peer for a window, throttle a slow peer, or stall the
@@ -568,7 +568,7 @@ impl Transport for FaultTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::loopback;
+    use crate::socket::SocketTransport;
 
     #[test]
     fn splitmix_is_deterministic_and_spreads() {
@@ -615,7 +615,7 @@ mod tests {
     /// the killed handle flips with it.
     #[test]
     fn kill_silences_both_directions_for_good() {
-        let mut ranks = loopback(2);
+        let mut ranks = SocketTransport::mesh(2).unwrap();
         let plan = FaultPlan {
             events: vec![FaultEvent::Kill { at: 4 }],
             ..FaultPlan::clean(0)
@@ -653,7 +653,7 @@ mod tests {
 
     #[test]
     fn clean_plan_is_transparent() {
-        let mut ranks = loopback(2);
+        let mut ranks = SocketTransport::mesh(2).unwrap();
         let r1 = FaultTransport::new(Box::new(ranks.pop().unwrap()), FaultPlan::clean(3));
         let r0 = ranks.pop().unwrap();
         let c = r1.counters();
@@ -670,7 +670,7 @@ mod tests {
     #[test]
     fn drop_plan_loses_frames_deterministically() {
         let deliver = |seed: u64| -> Vec<u8> {
-            let mut ranks = loopback(2);
+            let mut ranks = SocketTransport::mesh(2).unwrap();
             let plan = FaultPlan {
                 drop_p: 0.3,
                 ..FaultPlan::clean(seed)
@@ -695,7 +695,7 @@ mod tests {
 
     #[test]
     fn duplicates_and_delays_preserve_content() {
-        let mut ranks = loopback(2);
+        let mut ranks = SocketTransport::mesh(2).unwrap();
         let plan = FaultPlan {
             dup_p: 0.5,
             delay_p: 0.3,
@@ -726,7 +726,7 @@ mod tests {
 
     #[test]
     fn reorder_changes_order_not_content() {
-        let mut ranks = loopback(2);
+        let mut ranks = SocketTransport::mesh(2).unwrap();
         let plan = FaultPlan {
             reorder_p: 0.4,
             ..FaultPlan::clean(21)
@@ -750,7 +750,7 @@ mod tests {
 
     #[test]
     fn partition_window_drops_exactly_that_peer() {
-        let mut ranks = loopback(3);
+        let mut ranks = SocketTransport::mesh(3).unwrap();
         let r2 = ranks.pop().unwrap();
         let plan = FaultPlan {
             events: vec![FaultEvent::Partition {

@@ -4,13 +4,13 @@
 //! The paper's execution model needs exactly three things from the wire:
 //! one-sided block access (`GET`/`PUT`/`ACC` against block-distributed
 //! arrays), a shared work counter (`NXTVAL`), and collectives (`SYNC`).
-//! This crate provides them over pluggable byte transports:
-//!
-//! * [`transport::loopback`] — N ranks as threads in one process, used by
-//!   tests and single-binary runs;
-//! * [`socket::SocketTransport`] — a real multi-process TCP mesh with
-//!   length-prefixed frames, each one `writev`, over nonblocking sockets
-//!   that the progress thread alone polls and reads.
+//! This crate provides them over one byte transport,
+//! [`socket::SocketTransport`]: a TCP mesh with length-prefixed frames,
+//! each one `writev`, over nonblocking sockets that the progress thread
+//! alone polls and reads. A mesh spans processes
+//! ([`SocketTransport::connect`]) or lives inside one
+//! ([`SocketTransport::mesh`]), which is how tests run every rank as
+//! threads of one binary over the same wire.
 //!
 //! Each rank runs an [`Endpoint`] whose progress thread services active
 //! messages against the rank-local [`ShardStore`]; it is the rank's only
@@ -66,8 +66,8 @@ pub use fault::{FaultCounters, FaultEvent, FaultPlan, FaultTransport, SplitMix64
 pub use get::GetCallback;
 pub use liveness::FailureHandler;
 pub use msg::{CodecError, GetSpec, Msg, ReplyView, WireSlice};
-pub use socket::{free_port_base, SocketTransport};
-pub use transport::{loopback, LoopbackTransport, Transport};
+pub use socket::SocketTransport;
+pub use transport::Transport;
 
 #[cfg(test)]
 mod tests {
@@ -106,7 +106,7 @@ mod tests {
 
     #[allow(clippy::type_complexity)]
     fn pair() -> (Arc<Endpoint>, Arc<Endpoint>, Arc<MemStore>, Arc<MemStore>) {
-        let mut t = loopback(2);
+        let mut t = SocketTransport::mesh(2).unwrap();
         let t1 = t.pop().unwrap();
         let t0 = t.pop().unwrap();
         let s0 = MemStore::new(&[64, 8192]);
@@ -185,11 +185,10 @@ mod tests {
     /// priority `i` — and report the priorities in completion order
     /// (first element is the un-queued head-start launch).
     fn drain_order(cfg: CommConfig, offset: fn(usize) -> usize) -> (Arc<Endpoint>, Vec<i64>) {
-        let mut t = loopback(2);
+        let mut t = SocketTransport::mesh(2).unwrap();
         let t1 = t.pop().unwrap();
         let t0 = t.pop().unwrap();
         let e0 = Endpoint::spawn(Box::new(t0), MemStore::new(&[256]), cfg);
-        let _e1 = Endpoint::spawn(Box::new(t1), MemStore::new(&[256]), CommConfig::default());
         let order = Arc::new(Mutex::new(Vec::new()));
         let done = Arc::new(AtomicUsize::new(0));
         for p in 0..8usize {
@@ -206,6 +205,10 @@ mod tests {
                 }),
             );
         }
+        // Rank 1 starts serving only now: the head-start get waits in
+        // its socket until all eight are posted, so the other seven are
+        // queued behind it however slowly this thread posts them.
+        let _e1 = Endpoint::spawn(Box::new(t1), MemStore::new(&[256]), CommConfig::default());
         while done.load(Ordering::SeqCst) < 8 {
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
@@ -225,8 +228,8 @@ mod tests {
             },
             |_| 5,
         );
-        // The first completion raced the queue build-up; everything queued
-        // afterwards drains in strict descending priority.
+        // After the head-start launch, everything queued drains in strict
+        // descending priority.
         assert_eq!(order[1..], [7, 6, 5, 4, 3, 2, 1]);
         assert_eq!(e0.take_latencies().len(), 8);
         let trace = e0.take_trace();
@@ -271,7 +274,7 @@ mod tests {
 
     #[test]
     fn undrained_diagnostics_stop_at_the_cap() {
-        let mut t = loopback(2);
+        let mut t = SocketTransport::mesh(2).unwrap();
         let t1 = t.pop().unwrap();
         let t0 = t.pop().unwrap();
         let e0 = Endpoint::spawn(Box::new(t0), MemStore::new(&[256]), CommConfig::default());
@@ -310,7 +313,7 @@ mod tests {
 
     #[test]
     fn identical_gets_each_complete_with_their_own_transfer() {
-        let mut t = loopback(2);
+        let mut t = SocketTransport::mesh(2).unwrap();
         let t1 = t.pop().unwrap();
         let t0 = t.pop().unwrap();
         let s1 = MemStore::new(&[256]);
@@ -354,8 +357,25 @@ mod tests {
     #[should_panic(expected = "at most 64 ranks")]
     fn more_than_64_ranks_is_rejected() {
         // Rank masks are u64: rank 64 would alias rank 0's liveness and
-        // barrier bit, so the endpoint refuses the mesh outright.
-        let t = loopback(65).pop().unwrap();
-        Endpoint::spawn(Box::new(t), MemStore::new(&[1]), CommConfig::default());
+        // barrier bit, so the endpoint refuses the mesh outright. Only
+        // the mesh's size is read, so no wire stands behind it.
+        struct SixtyFive;
+        impl Transport for SixtyFive {
+            fn rank(&self) -> usize {
+                0
+            }
+            fn nranks(&self) -> usize {
+                65
+            }
+            fn send(&self, _: usize, _: Vec<u8>) {}
+            fn recv_timeout(&self, _: std::time::Duration) -> Option<(usize, Vec<u8>)> {
+                None
+            }
+        }
+        Endpoint::spawn(
+            Box::new(SixtyFive),
+            MemStore::new(&[1]),
+            CommConfig::default(),
+        );
     }
 }

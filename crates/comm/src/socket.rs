@@ -1,9 +1,14 @@
-//! Multi-process TCP mesh transport.
+//! The TCP mesh transport: the one wire every rank runs on, in tests as
+//! in multi-process runs.
 //!
-//! Rank `r` listens on `base_port + r` (loopback interface) and dials
+//! [`SocketTransport::connect`] forms one rank of a multi-process mesh:
+//! rank `r` listens on `base_port + r` (loopback interface) and dials
 //! every lower rank, so the mesh forms without a rendezvous server: each
 //! pair has exactly one connection, initiated by the higher rank, which
-//! identifies itself with a 4-byte hello. Frames are length-prefixed
+//! identifies itself with a 4-byte hello. [`SocketTransport::mesh`]
+//! forms every rank of one inside a single process — how tests run real
+//! multi-rank executions — the same way, on kernel-assigned ports, from
+//! the calling thread. Frames are length-prefixed
 //! (`u32` little-endian byte count, then the encoded body), and each
 //! leaves in one `writev` of prefix plus body, so under `TCP_NODELAY` a
 //! small frame is one segment.
@@ -30,7 +35,7 @@ use std::io::{ErrorKind, IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::os::unix::net::UnixStream;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -49,6 +54,10 @@ const FLUSH_BATCH: usize = 32;
 /// How long a dropped transport keeps flushing frames still queued
 /// toward live peers before it closes the sockets.
 const DROP_FLUSH: Duration = Duration::from_secs(2);
+
+/// How long [`SocketTransport::mesh`] waits for its own hellos; only a
+/// stray connection to one of its listeners can make it wait at all.
+const MESH_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// The one foreign call: `ppoll(2)`, for its nanosecond timeout (the
 /// progress loop waits in 200 µs slices, below `poll(2)`'s millisecond).
@@ -114,21 +123,68 @@ mod sys {
 
 use sys::{PollFd, POLLERR, POLLHUP, POLLIN, POLLOUT};
 
-/// A base port with `n` consecutive loopback ports free right now,
-/// searched from a pid-derived start below the kernel's ephemeral range;
-/// successive calls in one process probe different ranges, so
-/// concurrent meshes of one test binary do not collide.
-pub fn free_port_base(n: usize) -> u16 {
-    const LOW: u64 = 20_000;
-    const SPAN: u64 = 12_000;
-    static NEXT: AtomicU64 = AtomicU64::new(0);
-    let n = n.max(1) as u64;
+/// Accept every rank above `rank` on `listener` into `streams`, each
+/// named by its 4-byte hello, before `deadline` (`timeout` is only for
+/// the error). A connection still owing its hello waits beside the
+/// others instead of blocking the accept loop; one that closes first, or
+/// whose hello names no missing higher rank, is a stray: it is dropped
+/// and accepting goes on.
+fn accept_higher(
+    listener: &TcpListener,
+    rank: usize,
+    streams: &mut [Option<TcpStream>],
+    deadline: Instant,
+    timeout: Duration,
+) -> std::io::Result<()> {
+    let nranks = streams.len();
+    listener.set_nonblocking(true)?;
+    let mut pending: Vec<TcpStream> = Vec::new();
     loop {
-        let k = NEXT.fetch_add(1, Ordering::Relaxed);
-        let base = (LOW + (std::process::id() as u64 * 61 + k * n) % (SPAN - n)) as u16;
-        if (0..n as u16).all(|i| TcpListener::bind(("127.0.0.1", base + i)).is_ok()) {
-            return base;
+        loop {
+            match listener.accept() {
+                Ok((stream, _)) => {
+                    stream.set_nonblocking(true)?;
+                    pending.push(stream);
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) => return Err(e),
+            }
         }
+        let mut i = 0;
+        while i < pending.len() {
+            // Peek, so the frames behind the hello stay in the socket.
+            let mut hello = [0u8; 4];
+            match pending[i].peek(&mut hello) {
+                Ok(4) => {
+                    let mut stream = pending.swap_remove(i);
+                    let peer = u32::from_le_bytes(hello) as usize;
+                    let wanted = peer > rank && peer < nranks && streams[peer].is_none();
+                    if wanted && stream.read_exact(&mut hello).is_ok() {
+                        streams[peer] = Some(stream);
+                    }
+                }
+                Ok(n) if n > 0 => i += 1,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => i += 1,
+                _ => drop(pending.swap_remove(i)),
+            }
+        }
+        if streams[rank + 1..].iter().all(Option::is_some) {
+            return Ok(());
+        }
+        if Instant::now() >= deadline {
+            let missing: Vec<String> = (rank + 1..nranks)
+                .filter(|&p| streams[p].is_none())
+                .map(|p| p.to_string())
+                .collect();
+            return Err(std::io::Error::new(
+                ErrorKind::TimedOut,
+                format!(
+                    "rank(s) {} never dialed rank {rank} within {timeout:.1?}",
+                    missing.join(", ")
+                ),
+            ));
+        }
+        std::thread::sleep(Duration::from_millis(20));
     }
 }
 
@@ -423,45 +479,46 @@ impl SocketTransport {
             *slot = Some(stream);
         }
 
-        // Accept every higher rank; the hello byte says who dialed. The
-        // same deadline applies — a higher rank that never dials must not
-        // hang the mesh forever.
-        listener.set_nonblocking(true)?;
-        for _ in rank + 1..nranks {
-            let (mut stream, _) = loop {
-                match listener.accept() {
-                    Ok(x) => break x,
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                        if Instant::now() >= deadline {
-                            let missing: Vec<String> = (rank + 1..nranks)
-                                .filter(|&p| streams[p].is_none())
-                                .map(|p| p.to_string())
-                                .collect();
-                            return Err(std::io::Error::new(
-                                ErrorKind::TimedOut,
-                                format!(
-                                    "rank(s) {} never dialed rank {rank} within {:.1?}",
-                                    missing.join(", "),
-                                    timeout
-                                ),
-                            ));
-                        }
-                        std::thread::sleep(Duration::from_millis(20));
-                    }
-                    Err(e) => return Err(e),
-                }
-            };
-            stream.set_nonblocking(false)?;
-            let mut hello = [0u8; 4];
-            stream.read_exact(&mut hello)?;
-            let peer = u32::from_le_bytes(hello) as usize;
-            assert!(
-                peer < nranks && streams[peer].is_none() && peer > rank,
-                "unexpected hello from rank {peer}"
-            );
-            streams[peer] = Some(stream);
-        }
+        accept_higher(&listener, rank, &mut streams, deadline, timeout)?;
+        Self::from_streams(rank, streams)
+    }
 
+    /// All `n` ranks of a mesh inside this process, over loopback TCP on
+    /// kernel-assigned ports; element `r` is rank `r`'s transport. The
+    /// calling thread builds it alone: every higher rank dials every
+    /// lower rank's listener and sends its hello — the kernel completes
+    /// each connection into the listener's backlog, so nobody need be
+    /// accepting yet — and then every rank accepts its hellos.
+    pub fn mesh(n: usize) -> std::io::Result<Vec<Self>> {
+        assert!(n >= 1, "need at least one rank");
+        let listeners = (0..n)
+            .map(|_| TcpListener::bind(("127.0.0.1", 0)))
+            .collect::<std::io::Result<Vec<_>>>()?;
+        let mut rows: Vec<Vec<Option<TcpStream>>> =
+            (0..n).map(|_| (0..n).map(|_| None).collect()).collect();
+        for (rank, row) in rows.iter_mut().enumerate() {
+            for (listener, slot) in listeners.iter().zip(row.iter_mut()).take(rank) {
+                let mut stream = TcpStream::connect(listener.local_addr()?)?;
+                stream.write_all(&(rank as u32).to_le_bytes())?;
+                *slot = Some(stream);
+            }
+        }
+        let deadline = Instant::now() + MESH_TIMEOUT;
+        listeners
+            .iter()
+            .zip(rows)
+            .enumerate()
+            .map(|(rank, (listener, mut row))| {
+                accept_higher(listener, rank, &mut row, deadline, MESH_TIMEOUT)?;
+                Self::from_streams(rank, row)
+            })
+            .collect()
+    }
+
+    /// The transport over a formed mesh: `streams[p]` is the connection
+    /// to rank `p`, `None` at our own index.
+    fn from_streams(rank: usize, streams: Vec<Option<TcpStream>>) -> std::io::Result<Self> {
+        let nranks = streams.len();
         let mut peers = Vec::with_capacity(nranks);
         for stream in streams {
             peers.push(match stream {
@@ -663,60 +720,119 @@ impl Drop for SocketTransport {
 mod tests {
     use super::*;
 
-    /// Two "ranks" as threads over real sockets: the mesh handshake and
-    /// frame layer work end to end.
-    #[test]
-    fn two_rank_socket_roundtrip() {
-        let base = free_port_base(2);
-        let h1 = std::thread::spawn(move || {
-            let t = SocketTransport::connect(1, 2, base, Duration::from_secs(10)).unwrap();
-            t.send(0, vec![42, 43]);
-            t.recv_timeout(Duration::from_secs(10)).unwrap()
-        });
-        let t0 = SocketTransport::connect(0, 2, base, Duration::from_secs(10)).unwrap();
-        let (from, frame) = t0.recv_timeout(Duration::from_secs(10)).unwrap();
-        assert_eq!((from, frame), (1, vec![42, 43]));
-        t0.send(1, vec![7]);
-        assert_eq!(h1.join().unwrap(), (0, vec![7]));
+    /// A port the kernel just handed out and took back: free, with
+    /// nothing listening on it.
+    fn kernel_port() -> u16 {
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        listener.local_addr().unwrap().port()
+    }
+
+    /// `connect` of `rank` in a 2-rank mesh at `base` with a 150 ms
+    /// deadline, which must fail: its error.
+    fn connect_err(rank: usize, base: u16) -> std::io::Error {
+        match SocketTransport::connect(rank, 2, base, Duration::from_millis(150)) {
+            Ok(_) => panic!("connect must fail"),
+            Err(e) => e,
+        }
     }
 
     /// Dialing a rank that never comes up fails at the deadline with an
     /// error naming the unreachable rank, not a bare connection-refused.
     #[test]
     fn dial_deadline_names_unreachable_rank() {
-        let base = free_port_base(2);
-        let err = match SocketTransport::connect(1, 2, base, Duration::from_millis(150)) {
-            Ok(_) => panic!("connect must fail"),
-            Err(e) => e,
-        };
+        // Rank 1 listens on the free port, rank 0's port just below it
+        // has nobody behind it.
+        let err = connect_err(1, kernel_port() - 1);
         assert_eq!(err.kind(), ErrorKind::TimedOut);
         let msg = err.to_string();
         assert!(msg.contains("rank 0 unreachable"), "got: {msg}");
     }
 
     /// The accept side times out too: a higher rank that never dials must
-    /// not hang the mesh, and the error says who is missing.
+    /// not hang the mesh — not even behind a connection that never says
+    /// hello — and the error says who is missing.
     #[test]
     fn accept_deadline_names_missing_rank() {
-        let base = free_port_base(2);
-        let err = match SocketTransport::connect(0, 2, base, Duration::from_millis(150)) {
-            Ok(_) => panic!("connect must fail"),
-            Err(e) => e,
-        };
+        let base = kernel_port();
+        let (stop, stopped) = std::sync::mpsc::channel::<()>();
+        let silent = std::thread::spawn(move || {
+            let start = Instant::now();
+            while start.elapsed() < Duration::from_secs(2) {
+                if let Ok(_stream) = TcpStream::connect(("127.0.0.1", base)) {
+                    // Held silent well past the deadline, then closed.
+                    let _ = stopped.recv_timeout(Duration::from_secs(5));
+                    return;
+                }
+                std::thread::sleep(Duration::from_millis(5));
+            }
+        });
+        let start = Instant::now();
+        let err = connect_err(0, base);
+        assert!(
+            start.elapsed() < Duration::from_secs(2),
+            "connect overran its deadline"
+        );
+        stop.send(()).unwrap();
+        silent.join().unwrap();
         assert_eq!(err.kind(), ErrorKind::TimedOut);
         let msg = err.to_string();
         assert!(msg.contains("rank(s) 1 never dialed"), "got: {msg}");
     }
 
-    /// A connected pair, rank 0 in this thread's hands and rank 1's
-    /// transport returned from its own thread.
-    fn pair() -> (SocketTransport, SocketTransport) {
-        let base = free_port_base(2);
-        let h1 = std::thread::spawn(move || {
-            SocketTransport::connect(1, 2, base, Duration::from_secs(10)).unwrap()
+    /// Connections from outside the mesh — hellos naming a rank out of
+    /// range or not above the listener's, and one that stays silent —
+    /// neither hang nor panic a forming mesh. Rank 1 is a raw stream, so
+    /// the test needs no second port.
+    #[test]
+    fn strays_do_not_stop_a_mesh_from_forming() {
+        let base = kernel_port();
+        let r0 = std::thread::spawn(move || {
+            SocketTransport::connect(0, 2, base, Duration::from_secs(10))
         });
-        let t0 = SocketTransport::connect(0, 2, base, Duration::from_secs(10)).unwrap();
-        (t0, h1.join().unwrap())
+        let dial = |hello: Option<u32>| {
+            let mut stream = loop {
+                match TcpStream::connect(("127.0.0.1", base)) {
+                    Ok(s) => break s,
+                    Err(_) => std::thread::sleep(Duration::from_millis(5)),
+                }
+            };
+            if let Some(rank) = hello {
+                stream.write_all(&rank.to_le_bytes()).unwrap();
+            }
+            stream
+        };
+        let _strays = [Some(9), Some(0), None].map(dial);
+        let mut r1 = dial(Some(1));
+        let t0 = r0.join().unwrap().expect("rank 0 forms the mesh");
+        r1.write_all(&wire(&[vec![42, 43]])).unwrap();
+        assert_eq!(
+            t0.recv_timeout(Duration::from_secs(10)),
+            Some((1, vec![42, 43]))
+        );
+        t0.send(1, vec![7]);
+        let mut back = [0u8; 5];
+        r1.read_exact(&mut back).unwrap();
+        assert_eq!(back, [1, 0, 0, 0, 7]);
+    }
+
+    /// A connected pair.
+    fn pair() -> (SocketTransport, SocketTransport) {
+        let mut ts = SocketTransport::mesh(2).unwrap();
+        let t1 = ts.pop().unwrap();
+        (ts.pop().unwrap(), t1)
+    }
+
+    /// The mesh handshake and frame layer work end to end.
+    #[test]
+    fn two_rank_socket_roundtrip() {
+        let (t0, t1) = pair();
+        t1.send(0, vec![42, 43]);
+        assert_eq!(
+            t0.recv_timeout(Duration::from_secs(10)),
+            Some((1, vec![42, 43]))
+        );
+        t0.send(1, vec![7]);
+        assert_eq!(t1.recv_timeout(Duration::from_secs(10)), Some((0, vec![7])));
     }
 
     /// A stream as a socket hands it out: each read returns at most the

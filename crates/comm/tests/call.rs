@@ -16,7 +16,7 @@
 mod common;
 
 use comm::fault::{FaultEvent, FaultPlan, FaultTransport};
-use comm::{loopback, Am, CommConfig, Endpoint, Msg, Transport};
+use comm::{Am, CommConfig, Endpoint, Msg, SocketTransport, Transport};
 use common::{duplicate_all, lose_first_from, NoStore};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
@@ -63,12 +63,12 @@ struct Outcome {
     server: Arc<Endpoint>,
 }
 
-/// One call of `am` from rank 0 to rank 1 over a loopback pair whose
+/// One call of `am` from rank 0 to rank 1 over a socket pair whose
 /// inbound sides carry the given plans. After the completion fires, a
 /// second (idempotent) call flushes the link, so every duplicate of the
 /// first exchange has been processed before the outcome is read.
 fn one_call(am: Am, client_plan: FaultPlan, server_plan: FaultPlan, what: &str) -> Outcome {
-    let mut ts = loopback(2);
+    let mut ts = SocketTransport::mesh(2).unwrap();
     let t1 = FaultTransport::new(Box::new(ts.pop().unwrap()), server_plan);
     let t0 = FaultTransport::new(Box::new(ts.pop().unwrap()), client_plan);
     let server = Endpoint::spawn(Box::new(t1), Arc::new(NoStore), cfg());
@@ -182,7 +182,7 @@ fn duplicated_reply_completes_once() {
 #[test]
 fn duplicate_re_receives_the_byte_identical_recorded_reply() {
     for &am in Am::ALL {
-        let mut ts = loopback(2);
+        let mut ts = SocketTransport::mesh(2).unwrap();
         // No detector here: the raw rank would never answer its pings.
         let quiet = CommConfig {
             suspect_after: None,

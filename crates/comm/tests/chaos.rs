@@ -9,7 +9,7 @@
 //! running the same test with `FaultPlan::named(name, seed)`.
 
 use comm::fault::{FaultCounters, FaultPlan, FaultTransport};
-use comm::{loopback, CommConfig, CommStatsSnap, Endpoint, ShardStore};
+use comm::{CommConfig, CommStatsSnap, Endpoint, ShardStore, SocketTransport};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
@@ -148,7 +148,7 @@ struct RunOutcome {
     stores: Vec<Arc<MemStore>>,
 }
 
-/// Run the collective workload over a faulty 4-rank loopback mesh.
+/// Run the collective workload over a faulty 4-rank socket mesh.
 /// Panics (with the replay seed) on divergence or non-termination.
 fn chaos_run(name: &str, seed: u64, cfg: CommConfig) -> RunOutcome {
     let replay = format!(
@@ -163,7 +163,8 @@ fn chaos_run(name: &str, seed: u64, cfg: CommConfig) -> RunOutcome {
     // Endpoints live in the test thread and outlive every worker, so a
     // rank that needs extra barrier retries during teardown always finds
     // rank 0's progress thread alive.
-    let eps: Vec<Arc<Endpoint>> = loopback(RANKS)
+    let eps: Vec<Arc<Endpoint>> = SocketTransport::mesh(RANKS)
+        .unwrap()
         .into_iter()
         .zip(&stores)
         .enumerate()
@@ -336,7 +337,7 @@ fn survives_stall() {
 fn fault_decisions_replay_deterministically() {
     use comm::Transport;
     let survivors = |seed: u64| -> Vec<u8> {
-        let mut ts = loopback(2);
+        let mut ts = SocketTransport::mesh(2).unwrap();
         let plan = FaultPlan::named("drop", seed).unwrap();
         let r1 = FaultTransport::new(Box::new(ts.pop().unwrap()), plan);
         let r0 = ts.pop().unwrap();
@@ -360,7 +361,7 @@ fn fault_decisions_replay_deterministically() {
 #[test]
 fn orphan_completions_are_counted_noops() {
     use comm::Msg;
-    let mut ts = loopback(3);
+    let mut ts = SocketTransport::mesh(3).unwrap();
     let injector = ts.pop().unwrap(); // rank 2: raw transport, no endpoint
     let s1 = MemStore::new();
     let s0 = MemStore::new();

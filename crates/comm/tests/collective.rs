@@ -17,7 +17,7 @@
 mod common;
 
 use comm::fault::{FaultEvent, FaultPlan, FaultTransport};
-use comm::{loopback, CommConfig, Endpoint, Msg, Transport};
+use comm::{CommConfig, Endpoint, Msg, SocketTransport, Transport};
 use common::{duplicate_all, lose_first_from, NoStore};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -44,7 +44,10 @@ fn detecting() -> CommConfig {
 
 /// One endpoint per plan, rank `r`'s inbound side carrying `plans[r]`.
 fn mesh(plans: Vec<FaultPlan>, cfg: CommConfig) -> Vec<Arc<Endpoint>> {
-    let ranks = loopback(plans.len()).into_iter().zip(plans);
+    let ranks = SocketTransport::mesh(plans.len())
+        .unwrap()
+        .into_iter()
+        .zip(plans);
     ranks
         .map(|(t, plan)| {
             let t = FaultTransport::new(Box::new(t), plan);
@@ -147,7 +150,7 @@ fn duplicated_release_delivers_once() {
 /// byte for byte — the recorded words, not an empty set.
 #[test]
 fn late_re_enter_re_receives_the_recorded_release() {
-    let mut ts = loopback(2);
+    let mut ts = SocketTransport::mesh(2).unwrap();
     let raw = ts.pop().unwrap();
     // Production timers: nothing but the late enter may trigger a resend.
     let leader = Endpoint::spawn(
@@ -259,7 +262,7 @@ fn a_dead_member_poisons_the_epoch_for_every_survivor() {
 /// progress thread. Rank 2 is a raw transport outside gang {0, 1}.
 #[test]
 fn frames_from_outside_the_gang_never_count() {
-    let mut ts = loopback(3);
+    let mut ts = SocketTransport::mesh(3).unwrap();
     let raw = ts.pop().unwrap();
     let eps: Vec<_> = ts
         .into_iter()
@@ -348,7 +351,7 @@ fn frames_from_outside_the_gang_never_count() {
 #[test]
 #[should_panic(expected = "not a member")]
 fn a_non_member_caller_is_refused_in_every_build() {
-    let t = loopback(2).remove(1);
+    let t = SocketTransport::mesh(2).unwrap().remove(1);
     let ep = Endpoint::spawn(Box::new(t), Arc::new(NoStore), quiet());
     ep.barrier_gang(0b01);
 }

@@ -17,7 +17,7 @@
 //! a failing run replays exactly.
 
 use comm::fault::{FaultCounters, FaultEvent, FaultPlan, FaultTransport};
-use comm::{loopback, CommConfig, Endpoint, ShardStore};
+use comm::{CommConfig, Endpoint, ShardStore, SocketTransport};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -117,7 +117,7 @@ impl Run {
     }
 }
 
-/// Run the collective workload over a 4-rank loopback mesh where the
+/// Run the collective workload over a 4-rank socket mesh where the
 /// victim's transport carries `victim_events` and every survivor runs a
 /// clean plan with the same seed. Panics (with the replay string) if
 /// any rank fails to terminate.
@@ -128,7 +128,8 @@ fn death_run(victim_events: Vec<FaultEvent>, rounds: usize, seed: u64, replay: &
     let mut killed: Vec<Arc<AtomicBool>> = Vec::new();
     // Endpoints live in the test thread and outlive every worker, so
     // detection and aborts keep running after the workload exits.
-    let eps: Vec<Arc<Endpoint>> = loopback(RANKS)
+    let eps: Vec<Arc<Endpoint>> = SocketTransport::mesh(RANKS)
+        .unwrap()
         .into_iter()
         .zip(&stores)
         .enumerate()
@@ -398,7 +399,7 @@ fn death_schedules_replay_exactly_from_their_seed() {
     use comm::Transport;
     for name in FaultPlan::death_schedule_names() {
         let deliver = |seed: u64| -> Vec<u16> {
-            let mut ts = loopback(2);
+            let mut ts = SocketTransport::mesh(2).unwrap();
             let plan = FaultPlan::named(name, seed)
                 .unwrap_or_else(|| panic!("unknown death schedule {name}"));
             let r1 = FaultTransport::new(Box::new(ts.pop().unwrap()), plan);

@@ -1,7 +1,8 @@
-//! Over real sockets: two ranks whose progress threads serve each other
+//! Over real sockets: in-process meshes form side by side without
+//! colliding, and two ranks whose progress threads serve each other
 //! replies larger than both socket buffers at once must both finish.
 
-use comm::{free_port_base, CommConfig, Endpoint, ShardStore, SocketTransport};
+use comm::{CommConfig, Endpoint, ShardStore, SocketTransport, Transport};
 use std::sync::{mpsc, Arc, Barrier};
 use std::time::Duration;
 
@@ -28,7 +29,6 @@ impl ShardStore for Block {
 
 #[test]
 fn simultaneous_large_replies_do_not_deadlock() {
-    let base = free_port_base(2);
     // Far above the transfer time: a retry would serve a second copy.
     let cfg = CommConfig {
         retry_timeout: Duration::from_secs(120),
@@ -36,12 +36,10 @@ fn simultaneous_large_replies_do_not_deadlock() {
     };
     let (posted, both_posted) = (Arc::new(Barrier::new(2)), Arc::new(Barrier::new(2)));
     let (tx, rx) = mpsc::channel();
-    for rank in 0..2 {
+    for (rank, sock) in SocketTransport::mesh(2).unwrap().into_iter().enumerate() {
         let (posted, both_posted, tx) = (posted.clone(), both_posted.clone(), tx.clone());
         let cfg = cfg.clone();
         std::thread::spawn(move || {
-            let sock = SocketTransport::connect(rank, 2, base, Duration::from_secs(10))
-                .expect("mesh connect");
             let words = (0..WORDS).map(|i| i as f64 + rank as f64 / 2.0).collect();
             let ep = Endpoint::spawn(Box::new(sock), Arc::new(Block(words)), cfg);
             // Both endpoints are up before either asks, so both progress
@@ -66,4 +64,52 @@ fn simultaneous_large_replies_do_not_deadlock() {
             .expect("progress threads deadlocked");
         assert!(ok, "rank {rank} read a corrupt block");
     }
+}
+
+/// Eight threads each build a 4-rank mesh at once: every ordered pair of
+/// ranks, and every rank to itself, exchanges a frame on its own mesh. A
+/// port or descriptor shared between meshes would cross their frames.
+#[test]
+fn concurrent_meshes_stay_apart() {
+    const MESHES: u8 = 8;
+    const N: usize = 4;
+    let threads: Vec<_> = (0..MESHES)
+        .map(|m| {
+            std::thread::spawn(move || {
+                let ts = SocketTransport::mesh(N).expect("mesh forms");
+                for (from, t) in ts.iter().enumerate() {
+                    assert_eq!((t.rank(), t.nranks()), (from, N));
+                    for to in 0..N {
+                        t.send(to, vec![m, from as u8]);
+                    }
+                }
+                for (to, t) in ts.iter().enumerate() {
+                    let mut got: Vec<(usize, Vec<u8>)> = (0..N)
+                        .map(|_| t.recv_timeout(Duration::from_secs(10)).expect("frame"))
+                        .collect();
+                    got.sort();
+                    let want: Vec<_> = (0..N).map(|from| (from, vec![m, from as u8])).collect();
+                    assert_eq!(got, want, "mesh {m}, rank {to}");
+                    assert_eq!(t.recv_timeout(Duration::from_millis(1)), None);
+                }
+            })
+        })
+        .collect();
+    for t in threads {
+        t.join().unwrap();
+    }
+}
+
+/// A one-rank mesh has no peer and no connection, and still delivers a
+/// self-send.
+#[test]
+fn a_one_rank_mesh_delivers_to_itself() {
+    let t = SocketTransport::mesh(1).unwrap().pop().unwrap();
+    assert_eq!((t.rank(), t.nranks()), (0, 1));
+    t.send(0, vec![1, 2, 3]);
+    assert_eq!(
+        t.recv_timeout(Duration::from_secs(1)),
+        Some((0, vec![1, 2, 3]))
+    );
+    assert_eq!(t.recv_timeout(Duration::from_millis(1)), None);
 }

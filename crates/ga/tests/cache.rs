@@ -1,5 +1,5 @@
 //! Cache-coherence suite for the distributed read path: random
-//! `Get`/`Put`/`Acc` interleavings on shared arrays across 4 loopback
+//! `Get`/`Put`/`Acc` interleavings on shared arrays across 4 socket
 //! ranks must never observe a value that differs from the uncached
 //! oracle (a lockstep-updated model vector), and the deterministic
 //! tests pin the two invalidation edges individually — read-your-writes
@@ -14,7 +14,7 @@ use std::time::Duration;
 const RANKS: usize = 4;
 const LEN: usize = 64;
 
-/// Run `f(rank_ga)` on `n` ranks (threads over loopback) with an
+/// Run `f(rank_ga)` on `n` ranks (threads over a socket mesh) with an
 /// explicit cache config; results in rank order.
 fn run_ranks_cfg<T: Send + 'static>(
     n: usize,
@@ -22,7 +22,8 @@ fn run_ranks_cfg<T: Send + 'static>(
     f: impl Fn(Arc<Ga>) -> T + Send + Sync + 'static,
 ) -> Vec<T> {
     let f = Arc::new(f);
-    let handles: Vec<_> = comm::loopback(n)
+    let handles: Vec<_> = comm::SocketTransport::mesh(n)
+        .unwrap()
         .into_iter()
         .enumerate()
         .map(|(rank, t)| {

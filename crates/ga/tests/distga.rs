@@ -1,5 +1,5 @@
 //! The distributed backend run as real multi-rank executions (ranks as
-//! threads over the loopback transport): the full `Ga` API — collective
+//! threads over an in-process socket mesh): the full `Ga` API — collective
 //! create/materialize, cross-rank get/acc, the shared NXTVAL counter —
 //! must behave exactly like the in-process backend, including when the
 //! transport underneath injects faults.
@@ -15,7 +15,7 @@ fn run_ranks<T: Send + 'static>(
     f: impl Fn(Arc<Ga>) -> T + Send + Sync + 'static,
 ) -> Vec<T> {
     let f = Arc::new(f);
-    let transports = comm::loopback(n);
+    let transports = comm::SocketTransport::mesh(n).unwrap();
     let handles: Vec<_> = transports
         .into_iter()
         .enumerate()
@@ -48,7 +48,8 @@ fn run_ranks_chaos<T: Send + 'static>(
 ) -> Vec<T> {
     use comm::fault::{FaultPlan, FaultTransport};
     let f = Arc::new(f);
-    let handles: Vec<_> = comm::loopback(n)
+    let handles: Vec<_> = comm::SocketTransport::mesh(n)
+        .unwrap()
         .into_iter()
         .enumerate()
         .map(|(rank, t)| {

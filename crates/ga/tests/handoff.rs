@@ -16,7 +16,7 @@ use global_arrays::{DistStore, Ga, TileCacheConfig};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-/// Run `f(rank_ga, rank)` on `n` ranks (threads) over loopback,
+/// Run `f(rank_ga, rank)` on `n` ranks (threads) over a socket mesh,
 /// returning results in rank order. `verify` arms the cache's
 /// verify-reads paranoia mode — valid only for workloads whose reads
 /// happen in mutation-quiesced windows (between syncs): a hit taken
@@ -28,7 +28,8 @@ fn run_ranks<T: Send + 'static>(
     f: impl Fn(Arc<Ga>, usize) -> T + Send + Sync + 'static,
 ) -> Vec<T> {
     let f = Arc::new(f);
-    let handles: Vec<_> = comm::loopback(n)
+    let handles: Vec<_> = comm::SocketTransport::mesh(n)
+        .unwrap()
         .into_iter()
         .enumerate()
         .map(|(rank, t)| {

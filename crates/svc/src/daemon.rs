@@ -643,7 +643,10 @@ mod tests {
     const STARVE: Duration = Duration::from_millis(20);
 
     fn lone_endpoint() -> Arc<Endpoint> {
-        let t = comm::loopback(1).pop().expect("one rank");
+        let t = comm::SocketTransport::mesh(1)
+            .unwrap()
+            .pop()
+            .expect("one rank");
         Endpoint::spawn(Box::new(t), DistStore::new(0, 1), CommConfig::default())
     }
 

@@ -1,5 +1,5 @@
 //! End-to-end service-layer tests: persistent rank daemons over 4
-//! loopback ranks serving a stream of multi-tenant jobs, plus a chaos
+//! ranks of an in-process socket mesh serving a stream of multi-tenant jobs, plus a chaos
 //! schedule that drops, duplicates and reorders the job-control AMs.
 //!
 //! The clean run is the acceptance shape of the PR: two jobs sharing a
@@ -67,7 +67,8 @@ fn four_rank_service_reuses_plans_across_tenants() {
     let (e4_tx, e4_rx) = mpsc::channel::<f64>();
     let (mut go_tx, mut go_rx) = (Some(go_tx), Some(go_rx));
     let (mut e4_tx, mut e4_rx) = (Some(e4_tx), Some(e4_rx));
-    let handles: Vec<_> = comm::loopback(4)
+    let handles: Vec<_> = SocketTransport::mesh(4)
+        .unwrap()
         .into_iter()
         .map(|t| {
             let r = t.rank();
@@ -80,7 +81,15 @@ fn four_rank_service_reuses_plans_across_tenants() {
                 (r == 0).then(|| e4_rx.take().unwrap()),
             );
             std::thread::spawn(move || {
-                let daemon = RankDaemon::new(Box::new(t), SvcConfig::default());
+                // Pinned: each rank reads remote blocks for its own
+                // chains, so every rank has a cache entry to retain.
+                // With stealing on, a rank that donated all of its
+                // chains to thieves retains nothing.
+                let cfg = SvcConfig {
+                    steal: ccsd::StealConfig::pinned(),
+                    ..SvcConfig::default()
+                };
+                let daemon = RankDaemon::new(Box::new(t), cfg);
                 let client = daemon.client();
                 let driver = std::thread::spawn(move || match r {
                     0 => {
@@ -198,7 +207,8 @@ fn service_survives_dropped_and_reordered_job_control() {
     let (e3_tx, e3_rx) = mpsc::channel::<f64>();
     let (mut go_tx, mut go_rx) = (Some(go_tx), Some(go_rx));
     let (mut e3_tx, mut e3_rx) = (Some(e3_tx), Some(e3_rx));
-    let handles: Vec<_> = comm::loopback(3)
+    let handles: Vec<_> = SocketTransport::mesh(3)
+        .unwrap()
         .into_iter()
         .map(|t| {
             let r = t.rank();
@@ -294,7 +304,8 @@ fn service_survives_dropped_and_reordered_job_control() {
 fn bounded_plan_cache_evicts_and_rebuilds() {
     let e_tiny = reference(&scale::tiny());
     let e_small = reference(&scale::small());
-    let handles: Vec<_> = comm::loopback(2)
+    let handles: Vec<_> = SocketTransport::mesh(2)
+        .unwrap()
         .into_iter()
         .map(|t| {
             let r = t.rank();
@@ -371,12 +382,12 @@ fn bounded_plan_cache_evicts_and_rebuilds() {
 fn four_rank_socket_gangs_run_concurrently() {
     const RANKS: usize = 4;
     let e_small = reference(&scale::small());
-    let base = comm::free_port_base(RANKS);
-    let handles: Vec<_> = (0..RANKS)
-        .map(|r| {
+    let handles: Vec<_> = SocketTransport::mesh(RANKS)
+        .unwrap()
+        .into_iter()
+        .enumerate()
+        .map(|(r, sock)| {
             std::thread::spawn(move || {
-                let sock = SocketTransport::connect(r, RANKS, base, Duration::from_secs(30))
-                    .unwrap_or_else(|e| panic!("mesh failed: {e}"));
                 let cfg = SvcConfig {
                     cache: TileCacheConfig {
                         verify_reads: true,
@@ -464,7 +475,8 @@ fn gang_dispatch_and_barriers_survive_chaos() {
     let replay =
         format!("gang chaos seed {seed:#x} — replay: FaultPlan::named(\"service\", {seed:#x})");
     let e_tiny = reference(&scale::tiny());
-    let handles: Vec<_> = comm::loopback(4)
+    let handles: Vec<_> = SocketTransport::mesh(4)
+        .unwrap()
         .into_iter()
         .map(|t| {
             let r = t.rank();
@@ -754,7 +766,8 @@ mod packing {
 #[test]
 fn fenced_rank_idles_without_tripping_the_starvation_panic() {
     let e_tiny = reference(&scale::tiny());
-    let handles: Vec<_> = comm::loopback(2)
+    let handles: Vec<_> = SocketTransport::mesh(2)
+        .unwrap()
         .into_iter()
         .map(|t| {
             let r = t.rank();
@@ -818,7 +831,8 @@ fn mid_run_rank_kill_requeues_and_recovers_the_job() {
     // disarmed (frames flow). Rank 0's driver arms it the moment the
     // doomed job is dispatched, which blacks the rank out mid-job.
     let mut kill_switch: Option<std::sync::Arc<std::sync::atomic::AtomicBool>> = None;
-    let transports: Vec<Box<dyn Transport>> = comm::loopback(RANKS)
+    let transports: Vec<Box<dyn Transport>> = SocketTransport::mesh(RANKS)
+        .unwrap()
         .into_iter()
         .map(|t| {
             let r = t.rank();

@@ -131,10 +131,11 @@ struct RankRun {
     stolen: u64,
 }
 
-/// `ranks` loopback ranks, each running `ITERS_DIST` v5 units on one
+/// `ranks` ranks of one socket mesh, each running `ITERS_DIST` v5 units on one
 /// mesh at `THREADS` workers: results per rank, per iteration.
 fn dist_runs(ranks: usize) -> Vec<Vec<RankRun>> {
-    let handles: Vec<_> = comm::loopback(ranks)
+    let handles: Vec<_> = comm::SocketTransport::mesh(ranks)
+        .unwrap()
         .into_iter()
         .map(|t| {
             std::thread::spawn(move || {
