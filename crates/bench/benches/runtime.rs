@@ -1,33 +1,13 @@
-//! Microbenchmarks of the runtime substrate: the ready queue, the event
-//! queue, the processor-sharing resource, and whole-engine task
-//! throughput.
+//! Microbenchmarks of the runtime substrate: the event queue, the
+//! processor-sharing resource, and whole-engine task throughput.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use dcsim::{EventQueue, PsResource};
-use parsec_rt::sched::ReadyQueue;
 use parsec_rt::NativeRuntime;
 use ptg::{Activity, Dep, GraphCtx, Payload, PlainCtx, TaskClass, TaskGraph, TaskKey};
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Duration;
-
-fn bench_ready_queue(c: &mut Criterion) {
-    let n = 10_000u64;
-    let mut g = c.benchmark_group("ready_queue");
-    g.throughput(Throughput::Elements(n));
-    g.bench_function("push_pop_10k_prio", |b| {
-        b.iter(|| {
-            let mut q = ReadyQueue::new();
-            for i in 0..n {
-                q.push(TaskKey::new(0, &[i as i64]), (i % 100) as i64);
-            }
-            while let Some(k) = q.pop() {
-                black_box(k);
-            }
-        })
-    });
-    g.finish();
-}
 
 fn bench_event_queue(c: &mut Criterion) {
     let n = 10_000u64;
@@ -165,7 +145,6 @@ fn bench_dispatch_throughput(_c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_ready_queue,
     bench_event_queue,
     bench_ps_resource,
     bench_native_dispatch,

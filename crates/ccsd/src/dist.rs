@@ -63,18 +63,13 @@ impl DistRank {
     /// shard stores, the progress engine, deterministic tensor fills
     /// (each rank writes what it owns), and the inspection metadata.
     pub fn new(transport: Box<dyn Transport>, space: &TileSpace, kernels: &[Kernel]) -> Self {
-        Self::with_config(transport, space, kernels, CommConfig::default())
-    }
-
-    /// As [`DistRank::new`] with an explicit comm configuration
-    /// (in-flight get caps, batching, timers) and the default tile cache.
-    pub fn with_config(
-        transport: Box<dyn Transport>,
-        space: &TileSpace,
-        kernels: &[Kernel],
-        cfg: CommConfig,
-    ) -> Self {
-        Self::with_configs(transport, space, kernels, cfg, TileCacheConfig::default())
+        Self::with_configs(
+            transport,
+            space,
+            kernels,
+            CommConfig::default(),
+            TileCacheConfig::default(),
+        )
     }
 
     /// Fully explicit construction: comm configuration plus tile-cache
@@ -210,7 +205,6 @@ impl DistRank {
             cfg,
             Some(self.ws.clone()),
             self.pool.clone(),
-            Some(self.my_node()),
             prefetch,
         )
     }

@@ -284,11 +284,6 @@ impl TaskGraph {
         self.ctx.as_ref()
     }
 
-    /// Clone the context handle.
-    pub fn ctx_arc(&self) -> Arc<dyn GraphCtx> {
-        self.ctx.clone()
-    }
-
     /// Look up a class id by name.
     pub fn class_id(&self, name: &str) -> Option<ClassId> {
         self.classes

@@ -17,12 +17,12 @@
 //!
 //! Both engines discover tasks symbolically through the PTG — the graph is
 //! never materialized — with one dependency tracker,
-//! [`shard::ShardedTracker`], and release ready tasks in one order
-//! ([`sched`]): highest priority first, FIFO among equals, PaRSEC's
-//! default, which is what makes the paper's v2-vs-v4 priority experiment
-//! reproducible. Where ready tasks wait differs: per-worker deques and
-//! whole-chain claims in the native engine, one heap per node in the
-//! simulator.
+//! [`shard::ShardedTracker`], and claim ready tasks in one order
+//! ([`sched`]): per-worker deques filled best first (highest priority,
+//! FIFO among equals, PaRSEC's default, which is what makes the paper's
+//! v2-vs-v4 priority experiment reproducible), root injectors and sibling
+//! steals. Only the native engine adds completion mailboxes and
+//! whole-chain claims.
 
 mod completions;
 pub mod cost;

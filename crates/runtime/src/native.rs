@@ -2,25 +2,21 @@
 //! node.
 //!
 //! The dispatch path is sharded and work-stealing, in the image of
-//! PaRSEC's shared-memory scheduler. Each worker owns a ready deque
-//! (crossbeam `Worker`/`Stealer`); tasks released by a completion go to
-//! the releasing worker's own deque (data is hot in its cache), idle
-//! workers steal — batched from the shared root [`Injector`], singly and
-//! in randomized victim order from peers. As in PaRSEC, "tasks do not
-//! migrate between threads after they have started executing": stealing
-//! moves only *ready* tasks, never running ones. Dependency counting and
-//! the `(task, flow) -> payload` store live in sharded tables
-//! ([`crate::shard`]) picked by chain, so two workers on different chains
-//! touch different locks.
-//!
-//! A chain's life is local to the worker that claimed it. A starved
-//! worker looks, in order, at its own deque, the completion mailboxes,
-//! the root injector, its [`WorkSource`]'s local chains — taken whole, a
-//! few chains per claim — and only then steals single tasks from its
-//! siblings; a cross-rank probe ([`WorkSource::poll`]) waits until all of
-//! those are dry. A body that finishes its own task before returning
-//! (a read whose data was already local) is settled inline, exactly like
-//! a synchronous return, so its successors stay on the same worker.
+//! PaRSEC's shared-memory scheduler. Which ready task a worker runs next
+//! is [`Deque::pick`]'s order, which the simulator runs too: own deque,
+//! the completion mailboxes, the root [`Injector`], its [`WorkSource`]'s
+//! chains taken whole, and only then one task stolen from a sibling; a
+//! cross-rank probe ([`WorkSource::poll`]) waits until all are dry. This
+//! module adds the threads, the clock, the mailboxes, the claims and the
+//! idle gate. Released successors go to the releasing worker's own deque
+//! (data is hot in its cache), so a chain's life is local to the worker
+//! that claimed it. As in PaRSEC, "tasks do not migrate between threads
+//! after they have started executing": stealing moves only *ready*
+//! tasks. Dependency counting and the `(task, flow) -> payload` store live
+//! in sharded tables ([`crate::shard`]) picked by chain, so two workers
+//! on different chains touch different locks. A body that finishes its
+//! own task before returning (a read whose data was already local) is
+//! settled inline, exactly like a synchronous return.
 //!
 //! Share nothing per task. Finishing a task whose body settles inline
 //! writes no cache line another worker writes: the completion handle's
@@ -35,21 +31,13 @@
 //! worker woke while it read, nothing can ever become ready again, and
 //! it shuts the run down. Whatever is then still waiting for inputs is
 //! a deadlock, which [`NativeRuntime::run`] reports.
-//!
-//! The price of sharding is that the ready order (highest priority
-//! first, FIFO among equals) becomes a *local* discipline — each worker
-//! pushes a batch into its FIFO deque best first; steals are
-//! oldest-first — rather than a total order over all ready tasks: the
-//! same approximation PaRSEC's default scheduler makes, and invisible to
-//! numerics because task graphs order all value-carrying dependencies
-//! explicitly.
 
 use crate::completions::{all_settled, arm_inline, disarm_inline, Completions, Tally};
 use crate::report::{build_report, WorkerOut};
-use crate::sched::SchedPolicy;
+use crate::sched::{by_priority, Deque, Found, SchedPolicy};
 use crate::shard::{IdleGate, ShardMap, ShardedTracker};
 use crate::NativeReport;
-use crossbeam::deque::{Injector, Steal, Stealer, Worker};
+use crossbeam::deque::{Injector, Stealer};
 use crossbeam::utils::CachePadded;
 use ptg::{Completion, CompletionSink, Payload, TaskGraph, TaskKey};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -184,8 +172,8 @@ impl NativeRuntime {
         for &r in &roots {
             injector.push(r);
         }
-        let locals: Vec<Worker<TaskKey>> = (0..self.threads).map(|_| Worker::new_fifo()).collect();
-        let stealers: Vec<Stealer<TaskKey>> = locals.iter().map(|w| w.stealer()).collect();
+        let locals: Vec<Deque> = (0..self.threads).map(Deque::new).collect();
+        let stealers: Vec<Stealer<TaskKey>> = locals.iter().map(Deque::stealer).collect();
         let gate = Arc::new(IdleGate::new());
         if let Some(src) = &self.source {
             src.attach(gate.clone());
@@ -211,14 +199,14 @@ impl NativeRuntime {
         let outs: Vec<WorkerOut> = std::thread::scope(|scope| {
             let handles: Vec<_> = locals
                 .enumerate()
-                .map(|(i, local)| {
+                .map(|(i, dq)| {
                     let shared = &shared;
-                    scope.spawn(move || WorkerLoop::new(shared, local, i + 1).run())
+                    scope.spawn(move || WorkerLoop::new(shared, i + 1).run(dq))
                 })
                 .collect();
             // The calling thread is worker 0: a one-worker run spawns
             // nothing.
-            let first = WorkerLoop::new(&shared, mine, 0).run();
+            let first = WorkerLoop::new(&shared, 0).run(mine);
             std::iter::once(first)
                 .chain(
                     handles
@@ -240,14 +228,6 @@ impl NativeRuntime {
     }
 }
 
-/// Highest priority first; the stable sort keeps readiness order among
-/// equals. A worker's FIFO deque and the injector both pop oldest-first,
-/// so pushing in this order publishes priority+FIFO.
-fn by_priority(graph: &TaskGraph, keys: &mut [TaskKey]) {
-    let ctx = graph.ctx();
-    keys.sort_by_cached_key(|&k| std::cmp::Reverse(graph.class_of(k).priority(k, ctx)));
-}
-
 /// Ends the run if a body panics on this worker, so that the others stop
 /// instead of parking forever and the panic reaches the caller.
 struct StopOnPanic<'s, 'g>(&'s Shared<'g>);
@@ -261,25 +241,13 @@ impl Drop for StopOnPanic<'_, '_> {
     }
 }
 
-/// xorshift64*: cheap per-worker victim randomization.
-fn next_rand(state: &mut u64) -> u64 {
-    let mut x = *state;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    *state = x;
-    x.wrapping_mul(0x2545_f491_4f6c_dd1d)
-}
-
-/// One worker: its deque, its completion sink, its victim randomization,
-/// its counters and spans, and the scratch buffers the dispatch path
-/// reuses from task to task.
+/// One worker but its [`Deque`], which travels beside it so that
+/// [`Deque::pick`]'s refills can settle into it: its completion sink, its
+/// counters and spans, and the dispatch path's scratch buffers.
 struct WorkerLoop<'s, 'g> {
     shared: &'s Shared<'g>,
-    local: Worker<TaskKey>,
     index: usize,
     sink: Arc<dyn CompletionSink>,
-    rng: u64,
     out: WorkerOut,
     /// Bodies run here that returned without their outputs.
     deferred: u64,
@@ -288,13 +256,11 @@ struct WorkerLoop<'s, 'g> {
 }
 
 impl<'s, 'g> WorkerLoop<'s, 'g> {
-    fn new(shared: &'s Shared<'g>, local: Worker<TaskKey>, index: usize) -> Self {
+    fn new(shared: &'s Shared<'g>, index: usize) -> Self {
         Self {
             shared,
-            local,
             index,
             sink: shared.completions.sink(index),
-            rng: 0x9e37_79b9_7f4a_7c15_u64.wrapping_mul(index as u64 + 1) | 1,
             out: WorkerOut::default(),
             deferred: 0,
             deps: Vec::new(),
@@ -305,7 +271,7 @@ impl<'s, 'g> WorkerLoop<'s, 'g> {
     /// Find a task, execute it, release successors into the own deque;
     /// park through the idle gate when no work is visible. Returns what
     /// the worker counted.
-    fn run(mut self) -> WorkerOut {
+    fn run(mut self, mut dq: Deque) -> WorkerOut {
         let shared = self.shared;
         let _stop = StopOnPanic(shared);
         crate::pool::rehome();
@@ -313,8 +279,8 @@ impl<'s, 'g> WorkerLoop<'s, 'g> {
             if shared.shutdown.load(Ordering::SeqCst) {
                 return self.out;
             }
-            if let Some(key) = self.next_task() {
-                self.run_task(key);
+            if let Some(key) = self.next_task(&mut dq) {
+                self.run_task(&dq, key);
                 continue;
             }
 
@@ -326,9 +292,9 @@ impl<'s, 'g> WorkerLoop<'s, 'g> {
                 shared.gate.cancel();
                 return self.out;
             }
-            if let Some(key) = self.next_task() {
+            if let Some(key) = self.next_task(&mut dq) {
                 shared.gate.cancel();
-                self.run_task(key);
+                self.run_task(&dq, key);
                 continue;
             }
             // Every deque is dry: let the external source (if any)
@@ -342,7 +308,7 @@ impl<'s, 'g> WorkerLoop<'s, 'g> {
             let src_empty = match poll {
                 SourcePoll::Tasks(keys) if !keys.is_empty() => {
                     shared.gate.cancel();
-                    self.seed(keys);
+                    self.out.external_tasks += seed(shared, &dq, keys);
                     continue;
                 }
                 // An empty task batch is nothing to seed but not exhaustion.
@@ -380,106 +346,46 @@ impl<'s, 'g> WorkerLoop<'s, 'g> {
             && shared.idle.load(Ordering::SeqCst) == entered
     }
 
-    /// A starved worker's order: own deque, the completion mailboxes
-    /// (their successors land in the own deque), a batch of roots from the
-    /// injector, a claim of whole chains from the source, and only then a
-    /// single task stolen from a sibling.
-    fn next_task(&mut self) -> Option<TaskKey> {
-        if let Some(k) = self.local.pop() {
-            return Some(k);
-        }
-        if self.drain_completions() {
-            if let Some(k) = self.local.pop() {
-                return Some(k);
-            }
-        }
-        if let Some(k) = self.steal_injector() {
-            return Some(k);
-        }
-        if let Some(keys) = self.shared.source.as_ref().and_then(|s| s.claim()) {
-            self.seed(keys);
-            if let Some(k) = self.local.pop() {
-                return Some(k);
-            }
-        }
-        self.steal_sibling()
-    }
-
-    /// A batch of roots from the injector into the own deque (absorbing
-    /// `Retry`).
-    fn steal_injector(&mut self) -> Option<TaskKey> {
+    /// [`Deque::pick`] with this engine's refills: the completion
+    /// mailboxes (their successors land in the own deque) and a claim of
+    /// whole chains from the source. A batch from the injector lets a
+    /// sibling in if roots remain.
+    fn next_task(&mut self, dq: &mut Deque) -> Option<TaskKey> {
         let shared = self.shared;
-        loop {
-            match shared.injector.steal_batch_and_pop(&self.local) {
-                Steal::Success(k) => {
-                    // We grabbed a batch; if roots remain, let someone else in.
-                    if !shared.injector.is_empty() {
-                        shared.gate.notify_one();
-                    }
-                    return Some(k);
+        let mut external = 0;
+        let picked = dq.pick(
+            &shared.injector,
+            &shared.stealers,
+            |dq| self.drain_completions(dq),
+            |dq| match shared.source.as_ref().and_then(|s| s.claim()) {
+                Some(keys) => {
+                    external += seed(shared, dq, keys);
+                    true
                 }
-                Steal::Retry => continue,
-                Steal::Empty => return None,
-            }
+                None => false,
+            },
+        );
+        self.out.external_tasks += external;
+        let (key, found) = picked?;
+        match found {
+            Found::Injector if !shared.injector.is_empty() => shared.gate.notify_one(),
+            Found::Sibling => self.out.local_steals += 1,
+            _ => {}
         }
-    }
-
-    /// Randomized single-task steals from sibling deques, absorbing
-    /// `Retry` for one extra round.
-    fn steal_sibling(&mut self) -> Option<TaskKey> {
-        let shared = self.shared;
-        let n = shared.stealers.len();
-        if n == 1 {
-            return None;
-        }
-        for _round in 0..2 {
-            let mut saw_retry = false;
-            let start = (next_rand(&mut self.rng) % n as u64) as usize;
-            for off in 0..n {
-                let victim = (start + off) % n;
-                if victim == self.index {
-                    continue;
-                }
-                match shared.stealers[victim].steal() {
-                    Steal::Success(k) => {
-                        self.out.local_steals += 1;
-                        return Some(k);
-                    }
-                    Steal::Retry => saw_retry = true,
-                    Steal::Empty => {}
-                }
-            }
-            if !saw_retry {
-                break;
-            }
-        }
-        None
-    }
-
-    /// Seed externally-sourced tasks (chain roots claimed from the ledger
-    /// or stolen from another rank) into the own deque, best first like
-    /// [`WorkerLoop::settle`] publishes released successors.
-    fn seed(&mut self, mut keys: Vec<TaskKey>) {
-        let shared = self.shared;
-        self.out.external_tasks += keys.len() as u64;
-        by_priority(shared.graph, &mut keys);
-        for k in keys {
-            self.local.push(k);
-        }
-        shared.gate.notify_all();
+        Some(key)
     }
 
     /// Drain deferred completions (tasks finished off their own worker)
     /// and settle each exactly as if this worker had run it. Returns true
     /// if anything was settled.
-    fn drain_completions(&mut self) -> bool {
+    fn drain_completions(&mut self, dq: &Deque) -> bool {
         let batch = self.shared.completions.take(self.index);
         if batch.is_empty() {
             return false;
         }
         self.out.drained += batch.len() as u64;
         for (key, outputs) in batch {
-            self.settle(key, outputs);
+            self.settle(dq, key, outputs);
         }
         true
     }
@@ -488,7 +394,7 @@ impl<'s, 'g> WorkerLoop<'s, 'g> {
     /// (`execute_async` returns `None` without finishing its own
     /// completion) is settled later from the mailboxes; only the posting
     /// time appears as this worker's span.
-    fn run_task(&mut self, key: TaskKey) {
+    fn run_task(&mut self, dq: &Deque, key: TaskKey) {
         let shared = self.shared;
         let graph = shared.graph;
         let ctx = graph.ctx();
@@ -524,13 +430,13 @@ impl<'s, 'g> WorkerLoop<'s, 'g> {
                 graph.display(key)
             ),
         };
-        self.settle(key, outputs);
+        self.settle(dq, key, outputs);
     }
 
     /// Post-execution bookkeeping: store outputs, deliver dependencies,
     /// publish newly-ready tasks best first. Shared by the
     /// synchronous path and the completion drain.
-    fn settle(&mut self, key: TaskKey, outputs: Vec<Option<Payload>>) {
+    fn settle(&mut self, dq: &Deque, key: TaskKey, outputs: Vec<Option<Payload>>) {
         let shared = self.shared;
         let graph = shared.graph;
         let ctx = graph.ctx();
@@ -566,16 +472,21 @@ impl<'s, 'g> WorkerLoop<'s, 'g> {
                 ready.push((now_ready, prio));
             }
         }
-
-        // Publish the batch best first, like `by_priority` (the priorities
-        // are already at hand). The order is approximate across workers
-        // (steals are oldest-first) but exact within the batch.
-        ready.sort_by_key(|&(_, p)| std::cmp::Reverse(p));
-        for &(k, _) in ready.iter() {
-            self.local.push(k);
+        dq.publish(ready);
+        for _ in 0..ready.len() {
             shared.gate.notify_one();
         }
     }
+}
+
+/// Seed externally sourced tasks (chain roots claimed from the ledger or
+/// stolen from another rank) into `dq` and wake the siblings that may
+/// steal them. Returns how many there were.
+fn seed(shared: &Shared, dq: &Deque, keys: Vec<TaskKey>) -> u64 {
+    let n = keys.len() as u64;
+    dq.seed(shared.graph, keys);
+    shared.gate.notify_all();
+    n
 }
 
 #[cfg(test)]

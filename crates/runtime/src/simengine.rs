@@ -10,12 +10,15 @@
 //! sections.
 //!
 //! Dependencies are tracked by the native engine's [`ShardedTracker`] (one
-//! shard: events run one at a time), and ready tasks leave in the same
-//! order, highest priority first and FIFO among equals. What differs is
-//! where they wait: one [`ReadyQueue`] heap per node, which its free cores
-//! pop in turn, where the native engine has per-worker deques and chain
-//! claims. Placement between nodes is static. Task durations come from
-//! each class's [`TaskCost`]:
+//! shard: events run one at a time), and ready tasks are claimed through
+//! [`crate::sched`] as natively: a [`Deque`] per modeled core, an injector
+//! per node for the roots placed on it, sibling steals within a node.
+//! Released successors go to the deque of the core that ran their
+//! producer (for a `Fetch`, when its data arrives, as a drained
+//! completion does natively); a flow from another node lands in its
+//! node's injector. After every push the node's free cores pick in index
+//! order. Placement between nodes is static: no mailboxes, no claims.
+//! Task durations come from each class's [`TaskCost`]:
 //!
 //! * `Cpu`   — core busy `flops / core_gflops`;
 //! * `Memory` — core busy while `bytes` stream through the shared bus;
@@ -32,8 +35,9 @@
 //! for the agreement checks.
 
 use crate::cost::CostModel;
-use crate::sched::ReadyQueue;
+use crate::sched::{by_priority, Deque};
 use crate::shard::ShardedTracker;
+use crossbeam::deque::{Injector, Stealer};
 use dcsim::{EventQueue, MutexResource, Nic, PsResource, SimTime};
 use ptg::{Activity, Dep, Payload, TaskCost, TaskGraph, TaskKey};
 use std::collections::HashMap;
@@ -131,8 +135,8 @@ enum Ev {
         core: usize,
         key: TaskKey,
     },
-    /// A Fetch task's data arrived at its node.
-    FetchArrived { key: TaskKey },
+    /// A Fetch task's data arrived at the core of its node that ran it.
+    FetchArrived { core: usize, key: TaskKey },
     /// A remote flow delivery arrived at `dst`'s node.
     MsgArrived { dst: TaskKey },
     /// Memory-bus completion poll.
@@ -151,6 +155,7 @@ enum PsPurpose {
         key: TaskKey,
     },
     LocalFetch {
+        core: usize,
         key: TaskKey,
     },
     Critical {
@@ -158,14 +163,12 @@ enum PsPurpose {
     },
 }
 
-struct Running {
-    key: TaskKey,
-    since: SimTime,
-}
-
 struct NodeSt {
-    ready: ReadyQueue,
-    cores: Vec<Option<Running>>,
+    injector: Injector<TaskKey>,
+    deques: Vec<Deque>,
+    stealers: Vec<Stealer<TaskKey>>,
+    /// When each core's running task started; `None` when it is free.
+    cores: Vec<Option<SimTime>>,
     nic: Nic,
     bus: PsResource,
     mutex: MutexResource,
@@ -207,12 +210,17 @@ impl<'g> Engine<'g> {
             .collect();
         let xfer_class = trace.class("XFER", ActivityKind::Communication);
         let nodes = (0..cfg.nodes)
-            .map(|_| NodeSt {
-                ready: ReadyQueue::new(),
-                cores: (0..cfg.cores_per_node).map(|_| None).collect(),
-                nic: Nic::new(cfg.cost.nic_bw_gbs, cfg.cost.nic_latency()),
-                bus: PsResource::new(cfg.cost.mem_capacity()),
-                mutex: MutexResource::new(),
+            .map(|_| {
+                let deques: Vec<Deque> = (0..cfg.cores_per_node).map(Deque::new).collect();
+                NodeSt {
+                    injector: Injector::new(),
+                    stealers: deques.iter().map(Deque::stealer).collect(),
+                    deques,
+                    cores: (0..cfg.cores_per_node).map(|_| None).collect(),
+                    nic: Nic::new(cfg.cost.nic_bw_gbs, cfg.cost.nic_latency()),
+                    bus: PsResource::new(cfg.cost.mem_capacity()),
+                    mutex: MutexResource::new(),
+                }
             })
             .collect();
         Self {
@@ -245,25 +253,30 @@ impl<'g> Engine<'g> {
         p
     }
 
+    /// Every root into its node's injector, best first, as the native
+    /// engine seeds its one injector.
     fn seed(&mut self, q: &mut EventQueue<Ev>) {
-        for r in self.graph.roots() {
-            self.enqueue_ready(0, r, q);
+        let mut roots = self.graph.roots();
+        by_priority(self.graph, &mut roots);
+        for r in roots {
+            self.nodes[self.placement(r)].injector.push(r);
+        }
+        for node in 0..self.cfg.nodes {
+            self.try_dispatch(0, node, q);
         }
     }
 
-    fn enqueue_ready(&mut self, now: SimTime, key: TaskKey, q: &mut EventQueue<Ev>) {
-        let node = self.placement(key);
-        let prio = self.graph.class_of(key).priority(key, self.graph.ctx());
-        self.nodes[node].ready.push(key, prio);
-        self.try_dispatch(now, node, q);
-    }
-
+    /// The node's free cores pick in index order. One that finds nothing
+    /// saw every deque of the node and its injector empty, so the cores
+    /// after it would find nothing either.
     fn try_dispatch(&mut self, now: SimTime, node: usize, q: &mut EventQueue<Ev>) {
-        loop {
-            let Some(core) = self.nodes[node].cores.iter().position(|c| c.is_none()) else {
-                return;
-            };
-            let Some(key) = self.nodes[node].ready.pop() else {
+        for core in 0..self.cfg.cores_per_node {
+            let n = &mut self.nodes[node];
+            if n.cores[core].is_some() {
+                continue;
+            }
+            let none = |_: &Deque| false;
+            let Some((key, _)) = n.deques[core].pick(&n.injector, &n.stealers, none, none) else {
                 return;
             };
             self.dispatch(now, node, core, key, q);
@@ -278,7 +291,7 @@ impl<'g> Engine<'g> {
         key: TaskKey,
         q: &mut EventQueue<Ev>,
     ) {
-        self.nodes[node].cores[core] = Some(Running { key, since: now });
+        self.nodes[node].cores[core] = Some(now);
         let cm = &self.cfg.cost;
         let overhead = cm.overhead();
         match self.graph.class_of(key).cost(key, self.graph.ctx()) {
@@ -374,16 +387,18 @@ impl<'g> Engine<'g> {
         Some(out)
     }
 
-    /// Deliver all successors of `key` (after its data is available on its
-    /// node), transferring across the network where placements differ.
-    fn release_successors(&mut self, now: SimTime, key: TaskKey, q: &mut EventQueue<Ev>) {
+    /// Deliver all successors of `key`, which `core` of its node ran,
+    /// after its data is available there: local ones that become ready go
+    /// to that core's deque best first, and flows to other nodes cross
+    /// the network. Then the node's free cores pick.
+    fn release(&mut self, now: SimTime, core: usize, key: TaskKey, q: &mut EventQueue<Ev>) {
         let outputs = self.run_body(key);
         let src_node = self.placement(key);
+        let (ctx, class) = (self.graph.ctx(), self.graph.class_of(key));
         let mut deps = std::mem::take(&mut self.deps_buf);
+        let mut ready = Vec::new();
         deps.clear();
-        self.graph
-            .class_of(key)
-            .successors(key, self.graph.ctx(), &mut deps);
+        class.successors(key, ctx, &mut deps);
         for d in &deps {
             if let Some(out) = &outputs {
                 if let Some(p) = &out[d.src_flow as usize] {
@@ -392,14 +407,11 @@ impl<'g> Engine<'g> {
             }
             let dst_node = self.placement(d.dst);
             if dst_node == src_node {
-                if let Some(ready) = self.tracker.deliver(self.graph, d.dst) {
-                    self.enqueue_ready(now, ready, q);
+                if let Some(k) = self.tracker.deliver(self.graph, d.dst) {
+                    ready.push((k, self.graph.class_of(k).priority(k, ctx)));
                 }
             } else {
-                let bytes =
-                    self.graph
-                        .class_of(key)
-                        .flow_bytes(key, d.src_flow, d.dst, self.graph.ctx());
+                let bytes = class.flow_bytes(key, d.src_flow, d.dst, ctx);
                 let start_free = self.nodes[src_node].nic.free_at().max(now);
                 let arrival = self.nodes[src_node].nic.send(now, bytes);
                 self.messages += 1;
@@ -412,7 +424,9 @@ impl<'g> Engine<'g> {
             }
         }
         self.deps_buf = deps;
+        self.nodes[src_node].deques[core].publish(&mut ready);
         self.tasks += 1;
+        self.try_dispatch(now, src_node, q);
     }
 
     /// The event queue ran dry, so every ready task has run: whatever the
@@ -442,9 +456,8 @@ impl dcsim::SimModel for Engine<'_> {
     fn handle(&mut self, now: SimTime, ev: Ev, q: &mut EventQueue<Ev>) {
         match ev {
             Ev::TaskDone { node, core, key } => {
-                let running = self.nodes[node].cores[core].take().expect("core was idle");
-                debug_assert_eq!(running.key, key);
-                self.record_span(node, core, key, running.since, now);
+                let since = self.nodes[node].cores[core].take().expect("core was idle");
+                self.record_span(node, core, key, since, now);
                 match self.graph.class_of(key).cost(key, self.graph.ctx()) {
                     TaskCost::Fetch { from, bytes } => {
                         // Hand the transfer to the comm thread; outputs
@@ -454,7 +467,8 @@ impl dcsim::SimModel for Engine<'_> {
                             let id = self.nodes[node]
                                 .bus
                                 .submit(now, self.cfg.cost.mem_work(bytes));
-                            self.psmap.insert((node, id), PsPurpose::LocalFetch { key });
+                            self.psmap
+                                .insert((node, id), PsPurpose::LocalFetch { core, key });
                             self.poll_bus(node, q);
                         } else {
                             let start_free = self.nodes[from].nic.free_at().max(now);
@@ -463,21 +477,19 @@ impl dcsim::SimModel for Engine<'_> {
                             self.bytes += bytes;
                             let latency = self.cfg.cost.nic_latency();
                             self.record_xfer(from, start_free, arrival - latency);
-                            q.post(arrival, Ev::FetchArrived { key });
+                            q.post(arrival, Ev::FetchArrived { core, key });
                         }
+                        self.try_dispatch(now, node, q);
                     }
-                    _ => {
-                        self.release_successors(now, key, q);
-                    }
+                    _ => self.release(now, core, key, q),
                 }
-                self.try_dispatch(now, node, q);
             }
-            Ev::FetchArrived { key } => {
-                self.release_successors(now, key, q);
-            }
+            Ev::FetchArrived { core, key } => self.release(now, core, key, q),
             Ev::MsgArrived { dst } => {
                 if let Some(ready) = self.tracker.deliver(self.graph, dst) {
-                    self.enqueue_ready(now, ready, q);
+                    let node = self.placement(ready);
+                    self.nodes[node].injector.push(ready);
+                    self.try_dispatch(now, node, q);
                 }
             }
             Ev::PsTick { node, gen } => {
@@ -487,8 +499,8 @@ impl dcsim::SimModel for Engine<'_> {
                         PsPurpose::MemTask { node, core, key } => {
                             q.post(now, Ev::TaskDone { node, core, key });
                         }
-                        PsPurpose::LocalFetch { key } => {
-                            q.post(now, Ev::FetchArrived { key });
+                        PsPurpose::LocalFetch { core, key } => {
+                            q.post(now, Ev::FetchArrived { core, key });
                         }
                         PsPurpose::Critical { wid } => {
                             q.post(now + self.cfg.cost.mutex_op(), Ev::CsEnd { wid });
@@ -528,7 +540,9 @@ mod tests {
     use std::sync::Arc;
 
     /// A parameterizable test class: `n` independent tasks of a given
-    /// cost, each placed round-robin.
+    /// cost, each placed round-robin. With `prio_by_index`, task `i` has
+    /// priority `i` and a `Fixed` cost `i` ns longer, so that the length
+    /// of its span names it.
     struct Uniform {
         n: i64,
         cost: TaskCost,
@@ -560,8 +574,13 @@ mod tests {
                 0
             }
         }
-        fn cost(&self, _key: TaskKey, _ctx: &dyn GraphCtx) -> TaskCost {
-            self.cost
+        fn cost(&self, key: TaskKey, _ctx: &dyn GraphCtx) -> TaskCost {
+            match self.cost {
+                TaskCost::Fixed { ns } if self.prio_by_index => TaskCost::Fixed {
+                    ns: ns + key.params[0] as u64,
+                },
+                cost => cost,
+            }
         }
         fn execute(
             &self,
@@ -703,9 +722,12 @@ mod tests {
         );
         let rep = SimEngine::new(1, 1).collect_trace(true).run(&g);
         assert_eq!(rep.tasks, 4);
-        // Trace exists and has no overlapping spans on the single core.
         assert!(rep.trace.find_overlap().is_none());
-        assert_eq!(rep.trace.spans().len(), 4);
+        let mut spans = rep.trace.spans().to_vec();
+        spans.sort_by_key(|s| s.begin);
+        let base = CostModel::default().overhead() + 100;
+        let started: Vec<u64> = spans.iter().map(|s| s.len() - base).collect();
+        assert_eq!(started, [3, 2, 1, 0], "highest priority starts first");
     }
 
     #[test]

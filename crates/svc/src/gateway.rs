@@ -169,16 +169,6 @@ impl Gateway {
         self.epoch.elapsed().as_nanos() as u64
     }
 
-    /// Admission weight of `tenant` (1 unless configured otherwise).
-    pub fn weight_of(&self, tenant: u32) -> u64 {
-        self.st
-            .lock()
-            .unwrap()
-            .tenants
-            .get(&tenant)
-            .map_or(1, |q| q.weight)
-    }
-
     /// Gang size a spec's `ranks` request resolves to on this mesh,
     /// clamped to the largest contiguous window of live ranks — a
     /// full-mesh request must still be schedulable after a rank dies,

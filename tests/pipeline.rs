@@ -2,7 +2,7 @@
 //! through both engines, plus shape assertions on the simulated curves.
 
 use ccsd::{build_graph, simulate_baseline, verify, BaselineCfg, VariantCfg};
-use parsec_rt::{NativeRuntime, SimEngine};
+use parsec_rt::{NativeRuntime, SimEngine, SimReport};
 use ptg::dsl::DslBuilder;
 use ptg::PlainCtx;
 use std::sync::{Arc, Mutex};
@@ -40,7 +40,17 @@ fn simulation_is_deterministic() {
     assert_eq!(a.makespan, b.makespan);
     assert_eq!(a.events, b.events);
     assert_eq!(a.messages, b.messages);
-    assert_eq!(a.trace.spans().len(), b.trace.spans().len());
+    // Every span — worker, class, start, end — not just their count:
+    // seeded sibling steals decide which core runs what.
+    let rows = |r: &SimReport| -> Vec<_> {
+        r.trace
+            .spans()
+            .iter()
+            .map(|s| (s.who, s.class, s.begin, s.end))
+            .collect()
+    };
+    assert!(!a.trace.spans().is_empty());
+    assert_eq!(rows(&a), rows(&b));
 
     let base = simulate_baseline(&ins, &BaselineCfg::new(4, 3));
     let base2 = simulate_baseline(&ins, &BaselineCfg::new(4, 3));
