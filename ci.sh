@@ -24,8 +24,9 @@ echo "==> cargo test --release (comm sockets, engine, ga, ccsd and root stress t
 # transport (frame reassembly, the simultaneous 64 MiB replies that
 # deadlock blocking writes), the engine's unit tests, ga's per-thread
 # counters and array views, ccsd's socket-mesh runs and stress tests, and
-# the root package's tests/stress.rs.
-cargo test --release -q -p comm -p parsec-rt -p global-arrays -p ccsd -p parsec-ccsd-repro
+# the root package's tests/stress.rs — and ptg's, since its compiled
+# closures are on every task's dispatch path.
+cargo test --release -q -p comm -p parsec-rt -p global-arrays -p ptg -p ccsd -p parsec-ccsd-repro
 
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings

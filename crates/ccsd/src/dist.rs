@@ -234,13 +234,14 @@ impl DistRank {
     }
 
     /// Collectively execute a prebuilt graph (see
-    /// [`DistRank::build_run_graph`]); `cfg` must be the configuration
-    /// the graph was built with (it also steers the steal source's
-    /// chain expansion).
+    /// [`DistRank::build_run_graph`]) built with configuration `_cfg`.
+    /// The graph carries the variant's whole wiring — the steal source
+    /// seeds each chain from its group roots — so nothing is read from
+    /// the configuration.
     pub fn run_variant_graph(
         &self,
         graph: &TaskGraph,
-        cfg: VariantCfg,
+        _cfg: VariantCfg,
         threads: usize,
         scfg: StealConfig,
     ) -> DistRun {
@@ -251,7 +252,7 @@ impl DistRank {
         let source = ChainSource::new(
             self.ep.clone(),
             self.ins.clone(),
-            cfg,
+            graph,
             scfg,
             epoch,
             self.view().clone(),

@@ -21,12 +21,10 @@
 //! run `N` answers a run-`N+1` thief dry instead of donating chains from
 //! the wrong graph.
 
-use crate::ctx::VariantCfg;
-use crate::variants::{DFILL, READ_A, READ_B};
 use comm::Endpoint;
 use global_arrays::GangView;
 use parsec_rt::{IdleGate, SourcePoll, WorkSource};
-use ptg::TaskKey;
+use ptg::{TaskGraph, TaskKey};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, Weak};
 use tce::Inspection;
@@ -151,8 +149,8 @@ pub struct ChainLedger {
 }
 
 impl ChainLedger {
-    /// Ledger over the chains placed on `rank` (round-robin, as in
-    /// `CcsdCtx::chain_node`).
+    /// Ledger over the chains placed on `rank` (round-robin, as the
+    /// variant texts place every class: `: L1`).
     pub fn new(ins: &Inspection, rank: usize, nranks: usize) -> Self {
         let avail: Vec<i64> = (0..ins.num_chains() as i64)
             .filter(|l1| (*l1 as usize) % nranks == rank)
@@ -203,19 +201,6 @@ impl ChainLedger {
     }
 }
 
-/// Expand chain `l1` into the root task keys that materialize it: one
-/// READ_A/READ_B pair per GEMM, plus the chain's DFILL when the variant
-/// chains its GEMMs (v1). Mirrors `Reader::roots`/`Dfill::roots`.
-pub fn chain_roots(ins: &Inspection, cfg: &VariantCfg, l1: i64, out: &mut Vec<TaskKey>) {
-    if cfg.chained_gemms {
-        out.push(TaskKey::new(DFILL, &[l1]));
-    }
-    for l2 in 0..ins.chains[l1 as usize].gemms.len() as i64 {
-        out.push(TaskKey::new(READ_A, &[l1, l2]));
-        out.push(TaskKey::new(READ_B, &[l1, l2]));
-    }
-}
-
 struct SourceState {
     /// Chains granted by victims, awaiting expansion into root keys.
     granted: Vec<i64>,
@@ -237,7 +222,9 @@ struct SourceState {
 pub struct ChainSource {
     ep: Arc<Endpoint>,
     ins: Arc<Inspection>,
-    cfg: VariantCfg,
+    /// The run's graph: a chain materializes as its locality group's
+    /// roots (`L1 = l1`), whatever variant the graph wires.
+    graph: TaskGraph,
     scfg: StealConfig,
     epoch: u64,
     /// The job's rank gang: ledger partitioning, the victim ring, and
@@ -267,7 +254,7 @@ impl ChainSource {
     pub fn new(
         ep: Arc<Endpoint>,
         ins: Arc<Inspection>,
-        cfg: VariantCfg,
+        graph: &TaskGraph,
         scfg: StealConfig,
         epoch: u64,
         view: GangView,
@@ -278,7 +265,7 @@ impl ChainSource {
         Arc::new_cyclic(|weak| Self {
             ep,
             ins,
-            cfg,
+            graph: graph.clone(),
             scfg,
             epoch,
             view,
@@ -328,11 +315,10 @@ impl ChainSource {
     }
 
     fn expand(&self, chains: &[i64]) -> Vec<TaskKey> {
-        let mut out = Vec::new();
-        for &l1 in chains {
-            chain_roots(&self.ins, &self.cfg, l1, &mut out);
-        }
-        out
+        chains
+            .iter()
+            .flat_map(|&l1| self.graph.group_roots(l1))
+            .collect()
     }
 
     /// Nearest peer on the *gang-logical* node ring not yet known dry
@@ -466,6 +452,7 @@ impl comm::StealHandler for ChainSource {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ctx::VariantCfg;
     use tce::{inspect, scale, TileSpace};
 
     fn ins(nodes: usize) -> Arc<Inspection> {
@@ -544,18 +531,33 @@ mod tests {
 
     #[test]
     fn chain_roots_mirror_static_roots() {
-        let ins = ins(1);
-        // Unchained: one READ pair per gemm, no DFILL.
-        let mut out = Vec::new();
-        chain_roots(&ins, &VariantCfg::v5(), 0, &mut out);
-        let gemms = ins.chains[0].gemms.len();
-        assert_eq!(out.len(), 2 * gemms);
-        assert!(out.iter().all(|k| k.class == READ_A || k.class == READ_B));
-        // Chained (v1): the DFILL root joins the pairs.
-        let mut out = Vec::new();
-        chain_roots(&ins, &VariantCfg::v1(), 0, &mut out);
-        assert_eq!(out.len(), 2 * gemms + 1);
-        assert_eq!(out.iter().filter(|k| k.class == DFILL).count(), 1);
+        // A chain the ledger seeds into an externally rooted graph gets
+        // exactly the roots the statically rooted graph has for it: one
+        // READ pair per GEMM, plus the DFILL when the GEMMs chain (v1).
+        use crate::variants::{build_graph, build_graph_external, DFILL};
+        let ins = ins(2);
+        for cfg in [VariantCfg::v1(), VariantCfg::v5()] {
+            let g = build_graph_external(ins.clone(), cfg, None, Default::default(), false);
+            assert!(g.roots().is_empty(), "{}: external roots", cfg.name);
+            let all = build_graph(ins.clone(), cfg, None).roots();
+            for l1 in 0..ins.num_chains() as i64 {
+                let mut seeded = g.group_roots(l1);
+                let mut want: Vec<TaskKey> =
+                    all.iter().copied().filter(|k| k.params[0] == l1).collect();
+                let dfills = seeded.iter().filter(|k| k.class == DFILL).count();
+                let gemms = ins.chains[l1 as usize].gemms.len();
+                assert_eq!(seeded.len(), 2 * gemms + dfills, "{} chain {l1}", cfg.name);
+                assert_eq!(
+                    dfills,
+                    (cfg.name == "v1") as usize,
+                    "{} chain {l1}",
+                    cfg.name
+                );
+                seeded.sort();
+                want.sort();
+                assert_eq!(seeded, want, "{} chain {l1}", cfg.name);
+            }
+        }
     }
 
     #[test]

@@ -1,26 +1,39 @@
-//! The PTG task classes of the PaRSEC-ported `icsd_t2_7` and the five
-//! variant wirings.
+//! The PTG programs of the PaRSEC-ported `icsd_t2_7`: five variant texts,
+//! compiled by `ptg::dsl`, and the Rust bodies and cost hooks they name.
 //!
-//! Task classes (Figures 4-7):
+//! Each variant is a JDF-like text in `variants/` (`v1.jdf` … `v5.jdf`);
+//! v1 → v3 is the paper's Figure 1 → Figure 2 change to matrix C's
+//! dataflow. Every text declares the same seven classes in the same
+//! order, so a class id means the same in every variant (Figures 4-7):
 //!
 //! * `READ_A(L1, L2)` / `READ_B(L1, L2)` — pull one `t2` / `v` block from
 //!   the Global Array into runtime-managed memory;
 //! * `DFILL(L1)` — zero-initialize the chain's C tile (chained variant);
 //! * `GEMM(L1, L2)` — one tensor-contraction tile multiply; chained (v1)
-//!   or independent with private C (v2-v5);
+//!   or in segments of `h` with private C (v2-v5);
 //! * `REDUCE(L1, s, i)` — binary accumulation tree merging private C
 //!   tiles (parallel-GEMM variants);
 //! * `SORT(L1, i)` — the guarded `TCE_SORT_4` remaps: one task per active
-//!   branch (parallel sort) or a single task running all branches
-//!   serially into a merged matrix (v5);
+//!   branch (`sort_branch`) or a single task running all branches
+//!   serially into a merged matrix (`sort_merged`, v5);
 //! * `WRITE_C(L1, i, w)` — the critical-section accumulate into the
 //!   Global Array; instantiated once per *owner node* `w` of the
 //!   destination block (Figure 8), and per sort branch `i` when writes
 //!   are parallel (v1, v3).
+//!
+//! The texts read the inspection through host functions: `chain_len(L1)`;
+//! `reduce_levels(L1)` and `reduce_width(L1, s)`, the depth of chain
+//! `L1`'s reduction tree over its segments and the width of level `s`
+//! (level 0: the segments); `nsorts(L1)`, how many of the four SORT
+//! predicates hold; `nowners(L1, i)` and `owner(L1, i, w)`, the Global
+//! Arrays nodes holding SORT `i`'s output block. Globals: `nchains`, `h`,
+//! `reader_offset`, `gemm_offset`, and `P`, the node count.
 
 use crate::ctx::{CcsdCtx, VariantCfg, ACC_CRITICAL_SLOWDOWN, ACC_RMW_FACTOR, SORT_STRIDE_FACTOR};
 use parsec_rt::TilePool;
-use ptg::{Activity, Dep, GraphCtx, Payload, TaskClass, TaskCost, TaskGraph, TaskKey};
+use ptg::dsl::DslBuilder;
+use ptg::expr::HostFn;
+use ptg::{Activity, Completion, Payload, PlainCtx, TaskCost, TaskGraph, TaskKey};
 use std::sync::Arc;
 use tce::Inspection;
 use tensor_kernels::{dgemm_with, scratch_lens, sort_4, sort_4_strided, Trans};
@@ -34,11 +47,29 @@ pub const REDUCE: u32 = 4;
 pub const SORT: u32 = 5;
 pub const WRITE: u32 = 6;
 
-fn cc(ctx: &dyn GraphCtx) -> &CcsdCtx {
-    ctx.as_any()
-        .downcast_ref::<CcsdCtx>()
-        .expect("CCSD graph requires CcsdCtx")
+/// The variant texts, in paper order.
+pub const TEXTS: [&str; 5] = [
+    include_str!("variants/v1.jdf"),
+    include_str!("variants/v2.jdf"),
+    include_str!("variants/v3.jdf"),
+    include_str!("variants/v4.jdf"),
+    include_str!("variants/v5.jdf"),
+];
+
+/// The PTG text a configuration runs: its own, or v5's for a height
+/// variant.
+pub fn text(cfg: &VariantCfg) -> &'static str {
+    match cfg.name {
+        "v1" => TEXTS[0],
+        "v2" => TEXTS[1],
+        "v3" => TEXTS[2],
+        "v4" => TEXTS[3],
+        "v5" | "vh" => TEXTS[4],
+        other => panic!("no PTG text for variant `{other}`"),
+    }
 }
+
+type Outputs = Vec<Option<Payload>>;
 
 /// Take ownership of a payload buffer through the pool: in place when
 /// uniquely held, copy-on-write (counted, served from the pool) when
@@ -47,621 +78,256 @@ fn own(c: &CcsdCtx, p: Payload) -> Vec<f64> {
     c.pool.own(p)
 }
 
-/// Leaves of chain `l1`'s reduction tree: one per segment.
-fn reduce_leaves(c: &CcsdCtx, l1: i64) -> usize {
-    c.chain(l1).gemms.len().div_ceil(c.cfg.segment_height)
-}
-
-/// Successor deps from a chain's final C matrix to its SORT stage.
-fn c_to_sorts(c: &CcsdCtx, l1: i64, src_flow: u32, out: &mut Vec<Dep>) {
-    if c.cfg.parallel_sort {
-        for i in 0..c.chain(l1).sorts.len() {
-            out.push(Dep {
-                src_flow,
-                dst: TaskKey::new(SORT, &[l1, i as i64]),
-                dst_flow: 0,
-            });
-        }
-    } else {
-        out.push(Dep {
-            src_flow,
-            dst: TaskKey::new(SORT, &[l1, 0]),
-            dst_flow: 0,
-        });
-    }
-}
-
 // ------------------------------------------------------------------ readers --
 
-/// Which operand a reader class pulls.
+/// Which operand a reader body pulls.
 #[derive(Clone, Copy)]
 enum Operand {
     A,
     B,
 }
+use Operand::{A, B};
 
-struct Reader(Operand);
+/// Where operand `op` of GEMM `key` lives: (array, offset, length).
+fn block(c: &CcsdCtx, op: Operand, key: TaskKey) -> (global_arrays::GaHandle, usize, usize) {
+    let ws = c.ws.as_ref().expect("workspace");
+    let g = &c.chain(key.params[0]).gemms[key.params[1] as usize];
+    match op {
+        Operand::A => (ws.tensor(g.a_tensor).0, g.a_offset, g.a_len),
+        Operand::B => (ws.tensor(g.b_tensor).0, g.b_offset, g.b_len),
+    }
+}
 
-impl TaskClass for Reader {
-    fn name(&self) -> &str {
-        match self.0 {
-            Operand::A => "READ_A",
-            Operand::B => "READ_B",
-        }
-    }
-    fn num_flows(&self) -> usize {
-        1
-    }
-    fn roots(&self, ctx: &dyn GraphCtx, out: &mut Vec<TaskKey>) {
-        let c = cc(ctx);
-        if c.external_roots {
-            return; // seeded chain-by-chain through the steal ledger
-        }
-        let class = match self.0 {
-            Operand::A => READ_A,
-            Operand::B => READ_B,
-        };
-        for (l1, chain) in c.ins.chains.iter().enumerate() {
-            for l2 in 0..chain.gemms.len() {
-                out.push(TaskKey::new(class, &[l1 as i64, l2 as i64]));
-            }
-        }
-    }
-    fn num_inputs(&self, _key: TaskKey, _ctx: &dyn GraphCtx) -> usize {
-        0
-    }
-    fn successors(&self, key: TaskKey, _ctx: &dyn GraphCtx, out: &mut Vec<Dep>) {
-        let dst_flow = match self.0 {
-            Operand::A => 0,
-            Operand::B => 1,
-        };
-        out.push(Dep {
-            src_flow: 0,
-            dst: TaskKey::new(GEMM, &[key.params[0], key.params[1]]),
-            dst_flow,
-        });
-    }
-    fn priority(&self, key: TaskKey, ctx: &dyn GraphCtx) -> i64 {
-        let c = cc(ctx);
-        c.prio(key.params[0], c.cfg.reader_offset)
-    }
-    fn placement(&self, key: TaskKey, ctx: &dyn GraphCtx) -> usize {
-        cc(ctx).chain_node(key.params[0])
-    }
-    fn cost(&self, key: TaskKey, ctx: &dyn GraphCtx) -> TaskCost {
-        let c = cc(ctx);
-        let g = &c.chain(key.params[0]).gemms[key.params[1] as usize];
-        match self.0 {
-            Operand::A => TaskCost::Fetch {
-                from: g.a_owner,
-                bytes: (g.a_len * 8) as u64,
-            },
-            Operand::B => TaskCost::Fetch {
-                from: g.b_owner,
-                bytes: (g.b_len * 8) as u64,
-            },
-        }
-    }
-    fn activity(&self) -> Activity {
-        Activity::Runtime
-    }
-    fn execute(
-        &self,
-        key: TaskKey,
-        ctx: &dyn GraphCtx,
-        _inputs: &mut [Option<Payload>],
-    ) -> Vec<Option<Payload>> {
-        let c = cc(ctx);
-        let Some(ws) = &c.ws else { return vec![None] };
-        let g = &c.chain(key.params[0]).gemms[key.params[1] as usize];
-        let (h, offset, len) = match self.0 {
-            Operand::A => (ws.tensor(g.a_tensor).0, g.a_offset, g.a_len),
-            Operand::B => (ws.tensor(g.b_tensor).0, g.b_offset, g.b_len),
-        };
+fn read(c: &CcsdCtx, op: Operand, key: TaskKey, prio: i64, done: Completion) -> Option<Outputs> {
+    let Some(ws) = &c.ws else {
+        return Some(vec![None]);
+    };
+    let (h, offset, len) = block(c, op, key);
+    if !(c.prefetch && ws.ga.is_dist()) {
         let mut data = c.pool.checkout(len);
         ws.ga.get_into(h, offset, &mut data);
-        vec![Some(Arc::new(data))]
+        return Some(vec![Some(Arc::new(data))]);
     }
-    fn execute_async(
-        &self,
-        key: TaskKey,
-        ctx: &dyn GraphCtx,
-        inputs: &mut [Option<Payload>],
-        done: ptg::Completion,
-    ) -> Option<Vec<Option<Payload>>> {
-        let c = cc(ctx);
-        let prefetchable = c.prefetch && c.ws.as_ref().is_some_and(|ws| ws.ga.is_dist());
-        if !prefetchable {
-            drop(done);
-            return Some(self.execute(key, ctx, inputs));
-        }
-        // Prefetch pipeline: hand the transfer to the comm layer at this
-        // reader's graph priority and free the worker immediately. The
-        // progress engine caps in-flight gets per peer and queues the rest
-        // (by destination block, the priority breaking ties); the get
-        // completion re-enters the engine through the completion sink —
-        // inline, as a synchronous return, when the data was local or
-        // cached and the callback runs before this body returns.
-        let ws = c.ws.as_ref().unwrap();
-        let g = &c.chain(key.params[0]).gemms[key.params[1] as usize];
-        let (h, offset, len) = match self.0 {
-            Operand::A => (ws.tensor(g.a_tensor).0, g.a_offset, g.a_len),
-            Operand::B => (ws.tensor(g.b_tensor).0, g.b_offset, g.b_len),
-        };
-        let prio = c.prio(key.params[0], c.cfg.reader_offset);
-        // Pooled destination buffer, as in the synchronous path: the
-        // async pipeline fills it in place (cache hit, coalesced join,
-        // or wire assembly) instead of allocating per read.
-        let buf = c.pool.checkout_dirty(len);
-        ws.ga.get_async_into(
-            h,
-            offset,
-            buf,
-            prio,
-            Box::new(move |data| done.finish(vec![Some(Arc::new(data))])),
-        );
-        None
+    // Prefetch pipeline: hand the transfer to the comm layer at this
+    // reader's graph priority and free the worker immediately. The
+    // progress engine caps in-flight gets per peer and queues the rest
+    // (by destination block, the priority breaking ties); the get
+    // completion re-enters the engine through the completion sink —
+    // inline, as a synchronous return, when the data was local or
+    // cached and the callback runs before this body returns.
+    // Pooled destination buffer, as in the synchronous path: the
+    // async pipeline fills it in place (cache hit, coalesced join,
+    // or wire assembly) instead of allocating per read.
+    let buf = c.pool.checkout_dirty(len);
+    ws.ga.get_async_into(
+        h,
+        offset,
+        buf,
+        prio,
+        Box::new(move |data| done.finish(vec![Some(Arc::new(data))])),
+    );
+    None
+}
+
+fn read_cost(c: &CcsdCtx, op: Operand, key: TaskKey) -> TaskCost {
+    let g = &c.chain(key.params[0]).gemms[key.params[1] as usize];
+    match op {
+        Operand::A => TaskCost::Fetch {
+            from: g.a_owner,
+            bytes: (g.a_len * 8) as u64,
+        },
+        Operand::B => TaskCost::Fetch {
+            from: g.b_owner,
+            bytes: (g.b_len * 8) as u64,
+        },
     }
 }
 
-// ------------------------------------------------------------------- dfill --
+// ------------------------------------------------------- dfill, gemm, reduce --
 
-struct Dfill;
+fn dfill(c: &CcsdCtx, key: TaskKey, _inputs: &mut [Option<Payload>]) -> Outputs {
+    if c.ws.is_none() {
+        return vec![None];
+    }
+    let chain = c.chain(key.params[0]);
+    vec![Some(Arc::new(c.pool.checkout(chain.m * chain.n)))]
+}
 
-impl TaskClass for Dfill {
-    fn name(&self) -> &str {
-        "DFILL"
+fn gemm(c: &CcsdCtx, key: TaskKey, inputs: &mut [Option<Payload>]) -> Outputs {
+    if c.ws.is_none() {
+        return vec![None; 3];
     }
-    fn num_flows(&self) -> usize {
-        1
-    }
-    fn roots(&self, ctx: &dyn GraphCtx, out: &mut Vec<TaskKey>) {
-        let c = cc(ctx);
-        if !c.cfg.chained_gemms || c.external_roots {
-            return;
-        }
-        for l1 in 0..c.ins.num_chains() {
-            out.push(TaskKey::new(DFILL, &[l1 as i64]));
-        }
-    }
-    fn num_inputs(&self, _key: TaskKey, _ctx: &dyn GraphCtx) -> usize {
-        0
-    }
-    fn successors(&self, key: TaskKey, _ctx: &dyn GraphCtx, out: &mut Vec<Dep>) {
-        out.push(Dep {
-            src_flow: 0,
-            dst: TaskKey::new(GEMM, &[key.params[0], 0]),
-            dst_flow: 2,
-        });
-    }
-    fn priority(&self, key: TaskKey, ctx: &dyn GraphCtx) -> i64 {
-        cc(ctx).prio(key.params[0], 0)
-    }
-    fn placement(&self, key: TaskKey, ctx: &dyn GraphCtx) -> usize {
-        cc(ctx).chain_node(key.params[0])
-    }
-    fn cost(&self, key: TaskKey, ctx: &dyn GraphCtx) -> TaskCost {
-        TaskCost::Memory {
-            bytes: cc(ctx).chain(key.params[0]).c_bytes(),
-        }
-    }
-    fn execute(
-        &self,
-        key: TaskKey,
-        ctx: &dyn GraphCtx,
-        _inputs: &mut [Option<Payload>],
-    ) -> Vec<Option<Payload>> {
-        let c = cc(ctx);
-        if c.ws.is_none() {
-            return vec![None];
-        }
-        let chain = c.chain(key.params[0]);
-        vec![Some(Arc::new(c.pool.checkout(chain.m * chain.n)))]
+    let chain = c.chain(key.params[0]);
+    let g = &chain.gemms[key.params[1] as usize];
+    let a = inputs[0].take().expect("A operand");
+    let b = inputs[1].take().expect("B operand");
+    let (m, n, k) = (chain.m, chain.n, g.k);
+    // C arrives from the predecessor (DFILL or the previous GEMM of the
+    // segment); a segment head has none and starts a fresh private C.
+    let mut cbuf = match inputs[2].take() {
+        Some(cin) => own(c, cin),
+        None => c.pool.checkout(m * n),
+    };
+    // Packing scratch comes from the pool too (none when the kernel
+    // takes its small path): after warm-up a GEMM task performs no
+    // heap allocation at all.
+    let (la, lb) = scratch_lens(m, n, k);
+    let mut ap = c.pool.checkout_dirty(la);
+    let mut bp = c.pool.checkout_dirty(lb);
+    dgemm_with(
+        Trans::T,
+        g.tb,
+        m,
+        n,
+        k,
+        1.0,
+        &a,
+        &b,
+        1.0,
+        &mut cbuf,
+        &mut ap,
+        &mut bp,
+    );
+    c.pool.recycle(ap);
+    c.pool.recycle(bp);
+    // Operand tiles feed exactly this GEMM: recycle their buffers.
+    c.pool.release(a);
+    c.pool.release(b);
+    vec![None, None, Some(Arc::new(cbuf))]
+}
+
+fn gemm_cost(c: &CcsdCtx, key: TaskKey) -> TaskCost {
+    let chain = c.chain(key.params[0]);
+    let k = chain.gemms[key.params[1] as usize].k;
+    TaskCost::Cpu {
+        flops: 2 * (chain.m * chain.n * k) as u64,
     }
 }
 
-// -------------------------------------------------------------------- gemm --
-
-struct Gemm;
-
-impl TaskClass for Gemm {
-    fn name(&self) -> &str {
-        "GEMM"
+fn reduce(c: &CcsdCtx, _key: TaskKey, inputs: &mut [Option<Payload>]) -> Outputs {
+    if c.ws.is_none() {
+        return vec![None, None, None];
     }
-    fn num_flows(&self) -> usize {
-        3 // 0: A in, 1: B in, 2: C in/out
-    }
-    fn roots(&self, _ctx: &dyn GraphCtx, _out: &mut Vec<TaskKey>) {}
-    fn num_inputs(&self, key: TaskKey, ctx: &dyn GraphCtx) -> usize {
-        let c = cc(ctx);
-        if c.cfg.chained_gemms {
-            3
-        } else {
-            // Segment-internal GEMMs chain their C from the predecessor;
-            // segment heads start a fresh private C.
-            let h = c.cfg.segment_height as i64;
-            if key.params[1] % h == 0 {
-                2
-            } else {
-                3
-            }
+    let left = inputs[0].take();
+    let right = inputs[1].take();
+    let out = match (left, right) {
+        (Some(l), Some(r)) => {
+            let mut acc = own(c, l);
+            tensor_kernels::daxpy(1.0, &r, &mut acc);
+            c.pool.release(r);
+            acc
         }
-    }
-    fn successors(&self, key: TaskKey, ctx: &dyn GraphCtx, out: &mut Vec<Dep>) {
-        let c = cc(ctx);
-        let (l1, l2) = (key.params[0], key.params[1]);
-        let len = c.chain(l1).gemms.len() as i64;
-        if c.cfg.chained_gemms {
-            if l2 + 1 < len {
-                out.push(Dep {
-                    src_flow: 2,
-                    dst: TaskKey::new(GEMM, &[l1, l2 + 1]),
-                    dst_flow: 2,
-                });
-            } else {
-                c_to_sorts(c, l1, 2, out);
-            }
-        } else {
-            let h = c.cfg.segment_height as i64;
-            let last_in_segment = (l2 + 1) % h == 0 || l2 + 1 == len;
-            if last_in_segment {
-                let seg = l2 / h;
-                let nseg = (len + h - 1) / h;
-                if nseg == 1 {
-                    // Single segment: straight to the reduction
-                    // pass-through level so the SORT fan-out stays uniform.
-                    out.push(Dep {
-                        src_flow: 2,
-                        dst: TaskKey::new(REDUCE, &[l1, 1, 0]),
-                        dst_flow: 0,
-                    });
-                } else {
-                    out.push(Dep {
-                        src_flow: 2,
-                        dst: TaskKey::new(REDUCE, &[l1, 1, seg / 2]),
-                        dst_flow: (seg % 2) as u32,
-                    });
-                }
-            } else {
-                out.push(Dep {
-                    src_flow: 2,
-                    dst: TaskKey::new(GEMM, &[l1, l2 + 1]),
-                    dst_flow: 2,
-                });
-            }
-        }
-    }
-    fn priority(&self, key: TaskKey, ctx: &dyn GraphCtx) -> i64 {
-        let c = cc(ctx);
-        c.prio(key.params[0], c.cfg.gemm_offset)
-    }
-    fn placement(&self, key: TaskKey, ctx: &dyn GraphCtx) -> usize {
-        cc(ctx).chain_node(key.params[0])
-    }
-    fn cost(&self, key: TaskKey, ctx: &dyn GraphCtx) -> TaskCost {
-        let c = cc(ctx);
-        let chain = c.chain(key.params[0]);
-        let k = chain.gemms[key.params[1] as usize].k;
-        TaskCost::Cpu {
-            flops: 2 * (chain.m * chain.n * k) as u64,
-        }
-    }
-    fn flow_bytes(&self, key: TaskKey, _flow: u32, _dst: TaskKey, ctx: &dyn GraphCtx) -> u64 {
-        cc(ctx).chain(key.params[0]).c_bytes()
-    }
-    fn execute(
-        &self,
-        key: TaskKey,
-        ctx: &dyn GraphCtx,
-        inputs: &mut [Option<Payload>],
-    ) -> Vec<Option<Payload>> {
-        let c = cc(ctx);
-        if c.ws.is_none() {
-            return vec![None; 3];
-        }
-        let chain = c.chain(key.params[0]);
-        let g = &chain.gemms[key.params[1] as usize];
-        let a = inputs[0].take().expect("A operand");
-        let b = inputs[1].take().expect("B operand");
-        let (m, n, k) = (chain.m, chain.n, g.k);
-        let segment_head = !c.cfg.chained_gemms && key.params[1] % c.cfg.segment_height as i64 == 0;
-        let mut cbuf = if c.cfg.chained_gemms || !segment_head {
-            own(c, inputs[2].take().expect("C from predecessor"))
-        } else {
-            c.pool.checkout(chain.m * chain.n)
-        };
-        // Packing scratch comes from the pool too (none when the kernel
-        // takes its small path): after warm-up a GEMM task performs no
-        // heap allocation at all.
-        let (la, lb) = scratch_lens(m, n, k);
-        let mut ap = c.pool.checkout_dirty(la);
-        let mut bp = c.pool.checkout_dirty(lb);
-        dgemm_with(
-            Trans::T,
-            g.tb,
-            m,
-            n,
-            k,
-            1.0,
-            &a,
-            &b,
-            1.0,
-            &mut cbuf,
-            &mut ap,
-            &mut bp,
-        );
-        c.pool.recycle(ap);
-        c.pool.recycle(bp);
-        // Operand tiles feed exactly this GEMM: recycle their buffers.
-        c.pool.release(a);
-        c.pool.release(b);
-        vec![None, None, Some(Arc::new(cbuf))]
-    }
-}
-
-// ------------------------------------------------------------------ reduce --
-
-struct Reduce;
-
-impl TaskClass for Reduce {
-    fn name(&self) -> &str {
-        "REDUCE"
-    }
-    fn num_flows(&self) -> usize {
-        3 // 0: left in, 1: right in, 2: out
-    }
-    fn roots(&self, _ctx: &dyn GraphCtx, _out: &mut Vec<TaskKey>) {}
-    fn num_inputs(&self, key: TaskKey, ctx: &dyn GraphCtx) -> usize {
-        let c = cc(ctx);
-        let (l1, s, i) = (key.params[0], key.params[1] as usize, key.params[2]);
-        let prev = CcsdCtx::reduce_width(reduce_leaves(c, l1), s - 1);
-        (0..2).filter(|d| (2 * i + d) < prev as i64).count()
-    }
-    fn successors(&self, key: TaskKey, ctx: &dyn GraphCtx, out: &mut Vec<Dep>) {
-        let c = cc(ctx);
-        let (l1, s, i) = (key.params[0], key.params[1] as usize, key.params[2]);
-        let len = reduce_leaves(c, l1);
-        if CcsdCtx::reduce_width(len, s) == 1 {
-            c_to_sorts(c, l1, 2, out);
-        } else {
-            out.push(Dep {
-                src_flow: 2,
-                dst: TaskKey::new(REDUCE, &[l1, s as i64 + 1, i / 2]),
-                dst_flow: (i % 2) as u32,
-            });
-        }
-    }
-    fn priority(&self, key: TaskKey, ctx: &dyn GraphCtx) -> i64 {
-        cc(ctx).prio(key.params[0], 0)
-    }
-    fn placement(&self, key: TaskKey, ctx: &dyn GraphCtx) -> usize {
-        cc(ctx).chain_node(key.params[0])
-    }
-    fn cost(&self, key: TaskKey, ctx: &dyn GraphCtx) -> TaskCost {
-        let arity = self.num_inputs(key, ctx) as u64;
-        TaskCost::Memory {
-            bytes: (arity + 1) * cc(ctx).chain(key.params[0]).c_bytes(),
-        }
-    }
-    fn flow_bytes(&self, key: TaskKey, _flow: u32, _dst: TaskKey, ctx: &dyn GraphCtx) -> u64 {
-        cc(ctx).chain(key.params[0]).c_bytes()
-    }
-    fn execute(
-        &self,
-        _key: TaskKey,
-        ctx: &dyn GraphCtx,
-        inputs: &mut [Option<Payload>],
-    ) -> Vec<Option<Payload>> {
-        let c = cc(ctx);
-        if c.ws.is_none() {
-            return vec![None, None, None];
-        }
-        let left = inputs[0].take();
-        let right = inputs[1].take();
-        let out = match (left, right) {
-            (Some(l), Some(r)) => {
-                let mut acc = own(c, l);
-                tensor_kernels::daxpy(1.0, &r, &mut acc);
-                c.pool.release(r);
-                acc
-            }
-            (Some(one), None) | (None, Some(one)) => own(c, one),
-            (None, None) => panic!("REDUCE with no inputs"),
-        };
-        vec![None, None, Some(Arc::new(out))]
-    }
+        (Some(one), None) | (None, Some(one)) => own(c, one),
+        (None, None) => panic!("REDUCE with no inputs"),
+    };
+    vec![None, None, Some(Arc::new(out))]
 }
 
 // -------------------------------------------------------------------- sort --
 
-struct Sort;
+fn sort_branch(c: &CcsdCtx, key: TaskKey, inputs: &mut [Option<Payload>]) -> Outputs {
+    if c.ws.is_none() {
+        return vec![None, None];
+    }
+    let chain = c.chain(key.params[0]);
+    let cbuf = inputs[0].take().expect("C input");
+    let s = &chain.sorts[key.params[1] as usize];
+    let mut sorted = c.pool.checkout_dirty(cbuf.len());
+    sort_4(&cbuf, &mut sorted, chain.cdims, s.perm, s.factor);
+    // The branches share one C; the last to finish returns the buffer.
+    c.pool.release(cbuf);
+    vec![None, Some(Arc::new(sorted))]
+}
 
-impl TaskClass for Sort {
-    fn name(&self) -> &str {
-        "SORT"
+fn sort_merged(c: &CcsdCtx, key: TaskKey, inputs: &mut [Option<Payload>]) -> Outputs {
+    if c.ws.is_none() {
+        return vec![None, None];
     }
-    fn num_flows(&self) -> usize {
-        2 // 0: C in, 1: sorted out
+    let chain = c.chain(key.params[0]);
+    let cbuf = inputs[0].take().expect("C input");
+    // Serial merge: Csorted = sum_i sort_i(C). All active branches
+    // target the same destination block (asserted at inspection).
+    let mut merged = c.pool.checkout(cbuf.len());
+    let mut tmp = c.pool.checkout_dirty(cbuf.len());
+    for s in &chain.sorts {
+        sort_4(&cbuf, &mut tmp, chain.cdims, s.perm, s.factor);
+        tensor_kernels::daxpy(1.0, &tmp, &mut merged);
     }
-    fn roots(&self, _ctx: &dyn GraphCtx, _out: &mut Vec<TaskKey>) {}
-    fn num_inputs(&self, _key: TaskKey, _ctx: &dyn GraphCtx) -> usize {
-        1
-    }
-    fn successors(&self, key: TaskKey, ctx: &dyn GraphCtx, out: &mut Vec<Dep>) {
-        let c = cc(ctx);
-        let (l1, i) = (key.params[0], key.params[1]);
-        let chain = c.chain(l1);
-        if c.cfg.parallel_write {
-            for w in 0..chain.sorts[i as usize].owners.len() {
-                out.push(Dep {
-                    src_flow: 1,
-                    dst: TaskKey::new(WRITE, &[l1, i, w as i64]),
-                    dst_flow: 0,
-                });
-            }
+    c.pool.recycle(tmp);
+    c.pool.release(cbuf);
+    vec![None, Some(Arc::new(merged))]
+}
+
+fn memory_cost(bytes: u64) -> TaskCost {
+    TaskCost::Memory { bytes }
+}
+
+/// Memory traffic of SORT(L1, i): remapping branch `i` alone, or the
+/// staged loop over every branch.
+fn sort_cost(c: &CcsdCtx, key: TaskKey, one_branch: bool) -> TaskCost {
+    let chain = c.chain(key.params[0]);
+    let b = chain.c_bytes();
+    // Charge the stride penalty only when sort_4 actually takes the
+    // strided walk for this shape; the tiled remap's writes are
+    // contiguous within cache blocks and pay streaming rates.
+    let w = |perm| {
+        if sort_4_strided(chain.cdims, perm) {
+            SORT_STRIDE_FACTOR
         } else {
-            // Single WRITE per owner instance; this sort feeds flow `i`.
-            for w in 0..chain.sorts[0].owners.len() {
-                out.push(Dep {
-                    src_flow: 1,
-                    dst: TaskKey::new(WRITE, &[l1, 0, w as i64]),
-                    dst_flow: i as u32,
-                });
-            }
+            1
         }
-    }
-    fn priority(&self, key: TaskKey, ctx: &dyn GraphCtx) -> i64 {
-        cc(ctx).prio(key.params[0], 0)
-    }
-    fn placement(&self, key: TaskKey, ctx: &dyn GraphCtx) -> usize {
-        cc(ctx).chain_node(key.params[0])
-    }
-    fn cost(&self, key: TaskKey, ctx: &dyn GraphCtx) -> TaskCost {
-        let c = cc(ctx);
-        let chain = c.chain(key.params[0]);
-        let b = chain.c_bytes();
-        // Charge the stride penalty only when sort_4 actually takes the
-        // strided walk for this shape; the tiled remap's writes are
-        // contiguous within cache blocks and pay streaming rates.
-        let w = |perm| {
-            if sort_4_strided(chain.cdims, perm) {
-                SORT_STRIDE_FACTOR
-            } else {
-                1
-            }
-        };
-        let nb = chain.sorts.len() as u64;
-        let bytes = if c.cfg.parallel_sort {
-            // One remap: read C, write sorted_i.
-            b + b * w(chain.sorts[key.params[1] as usize].perm)
-        } else {
-            // Staged loop: read C once, write each branch into the
-            // staging tile (stride penalty per the path taken), then a
-            // three-pass daxpy (read staging, read + write accumulator).
-            b + chain.sorts.iter().map(|s| b * w(s.perm)).sum::<u64>() + 3 * nb * b
-        };
-        TaskCost::Memory { bytes }
-    }
-    fn flow_bytes(&self, key: TaskKey, _flow: u32, dst: TaskKey, ctx: &dyn GraphCtx) -> u64 {
-        // Figure 8: each WRITE_C(w) receives only the slice owned by its
-        // node.
-        let c = cc(ctx);
-        let chain = c.chain(key.params[0]);
-        let sort = &chain.sorts[dst.params[1] as usize];
-        (sort.owners[dst.params[2] as usize].1.len() * 8) as u64
-    }
-    fn execute(
-        &self,
-        key: TaskKey,
-        ctx: &dyn GraphCtx,
-        inputs: &mut [Option<Payload>],
-    ) -> Vec<Option<Payload>> {
-        let c = cc(ctx);
-        if c.ws.is_none() {
-            return vec![None, None];
-        }
-        let chain = c.chain(key.params[0]);
-        let cbuf = inputs[0].take().expect("C input");
-        let out = if c.cfg.parallel_sort {
-            let s = &chain.sorts[key.params[1] as usize];
-            let mut sorted = c.pool.checkout_dirty(cbuf.len());
-            sort_4(&cbuf, &mut sorted, chain.cdims, s.perm, s.factor);
-            sorted
-        } else {
-            // Serial merge: Csorted = sum_i sort_i(C). All active branches
-            // target the same destination block (asserted at inspection).
-            let mut merged = c.pool.checkout(cbuf.len());
-            let mut tmp = c.pool.checkout_dirty(cbuf.len());
-            for s in &chain.sorts {
-                sort_4(&cbuf, &mut tmp, chain.cdims, s.perm, s.factor);
-                tensor_kernels::daxpy(1.0, &tmp, &mut merged);
-            }
-            c.pool.recycle(tmp);
-            merged
-        };
-        // Parallel-sort variants share one C across branches; the last
-        // branch to finish returns the buffer.
-        c.pool.release(cbuf);
-        vec![None, Some(Arc::new(out))]
-    }
+    };
+    let nb = chain.sorts.len() as u64;
+    memory_cost(if one_branch {
+        // One remap: read C, write sorted_i.
+        b + b * w(chain.sorts[key.params[1] as usize].perm)
+    } else {
+        // Staged loop: read C once, write each branch into the
+        // staging tile (stride penalty per the path taken), then a
+        // three-pass daxpy (read staging, read + write accumulator).
+        b + chain.sorts.iter().map(|s| b * w(s.perm)).sum::<u64>() + 3 * nb * b
+    })
+}
+
+/// Figure 8: each WRITE_C(w) receives only the slice owned by its node.
+fn sort_bytes(c: &CcsdCtx, key: TaskKey, dst: TaskKey) -> u64 {
+    let sort = &c.chain(key.params[0]).sorts[dst.params[1] as usize];
+    (sort.owners[dst.params[2] as usize].1.len() * 8) as u64
 }
 
 // ------------------------------------------------------------------- write --
 
-struct Write;
-
-impl Write {
-    fn n_matrices(c: &CcsdCtx, l1: i64) -> usize {
-        if c.cfg.parallel_write || !c.cfg.parallel_sort {
-            1
-        } else {
-            c.chain(l1).sorts.len()
-        }
+fn write(c: &CcsdCtx, key: TaskKey, inputs: &mut [Option<Payload>]) -> Outputs {
+    let nflows = inputs.len();
+    let Some(ws) = &c.ws else {
+        return vec![None; nflows];
+    };
+    let chain = c.chain(key.params[0]);
+    let w = key.params[2] as usize;
+    for (flow, input) in inputs.iter_mut().enumerate() {
+        let Some(data) = input.take() else { continue };
+        // WRITE_C(L1, i, w) takes branch i on its one flow, or, as the
+        // single writer WRITE_C(L1, 0, w), branch f on flow f.
+        let sort = &chain.sorts[key.params[1] as usize + flow];
+        let node = sort.owners[w].0;
+        ws.ga.acc_local(ws.i2, node, sort.out_offset, &data, 1.0);
+        // Split writes share the sorted matrix across owner
+        // instances; the last one returns it to the pool.
+        c.pool.release(data);
     }
+    vec![None; nflows]
 }
 
-impl TaskClass for Write {
-    fn name(&self) -> &str {
-        "WRITE_C"
-    }
-    fn num_flows(&self) -> usize {
-        4 // up to four sorted inputs
-    }
-    fn roots(&self, _ctx: &dyn GraphCtx, _out: &mut Vec<TaskKey>) {}
-    fn num_inputs(&self, key: TaskKey, ctx: &dyn GraphCtx) -> usize {
-        Self::n_matrices(cc(ctx), key.params[0])
-    }
-    fn successors(&self, _key: TaskKey, _ctx: &dyn GraphCtx, _out: &mut Vec<Dep>) {}
-    fn priority(&self, key: TaskKey, ctx: &dyn GraphCtx) -> i64 {
-        cc(ctx).prio(key.params[0], 0)
-    }
-    fn placement(&self, key: TaskKey, ctx: &dyn GraphCtx) -> usize {
-        let c = cc(ctx);
-        let chain = c.chain(key.params[0]);
-        chain.sorts[key.params[1] as usize].owners[key.params[2] as usize].0
-    }
-    fn cost(&self, key: TaskKey, ctx: &dyn GraphCtx) -> TaskCost {
-        let c = cc(ctx);
-        let chain = c.chain(key.params[0]);
-        let range = chain.sorts[key.params[1] as usize].owners[key.params[2] as usize]
-            .1
-            .len() as u64
-            * 8;
-        // Read each incoming slice, read-modify-write the GA segment
-        // through the (slow) accumulate path, all inside the mutex.
-        let n = Self::n_matrices(c, key.params[0]) as u64;
-        TaskCost::Critical {
-            bytes: (n + ACC_RMW_FACTOR) * range * ACC_CRITICAL_SLOWDOWN,
-        }
-    }
-    fn execute(
-        &self,
-        key: TaskKey,
-        ctx: &dyn GraphCtx,
-        inputs: &mut [Option<Payload>],
-    ) -> Vec<Option<Payload>> {
-        let c = cc(ctx);
-        let Some(ws) = &c.ws else {
-            return vec![None; 4];
-        };
-        let chain = c.chain(key.params[0]);
-        let w = key.params[2] as usize;
-        for (flow, input) in inputs.iter_mut().enumerate() {
-            let Some(data) = input.take() else { continue };
-            // Parallel write: this instance handles sort branch
-            // `key.params[1]`; single write: flow index = sort branch.
-            let sort = if c.cfg.parallel_write {
-                &chain.sorts[key.params[1] as usize]
-            } else {
-                &chain.sorts[flow]
-            };
-            let node = sort.owners[w].0;
-            ws.ga.acc_local(ws.i2, node, sort.out_offset, &data, 1.0);
-            // Split writes share the sorted matrix across owner
-            // instances; the last one returns it to the pool.
-            c.pool.release(data);
-        }
-        vec![None; 4]
+/// Read each incoming slice, read-modify-write the GA segment through the
+/// (slow) accumulate path, all inside the mutex.
+fn write_cost(c: &CcsdCtx, key: TaskKey, inputs: usize) -> TaskCost {
+    let chain = c.chain(key.params[0]);
+    let range = chain.sorts[key.params[1] as usize].owners[key.params[2] as usize]
+        .1
+        .len() as u64
+        * 8;
+    TaskCost::Critical {
+        bytes: (inputs as u64 + ACC_RMW_FACTOR) * range * ACC_CRITICAL_SLOWDOWN,
     }
 }
 
@@ -695,11 +361,11 @@ pub fn build_graph_pooled(
 /// As [`build_graph_pooled`] for one rank of a distributed execution,
 /// with **no static roots**: every task class stays executable for every
 /// chain, but nothing materializes until an external
-/// [`parsec_rt::WorkSource`] seeds chain roots into the engine. This is
-/// what lets a thief rank execute chains it does not own — which chains
-/// a rank runs is decided by the ledger's roots alone. `prefetch` routes
-/// reader bodies through the comm layer's asynchronous get pipeline
-/// instead of blocking workers.
+/// [`parsec_rt::WorkSource`] seeds chain roots into the engine (through
+/// [`TaskGraph::group_roots`]). This is what lets a thief rank execute
+/// chains it does not own — which chains a rank runs is decided by the
+/// ledger's roots alone. `prefetch` routes reader bodies through the comm
+/// layer's asynchronous get pipeline instead of blocking workers.
 pub fn build_graph_external(
     ins: Arc<Inspection>,
     cfg: VariantCfg,
@@ -722,33 +388,92 @@ fn build_graph_inner(
     if let Some(ws) = &ws {
         assert_eq!(ws.ga.nnodes(), nodes, "workspace/inspection node mismatch");
     }
-    let ctx = Arc::new(CcsdCtx {
+    let nchains = ins.num_chains() as i64;
+    let c = Arc::new(CcsdCtx {
         ins,
-        cfg,
-        nodes,
         ws,
         pool,
         prefetch,
-        external_roots,
     });
-    TaskGraph::new(
-        vec![
-            Arc::new(Reader(Operand::A)),
-            Arc::new(Reader(Operand::B)),
-            Arc::new(Dfill),
-            Arc::new(Gemm),
-            Arc::new(Reduce),
-            Arc::new(Sort),
-            Arc::new(Write),
-        ],
-        ctx,
-    )
+    let h = cfg.segment_height;
+    let segments: Vec<usize> = (c.ins.chains.iter())
+        .map(|ch| ch.gemms.len().div_ceil(h))
+        .collect();
+    // Per-chain host functions are tables, built once.
+    let table = |t: Vec<usize>| -> HostFn { Arc::new(move |a: &[i64]| t[a[0] as usize] as i64) };
+    let per_chain = |f: fn(&tce::ChainMeta) -> usize| table(c.ins.chains.iter().map(f).collect());
+    let levels = segments
+        .iter()
+        .map(|&n| CcsdCtx::reduce_levels(n))
+        .collect();
+    let reduce_width: HostFn = Arc::new(move |a: &[i64]| {
+        CcsdCtx::reduce_width(segments[a[0] as usize], a[1] as usize) as i64
+    });
+    let per_sort = |f: fn(&tce::SortMeta, &[i64]) -> usize| -> HostFn {
+        let c = c.clone();
+        Arc::new(move |a: &[i64]| f(&c.chain(a[0]).sorts[a[1] as usize], a) as i64)
+    };
+    // Each body and hook holds its own handle on the context.
+    macro_rules! hook {
+        ($c:ident, |$($arg:pat_param),*| $body:expr) => {{
+            let $c = $c.clone();
+            move |$($arg),*| {
+                let $c: &CcsdCtx = &$c;
+                $body
+            }
+        }};
+    }
+    let body = |f: fn(&CcsdCtx, TaskKey, &mut [Option<Payload>]) -> Outputs| {
+        let c = c.clone();
+        move |k: TaskKey, i: &mut [Option<Payload>]| f(&c, k, i)
+    };
+    let c_bytes = |c: &CcsdCtx, k: TaskKey| c.chain(k.params[0]).c_bytes();
+    DslBuilder::new(text(&cfg))
+        .global("nchains", nchains)
+        .global("h", h as i64)
+        .global("reader_offset", cfg.reader_offset)
+        .global("gemm_offset", cfg.gemm_offset)
+        .func("chain_len", per_chain(|ch| ch.gemms.len()))
+        .func("nsorts", per_chain(|ch| ch.sorts.len()))
+        .func("reduce_levels", table(levels))
+        .func("reduce_width", reduce_width)
+        .func("nowners", per_sort(|s, _| s.owners.len()))
+        .func("owner", per_sort(|s, a| s.owners[a[2] as usize].0))
+        .body_async("read_a", hook!(c, |k, p, _, done| read(c, A, k, p, done)))
+        .body_async("read_b", hook!(c, |k, p, _, done| read(c, B, k, p, done)))
+        .cost("read_a", hook!(c, |k, _| read_cost(c, A, k)))
+        .cost("read_b", hook!(c, |k, _| read_cost(c, B, k)))
+        .activity("read_a", Activity::Runtime)
+        .activity("read_b", Activity::Runtime)
+        .body("dfill", body(dfill))
+        .cost("dfill", hook!(c, |k, _| memory_cost(c_bytes(c, k))))
+        .body("gemm", body(gemm))
+        .cost("gemm", hook!(c, |k, _| gemm_cost(c, k)))
+        .flow_bytes("gemm", hook!(c, |k, _, _| c_bytes(c, k)))
+        .body("reduce", body(reduce))
+        .cost(
+            "reduce",
+            hook!(c, |k, n| memory_cost((n as u64 + 1) * c_bytes(c, k))),
+        )
+        .flow_bytes("reduce", hook!(c, |k, _, _| c_bytes(c, k)))
+        .body("sort_branch", body(sort_branch))
+        .cost("sort_branch", hook!(c, |k, _| sort_cost(c, k, true)))
+        .flow_bytes("sort_branch", hook!(c, |k, _, dst| sort_bytes(c, k, dst)))
+        .body("sort_merged", body(sort_merged))
+        .cost("sort_merged", hook!(c, |k, _| sort_cost(c, k, false)))
+        .flow_bytes("sort_merged", hook!(c, |k, _, dst| sort_bytes(c, k, dst)))
+        .body("write", body(write))
+        .cost("write", hook!(c, |k, n| write_cost(c, k, n)))
+        .external_roots(external_roots)
+        .compile(Arc::new(PlainCtx { nodes }))
+        .unwrap_or_else(|e| panic!("variant {}: {e}", cfg.name))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ptg::validate::audit;
+    use std::collections::HashSet;
     use tce::{inspect, scale, TileSpace};
 
     fn graph(cfg: VariantCfg, nodes: usize) -> TaskGraph {
@@ -961,5 +686,55 @@ mod tests {
             return;
         }
         panic!("no split write found at this scale/node count");
+    }
+
+    /// The lines of a text, each with its class, comments and blank lines
+    /// dropped.
+    fn lines(text: &str) -> HashSet<(&str, &str)> {
+        let mut class = "";
+        let mut out = HashSet::new();
+        for line in text.lines().map(|l| l.split("//").next().unwrap().trim()) {
+            if class.is_empty() {
+                class = line.split('(').next().unwrap();
+            }
+            if !line.is_empty() {
+                out.insert((class, line));
+            }
+            if line.starts_with("BODY") {
+                class = "";
+            }
+        }
+        out
+    }
+
+    /// Every line in which `from` and `to` differ passes `allowed(class,
+    /// line)`, and there is one.
+    fn differ_only(what: &str, from: &str, to: &str, allowed: impl Fn(&str, &str) -> bool) {
+        let (a, b) = (lines(from), lines(to));
+        let diff: Vec<_> = a.symmetric_difference(&b).collect();
+        assert!(!diff.is_empty(), "{what}");
+        for (class, line) in diff {
+            assert!(allowed(class, line), "{what}: {class}: `{line}`");
+        }
+    }
+
+    #[test]
+    fn each_text_differs_from_its_neighbour_only_where_the_paper_says() {
+        let [v1, v2, v3, v4, v5] = TEXTS;
+        let output = |line: &str| line.contains("->");
+        // Figure 1 -> Figure 2: C's dataflow, and so the producer the SORT
+        // reads its C from.
+        differ_only("v1 -> v3", v1, v3, |class, line| {
+            matches!(class, "DFILL" | "GEMM" | "REDUCE")
+                || (class == "SORT" && line.starts_with("READ C <-"))
+        });
+        differ_only("v3 -> v4", v3, v4, |class, line| {
+            class == "WRITE_C" || (class == "SORT" && output(line))
+        });
+        differ_only("v4 -> v2", v4, v2, |_, line| line.starts_with(';'));
+        differ_only("v4 -> v5", v4, v5, |class, line| {
+            matches!(class, "SORT" | "WRITE_C")
+                || (matches!(class, "GEMM" | "REDUCE") && output(line) && line.contains("SORT("))
+        });
     }
 }

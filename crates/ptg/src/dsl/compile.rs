@@ -1,220 +1,296 @@
-//! The DSL's back end: resolve a parsed program against its host
-//! bindings and present each class to the engines as a [`TaskClass`].
+//! The DSL's back end: resolve a parsed program against its host bindings
+//! once, and present each class to the engines as a [`TaskClass`] made of
+//! compiled closures.
+//!
+//! Everything an engine asks per task — inputs, successors, priority,
+//! placement — runs on [`Compiled`] expressions over the key's parameter
+//! array: no name lookup, no hashing, no allocation. Class and flow names
+//! are ids by then, globals (`P` included) are folded into constants, and
+//! a guard that folds to a constant drops its clause or its test.
 
-use super::parse::{fold_class, parse_program, ClassDef, DepClause, DepTarget};
+use super::parse::{parse_program, Arg, ClassDef, DepTarget};
 use super::{derr, DslError};
-use crate::expr::{self, Expr, HostFn, Layered, MapEnv};
-use crate::{Activity, Dep, GraphCtx, Payload, TaskClass, TaskCost, TaskGraph, TaskKey};
+use crate::expr::{self, Compiled, Expr, HostFn, MapEnv};
+use crate::{
+    Activity, ClassId, Completion, CompletionSink, Dep, FlowId, GraphCtx, Payload, TaskClass,
+    TaskCost, TaskGraph, TaskKey, MAX_PARAMS,
+};
 use std::collections::HashMap;
-use std::sync::Arc;
-
-// ----------------------------------------------------------- interpreter --
+use std::sync::{mpsc, Arc};
 
 /// Task body: consumes inputs (indexed by flow), returns outputs.
 pub type Body = Arc<dyn Fn(TaskKey, &mut [Option<Payload>]) -> Vec<Option<Payload>> + Send + Sync>;
+/// Asynchronous task body, with [`TaskClass::execute_async`]'s contract:
+/// `Some(outputs)` completed here, `None` handed `done` to whatever
+/// finishes it. The `i64` is the task's priority, for the transfers the
+/// body posts to queue by.
+pub type AsyncBody = Arc<
+    dyn Fn(TaskKey, i64, &mut [Option<Payload>], Completion) -> Option<Vec<Option<Payload>>>
+        + Send
+        + Sync,
+>;
 /// Data provider for memory inputs: `(args) -> payload`.
 pub type DataProvider = Arc<dyn Fn(&[i64]) -> Payload + Send + Sync>;
-/// Cost hook for the simulated engine.
-pub type CostHook = Arc<dyn Fn(TaskKey) -> TaskCost + Send + Sync>;
+/// Cost hook for the simulated engine: the task and the number of task
+/// inputs it receives.
+pub type CostHook = Arc<dyn Fn(TaskKey, usize) -> TaskCost + Send + Sync>;
+/// Bytes a task sends on one output flow to one successor (simulated
+/// engine): `(task, flow, successor)`.
+pub type FlowBytesHook = Arc<dyn Fn(TaskKey, FlowId, TaskKey) -> u64 + Send + Sync>;
 
-struct Program {
-    classes: Vec<ClassDef>,
-    by_name: HashMap<String, usize>,
-    globals: MapEnv,
-    bodies: HashMap<String, Body>,
-    data: HashMap<String, DataProvider>,
-    costs: HashMap<String, CostHook>,
-    activities: HashMap<String, Activity>,
+#[derive(Clone)]
+enum Run {
+    Sync(Body),
+    Async(AsyncBody),
 }
 
-impl Program {
-    fn flow_index(&self, class: usize, flow: &str) -> Option<u32> {
-        self.classes[class]
-            .flows
-            .iter()
-            .position(|f| f.name == flow)
-            .map(|i| i as u32)
-    }
+/// What the host attaches to a body name: the code, and what the
+/// simulator charges for running it.
+#[derive(Clone, Default)]
+struct Hooks {
+    run: Option<Run>,
+    cost: Option<CostHook>,
+    flow_bytes: Option<FlowBytesHook>,
+    activity: Option<Activity>,
+}
 
-    fn bind(&self, class: usize, key: TaskKey, nodes: usize) -> MapEnv {
-        let def = &self.classes[class];
-        let mut env = MapEnv::new();
-        for (i, p) in def.params.iter().enumerate() {
-            env.set(p, key.params[i]);
+// ---------------------------------------------------------- compiled class --
+
+enum Source {
+    Task,
+    Memory(Option<DataProvider>, Vec<Compiled>),
+}
+
+/// One `<-` clause. A flow's active input is its first clause whose guard
+/// holds.
+struct Input {
+    guard: Option<Compiled>,
+    source: Source,
+}
+
+enum OutArg {
+    One(Compiled),
+    Range(Compiled, Compiled),
+}
+
+/// One `->` clause, resolved to ids.
+struct Output {
+    src_flow: FlowId,
+    guard: Option<Compiled>,
+    class: ClassId,
+    dst_flow: FlowId,
+    args: Vec<OutArg>,
+}
+
+struct Class {
+    name: String,
+    id: ClassId,
+    nflows: usize,
+    nodes: i64,
+    /// `ranges[d]` bounds parameter `d` and reads only parameters `< d`.
+    ranges: Vec<(Compiled, Compiled)>,
+    /// Input clauses per flow.
+    inputs: Vec<Vec<Input>>,
+    /// Task inputs every instance has; with any, no instance is a root.
+    fixed_inputs: usize,
+    /// Flows whose active clause, task or none, the guards decide.
+    guarded_inputs: Vec<usize>,
+    /// Flows with a memory input: the only ones a body run must look at.
+    memory_inputs: Vec<usize>,
+    outputs: Vec<Output>,
+    priority: Option<Compiled>,
+    placement: Option<Compiled>,
+    external_roots: bool,
+    hooks: Hooks,
+}
+
+impl Class {
+    #[inline(always)]
+    fn value(&self, e: &Compiled, params: &[i64]) -> i64 {
+        match e.eval(params) {
+            Some(v) => v,
+            None => self.fault(params),
         }
-        env.set("P", nodes as i64);
-        env
-    }
-}
-
-/// One interpreted task class, viewable as a [`TaskClass`].
-struct InterpClass {
-    prog: Arc<Program>,
-    idx: usize,
-}
-
-impl InterpClass {
-    fn def(&self) -> &ClassDef {
-        &self.prog.classes[self.idx]
     }
 
-    fn eval(&self, e: &Expr, locals: &MapEnv) -> i64 {
-        let env = Layered {
-            locals,
-            globals: &self.prog.globals,
-        };
-        expr::eval(e, &env).unwrap_or_else(|err| {
-            panic!("evaluating expression for class {}: {err}", self.def().name)
-        })
+    #[cold]
+    fn fault(&self, params: &[i64]) -> ! {
+        panic!("{}{params:?}: division by zero", self.name)
     }
 
-    fn guard_holds(&self, c: &DepClause, locals: &MapEnv) -> bool {
-        c.guard
-            .as_ref()
-            .map(|g| self.eval(g, locals) != 0)
-            .unwrap_or(true)
+    #[inline(always)]
+    fn holds(&self, guard: &Option<Compiled>, params: &[i64]) -> bool {
+        guard.as_ref().is_none_or(|g| self.value(g, params) != 0)
     }
 
-    /// The active input clause of each flow (first satisfied).
-    fn active_inputs<'a>(&'a self, locals: &MapEnv) -> Vec<(usize, &'a DepClause)> {
-        let mut out = Vec::new();
-        for (fi, flow) in self.def().flows.iter().enumerate() {
-            if let Some(c) = flow.ins.iter().find(|c| self.guard_holds(c, locals)) {
-                out.push((fi, c));
-            }
-        }
-        out
+    fn active<'a>(&self, flow: &'a [Input], params: &[i64]) -> Option<&'a Input> {
+        flow.iter().find(|i| self.holds(&i.guard, params))
     }
 
-    /// Enumerate the class's (possibly parameter-dependent) domain.
-    fn for_each_key(&self, nodes: usize, f: &mut dyn FnMut(TaskKey)) {
-        let def = self.def();
-        let mut locals = MapEnv::new();
-        locals.set("P", nodes as i64);
-        let mut stack = vec![0i64; def.params.len()];
-        self.enum_rec(0, &mut stack, &mut locals, f);
+    /// Every instance of the domain, parameter 0 fixed to `group` if given.
+    fn each(&self, group: Option<i64>, f: &mut dyn FnMut(TaskKey)) {
+        self.walk(0, group, &mut [0; MAX_PARAMS], f);
     }
 
-    fn enum_rec(
+    fn walk(
         &self,
         depth: usize,
-        vals: &mut Vec<i64>,
-        locals: &mut MapEnv,
+        group: Option<i64>,
+        params: &mut [i64; MAX_PARAMS],
         f: &mut dyn FnMut(TaskKey),
     ) {
-        let def = self.def();
-        if depth == def.params.len() {
-            f(TaskKey::new(self.idx as u32, vals));
+        let Some((lo, hi)) = self.ranges.get(depth) else {
+            // (A class without parameters is all in group 0.)
+            if group.is_none_or(|g| g == params[0]) {
+                f(TaskKey {
+                    class: self.id,
+                    params: *params,
+                });
+            }
             return;
+        };
+        let (mut lo, mut hi) = (self.value(lo, params), self.value(hi, params));
+        if let (0, Some(g)) = (depth, group) {
+            (lo, hi) = (lo.max(g), hi.min(g));
         }
-        let (lo_e, hi_e) = &def.ranges[depth];
-        let lo = self.eval(lo_e, locals);
-        let hi = self.eval(hi_e, locals);
         for v in lo..=hi {
-            vals[depth] = v;
-            locals.set(&def.params[depth], v);
-            self.enum_rec(depth + 1, vals, locals, f);
+            params[depth] = v;
+            self.walk(depth + 1, group, params, f);
+        }
+    }
+
+    fn push_roots(&self, group: Option<i64>, out: &mut Vec<TaskKey>) {
+        if self.fixed_inputs == 0 {
+            self.each(group, &mut |k| {
+                if self.guarded_inputs.is_empty() || self.inputs_of(&k.params) == 0 {
+                    out.push(k)
+                }
+            });
+        }
+    }
+
+    fn inputs_of(&self, params: &[i64]) -> usize {
+        let task = |&f: &usize| {
+            let active = self.active(&self.inputs[f], params).map(|i| &i.source);
+            matches!(active, Some(Source::Task))
+        };
+        self.fixed_inputs + self.guarded_inputs.iter().filter(|f| task(f)).count()
+    }
+
+    /// Fill memory inputs through their data providers.
+    fn fetch_memory_inputs(&self, key: TaskKey, inputs: &mut [Option<Payload>]) {
+        for &fi in &self.memory_inputs {
+            if let Some(Input {
+                source: Source::Memory(Some(provider), args),
+                ..
+            }) = self.active(&self.inputs[fi], &key.params)
+            {
+                if inputs[fi].is_none() {
+                    let vals: Vec<i64> = args.iter().map(|a| self.value(a, &key.params)).collect();
+                    inputs[fi] = Some(provider(&vals));
+                }
+            }
         }
     }
 }
 
-impl TaskClass for InterpClass {
+/// Collects the outputs of an asynchronous body run through the
+/// synchronous [`TaskClass::execute`].
+struct Oneshot(mpsc::Sender<Vec<Option<Payload>>>);
+
+impl CompletionSink for Oneshot {
+    fn complete(&self, _key: TaskKey, outputs: Vec<Option<Payload>>) {
+        let _ = self.0.send(outputs);
+    }
+}
+
+impl TaskClass for Class {
     fn name(&self) -> &str {
-        &self.def().name
+        &self.name
     }
 
     fn num_flows(&self) -> usize {
-        self.def().flows.len()
+        self.nflows
     }
 
-    fn roots(&self, ctx: &dyn GraphCtx, out: &mut Vec<TaskKey>) {
-        let nodes = ctx.nodes();
-        self.for_each_key(nodes, &mut |key| {
-            if self.num_inputs(key, ctx) == 0 {
-                out.push(key);
-            }
-        });
+    fn roots(&self, _ctx: &dyn GraphCtx, out: &mut Vec<TaskKey>) {
+        if !self.external_roots {
+            self.push_roots(None, out);
+        }
     }
 
-    fn num_inputs(&self, key: TaskKey, ctx: &dyn GraphCtx) -> usize {
-        let locals = self.prog.bind(self.idx, key, ctx.nodes());
-        self.active_inputs(&locals)
-            .iter()
-            .filter(|(_, c)| matches!(c.target, DepTarget::Task { .. }))
-            .count()
+    fn group_roots(&self, group: i64, _ctx: &dyn GraphCtx, out: &mut Vec<TaskKey>) {
+        self.push_roots(Some(group), out);
     }
 
-    fn successors(&self, key: TaskKey, ctx: &dyn GraphCtx, out: &mut Vec<Dep>) {
-        let locals = self.prog.bind(self.idx, key, ctx.nodes());
-        for (fi, flow) in self.def().flows.iter().enumerate() {
-            for c in &flow.outs {
-                if !self.guard_holds(c, &locals) {
-                    continue;
-                }
-                match &c.target {
-                    DepTarget::Task {
-                        remote_flow,
-                        class,
-                        args,
-                    } => {
-                        let tgt_idx = *self.prog.by_name.get(class).unwrap_or_else(|| {
-                            panic!("unknown class `{class}` in deps of {}", self.name())
-                        });
-                        let dst_flow =
-                            self.prog
-                                .flow_index(tgt_idx, remote_flow)
-                                .unwrap_or_else(|| {
-                                    panic!("class `{class}` has no flow `{remote_flow}`")
-                                });
-                        let vals: Vec<i64> = args.iter().map(|a| self.eval(a, &locals)).collect();
-                        out.push(Dep {
-                            src_flow: fi as u32,
-                            dst: TaskKey::new(tgt_idx as u32, &vals),
-                            dst_flow,
-                        });
+    fn num_inputs(&self, key: TaskKey, _ctx: &dyn GraphCtx) -> usize {
+        self.inputs_of(&key.params)
+    }
+
+    fn successors(&self, key: TaskKey, _ctx: &dyn GraphCtx, out: &mut Vec<Dep>) {
+        let params = &key.params;
+        for o in self.outputs.iter().filter(|o| self.holds(&o.guard, params)) {
+            // Each argument's range; a single value is a range of one.
+            let (mut lo, mut hi) = ([0; MAX_PARAMS], [0; MAX_PARAMS]);
+            for (i, a) in o.args.iter().enumerate() {
+                (lo[i], hi[i]) = match a {
+                    OutArg::One(e) => {
+                        let v = self.value(e, params);
+                        (v, v)
                     }
-                    DepTarget::Memory { .. } => {
-                        // Output to memory: a sink; nothing to schedule.
-                    }
-                }
+                    OutArg::Range(l, h) => (self.value(l, params), self.value(h, params)),
+                };
+            }
+            if (0..o.args.len()).any(|i| lo[i] > hi[i]) {
+                continue;
+            }
+            // Every combination, the last argument running fastest.
+            let mut args = lo;
+            loop {
+                let dst = TaskKey {
+                    class: o.class,
+                    params: args,
+                };
+                out.push(Dep {
+                    src_flow: o.src_flow,
+                    dst,
+                    dst_flow: o.dst_flow,
+                });
+                let Some(i) = (0..o.args.len()).rev().find(|&i| args[i] < hi[i]) else {
+                    break;
+                };
+                args[i] += 1;
+                args[i + 1..].copy_from_slice(&lo[i + 1..]);
             }
         }
     }
 
-    fn priority(&self, key: TaskKey, ctx: &dyn GraphCtx) -> i64 {
-        match &self.def().priority {
-            Some(e) => {
-                let locals = self.prog.bind(self.idx, key, ctx.nodes());
-                self.eval(e, &locals)
-            }
-            None => 0,
-        }
+    fn priority(&self, key: TaskKey, _ctx: &dyn GraphCtx) -> i64 {
+        (self.priority.as_ref()).map_or(0, |e| self.value(e, &key.params))
     }
 
-    fn placement(&self, key: TaskKey, ctx: &dyn GraphCtx) -> usize {
-        match &self.def().placement {
-            Some(e) => {
-                let locals = self.prog.bind(self.idx, key, ctx.nodes());
-                let v = self.eval(e, &locals);
-                (v.rem_euclid(ctx.nodes().max(1) as i64)) as usize
-            }
-            None => 0,
-        }
+    fn placement(&self, key: TaskKey, _ctx: &dyn GraphCtx) -> usize {
+        (self.placement.as_ref()).map_or(0, |e| {
+            self.value(e, &key.params).rem_euclid(self.nodes) as usize
+        })
     }
 
     fn cost(&self, key: TaskKey, _ctx: &dyn GraphCtx) -> TaskCost {
-        match self.prog.costs.get(&self.def().name) {
-            Some(h) => h(key),
+        match &self.hooks.cost {
+            Some(h) => h(key, self.inputs_of(&key.params)),
             None => TaskCost::Fixed { ns: 1_000 },
         }
     }
 
+    fn flow_bytes(&self, key: TaskKey, flow: FlowId, dst: TaskKey, _ctx: &dyn GraphCtx) -> u64 {
+        self.hooks
+            .flow_bytes
+            .as_ref()
+            .map_or(0, |h| h(key, flow, dst))
+    }
+
     fn activity(&self) -> Activity {
-        self.prog
-            .activities
-            .get(&self.def().name)
-            .copied()
-            .unwrap_or(Activity::Compute)
+        self.hooks.activity.unwrap_or(Activity::Compute)
     }
 
     fn execute(
@@ -223,24 +299,34 @@ impl TaskClass for InterpClass {
         ctx: &dyn GraphCtx,
         inputs: &mut [Option<Payload>],
     ) -> Vec<Option<Payload>> {
-        // Resolve memory inputs through data providers first.
-        let locals = self.prog.bind(self.idx, key, ctx.nodes());
-        for (fi, c) in self.active_inputs(&locals) {
-            if let DepTarget::Memory { name, args } = &c.target {
-                if inputs[fi].is_none() {
-                    if let Some(p) = self.prog.data.get(name) {
-                        let vals: Vec<i64> = args.iter().map(|a| self.eval(a, &locals)).collect();
-                        inputs[fi] = Some(p(&vals));
-                    }
-                }
+        self.fetch_memory_inputs(key, inputs);
+        match &self.hooks.run {
+            Some(Run::Sync(b)) => b(key, inputs),
+            Some(Run::Async(b)) => {
+                // Run to completion: wait for a deferred finish.
+                let (tx, rx) = mpsc::channel();
+                let done = Completion::new(key, Arc::new(Oneshot(tx)));
+                let prio = self.priority(key, ctx);
+                b(key, prio, inputs, done).unwrap_or_else(|| rx.recv().expect("body finished"))
             }
+            // Default body: forward each flow's input (RW semantics).
+            None => inputs.iter_mut().map(|i| i.take()).collect(),
         }
-        match self.prog.bodies.get(&self.def().body) {
-            Some(b) => b(key, inputs),
-            None => {
-                // Default body: forward each flow's input (RW semantics).
-                inputs.iter_mut().map(|i| i.take()).collect()
+    }
+
+    fn execute_async(
+        &self,
+        key: TaskKey,
+        ctx: &dyn GraphCtx,
+        inputs: &mut [Option<Payload>],
+        done: Completion,
+    ) -> Option<Vec<Option<Payload>>> {
+        match &self.hooks.run {
+            Some(Run::Async(b)) => {
+                self.fetch_memory_inputs(key, inputs);
+                b(key, self.priority(key, ctx), inputs, done)
             }
+            _ => Some(self.execute(key, ctx, inputs)),
         }
     }
 }
@@ -251,10 +337,9 @@ impl TaskClass for InterpClass {
 pub struct DslBuilder {
     src: String,
     globals: MapEnv,
-    bodies: HashMap<String, Body>,
+    hooks: HashMap<String, Hooks>,
     data: HashMap<String, DataProvider>,
-    costs: HashMap<String, CostHook>,
-    activities: HashMap<String, Activity>,
+    external_roots: bool,
 }
 
 impl DslBuilder {
@@ -263,10 +348,9 @@ impl DslBuilder {
         Self {
             src: src.to_string(),
             globals: MapEnv::new(),
-            bodies: HashMap::new(),
+            hooks: HashMap::new(),
             data: HashMap::new(),
-            costs: HashMap::new(),
-            activities: HashMap::new(),
+            external_roots: false,
         }
     }
 
@@ -283,13 +367,30 @@ impl DslBuilder {
         self
     }
 
+    fn hooks(&mut self, body: &str) -> &mut Hooks {
+        self.hooks.entry(body.to_string()).or_default()
+    }
+
     /// Register a task body by name.
     pub fn body(
         mut self,
         name: &str,
         f: impl Fn(TaskKey, &mut [Option<Payload>]) -> Vec<Option<Payload>> + Send + Sync + 'static,
     ) -> Self {
-        self.bodies.insert(name.to_string(), Arc::new(f));
+        self.hooks(name).run = Some(Run::Sync(Arc::new(f)));
+        self
+    }
+
+    /// Register an asynchronous task body by name (see [`AsyncBody`]).
+    pub fn body_async(
+        mut self,
+        name: &str,
+        f: impl Fn(TaskKey, i64, &mut [Option<Payload>], Completion) -> Option<Vec<Option<Payload>>>
+            + Send
+            + Sync
+            + 'static,
+    ) -> Self {
+        self.hooks(name).run = Some(Run::Async(Arc::new(f)));
         self
     }
 
@@ -303,86 +404,197 @@ impl DslBuilder {
         self
     }
 
-    /// Register a cost hook for a class (simulated engine).
+    /// Price a body for the simulated engine (see [`CostHook`]). Costs
+    /// attach to bodies, not classes: what a task costs is what its body
+    /// does, and the text picks the body.
     pub fn cost(
         mut self,
-        class: &str,
-        f: impl Fn(TaskKey) -> TaskCost + Send + Sync + 'static,
+        body: &str,
+        f: impl Fn(TaskKey, usize) -> TaskCost + Send + Sync + 'static,
     ) -> Self {
-        self.costs.insert(class.to_string(), Arc::new(f));
+        self.hooks(body).cost = Some(Arc::new(f));
         self
     }
 
-    /// Set the trace activity of a class.
-    pub fn activity(mut self, class: &str, a: Activity) -> Self {
-        self.activities.insert(class.to_string(), a);
+    /// Size a body's output edges for the simulated engine (see
+    /// [`FlowBytesHook`]; unregistered edges carry 0 bytes).
+    pub fn flow_bytes(
+        mut self,
+        body: &str,
+        f: impl Fn(TaskKey, FlowId, TaskKey) -> u64 + Send + Sync + 'static,
+    ) -> Self {
+        self.hooks(body).flow_bytes = Some(Arc::new(f));
         self
     }
 
-    /// Compile into a [`TaskGraph`] over `ctx`.
-    pub fn compile(self, ctx: Arc<dyn GraphCtx>) -> Result<TaskGraph, DslError> {
-        let classes = parse_program(&self.src)?;
-        let mut by_name = HashMap::new();
-        for (i, c) in classes.iter().enumerate() {
-            if by_name.insert(c.name.clone(), i).is_some() {
-                return derr(0, format!("duplicate class `{}`", c.name));
+    /// Set the trace activity of a body.
+    pub fn activity(mut self, body: &str, a: Activity) -> Self {
+        self.hooks(body).activity = Some(a);
+        self
+    }
+
+    /// Leave [`TaskClass::roots`] empty: an external work source seeds
+    /// the graph group by group through [`TaskGraph::group_roots`].
+    pub fn external_roots(mut self, on: bool) -> Self {
+        self.external_roots = on;
+        self
+    }
+
+    /// Compile into a [`TaskGraph`] over `ctx`. `P` is bound to the
+    /// context's node count.
+    pub fn compile(mut self, ctx: Arc<dyn GraphCtx>) -> Result<TaskGraph, DslError> {
+        let defs = parse_program(&self.src)?;
+        let mut ids = HashMap::new();
+        for (i, c) in defs.iter().enumerate() {
+            if ids.insert(c.name.as_str(), i).is_some() {
+                return derr(c.line, format!("duplicate class `{}`", c.name));
             }
         }
-        // Validate dep targets exist.
-        for c in &classes {
-            for f in &c.flows {
-                for clause in f.ins.iter().chain(&f.outs) {
-                    if let DepTarget::Task {
-                        class,
+        let nodes = ctx.nodes().max(1) as i64;
+        self.globals.set("P", ctx.nodes() as i64);
+        let classes = (defs.iter().enumerate())
+            .map(|(id, def)| {
+                let class = self.class(&defs, &ids, id, def, nodes)?;
+                Ok(Arc::new(class) as Arc<dyn TaskClass>)
+            })
+            .collect::<Result<_, DslError>>()?;
+        Ok(TaskGraph::new(classes, ctx))
+    }
+
+    fn class(
+        &self,
+        defs: &[ClassDef],
+        ids: &HashMap<&str, usize>,
+        id: usize,
+        def: &ClassDef,
+        nodes: i64,
+    ) -> Result<Class, DslError> {
+        let fail = |msg: String| DslError {
+            line: def.line,
+            msg: format!("{}: {msg}", def.name),
+        };
+        let params = &def.params;
+        let cx = |e: &Expr| expr::compile(e, params, &self.globals).map_err(|e| fail(e.msg));
+        // `None`: the guard never holds; `Some(None)`: it always does.
+        let guard = |g: &Option<Expr>| -> Result<Option<Option<Compiled>>, DslError> {
+            let Some(g) = g else { return Ok(Some(None)) };
+            Ok(match cx(g)? {
+                Compiled::Const(0) => None,
+                Compiled::Const(_) => Some(None),
+                g => Some(Some(g)),
+            })
+        };
+        // Resolve a task target to (class id, flow id), checking arity.
+        let target = |class: &str, flow: &str, nargs: usize| {
+            let &ti = ids
+                .get(class)
+                .ok_or_else(|| fail(format!("unknown class `{class}`")))?;
+            let tdef = &defs[ti];
+            let fi = (tdef.flows.iter().position(|f| f.name == flow))
+                .ok_or_else(|| fail(format!("class `{class}` has no flow `{flow}`")))?;
+            if nargs != tdef.params.len() {
+                let want = tdef.params.len();
+                return Err(fail(format!(
+                    "`{class}` takes {want} params, {nargs} given"
+                )));
+            }
+            Ok((ti as ClassId, fi as FlowId))
+        };
+
+        let ranges = (def.ranges.iter().enumerate())
+            .map(|(d, (lo, hi))| {
+                let outer = &params[..d];
+                let c = |e| expr::compile(e, outer, &self.globals).map_err(|e| fail(e.msg));
+                Ok((c(lo)?, c(hi)?))
+            })
+            .collect::<Result<_, DslError>>()?;
+
+        let mut inputs = Vec::new();
+        let mut outputs = Vec::new();
+        for (fi, flow) in def.flows.iter().enumerate() {
+            let mut ins = Vec::new();
+            for clause in &flow.ins {
+                let source = match &clause.target {
+                    DepTarget::Task {
                         remote_flow,
+                        class,
                         args,
-                    } = &clause.target
-                    {
-                        let Some(&ti) = by_name.get(class) else {
-                            return derr(0, format!("{}: unknown class `{class}`", c.name));
-                        };
-                        if !classes[ti].flows.iter().any(|fl| &fl.name == remote_flow) {
-                            return derr(
-                                0,
-                                format!("{}: class `{class}` has no flow `{remote_flow}`", c.name),
-                            );
-                        }
-                        if args.len() != classes[ti].params.len() {
-                            return derr(
-                                0,
-                                format!(
-                                    "{}: `{class}` takes {} params, {} given",
-                                    c.name,
-                                    classes[ti].params.len(),
-                                    args.len()
-                                ),
-                            );
-                        }
+                    } => {
+                        target(class, remote_flow, args.len())?;
+                        Source::Task
                     }
+                    DepTarget::Memory { name, args } => {
+                        let args = args.iter().map(cx).collect::<Result<_, _>>()?;
+                        Source::Memory(self.data.get(name).cloned(), args)
+                    }
+                };
+                if let Some(guard) = guard(&clause.guard)? {
+                    ins.push(Input { guard, source });
                 }
             }
+            inputs.push(ins);
+            for clause in &flow.outs {
+                let DepTarget::Task {
+                    remote_flow,
+                    class,
+                    args,
+                } = &clause.target
+                else {
+                    continue; // output to memory: a sink, nothing to schedule
+                };
+                let (class, dst_flow) = target(class, remote_flow, args.len())?;
+                let Some(guard) = guard(&clause.guard)? else {
+                    continue;
+                };
+                let args = (args.iter())
+                    .map(|a| {
+                        Ok(match a {
+                            Arg::One(e) => OutArg::One(cx(e)?),
+                            Arg::Range(lo, hi) => OutArg::Range(cx(lo)?, cx(hi)?),
+                        })
+                    })
+                    .collect::<Result<_, DslError>>()?;
+                outputs.push(Output {
+                    src_flow: fi as FlowId,
+                    guard,
+                    class,
+                    dst_flow,
+                    args,
+                });
+            }
         }
-        // Constant-fold every stored expression once; per-task evaluation
-        // then skips the folded subtrees.
-        let classes: Vec<ClassDef> = classes.into_iter().map(fold_class).collect();
-        let prog = Arc::new(Program {
-            classes,
-            by_name,
-            globals: self.globals,
-            bodies: self.bodies,
-            data: self.data,
-            costs: self.costs,
-            activities: self.activities,
-        });
-        let n = prog.classes.len();
-        let classes: Vec<Arc<dyn TaskClass>> = (0..n)
-            .map(|idx| {
-                Arc::new(InterpClass {
-                    prog: prog.clone(),
-                    idx,
-                }) as Arc<dyn TaskClass>
-            })
+
+        // A flow whose clauses reach an unguarded task input before any
+        // memory input always has one; guards decide the other flows
+        // with task inputs.
+        let always = |f: &[Input]| {
+            (f.iter()
+                .find(|i| i.guard.is_none() || matches!(i.source, Source::Memory(..))))
+            .is_some_and(|i| matches!(i.source, Source::Task))
+        };
+        let tasks = |f: &[Input]| f.iter().any(|i| matches!(i.source, Source::Task));
+        let fixed_inputs = inputs.iter().filter(|f| always(f)).count();
+        let guarded_inputs = (0..inputs.len())
+            .filter(|&f| !always(&inputs[f]) && tasks(&inputs[f]))
             .collect();
-        Ok(TaskGraph::new(classes, ctx))
+        let memory_inputs = (0..inputs.len())
+            .filter(|&f| (inputs[f].iter()).any(|i| matches!(i.source, Source::Memory(..))))
+            .collect();
+        Ok(Class {
+            name: def.name.clone(),
+            id: id as ClassId,
+            nflows: def.flows.len(),
+            nodes,
+            ranges,
+            inputs,
+            fixed_inputs,
+            guarded_inputs,
+            memory_inputs,
+            outputs,
+            priority: def.priority.as_ref().map(cx).transpose()?,
+            placement: def.placement.as_ref().map(cx).transpose()?,
+            external_roots: self.external_roots,
+            hooks: self.hooks.get(&def.body).cloned().unwrap_or_default(),
+        })
     }
 }

@@ -16,7 +16,7 @@
 //! RW C <- (L2 == 0) ? C DFILL(L1)         // guarded input alternatives
 //!      <- (L2 != 0) ? C GEMM(L1, L2 - 1)
 //!      -> (L2 < chain_len(L1) - 1) ? C GEMM(L1, L2 + 1)
-//!      -> (L2 == chain_len(L1) - 1) ? C SORT(L1)
+//!      -> (L2 == chain_len(L1) - 1) ? C SORT(L1, 0 .. nsorts(L1) - 1)
 //!
 //! ; size_L1 - L1 + 1                // priority expression (optional)
 //!
@@ -25,7 +25,8 @@
 //!
 //! Semantics, matching the JDF rules the paper relies on:
 //!
-//! * every *output* clause whose guard holds fires (broadcast);
+//! * every *output* clause whose guard holds fires; a range argument
+//!   `lo .. hi` fires it once per value (broadcast);
 //! * among the *input* clauses of one flow, the first whose guard holds is
 //!   the active one (guards are expected to be mutually exclusive);
 //! * a task is ready when all of its active task-inputs have arrived;
@@ -34,13 +35,15 @@
 //!
 //! Host integration happens on the [`DslBuilder`]: global variables and
 //! functions (`size_L1`, `chain_len`, `find_last_segment_owner`, ...),
-//! task bodies, data providers for memory inputs, and optional cost hooks
-//! for the simulated engine.
+//! task bodies (synchronous or asynchronous), data providers for memory
+//! inputs, and per-body cost, edge-size and trace-activity hooks for the
+//! simulated engine. [`DslBuilder::compile`] resolves all of it once, so
+//! the classes it returns evaluate closures, not text (see `compile`).
 
 mod compile;
 mod parse;
 
-pub use compile::{Body, CostHook, DataProvider, DslBuilder};
+pub use compile::{AsyncBody, Body, CostHook, DataProvider, DslBuilder, FlowBytesHook};
 
 /// Parse/compile error with 1-based source line.
 #[derive(Debug, Clone)]

@@ -225,14 +225,28 @@ fn parse_errors_are_reported_with_lines() {
     assert!(DslBuilder::new("JUNK")
         .compile(Arc::new(PlainCtx { nodes: 1 }))
         .is_err());
-    let e = DslBuilder::new("A(I)\nI = 0 .. 1\nREAD X <- X NOPE(I)\nBODY b")
-        .compile(Arc::new(PlainCtx { nodes: 1 }))
-        .unwrap_err();
+    let compile = |src: &str| {
+        DslBuilder::new(src)
+            .compile(Arc::new(PlainCtx { nodes: 1 }))
+            .unwrap_err()
+    };
+    // Semantic errors point at the header of the class they are in.
+    let e = compile("A(I)\nI = 0 .. 1\nREAD X <- X NOPE(I)\nBODY b");
     assert!(e.msg.contains("unknown class"), "{e}");
-    let e = DslBuilder::new("A(I)\nBODY b")
-        .compile(Arc::new(PlainCtx { nodes: 1 }))
-        .unwrap_err();
+    assert_eq!(e.line, 1, "{e}");
+    let two = "A(I)\nI = 0 .. 1\nWRITE X -> X B(I)\nBODY a\n\nB(I)\nI = 0 .. 1\n";
+    let e = compile(&format!("{two}READ X <- Z A(I)\nBODY b"));
+    assert!(e.msg.contains("has no flow `Z`"), "{e}");
+    assert_eq!(e.line, 6, "{e}");
+    let e = compile(&format!("{two}READ X <- X A(I, I)\nBODY b"));
+    assert!(e.msg.contains("takes 1 params, 2 given"), "{e}");
+    assert_eq!(e.line, 6, "{e}");
+    let e = compile(&format!("{two}READ X <- X A(I)\n; nope\nBODY b"));
+    assert!(e.msg.contains("unbound variable `nope`"), "{e}");
+    assert_eq!(e.line, 6, "{e}");
+    let e = compile("A(I)\nBODY b");
     assert!(e.msg.contains("ranges"), "{e}");
+    assert_eq!(e.line, 2, "{e}");
 }
 
 #[test]
@@ -337,4 +351,30 @@ fn guard_first_match_wins_for_inputs() {
         .unwrap();
     let t = TaskKey::new(1, &[0]);
     assert_eq!(g.class_of(t).num_inputs(t, g.ctx()), 1);
+}
+
+#[test]
+fn async_bodies_get_their_priority_and_may_finish_later() {
+    // A body that hands its completion to another thread, as a reader
+    // hands a get to the comm layer: `execute` waits for the finish,
+    // `execute_async` returns at once.
+    let src = "R(I)\nI = 0 .. 1\nWRITE X -> X S(I)\n; 10 - I\nBODY r\n\nS(I)\nI = 0 .. 1\nREAD X <- X R(I)\nBODY s";
+    let g = DslBuilder::new(src)
+        .body_async("r", |_k, prio, _inputs, done| {
+            std::thread::spawn(move || done.finish(vec![Some(Arc::new(vec![prio as f64]))]));
+            None
+        })
+        .compile(Arc::new(PlainCtx { nodes: 1 }))
+        .unwrap();
+    let key = TaskKey::new(0, &[1]);
+    let out = g.class_of(key).execute(key, g.ctx(), &mut [None]);
+    assert_eq!(out[0].as_ref().unwrap()[0], 9.0);
+    // Group roots: the readers of one group, however roots are seeded.
+    assert_eq!(g.group_roots(1), vec![key]);
+    let external = DslBuilder::new(src)
+        .external_roots(true)
+        .compile(Arc::new(PlainCtx { nodes: 1 }))
+        .unwrap();
+    assert!(external.roots().is_empty());
+    assert_eq!(external.group_roots(1), vec![key]);
 }

@@ -9,6 +9,13 @@
 //! parameters, priorities and placements.
 //!
 //! Values are `i64`; booleans are `0`/`1`.
+//!
+//! Two evaluators share the tree. [`compile`] is the one the DSL runs: it
+//! resolves names once — parameters to slots of the task key, globals to
+//! folded constants, host functions to the functions themselves — and
+//! returns a [`Compiled`] closure that does no lookup and no allocation.
+//! [`eval`] walks the tree against a [`MapEnv`]; it is the reference the
+//! compiler and the folder are tested against.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -73,293 +80,145 @@ fn err<T>(msg: impl Into<String>, pos: usize) -> Result<T, ExprError> {
     })
 }
 
-// ---------------------------------------------------------------- lexer --
+// --------------------------------------------------------------- parser --
 
-#[derive(Debug, Clone, PartialEq)]
-enum Tok {
-    Int(i64),
-    Ident(String),
-    Op(&'static str),
-    Eof,
-}
+/// Binary operators by precedence level, loosest first. Within a level
+/// they associate to the left, except comparisons, which do not chain.
+/// (Two-character operators come before their one-character prefixes.)
+const LEVELS: [&[(&str, BinOp)]; 5] = [
+    &[("||", BinOp::Or)],
+    &[("&&", BinOp::And)],
+    &[
+        ("==", BinOp::Eq),
+        ("!=", BinOp::Ne),
+        ("<=", BinOp::Le),
+        (">=", BinOp::Ge),
+        ("<", BinOp::Lt),
+        (">", BinOp::Gt),
+    ],
+    &[("+", BinOp::Add), ("-", BinOp::Sub)],
+    &[("*", BinOp::Mul), ("/", BinOp::Div), ("%", BinOp::Mod)],
+];
+const COMPARISONS: usize = 2;
 
-struct Lexer<'a> {
-    src: &'a [u8],
+/// Recursive descent over the source text, no token stream.
+struct Parser<'a> {
+    src: &'a str,
     pos: usize,
 }
 
-impl<'a> Lexer<'a> {
-    fn new(src: &'a str) -> Self {
-        Self {
-            src: src.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while self.pos < self.src.len() && self.src[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
-    }
-
-    fn next(&mut self) -> Result<(Tok, usize), ExprError> {
-        self.skip_ws();
-        let start = self.pos;
-        if self.pos >= self.src.len() {
-            return Ok((Tok::Eof, start));
-        }
-        let c = self.src[self.pos];
-        if c.is_ascii_digit() {
-            let mut v: i64 = 0;
-            while self.pos < self.src.len() && self.src[self.pos].is_ascii_digit() {
-                v = v
-                    .checked_mul(10)
-                    .and_then(|x| x.checked_add((self.src[self.pos] - b'0') as i64))
-                    .ok_or(ExprError {
-                        msg: "integer overflow".into(),
-                        pos: start,
-                    })?;
-                self.pos += 1;
-            }
-            return Ok((Tok::Int(v), start));
-        }
-        if c.is_ascii_alphabetic() || c == b'_' {
-            while self.pos < self.src.len()
-                && (self.src[self.pos].is_ascii_alphanumeric() || self.src[self.pos] == b'_')
-            {
-                self.pos += 1;
-            }
-            let s = std::str::from_utf8(&self.src[start..self.pos])
-                .unwrap()
-                .to_string();
-            return Ok((Tok::Ident(s), start));
-        }
-        // Multi-char operators first.
-        const TWO: &[&str] = &["==", "!=", "<=", ">=", "&&", "||"];
-        if self.pos + 1 < self.src.len() {
-            let pair = &self.src[self.pos..self.pos + 2];
-            for &op in TWO {
-                if pair == op.as_bytes() {
-                    self.pos += 2;
-                    return Ok((Tok::Op(op), start));
-                }
-            }
-        }
-        const ONE: &[&str] = &[
-            "+", "-", "*", "/", "%", "<", ">", "!", "?", ":", "(", ")", ",",
-        ];
-        for &op in ONE {
-            if c == op.as_bytes()[0] {
-                self.pos += 1;
-                return Ok((Tok::Op(op), start));
-            }
-        }
-        err(format!("unexpected character {:?}", c as char), start)
-    }
-}
-
-// --------------------------------------------------------------- parser --
-
-struct Parser<'a> {
-    lex: Lexer<'a>,
-    cur: Tok,
-    cur_pos: usize,
-}
-
 impl<'a> Parser<'a> {
-    fn new(src: &'a str) -> Result<Self, ExprError> {
-        let mut lex = Lexer::new(src);
-        let (cur, cur_pos) = lex.next()?;
-        Ok(Self { lex, cur, cur_pos })
+    /// The unparsed input, leading whitespace skipped.
+    fn rest(&mut self) -> &'a str {
+        let skip = self.src[self.pos..].len() - self.src[self.pos..].trim_start().len();
+        self.pos += skip;
+        &self.src[self.pos..]
     }
 
-    fn bump(&mut self) -> Result<(), ExprError> {
-        let (t, p) = self.lex.next()?;
-        self.cur = t;
-        self.cur_pos = p;
-        Ok(())
-    }
-
-    fn eat_op(&mut self, op: &str) -> Result<bool, ExprError> {
-        if self.cur == Tok::Op(match_op(op)) {
-            self.bump()?;
-            Ok(true)
-        } else {
-            Ok(false)
+    /// Consume `tok` if it comes next.
+    fn eat(&mut self, tok: &str) -> bool {
+        let hit = self.rest().starts_with(tok);
+        if hit {
+            self.pos += tok.len();
         }
+        hit
     }
 
-    fn expect_op(&mut self, op: &str) -> Result<(), ExprError> {
-        if !self.eat_op(op)? {
-            return err(
-                format!("expected `{op}`, found {:?}", self.cur),
-                self.cur_pos,
-            );
+    fn expect(&mut self, tok: &str) -> Result<(), ExprError> {
+        if self.eat(tok) {
+            return Ok(());
         }
-        Ok(())
+        let found = self.rest().chars().next();
+        err(format!("expected `{tok}`, found {found:?}"), self.pos)
     }
 
     /// Full expression: ternary (right associative, lowest precedence).
     fn expr(&mut self) -> Result<Expr, ExprError> {
-        let cond = self.or_expr()?;
-        if self.eat_op("?")? {
-            let a = self.expr()?;
-            self.expect_op(":")?;
-            let b = self.expr()?;
-            return Ok(Expr::Ternary(Box::new(cond), Box::new(a), Box::new(b)));
+        let cond = self.binary(0)?;
+        if !self.eat("?") {
+            return Ok(cond);
         }
-        Ok(cond)
+        let a = self.expr()?;
+        self.expect(":")?;
+        let b = self.expr()?;
+        Ok(Expr::Ternary(Box::new(cond), Box::new(a), Box::new(b)))
     }
 
-    fn or_expr(&mut self) -> Result<Expr, ExprError> {
-        let mut lhs = self.and_expr()?;
-        while self.eat_op("||")? {
-            let rhs = self.and_expr()?;
-            lhs = Expr::Binary(BinOp::Or, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn and_expr(&mut self) -> Result<Expr, ExprError> {
-        let mut lhs = self.cmp_expr()?;
-        while self.eat_op("&&")? {
-            let rhs = self.cmp_expr()?;
-            lhs = Expr::Binary(BinOp::And, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn cmp_expr(&mut self) -> Result<Expr, ExprError> {
-        let lhs = self.add_expr()?;
-        for (tok, op) in [
-            ("==", BinOp::Eq),
-            ("!=", BinOp::Ne),
-            ("<=", BinOp::Le),
-            (">=", BinOp::Ge),
-            ("<", BinOp::Lt),
-            (">", BinOp::Gt),
-        ] {
-            if self.eat_op(tok)? {
-                let rhs = self.add_expr()?;
-                return Ok(Expr::Binary(op, Box::new(lhs), Box::new(rhs)));
+    fn binary(&mut self, level: usize) -> Result<Expr, ExprError> {
+        let Some(ops) = LEVELS.get(level) else {
+            return self.unary();
+        };
+        let mut lhs = self.binary(level + 1)?;
+        while let Some(&(_, op)) = ops.iter().find(|(tok, _)| self.eat(tok)) {
+            let rhs = self.binary(level + 1)?;
+            lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
+            if level == COMPARISONS {
+                break;
             }
         }
         Ok(lhs)
     }
 
-    fn add_expr(&mut self) -> Result<Expr, ExprError> {
-        let mut lhs = self.mul_expr()?;
-        loop {
-            if self.eat_op("+")? {
-                let rhs = self.mul_expr()?;
-                lhs = Expr::Binary(BinOp::Add, Box::new(lhs), Box::new(rhs));
-            } else if self.eat_op("-")? {
-                let rhs = self.mul_expr()?;
-                lhs = Expr::Binary(BinOp::Sub, Box::new(lhs), Box::new(rhs));
-            } else {
-                return Ok(lhs);
+    fn unary(&mut self) -> Result<Expr, ExprError> {
+        for (tok, op) in [("-", UnOp::Neg), ("!", UnOp::Not)] {
+            if self.eat(tok) {
+                return Ok(Expr::Unary(op, Box::new(self.unary()?)));
             }
-        }
-    }
-
-    fn mul_expr(&mut self) -> Result<Expr, ExprError> {
-        let mut lhs = self.unary_expr()?;
-        loop {
-            if self.eat_op("*")? {
-                let rhs = self.unary_expr()?;
-                lhs = Expr::Binary(BinOp::Mul, Box::new(lhs), Box::new(rhs));
-            } else if self.eat_op("/")? {
-                let rhs = self.unary_expr()?;
-                lhs = Expr::Binary(BinOp::Div, Box::new(lhs), Box::new(rhs));
-            } else if self.eat_op("%")? {
-                let rhs = self.unary_expr()?;
-                lhs = Expr::Binary(BinOp::Mod, Box::new(lhs), Box::new(rhs));
-            } else {
-                return Ok(lhs);
-            }
-        }
-    }
-
-    fn unary_expr(&mut self) -> Result<Expr, ExprError> {
-        if self.eat_op("-")? {
-            return Ok(Expr::Unary(UnOp::Neg, Box::new(self.unary_expr()?)));
-        }
-        if self.eat_op("!")? {
-            return Ok(Expr::Unary(UnOp::Not, Box::new(self.unary_expr()?)));
         }
         self.primary()
     }
 
     fn primary(&mut self) -> Result<Expr, ExprError> {
-        match self.cur.clone() {
-            Tok::Int(v) => {
-                self.bump()?;
-                Ok(Expr::Int(v))
+        if self.eat("(") {
+            let e = self.expr()?;
+            self.expect(")")?;
+            return Ok(e);
+        }
+        let rest = self.rest();
+        let start = self.pos;
+        let n = rest
+            .find(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+            .unwrap_or(rest.len());
+        let word = rest[..n].to_string();
+        self.pos += n;
+        match word.bytes().next() {
+            None => {
+                let found = rest.chars().next();
+                err(format!("unexpected {found:?}"), start)
             }
-            Tok::Ident(name) => {
-                self.bump()?;
-                if self.eat_op("(")? {
-                    let mut args = Vec::new();
-                    if !self.eat_op(")")? {
-                        loop {
-                            args.push(self.expr()?);
-                            if self.eat_op(")")? {
-                                break;
-                            }
-                            self.expect_op(",")?;
-                        }
+            Some(b'0'..=b'9') => (word.parse().map(Expr::Int))
+                .or_else(|_| err(format!("bad integer `{word}`"), start)),
+            Some(_) if !self.eat("(") => Ok(Expr::Var(word)),
+            Some(_) => {
+                let mut args = Vec::new();
+                while !self.eat(")") {
+                    if !args.is_empty() {
+                        self.expect(",")?;
                     }
-                    Ok(Expr::Call(name, args))
-                } else {
-                    Ok(Expr::Var(name))
+                    args.push(self.expr()?);
                 }
+                Ok(Expr::Call(word, args))
             }
-            Tok::Op("(") => {
-                self.bump()?;
-                let e = self.expr()?;
-                self.expect_op(")")?;
-                Ok(e)
-            }
-            t => err(format!("unexpected token {t:?}"), self.cur_pos),
         }
     }
 }
 
-fn match_op(op: &str) -> &'static str {
-    const ALL: &[&str] = &[
-        "==", "!=", "<=", ">=", "&&", "||", "+", "-", "*", "/", "%", "<", ">", "!", "?", ":", "(",
-        ")", ",",
-    ];
-    ALL.iter()
-        .find(|&&o| o == op)
-        .copied()
-        .expect("unknown operator literal")
-}
-
 /// Parse a complete expression; trailing input is an error.
 pub fn parse(src: &str) -> Result<Expr, ExprError> {
-    let mut p = Parser::new(src)?;
+    let mut p = Parser { src, pos: 0 };
     let e = p.expr()?;
-    if p.cur != Tok::Eof {
-        return err(format!("trailing input {:?}", p.cur), p.cur_pos);
+    match p.rest() {
+        "" => Ok(e),
+        rest => err(format!("trailing input `{rest}`"), p.pos),
     }
-    Ok(e)
 }
 
 // ------------------------------------------------------------ evaluation --
 
-/// Name resolution for evaluation: variables and host functions.
-pub trait Env {
-    /// Value of a variable.
-    fn var(&self, name: &str) -> Option<i64>;
-    /// Invoke a host function.
-    fn call(&self, name: &str, args: &[i64]) -> Option<i64>;
-}
-
 /// A heap-allocated host function.
 pub type HostFn = Arc<dyn Fn(&[i64]) -> i64 + Send + Sync>;
 
-/// Simple map-backed [`Env`]; supports layering via `parent`.
+/// Name resolution: variables and host functions by name.
 #[derive(Default, Clone)]
 pub struct MapEnv {
     vars: HashMap<String, i64>,
@@ -383,36 +242,14 @@ impl MapEnv {
         self.funcs.insert(name.to_string(), f);
         self
     }
-}
 
-impl Env for MapEnv {
     fn var(&self, name: &str) -> Option<i64> {
         self.vars.get(name).copied()
-    }
-    fn call(&self, name: &str, args: &[i64]) -> Option<i64> {
-        self.funcs.get(name).map(|f| f(args))
-    }
-}
-
-/// Two-layer environment: locals (task parameters) over globals.
-pub struct Layered<'a> {
-    pub locals: &'a MapEnv,
-    pub globals: &'a MapEnv,
-}
-
-impl Env for Layered<'_> {
-    fn var(&self, name: &str) -> Option<i64> {
-        self.locals.var(name).or_else(|| self.globals.var(name))
-    }
-    fn call(&self, name: &str, args: &[i64]) -> Option<i64> {
-        self.locals
-            .call(name, args)
-            .or_else(|| self.globals.call(name, args))
     }
 }
 
 /// Evaluate `e` under `env`.
-pub fn eval(e: &Expr, env: &dyn Env) -> Result<i64, ExprError> {
+pub fn eval(e: &Expr, env: &MapEnv) -> Result<i64, ExprError> {
     match e {
         Expr::Int(v) => Ok(*v),
         Expr::Var(name) => env.var(name).ok_or_else(|| ExprError {
@@ -422,10 +259,13 @@ pub fn eval(e: &Expr, env: &dyn Env) -> Result<i64, ExprError> {
         Expr::Call(name, args) => {
             let vals: Result<Vec<i64>, _> = args.iter().map(|a| eval(a, env)).collect();
             let vals = vals?;
-            env.call(name, &vals).ok_or_else(|| ExprError {
-                msg: format!("unknown function `{name}`"),
-                pos: 0,
-            })
+            env.funcs
+                .get(name)
+                .map(|f| f(&vals))
+                .ok_or_else(|| ExprError {
+                    msg: format!("unknown function `{name}`"),
+                    pos: 0,
+                })
         }
         Expr::Unary(op, a) => {
             let v = eval(a, env)?;
@@ -491,7 +331,7 @@ pub fn eval(e: &Expr, env: &dyn Env) -> Result<i64, ExprError> {
 }
 
 /// Parse and evaluate in one step (convenience for tests).
-pub fn eval_str(src: &str, env: &dyn Env) -> Result<i64, ExprError> {
+pub fn eval_str(src: &str, env: &MapEnv) -> Result<i64, ExprError> {
     eval(&parse(src)?, env)
 }
 
@@ -550,10 +390,12 @@ impl fmt::Display for Expr {
 
 /// Constant-fold an expression: subtrees without free variables or calls
 /// collapse to literals, guards with constant conditions select a branch,
-/// and `&&`/`||` short-circuit on constant sides. Division/modulo by a
-/// constant zero is left unfolded (it must still error at evaluation
-/// time). The interpreted DSL classes fold their dependence expressions
-/// once at compile time, shrinking the per-task evaluation work.
+/// `&&`/`||` short-circuit on constant sides, and `x / 1`, `x % 1`
+/// simplify. Division/modulo by a constant zero is left unfolded (it must
+/// still error at evaluation time), and `x % 1` keeps an `x` that may
+/// divide by zero. Names are taken to be bound: [`compile`] checks them
+/// before it folds. With the globals substituted first, this is what
+/// turns a variant's `L2 % h != 0` into a constant when `h` is 1.
 pub fn fold(e: &Expr) -> Expr {
     match e {
         Expr::Int(_) | Expr::Var(_) => e.clone(),
@@ -594,15 +436,19 @@ pub fn fold(e: &Expr) -> Expr {
                         None => Expr::Binary(*op, Box::new(a), Box::new(b)),
                     }
                 }
-                // Short circuits on a constant left side.
+                // Short circuits on a constant left side; one that does
+                // not decide leaves the right side's truth value.
                 (BinOp::And, Expr::Int(0), _) => Expr::Int(0),
                 (BinOp::Or, Expr::Int(x), _) if *x != 0 => Expr::Int(1),
+                (BinOp::And, Expr::Int(_), _) | (BinOp::Or, Expr::Int(0), _) => truth(b),
                 // Identities.
                 (BinOp::Add, Expr::Int(0), _) => b,
                 (BinOp::Add, _, Expr::Int(0)) => a,
                 (BinOp::Sub, _, Expr::Int(0)) => a,
                 (BinOp::Mul, Expr::Int(1), _) => b,
                 (BinOp::Mul, _, Expr::Int(1)) => a,
+                (BinOp::Div, _, Expr::Int(1)) => a,
+                (BinOp::Mod, _, Expr::Int(1)) if !may_fail(&a) => Expr::Int(0),
                 _ => Expr::Binary(*op, Box::new(a), Box::new(b)),
             }
         }
@@ -613,6 +459,275 @@ pub fn fold(e: &Expr) -> Expr {
             }
             Expr::Ternary(Box::new(c), Box::new(fold(a)), Box::new(fold(b)))
         }
+    }
+}
+
+/// `e` as a `0`/`1` truth value: itself when it already is one.
+fn truth(e: Expr) -> Expr {
+    let boolean = match &e {
+        Expr::Int(v) => *v == 0 || *v == 1,
+        Expr::Unary(UnOp::Not, _) => true,
+        Expr::Binary(op, _, _) => !matches!(
+            op,
+            BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod
+        ),
+        _ => false,
+    };
+    if boolean {
+        e
+    } else {
+        Expr::Binary(BinOp::Ne, Box::new(e), Box::new(Expr::Int(0)))
+    }
+}
+
+/// Whether evaluating `e` can fail: it divides by something other than a
+/// nonzero constant.
+fn may_fail(e: &Expr) -> bool {
+    match e {
+        Expr::Int(_) | Expr::Var(_) => false,
+        Expr::Call(_, args) => args.iter().any(may_fail),
+        Expr::Unary(_, a) => may_fail(a),
+        Expr::Binary(op, a, b) => {
+            let divides =
+                matches!(op, BinOp::Div | BinOp::Mod) && !matches!(**b, Expr::Int(y) if y != 0);
+            divides || may_fail(a) || may_fail(b)
+        }
+        Expr::Ternary(c, a, b) => may_fail(c) || may_fail(a) || may_fail(b),
+    }
+}
+
+// ------------------------------------------------------------ compilation --
+
+/// Most arguments a host function call may take (they are gathered on
+/// the stack).
+pub const MAX_CALL_ARGS: usize = 4;
+
+type Node = Box<dyn Fn(&[i64]) -> Option<i64> + Send + Sync>;
+
+/// A compiled expression over a task's parameter values. Leaves —
+/// constants, affine functions of one parameter, a parameter divided or
+/// reduced by a constant: most priorities, placements and dependency
+/// arguments, `nchains - L1 + 5 * P` or `L2 / 2` — evaluate inline;
+/// every other node is one closure. `None` is a division or modulo by
+/// zero, where [`eval`] reports an error.
+pub enum Compiled {
+    /// A constant, globals included.
+    Const(i64),
+    /// `scale * params[slot] + offset`, in wrapping arithmetic like the
+    /// operators it folds.
+    Affine {
+        slot: usize,
+        scale: i64,
+        offset: i64,
+    },
+    /// `params[slot] / div`, or `params[slot] % div` when `rem`, for a
+    /// nonzero constant `div`.
+    DivMod { slot: usize, div: i64, rem: bool },
+    /// Anything else.
+    Node(Node),
+}
+
+impl Compiled {
+    /// Value under parameter values `params`.
+    #[inline(always)]
+    pub fn eval(&self, params: &[i64]) -> Option<i64> {
+        match self {
+            Compiled::Node(f) => f(params),
+            leaf => Some(leaf.leaf(params)),
+        }
+    }
+
+    #[inline(always)]
+    fn leaf(&self, params: &[i64]) -> i64 {
+        match *self {
+            Compiled::Const(v) => v,
+            Compiled::Affine {
+                slot,
+                scale,
+                offset,
+            } => scale.wrapping_mul(params[slot]).wrapping_add(offset),
+            Compiled::DivMod { slot, div, rem } if rem => params[slot] % div,
+            Compiled::DivMod { slot, div, .. } => params[slot] / div,
+            Compiled::Node(_) => unreachable!("not a leaf"),
+        }
+    }
+
+    /// `(slot, scale, offset)` of an affine or constant expression.
+    fn affine(&self) -> Option<(usize, i64, i64)> {
+        match *self {
+            Compiled::Const(v) => Some((0, 0, v)),
+            Compiled::Affine {
+                slot,
+                scale,
+                offset,
+            } => Some((slot, scale, offset)),
+            _ => None,
+        }
+    }
+}
+
+/// `scale * params[slot] + offset`, a constant when `scale` is 0.
+fn affine(slot: usize, scale: i64, offset: i64) -> Compiled {
+    match scale {
+        0 => Compiled::Const(offset),
+        _ => Compiled::Affine {
+            slot,
+            scale,
+            offset,
+        },
+    }
+}
+
+/// Compile `e` for tasks whose parameter `i` is named `params[i]`. Every
+/// other name resolves in `globals` — variables to their values, which
+/// then fold, functions to the functions themselves — and an unknown
+/// name is an error here rather than at evaluation. Parameters shadow
+/// globals. The result agrees with [`eval`] under an environment binding
+/// the parameters over `globals`.
+pub fn compile(e: &Expr, params: &[String], globals: &MapEnv) -> Result<Compiled, ExprError> {
+    lower(&fold(&bind(e, params, globals)?), params, globals)
+}
+
+/// Substitute global variables by their values; check every name.
+fn bind(e: &Expr, params: &[String], globals: &MapEnv) -> Result<Expr, ExprError> {
+    let rec = |x: &Expr| bind(x, params, globals).map(Box::new);
+    Ok(match e {
+        Expr::Int(_) => e.clone(),
+        Expr::Var(n) if params.contains(n) => e.clone(),
+        Expr::Var(n) => match globals.var(n) {
+            Some(v) => Expr::Int(v),
+            None => return err(format!("unbound variable `{n}`"), 0),
+        },
+        Expr::Call(n, args) => {
+            if !globals.funcs.contains_key(n) {
+                return err(format!("unknown function `{n}`"), 0);
+            }
+            if args.len() > MAX_CALL_ARGS {
+                return err(format!("`{n}` takes at most {MAX_CALL_ARGS} arguments"), 0);
+            }
+            let args: Result<Vec<Expr>, _> =
+                args.iter().map(|a| bind(a, params, globals)).collect();
+            Expr::Call(n.clone(), args?)
+        }
+        Expr::Unary(op, a) => Expr::Unary(*op, rec(a)?),
+        Expr::Binary(op, a, b) => Expr::Binary(*op, rec(a)?, rec(b)?),
+        Expr::Ternary(c, a, b) => Expr::Ternary(rec(c)?, rec(a)?, rec(b)?),
+    })
+}
+
+fn node(f: impl Fn(&[i64]) -> Option<i64> + Send + Sync + 'static) -> Compiled {
+    Compiled::Node(Box::new(f))
+}
+
+/// Lower a bound, folded tree to leaves and closures.
+fn lower(e: &Expr, params: &[String], globals: &MapEnv) -> Result<Compiled, ExprError> {
+    let rec = |x: &Expr| lower(x, params, globals);
+    Ok(match e {
+        Expr::Int(v) => Compiled::Const(*v),
+        Expr::Var(n) => affine(params.iter().position(|p| p == n).expect("bound"), 1, 0),
+        Expr::Call(n, args) => {
+            let f = globals.funcs[n].clone();
+            let mut args: Vec<Compiled> = args.iter().map(rec).collect::<Result<_, _>>()?;
+            // Calls on one or two leaves, the common case, skip the loop.
+            let leaves = !args.iter().any(|a| matches!(a, Compiled::Node(_)));
+            match (leaves, args.len()) {
+                (true, 1) => {
+                    let a = args.remove(0);
+                    node(move |p| Some(f(&[a.leaf(p)])))
+                }
+                (true, 2) => {
+                    let (a, b) = (args.remove(0), args.remove(0));
+                    node(move |p| Some(f(&[a.leaf(p), b.leaf(p)])))
+                }
+                _ => node(move |p| {
+                    let mut vals = [0i64; MAX_CALL_ARGS];
+                    for (v, a) in vals.iter_mut().zip(&args) {
+                        *v = a.eval(p)?;
+                    }
+                    Some(f(&vals[..args.len()]))
+                }),
+            }
+        }
+        Expr::Unary(UnOp::Neg, a) => {
+            let a = rec(a)?;
+            match a.affine() {
+                Some((slot, scale, offset)) => {
+                    affine(slot, scale.wrapping_neg(), offset.wrapping_neg())
+                }
+                None => node(move |p| Some(-a.eval(p)?)),
+            }
+        }
+        Expr::Unary(UnOp::Not, a) => {
+            let a = rec(a)?;
+            node(move |p| Some((a.eval(p)? == 0) as i64))
+        }
+        Expr::Binary(op, a, b) => binary(*op, rec(a)?, rec(b)?),
+        Expr::Ternary(c, a, b) => {
+            let (c, a, b) = (rec(c)?, rec(a)?, rec(b)?);
+            node(move |p| {
+                if c.eval(p)? != 0 {
+                    a.eval(p)
+                } else {
+                    b.eval(p)
+                }
+            })
+        }
+    })
+}
+
+/// One closure per operator, so the operator is not matched per call;
+/// sums, differences and constant multiples of affine operands stay
+/// affine, and a parameter over a nonzero constant stays a leaf.
+fn binary(op: BinOp, a: Compiled, b: Compiled) -> Compiled {
+    if let (Some((i, sa, oa)), Some((j, sb, ob))) = (a.affine(), b.affine()) {
+        let one_slot = sa == 0 || sb == 0 || i == j;
+        let slot = if sa == 0 { j } else { i };
+        match op {
+            BinOp::Div | BinOp::Mod if (sa, oa, sb) == (1, 0, 0) && ob != 0 => {
+                let (div, rem) = (ob, op == BinOp::Mod);
+                return Compiled::DivMod { slot: i, div, rem };
+            }
+            BinOp::Add if one_slot => {
+                return affine(slot, sa.wrapping_add(sb), oa.wrapping_add(ob))
+            }
+            BinOp::Sub if one_slot => {
+                return affine(slot, sa.wrapping_sub(sb), oa.wrapping_sub(ob))
+            }
+            BinOp::Mul if sa == 0 => return affine(j, sb.wrapping_mul(oa), ob.wrapping_mul(oa)),
+            BinOp::Mul if sb == 0 => return affine(i, sa.wrapping_mul(ob), oa.wrapping_mul(ob)),
+            _ => {}
+        }
+    }
+    match op {
+        BinOp::And => node(move |p| Some((a.eval(p)? != 0 && b.eval(p)? != 0) as i64)),
+        BinOp::Or => node(move |p| Some((a.eval(p)? != 0 || b.eval(p)? != 0) as i64)),
+        BinOp::Add => strict(a, b, |x, y| Some(x.wrapping_add(y))),
+        BinOp::Sub => strict(a, b, |x, y| Some(x.wrapping_sub(y))),
+        BinOp::Mul => strict(a, b, |x, y| Some(x.wrapping_mul(y))),
+        BinOp::Div => strict(a, b, |x, y| (y != 0).then(|| x / y)),
+        BinOp::Mod => strict(a, b, |x, y| (y != 0).then(|| x % y)),
+        BinOp::Eq => strict(a, b, |x, y| Some((x == y) as i64)),
+        BinOp::Ne => strict(a, b, |x, y| Some((x != y) as i64)),
+        BinOp::Lt => strict(a, b, |x, y| Some((x < y) as i64)),
+        BinOp::Le => strict(a, b, |x, y| Some((x <= y) as i64)),
+        BinOp::Gt => strict(a, b, |x, y| Some((x > y) as i64)),
+        BinOp::Ge => strict(a, b, |x, y| Some((x >= y) as i64)),
+    }
+}
+
+/// A binary operator that evaluates both sides, specialized on leaf
+/// operands: a leaf side costs no call.
+fn strict(
+    a: Compiled,
+    b: Compiled,
+    f: impl Fn(i64, i64) -> Option<i64> + Copy + Send + Sync + 'static,
+) -> Compiled {
+    use Compiled::Node;
+    match (a, b) {
+        (Node(x), Node(y)) => node(move |p| f(x(p)?, y(p)?)),
+        (Node(x), b) => node(move |p| f(x(p)?, b.leaf(p))),
+        (a, Node(y)) => node(move |p| f(a.leaf(p), y(p)?)),
+        (a, b) => node(move |p| f(a.leaf(p), b.leaf(p))),
     }
 }
 
@@ -726,8 +841,14 @@ mod tests {
         assert_eq!(f("x + 0"), "x");
         assert_eq!(f("1 * x"), "x");
         assert_eq!(f("!(2 == 2)"), "0");
-        // Division by constant zero must NOT fold away (runtime error).
+        assert_eq!(f("x / 1"), "x");
+        assert_eq!(f("x % 1"), "0");
+        assert_eq!(f("1 && (x < y)"), "(x < y)");
+        assert_eq!(f("0 || x"), "(x != 0)");
+        // Division by constant zero must NOT fold away (runtime error),
+        // nor may `% 1` drop an operand that divides by zero.
         assert_eq!(f("1 / 0"), "(1 / 0)");
+        assert_eq!(f("(1 / x) % 1"), "((1 / x) % 1)");
     }
 
     #[test]
@@ -750,15 +871,28 @@ mod tests {
     }
 
     #[test]
-    fn layered_env_shadows() {
+    fn params_shadow_globals() {
         let mut g = MapEnv::new();
         g.set("x", 1).set("y", 10);
-        let mut l = MapEnv::new();
-        l.set("x", 2);
-        let env = Layered {
-            locals: &l,
-            globals: &g,
-        };
-        assert_eq!(eval_str("x + y", &env).unwrap(), 12);
+        let c = compile(&parse("x + y").unwrap(), &["x".into()], &g).unwrap();
+        assert_eq!(c.eval(&[2]), Some(12));
+    }
+
+    #[test]
+    fn compiling_folds_globals_and_checks_names() {
+        let e = env();
+        let params = ["L2".to_string()];
+        let c = compile(&parse("(L1 + 2) * size_L2").unwrap(), &params, &e).unwrap();
+        assert!(matches!(c, Compiled::Const(50)));
+        // `h = 1` makes the segment test constant (the variants rely on it).
+        let mut one = env();
+        one.set("h", 1);
+        let c = compile(&parse("L2 % h != 0").unwrap(), &params, &one).unwrap();
+        assert!(matches!(c, Compiled::Const(0)));
+        let c = compile(&parse("twice(L2) / 0").unwrap(), &params, &e).unwrap();
+        assert_eq!(c.eval(&[4]), None, "division by zero");
+        for bad in ["nope + 1", "nope(1)", "twice(1, 2, 3, 4, 5)"] {
+            assert!(compile(&parse(bad).unwrap(), &params, &e).is_err(), "{bad}");
+        }
     }
 }

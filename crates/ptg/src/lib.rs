@@ -9,9 +9,11 @@
 //!
 //! This crate defines that contract ([`TaskClass`], [`TaskGraph`]) plus:
 //!
-//! * [`expr`] — the expression language used by the textual DSL;
-//! * [`dsl`] — a JDF-like textual format able to express the paper's
-//!   Figure 1 (chained GEMMs) and Figure 2 (parallel GEMMs + reduction);
+//! * [`expr`] — the expression language used by the textual DSL, and its
+//!   compiler to closures;
+//! * [`dsl`] — a JDF-like textual format, compiled to task classes, able
+//!   to express the paper's Figure 1 (chained GEMMs) and Figure 2
+//!   (parallel GEMMs + reduction) and the five CCSD variants;
 //! * [`validate`] — an exhaustive walker used in tests and in the
 //!   `paper graph_shapes` to audit small graphs (Figures 4-7).
 //!
@@ -22,7 +24,6 @@ pub mod dsl;
 pub mod expr;
 pub mod validate;
 
-use std::any::Any;
 use std::sync::Arc;
 
 /// Index of a task class within its [`TaskGraph`].
@@ -101,12 +102,9 @@ pub enum Activity {
     Runtime,
 }
 
-/// Application context handed to every class callback. Concrete apps
-/// downcast it to reach their metadata (the inspection-phase arrays, GA
-/// handles, tile spaces).
+/// Execution context handed to every class callback. (Application state
+/// lives with the classes: DSL bodies and host functions capture theirs.)
 pub trait GraphCtx: Send + Sync {
-    /// Downcast support.
-    fn as_any(&self) -> &dyn Any;
     /// Number of logical nodes in the execution (used by placement and by
     /// priority expressions like the paper's `offset * P`).
     fn nodes(&self) -> usize;
@@ -119,9 +117,6 @@ pub struct PlainCtx {
 }
 
 impl GraphCtx for PlainCtx {
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
     fn nodes(&self) -> usize {
         self.nodes
     }
@@ -139,6 +134,16 @@ pub trait TaskClass: Send + Sync {
 
     /// Append every instance that has zero task inputs (graph sources).
     fn roots(&self, ctx: &dyn GraphCtx, out: &mut Vec<TaskKey>);
+
+    /// Append this class's roots in locality group `group`
+    /// (`params[0] == group`). A work source that seeds a graph group by
+    /// group asks this, also of a graph whose `roots` it leaves empty.
+    /// Defaults to filtering [`TaskClass::roots`].
+    fn group_roots(&self, group: i64, ctx: &dyn GraphCtx, out: &mut Vec<TaskKey>) {
+        let mut all = Vec::new();
+        self.roots(ctx, &mut all);
+        out.extend(all.into_iter().filter(|k| k.params[0] == group));
+    }
 
     /// Number of input dependencies `key` waits for before becoming ready.
     fn num_inputs(&self, key: TaskKey, ctx: &dyn GraphCtx) -> usize;
@@ -246,7 +251,8 @@ impl Completion {
 }
 
 /// A complete PTG: an ordered set of classes plus the shared context.
-/// `ClassId`s are indices into `classes`.
+/// `ClassId`s are indices into `classes`. Cloning shares the classes.
+#[derive(Clone)]
 pub struct TaskGraph {
     classes: Vec<Arc<dyn TaskClass>>,
     ctx: Arc<dyn GraphCtx>,
@@ -298,6 +304,18 @@ impl TaskGraph {
         for c in &self.classes {
             c.roots(self.ctx.as_ref(), &mut out);
         }
+        out
+    }
+
+    /// The roots of locality group `group` across all classes, ordered by
+    /// parameters with the class breaking ties, so instances that meet at
+    /// one successor (`READ_A(l, k)` and `READ_B(l, k)`) sit side by side.
+    pub fn group_roots(&self, group: i64) -> Vec<TaskKey> {
+        let mut out = Vec::new();
+        for c in &self.classes {
+            c.group_roots(group, self.ctx.as_ref(), &mut out);
+        }
+        out.sort_by_key(|k| (k.params, k.class));
         out
     }
 

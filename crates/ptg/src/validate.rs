@@ -8,8 +8,8 @@
 //! variant diagrams of Figures 4-7 as numbers (task counts per class, DAG
 //! depth, width).
 
-use crate::{Dep, TaskGraph, TaskKey};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use crate::{TaskGraph, TaskKey};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 
 /// Structural problem found by [`audit`].
 #[derive(Debug, Clone, PartialEq)]
@@ -77,53 +77,55 @@ pub struct GraphAudit {
     pub class_levels: BTreeMap<String, (usize, usize)>,
 }
 
+/// Every task reachable from the roots, in discovery order, and every
+/// edge between them.
+type Walk = (Vec<TaskKey>, Vec<(TaskKey, TaskKey)>);
+
+/// Walk the graph breadth-first from its roots. Fails past `limit` tasks
+/// or on a flow id out of range.
+fn discover(graph: &TaskGraph, limit: usize) -> Result<Walk, AuditError> {
+    let mut order: Vec<TaskKey> = Vec::new();
+    let mut seen: HashSet<TaskKey> = HashSet::new();
+    for r in graph.roots() {
+        if seen.insert(r) {
+            order.push(r);
+        }
+    }
+    let (mut edges, mut deps) = (Vec::new(), Vec::new());
+    let mut next = 0;
+    while let Some(&t) = order.get(next) {
+        next += 1;
+        if seen.len() > limit {
+            return Err(AuditError::LimitExceeded { limit });
+        }
+        deps.clear();
+        graph.class_of(t).successors(t, graph.ctx(), &mut deps);
+        for d in &deps {
+            for (task, flow) in [(t, d.src_flow), (d.dst, d.dst_flow)] {
+                if flow as usize >= graph.class_of(task).num_flows() {
+                    let task = graph.display(task);
+                    return Err(AuditError::BadFlow { task, flow });
+                }
+            }
+            edges.push((t, d.dst));
+            if seen.insert(d.dst) {
+                order.push(d.dst);
+            }
+        }
+    }
+    Ok((order, edges))
+}
+
 /// Walk the whole graph and verify invariants. `limit` bounds the number
 /// of tasks to materialize.
 pub fn audit(graph: &TaskGraph, limit: usize) -> Result<GraphAudit, AuditError> {
     let ctx = graph.ctx();
-    let roots = graph.roots();
-
-    // Discover all tasks and edges.
-    let mut edges: Vec<(TaskKey, TaskKey)> = Vec::new();
-    let mut indeg: HashMap<TaskKey, usize> = HashMap::new();
+    let (order, edges) = discover(graph, limit)?;
+    let mut indeg: HashMap<TaskKey, usize> = order.iter().map(|&t| (t, 0)).collect();
     let mut outdeg: HashMap<TaskKey, usize> = HashMap::new();
-    let mut seen: HashMap<TaskKey, bool> = HashMap::new();
-    let mut queue: VecDeque<TaskKey> = VecDeque::new();
-    for &r in &roots {
-        if seen.insert(r, true).is_none() {
-            indeg.entry(r).or_insert(0);
-            queue.push_back(r);
-        }
-    }
-    let mut deps_buf: Vec<Dep> = Vec::new();
-    while let Some(t) = queue.pop_front() {
-        if seen.len() > limit {
-            return Err(AuditError::LimitExceeded { limit });
-        }
-        deps_buf.clear();
-        graph.class_of(t).successors(t, ctx, &mut deps_buf);
-        for d in &deps_buf {
-            let src_flows = graph.class_of(t).num_flows() as u32;
-            if d.src_flow >= src_flows {
-                return Err(AuditError::BadFlow {
-                    task: graph.display(t),
-                    flow: d.src_flow,
-                });
-            }
-            let dst_flows = graph.class_of(d.dst).num_flows() as u32;
-            if d.dst_flow >= dst_flows {
-                return Err(AuditError::BadFlow {
-                    task: graph.display(d.dst),
-                    flow: d.dst_flow,
-                });
-            }
-            edges.push((t, d.dst));
-            *indeg.entry(d.dst).or_insert(0) += 1;
-            *outdeg.entry(t).or_insert(0) += 1;
-            if seen.insert(d.dst, true).is_none() {
-                queue.push_back(d.dst);
-            }
-        }
+    for &(a, b) in &edges {
+        *indeg.get_mut(&b).unwrap() += 1;
+        *outdeg.entry(a).or_insert(0) += 1;
     }
 
     // Declared vs actual in-degree.
@@ -145,7 +147,11 @@ pub fn audit(graph: &TaskGraph, limit: usize) -> Result<GraphAudit, AuditError> 
     for &(a, b) in &edges {
         adj.entry(a).or_default().push(b);
     }
-    let mut ready: VecDeque<TaskKey> = seen.keys().filter(|t| remaining[t] == 0).copied().collect();
+    let mut ready: VecDeque<TaskKey> = order
+        .iter()
+        .filter(|t| remaining[t] == 0)
+        .copied()
+        .collect();
     for &t in &ready {
         level.insert(t, 0);
     }
@@ -165,7 +171,7 @@ pub fn audit(graph: &TaskGraph, limit: usize) -> Result<GraphAudit, AuditError> 
             }
         }
     }
-    if processed != seen.len() {
+    if processed != order.len() {
         let stuck = remaining
             .iter()
             .find(|(_, &r)| r > 0)
@@ -183,7 +189,7 @@ pub fn audit(graph: &TaskGraph, limit: usize) -> Result<GraphAudit, AuditError> 
     }
     let mut per_class: BTreeMap<String, usize> = BTreeMap::new();
     let mut class_levels: BTreeMap<String, (usize, usize)> = BTreeMap::new();
-    for t in seen.keys() {
+    for t in order.iter() {
         let name = graph.class_of(*t).name().to_string();
         *per_class.entry(name.clone()).or_insert(0) += 1;
         let lv = level[t];
@@ -193,11 +199,10 @@ pub fn audit(graph: &TaskGraph, limit: usize) -> Result<GraphAudit, AuditError> 
     }
     Ok(GraphAudit {
         tasks_per_class: per_class,
-        total_tasks: seen.len(),
+        total_tasks: order.len(),
         total_deps: edges.len(),
-        roots: seen.keys().filter(|t| indeg[t] == 0).count(),
-        sinks: seen
-            .keys()
+        roots: order.iter().filter(|t| indeg[t] == 0).count(),
+        sinks: (order.iter())
             .filter(|t| outdeg.get(t).copied().unwrap_or(0) == 0)
             .count(),
         depth,
@@ -211,34 +216,8 @@ pub fn audit(graph: &TaskGraph, limit: usize) -> Result<GraphAudit, AuditError> 
 /// [`audit`]; intended for the same test-scale graphs.
 pub fn to_dot(graph: &TaskGraph, limit: usize) -> Result<String, AuditError> {
     use std::fmt::Write as _;
-    let ctx = graph.ctx();
-    let mut seen: Vec<TaskKey> = Vec::new();
-    let mut set: HashMap<TaskKey, usize> = HashMap::new();
-    let mut edges: Vec<(TaskKey, TaskKey)> = Vec::new();
-    let mut queue: VecDeque<TaskKey> = VecDeque::new();
-    for r in graph.roots() {
-        if let std::collections::hash_map::Entry::Vacant(e) = set.entry(r) {
-            e.insert(seen.len());
-            seen.push(r);
-            queue.push_back(r);
-        }
-    }
-    let mut deps = Vec::new();
-    while let Some(t) = queue.pop_front() {
-        if seen.len() > limit {
-            return Err(AuditError::LimitExceeded { limit });
-        }
-        deps.clear();
-        graph.class_of(t).successors(t, ctx, &mut deps);
-        for d in &deps {
-            edges.push((t, d.dst));
-            if let std::collections::hash_map::Entry::Vacant(e) = set.entry(d.dst) {
-                e.insert(seen.len());
-                seen.push(d.dst);
-                queue.push_back(d.dst);
-            }
-        }
-    }
+    let (seen, edges) = discover(graph, limit)?;
+    let set: HashMap<TaskKey, usize> = seen.iter().enumerate().map(|(i, &t)| (t, i)).collect();
     const PALETTE: &[&str] = &[
         "lightblue",
         "salmon",
@@ -277,57 +256,24 @@ pub fn to_dot(graph: &TaskGraph, limit: usize) -> Result<String, AuditError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Activity, GraphCtx, Payload, PlainCtx, TaskClass};
+    use crate::dsl::DslBuilder;
+    use crate::PlainCtx;
     use std::sync::Arc;
 
-    /// A configurable toy class: CHAIN(i) for i in 0..n, i -> i+1.
-    struct Chain {
-        n: i64,
-        /// If true, lie about num_inputs to trigger the mismatch error.
-        lie: bool,
-    }
-
-    impl TaskClass for Chain {
-        fn name(&self) -> &str {
-            "CHAIN"
-        }
-        fn num_flows(&self) -> usize {
-            1
-        }
-        fn roots(&self, _ctx: &dyn GraphCtx, out: &mut Vec<TaskKey>) {
-            out.push(TaskKey::new(0, &[0]));
-        }
-        fn num_inputs(&self, key: TaskKey, _ctx: &dyn GraphCtx) -> usize {
-            let base = usize::from(key.params[0] > 0);
-            base + usize::from(self.lie)
-        }
-        fn successors(&self, key: TaskKey, _ctx: &dyn GraphCtx, out: &mut Vec<Dep>) {
-            if key.params[0] + 1 < self.n {
-                out.push(Dep {
-                    src_flow: 0,
-                    dst: TaskKey::new(0, &[key.params[0] + 1]),
-                    dst_flow: 0,
-                });
-            }
-        }
-        fn execute(
-            &self,
-            _key: TaskKey,
-            _ctx: &dyn GraphCtx,
-            _inputs: &mut [Option<Payload>],
-        ) -> Vec<Option<Payload>> {
-            vec![None]
-        }
-        fn activity(&self) -> Activity {
-            Activity::Compute
-        }
-    }
-
+    /// A chain of `n` tasks; with `lie`, every task but the first
+    /// declares a second input that nobody sends.
     fn graph(n: i64, lie: bool) -> TaskGraph {
-        TaskGraph::new(
-            vec![Arc::new(Chain { n, lie })],
-            Arc::new(PlainCtx { nodes: 1 }),
-        )
+        let src = "CHAIN(I)
+            I = 0 .. n - 1
+            RW X <- (I > 0) ? X CHAIN(I - 1)
+                 -> (I < n - 1) ? X CHAIN(I + 1)
+            READ LIE <- (lie && I > 0) ? X CHAIN(I - 1)
+            BODY c";
+        (DslBuilder::new(src)
+            .global("n", n)
+            .global("lie", lie as i64))
+        .compile(Arc::new(PlainCtx { nodes: 1 }))
+        .unwrap()
     }
 
     #[test]
@@ -355,41 +301,6 @@ mod tests {
         assert!(matches!(e, AuditError::LimitExceeded { .. }));
     }
 
-    /// A two-task cycle: A(0) -> A(1) -> A(0).
-    struct Loopy;
-    impl TaskClass for Loopy {
-        fn name(&self) -> &str {
-            "LOOP"
-        }
-        fn num_flows(&self) -> usize {
-            1
-        }
-        fn roots(&self, _ctx: &dyn GraphCtx, out: &mut Vec<TaskKey>) {
-            // Pretend 0 is a root even though it also has an input: the
-            // walker discovers the cycle regardless.
-            out.push(TaskKey::new(0, &[0]));
-        }
-        fn num_inputs(&self, _key: TaskKey, _ctx: &dyn GraphCtx) -> usize {
-            1
-        }
-        fn successors(&self, key: TaskKey, _ctx: &dyn GraphCtx, out: &mut Vec<Dep>) {
-            let next = 1 - key.params[0];
-            out.push(Dep {
-                src_flow: 0,
-                dst: TaskKey::new(0, &[next]),
-                dst_flow: 0,
-            });
-        }
-        fn execute(
-            &self,
-            _key: TaskKey,
-            _ctx: &dyn GraphCtx,
-            _inputs: &mut [Option<Payload>],
-        ) -> Vec<Option<Payload>> {
-            vec![None]
-        }
-    }
-
     #[test]
     fn dot_export_contains_tasks_and_edges() {
         let g = graph(3, false);
@@ -403,7 +314,23 @@ mod tests {
 
     #[test]
     fn detects_cycles() {
-        let g = TaskGraph::new(vec![Arc::new(Loopy)], Arc::new(PlainCtx { nodes: 1 }));
+        // S -> A(0) -> A(1) -> A(0): in-degrees agree, but A(0) waits on
+        // A(1), which waits on A(0).
+        let src = "S(I)
+            I = 0 .. 0
+            WRITE X -> X A(0)
+            BODY s
+
+            A(I)
+            I = 0 .. 1
+            READ X <- (I == 0) ? X S(0)
+            RW Y <- (I == 0) ? Y A(1)
+                 <- Y A(0)
+                 -> Y A(1 - I)
+            BODY a";
+        let g = DslBuilder::new(src)
+            .compile(Arc::new(PlainCtx { nodes: 1 }))
+            .unwrap();
         let e = audit(&g, 100).unwrap_err();
         assert!(matches!(e, AuditError::Cycle { .. }));
     }

@@ -53,6 +53,10 @@ fn env() -> MapEnv {
 }
 
 proptest! {
+    // The compiled side of `fold_preserves_evaluation` has one closure per
+    // operator and operand shape; 64 cases leave some of them unvisited.
+    #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(2000))]
+
     /// Display then parse gives back the identical tree.
     #[test]
     fn print_parse_roundtrip(e in arb_expr()) {
@@ -62,14 +66,22 @@ proptest! {
         prop_assert_eq!(reparsed, e);
     }
 
-    /// Constant folding never changes the value (including the error
-    /// status: a folded expression errors iff the original does).
+    /// Constant folding and compiling never change the value (including
+    /// the error status: a folded expression errors iff the original
+    /// does, and the compiled closure returns `None` exactly then).
+    /// Compiling reads `x` and `L1` from parameter slots and folds `y` as
+    /// a global.
     #[test]
     fn fold_preserves_evaluation(e in arb_expr()) {
         let env = env();
         let folded = expr::fold(&e);
-        match (expr::eval(&e, &env), expr::eval(&folded, &env)) {
-            (Ok(a), Ok(b)) => prop_assert_eq!(a, b),
+        let mut globals = MapEnv::new();
+        globals.set("y", -3).func("f", std::sync::Arc::new(|a: &[i64]| a[0].wrapping_add(a[1])));
+        let compiled = expr::compile(&e, &["x".into(), "L1".into()], &globals)
+            .map_err(|err| TestCaseError::fail(format!("{e}: {err}")))?;
+        let reference = expr::eval(&e, &env);
+        match (&reference, expr::eval(&folded, &env)) {
+            (Ok(a), Ok(b)) => prop_assert_eq!(*a, b),
             (Err(_), Err(_)) => {}
             (a, b) => {
                 return Err(TestCaseError::fail(format!(
@@ -77,6 +89,7 @@ proptest! {
                 )))
             }
         }
+        prop_assert_eq!(reference.ok(), compiled.eval(&[7, 11]), "compiled {}", e);
     }
 
     /// Folding is idempotent.

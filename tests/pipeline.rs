@@ -169,7 +169,7 @@ fn dsl_graph_runs_on_simulator() {
         BODY step
         "#,
     )
-    .cost("STEP", |_k| ptg::TaskCost::Fixed { ns: 1_000_000 })
+    .cost("step", |_k, _| ptg::TaskCost::Fixed { ns: 1_000_000 })
     .compile(Arc::new(PlainCtx { nodes: 1 }))
     .unwrap();
     let rep = SimEngine::new(1, 2).run(&graph);
