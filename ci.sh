@@ -64,6 +64,11 @@ echo "==> comm smoke (4 ranks x 4 workers over sockets, v1..v5 vs single-process
 # After the last run every rank repeats the collective energy reduction:
 # it must pull zero bytes on every rank and reproduce that run's energy
 # bit for bit (owner-computes: two words per rank travel, no tiles).
+# The five runs share one workspace whose input tensors are frozen, so
+# their cached blocks outlive the syncs between runs and every later run
+# hits them: those retained hits are re-verified like any other, and a
+# rank that retained nothing fails the gate. Before freezing, only the
+# svc gates' plan reuse kept a cached block across a sync.
 cargo run -q --release -p bench-harness --bin mesh_gate -- comm-smoke
 
 echo "==> comm chaos matrix (4 ranks x 4 workers over sockets, fault schedules + kill matrix, fixed seeds)"

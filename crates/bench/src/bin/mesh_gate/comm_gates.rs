@@ -18,14 +18,15 @@ use tensor_kernels::rel_diff;
 const WORKERS: usize = 4;
 
 /// The wire-accounting invariants every rank must reconcile before its
-/// fragment is trusted: the GA layer's idea of remote read traffic must
-/// equal the endpoint's requested get bytes, and — the pipeline having
-/// drained — every requested byte must have been delivered off the wire.
-/// A drift here means a counter lies — fail the whole gate loudly.
+/// fragment is trusted: the GA layer's idea of remote read traffic (the
+/// application's reads plus the `verify_reads` oracle's) must equal the
+/// endpoint's requested get bytes, and — the pipeline having drained —
+/// every requested byte must have been delivered off the wire. A drift
+/// here means a counter lies — fail the whole gate loudly.
 fn assert_reconciled(rank: usize, dr: &DistRank) {
     let (ga, s) = (dr.workspace().ga.stats(), dr.endpoint().stats());
     assert_eq!(
-        ga.remote_get_bytes(),
+        ga.remote_get_bytes() + ga.verify_get_bytes(),
         s.get_req_bytes,
         "rank {rank}: GA remote get bytes diverged from endpoint get_req_bytes — \
          a read path is bypassing the accounting"
@@ -48,6 +49,7 @@ fn record_health(f: &mut Fragment, dr: &DistRank, injected: u64) {
         ("fenced_rx", s.fenced_rx),
         ("injected", injected),
         ("cache_hits", ga.cache_hits()),
+        ("cache_retained", ga.cache_retained()),
         ("stale_reads", ga.stale_reads()),
     ] {
         f.add(name, v);
@@ -67,7 +69,9 @@ fn tiny_rank(transport: Box<dyn comm::Transport>, cfg: CommConfig, verify_reads:
 
 /// One rank of the smoke: the stock comm configuration, and the cache in
 /// paranoia mode — every hit is re-fetched fresh from the owners and
-/// compared, and any mismatch counts a stale read that fails CI.
+/// compared, and any mismatch counts a stale read that fails CI. The
+/// five runs share one workspace, so from the second on they hit the
+/// blocks of its frozen inputs that outlived the syncs between runs.
 pub fn smoke_rank(rank: usize, port: u16) -> Fragment {
     let dr = tiny_rank(Box::new(connect(rank, port)), CommConfig::default(), true);
     let mut f = Fragment::new(rank);
@@ -114,8 +118,23 @@ fn check_smoke(e_ref: f64, frags: &[Fragment]) -> Result<(), String> {
         check_energy(name, e_ref, frags[0].energy(&format!("{name}.energy")))?;
     }
     check_reduce_moves_no_tiles(frags)?;
+    check_retained(frags)?;
     check_quiet(frags)?;
     check_coherent(frags)
+}
+
+/// The five runs share one workspace whose inputs are frozen, so every
+/// rank keeps their cached blocks across the syncs between runs. A rank
+/// that retained nothing refetched its operands every run — and left the
+/// coherence gate nothing retained to verify.
+fn check_retained(frags: &[Fragment]) -> Result<(), String> {
+    match frags.iter().find(|f| f.get("cache_retained") == 0) {
+        Some(f) => Err(format!(
+            "rank {} retained no cached block across a sync",
+            f.rank
+        )),
+        None => Ok(()),
+    }
 }
 
 /// The energy is an owner-computes reduction: every rank sums the shard
@@ -239,12 +258,14 @@ pub fn kill_rank(rank: usize, port: u16, schedule: &str, seed: u64) -> Fragment 
     // those as stale. The clean control re-verifies every hit.
     let dr = tiny_rank(Box::new(ft), chaos_timers(schedule, Some(detector)), clean);
     // Enough back-to-back runs that every scripted kill index (the
-    // largest is 400 arrivals; a tiny run delivers a few dozen per
-    // rank) lands inside live workload traffic rather than in the
-    // teardown tail. Runs after the death abort fast: every collective
-    // toward the corpse poison-releases as soon as the dead mask is set.
+    // largest is 400 arrivals) lands inside live workload traffic rather
+    // than in the teardown tail. The first tiny run delivers a few dozen
+    // frames per rank; every later one reads its frozen operands from
+    // the cache and delivers about 14, so index 400 fires in run ~29.
+    // Runs after the death abort fast: every collective toward the
+    // corpse poison-releases as soon as the dead mask is set.
     let mut energy = None;
-    for i in 0..if clean { 2 } else { 20 } {
+    for i in 0..if clean { 2 } else { 60 } {
         let run = dr.run_variant(VariantCfg::v5(), 2, true);
         if i == 0 {
             energy = run.energy;
@@ -384,6 +405,7 @@ mod tests {
             zeroed.split(' ').for_each(|name| f.add(name, 0));
             f.add("stale_reads", 0);
             f.add("cache_hits", 4);
+            f.add("cache_retained", 6);
             f.add("donated", if rank == 1 { 5 } else { 0 });
             f.add("stolen", if rank == 2 { 5 } else { 0 });
             f.add_energy("energy", (rank == 0).then_some(E_REF));
@@ -444,6 +466,7 @@ mod tests {
             (FAULT, "drop", 2, "stolen", 4, "donated but 4 received"),
             (FAULT, "duplicate", 3, "stolen", 1, "donated but 6"),
             (SMOKE, "", 1, "stale_reads", 1, "1 cached reads"),
+            (SMOKE, "", 2, "cache_retained", 0, "rank 2 retained no"),
             (FAULT, "stall", 1, "stale_reads", 1, "1 cached reads"),
             (KILL, "clean", 1, "stale_reads", 1, "1 cached reads"),
             (FAULT, "reorder", 0, "energy", off, "reorder: energy"),

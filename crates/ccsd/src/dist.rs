@@ -335,12 +335,14 @@ mod tests {
         n: usize,
         f: impl Fn(&DistRank) -> T + Send + Sync + 'static,
     ) -> Vec<T> {
-        run_ranks_on(scale::tiny(), n, f)
+        run_ranks_on(scale::tiny(), TileCacheConfig::default(), n, f)
     }
 
-    /// As [`run_ranks`] over the space `cfg` builds.
+    /// As [`run_ranks`] over the space `cfg` builds, with tile cache
+    /// configuration `cache`.
     fn run_ranks_on<T: Send + 'static>(
         cfg: tce::SpaceConfig,
+        cache: TileCacheConfig,
         n: usize,
         f: impl Fn(&DistRank) -> T + Send + Sync + 'static,
     ) -> Vec<T> {
@@ -349,10 +351,16 @@ mod tests {
             .unwrap()
             .into_iter()
             .map(|t| {
-                let (f, cfg) = (f.clone(), cfg.clone());
+                let (f, cfg, cache) = (f.clone(), cfg.clone(), cache.clone());
                 std::thread::spawn(move || {
                     let space = TileSpace::build(&cfg);
-                    let rank = DistRank::new(Box::new(t), &space, &[Kernel::T2_7]);
+                    let rank = DistRank::with_configs(
+                        Box::new(t),
+                        &space,
+                        &[Kernel::T2_7],
+                        CommConfig::default(),
+                        cache,
+                    );
                     let out = f(&rank);
                     rank.finish();
                     out
@@ -559,6 +567,49 @@ mod tests {
     }
 
     #[test]
+    fn a_second_run_reads_its_frozen_operands_from_the_cache() {
+        let e_ref = reference();
+        // Every hit re-checked against the owners' shards.
+        let cache = TileCacheConfig {
+            verify_reads: true,
+            ..TileCacheConfig::default()
+        };
+        let out = run_ranks_on(scale::tiny(), cache, 2, |rank| {
+            // Pinned placement: both runs execute the same chains on the
+            // same rank, so the second reads exactly the first's blocks.
+            let run = || {
+                let run = rank.run_variant_steal(VariantCfg::v5(), 1, true, StealConfig::pinned());
+                run.energy
+            };
+            let ga = rank.workspace().ga.stats();
+            let first = run();
+            let pulled = ga.remote_get_bytes();
+            let second = run();
+            let again = ga.remote_get_bytes() - pulled;
+            (
+                first,
+                second,
+                pulled,
+                again,
+                ga.stale_reads(),
+                ga.cache_retained(),
+            )
+        });
+        for (r, (first, second, pulled, again, stale, retained)) in out.into_iter().enumerate() {
+            assert!(pulled > 0, "rank {r}: the first run read nothing remote");
+            assert_eq!(again, 0, "rank {r}: the second run refetched {again} bytes");
+            assert_eq!(stale, 0, "rank {r}: a retained block went stale");
+            assert!(retained > 0, "rank {r}: no block outlived a sync");
+            for e in [first, second] {
+                assert_eq!(e.is_some(), r == 0, "rank {r}: only the leader reports");
+                if let Some(e) = e {
+                    assert!(rel_diff(e_ref, e) < 1e-12, "energy {e} vs {e_ref}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn a_run_opens_with_one_collective_and_closes_with_two() {
         let out = run_ranks(2, |rank| {
             // Gang collectives this rank has entered so far.
@@ -597,7 +648,7 @@ mod tests {
             seed: 0xC0FFEE,
         };
         let chains = tce::inspect(&TileSpace::build(&cfg), 1).num_chains() as u64;
-        let out = run_ranks_on(cfg, 1, |rank| {
+        let out = run_ranks_on(cfg, TileCacheConfig::default(), 1, |rank| {
             let run = rank.run_variant(VariantCfg::v5(), 2, true);
             (run.report.steal, run.report.tasks, run.steal.local_claimed)
         });

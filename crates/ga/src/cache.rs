@@ -1,10 +1,11 @@
 //! Per-rank read-through tile cache for distributed GA gets.
 //!
-//! CCSD reads are block-shaped and read-mostly: within one execution the
-//! `t2`/`v` operand tensors never change, and many chains re-fetch the
-//! same blocks. The cache keys completed gets by `(array, offset, len)`
-//! — the TCE hash-block identity — and serves repeats from local memory,
-//! turning the dominant wire cost into a memcpy.
+//! CCSD reads are block-shaped and read-mostly: the `t2`/`v` operand
+//! tensors are frozen once filled, and many chains (and every later run)
+//! re-fetch the same blocks. The cache keys completed gets by
+//! `(array, offset, len)` — the TCE hash-block identity — and serves
+//! repeats from local memory, turning the dominant wire cost into a
+//! memcpy.
 //!
 //! Coherence (documented in DESIGN.md §4.6) is invalidate-on-mutate plus
 //! flush-at-sync: any local Put/Acc and any *incoming* Put/Acc applied to
@@ -12,7 +13,8 @@
 //! rank always reads its own writes, and reads of locally-owned data
 //! mutated by a peer refetch), while third-party mutations to other
 //! ranks' shards become visible exactly where GA's relaxed model makes
-//! them visible: at `sync`, which flushes the whole cache.
+//! them visible: at `sync`, which flushes the gang's entries — all but
+//! those of frozen arrays, which nobody can write and so never go stale.
 //!
 //! Request coalescing lives here too: the first reader of an uncached
 //! block installs an in-flight [`Fill`] and owns the wire transfer;
@@ -24,7 +26,7 @@
 use crate::stats::GaStats;
 use crate::GaGetCallback;
 use parking_lot::Mutex;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 /// Tile-cache tuning knobs.
@@ -73,10 +75,6 @@ struct CacheState {
     /// FIFO eviction order of Ready entries.
     order: VecDeque<Key>,
     bytes: usize,
-    /// Arrays whose entries survive the `sync` flush (epoch-tagged
-    /// retention for read-mostly operands). Invalidate-on-mutate still
-    /// applies to them unconditionally.
-    pinned: HashSet<usize>,
 }
 
 /// Outcome of a cache lookup; buffer and callback flow back to the
@@ -116,7 +114,6 @@ impl TileCache {
                 map: HashMap::new(),
                 order: VecDeque::new(),
                 bytes: 0,
-                pinned: HashSet::new(),
             }),
         })
     }
@@ -235,7 +232,7 @@ impl TileCache {
         }
     }
 
-    /// Drop every entry of `array` (collective `zero`).
+    /// Drop every entry of `array` (collective `zero`, `destroy`).
     pub(crate) fn invalidate_array(&self, array: usize) {
         let mut st = self.state.lock();
         let doomed: Vec<Key> = st
@@ -256,97 +253,25 @@ impl TileCache {
         }
     }
 
-    /// Mark `array`'s entries as surviving the `sync` flush. The caller
-    /// asserts the array is read-mostly between epochs: mutations this
-    /// rank *sees* (its own Put/Acc/zero and incoming ones against its
-    /// shard) still invalidate pinned entries immediately, but a peer's
-    /// write to a *third* rank's shard stays invisible here until the
-    /// array is unpinned — pin only arrays with no such writes (the
-    /// CCSD input tensors between jobs), and gate with `verify_reads`
-    /// where in doubt.
-    pub(crate) fn pin_array(&self, array: usize) {
-        self.state.lock().pinned.insert(array);
-    }
-
-    /// Undo [`TileCache::pin_array`] and drop the array's entries (they
-    /// may be arbitrarily stale by the relaxed-model rules).
-    pub(crate) fn unpin_array(&self, array: usize) {
-        self.state.lock().pinned.remove(&array);
-        self.invalidate_array(array);
-    }
-
-    /// The `sync` boundary, where GA's relaxed model makes every rank's
-    /// mutations globally visible: drop every entry — except those of
-    /// pinned arrays, which the owner vouched stay coherent across
-    /// epochs (that retention is what lets repeat jobs over the same
-    /// operands start warm). The production sync path is the scoped
-    /// [`TileCache::flush_scope`]; this whole-cache variant remains for
-    /// the unit tests.
-    #[cfg(test)]
-    pub(crate) fn flush(&self) {
+    /// The `sync` boundary of the gang whose id namespace is `tag`,
+    /// where GA's relaxed model makes the gang's mutations globally
+    /// visible: drop the gang's entries, except those of the `frozen`
+    /// arrays. Nobody can write a frozen array, so its blocks stay exact
+    /// across epochs — that retention is what lets every run after the
+    /// first over the same operands start warm. Another concurrent
+    /// gang's entries are untouched: its sync makes only its own
+    /// mutations visible, and flushing here would be a cross-job
+    /// perturbation (the hazard the namespaced ids exist to prevent).
+    pub(crate) fn flush_scope(&self, tag: u32, frozen: &[usize]) {
         let mut st = self.state.lock();
-        if st.pinned.is_empty() {
-            let n = st.map.len() as u64;
-            st.map.clear();
-            st.order.clear();
-            st.bytes = 0;
-            drop(st);
-            if n > 0 {
-                self.stats.record_cache_invalidations(n);
-            }
-            return;
-        }
-        let CacheState {
-            map,
-            order,
-            bytes,
-            pinned,
-        } = &mut *st;
-        let before = map.len();
-        let mut dropped_bytes = 0usize;
-        map.retain(|&(a, _, l), slot| {
-            if pinned.contains(&a) {
-                return true;
-            }
-            if matches!(slot, Slot::Ready(_)) {
-                dropped_bytes += l * 8;
-            }
-            false
-        });
-        order.retain(|k| map.contains_key(k));
-        *bytes -= dropped_bytes;
-        let flushed = (before - map.len()) as u64;
-        let retained = map.len() as u64;
-        drop(st);
-        if flushed > 0 {
-            self.stats.record_cache_invalidations(flushed);
-        }
-        if retained > 0 {
-            self.stats.record_cache_retained(retained);
-        }
-    }
-
-    /// The gang-scoped `sync` boundary: as [`TileCache::flush`], but
-    /// restricted to arrays of one gang's id namespace. A gang's sync
-    /// makes only *that* gang's mutations globally visible, so flushing
-    /// another concurrent gang's entries here would be both needless and
-    /// a cross-job perturbation (the cross-invalidation hazard the
-    /// namespaced ids exist to prevent).
-    pub(crate) fn flush_scope(&self, tag: u32) {
-        let mut st = self.state.lock();
-        let CacheState {
-            map,
-            order,
-            bytes,
-            pinned,
-        } = &mut *st;
+        let CacheState { map, order, bytes } = &mut *st;
         let mut dropped_bytes = 0usize;
         let (mut flushed, mut retained) = (0u64, 0u64);
         map.retain(|&(a, _, l), slot| {
             if crate::distga::ns_tag(a) != tag {
                 return true; // another gang's scope: untouched
             }
-            if pinned.contains(&a) {
+            if frozen.contains(&a) {
                 retained += 1;
                 return true;
             }
@@ -487,7 +412,7 @@ mod tests {
     }
 
     #[test]
-    fn pinned_arrays_survive_flush_but_not_mutation() {
+    fn frozen_arrays_survive_flush_but_others_do_not() {
         let c = cache(1 << 20);
         for (a, off) in [(1usize, 0usize), (1, 8), (2, 0)] {
             let Lookup::Fill { fill, .. } = c.lookup((a, off, 4), vec![0.0; 4], nop_cb()) else {
@@ -495,36 +420,25 @@ mod tests {
             };
             c.complete(&fill, &[a as f64; 4]);
         }
-        c.pin_array(1);
-        c.flush();
-        // Pinned array 1 stays warm; unpinned array 2 flushed.
-        assert!(matches!(
-            c.lookup((1, 0, 4), vec![0.0; 4], nop_cb()),
-            Lookup::Hit { .. }
-        ));
-        assert!(matches!(
-            c.lookup((1, 8, 4), vec![0.0; 4], nop_cb()),
-            Lookup::Hit { .. }
-        ));
+        c.flush_scope(0, &[1]);
+        // Frozen array 1 stays warm; array 2 is flushed.
+        for off in [0, 8] {
+            match c.lookup((1, off, 4), vec![0.0; 4], nop_cb()) {
+                Lookup::Hit { data, .. } => assert_eq!(*data, vec![1.0; 4]),
+                _ => panic!("a frozen array's block must survive the flush"),
+            }
+        }
         assert!(matches!(
             c.lookup((2, 0, 4), vec![0.0; 4], nop_cb()),
             Lookup::Fill { .. }
         ));
         assert_eq!(c.resident_bytes(), 2 * 4 * 8);
         assert_eq!(c.stats.cache_retained(), 2);
-        // Invalidate-on-mutate still applies to pinned entries.
-        c.invalidate_overlap(1, 0, 4);
-        assert!(matches!(
-            c.lookup((1, 0, 4), vec![0.0; 4], nop_cb()),
-            Lookup::Fill { .. }
-        ));
-        // Unpinning drops the remaining entries of the array.
-        c.unpin_array(1);
-        assert!(matches!(
-            c.lookup((1, 8, 4), vec![0.0; 4], nop_cb()),
-            Lookup::Fill { .. }
-        ));
-        c.flush();
+        // Another namespace's sync leaves this one's entries alone.
+        c.flush_scope(1, &[]);
+        assert_eq!(c.resident_bytes(), 2 * 4 * 8);
+        // Dropping the array (destroy) drops its retained blocks.
+        c.invalidate_array(1);
         assert_eq!(c.resident_bytes(), 0);
     }
 
@@ -535,7 +449,7 @@ mod tests {
             panic!("miss expected");
         };
         c.complete(&fill, &[1.0; 4]);
-        c.flush();
+        c.flush_scope(0, &[]);
         assert_eq!(c.resident_bytes(), 0);
         assert!(matches!(
             c.lookup((1, 0, 4), vec![0.0; 4], nop_cb()),

@@ -14,6 +14,7 @@ use comm::{Endpoint, ShardStore, WireSlice};
 use parking_lot::{Condvar as PlCondvar, Mutex};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::ops::Range;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex, OnceLock};
 
 /// Array ids are namespaced by gang tag: `id = (tag << NS_SHIFT) | idx`,
@@ -38,6 +39,11 @@ struct DistArray {
     owned: Range<usize>,
     /// This rank's owned slice, indexed by `global - owned.start`.
     shard: Mutex<Vec<f64>>,
+    /// Set once by [`crate::Ga::freeze`], never cleared: the array's one
+    /// read-only flag, which every `Ga` instance over this store reads —
+    /// the write guard, and the sync flush that keeps its cached blocks
+    /// (a `Release` store in `freeze`, `Acquire` loads in both readers).
+    frozen: AtomicBool,
 }
 
 impl DistArray {
@@ -46,7 +52,12 @@ impl DistArray {
             dist,
             owned,
             shard: Mutex::new(shard),
+            frozen: AtomicBool::new(false),
         })
+    }
+
+    fn is_frozen(&self) -> bool {
+        self.frozen.load(Ordering::Acquire)
     }
 
     /// Copy the owned global range `[offset, offset+out.len())` out.
@@ -230,6 +241,31 @@ impl DistStore {
         self.live(h).dist.clone()
     }
 
+    /// Mark `h` read-only for the rest of its life.
+    pub(crate) fn freeze(&self, h: usize) {
+        self.live(h).frozen.store(true, Ordering::Release);
+    }
+
+    /// As [`Self::dist_of`], for a caller about to mutate `h`: panics,
+    /// naming `op` and the array, when `h` is frozen.
+    pub(crate) fn dist_for_write(&self, h: usize, op: &str) -> Distribution {
+        self.with_array(h, |a| {
+            let a = a.unwrap_or_else(|| self.used_after_destroy(h));
+            assert!(!a.is_frozen(), "{op} on frozen array {h}");
+            a.dist.clone()
+        })
+    }
+
+    /// The frozen arrays of namespace `tag`: the ones whose cached blocks
+    /// outlive that gang's sync.
+    pub(crate) fn frozen_in(&self, tag: u32) -> Vec<usize> {
+        let st = self.state.lock();
+        (st.arrays.iter())
+            .filter(|(&id, a)| ns_tag(id as usize) == tag && a.is_frozen())
+            .map(|(&id, _)| id as usize)
+            .collect()
+    }
+
     /// Copy the locally-owned global range `[offset, offset+out.len())`
     /// into `out`. The range must lie inside this rank's shard. A
     /// destroyed array reads as zeros (late duplicate gets after a plan
@@ -270,10 +306,14 @@ impl DistStore {
         f(a.owned.clone(), &shard)
     }
 
+    /// Frozen arrays are written by no rank (freezing is collective, and
+    /// every `Ga` write guards at its caller), so an incoming write to
+    /// one is a broken contract, not a race.
     pub(crate) fn write_local(&self, h: usize, offset: usize, data: &[f64]) {
         let Some(a) = self.array(h) else {
             return; // destroyed: late duplicate is dropped
         };
+        debug_assert!(!a.is_frozen(), "write to frozen array {h}");
         let s = a.owned.start;
         a.shard.lock()[offset - s..offset - s + data.len()].copy_from_slice(data);
         // Invalidate *after* the shard holds the new value: a concurrent
@@ -289,6 +329,7 @@ impl DistStore {
         let Some(a) = self.array(h) else {
             return; // destroyed: late duplicate is dropped
         };
+        debug_assert!(!a.is_frozen(), "accumulate into frozen array {h}");
         let s = a.owned.start;
         {
             let mut shard = a.shard.lock();
@@ -304,8 +345,11 @@ impl DistStore {
         }
     }
 
+    /// [`crate::Ga::zero`]'s local half: called on the application
+    /// thread only, so a frozen array panics at its caller here.
     pub(crate) fn zero_local(&self, h: usize) {
         if let Some(a) = self.array(h) {
+            assert!(!a.is_frozen(), "zero on frozen array {h}");
             a.shard.lock().fill(0.0);
         }
         if let Some(c) = self.cache.get() {

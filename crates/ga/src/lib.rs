@@ -28,12 +28,14 @@
 //! `(array, offset, len)`, repeats are served locally, concurrent reads
 //! of one block share a single wire transfer, and any local or incoming
 //! `Put`/`Acc` invalidates overlapping entries (coherence contract in
-//! DESIGN.md §4.6).
+//! DESIGN.md §4.6). An array declared read-only with [`Ga::freeze`]
+//! refuses every write, so its cached blocks outlive `sync`.
 
 pub mod cache;
 pub mod dist;
 pub mod distga;
 pub mod hash;
+mod read;
 pub mod stats;
 
 pub use cache::TileCacheConfig;
@@ -42,11 +44,10 @@ pub use distga::DistStore;
 pub use hash::HashIndex;
 pub use stats::GaStats;
 
-use cache::{Lookup, TileCache};
-use distga::{Assembly, WaitSlot};
+use cache::TileCache;
 use parking_lot::Mutex;
 use std::ops::Range;
-use std::sync::atomic::{AtomicI64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::Arc;
 
 /// Logical node index.
@@ -125,6 +126,8 @@ struct Array {
     /// accumulates to different nodes do not serialize (and accumulates to
     /// the same node do, as in GA).
     segments: Vec<Mutex<Vec<f64>>>,
+    /// Set by [`Ga::freeze`]; every write checks it.
+    frozen: AtomicBool,
 }
 
 /// Storage strategy behind a [`Ga`] instance.
@@ -204,7 +207,8 @@ impl Ga {
     /// workspace per cached plan while all of them run on a single
     /// persistent rank daemon. The cache must be shared rather than
     /// re-attached (the store's `attach_cache` is first-set-wins), so
-    /// invalidations and pins stay coherent across every instance.
+    /// invalidations and retained frozen blocks stay coherent across
+    /// every instance.
     /// Panics on a local-backend instance, which owns its segments and
     /// cannot be shared this way.
     pub fn dist_share(&self) -> Self {
@@ -264,24 +268,6 @@ impl Ga {
         }
     }
 
-    /// Mark an array read-mostly: its cached blocks survive `sync`
-    /// flushes (epoch retention, DESIGN.md §4.8). Mutations still
-    /// invalidate overlapping entries unconditionally, so pinning is
-    /// always *safe* — it only pays off for blocks nobody rewrites
-    /// between epochs. No-op in local mode, which has no cache.
-    pub fn pin_array(&self, h: GaHandle) {
-        if let Backend::Dist { cache, .. } = &self.backend {
-            cache.pin_array(h.0);
-        }
-    }
-
-    /// Undo [`Self::pin_array`] and drop the array's cached blocks.
-    pub fn unpin_array(&self, h: GaHandle) {
-        if let Backend::Dist { cache, .. } = &self.backend {
-            cache.unpin_array(h.0);
-        }
-    }
-
     /// Number of logical nodes.
     pub fn nnodes(&self) -> usize {
         self.nodes
@@ -324,7 +310,11 @@ impl Ga {
                     .map(|n| Mutex::new(vec![0.0; dist.range_of(n).len()]))
                     .collect();
                 let mut arrays = arrays.lock();
-                arrays.push(Arc::new(Array { dist, segments }));
+                arrays.push(Arc::new(Array {
+                    dist,
+                    segments,
+                    frozen: AtomicBool::new(false),
+                }));
                 GaHandle(arrays.len() - 1)
             }
             Backend::Dist { store, view, .. } => {
@@ -333,14 +323,30 @@ impl Ga {
         }
     }
 
-    /// Drop the array's shard and cached blocks and tombstone its id
-    /// (plan-cache eviction). Distributed mode only; collective over the
-    /// owning gang by the same convention as [`Self::create`]. Late wire
-    /// duplicates against the id read zeros instead of hanging.
+    /// Drop the array's shard and cached blocks (retained frozen ones
+    /// too) and tombstone its id (plan-cache eviction). Distributed mode
+    /// only; collective over the owning gang by the same convention as
+    /// [`Self::create`]. Late wire duplicates against the id read zeros
+    /// instead of hanging.
     pub fn destroy(&self, h: GaHandle) {
         if let Backend::Dist { store, cache, .. } = &self.backend {
-            cache.unpin_array(h.0);
+            cache.invalidate_array(h.0);
             store.destroy(h.0);
+        }
+    }
+
+    /// Declare `h` read-only for the rest of its life. From here on
+    /// `put`, `put_collective`, `acc`, `acc_local` and `zero` on it panic
+    /// at the caller, and its cached blocks survive every `sync` — sound,
+    /// because no rank can write it. Collective by the same convention as
+    /// [`Self::create`]: every rank freezes the same arrays in the same
+    /// order, once no rank writes them any more (a remote write still in
+    /// flight must be fenced by a `sync` first). The flag lives with the
+    /// array, so every instance over the same store sees it.
+    pub fn freeze(&self, h: GaHandle) {
+        match &self.backend {
+            Backend::Local { .. } => self.array(h).frozen.store(true, Ordering::Release),
+            Backend::Dist { store, .. } => store.freeze(h.0),
         }
     }
 
@@ -349,6 +355,17 @@ impl Ga {
             Backend::Local { arrays, .. } => arrays.lock()[h.0].clone(),
             Backend::Dist { .. } => unreachable!("local array in dist mode"),
         }
+    }
+
+    /// As [`Self::array`], for a caller about to mutate `h` with `op`.
+    fn array_for_write(&self, h: GaHandle, op: &str) -> Arc<Array> {
+        let a = self.array(h);
+        assert!(
+            !a.frozen.load(Ordering::Acquire),
+            "{op} on frozen array {}",
+            h.0
+        );
+        a
     }
 
     fn dist_of_any(&self, h: GaHandle) -> Distribution {
@@ -434,17 +451,7 @@ impl Ga {
                 }
                 self.stats.record_locality(out.len() * 8, 0);
             }
-            Backend::Dist { store, .. } => {
-                if store.read_owned(h.0, offset, out) {
-                    // Entirely this rank's shard: straight memcpy, no
-                    // buffer hand-off, no cache involvement.
-                    self.stats.record_locality(out.len() * 8, 0);
-                } else {
-                    let slot = WaitSlot::new();
-                    self.dist_fetch(h, offset, vec![0.0; out.len()], i64::MAX, slot.callback());
-                    out.copy_from_slice(&slot.wait());
-                }
-            }
+            Backend::Dist { .. } => self.dist_get_into(h, offset, out),
         }
         self.stats.record_get(out.len() * 8);
     }
@@ -489,191 +496,11 @@ impl Ga {
         }
     }
 
-    /// Warm the tile cache for a later read of `[offset, offset+len)`:
-    /// a miss starts the coalescable fill, a hit or in-flight fill (or
-    /// an all-local range) is left alone. Nothing is
-    /// delivered, so the `verify_reads` oracle is skipped — which is
-    /// what makes this, unlike [`Ga::get_async`], safe to call from the
-    /// progress thread (a blocking verify there would deadlock against
-    /// the replies only that thread can deliver).
-    pub fn prefetch(&self, h: GaHandle, offset: usize, len: usize, prio: i64) {
-        let Backend::Dist {
-            store, cache, view, ..
-        } = &self.backend
-        else {
-            return; // local backend: every read is already a memcpy
-        };
-        let dist = store.dist_of(h.0);
-        let pieces = dist.owners_of(offset, len);
-        if pieces.iter().all(|(node, _)| *node == view.my_node) {
-            return;
-        }
-        match cache.lookup((h.0, offset, len), vec![0.0; len], Box::new(|_| {})) {
-            Lookup::Hit { .. } | Lookup::Joined => {}
-            Lookup::Fill { fill, buf, cb } => {
-                let cb = cache.completion(fill, cb);
-                self.fetch_assemble(h, offset, buf, prio, cb, &pieces);
-            }
-        }
-    }
-
-    /// Distributed read of `[offset, offset+buf.len())` through the tile
-    /// cache: all-local ranges short-circuit (one array lookup, no store
-    /// lock, no shared write); cached blocks are served from memory;
-    /// concurrent readers of one uncached block coalesce onto a single
-    /// fill whose completion feeds every waiter.
-    fn dist_fetch(
-        &self,
-        h: GaHandle,
-        offset: usize,
-        mut buf: Vec<f64>,
-        prio: i64,
-        cb: GaGetCallback,
-    ) {
-        let Backend::Dist { store, cache, .. } = &self.backend else {
-            unreachable!("dist_fetch on local backend")
-        };
-        let len = buf.len();
-        if store.read_owned(h.0, offset, &mut buf) {
-            self.stats.record_locality(len * 8, 0);
-            cb(buf);
-            return;
-        }
-        let pieces = store.dist_of(h.0).owners_of(offset, len);
-        match cache.lookup((h.0, offset, len), buf, cb) {
-            Lookup::Hit { data, mut buf, cb } => {
-                // Served from cache: no wire traffic, all bytes local.
-                self.stats.record_locality(len * 8, 0);
-                if cache.verify_reads() {
-                    // Paranoia gate: refetch fresh from the owners and
-                    // compare. Hits complete on the calling (application)
-                    // thread, so blocking here is safe.
-                    let fresh = self.fetch_fresh_blocking(h, offset, len, &pieces);
-                    if fresh != *data {
-                        self.stats.record_stale_read();
-                    }
-                }
-                buf.copy_from_slice(&data);
-                cb(buf);
-            }
-            Lookup::Joined => {
-                // Parked on an in-flight fill of the same block; its
-                // completion delivers our buffer. No wire traffic ours.
-                self.stats.record_locality(len * 8, 0);
-            }
-            Lookup::Fill { fill, buf, cb } => {
-                let cb = cache.completion(fill, cb);
-                self.fetch_assemble(h, offset, buf, prio, cb, &pieces);
-            }
-        }
-    }
-
-    /// The cache's fill path: local pieces by memcpy, each remote piece
-    /// one wire get, assembled into `buf` and handed to `cb` when the
-    /// last piece lands.
-    fn fetch_assemble(
-        &self,
-        h: GaHandle,
-        offset: usize,
-        mut buf: Vec<f64>,
-        prio: i64,
-        cb: GaGetCallback,
-        pieces: &[(NodeId, Range<usize>)],
-    ) {
-        let Backend::Dist {
-            ep, store, view, ..
-        } = &self.backend
-        else {
-            unreachable!("fetch_assemble on local backend")
-        };
-        let me = view.my_node;
-        let (mut local_b, mut remote_b) = (0, 0);
-        let mut remote = Vec::new();
-        for (node, range) in pieces {
-            if *node == me {
-                store.read_local(
-                    h.0,
-                    range.start,
-                    &mut buf[range.start - offset..range.end - offset],
-                );
-                local_b += range.len() * 8;
-            } else {
-                remote_b += range.len() * 8;
-                remote.push((*node, range.clone()));
-            }
-        }
-        self.stats.record_locality(local_b, remote_b);
-        self.stats.record_remote_get_bytes(remote_b);
-        if remote.is_empty() {
-            cb(buf);
-            return;
-        }
-        let asm = Assembly::new(buf, remote.len(), cb);
-        for (node, range) in remote {
-            let asm = asm.clone();
-            let at = range.start - offset;
-            ep.get_async(
-                view.members[node],
-                h.0 as u32,
-                range.start,
-                range.len(),
-                prio,
-                Box::new(move |data| asm.fill(at, data)),
-            );
-        }
-    }
-
-    /// Blocking uncached read straight from the owners, bypassing the
-    /// cache — the `verify_reads` oracle. Wire bytes are still counted in
-    /// `remote_get_bytes` so the endpoint reconciliation holds.
-    fn fetch_fresh_blocking(
-        &self,
-        h: GaHandle,
-        offset: usize,
-        len: usize,
-        pieces: &[(NodeId, Range<usize>)],
-    ) -> Vec<f64> {
-        let Backend::Dist {
-            ep, store, view, ..
-        } = &self.backend
-        else {
-            unreachable!("fetch_fresh_blocking on local backend")
-        };
-        let me = view.my_node;
-        let mut out = vec![0.0; len];
-        let mut waits = Vec::new();
-        for (node, range) in pieces {
-            if *node == me {
-                store.read_local(
-                    h.0,
-                    range.start,
-                    &mut out[range.start - offset..range.end - offset],
-                );
-            } else {
-                let slot = WaitSlot::new();
-                ep.get_async(
-                    view.members[*node],
-                    h.0 as u32,
-                    range.start,
-                    range.len(),
-                    i64::MAX,
-                    slot.wire_callback(),
-                );
-                self.stats.record_remote_get_bytes(range.len() * 8);
-                waits.push((range.clone(), slot));
-            }
-        }
-        for (range, slot) in waits {
-            out[range.start - offset..range.end - offset].copy_from_slice(&slot.wait());
-        }
-        out
-    }
-
     /// Overwrite `[offset, offset+len)` with `data`.
     pub fn put(&self, h: GaHandle, offset: usize, data: &[f64]) {
         match &self.backend {
             Backend::Local { .. } => {
-                let a = self.array(h);
+                let a = self.array_for_write(h, "put");
                 for (node, range) in a.dist.owners_of(offset, data.len()) {
                     let mut seg = a.segments[node].lock();
                     let s = a.dist.range_of(node).start;
@@ -688,13 +515,13 @@ impl Ga {
                 cache,
                 view,
             } => {
+                let dist = store.dist_for_write(h.0, "put");
                 // Invalidate before the pieces go out so this rank never
                 // serves its own pre-write copy from cache again
                 // (read-your-writes; DESIGN.md §4.6). Local pieces also
                 // invalidate inside `write_local`, which is what covers
                 // *incoming* puts from other ranks.
                 cache.invalidate_overlap(h.0, offset, data.len());
-                let dist = store.dist_of(h.0);
                 let me = view.my_node;
                 let (mut local_b, mut remote_b) = (0, 0);
                 for (node, range) in dist.owners_of(offset, data.len()) {
@@ -723,12 +550,12 @@ impl Ga {
             Backend::Dist {
                 store, cache, view, ..
             } => {
+                let dist = store.dist_for_write(h.0, "put_collective");
                 // The collective write mutates every rank's shard, but
                 // only the local piece generates an invalidation hook —
                 // drop the whole range here so cached copies of the
                 // remotely-rewritten pieces cannot survive.
                 cache.invalidate_overlap(h.0, offset, data.len());
-                let dist = store.dist_of(h.0);
                 let me = view.my_node;
                 let mut written = 0;
                 for (node, range) in dist.owners_of(offset, data.len()) {
@@ -754,7 +581,7 @@ impl Ga {
     pub fn acc(&self, h: GaHandle, offset: usize, data: &[f64], alpha: f64) {
         match &self.backend {
             Backend::Local { .. } => {
-                let a = self.array(h);
+                let a = self.array_for_write(h, "acc");
                 for (node, range) in a.dist.owners_of(offset, data.len()) {
                     let mut seg = a.segments[node].lock();
                     let s = a.dist.range_of(node).start;
@@ -771,8 +598,8 @@ impl Ga {
                 cache,
                 view,
             } => {
+                let dist = store.dist_for_write(h.0, "acc");
                 cache.invalidate_overlap(h.0, offset, data.len());
-                let dist = store.dist_of(h.0);
                 let me = view.my_node;
                 let (mut local_b, mut remote_b) = (0, 0);
                 for (node, range) in dist.owners_of(offset, data.len()) {
@@ -795,7 +622,10 @@ impl Ga {
     /// `node` — what one `WRITE_C(i)` instance does with its slice of the
     /// incoming `C_sorted` matrix. No-op if `node` owns none of the range.
     pub fn acc_local(&self, h: GaHandle, node: NodeId, offset: usize, data: &[f64], alpha: f64) {
-        let dist = self.dist_of_any(h);
+        let dist = match &self.backend {
+            Backend::Local { .. } => self.array_for_write(h, "acc_local").dist.clone(),
+            Backend::Dist { store, .. } => store.dist_for_write(h.0, "acc_local"),
+        };
         let r = dist.range_of(node);
         let (lo, hi) = (r.start, r.end);
         let begin = offset.max(lo);
@@ -856,16 +686,17 @@ impl Ga {
     pub fn zero(&self, h: GaHandle) {
         match &self.backend {
             Backend::Local { .. } => {
-                let a = self.array(h);
+                let a = self.array_for_write(h, "zero");
                 for seg in &a.segments {
                     seg.lock().fill(0.0);
                 }
             }
             Backend::Dist { store, cache, .. } => {
-                // Every rank zeroes its own shard, so no invalidation AM
-                // arrives for the remote pieces — drop the whole array.
-                cache.invalidate_array(h.0);
+                // Every rank zeroes its own shard (a frozen one panics
+                // there), so no invalidation AM arrives for the remote
+                // pieces — drop the whole array.
                 store.zero_local(h.0);
+                cache.invalidate_array(h.0);
             }
         }
     }
@@ -898,16 +729,20 @@ impl Ga {
     /// `sync`, scoped to this instance's gang. No-op in local mode,
     /// where every operation is immediately visible. The sync boundary
     /// is where GA's relaxed model makes third-party mutations visible,
-    /// so the gang's slice of the tile cache is flushed here (other
+    /// so the gang's slice of the tile cache is flushed here — all but
+    /// the blocks of frozen arrays, which no rank can have written (other
     /// concurrent gangs' entries are untouched — their coherence epochs
     /// are their own syncs).
     pub fn sync(&self) {
         if let Backend::Dist {
-            ep, cache, view, ..
+            ep,
+            store,
+            cache,
+            view,
         } = &self.backend
         {
             ep.sync_gang(view.mask);
-            cache.flush_scope(view.tag);
+            cache.flush_scope(view.tag, &store.frozen_in(view.tag));
         }
     }
 }

@@ -44,9 +44,10 @@ enum C {
     RemoteGetBytes,
     StaleReads,
     CacheRetained,
+    VerifyGetBytes,
 }
 
-const NAMES: [&str; 17] = [
+const NAMES: [&str; 18] = [
     "gets",
     "get_bytes",
     "puts",
@@ -64,6 +65,7 @@ const NAMES: [&str; 17] = [
     "remote_get_bytes",
     "stale_reads",
     "cache_retained",
+    "verify_get_bytes",
 ];
 
 /// One thread's counters.
@@ -196,6 +198,9 @@ impl GaStats {
     pub(crate) fn record_cache_retained(&self, n: u64) {
         self.add(C::CacheRetained, n);
     }
+    pub(crate) fn record_verify_get_bytes(&self, bytes: usize) {
+        self.add(C::VerifyGetBytes, bytes as u64);
+    }
 
     /// Gets served entirely from the local tile cache.
     pub fn cache_hits(&self) -> u64 {
@@ -219,18 +224,24 @@ impl GaStats {
     pub fn cache_hit_bytes(&self) -> u64 {
         self.sum(C::CacheHitBytes)
     }
-    /// Remote bytes actually requested from the comm endpoint by the get
-    /// path — reconciles against the endpoint's `get_req_bytes`.
+    /// Remote bytes the get path requested from the comm endpoint for
+    /// the application's reads. With [`Self::verify_get_bytes`] it
+    /// reconciles against the endpoint's `get_req_bytes`.
     pub fn remote_get_bytes(&self) -> u64 {
         self.sum(C::RemoteGetBytes)
+    }
+    /// Remote bytes the `verify_reads` oracle fetched to re-check cache
+    /// hits (zero with verification off).
+    pub fn verify_get_bytes(&self) -> u64 {
+        self.sum(C::VerifyGetBytes)
     }
     /// Verified cache hits whose cached block differed from the owner's
     /// shard (must stay zero; counted only in `verify_reads` mode).
     pub fn stale_reads(&self) -> u64 {
         self.sum(C::StaleReads)
     }
-    /// Entries of pinned (read-mostly) arrays that survived a sync
-    /// flush, summed over flushes — the epoch-retention payoff.
+    /// Entries of frozen (read-only) arrays that survived a sync flush,
+    /// summed over flushes — the epoch-retention payoff.
     pub fn cache_retained(&self) -> u64 {
         self.sum(C::CacheRetained)
     }
@@ -242,9 +253,11 @@ mod tests {
 
     #[test]
     fn every_counter_has_a_name() {
-        assert_eq!(C::CacheRetained as usize + 1, NAMES.len());
+        assert_eq!(C::VerifyGetBytes as usize + 1, NAMES.len());
         let stats = GaStats::default();
         stats.record_cache_retained(7);
-        assert!(format!("{stats:?}").contains("cache_retained: 7"));
+        stats.record_verify_get_bytes(8);
+        let shown = format!("{stats:?}");
+        assert!(shown.contains("cache_retained: 7") && shown.contains("verify_get_bytes: 8"));
     }
 }

@@ -16,8 +16,9 @@
 //!
 //! Everything that makes repeat submissions cheap survives between
 //! jobs: the endpoint and its progress thread, the shard store and its
-//! arrays, the tile pool, the tile cache (with plan workspaces' input
-//! tensors pinned across sync flushes), and the plan cache itself.
+//! arrays, the tile pool, the tile cache (whose blocks of plan
+//! workspaces' frozen input tensors outlive sync flushes), and the plan
+//! cache itself.
 
 use crate::gateway::{Dispatch, Gateway, JobMeta};
 use crate::plan::{CachedPlan, PlanCache, PlanCacheConfig, PlanKey};
@@ -451,15 +452,6 @@ impl RankDaemon {
                 self.pool.clone(),
                 self.run_epoch.clone(),
             ));
-            // The workspace inputs are read-mostly for the plan's whole
-            // life: fills happen once at attach, every job only reads
-            // them and rewrites the output tensor. Pin them so their
-            // cached blocks survive the sync flushes between (and
-            // inside) jobs — the warm-cache half of plan reuse.
-            let ws = drank.workspace();
-            ws.ga.pin_array(ws.t2);
-            ws.ga.pin_array(ws.v);
-            ws.ga.pin_array(ws.v_oo);
             Arc::new(CachedPlan::new(drank, build_t.elapsed().as_nanos() as u64))
         });
         // Tenant weight doubles as the priority band: heavier tenants'
@@ -496,7 +488,7 @@ impl RankDaemon {
         // A gang member died during (or before) this run: the detector
         // poison-released its collectives and completed blocked gets
         // with zeros, so both the result and the plan's workspace (plus
-        // the pinned cache entries over it) are garbage. Suppress the
+        // the retained cache entries over it) are garbage. Suppress the
         // completion report — the gateway has requeued (or will
         // requeue) the job onto live ranks — and purge the plan so a
         // later job on this gang mask rebuilds from clean fills. Every

@@ -16,7 +16,7 @@
 //!   windows and execute concurrently);
 //! * [`plan`] — the per-rank [`PlanCache`]: inspection + workspace +
 //!   task graphs keyed by (gang, geometry, kernels, variant), kept warm
-//!   with the tile cache's pinned input tensors across jobs and bounded
+//!   with the tile cache's frozen input tensors across jobs and bounded
 //!   by an LRU residency budget ([`plan::PlanCacheConfig`]);
 //! * [`daemon`] — [`RankDaemon`]: the `JobHandler` wired into the comm
 //!   engine, the seq-ordered executor, and the tenant [`Client`].

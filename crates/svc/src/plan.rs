@@ -8,9 +8,9 @@
 //! kernel set, the **gang** it is sharded over, and (for the graph) the
 //! variant — so a persistent daemon caches plans keyed exactly that way,
 //! and a repeat submission skips straight to execution. Workspace arrays
-//! (and the tile cache's pinned entries for them) stay resident between
-//! jobs, which is the service layer's whole reason to exist: the second
-//! tenant to ask about a molecule pays only the compute.
+//! (and the tile cache's retained blocks of their frozen inputs) stay
+//! resident between jobs, which is the service layer's whole reason to
+//! exist: the second tenant to ask about a molecule pays only the compute.
 //!
 //! Cache coherence across ranks is by construction: all members of a
 //! gang execute that gang's jobs in the same relative order (the
@@ -114,7 +114,7 @@ impl CachedPlan {
     }
 
     /// Release the plan's workspace arrays: shards dropped, ids
-    /// tombstoned, pinned cache entries freed. Only the evictor calls
+    /// tombstoned, retained cache entries freed. Only the evictor calls
     /// this, after the plan's last job has fully settled on this rank.
     fn destroy(&self) {
         let ws = self.drank.workspace();
@@ -214,7 +214,7 @@ impl PlanCache {
     /// Drop (and destroy) the plan for `key`, if resident. Called when
     /// a run over the plan was poisoned by a gang member's death: the
     /// detector completed its blocked gets with zeros, so the plan's
-    /// workspace — and the pinned cache entries over it — may hold
+    /// workspace — and the retained cache entries over it — may hold
     /// garbage. Every surviving member of the gang observes the same
     /// dead mask after the run and purges in lockstep, preserving the
     /// cache-coherence-by-construction invariant. Returns whether a

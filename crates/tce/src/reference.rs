@@ -58,6 +58,11 @@ pub fn build_workspace_kernels(space: &TileSpace, nodes: usize, kernels: &[Kerne
 /// Tensor fills are *collective*: with a distributed `ga`, every rank must
 /// call this with identical arguments, and each writes only the shard it
 /// owns. Callers in distributed mode must `ga.sync()` before reading.
+///
+/// The input tensors are frozen after their fills: `icsd_t2_7` only reads
+/// them, a write to one panics, and their cached blocks outlive every
+/// `sync` — so each run after the first over this workspace starts with
+/// its remote operands already cached. Only `i2` stays writable.
 pub fn build_workspace_on(ga: Ga, space: &TileSpace, kernels: &[Kernel]) -> Workspace {
     let nodes = ga.nnodes();
     let t2_layout = tensors::t2_layout(space, nodes);
@@ -69,6 +74,9 @@ pub fn build_workspace_on(ga: Ga, space: &TileSpace, kernels: &[Kernel]) -> Work
     // Only fill v_oooo when a kernel reads it (it is small either way).
     let v_oo_seed = kernels.contains(&Kernel::T2_2).then_some(V_OO_SEED);
     let v_oo = tensors::materialize(&ga, &v_oo_layout, v_oo_seed);
+    for h in [t2, v, v_oo] {
+        ga.freeze(h);
+    }
     let i2 = tensors::materialize(&ga, &i2_layout, None);
     Workspace {
         ga,

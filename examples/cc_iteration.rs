@@ -22,13 +22,14 @@
 //! ```
 
 use ccsd::{verify, VariantCfg};
+use std::sync::Arc;
 use tce::{energy, scale, TileSpace};
 use tensor_kernels::sort_4;
 
 fn main() {
     let lambda = 0.05;
     let space = TileSpace::build(&scale::small());
-    let (ins, ws) = verify::prepare(&space, 2);
+    let (ins, mut ws) = verify::prepare(&space, 2);
     println!(
         "{} chains / {} GEMMs per sweep; lambda = {lambda}",
         ins.num_chains(),
@@ -37,6 +38,10 @@ fn main() {
 
     // Frozen initial amplitudes (the "MP2 guess" of the toy model).
     let t2_initial = ws.ga.snapshot(ws.t2);
+    // A workspace's input tensors are frozen — read-only while the
+    // kernel runs over them — so each sweep writes the next amplitudes
+    // into a spare array, and the workspace reads that one from then on.
+    let spare = [0, 1].map(|_| ws.ga.create(t2_initial.len()));
 
     let mut prev_e = f64::INFINITY;
     let mut converged = false;
@@ -48,6 +53,8 @@ fn main() {
         let e = energy::energy(&ws);
 
         // Jacobi update: t2 = t2_initial + lambda * P(i2).
+        let next = spare[sweep % 2];
+        ws.ga.put(next, 0, &t2_initial);
         for (key, offset, size) in ws.i2_layout.index.iter() {
             let gids = ws.space.decode_key(key); // [h1, h2, p3, p4]
             let dims = [
@@ -72,8 +79,10 @@ fn main() {
                 .zip(&permuted)
                 .map(|(t0, r)| t0 + lambda * r)
                 .collect();
-            ws.ga.put(ws.t2, t2_off, &updated);
+            ws.ga.put(next, t2_off, &updated);
         }
+        drop(graph);
+        Arc::get_mut(&mut ws).expect("the sweep's graph is gone").t2 = next;
 
         let delta = (e - prev_e).abs();
         println!("sweep {sweep:>2}: E = {e:+.14}   |dE| = {delta:.2e}");
