@@ -14,7 +14,7 @@ cargo build --release
 echo "==> cargo test -q (workspace: includes the socket chaos and death matrices)"
 cargo test --workspace -q
 
-echo "==> cargo test --release (comm sockets, engine, ga, ccsd and root stress tests, optimized)"
+echo "==> cargo test --release (comm sockets, engine, ga, ccsd, tensor kernels and root stress tests, optimized)"
 # The step above builds in debug, where the engine's interleavings run
 # 10-30x slower than in the release build every benchmark and service
 # runs: a race that needs a tight window (a completion settling inline
@@ -25,8 +25,10 @@ echo "==> cargo test --release (comm sockets, engine, ga, ccsd and root stress t
 # deadlock blocking writes), the engine's unit tests, ga's per-thread
 # counters and array views, ccsd's socket-mesh runs and stress tests, and
 # the root package's tests/stress.rs — and ptg's, since its compiled
-# closures are on every task's dispatch path.
-cargo test --release -q -p comm -p parsec-rt -p global-arrays -p ptg -p ccsd -p parsec-ccsd-repro
+# closures are on every task's dispatch path — and tensor-kernels', so the
+# SIMD microkernel bodies, the register transposes of packing and their
+# proptests also run as the optimizer compiles them.
+cargo test --release -q -p comm -p parsec-rt -p global-arrays -p ptg -p ccsd -p parsec-ccsd-repro -p tensor-kernels
 
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings

@@ -116,16 +116,15 @@ fn read(c: &CcsdCtx, op: Operand, key: TaskKey, prio: i64, done: Completion) -> 
     // inline, as a synchronous return, when the data was local or
     // cached and the callback runs before this body returns.
     // Pooled destination buffer, as in the synchronous path: the
-    // async pipeline fills it in place (cache hit, coalesced join,
-    // or wire assembly) instead of allocating per read.
+    // async pipeline fills it in place (coalesced join or wire
+    // assembly) instead of allocating per read. A tile-cache hit
+    // needs none: the GEMM only reads its operands, so the cached
+    // block itself becomes the payload, and the buffer goes back.
     let buf = c.pool.checkout_dirty(len);
-    ws.ga.get_async_into(
-        h,
-        offset,
-        buf,
-        prio,
-        Box::new(move |data| done.finish(vec![Some(Arc::new(data))])),
-    );
+    let done = Box::new(move |data: Payload| done.finish(vec![Some(data)]));
+    if let Some(unused) = ws.ga.get_shared_async(h, offset, buf, prio, done) {
+        c.pool.recycle(unused);
+    }
     None
 }
 

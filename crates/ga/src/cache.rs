@@ -5,7 +5,7 @@
 //! re-fetch the same blocks. The cache keys completed gets by
 //! `(array, offset, len)` — the TCE hash-block identity — and serves
 //! repeats from local memory, turning the dominant wire cost into a
-//! memcpy.
+//! memcpy, or into nothing for a reader that takes the shared block.
 //!
 //! Coherence (documented in DESIGN.md §4.6) is invalidate-on-mutate plus
 //! flush-at-sync: any local Put/Acc and any *incoming* Put/Acc applied to
@@ -24,7 +24,7 @@
 //! comm endpoint below transfers every get it is handed.
 
 use crate::stats::GaStats;
-use crate::GaGetCallback;
+use crate::{GaGetCallback, GaSharedCallback};
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -52,6 +52,23 @@ impl Default for TileCacheConfig {
 /// Cache key: the block identity of one get.
 type Key = (usize, usize, usize); // (array, offset, len)
 
+/// How a read wants its block: in its own buffer, or as a shared
+/// immutable block — which a hit serves with the cached block itself.
+pub(crate) enum Reader {
+    Owned(GaGetCallback),
+    Shared(GaSharedCallback),
+}
+
+impl Reader {
+    /// The callback for a freshly assembled buffer of this reader's.
+    pub(crate) fn into_owned(self) -> GaGetCallback {
+        match self {
+            Reader::Owned(cb) => cb,
+            Reader::Shared(cb) => Box::new(move |buf| cb(Arc::new(buf))),
+        }
+    }
+}
+
 /// A reader parked on an in-flight fill: its destination buffer and
 /// completion callback, served by the fill owner's completion.
 pub(crate) struct Waiter {
@@ -70,21 +87,70 @@ enum Slot {
     Filling(Arc<Fill>),
 }
 
+/// One array's entries, by `(offset, len)`.
+type Blocks = HashMap<(usize, usize), Slot>;
+
 struct CacheState {
-    map: HashMap<Key, Slot>,
+    /// Entries grouped by array, so an invalidation visits only the
+    /// written array's blocks (a `WRITE_C` accumulate never walks the
+    /// retained blocks of the frozen operands).
+    arrays: HashMap<usize, Blocks>,
     /// FIFO eviction order of Ready entries.
     order: VecDeque<Key>,
     bytes: usize,
 }
 
-/// Outcome of a cache lookup; buffer and callback flow back to the
-/// caller on the paths where the caller still runs the transfer.
+impl CacheState {
+    fn get(&self, &(a, o, l): &Key) -> Option<&Slot> {
+        self.arrays.get(&a)?.get(&(o, l))
+    }
+
+    fn insert(&mut self, (a, o, l): Key, slot: Slot) {
+        self.arrays.entry(a).or_default().insert((o, l), slot);
+    }
+
+    fn remove(&mut self, &(a, o, l): &Key) -> Option<Slot> {
+        let blocks = self.arrays.get_mut(&a)?;
+        let slot = blocks.remove(&(o, l));
+        if blocks.is_empty() {
+            self.arrays.remove(&a);
+        }
+        slot
+    }
+
+    /// Drop `array`'s entries that `doomed(offset, len)` selects; the
+    /// number dropped.
+    fn drop_where(&mut self, array: usize, doomed: impl Fn(usize, usize) -> bool) -> u64 {
+        let Some(blocks) = self.arrays.get_mut(&array) else {
+            return 0;
+        };
+        let (mut n, mut freed) = (0u64, 0usize);
+        blocks.retain(|&(o, l), slot| {
+            if !doomed(o, l) {
+                return true;
+            }
+            if matches!(slot, Slot::Ready(_)) {
+                freed += l * 8;
+            }
+            n += 1;
+            false
+        });
+        if blocks.is_empty() {
+            self.arrays.remove(&array);
+        }
+        self.bytes -= freed;
+        n
+    }
+}
+
+/// Outcome of a cache lookup; buffer and reader flow back to the
+/// caller on the paths where the caller still completes the read.
 pub(crate) enum Lookup {
-    /// Cached: copy `data` into `buf` and complete.
+    /// Cached: hand `data` to the reader (copied into `buf`, or shared).
     Hit {
         data: Arc<Vec<f64>>,
         buf: Vec<f64>,
-        cb: GaGetCallback,
+        cb: Reader,
     },
     /// Parked on an in-flight fill; the fill owner completes this reader.
     Joined,
@@ -93,7 +159,7 @@ pub(crate) enum Lookup {
     Fill {
         fill: Arc<Fill>,
         buf: Vec<f64>,
-        cb: GaGetCallback,
+        cb: Reader,
     },
 }
 
@@ -111,7 +177,7 @@ impl TileCache {
             cfg,
             stats,
             state: Mutex::new(CacheState {
-                map: HashMap::new(),
+                arrays: HashMap::new(),
                 order: VecDeque::new(),
                 bytes: 0,
             }),
@@ -125,9 +191,9 @@ impl TileCache {
     /// Look up `key`, registering as a waiter or installing a fresh fill
     /// on miss. Counters are recorded here; the caller acts on the
     /// returned variant.
-    pub(crate) fn lookup(&self, key: Key, buf: Vec<f64>, cb: GaGetCallback) -> Lookup {
+    pub(crate) fn lookup(&self, key: Key, buf: Vec<f64>, cb: Reader) -> Lookup {
         let mut st = self.state.lock();
-        match st.map.get(&key) {
+        match st.get(&key) {
             Some(Slot::Ready(data)) => {
                 let data = data.clone();
                 drop(st);
@@ -135,6 +201,7 @@ impl TileCache {
                 Lookup::Hit { data, buf, cb }
             }
             Some(Slot::Filling(fill)) => {
+                let cb = cb.into_owned();
                 fill.waiters.lock().push(Waiter { buf, cb });
                 drop(st);
                 self.stats.record_cache_join(key.2 * 8);
@@ -145,7 +212,7 @@ impl TileCache {
                     key,
                     waiters: Mutex::new(Vec::new()),
                 });
-                st.map.insert(key, Slot::Filling(fill.clone()));
+                st.insert(key, Slot::Filling(fill.clone()));
                 drop(st);
                 self.stats.record_cache_miss();
                 Lookup::Fill { fill, buf, cb }
@@ -178,12 +245,11 @@ impl TileCache {
     pub(crate) fn complete(&self, fill: &Arc<Fill>, data: &[f64]) -> Vec<Waiter> {
         let mut st = self.state.lock();
         let still_ours = matches!(
-            st.map.get(&fill.key),
+            st.get(&fill.key),
             Some(Slot::Filling(f)) if Arc::ptr_eq(f, fill)
         );
         if still_ours {
-            st.map
-                .insert(fill.key, Slot::Ready(Arc::new(data.to_vec())));
+            st.insert(fill.key, Slot::Ready(Arc::new(data.to_vec())));
             st.order.push_back(fill.key);
             st.bytes += fill.key.2 * 8;
             // FIFO eviction; in-flight fills are never evicted.
@@ -191,8 +257,8 @@ impl TileCache {
                 let Some(old) = st.order.pop_front() else {
                     break;
                 };
-                if matches!(st.map.get(&old), Some(Slot::Ready(_))) {
-                    st.map.remove(&old);
+                if matches!(st.get(&old), Some(Slot::Ready(_))) {
+                    st.remove(&old);
                     st.bytes -= old.2 * 8;
                 }
             }
@@ -212,21 +278,11 @@ impl TileCache {
         if len == 0 {
             return;
         }
-        let mut st = self.state.lock();
         let end = offset + len;
-        let doomed: Vec<Key> = st
-            .map
-            .keys()
-            .filter(|&&(a, o, l)| a == array && o < end && offset < o + l)
-            .copied()
-            .collect();
-        let n = doomed.len() as u64;
-        for key in doomed {
-            if matches!(st.map.remove(&key), Some(Slot::Ready(_))) {
-                st.bytes -= key.2 * 8;
-            }
-        }
-        drop(st);
+        let n = self
+            .state
+            .lock()
+            .drop_where(array, |o, l| o < end && offset < o + l);
         if n > 0 {
             self.stats.record_cache_invalidations(n);
         }
@@ -234,20 +290,7 @@ impl TileCache {
 
     /// Drop every entry of `array` (collective `zero`, `destroy`).
     pub(crate) fn invalidate_array(&self, array: usize) {
-        let mut st = self.state.lock();
-        let doomed: Vec<Key> = st
-            .map
-            .keys()
-            .filter(|&&(a, _, _)| a == array)
-            .copied()
-            .collect();
-        let n = doomed.len() as u64;
-        for key in doomed {
-            if matches!(st.map.remove(&key), Some(Slot::Ready(_))) {
-                st.bytes -= key.2 * 8;
-            }
-        }
-        drop(st);
+        let n = self.state.lock().drop_where(array, |_, _| true);
         if n > 0 {
             self.stats.record_cache_invalidations(n);
         }
@@ -264,24 +307,30 @@ impl TileCache {
     /// perturbation (the hazard the namespaced ids exist to prevent).
     pub(crate) fn flush_scope(&self, tag: u32, frozen: &[usize]) {
         let mut st = self.state.lock();
-        let CacheState { map, order, bytes } = &mut *st;
+        let CacheState {
+            arrays,
+            order,
+            bytes,
+        } = &mut *st;
         let mut dropped_bytes = 0usize;
         let (mut flushed, mut retained) = (0u64, 0u64);
-        map.retain(|&(a, _, l), slot| {
+        arrays.retain(|&a, blocks| {
             if crate::distga::ns_tag(a) != tag {
                 return true; // another gang's scope: untouched
             }
             if frozen.contains(&a) {
-                retained += 1;
+                retained += blocks.len() as u64;
                 return true;
             }
-            if matches!(slot, Slot::Ready(_)) {
-                dropped_bytes += l * 8;
+            for (&(_, l), slot) in blocks.iter() {
+                if matches!(slot, Slot::Ready(_)) {
+                    dropped_bytes += l * 8;
+                }
             }
-            flushed += 1;
+            flushed += blocks.len() as u64;
             false
         });
-        order.retain(|k| map.contains_key(k));
+        order.retain(|&(a, o, l)| arrays.get(&a).is_some_and(|b| b.contains_key(&(o, l))));
         *bytes -= dropped_bytes;
         drop(st);
         if flushed > 0 {
@@ -313,8 +362,8 @@ mod tests {
         )
     }
 
-    fn nop_cb() -> GaGetCallback {
-        Box::new(|_| {})
+    fn nop_cb() -> Reader {
+        Reader::Owned(Box::new(|_| {}))
     }
 
     #[test]
@@ -440,6 +489,40 @@ mod tests {
         // Dropping the array (destroy) drops its retained blocks.
         c.invalidate_array(1);
         assert_eq!(c.resident_bytes(), 0);
+    }
+
+    #[test]
+    fn invalidating_one_array_leaves_the_others_alone() {
+        let c = cache(1 << 20);
+        let fill = |a: usize, off: usize| {
+            let Lookup::Fill { fill, .. } = c.lookup((a, off, 4), vec![0.0; 4], nop_cb()) else {
+                panic!("miss expected");
+            };
+            c.complete(&fill, &[a as f64; 4]);
+        };
+        // Array 1 is frozen and retained across a sync; array 2 is
+        // written every run.
+        fill(1, 0);
+        fill(1, 4);
+        c.flush_scope(0, &[1]);
+        fill(2, 0);
+        fill(2, 4);
+        c.invalidate_overlap(2, 0, 8);
+        assert_eq!(c.stats.cache_invalidations(), 2);
+        fill(2, 0);
+        c.invalidate_array(2);
+        assert_eq!(c.stats.cache_invalidations(), 3);
+        // An array with no entries at all is a no-op.
+        c.invalidate_overlap(7, 0, 100);
+        c.invalidate_array(7);
+        assert_eq!(c.stats.cache_invalidations(), 3);
+        for off in [0, 4] {
+            match c.lookup((1, off, 4), vec![0.0; 4], nop_cb()) {
+                Lookup::Hit { data, .. } => assert_eq!(*data, vec![1.0; 4]),
+                _ => panic!("array 1's retained block was dropped by array 2's writes"),
+            }
+        }
+        assert_eq!(c.resident_bytes(), 2 * 4 * 8);
     }
 
     #[test]

@@ -44,7 +44,7 @@ pub use distga::DistStore;
 pub use hash::HashIndex;
 pub use stats::GaStats;
 
-use cache::TileCache;
+use cache::{Reader, TileCache};
 use parking_lot::Mutex;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
@@ -57,6 +57,10 @@ pub type NodeId = usize;
 /// block. Runs on the calling thread when the read is satisfied locally
 /// (cache hit or all-local range), on the progress thread otherwise.
 pub type GaGetCallback = Box<dyn FnOnce(Vec<f64>) + Send>;
+
+/// Completion callback of [`Ga::get_shared_async`]: receives the block
+/// as a shared immutable buffer, the tile cache's own on a hit.
+pub type GaSharedCallback = Box<dyn FnOnce(Arc<Vec<f64>>) + Send>;
 
 /// Handle to one global array.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -492,7 +496,35 @@ impl Ga {
                 self.stats.record_locality(len * 8, 0);
                 cb(buf);
             }
-            Backend::Dist { .. } => self.dist_fetch(h, offset, buf, prio, cb),
+            Backend::Dist { .. } => {
+                self.dist_fetch(h, offset, buf, prio, Reader::Owned(cb));
+            }
+        }
+    }
+
+    /// As [`Self::get_async_into`], for a reader that only reads the
+    /// block: it arrives as a shared immutable buffer, and a tile-cache
+    /// hit hands over the cache's own block instead of copying it into
+    /// `buf`. `buf` then goes unused and is returned, for the caller to
+    /// recycle; on every other path it carries the block and `None` is
+    /// returned.
+    pub fn get_shared_async(
+        &self,
+        h: GaHandle,
+        offset: usize,
+        buf: Vec<f64>,
+        prio: i64,
+        cb: GaSharedCallback,
+    ) -> Option<Vec<f64>> {
+        match &self.backend {
+            Backend::Local { .. } => {
+                self.get_async_into(h, offset, buf, prio, Reader::Shared(cb).into_owned());
+                None
+            }
+            Backend::Dist { .. } => {
+                self.stats.record_get(buf.len() * 8);
+                self.dist_fetch(h, offset, buf, prio, Reader::Shared(cb))
+            }
         }
     }
 

@@ -3,7 +3,7 @@
 //! memory, concurrent readers of one uncached block coalesced onto a
 //! single fill, and each fill's remote pieces as one wire get per owner.
 
-use crate::cache::Lookup;
+use crate::cache::{Lookup, Reader};
 use crate::distga::{Assembly, WaitSlot};
 use crate::{Backend, Ga, GaGetCallback, GaHandle, NodeId};
 use std::ops::Range;
@@ -21,7 +21,8 @@ impl Ga {
             self.stats.record_locality(out.len() * 8, 0);
         } else {
             let slot = WaitSlot::new();
-            self.dist_fetch(h, offset, vec![0.0; out.len()], i64::MAX, slot.callback());
+            let cb = Reader::Owned(slot.callback());
+            self.dist_fetch(h, offset, vec![0.0; out.len()], i64::MAX, cb);
             out.copy_from_slice(&slot.wait());
         }
     }
@@ -45,10 +46,11 @@ impl Ga {
         if pieces.iter().all(|(node, _)| *node == view.my_node) {
             return;
         }
-        match cache.lookup((h.0, offset, len), vec![0.0; len], Box::new(|_| {})) {
+        let nop = Reader::Owned(Box::new(|_| {}));
+        match cache.lookup((h.0, offset, len), vec![0.0; len], nop) {
             Lookup::Hit { .. } | Lookup::Joined => {}
             Lookup::Fill { fill, buf, cb } => {
-                let cb = cache.completion(fill, cb);
+                let cb = cache.completion(fill, cb.into_owned());
                 self.fetch_assemble(h, offset, buf, prio, cb, &pieces);
             }
         }
@@ -56,25 +58,26 @@ impl Ga {
 
     /// Distributed read of `[offset, offset+buf.len())` through the tile
     /// cache: all-local ranges short-circuit (one array lookup, no store
-    /// lock, no shared write); cached blocks are served from memory;
-    /// concurrent readers of one uncached block coalesce onto a single
-    /// fill whose completion feeds every waiter.
+    /// lock, no shared write); cached blocks are served from memory —
+    /// to a shared reader as the cached block itself, `buf` returned
+    /// unused; concurrent readers of one uncached block coalesce onto a
+    /// single fill whose completion feeds every waiter.
     pub(crate) fn dist_fetch(
         &self,
         h: GaHandle,
         offset: usize,
         mut buf: Vec<f64>,
         prio: i64,
-        cb: GaGetCallback,
-    ) {
+        cb: Reader,
+    ) -> Option<Vec<f64>> {
         let Backend::Dist { store, cache, .. } = &self.backend else {
             unreachable!("dist_fetch on local backend")
         };
         let len = buf.len();
         if store.read_owned(h.0, offset, &mut buf) {
             self.stats.record_locality(len * 8, 0);
-            cb(buf);
-            return;
+            cb.into_owned()(buf);
+            return None;
         }
         let pieces = store.dist_of(h.0).owners_of(offset, len);
         match cache.lookup((h.0, offset, len), buf, cb) {
@@ -90,8 +93,16 @@ impl Ga {
                         self.stats.record_stale_read();
                     }
                 }
-                buf.copy_from_slice(&data);
-                cb(buf);
+                match cb {
+                    Reader::Shared(cb) => {
+                        cb(data);
+                        return Some(buf);
+                    }
+                    Reader::Owned(cb) => {
+                        buf.copy_from_slice(&data);
+                        cb(buf);
+                    }
+                }
             }
             Lookup::Joined => {
                 // Parked on an in-flight fill of the same block; its
@@ -99,10 +110,11 @@ impl Ga {
                 self.stats.record_locality(len * 8, 0);
             }
             Lookup::Fill { fill, buf, cb } => {
-                let cb = cache.completion(fill, cb);
+                let cb = cache.completion(fill, cb.into_owned());
                 self.fetch_assemble(h, offset, buf, prio, cb, &pieces);
             }
         }
+        None
     }
 
     /// The cache's fill path: local pieces by memcpy, each remote piece

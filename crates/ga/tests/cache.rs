@@ -246,6 +246,66 @@ fn repeated_remote_reads_hit_the_cache() {
     }
 }
 
+/// A shared read of a cached block receives the cache's own block — the
+/// same allocation on every hit, no copy — and hands the caller's buffer
+/// back unused, while counting exactly as a copying read does; with
+/// `verify_reads` on, each such hit still runs the fresh-fetch oracle.
+#[test]
+fn shared_hits_hand_over_the_cached_block() {
+    let results = run_ranks_cfg(2, verify_cfg(), |ga| {
+        let h = ga.create(32);
+        let fill: Vec<f64> = (0..32).map(|x| (x * 5) as f64).collect();
+        ga.put_collective(h, 0, &fill);
+        ga.sync();
+        let theirs = ga.distribution(h, 1 - ga.rank());
+        let (off, len) = (theirs.start, theirs.len());
+        let shared = || {
+            let (tx, rx) = std::sync::mpsc::channel();
+            let cb = Box::new(move |block: Arc<Vec<f64>>| tx.send(block).unwrap());
+            let unused = ga.get_shared_async(h, off, vec![0.0; len], 0, cb);
+            (rx.recv().unwrap(), unused)
+        };
+        let gs = ga.stats();
+        let counts = || {
+            [
+                gs.gets(),
+                gs.get_bytes(),
+                gs.cache_hits(),
+                gs.local_bytes(),
+                gs.remote_bytes(),
+                gs.verify_get_bytes(),
+            ]
+        };
+        // The miss fills the cache and delivers the caller's buffer.
+        let (first, unused) = shared();
+        assert!(unused.is_none(), "a miss consumes the buffer");
+        assert_eq!(*first, fill[off..off + len]);
+        // A copying hit and a shared hit move every counter alike.
+        let before = counts();
+        assert_eq!(ga.get(h, off, len), fill[off..off + len]);
+        let copying = counts();
+        let (second, unused) = shared();
+        let after = counts();
+        let delta = |a: [u64; 6], b: [u64; 6]| std::array::from_fn::<u64, 6, _>(|i| b[i] - a[i]);
+        assert_eq!(delta(before, copying), delta(copying, after));
+        let unused = unused.map(|b| b.len());
+        assert_eq!(unused, Some(len), "a hit returns the buffer");
+        let (third, _) = shared();
+        (
+            Arc::ptr_eq(&second, &third),
+            *second == fill[off..off + len],
+            gs.verify_get_bytes(),
+            gs.stale_reads(),
+        )
+    });
+    for (rank, (same, exact, verified, stale)) in results.into_iter().enumerate() {
+        assert!(same, "rank {rank}: a shared hit copied the cached block");
+        assert!(exact, "rank {rank}: the shared block is not the array's");
+        assert!(verified > 0, "rank {rank}: hits skipped the oracle");
+        assert_eq!(stale, 0, "rank {rank}");
+    }
+}
+
 /// `sync` is the visibility boundary of GA's relaxed model: a
 /// third-party mutation (to a shard this rank does not own) becomes
 /// visible at the next sync because the whole cache flushes there.

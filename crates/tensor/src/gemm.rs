@@ -12,14 +12,15 @@
 //! * the packed engine ([`dgemm_packed`]) — BLIS-style: panels of
 //!   `op(A)` and `op(B)` are packed into contiguous scratch
 //!   ([`crate::pack`]), normalizing all four transpose combinations, and
-//!   an `MR x NR` register microkernel (AVX2+FMA when the CPU has it) runs
-//!   an `MC/KC/NC`-blocked loop nest over them. Wins once the operands
-//!   outgrow cache or the wide units are worth unlocking.
+//!   a `16 x 12` register microkernel (AVX-512F, else AVX2+FMA, picked at
+//!   run time) runs an `MC/KC/NC`-blocked loop nest over them, updating
+//!   each tile of C in place. Wins once the operands outgrow cache or the
+//!   wide units are worth unlocking.
 //!
 //! Both are exact against the textbook oracle in the tests.
 
 use crate::cm;
-use crate::pack::{self, microkernel, GemmParams, BLOCKS, MR, NR};
+use crate::pack::{self, GemmParams, Kernel, BLOCKS, MR, NR};
 
 /// Transposition flag for one GEMM operand.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,7 +93,22 @@ pub fn dgemm_with(
     bp: &mut Vec<f64>,
 ) {
     if packed_profitable(m, n, k) {
-        packed(&BLOCKS, ta, tb, m, n, k, alpha, a, b, beta, c, ap, bp);
+        packed(
+            &BLOCKS,
+            Kernel::best(),
+            ta,
+            tb,
+            m,
+            n,
+            k,
+            alpha,
+            a,
+            b,
+            beta,
+            c,
+            ap,
+            bp,
+        );
     } else {
         dgemm_blocked(ta, tb, m, n, k, alpha, a, b, beta, c);
     }
@@ -308,15 +324,30 @@ pub fn dgemm_packed(
 ) {
     let (mut ap, mut bp) = (Vec::new(), Vec::new());
     packed(
-        &BLOCKS, ta, tb, m, n, k, alpha, a, b, beta, c, &mut ap, &mut bp,
+        &BLOCKS,
+        Kernel::best(),
+        ta,
+        tb,
+        m,
+        n,
+        k,
+        alpha,
+        a,
+        b,
+        beta,
+        c,
+        &mut ap,
+        &mut bp,
     );
 }
 
-/// Packed cache-blocked GEMM: BLIS loop nest over `params` blocks, with
-/// the scratch contract of [`dgemm_with`] (sized by `params`).
+/// Packed cache-blocked GEMM: BLIS loop nest over `params` blocks, each
+/// `MR x NR` tile of C computed and updated by `kernel`, with the scratch
+/// contract of [`dgemm_with`] (sized by `params`).
 #[allow(clippy::too_many_arguments)]
 fn packed(
     params: &GemmParams,
+    kernel: Kernel,
     ta: Trans,
     tb: Trans,
     m: usize,
@@ -347,7 +378,6 @@ fn packed(
         bp.resize(b_len, 0.0);
     }
 
-    let mut tile = [0.0f64; MR * NR];
     for jc in (0..n).step_by(params.nc) {
         let ncc = params.nc.min(n - jc);
         for pc in (0..k).step_by(params.kc) {
@@ -366,28 +396,21 @@ fn packed(
                     for ir in 0..mcc.div_ceil(MR) {
                         let apanel = &ap[ir * MR * kcc..(ir + 1) * MR * kcc];
                         let mr_eff = MR.min(mcc - ir * MR);
-                        microkernel(kcc, apanel, bpanel, &mut tile);
-                        // Clipped writeback: the tile rows/columns past
-                        // the block edge are zero-padded products and
-                        // are simply not stored.
-                        let c0 = ic + ir * MR;
-                        for j in 0..nr_eff {
-                            let cj = &mut c[(jc + jr * NR + j) * m + c0..][..mr_eff];
-                            let tj = &tile[j * MR..j * MR + mr_eff];
-                            if beta == 1.0 {
-                                for (cij, &tij) in cj.iter_mut().zip(tj) {
-                                    *cij += alpha * tij;
-                                }
-                            } else if beta == 0.0 {
-                                for (cij, &tij) in cj.iter_mut().zip(tj) {
-                                    *cij = alpha * tij;
-                                }
-                            } else {
-                                for (cij, &tij) in cj.iter_mut().zip(tj) {
-                                    *cij = beta * *cij + alpha * tij;
-                                }
-                            }
-                        }
+                        // The tile's rows/columns past the block edge
+                        // are zero-padded products the kernel never
+                        // stores.
+                        let c0 = (jc + jr * NR) * m + ic + ir * MR;
+                        kernel.run(
+                            kcc,
+                            apanel,
+                            bpanel,
+                            &mut c[c0..],
+                            m,
+                            mr_eff,
+                            nr_eff,
+                            alpha,
+                            beta,
+                        );
                     }
                 }
             }
@@ -422,11 +445,12 @@ mod tests {
             .collect()
     }
 
-    /// Shrunk blocks: every small size straddles some cache-block edge.
+    /// Shrunk blocks: every small size straddles some cache-block edge,
+    /// and every full block ends in a half-filled micropanel.
     const SMALL_BLOCKS: GemmParams = GemmParams {
-        mc: 16,
+        mc: MR + MR / 2,
         kc: 8,
-        nc: 12,
+        nc: NR + NR / 2,
     };
 
     #[test]
@@ -525,38 +549,47 @@ mod tests {
 
     #[test]
     fn packed_agrees_with_naive_all_transposes() {
-        // Sizes straddling MR=8 / NR=6 micropanels and the shrunk block
-        // edges; every transpose combination.
-        for &(m, n, k) in &[(1, 1, 1), (8, 6, 8), (9, 7, 9), (17, 13, 11), (32, 24, 16)] {
+        // Sizes straddling the MR x NR micropanels and the shrunk block
+        // edges; every transpose combination, through every body.
+        for &(m, n, k) in &[
+            (1, 1, 1),
+            (MR, NR, 8),
+            (MR + 1, NR + 1, 9),
+            (2 * MR + 1, 2 * NR + 1, 11),
+            (3 * MR, 3 * NR, 16),
+        ] {
             let a: Vec<f64> = (0..m * k).map(|i| (i as f64 * 0.7).sin()).collect();
             let b: Vec<f64> = (0..k * n).map(|i| (i as f64 * 0.3).cos()).collect();
             let c0: Vec<f64> = (0..m * n).map(|i| i as f64 * 0.01 - 0.2).collect();
-            for &ta in &[Trans::N, Trans::T] {
-                for &tb in &[Trans::N, Trans::T] {
-                    let mut c1 = c0.clone();
-                    let mut c2 = c0.clone();
-                    let (mut ap, mut bp) = (Vec::new(), Vec::new());
-                    packed(
-                        &SMALL_BLOCKS,
-                        ta,
-                        tb,
-                        m,
-                        n,
-                        k,
-                        1.25,
-                        &a,
-                        &b,
-                        -0.5,
-                        &mut c1,
-                        &mut ap,
-                        &mut bp,
-                    );
-                    dgemm_naive(ta, tb, m, n, k, 1.25, &a, &b, -0.5, &mut c2);
-                    for (x, y) in c1.iter().zip(&c2) {
-                        assert!(
-                            (x - y).abs() < 1e-12,
-                            "{ta:?}{tb:?} {m}x{n}x{k}: {x} vs {y}"
+            for kernel in Kernel::available() {
+                for &ta in &[Trans::N, Trans::T] {
+                    for &tb in &[Trans::N, Trans::T] {
+                        let mut c1 = c0.clone();
+                        let mut c2 = c0.clone();
+                        let (mut ap, mut bp) = (Vec::new(), Vec::new());
+                        packed(
+                            &SMALL_BLOCKS,
+                            kernel,
+                            ta,
+                            tb,
+                            m,
+                            n,
+                            k,
+                            1.25,
+                            &a,
+                            &b,
+                            -0.5,
+                            &mut c1,
+                            &mut ap,
+                            &mut bp,
                         );
+                        dgemm_naive(ta, tb, m, n, k, 1.25, &a, &b, -0.5, &mut c2);
+                        for (x, y) in c1.iter().zip(&c2) {
+                            assert!(
+                                (x - y).abs() < 1e-12,
+                                "{kernel:?} {ta:?}{tb:?} {m}x{n}x{k}: {x} vs {y}"
+                            );
+                        }
                     }
                 }
             }
@@ -596,6 +629,7 @@ mod tests {
         let (pa, pb) = (ap.as_ptr(), bp.as_ptr());
         packed(
             &BLOCKS,
+            Kernel::best(),
             Trans::T,
             Trans::N,
             m,
@@ -651,17 +685,19 @@ mod tests {
     proptest! {
         /// The packed engine agrees with the naive oracle to 1e-12 for all
         /// four transpose combinations, degenerate alpha/beta, and odd and
-        /// prime sizes. The shrunk blocks put every size in the list on
-        /// both sides of some cache-block boundary, and sizes that are not
-        /// multiples of MR=8 / NR=6 exercise the zero-padded micropanels
-        /// and the clipped writeback.
+        /// prime sizes, through every body this CPU runs. The shrunk blocks
+        /// put every size in the list on both sides of some cache-block
+        /// boundary, and sizes that are not multiples of MR / NR exercise
+        /// the zero-padded micropanels and the masked C update. The SIMD
+        /// bodies issue the same FMAs per element, so their results agree
+        /// bitwise (-0.7 and 1.3 make alpha and beta products round).
         #[test]
         fn packed_block_edges_match_naive(
             mi in 0usize..8,
             ni in 0usize..8,
             ki in 0usize..8,
-            alpha in prop_oneof![Just(0.0f64), Just(1.0), Just(-0.5), Just(2.0)],
-            beta in prop_oneof![Just(0.0f64), Just(1.0), Just(-0.5), Just(2.0)],
+            alpha in prop_oneof![Just(0.0f64), Just(1.0), Just(-0.5), Just(2.0), Just(-0.7)],
+            beta in prop_oneof![Just(0.0f64), Just(1.0), Just(-0.5), Just(2.0), Just(1.3)],
             seed in 0u64..1000,
         ) {
             const ODD: [usize; 8] = [1, 5, 7, 9, 13, 17, 23, 31];
@@ -673,18 +709,31 @@ mod tests {
             let mut bp = vec![0.0; SMALL_BLOCKS.packed_b_len(n, k)];
             for ta in [Trans::N, Trans::T] {
                 for tb in [Trans::N, Trans::T] {
-                    let mut c1 = c0.clone();
-                    let mut c2 = c0.clone();
-                    packed(
-                        &SMALL_BLOCKS, ta, tb, m, n, k, alpha, &a, &b, beta, &mut c1, &mut ap,
-                        &mut bp,
-                    );
-                    dgemm_naive(ta, tb, m, n, k, alpha, &a, &b, beta, &mut c2);
-                    for (x, y) in c1.iter().zip(&c2) {
-                        prop_assert!(
-                            (x - y).abs() < 1e-12,
-                            "{ta:?}{tb:?} {m}x{n}x{k} a={alpha} b={beta}: {x} vs {y}"
+                    let mut want = c0.clone();
+                    dgemm_naive(ta, tb, m, n, k, alpha, &a, &b, beta, &mut want);
+                    let mut simd: Option<Vec<f64>> = None;
+                    for kernel in Kernel::available() {
+                        let mut got = c0.clone();
+                        packed(
+                            &SMALL_BLOCKS, kernel, ta, tb, m, n, k, alpha, &a, &b, beta, &mut got,
+                            &mut ap, &mut bp,
                         );
+                        for (x, y) in got.iter().zip(&want) {
+                            prop_assert!(
+                                (x - y).abs() < 1e-12,
+                                "{kernel:?} {ta:?}{tb:?} {m}x{n}x{k} a={alpha} b={beta}: {x} vs {y}"
+                            );
+                        }
+                        if kernel == Kernel::Scalar {
+                            continue;
+                        }
+                        match &simd {
+                            None => simd = Some(got),
+                            Some(first) => prop_assert!(
+                                first.iter().zip(&got).all(|(x, y)| x.to_bits() == y.to_bits()),
+                                "SIMD bodies differ: {kernel:?} {ta:?}{tb:?} {m}x{n}x{k}"
+                            ),
+                        }
                     }
                 }
             }

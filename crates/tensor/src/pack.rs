@@ -14,23 +14,32 @@
 //!   `k`-step, so each k-iteration reads exactly `MR + NR` contiguous
 //!   doubles;
 //! * edge tiles are zero-padded to full `MR x NR` shape inside the pack
-//!   buffer, so the microkernel has no bounds logic at all — only the
-//!   final writeback clips to the valid sub-tile.
+//!   buffer, so the k-loop has no bounds logic at all — only the C
+//!   update at its end clips to the valid sub-tile.
 //!
-//! The microkernel computes an `MR x NR` block of `A_panel^T`-free
-//! outer products into registers. On x86-64 with AVX2+FMA (detected at
-//! runtime — the workspace is compiled for baseline x86-64, so this is
-//! where the wide units are unlocked) the 8x6 tile holds 12 `ymm`
-//! accumulators, two A vectors and one broadcast register: 12 FMAs per
-//! 8 load-ops per k-step, enough to saturate both FMA ports. Elsewhere a
-//! scalar fallback with the same semantics runs.
+//! The microkernel accumulates one `MR x NR = 16 x 12` block of outer
+//! products in registers, then loads, updates (`alpha`, `beta`) and
+//! stores its block of C itself, masking the rows and columns past an
+//! edge. The workspace is compiled for baseline x86-64, so the wide
+//! units are unlocked by runtime detection ([`Kernel::best`]), one body
+//! per instruction set over the same panels:
+//!
+//! * AVX-512F: 24 `zmm` accumulators (two per column), two A vectors
+//!   and a broadcast — 24 FMAs per 14 load-ops per k-step;
+//! * AVX2+FMA: four `8 x 6` sub-tiles of 12 `ymm` accumulators each,
+//!   the register shape of a 4-lane machine;
+//! * elsewhere a scalar body with the same per-element order.
+//!
+//! The two SIMD bodies issue the same FMA sequence per lane and agree
+//! bitwise; the scalar one rounds each product and agrees to ~1e-13.
 
 use crate::gemm::Trans;
 
-/// Microkernel tile height (rows of C per register block).
-pub const MR: usize = 8;
-/// Microkernel tile width (columns of C per register block).
-pub const NR: usize = 6;
+/// Microkernel tile height (rows of C per register block: two `zmm`).
+pub const MR: usize = 16;
+/// Microkernel tile width (columns of C per register block), chosen by
+/// a sweep of 8, 12 and 14 (EXPERIMENTS.md, "AVX-512 microkernel").
+pub const NR: usize = 12;
 
 /// Cache-blocking parameters of the packed GEMM loop nest. All three are
 /// free (the kernels are correct for any values >= 1); production runs
@@ -47,7 +56,7 @@ pub(crate) struct GemmParams {
 
 /// The blocks the packed engine runs with. A panel: 128 x 256 doubles =
 /// 256 KiB (fits a 1 MiB L2 with room for the B stream); B micropanel:
-/// 6 x 256 = 12 KiB (L1).
+/// 12 x 256 = 24 KiB (L1).
 pub(crate) const BLOCKS: GemmParams = GemmParams {
     mc: 128,
     kc: 256,
@@ -107,20 +116,8 @@ pub fn pack_a(
                 }
             }
             // A stored k x m: row i of op(A) is the contiguous column i
-            // of the storage — stream it with a write stride of MR.
-            Trans::T => {
-                for i in 0..rows {
-                    let col = &a[(row0 + i) * k + pc..(row0 + i) * k + pc + kc];
-                    for (l, &v) in col.iter().enumerate() {
-                        panel[l * MR + i] = v;
-                    }
-                }
-                for i in rows..MR {
-                    for l in 0..kc {
-                        panel[l * MR + i] = 0.0;
-                    }
-                }
-            }
+            // of the storage — a transpose into the panel.
+            Trans::T => pack_transposed::<MR>(a, k, row0, rows, pc, kc, panel),
         }
     }
 }
@@ -152,21 +149,9 @@ pub fn pack_b(
         let cols = NR.min(jc + nc - col0);
         let panel = &mut bp[jr * NR * kc..(jr + 1) * NR * kc];
         match tb {
-            // B stored k x n: column col0+j is contiguous along k —
-            // stream it with a write stride of NR.
-            Trans::N => {
-                for j in 0..cols {
-                    let col = &b[(col0 + j) * k + pc..(col0 + j) * k + pc + kc];
-                    for (l, &v) in col.iter().enumerate() {
-                        panel[l * NR + j] = v;
-                    }
-                }
-                for j in cols..NR {
-                    for l in 0..kc {
-                        panel[l * NR + j] = 0.0;
-                    }
-                }
-            }
+            // B stored k x n: column col0+j is contiguous along k — a
+            // transpose into the panel.
+            Trans::N => pack_transposed::<NR>(b, k, col0, cols, pc, kc, panel),
             // B stored n x k: row pc+l of op(B) holds the NR columns
             // contiguously.
             Trans::T => {
@@ -180,81 +165,337 @@ pub fn pack_b(
     }
 }
 
-/// `true` when the AVX2+FMA microkernel is usable on this machine.
+/// The transposing half of packing: `panel[l * W + i] = src[(first + i)
+/// * ld + pc + l]` for the `count` source columns `i` (contiguous along
+/// `l`) and `l < kc`, zero for `count <= i < W`.
+fn pack_transposed<const W: usize>(
+    src: &[f64],
+    ld: usize,
+    first: usize,
+    count: usize,
+    pc: usize,
+    kc: usize,
+    panel: &mut [f64],
+) {
+    assert!(
+        (1..=W).contains(&count)
+            && (first + count - 1) * ld + pc + kc <= src.len()
+            && panel.len() >= kc * W,
+        "pack out of bounds"
+    );
+    let mut done = 0;
+    #[cfg(target_arch = "x86_64")]
+    if simd_available() {
+        // Safety: AVX2 was detected, and the assert bounds the columns.
+        unsafe { transpose4_avx2::<W>(src, ld, first, count, pc, kc, panel) };
+        done = count - count % 4;
+    }
+    for i in done..count {
+        let col = &src[(first + i) * ld + pc..(first + i) * ld + pc + kc];
+        for (l, &v) in col.iter().enumerate() {
+            panel[l * W + i] = v;
+        }
+    }
+    for row in panel[..kc * W].chunks_exact_mut(W) {
+        row[count..].fill(0.0);
+    }
+}
+
+/// The columns of [`pack_transposed`] four at a time: four 4-long
+/// column pieces loaded, transposed in registers (two unpacks and a
+/// lane swap per pair) and stored as four 4-wide panel rows.
+///
+/// # Safety
+/// AVX2 must be present, and the bounds of [`pack_transposed`] hold.
 #[cfg(target_arch = "x86_64")]
-pub fn simd_available() -> bool {
-    use std::sync::atomic::{AtomicU8, Ordering};
-    static STATE: AtomicU8 = AtomicU8::new(0);
-    match STATE.load(Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => {
-            let ok = std::arch::is_x86_feature_detected!("avx2")
-                && std::arch::is_x86_feature_detected!("fma");
-            STATE.store(if ok { 1 } else { 2 }, Ordering::Relaxed);
-            ok
+#[target_feature(enable = "avx2")]
+unsafe fn transpose4_avx2<const W: usize>(
+    src: &[f64],
+    ld: usize,
+    first: usize,
+    count: usize,
+    pc: usize,
+    kc: usize,
+    panel: &mut [f64],
+) {
+    use core::arch::x86_64::*;
+    let kc4 = kc - kc % 4;
+    for i0 in (0..count - count % 4).step_by(4) {
+        let s = src.as_ptr().add((first + i0) * ld + pc);
+        let d = panel.as_mut_ptr().add(i0);
+        for l in (0..kc4).step_by(4) {
+            let r0 = _mm256_loadu_pd(s.add(l));
+            let r1 = _mm256_loadu_pd(s.add(ld + l));
+            let r2 = _mm256_loadu_pd(s.add(2 * ld + l));
+            let r3 = _mm256_loadu_pd(s.add(3 * ld + l));
+            let (lo01, hi01) = (_mm256_unpacklo_pd(r0, r1), _mm256_unpackhi_pd(r0, r1));
+            let (lo23, hi23) = (_mm256_unpacklo_pd(r2, r3), _mm256_unpackhi_pd(r2, r3));
+            _mm256_storeu_pd(d.add(l * W), _mm256_permute2f128_pd(lo01, lo23, 0x20));
+            _mm256_storeu_pd(d.add((l + 1) * W), _mm256_permute2f128_pd(hi01, hi23, 0x20));
+            _mm256_storeu_pd(d.add((l + 2) * W), _mm256_permute2f128_pd(lo01, lo23, 0x31));
+            _mm256_storeu_pd(d.add((l + 3) * W), _mm256_permute2f128_pd(hi01, hi23, 0x31));
+        }
+        for l in kc4..kc {
+            for t in 0..4 {
+                *d.add(l * W + t) = *s.add(t * ld + l);
+            }
         }
     }
 }
 
-/// `true` when the AVX2+FMA microkernel is usable on this machine.
-#[cfg(not(target_arch = "x86_64"))]
-pub fn simd_available() -> bool {
-    false
+/// One microkernel body per instruction set. All three compute the same
+/// `MR x NR` tile over the same packed panels and update C themselves;
+/// [`Kernel::best`] picks the widest one this CPU runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum Kernel {
+    /// AVX-512F: the whole tile in 24 `zmm` accumulators.
+    Avx512,
+    /// AVX2+FMA: the tile as four `8 x 6` sub-tiles of 12 `ymm` each.
+    Avx2,
+    /// Portable: plain multiply-adds in the same per-element order.
+    Scalar,
 }
 
-/// Compute one `MR x NR` register tile: `acc = Ap_panel * Bp_panel` over
-/// depth `kc`, written to `out` column-major (`out[i + j*MR]`). The
-/// caller owns `alpha` scaling and the clipped accumulation into C.
-#[inline]
-pub fn microkernel(kc: usize, ap: &[f64], bp: &[f64], out: &mut [f64; MR * NR]) {
-    debug_assert!(ap.len() >= kc * MR && bp.len() >= kc * NR);
+/// The AVX2 body's sub-tile (two `ymm` rows by six broadcast columns).
+#[cfg(target_arch = "x86_64")]
+const AVX2_MR: usize = 8;
+#[cfg(target_arch = "x86_64")]
+const AVX2_NR: usize = 6;
+#[cfg(target_arch = "x86_64")]
+const _: () = assert!(MR == 2 * 8 && MR.is_multiple_of(AVX2_MR) && NR.is_multiple_of(AVX2_NR));
+
+impl Kernel {
+    /// The widest body this CPU runs (std caches the feature probe).
     #[cfg(target_arch = "x86_64")]
-    if simd_available() {
-        // Safety: AVX2+FMA presence was just verified at runtime.
-        unsafe { microkernel_avx2(kc, ap, bp, out) };
-        return;
+    pub fn best() -> Kernel {
+        use std::arch::is_x86_feature_detected as has;
+        if !(has!("avx2") && has!("fma")) {
+            Kernel::Scalar
+        } else if has!("avx512f") {
+            Kernel::Avx512
+        } else {
+            Kernel::Avx2
+        }
     }
-    microkernel_generic(kc, ap, bp, out);
+
+    #[cfg(not(target_arch = "x86_64"))]
+    pub fn best() -> Kernel {
+        Kernel::Scalar
+    }
+
+    /// Every body this CPU runs, widest first (a body runs wherever a
+    /// wider one does).
+    #[cfg(test)]
+    pub fn available() -> Vec<Kernel> {
+        [Kernel::Avx512, Kernel::Avx2, Kernel::Scalar]
+            .into_iter()
+            .filter(|&k| k >= Kernel::best())
+            .collect()
+    }
+
+    /// One register tile: `C = alpha * Ap_panel * Bp_panel + beta * C`
+    /// over depth `kc`, for the top-left `mr x nr` corner of the tile
+    /// (`1 <= mr <= MR`, `1 <= nr <= NR`; the rest is zero padding and
+    /// is never stored). `c` starts at the tile's first element and has
+    /// column stride `ldc`. `beta == 0` overwrites without reading C.
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    pub fn run(
+        self,
+        kc: usize,
+        ap: &[f64],
+        bp: &[f64],
+        c: &mut [f64],
+        ldc: usize,
+        mr: usize,
+        nr: usize,
+        alpha: f64,
+        beta: f64,
+    ) {
+        assert!(ap.len() >= kc * MR && bp.len() >= kc * NR, "short panels");
+        assert!(
+            (1..=MR).contains(&mr)
+                && (1..=NR).contains(&nr)
+                && mr <= ldc
+                && c.len() >= (nr - 1) * ldc + mr,
+            "C tile out of bounds"
+        );
+        debug_assert!(self >= Kernel::best(), "{self:?} is not available here");
+        let (pa, pb, pc) = (ap.as_ptr(), bp.as_ptr(), c.as_mut_ptr());
+        match self {
+            // Safety: a body runs only where `best` detected it (its
+            // callers pass `best()` or one of `available()`), and the
+            // asserts above bound every access.
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Avx512 => unsafe { body_avx512(kc, pa, pb, pc, ldc, mr, nr, alpha, beta) },
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Avx2 => unsafe { body_avx2(kc, pa, pb, pc, ldc, mr, nr, alpha, beta) },
+            _ => body_scalar(kc, ap, bp, c, ldc, mr, nr, alpha, beta),
+        }
+    }
 }
 
-/// Portable microkernel: NR independent MR-wide accumulator rows, each
-/// k-step one broadcast multiply-add per row. Same per-lane summation
-/// *order* as the AVX2 path; the FMA units skip the intermediate
-/// product rounding, so the two agree to within one rounding step per
-/// k-iteration (not bitwise).
-fn microkernel_generic(kc: usize, ap: &[f64], bp: &[f64], out: &mut [f64; MR * NR]) {
+/// `true` when the AVX2+FMA instructions (and so a SIMD microkernel) are
+/// usable on this machine.
+pub fn simd_available() -> bool {
+    Kernel::best() != Kernel::Scalar
+}
+
+/// Portable body: `NR` accumulator columns of `MR` lanes, each k-step one
+/// multiply-add per element in the SIMD bodies' order. The FMA units
+/// skip the intermediate product rounding, so the bodies agree to within
+/// one rounding step per k-iteration (not bitwise).
+#[allow(clippy::too_many_arguments)]
+fn body_scalar(
+    kc: usize,
+    ap: &[f64],
+    bp: &[f64],
+    c: &mut [f64],
+    ldc: usize,
+    mr: usize,
+    nr: usize,
+    alpha: f64,
+    beta: f64,
+) {
     let mut acc = [[0.0f64; MR]; NR];
-    for l in 0..kc {
-        let a = &ap[l * MR..l * MR + MR];
-        let b = &bp[l * NR..l * NR + NR];
+    for (a, b) in ap.chunks_exact(MR).zip(bp.chunks_exact(NR)).take(kc) {
         for (accj, &bj) in acc.iter_mut().zip(b) {
             for (accij, &ai) in accj.iter_mut().zip(a) {
                 *accij += ai * bj;
             }
         }
     }
-    for (j, accj) in acc.iter().enumerate() {
-        out[j * MR..j * MR + MR].copy_from_slice(accj);
+    for (j, accj) in acc.iter().enumerate().take(nr) {
+        let cj = &mut c[j * ldc..j * ldc + mr];
+        for (cij, &t) in cj.iter_mut().zip(accj) {
+            *cij = if beta == 0.0 {
+                alpha * t
+            } else if beta == 1.0 {
+                *cij + alpha * t
+            } else {
+                beta * *cij + alpha * t
+            };
+        }
     }
 }
 
-/// AVX2+FMA microkernel: 12 ymm accumulators (two 4-lane vectors per
-/// column of the 8x6 tile), two A loads and one B broadcast per FMA
-/// pair. 12 FMAs against 8 load-ops per k-step keeps both FMA ports
-/// busy without saturating the load ports.
+/// AVX-512F body: 24 `zmm` accumulators (two 8-lane vectors per column
+/// of the 16 x 12 tile), two A loads and twelve broadcast-FMA pairs per
+/// k-step, three of the 32 registers left for A and the broadcast. C is
+/// read and written through row masks, so edge tiles need no scratch.
 ///
 /// # Safety
-/// Caller must have verified AVX2 and FMA support (see
-/// [`simd_available`]); slice lengths are checked by the caller
-/// (`debug_assert` in [`microkernel`]).
+/// AVX-512F must be present; the panels must hold `kc` k-steps and C
+/// the `mr x nr` corner at stride `ldc` (checked in [`Kernel::run`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[allow(clippy::too_many_arguments)]
+unsafe fn body_avx512(
+    kc: usize,
+    mut pa: *const f64,
+    mut pb: *const f64,
+    c: *mut f64,
+    ldc: usize,
+    mr: usize,
+    nr: usize,
+    alpha: f64,
+    beta: f64,
+) {
+    use core::arch::x86_64::*;
+    let mut acc = [[_mm512_setzero_pd(); 2]; NR];
+    for _ in 0..kc {
+        let a0 = _mm512_loadu_pd(pa);
+        let a1 = _mm512_loadu_pd(pa.add(8));
+        for (j, accj) in acc.iter_mut().enumerate() {
+            let bj = _mm512_set1_pd(*pb.add(j));
+            accj[0] = _mm512_fmadd_pd(a0, bj, accj[0]);
+            accj[1] = _mm512_fmadd_pd(a1, bj, accj[1]);
+        }
+        pa = pa.add(MR);
+        pb = pb.add(NR);
+    }
+    let mask = |lo: usize| ((1u32 << mr.saturating_sub(lo).min(8)) - 1) as __mmask8;
+    let masks = [mask(0), mask(8)];
+    let (va, vb) = (_mm512_set1_pd(alpha), _mm512_set1_pd(beta));
+    for (j, accj) in acc.iter().enumerate() {
+        if j == nr {
+            break;
+        }
+        for (h, (&t, &m)) in accj.iter().zip(&masks).enumerate() {
+            // A fully masked half touches no memory; `wrapping_add`
+            // keeps its address computation defined too.
+            let p = c.wrapping_add(j * ldc + 8 * h);
+            let v = if beta == 0.0 {
+                _mm512_mul_pd(va, t)
+            } else if beta == 1.0 {
+                _mm512_fmadd_pd(va, t, _mm512_maskz_loadu_pd(m, p))
+            } else {
+                _mm512_fmadd_pd(va, t, _mm512_mul_pd(vb, _mm512_maskz_loadu_pd(m, p)))
+            };
+            _mm512_mask_storeu_pd(p, m, v);
+        }
+    }
+}
+
+/// AVX2+FMA body: the tile as `8 x 6` sub-tiles (12 `ymm` accumulators,
+/// two A vectors and one broadcast each: 12 FMAs per 8 load-ops, enough
+/// to keep both FMA ports busy), walking the same panels at their
+/// `MR`/`NR` strides. Sub-tiles wholly past the edge are skipped.
+///
+/// # Safety
+/// AVX2 and FMA must be present; bounds as for [`body_avx512`].
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-unsafe fn microkernel_avx2(kc: usize, ap: &[f64], bp: &[f64], out: &mut [f64; MR * NR]) {
+#[allow(clippy::too_many_arguments)]
+unsafe fn body_avx2(
+    kc: usize,
+    pa: *const f64,
+    pb: *const f64,
+    c: *mut f64,
+    ldc: usize,
+    mr: usize,
+    nr: usize,
+    alpha: f64,
+    beta: f64,
+) {
+    for c0 in (0..nr).step_by(AVX2_NR) {
+        for r0 in (0..mr).step_by(AVX2_MR) {
+            subtile_avx2(
+                kc,
+                pa.add(r0),
+                pb.add(c0),
+                c.add(c0 * ldc + r0),
+                ldc,
+                (mr - r0).min(AVX2_MR),
+                (nr - c0).min(AVX2_NR),
+                alpha,
+                beta,
+            );
+        }
+    }
+}
+
+/// One `8 x 6` sub-tile of [`body_avx2`]; C through lane masks.
+///
+/// # Safety
+/// As for [`body_avx2`], for the sub-tile's corner.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+#[allow(clippy::too_many_arguments)]
+#[inline]
+unsafe fn subtile_avx2(
+    kc: usize,
+    mut pa: *const f64,
+    mut pb: *const f64,
+    c: *mut f64,
+    ldc: usize,
+    mr: usize,
+    nr: usize,
+    alpha: f64,
+    beta: f64,
+) {
     use core::arch::x86_64::*;
-    let mut acc = [[_mm256_setzero_pd(); 2]; NR];
-    let mut pa = ap.as_ptr();
-    let mut pb = bp.as_ptr();
+    let mut acc = [[_mm256_setzero_pd(); 2]; AVX2_NR];
     for _ in 0..kc {
         let a0 = _mm256_loadu_pd(pa);
         let a1 = _mm256_loadu_pd(pa.add(4));
@@ -266,9 +507,26 @@ unsafe fn microkernel_avx2(kc: usize, ap: &[f64], bp: &[f64], out: &mut [f64; MR
         pa = pa.add(MR);
         pb = pb.add(NR);
     }
+    // Lane i of half h is live when 4h + i < mr (sign bit set).
+    let lanes = _mm256_setr_epi64x(0, 1, 2, 3);
+    let mask = |lo: i64| _mm256_cmpgt_epi64(_mm256_set1_epi64x(mr as i64 - lo), lanes);
+    let masks = [mask(0), mask(4)];
+    let (va, vb) = (_mm256_set1_pd(alpha), _mm256_set1_pd(beta));
     for (j, accj) in acc.iter().enumerate() {
-        _mm256_storeu_pd(out.as_mut_ptr().add(j * MR), accj[0]);
-        _mm256_storeu_pd(out.as_mut_ptr().add(j * MR + 4), accj[1]);
+        if j == nr {
+            break;
+        }
+        for (h, (&t, &m)) in accj.iter().zip(&masks).enumerate() {
+            let p = c.wrapping_add(j * ldc + 4 * h);
+            let v = if beta == 0.0 {
+                _mm256_mul_pd(va, t)
+            } else if beta == 1.0 {
+                _mm256_fmadd_pd(va, t, _mm256_maskload_pd(p, m))
+            } else {
+                _mm256_fmadd_pd(va, t, _mm256_mul_pd(vb, _mm256_maskload_pd(p, m)))
+            };
+            _mm256_maskstore_pd(p, m, v);
+        }
     }
 }
 
@@ -312,47 +570,139 @@ mod tests {
     }
 
     #[test]
+    fn packing_matches_its_definition() {
+        // Odd offsets and extents: the transposes' 4 x 4 register blocks,
+        // their column and k remainders, and the zero padding.
+        let (m, n, k) = (2 * MR + 3, 2 * NR + 5, 23);
+        let a: Vec<f64> = (0..m * k).map(|i| i as f64).collect();
+        let b: Vec<f64> = (0..k * n).map(|i| -(i as f64)).collect();
+        let (pc, kc) = (3, 17);
+        for (ic, mc) in [(1, MR + 6), (5, MR), (0, 3)] {
+            for ta in [Trans::N, Trans::T] {
+                let mut ap = vec![f64::NAN; mc.div_ceil(MR) * MR * kc];
+                pack_a(ta, &a, m, k, ic, mc, pc, kc, &mut ap);
+                for (e, &got) in ap.iter().enumerate() {
+                    let (ir, l, i) = (e / (MR * kc), e % (MR * kc) / MR, e % MR);
+                    let row = ir * MR + i;
+                    let want = match (row < mc, ta) {
+                        (false, _) => 0.0,
+                        (true, Trans::N) => a[(pc + l) * m + ic + row],
+                        (true, Trans::T) => a[(ic + row) * k + pc + l],
+                    };
+                    assert_eq!(got, want, "A {ta:?} ic={ic} mc={mc} at {e}");
+                }
+            }
+        }
+        for (jc, nc) in [(2, NR + 7), (0, NR), (9, 1)] {
+            for tb in [Trans::N, Trans::T] {
+                let mut bp = vec![f64::NAN; nc.div_ceil(NR) * NR * kc];
+                pack_b(tb, &b, k, n, pc, kc, jc, nc, &mut bp);
+                for (e, &got) in bp.iter().enumerate() {
+                    let (jr, l, j) = (e / (NR * kc), e % (NR * kc) / NR, e % NR);
+                    let col = jr * NR + j;
+                    let want = match (col < nc, tb) {
+                        (false, _) => 0.0,
+                        (true, Trans::N) => b[(jc + col) * k + pc + l],
+                        (true, Trans::T) => b[(pc + l) * n + jc + col],
+                    };
+                    assert_eq!(got, want, "B {tb:?} jc={jc} nc={nc} at {e}");
+                }
+            }
+        }
+    }
+
+    /// Panels for `kc` k-steps and a C buffer with sentinel rows and
+    /// columns around the tile (stride `MR + 3`, `NR + 2` columns).
+    fn fixture(kc: usize) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
+        let ap = (0..kc * MR).map(|i| (i as f64 * 0.37).sin()).collect();
+        let bp = (0..kc * NR).map(|i| (i as f64 * 0.73).cos()).collect();
+        let c = (0..(MR + 3) * (NR + 2))
+            .map(|i| i as f64 * 0.01 - 1.0)
+            .collect();
+        (ap, bp, c)
+    }
+
+    #[test]
     fn microkernel_matches_reference() {
-        // One full MR x NR tile at depth 7, random-ish values.
+        // One full MR x NR tile at depth 7 through every body, C
+        // overwritten (beta = 0: the NaNs in C must not survive).
         let kc = 7;
-        let ap: Vec<f64> = (0..kc * MR).map(|i| (i as f64 * 0.37).sin()).collect();
-        let bp: Vec<f64> = (0..kc * NR).map(|i| (i as f64 * 0.73).cos()).collect();
-        let mut out = [0.0; MR * NR];
-        microkernel(kc, &ap, &bp, &mut out);
-        for j in 0..NR {
-            for i in 0..MR {
-                let want: f64 = (0..kc).map(|l| ap[l * MR + i] * bp[l * NR + j]).sum();
-                assert!((out[i + j * MR] - want).abs() < 1e-13, "({i},{j})");
+        let (ap, bp, _) = fixture(kc);
+        for kernel in Kernel::available() {
+            let mut out = [f64::NAN; MR * NR];
+            kernel.run(kc, &ap, &bp, &mut out, MR, MR, NR, 1.0, 0.0);
+            for j in 0..NR {
+                for i in 0..MR {
+                    let want: f64 = (0..kc).map(|l| ap[l * MR + i] * bp[l * NR + j]).sum();
+                    let got = out[i + j * MR];
+                    assert!((got - want).abs() < 1e-13, "{kernel:?} ({i},{j})");
+                }
             }
         }
     }
 
     #[test]
     fn generic_and_dispatch_agree() {
+        // Every body this CPU runs, on the same panels, for full and
+        // masked edge tiles and alpha/beta inside and outside {0, 1}: the
+        // SIMD bodies agree bitwise (same FMA order per lane), the scalar
+        // one to ~1 ulp per k-step, and nothing outside the mr x nr
+        // corner is written.
         let kc = 13;
-        let ap: Vec<f64> = (0..kc * MR).map(|i| (i as f64).sqrt()).collect();
-        let bp: Vec<f64> = (0..kc * NR).map(|i| 1.0 / (i as f64 + 1.0)).collect();
-        let mut o1 = [0.0; MR * NR];
-        let mut o2 = [0.0; MR * NR];
-        microkernel(kc, &ap, &bp, &mut o1);
-        microkernel_generic(kc, &ap, &bp, &mut o2);
-        // Same summation order; FMA only removes the intermediate
-        // product rounding, so agreement is to ~1 ulp per k-step.
-        for (x, y) in o1.iter().zip(&o2) {
-            assert!((x - y).abs() <= 1e-13 * y.abs().max(1.0), "{x} vs {y}");
+        let (ap, bp, c0) = fixture(kc);
+        let ldc = MR + 3;
+        let shapes = [(MR, NR), (1, 1), (MR - 1, NR), (MR, NR - 1), (9, 7), (5, 3)];
+        for (mr, nr) in shapes {
+            for (alpha, beta) in [(1.0, 0.0), (1.0, 1.0), (-0.75, 1.5), (2.5, -0.5)] {
+                let mut outs = Vec::new();
+                for kernel in Kernel::available() {
+                    let mut c = c0.clone();
+                    kernel.run(kc, &ap, &bp, &mut c[ldc + 1..], ldc, mr, nr, alpha, beta);
+                    for (e, (&got, &was)) in c.iter().zip(&c0).enumerate() {
+                        let (i, j) = ((e % ldc).wrapping_sub(1), (e / ldc).wrapping_sub(1));
+                        if i >= mr || j >= nr {
+                            assert_eq!(got, was, "{kernel:?} wrote outside {mr}x{nr} at {e}");
+                        }
+                    }
+                    outs.push((kernel, c));
+                }
+                let (_, scalar) = outs.last().expect("the scalar body always runs");
+                for (kernel, c) in &outs {
+                    for (x, y) in c.iter().zip(scalar) {
+                        assert!(
+                            (x - y).abs() <= 1e-13 * y.abs().max(1.0),
+                            "{kernel:?}: {x} vs {y}"
+                        );
+                    }
+                }
+                let simd: Vec<_> = outs.iter().filter(|(k, _)| *k != Kernel::Scalar).collect();
+                for pair in simd.windows(2) {
+                    let same = pair[0]
+                        .1
+                        .iter()
+                        .zip(&pair[1].1)
+                        .all(|(x, y)| x.to_bits() == y.to_bits());
+                    assert!(
+                        same,
+                        "{:?} and {:?} differ on {mr}x{nr}",
+                        pair[0].0, pair[1].0
+                    );
+                }
+            }
         }
     }
 
     #[test]
     fn scratch_lens_cover_edges() {
+        // One micropanel plus a sliver in each direction.
         let p = GemmParams {
-            mc: 10,
+            mc: MR + 2,
             kc: 7,
-            nc: 11,
+            nc: 2 * NR - 1,
         };
         // m smaller than mc: rounded to one micropanel row of MR.
         assert_eq!(p.packed_a_len(3, 20), MR * 7);
-        // m larger: mc=10 -> 2 micropanels.
+        // m larger: mc = MR + 2 -> 2 micropanels.
         assert_eq!(p.packed_a_len(64, 5), 2 * MR * 5);
         assert_eq!(p.packed_b_len(4, 20), NR * 7);
         assert_eq!(p.packed_b_len(64, 3), 2 * NR * 3);

@@ -142,9 +142,9 @@ proptest! {
     /// The packed engine, as `dgemm_packed` runs it, agrees with the naive
     /// oracle to 1e-12 for all four transpose combinations, degenerate
     /// alpha/beta, and odd and prime sizes: sizes that are not multiples
-    /// of MR=8 / NR=6 exercise the zero-padded micropanels and the
-    /// clipped writeback. (The cache-block edges are covered in-crate
-    /// with shrunk blocks.)
+    /// of the 16 x 12 micropanel exercise the zero-padded panels and the
+    /// masked C update. (The cache-block edges and every kernel body are
+    /// covered in-crate with shrunk blocks.)
     #[test]
     fn packed_dgemm_matches_naive_all_transposes(
         mi in 0usize..8,
