@@ -145,7 +145,7 @@ impl DistRank {
         self.ws
             .ga
             .gang_view()
-            .expect("DistRank runs the distributed backend")
+            .expect("a DistRank's Ga has an endpoint")
     }
 
     /// This rank's gang-logical node index: chain placement, graph

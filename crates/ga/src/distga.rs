@@ -1,10 +1,11 @@
-//! The distributed backend: rank-local shards served over the comm layer.
+//! The shard store: one logical node's slice of every array.
 //!
-//! In distributed mode each process holds only its own slice of every
-//! array (a [`DistStore`]), and the comm progress engine answers remote
-//! `Get`/`Put`/`Acc`/`NxtVal` active messages against it — the real shape
-//! of GA's data server. [`crate::Ga`] methods split every range by owner:
-//! local pieces short-circuit to memcpy, remote pieces go on the wire.
+//! A distributed rank holds one [`DistStore`], and the comm progress
+//! engine answers remote `Get`/`Put`/`Acc`/`NxtVal` active messages
+//! against it — the real shape of GA's data server. An in-process
+//! [`crate::Ga`] holds one per logical node. [`crate::Ga`] methods split
+//! every range by owner: pieces of a held store short-circuit to memcpy,
+//! remote pieces go on the wire.
 
 use crate::cache::TileCache;
 use crate::dist::Distribution;
@@ -85,9 +86,10 @@ struct StoreState {
     destroyed: HashSet<u32>,
 }
 
-/// Rank-local shards of every created array. The comm progress engine
-/// holds one reference (to serve remote requests) and the owning
-/// [`crate::Ga`] another (for local fast paths).
+/// One logical node's shards of every created array. On a rank the comm
+/// progress engine holds one reference (to serve remote requests) and
+/// the owning [`crate::Ga`] another (for in-place pieces); an in-process
+/// [`crate::Ga`] holds one store per node and no endpoint.
 pub struct DistStore {
     rank: usize,
     state: Mutex<StoreState>,
@@ -129,25 +131,31 @@ impl DistStore {
         self.rank
     }
 
-    /// Allocate the local shard of a `len`-element array distributed
-    /// over a gang of `nodes` logical nodes, of which this rank is
-    /// `my_node`. Collective over the gang's members: each member
-    /// allocates the next id in the `tag` namespace, so members agree on
-    /// ids as long as they process the gang's jobs in the same order.
-    pub(crate) fn create_gang(&self, tag: u32, len: usize, nodes: usize, my_node: usize) -> usize {
-        let dist = Distribution::new(len, nodes);
-        let owned = dist.range_of(my_node);
-        let shard = vec![0.0; owned.len()];
+    /// The next array id of namespace `tag`. Collective over the gang's
+    /// members: each member allocates the next id in the namespace, so
+    /// members agree on ids as long as they process the gang's jobs in
+    /// the same order.
+    pub(crate) fn next_id(&self, tag: u32) -> usize {
         let mut st = self.state.lock();
         let idx = st.next_idx.entry(tag).or_insert(0);
         assert!(*idx < (1 << NS_SHIFT), "namespace {tag} exhausted");
         let id = ((tag as usize) << NS_SHIFT) | *idx as usize;
         *idx += 1;
+        id
+    }
+
+    /// Allocate this store's shard of array `id`: `len` elements
+    /// distributed over `nodes` logical nodes, of which this store holds
+    /// `node`.
+    pub(crate) fn insert(&self, id: usize, len: usize, nodes: usize, node: usize) {
+        let dist = Distribution::new(len, nodes);
+        let owned = dist.range_of(node);
+        let shard = vec![0.0; owned.len()];
+        let mut st = self.state.lock();
         st.arrays
             .insert(id as u32, DistArray::new(dist, owned, shard));
         self.refresh_views(&st);
         self.created.notify_all();
-        id
     }
 
     /// Make every view a copy of `st.arrays` (the caller holds the state
@@ -479,10 +487,18 @@ mod tests {
     use super::*;
     use std::sync::mpsc::channel;
 
+    /// A `len`-element array over `nodes` nodes, of which `store` holds
+    /// `node`'s shard.
+    fn create(store: &DistStore, len: usize, nodes: usize, node: usize) -> usize {
+        let id = store.next_id(0);
+        store.insert(id, len, nodes, node);
+        id
+    }
+
     #[test]
     fn destroy_frees_the_shard_and_earlier_readers_read_zeros() {
         let store = DistStore::new(0, 1);
-        let h = store.create_gang(0, 8, 1, 0);
+        let h = create(&store, 8, 1, 0);
         store.write_local(h, 0, &[1.0; 8]);
         let shard = Arc::downgrade(&store.array(h).unwrap());
         let (read_tx, read_rx) = channel();
@@ -512,7 +528,7 @@ mod tests {
     #[should_panic(expected = "used after destroy")]
     fn an_application_read_of_a_destroyed_array_panics() {
         let store = DistStore::new(0, 1);
-        let h = store.create_gang(0, 8, 1, 0);
+        let h = create(&store, 8, 1, 0);
         let mut out = [0.0; 4];
         assert!(store.read_owned(h, 0, &mut out));
         store.destroy(h);
@@ -522,7 +538,7 @@ mod tests {
     #[test]
     fn only_the_owned_range_reads_locally() {
         let store = DistStore::new(1, 2);
-        let h = store.create_gang(0, 10, 2, 1); // rank 1 owns [5, 10)
+        let h = create(&store, 10, 2, 1); // rank 1 owns [5, 10)
         store.write_local(h, 5, &[7.0; 5]);
         let mut out = [0.0; 3];
         assert!(store.read_owned(h, 6, &mut out));

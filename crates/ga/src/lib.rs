@@ -4,26 +4,27 @@
 //! that is block-distributed across nodes, addressed through a hash index
 //! (`GET_HASH_BLOCK` / `ADD_HASH_BLOCK`), load-balanced with a shared
 //! `NXTVAL` counter, and introspected with `ga_distribution`/`ga_access`.
-//! This crate implements those facilities for a *logical* cluster living in
-//! one process: data is real (so numerics are exact), node boundaries are
-//! real (so ownership queries drive task placement and the simulator's
-//! communication model), and every operation is counted (so executions can
-//! be audited).
+//! This crate implements those facilities with real data (so numerics
+//! are exact), real node boundaries (so ownership queries drive task
+//! placement and the simulator's communication model), and every
+//! operation counted (so executions can be audited).
 //!
 //! * [`Ga`] — the toolkit instance: create arrays, query distributions,
 //!   get/put/accumulate, `nxtval`.
 //! * [`HashIndex`] — the TCE hash map from block key to `(offset, size)`.
 //! * [`GaStats`] — operation counters.
 //!
-//! Two backends share the `Ga` API. [`Ga::init`] keeps all logical nodes
-//! in one process (exact numerics, auditable ownership, no wire).
-//! [`Ga::init_dist`] holds only this rank's shard ([`DistStore`]) and
-//! routes remote ranges through a [`comm::Endpoint`]: local pieces
-//! short-circuit to memcpy, remote pieces become one-sided active
-//! messages, and `NXTVAL` becomes a fetch-and-add on rank 0's counter
-//! shard instead of a process-global atomic.
+//! There is one data path. Each logical node's shards live in a
+//! [`DistStore`], and every operation splits its range by owner: a piece
+//! whose node's store this process holds is served in place (memcpy or
+//! an accumulate under that shard's lock), and every other piece is a
+//! one-sided active message through a [`comm::Endpoint`]. [`Ga::init`]
+//! holds the stores of all its logical nodes in one process, so no piece
+//! is remote and it has no endpoint; [`Ga::init_dist`] holds only this
+//! rank's store. `NXTVAL` is a fetch-and-add on the gang leader's counter
+//! when there is an endpoint, and a local atomic when there is not.
 //!
-//! The distributed read path is fronted by a per-rank read-through
+//! Remote reads are fronted by a per-rank read-through
 //! [`cache::TileCache`]: completed gets are kept keyed by
 //! `(array, offset, len)`, repeats are served locally, concurrent reads
 //! of one block share a single wire transfer, and any local or incoming
@@ -45,9 +46,9 @@ pub use hash::HashIndex;
 pub use stats::GaStats;
 
 use cache::{Reader, TileCache};
-use parking_lot::Mutex;
+use distga::WaitSlot;
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
+use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 
 /// Logical node index.
@@ -120,55 +121,42 @@ impl GangView {
     }
 }
 
-/// One block-distributed array: node `i` owns the contiguous slice
-/// `[chunk*i, chunk*(i+1))` (last node takes the remainder), mirroring
-/// GA's default regular distribution.
-struct Array {
-    /// Ownership arithmetic, shared with the structural-only code paths.
-    dist: Distribution,
-    /// Per-node owned segments, guarded individually so that concurrent
-    /// accumulates to different nodes do not serialize (and accumulates to
-    /// the same node do, as in GA).
-    segments: Vec<Mutex<Vec<f64>>>,
-    /// Set by [`Ga::freeze`]; every write checks it.
-    frozen: AtomicBool,
-}
-
-/// Storage strategy behind a [`Ga`] instance.
-enum Backend {
-    /// All nodes' segments live in this process.
-    Local {
-        arrays: Mutex<Vec<Arc<Array>>>,
-        nxtval: AtomicI64,
-    },
-    /// Only this rank's shards live here; other ranks are reached through
-    /// the comm endpoint, and `NXTVAL` lives on the gang leader.
-    Dist {
-        ep: Arc<comm::Endpoint>,
-        store: Arc<DistStore>,
-        cache: Arc<TileCache>,
-        view: GangView,
-    },
+/// The wire half of a distributed instance: the endpoint that reaches the
+/// shards this process does not hold, this rank's tile cache in front of
+/// them, and the gang the instance is scoped to.
+struct Wire {
+    ep: Arc<comm::Endpoint>,
+    cache: Arc<TileCache>,
+    view: GangView,
 }
 
 /// The Global Arrays toolkit instance for a logical cluster of `nodes`.
 pub struct Ga {
     nodes: usize,
-    backend: Backend,
+    /// The shard stores this process holds, of logical nodes `first..`:
+    /// every node's in process, this rank's alone over the wire. An
+    /// array's piece on a held node is served in place, any other piece
+    /// through [`Wire`].
+    first: NodeId,
+    stores: Vec<Arc<DistStore>>,
+    wire: Option<Wire>,
+    /// `NXTVAL` when there is no endpoint to hold it.
+    nxtval: AtomicI64,
     stats: Arc<GaStats>,
 }
 
 impl Ga {
     /// Initialize the toolkit for a cluster of `nodes >= 1` logical nodes,
-    /// all resident in this process.
+    /// all resident in this process: one shard store per node, so no
+    /// piece of any range is remote.
     pub fn init(nodes: usize) -> Self {
         assert!(nodes >= 1, "need at least one node");
         Self {
             nodes,
-            backend: Backend::Local {
-                arrays: Mutex::new(Vec::new()),
-                nxtval: AtomicI64::new(0),
-            },
+            first: 0,
+            stores: (0..nodes).map(|n| DistStore::new(n, nodes)).collect(),
+            wire: None,
+            nxtval: AtomicI64::new(0),
             stats: Arc::new(GaStats::default()),
         }
     }
@@ -196,12 +184,10 @@ impl Ga {
         let view = GangView::full(ep.rank(), ep.nranks());
         Self {
             nodes: ep.nranks(),
-            backend: Backend::Dist {
-                ep,
-                store,
-                cache,
-                view,
-            },
+            first: view.my_node,
+            stores: vec![store],
+            wire: Some(Wire { ep, cache, view }),
+            nxtval: AtomicI64::new(0),
             stats,
         }
     }
@@ -213,27 +199,10 @@ impl Ga {
     /// re-attached (the store's `attach_cache` is first-set-wins), so
     /// invalidations and retained frozen blocks stay coherent across
     /// every instance.
-    /// Panics on a local-backend instance, which owns its segments and
-    /// cannot be shared this way.
+    /// Panics on an instance without an endpoint, whose `NXTVAL` counter
+    /// is its own.
     pub fn dist_share(&self) -> Self {
-        match &self.backend {
-            Backend::Local { .. } => panic!("dist_share requires the distributed backend"),
-            Backend::Dist {
-                ep,
-                store,
-                cache,
-                view,
-            } => Self {
-                nodes: self.nodes,
-                backend: Backend::Dist {
-                    ep: ep.clone(),
-                    store: store.clone(),
-                    cache: cache.clone(),
-                    view: view.clone(),
-                },
-                stats: self.stats.clone(),
-            },
-        }
+        self.share(self.wire().view.clone())
     }
 
     /// As [`Self::dist_share`], but scoped to the gang `mask`: arrays
@@ -243,33 +212,58 @@ impl Ga {
     /// `NXTVAL` lives on the gang leader. The calling rank must be a
     /// member.
     pub fn dist_share_gang(&self, mask: u64) -> Self {
-        match &self.backend {
-            Backend::Local { .. } => panic!("dist_share_gang requires the distributed backend"),
-            Backend::Dist {
-                ep, store, cache, ..
-            } => {
-                let view = GangView::from_mask(ep.rank(), ep.nranks(), mask);
-                Self {
-                    nodes: view.members.len(),
-                    backend: Backend::Dist {
-                        ep: ep.clone(),
-                        store: store.clone(),
-                        cache: cache.clone(),
-                        view,
-                    },
-                    stats: self.stats.clone(),
-                }
-            }
+        let ep = &self.wire().ep;
+        self.share(GangView::from_mask(ep.rank(), ep.nranks(), mask))
+    }
+
+    fn share(&self, view: GangView) -> Self {
+        let w = self.wire();
+        Self {
+            nodes: view.members.len(),
+            first: view.my_node,
+            stores: self.stores.clone(),
+            wire: Some(Wire {
+                ep: w.ep.clone(),
+                cache: w.cache.clone(),
+                view,
+            }),
+            nxtval: AtomicI64::new(0),
+            stats: self.stats.clone(),
         }
     }
 
+    /// The endpoint side, for a piece no held store owns: only an
+    /// instance with an endpoint has such pieces.
+    fn wire(&self) -> &Wire {
+        self.wire.as_ref().expect("this Ga has no endpoint")
+    }
+
+    /// The tile cache, which only an instance with an endpoint has.
+    fn cache(&self) -> Option<&TileCache> {
+        self.wire.as_ref().map(|w| &*w.cache)
+    }
+
+    /// Node `node`'s shard store, if this process holds it.
+    fn store(&self, node: NodeId) -> Option<&DistStore> {
+        let i = node.checked_sub(self.first)?;
+        self.stores.get(i).map(|s| &**s)
+    }
+
+    /// The held stores with their logical nodes.
+    fn held(&self) -> impl Iterator<Item = (NodeId, &DistStore)> {
+        (self.first..).zip(self.stores.iter().map(|s| &**s))
+    }
+
+    /// The first held store: every held store knows each array's
+    /// distribution and frozen flag.
+    fn home(&self) -> &DistStore {
+        &self.stores[0]
+    }
+
     /// The gang view this instance is scoped to (identity on the full
-    /// mesh; `None` in local mode).
+    /// mesh; `None` without an endpoint).
     pub fn gang_view(&self) -> Option<&GangView> {
-        match &self.backend {
-            Backend::Local { .. } => None,
-            Backend::Dist { view, .. } => Some(view),
-        }
+        self.wire.as_ref().map(|w| &w.view)
     }
 
     /// Number of logical nodes.
@@ -277,25 +271,20 @@ impl Ga {
         self.nodes
     }
 
-    /// This process's rank (0 in local mode, where every node is local).
+    /// This process's rank (0 without an endpoint, where every node is
+    /// local).
     pub fn rank(&self) -> usize {
-        match &self.backend {
-            Backend::Local { .. } => 0,
-            Backend::Dist { ep, .. } => ep.rank(),
-        }
+        self.wire.as_ref().map_or(0, |w| w.ep.rank())
     }
 
     /// True when running over the wire.
     pub fn is_dist(&self) -> bool {
-        matches!(self.backend, Backend::Dist { .. })
+        self.wire.is_some()
     }
 
     /// The comm endpoint in distributed mode.
     pub fn endpoint(&self) -> Option<&Arc<comm::Endpoint>> {
-        match &self.backend {
-            Backend::Local { .. } => None,
-            Backend::Dist { ep, .. } => Some(ep),
-        }
+        self.wire.as_ref().map(|w| &w.ep)
     }
 
     /// Operation counters.
@@ -305,36 +294,25 @@ impl Ga {
 
     /// Create a zero-initialized array of `len` elements. Collective in
     /// distributed mode: every rank must create the same arrays in the
-    /// same order.
+    /// same order. Every held store gets the array under one id.
     pub fn create(&self, len: usize) -> GaHandle {
-        match &self.backend {
-            Backend::Local { arrays, .. } => {
-                let dist = Distribution::new(len, self.nodes);
-                let segments = (0..self.nodes)
-                    .map(|n| Mutex::new(vec![0.0; dist.range_of(n).len()]))
-                    .collect();
-                let mut arrays = arrays.lock();
-                arrays.push(Arc::new(Array {
-                    dist,
-                    segments,
-                    frozen: AtomicBool::new(false),
-                }));
-                GaHandle(arrays.len() - 1)
-            }
-            Backend::Dist { store, view, .. } => {
-                GaHandle(store.create_gang(view.tag, len, view.members.len(), view.my_node))
-            }
+        let tag = self.gang_view().map_or(0, |v| v.tag);
+        let id = self.home().next_id(tag);
+        for (node, store) in self.held() {
+            store.insert(id, len, self.nodes, node);
         }
+        GaHandle(id)
     }
 
-    /// Drop the array's shard and cached blocks (retained frozen ones
-    /// too) and tombstone its id (plan-cache eviction). Distributed mode
-    /// only; collective over the owning gang by the same convention as
-    /// [`Self::create`]. Late wire duplicates against the id read zeros
-    /// instead of hanging.
+    /// Drop the array's shards and cached blocks (retained frozen ones
+    /// too) and tombstone its id (plan-cache eviction). Collective over
+    /// the owning gang by the same convention as [`Self::create`]. Late
+    /// wire duplicates against the id read zeros instead of hanging.
     pub fn destroy(&self, h: GaHandle) {
-        if let Backend::Dist { store, cache, .. } = &self.backend {
-            cache.invalidate_array(h.0);
+        if let Some(c) = self.cache() {
+            c.invalidate_array(h.0);
+        }
+        for (_, store) in self.held() {
             store.destroy(h.0);
         }
     }
@@ -348,62 +326,36 @@ impl Ga {
     /// flight must be fenced by a `sync` first). The flag lives with the
     /// array, so every instance over the same store sees it.
     pub fn freeze(&self, h: GaHandle) {
-        match &self.backend {
-            Backend::Local { .. } => self.array(h).frozen.store(true, Ordering::Release),
-            Backend::Dist { store, .. } => store.freeze(h.0),
-        }
-    }
-
-    fn array(&self, h: GaHandle) -> Arc<Array> {
-        match &self.backend {
-            Backend::Local { arrays, .. } => arrays.lock()[h.0].clone(),
-            Backend::Dist { .. } => unreachable!("local array in dist mode"),
-        }
-    }
-
-    /// As [`Self::array`], for a caller about to mutate `h` with `op`.
-    fn array_for_write(&self, h: GaHandle, op: &str) -> Arc<Array> {
-        let a = self.array(h);
-        assert!(
-            !a.frozen.load(Ordering::Acquire),
-            "{op} on frozen array {}",
-            h.0
-        );
-        a
-    }
-
-    fn dist_of_any(&self, h: GaHandle) -> Distribution {
-        match &self.backend {
-            Backend::Local { arrays, .. } => arrays.lock()[h.0].dist.clone(),
-            Backend::Dist { store, .. } => store.dist_of(h.0),
+        for (_, store) in self.held() {
+            store.freeze(h.0);
         }
     }
 
     /// Total length of the array.
     pub fn len_of(&self, h: GaHandle) -> usize {
-        self.dist_of_any(h).len()
+        self.dist_of(h).len()
     }
 
     /// Clone of the array's block distribution (for structural queries).
     pub fn dist_of(&self, h: GaHandle) -> Distribution {
-        self.dist_of_any(h)
+        self.home().dist_of(h.0)
     }
 
     /// `ga_distribution`: the range of global offsets owned by `node`.
     pub fn distribution(&self, h: GaHandle, node: NodeId) -> Range<usize> {
-        self.dist_of_any(h).range_of(node)
+        self.dist_of(h).range_of(node)
     }
 
     /// Owner of a single global offset.
     pub fn owner_of(&self, h: GaHandle, offset: usize) -> NodeId {
-        self.dist_of_any(h).owner_of(offset)
+        self.dist_of(h).owner_of(offset)
     }
 
     /// Split `[offset, offset+len)` into per-owner pieces
     /// `(node, global_subrange)` — the information used to instantiate one
     /// `WRITE_C(i)` task per owner node (paper Figure 8).
     pub fn owners_of(&self, h: GaHandle, offset: usize, len: usize) -> Vec<(NodeId, Range<usize>)> {
-        self.dist_of_any(h).owners_of(offset, len)
+        self.dist_of(h).owners_of(offset, len)
     }
 
     /// `ga_access`: borrow in place the shard of `h` that `node` owns —
@@ -420,16 +372,7 @@ impl Ga {
         node: NodeId,
         f: impl FnOnce(Range<usize>, &[f64]) -> R,
     ) -> Option<R> {
-        match &self.backend {
-            Backend::Local { .. } => {
-                let a = self.array(h);
-                let seg = a.segments[node].lock();
-                Some(f(a.dist.range_of(node), &seg))
-            }
-            Backend::Dist { store, view, .. } => {
-                (node == view.my_node).then(|| store.with_shard(h.0, f))
-            }
-        }
+        self.store(node).map(|s| s.with_shard(h.0, f))
     }
 
     /// Read `[offset, offset+len)` into a fresh buffer (the data-movement
@@ -442,25 +385,22 @@ impl Ga {
 
     /// As [`Self::get`], but into a caller-provided buffer: the pooled
     /// data path reuses tile buffers across tasks instead of allocating
-    /// one per call.
+    /// one per call. A range the first held store owns outright is one
+    /// memcpy; any other goes through [`Self::get_async`]'s path and is
+    /// waited on here.
     pub fn get_into(&self, h: GaHandle, offset: usize, out: &mut [f64]) {
-        match &self.backend {
-            Backend::Local { .. } => {
-                let a = self.array(h);
-                for (node, range) in a.dist.owners_of(offset, out.len()) {
-                    let seg = a.segments[node].lock();
-                    let s = a.dist.range_of(node).start;
-                    out[range.start - offset..range.end - offset]
-                        .copy_from_slice(&seg[range.start - s..range.end - s]);
-                }
-                self.stats.record_locality(out.len() * 8, 0);
-            }
-            Backend::Dist { .. } => self.dist_get_into(h, offset, out),
-        }
         self.stats.record_get(out.len() * 8);
+        if self.home().read_owned(h.0, offset, out) {
+            self.stats.record_locality(out.len() * 8, 0);
+        } else {
+            let slot = WaitSlot::new();
+            let cb = Reader::Owned(slot.callback());
+            self.fetch(h, offset, vec![0.0; out.len()], i64::MAX, cb);
+            out.copy_from_slice(&slot.wait());
+        }
     }
 
-    /// Asynchronous get: assembles `[offset, offset+len)` (local pieces by
+    /// Asynchronous get: assembles `[offset, offset+len)` (held pieces by
     /// memcpy, remote pieces over the wire at priority `prio`) and hands
     /// the buffer to `cb`. With no remote pieces — or a tile-cache hit —
     /// `cb` runs on the calling thread before returning; otherwise it
@@ -468,46 +408,16 @@ impl Ga {
     /// prefetch entry point: reader tasks post these and retire, and
     /// completions re-enter the runtime.
     pub fn get_async(&self, h: GaHandle, offset: usize, len: usize, prio: i64, cb: GaGetCallback) {
-        self.get_async_into(h, offset, vec![0.0; len], prio, cb);
-    }
-
-    /// As [`Self::get_async`], reading into a caller-provided buffer
-    /// (whose length is the read length) so the pooled data path reuses
-    /// tile buffers instead of allocating one per call.
-    pub fn get_async_into(
-        &self,
-        h: GaHandle,
-        offset: usize,
-        mut buf: Vec<f64>,
-        prio: i64,
-        cb: GaGetCallback,
-    ) {
-        let len = buf.len();
         self.stats.record_get(len * 8);
-        match &self.backend {
-            Backend::Local { .. } => {
-                let a = self.array(h);
-                for (node, range) in a.dist.owners_of(offset, len) {
-                    let seg = a.segments[node].lock();
-                    let s = a.dist.range_of(node).start;
-                    buf[range.start - offset..range.end - offset]
-                        .copy_from_slice(&seg[range.start - s..range.end - s]);
-                }
-                self.stats.record_locality(len * 8, 0);
-                cb(buf);
-            }
-            Backend::Dist { .. } => {
-                self.dist_fetch(h, offset, buf, prio, Reader::Owned(cb));
-            }
-        }
+        self.fetch(h, offset, vec![0.0; len], prio, Reader::Owned(cb));
     }
 
-    /// As [`Self::get_async_into`], for a reader that only reads the
-    /// block: it arrives as a shared immutable buffer, and a tile-cache
-    /// hit hands over the cache's own block instead of copying it into
-    /// `buf`. `buf` then goes unused and is returned, for the caller to
-    /// recycle; on every other path it carries the block and `None` is
-    /// returned.
+    /// As [`Self::get_async`] into a caller-provided buffer (whose length
+    /// is the read length), for a reader that only reads the block: it
+    /// arrives as a shared immutable buffer, and a tile-cache hit hands
+    /// over the cache's own block instead of copying it into `buf`. `buf`
+    /// then goes unused and is returned, for the caller to recycle; on
+    /// every other path it carries the block and `None` is returned.
     pub fn get_shared_async(
         &self,
         h: GaHandle,
@@ -516,233 +426,149 @@ impl Ga {
         prio: i64,
         cb: GaSharedCallback,
     ) -> Option<Vec<f64>> {
-        match &self.backend {
-            Backend::Local { .. } => {
-                self.get_async_into(h, offset, buf, prio, Reader::Shared(cb).into_owned());
-                None
-            }
-            Backend::Dist { .. } => {
-                self.stats.record_get(buf.len() * 8);
-                self.dist_fetch(h, offset, buf, prio, Reader::Shared(cb))
-            }
-        }
+        self.stats.record_get(buf.len() * 8);
+        self.fetch(h, offset, buf, prio, Reader::Shared(cb))
     }
 
     /// Overwrite `[offset, offset+len)` with `data`.
     pub fn put(&self, h: GaHandle, offset: usize, data: &[f64]) {
-        match &self.backend {
-            Backend::Local { .. } => {
-                let a = self.array_for_write(h, "put");
-                for (node, range) in a.dist.owners_of(offset, data.len()) {
-                    let mut seg = a.segments[node].lock();
-                    let s = a.dist.range_of(node).start;
-                    let src = &data[range.start - offset..range.end - offset];
-                    seg[range.start - s..range.end - s].copy_from_slice(src);
-                }
-                self.stats.record_locality(data.len() * 8, 0);
-            }
-            Backend::Dist {
-                ep,
-                store,
-                cache,
-                view,
-            } => {
-                let dist = store.dist_for_write(h.0, "put");
-                // Invalidate before the pieces go out so this rank never
-                // serves its own pre-write copy from cache again
-                // (read-your-writes; DESIGN.md §4.6). Local pieces also
-                // invalidate inside `write_local`, which is what covers
-                // *incoming* puts from other ranks.
-                cache.invalidate_overlap(h.0, offset, data.len());
-                let me = view.my_node;
-                let (mut local_b, mut remote_b) = (0, 0);
-                for (node, range) in dist.owners_of(offset, data.len()) {
-                    let src = &data[range.start - offset..range.end - offset];
-                    if node == me {
-                        store.write_local(h.0, range.start, src);
-                        local_b += range.len() * 8;
-                    } else {
-                        ep.put(view.members[node], h.0 as u32, range.start, src);
-                        remote_b += range.len() * 8;
-                    }
-                }
-                self.stats.record_locality(local_b, remote_b);
-            }
-        }
+        self.write(h, offset, data, None, "put");
         self.stats.record_put(data.len() * 8);
     }
 
     /// Collective overwrite: every rank calls this with identical
-    /// arguments, and each writes only the part of the range it owns —
-    /// how the tensors are materialized without moving bytes. Equivalent
-    /// to [`Self::put`] in local mode.
+    /// arguments, and each writes only the part of the range its held
+    /// stores own — how the tensors are materialized without moving
+    /// bytes. Equivalent to [`Self::put`] without an endpoint.
     pub fn put_collective(&self, h: GaHandle, offset: usize, data: &[f64]) {
-        match &self.backend {
-            Backend::Local { .. } => self.put(h, offset, data),
-            Backend::Dist {
-                store, cache, view, ..
-            } => {
-                let dist = store.dist_for_write(h.0, "put_collective");
-                // The collective write mutates every rank's shard, but
-                // only the local piece generates an invalidation hook —
-                // drop the whole range here so cached copies of the
-                // remotely-rewritten pieces cannot survive.
-                cache.invalidate_overlap(h.0, offset, data.len());
-                let me = view.my_node;
-                let mut written = 0;
-                for (node, range) in dist.owners_of(offset, data.len()) {
-                    if node == me {
-                        store.write_local(
-                            h.0,
-                            range.start,
-                            &data[range.start - offset..range.end - offset],
-                        );
-                        written += range.len() * 8;
-                    }
-                }
-                self.stats.record_put(written);
-                self.stats.record_locality(written, 0);
+        let dist = self.home().dist_for_write(h.0, "put_collective");
+        // The collective write mutates every rank's shard, but only the
+        // local pieces generate an invalidation hook — drop the whole
+        // range here so cached copies of the remotely-rewritten pieces
+        // cannot survive.
+        if let Some(c) = self.cache() {
+            c.invalidate_overlap(h.0, offset, data.len());
+        }
+        let mut written = 0;
+        for (node, range) in dist.owners_of(offset, data.len()) {
+            if let Some(store) = self.store(node) {
+                store.write_local(
+                    h.0,
+                    range.start,
+                    &data[range.start - offset..range.end - offset],
+                );
+                written += range.len() * 8;
             }
         }
+        self.stats.record_put(written);
+        self.stats.record_locality(written, 0);
     }
 
     /// Atomic accumulate: `ga[offset..] += alpha * data` (the
     /// `ADD_HASH_BLOCK` primitive). Atomicity granularity is the owner
-    /// node's segment lock, as in GA. In distributed mode remote pieces
-    /// are asynchronous; completion is observed through [`Self::sync`].
+    /// node's shard lock, as in GA. Remote pieces are asynchronous;
+    /// completion is observed through [`Self::sync`].
     pub fn acc(&self, h: GaHandle, offset: usize, data: &[f64], alpha: f64) {
-        match &self.backend {
-            Backend::Local { .. } => {
-                let a = self.array_for_write(h, "acc");
-                for (node, range) in a.dist.owners_of(offset, data.len()) {
-                    let mut seg = a.segments[node].lock();
-                    let s = a.dist.range_of(node).start;
-                    let src = &data[range.start - offset..range.end - offset];
-                    for (dst, x) in seg[range.start - s..range.end - s].iter_mut().zip(src) {
-                        *dst += alpha * x;
-                    }
-                }
-                self.stats.record_locality(data.len() * 8, 0);
-            }
-            Backend::Dist {
-                ep,
-                store,
-                cache,
-                view,
-            } => {
-                let dist = store.dist_for_write(h.0, "acc");
-                cache.invalidate_overlap(h.0, offset, data.len());
-                let me = view.my_node;
-                let (mut local_b, mut remote_b) = (0, 0);
-                for (node, range) in dist.owners_of(offset, data.len()) {
-                    let src = &data[range.start - offset..range.end - offset];
-                    if node == me {
-                        store.acc_local(h.0, range.start, src, alpha);
-                        local_b += range.len() * 8;
-                    } else {
-                        ep.acc(view.members[node], h.0 as u32, range.start, src, alpha);
-                        remote_b += range.len() * 8;
-                    }
-                }
-                self.stats.record_locality(local_b, remote_b);
-            }
-        }
+        self.write(h, offset, data, Some(alpha), "acc");
         self.stats.record_acc(data.len() * 8);
+    }
+
+    /// [`Self::put`] (`alpha` `None`) or [`Self::acc`], split by owner.
+    fn write(&self, h: GaHandle, offset: usize, data: &[f64], alpha: Option<f64>, op: &str) {
+        let dist = self.home().dist_for_write(h.0, op);
+        // Invalidate before the pieces go out so this rank never serves
+        // its own pre-write copy from cache again (read-your-writes;
+        // DESIGN.md §4.6). Held pieces also invalidate inside the store,
+        // which is what covers *incoming* writes from other ranks.
+        if let Some(c) = self.cache() {
+            c.invalidate_overlap(h.0, offset, data.len());
+        }
+        let (mut local_b, mut remote_b) = (0, 0);
+        for (node, range) in dist.owners_of(offset, data.len()) {
+            let src = &data[range.start - offset..range.end - offset];
+            let (l, r) = self.write_piece(h, node, range.start, src, alpha);
+            (local_b, remote_b) = (local_b + l, remote_b + r);
+        }
+        self.stats.record_locality(local_b, remote_b);
+    }
+
+    /// Apply one owner's piece — in place when this process holds
+    /// `node`'s shard, else one-sided over the wire — and return its
+    /// `(local, remote)` bytes.
+    fn write_piece(
+        &self,
+        h: GaHandle,
+        node: NodeId,
+        start: usize,
+        src: &[f64],
+        alpha: Option<f64>,
+    ) -> (usize, usize) {
+        let bytes = src.len() * 8;
+        if let Some(store) = self.store(node) {
+            match alpha {
+                None => store.write_local(h.0, start, src),
+                Some(a) => store.acc_local(h.0, start, src, a),
+            }
+            return (bytes, 0);
+        }
+        let w = self.wire();
+        let to = w.view.members[node];
+        match alpha {
+            None => w.ep.put(to, h.0 as u32, start, src),
+            Some(a) => w.ep.acc(to, h.0 as u32, start, src, a),
+        }
+        (0, bytes)
     }
 
     /// Accumulate into only the part of `[offset, offset+len)` owned by
     /// `node` — what one `WRITE_C(i)` instance does with its slice of the
     /// incoming `C_sorted` matrix. No-op if `node` owns none of the range.
     pub fn acc_local(&self, h: GaHandle, node: NodeId, offset: usize, data: &[f64], alpha: f64) {
-        let dist = match &self.backend {
-            Backend::Local { .. } => self.array_for_write(h, "acc_local").dist.clone(),
-            Backend::Dist { store, .. } => store.dist_for_write(h.0, "acc_local"),
-        };
-        let r = dist.range_of(node);
-        let (lo, hi) = (r.start, r.end);
-        let begin = offset.max(lo);
-        let end = (offset + data.len()).min(hi);
+        let r = self.home().dist_for_write(h.0, "acc_local").range_of(node);
+        let begin = offset.max(r.start);
+        let end = (offset + data.len()).min(r.end);
         if begin >= end {
             return;
         }
-        let src = &data[begin - offset..end - offset];
-        match &self.backend {
-            Backend::Local { .. } => {
-                let a = self.array(h);
-                let mut seg = a.segments[node].lock();
-                for (dst, x) in seg[begin - lo..end - lo].iter_mut().zip(src) {
-                    *dst += alpha * x;
-                }
-                self.stats.record_locality(src.len() * 8, 0);
-            }
-            Backend::Dist {
-                ep,
-                store,
-                cache,
-                view,
-            } => {
-                cache.invalidate_overlap(h.0, begin, end - begin);
-                if node == view.my_node {
-                    store.acc_local(h.0, begin, src, alpha);
-                    self.stats.record_locality(src.len() * 8, 0);
-                } else {
-                    ep.acc(view.members[node], h.0 as u32, begin, src, alpha);
-                    self.stats.record_locality(0, src.len() * 8);
-                }
-            }
+        if let Some(c) = self.cache() {
+            c.invalidate_overlap(h.0, begin, end - begin);
         }
+        let src = &data[begin - offset..end - offset];
+        let (l, r) = self.write_piece(h, node, begin, src, Some(alpha));
+        self.stats.record_locality(l, r);
         self.stats.record_acc((end - begin) * 8);
     }
 
-    /// Snapshot the full array. In distributed mode this pulls every
-    /// remote shard (test/analysis helper; not a GA operation).
+    /// Snapshot the full array: one get of all of it (test/analysis
+    /// helper; not a GA operation).
     pub fn snapshot(&self, h: GaHandle) -> Vec<f64> {
-        match &self.backend {
-            Backend::Local { .. } => {
-                let a = self.array(h);
-                let mut out = Vec::with_capacity(a.dist.len());
-                for seg in &a.segments {
-                    out.extend_from_slice(&seg.lock());
-                }
-                out
-            }
-            Backend::Dist { .. } => {
-                let len = self.len_of(h);
-                self.get(h, 0, len)
-            }
-        }
+        self.get(h, 0, self.len_of(h))
     }
 
     /// Zero the array in place. Collective in distributed mode: each rank
     /// zeroes its own shard (bracket with [`Self::sync`] as needed).
     pub fn zero(&self, h: GaHandle) {
-        match &self.backend {
-            Backend::Local { .. } => {
-                let a = self.array_for_write(h, "zero");
-                for seg in &a.segments {
-                    seg.lock().fill(0.0);
-                }
-            }
-            Backend::Dist { store, cache, .. } => {
-                // Every rank zeroes its own shard (a frozen one panics
-                // there), so no invalidation AM arrives for the remote
-                // pieces — drop the whole array.
-                store.zero_local(h.0);
-                cache.invalidate_array(h.0);
-            }
+        // Every rank zeroes its own shard (a frozen one panics there), so
+        // no invalidation AM arrives for the remote pieces — drop the
+        // whole array.
+        for (_, store) in self.held() {
+            store.zero_local(h.0);
+        }
+        if let Some(c) = self.cache() {
+            c.invalidate_array(h.0);
         }
     }
 
     /// `NXTVAL`: the shared work-stealing counter. Every call atomically
     /// returns the next value — "each MPI rank will atomically acquire a
     /// single unit of work each time". This is the global hot spot the
-    /// paper identifies as unscalable; in distributed mode it is a real
-    /// one: a fetch-and-add served by rank 0's progress thread.
+    /// paper identifies as unscalable; over the wire it is a real one: a
+    /// fetch-and-add served by the gang leader's progress thread.
     pub fn nxtval(&self) -> i64 {
         self.stats.record_nxtval();
-        match &self.backend {
-            Backend::Local { nxtval, .. } => nxtval.fetch_add(1, Ordering::Relaxed),
-            Backend::Dist { ep, view, .. } => ep.nxtval(view.members[0]),
+        match &self.wire {
+            Some(w) => w.ep.nxtval(w.view.members[0]),
+            None => self.nxtval.fetch_add(1, Ordering::Relaxed),
         }
     }
 
@@ -751,14 +577,14 @@ impl Ga {
     /// the leader's reset so no member can draw a stale value on either
     /// side.
     pub fn nxtval_reset(&self) {
-        match &self.backend {
-            Backend::Local { nxtval, .. } => nxtval.store(0, Ordering::Relaxed),
-            Backend::Dist { ep, view, .. } => distga::nxtval_reset_collective(ep, view),
+        match &self.wire {
+            Some(w) => distga::nxtval_reset_collective(&w.ep, &w.view),
+            None => self.nxtval.store(0, Ordering::Relaxed),
         }
     }
 
     /// Fence this rank's outstanding writes, then a gang barrier — GA's
-    /// `sync`, scoped to this instance's gang. No-op in local mode,
+    /// `sync`, scoped to this instance's gang. No-op without an endpoint,
     /// where every operation is immediately visible. The sync boundary
     /// is where GA's relaxed model makes third-party mutations visible,
     /// so the gang's slice of the tile cache is flushed here — all but
@@ -766,15 +592,10 @@ impl Ga {
     /// concurrent gangs' entries are untouched — their coherence epochs
     /// are their own syncs).
     pub fn sync(&self) {
-        if let Backend::Dist {
-            ep,
-            store,
-            cache,
-            view,
-        } = &self.backend
-        {
-            ep.sync_gang(view.mask);
-            cache.flush_scope(view.tag, &store.frozen_in(view.tag));
+        if let Some(w) = &self.wire {
+            w.ep.sync_gang(w.view.mask);
+            let tag = w.view.tag;
+            w.cache.flush_scope(tag, &self.home().frozen_in(tag));
         }
     }
 }

@@ -1,51 +1,32 @@
-//! The distributed read path: all-local ranges by memcpy, everything else
-//! through the per-rank [`TileCache`](crate::cache::TileCache) — hits from
-//! memory, concurrent readers of one uncached block coalesced onto a
-//! single fill, and each fill's remote pieces as one wire get per owner.
+//! The read path: pieces a held store owns by memcpy, everything else
+//! through the per-rank [`TileCache`](crate::cache::TileCache) — hits
+//! from memory, concurrent readers of one uncached block coalesced onto
+//! a single fill, and each fill's remote pieces as one wire get per owner.
 
 use crate::cache::{Lookup, Reader};
 use crate::distga::{Assembly, WaitSlot};
-use crate::{Backend, Ga, GaGetCallback, GaHandle, NodeId};
+use crate::{Ga, GaGetCallback, GaHandle, NodeId};
 use std::ops::Range;
 
 impl Ga {
-    /// The distributed arm of [`Ga::get_into`]: a straight memcpy when this
-    /// rank owns the whole range, else a cached fetch waited on here.
-    pub(crate) fn dist_get_into(&self, h: GaHandle, offset: usize, out: &mut [f64]) {
-        let Backend::Dist { store, .. } = &self.backend else {
-            unreachable!("dist_get_into on local backend")
-        };
-        if store.read_owned(h.0, offset, out) {
-            // Entirely this rank's shard: straight memcpy, no buffer
-            // hand-off, no cache involvement.
-            self.stats.record_locality(out.len() * 8, 0);
-        } else {
-            let slot = WaitSlot::new();
-            let cb = Reader::Owned(slot.callback());
-            self.dist_fetch(h, offset, vec![0.0; out.len()], i64::MAX, cb);
-            out.copy_from_slice(&slot.wait());
-        }
+    /// True when this process holds the owner of every piece.
+    fn all_held(&self, pieces: &[(NodeId, Range<usize>)]) -> bool {
+        pieces.iter().all(|(node, _)| self.store(*node).is_some())
     }
 
     /// Warm the tile cache for a later read of `[offset, offset+len)`:
     /// a miss starts the coalescable fill, a hit or in-flight fill (or
-    /// an all-local range) is left alone. Nothing is
+    /// a range held here) is left alone. Nothing is
     /// delivered, so the `verify_reads` oracle is skipped — which is
     /// what makes this, unlike [`Ga::get_async`], safe to call from the
     /// progress thread (a blocking verify there would deadlock against
     /// the replies only that thread can deliver).
     pub fn prefetch(&self, h: GaHandle, offset: usize, len: usize, prio: i64) {
-        let Backend::Dist {
-            store, cache, view, ..
-        } = &self.backend
-        else {
-            return; // local backend: every read is already a memcpy
-        };
-        let dist = store.dist_of(h.0);
-        let pieces = dist.owners_of(offset, len);
-        if pieces.iter().all(|(node, _)| *node == view.my_node) {
+        let pieces = self.owners_of(h, offset, len);
+        if self.all_held(&pieces) {
             return;
         }
+        let cache = &self.wire().cache;
         let nop = Reader::Owned(Box::new(|_| {}));
         match cache.lookup((h.0, offset, len), vec![0.0; len], nop) {
             Lookup::Hit { .. } | Lookup::Joined => {}
@@ -56,13 +37,14 @@ impl Ga {
         }
     }
 
-    /// Distributed read of `[offset, offset+buf.len())` through the tile
-    /// cache: all-local ranges short-circuit (one array lookup, no store
-    /// lock, no shared write); cached blocks are served from memory —
-    /// to a shared reader as the cached block itself, `buf` returned
-    /// unused; concurrent readers of one uncached block coalesce onto a
-    /// single fill whose completion feeds every waiter.
-    pub(crate) fn dist_fetch(
+    /// Read `[offset, offset+buf.len())`: a range held here is assembled
+    /// in place (one lookup when the first held store owns all of it),
+    /// with no cache involvement; any other goes through the tile cache —
+    /// cached blocks are served from memory, to a shared reader as the
+    /// cached block itself, `buf` returned unused; concurrent readers of
+    /// one uncached block coalesce onto a single fill whose completion
+    /// feeds every waiter.
+    pub(crate) fn fetch(
         &self,
         h: GaHandle,
         offset: usize,
@@ -70,16 +52,18 @@ impl Ga {
         prio: i64,
         cb: Reader,
     ) -> Option<Vec<f64>> {
-        let Backend::Dist { store, cache, .. } = &self.backend else {
-            unreachable!("dist_fetch on local backend")
-        };
         let len = buf.len();
-        if store.read_owned(h.0, offset, &mut buf) {
+        if self.home().read_owned(h.0, offset, &mut buf) {
             self.stats.record_locality(len * 8, 0);
             cb.into_owned()(buf);
             return None;
         }
-        let pieces = store.dist_of(h.0).owners_of(offset, len);
+        let pieces = self.owners_of(h, offset, len);
+        if self.all_held(&pieces) {
+            self.fetch_assemble(h, offset, buf, prio, cb.into_owned(), &pieces);
+            return None;
+        }
+        let cache = &self.wire().cache;
         match cache.lookup((h.0, offset, len), buf, cb) {
             Lookup::Hit { data, mut buf, cb } => {
                 // Served from cache: no wire traffic, all bytes local.
@@ -117,9 +101,9 @@ impl Ga {
         None
     }
 
-    /// The cache's fill path: local pieces by memcpy, each remote piece
-    /// one wire get, assembled into `buf` and handed to `cb` when the
-    /// last piece lands.
+    /// Held pieces by memcpy, each remote piece one wire get, assembled
+    /// into `buf` and handed to `cb` when the last piece lands (at once
+    /// when none is remote).
     fn fetch_assemble(
         &self,
         h: GaHandle,
@@ -129,22 +113,12 @@ impl Ga {
         cb: GaGetCallback,
         pieces: &[(NodeId, Range<usize>)],
     ) {
-        let Backend::Dist {
-            ep, store, view, ..
-        } = &self.backend
-        else {
-            unreachable!("fetch_assemble on local backend")
-        };
-        let me = view.my_node;
         let (mut local_b, mut remote_b) = (0, 0);
         let mut remote = Vec::new();
         for (node, range) in pieces {
-            if *node == me {
-                store.read_local(
-                    h.0,
-                    range.start,
-                    &mut buf[range.start - offset..range.end - offset],
-                );
+            if let Some(store) = self.store(*node) {
+                let at = range.start - offset..range.end - offset;
+                store.read_local(h.0, range.start, &mut buf[at]);
                 local_b += range.len() * 8;
             } else {
                 remote_b += range.len() * 8;
@@ -157,12 +131,13 @@ impl Ga {
             cb(buf);
             return;
         }
+        let w = self.wire();
         let asm = Assembly::new(buf, remote.len(), cb);
         for (node, range) in remote {
             let asm = asm.clone();
             let at = range.start - offset;
-            ep.get_async(
-                view.members[node],
+            w.ep.get_async(
+                w.view.members[node],
                 h.0 as u32,
                 range.start,
                 range.len(),
@@ -183,26 +158,17 @@ impl Ga {
         len: usize,
         pieces: &[(NodeId, Range<usize>)],
     ) -> Vec<f64> {
-        let Backend::Dist {
-            ep, store, view, ..
-        } = &self.backend
-        else {
-            unreachable!("fetch_fresh_blocking on local backend")
-        };
-        let me = view.my_node;
+        let w = self.wire();
         let mut out = vec![0.0; len];
         let mut waits = Vec::new();
         for (node, range) in pieces {
-            if *node == me {
-                store.read_local(
-                    h.0,
-                    range.start,
-                    &mut out[range.start - offset..range.end - offset],
-                );
+            if let Some(store) = self.store(*node) {
+                let at = range.start - offset..range.end - offset;
+                store.read_local(h.0, range.start, &mut out[at]);
             } else {
                 let slot = WaitSlot::new();
-                ep.get_async(
-                    view.members[*node],
+                w.ep.get_async(
+                    w.view.members[*node],
                     h.0 as u32,
                     range.start,
                     range.len(),

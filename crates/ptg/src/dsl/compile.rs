@@ -16,7 +16,7 @@ use crate::{
     TaskCost, TaskGraph, TaskKey, MAX_PARAMS,
 };
 use std::collections::HashMap;
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex, OnceLock};
 
 /// Task body: consumes inputs (indexed by flow), returns outputs.
 pub type Body = Arc<dyn Fn(TaskKey, &mut [Option<Payload>]) -> Vec<Option<Payload>> + Send + Sync>;
@@ -333,6 +333,20 @@ impl TaskClass for Class {
 
 // ----------------------------------------------------------------- builder --
 
+/// [`parse_program`] once per distinct text per process. A process
+/// builds graphs from a handful of texts over and over (the service
+/// layer on every plan-cache miss), and parsing was most of each build.
+fn parsed(src: &str) -> Result<Arc<Vec<ClassDef>>, DslError> {
+    static PARSED: OnceLock<Mutex<HashMap<String, Arc<Vec<ClassDef>>>>> = OnceLock::new();
+    let cache = PARSED.get_or_init(Default::default);
+    if let Some(defs) = cache.lock().unwrap().get(src) {
+        return Ok(defs.clone());
+    }
+    let defs = Arc::new(parse_program(src)?);
+    cache.lock().unwrap().insert(src.to_string(), defs.clone());
+    Ok(defs)
+}
+
 /// Compile a DSL program and attach host bindings.
 pub struct DslBuilder {
     src: String,
@@ -443,7 +457,7 @@ impl DslBuilder {
     /// Compile into a [`TaskGraph`] over `ctx`. `P` is bound to the
     /// context's node count.
     pub fn compile(mut self, ctx: Arc<dyn GraphCtx>) -> Result<TaskGraph, DslError> {
-        let defs = parse_program(&self.src)?;
+        let defs = parsed(&self.src)?;
         let mut ids = HashMap::new();
         for (i, c) in defs.iter().enumerate() {
             if ids.insert(c.name.as_str(), i).is_some() {

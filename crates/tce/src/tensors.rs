@@ -179,8 +179,8 @@ pub fn materialize(ga: &Ga, layout: &TensorLayout, seed: Option<u64>) -> GaHandl
     let h = ga.create(layout.len());
     if let Some(seed) = seed {
         // Collective fill: every rank computes the same deterministic
-        // blocks and writes its own intersection (a plain put in the
-        // in-process backend).
+        // blocks and writes its own intersection (all of it in process,
+        // where every node's shard is held).
         for (key, offset, size) in layout.index.iter() {
             let data: Vec<f64> = (0..size).map(|e| block_element(seed, key, e)).collect();
             ga.put_collective(h, offset, &data);

@@ -236,8 +236,8 @@ fn run() -> Result<(), String> {
                 gs.accs(),
                 gs.nxtvals()
             );
-            // The tile cache only engages on the distributed backend;
-            // a single-process verify run has nothing to report.
+            // The tile cache only fronts remote pieces; a single-process
+            // verify run has none and nothing to report.
             let lookups = gs.cache_hits() + gs.cache_joins() + gs.cache_misses();
             if lookups > 0 {
                 println!(
