@@ -24,8 +24,9 @@ echo "==> cargo test --release (comm sockets, engine, ga, ccsd, tensor kernels a
 # transport (frame reassembly, the simultaneous 64 MiB replies that
 # deadlock blocking writes), the engine's unit tests, ga's per-thread
 # counters and array views, ccsd's socket-mesh runs and stress tests, and
-# the root package's tests/stress.rs — and ptg's, since its compiled
-# closures are on every task's dispatch path — and tensor-kernels', so the
+# the root package's tests/stress.rs — and ptg's and ccsd's, since the
+# classes ptg's emitter writes into ccsd at build time are on every
+# task's dispatch path — and tensor-kernels', so the
 # SIMD microkernel bodies, the register transposes of packing and their
 # proptests also run as the optimizer compiles them.
 cargo test --release -q -p comm -p parsec-rt -p global-arrays -p ptg -p ccsd -p parsec-ccsd-repro -p tensor-kernels

@@ -110,7 +110,7 @@ fn recovery_config() -> SvcConfig {
 }
 
 fn collect(daemon: &RankDaemon) -> Fragment {
-    let (plan_hits, plan_misses, _) = daemon.plan_stats();
+    let (plan_hits, plan_misses) = daemon.plan_stats();
     let s = daemon.endpoint().stats();
     let mut f = Fragment::new(daemon.rank());
     for (name, v) in [

@@ -96,7 +96,9 @@ impl VariantCfg {
     }
 }
 
-/// The context shared by the bodies and host functions of one CCSD graph.
+/// The host of one CCSD graph: what its variant text reads as globals
+/// (`nchains`, `h`, the offsets) and host functions, and what its bodies
+/// run on. The bodies and hooks themselves are in `variants`.
 pub struct CcsdCtx {
     /// Inspection metadata (chains, operand locations, sort branches).
     pub ins: Arc<Inspection>,
@@ -108,33 +110,95 @@ pub struct CcsdCtx {
     /// Reader tasks post asynchronous gets through the comm layer instead
     /// of blocking a worker (distributed mode only; requires a dist GA).
     pub prefetch: bool,
+    /// Number of chains.
+    pub nchains: i64,
+    /// Segment height ([`VariantCfg::segment_height`]).
+    pub h: i64,
+    /// [`VariantCfg::reader_offset`].
+    pub reader_offset: i64,
+    /// [`VariantCfg::gemm_offset`].
+    pub gemm_offset: i64,
 }
 
 impl CcsdCtx {
+    /// The host of `cfg`'s graph over `ins`.
+    pub fn new(
+        ins: Arc<Inspection>,
+        cfg: VariantCfg,
+        ws: Option<Arc<Workspace>>,
+        pool: Arc<TilePool>,
+        prefetch: bool,
+    ) -> Self {
+        Self {
+            nchains: ins.num_chains() as i64,
+            ins,
+            ws,
+            pool,
+            prefetch,
+            h: cfg.segment_height as i64,
+            reader_offset: cfg.reader_offset,
+            gemm_offset: cfg.gemm_offset,
+        }
+    }
+
     /// Chain metadata.
     pub fn chain(&self, l1: i64) -> &tce::ChainMeta {
         &self.ins.chains[l1 as usize]
     }
 
-    /// Width of reduction level `s` for a chain of `len` GEMMs
-    /// (level 0 = the GEMMs themselves).
-    pub fn reduce_width(len: usize, s: usize) -> usize {
-        let mut w = len;
-        for _ in 0..s {
-            w = w.div_ceil(2);
-        }
-        w
+    // Host functions of the variant texts.
+
+    /// GEMMs of chain `l1`.
+    pub fn chain_len(&self, l1: i64) -> i64 {
+        self.chain(l1).gemms.len() as i64
     }
 
-    /// The final reduction level (first level of width 1; >= 1).
-    pub fn reduce_levels(len: usize) -> usize {
-        let mut s = 0;
-        let mut w = len;
-        while w > 1 || s == 0 {
-            w = w.div_ceil(2);
-            s += 1;
-        }
-        s
+    /// Active SORT branches of chain `l1`.
+    pub fn nsorts(&self, l1: i64) -> i64 {
+        self.chain(l1).sorts.len() as i64
+    }
+
+    /// Depth of chain `l1`'s reduction tree over its segments.
+    pub fn reduce_levels(&self, l1: i64) -> i64 {
+        tree_levels(self.segments(l1)) as i64
+    }
+
+    /// Width of level `s` of chain `l1`'s reduction tree (level 0: the
+    /// segments).
+    pub fn reduce_width(&self, l1: i64, s: i64) -> i64 {
+        tree_width(self.segments(l1), s as usize) as i64
+    }
+
+    /// Global Arrays nodes holding SORT `i`'s output block.
+    pub fn nowners(&self, l1: i64, i: i64) -> i64 {
+        self.chain(l1).sorts[i as usize].owners.len() as i64
+    }
+
+    /// The `w`-th of them.
+    pub fn owner(&self, l1: i64, i: i64, w: i64) -> i64 {
+        self.chain(l1).sorts[i as usize].owners[w as usize].0 as i64
+    }
+
+    fn segments(&self, l1: i64) -> usize {
+        self.chain(l1).gemms.len().div_ceil(self.h as usize)
+    }
+}
+
+/// Width of level `s` of a binary reduction tree over `len` leaves (level
+/// 0: the leaves): `len / 2^s`, rounded up.
+fn tree_width(len: usize, s: usize) -> usize {
+    match s {
+        s if s >= usize::BITS as usize => len.min(1),
+        s => (len >> s) + usize::from(len & ((1 << s) - 1) != 0),
+    }
+}
+
+/// The final level of a binary reduction tree over `len` leaves: the
+/// first of width 1, and at least 1.
+fn tree_levels(len: usize) -> usize {
+    match len {
+        0..=2 => 1,
+        len => (usize::BITS - (len - 1).leading_zeros()) as usize,
     }
 }
 
@@ -192,15 +256,26 @@ mod tests {
 
     #[test]
     fn reduction_geometry() {
-        assert_eq!(CcsdCtx::reduce_levels(1), 1);
-        assert_eq!(CcsdCtx::reduce_levels(2), 1);
-        assert_eq!(CcsdCtx::reduce_levels(3), 2);
-        assert_eq!(CcsdCtx::reduce_levels(8), 3);
-        assert_eq!(CcsdCtx::reduce_levels(9), 4);
-        assert_eq!(CcsdCtx::reduce_width(9, 0), 9);
-        assert_eq!(CcsdCtx::reduce_width(9, 1), 5);
-        assert_eq!(CcsdCtx::reduce_width(9, 2), 3);
-        assert_eq!(CcsdCtx::reduce_width(9, 3), 2);
-        assert_eq!(CcsdCtx::reduce_width(9, 4), 1);
+        assert_eq!(tree_levels(1), 1);
+        assert_eq!(tree_levels(2), 1);
+        assert_eq!(tree_levels(3), 2);
+        assert_eq!(tree_levels(8), 3);
+        assert_eq!(tree_levels(9), 4);
+        assert_eq!(tree_width(9, 0), 9);
+        assert_eq!(tree_width(9, 1), 5);
+        assert_eq!(tree_width(9, 2), 3);
+        assert_eq!(tree_width(9, 3), 2);
+        assert_eq!(tree_width(9, 4), 1);
+        // The halving loop they replace, over every tree up to 300 leaves.
+        for len in 0..300usize {
+            let (mut w, mut s) = (len, 0);
+            while w > 1 || s == 0 {
+                w = w.div_ceil(2);
+                s += 1;
+                assert_eq!(tree_width(len, s), w, "{len} {s}");
+            }
+            assert_eq!(tree_levels(len), s, "{len}");
+            assert_eq!(tree_width(len, 70), len.min(1));
+        }
     }
 }

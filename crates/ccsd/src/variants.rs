@@ -1,5 +1,6 @@
 //! The PTG programs of the PaRSEC-ported `icsd_t2_7`: five variant texts,
-//! compiled by `ptg::dsl`, and the Rust bodies and cost hooks they name.
+//! compiled to Rust at build time by `ptg::dsl::emit` (see `build.rs`),
+//! and the Rust bodies and cost hooks they name.
 //!
 //! Each variant is a JDF-like text in `variants/` (`v1.jdf` … `v5.jdf`);
 //! v1 → v3 is the paper's Figure 1 → Figure 2 change to matrix C's
@@ -27,13 +28,14 @@
 //! (level 0: the segments); `nsorts(L1)`, how many of the four SORT
 //! predicates hold; `nowners(L1, i)` and `owner(L1, i, w)`, the Global
 //! Arrays nodes holding SORT `i`'s output block. Globals: `nchains`, `h`,
-//! `reader_offset`, `gemm_offset`, and `P`, the node count.
+//! `reader_offset`, `gemm_offset`, and `P`, the node count. [`CcsdCtx`]
+//! is the texts' host: the globals are its fields, the host functions its
+//! methods, and its [`Host`] impl runs the bodies named by `BODY` lines.
 
 use crate::ctx::{CcsdCtx, VariantCfg, ACC_CRITICAL_SLOWDOWN, ACC_RMW_FACTOR, SORT_STRIDE_FACTOR};
 use parsec_rt::TilePool;
-use ptg::dsl::DslBuilder;
-use ptg::expr::HostFn;
-use ptg::{Activity, Completion, Payload, PlainCtx, TaskCost, TaskGraph, TaskKey};
+use ptg::dsl::Host;
+use ptg::{Activity, Completion, FlowId, Payload, PlainCtx, TaskCost, TaskGraph, TaskKey};
 use std::sync::Arc;
 use tce::Inspection;
 use tensor_kernels::{dgemm_with, scratch_lens, sort_4, sort_4_strided, Trans};
@@ -46,28 +48,6 @@ pub const GEMM: u32 = 3;
 pub const REDUCE: u32 = 4;
 pub const SORT: u32 = 5;
 pub const WRITE: u32 = 6;
-
-/// The variant texts, in paper order.
-pub const TEXTS: [&str; 5] = [
-    include_str!("variants/v1.jdf"),
-    include_str!("variants/v2.jdf"),
-    include_str!("variants/v3.jdf"),
-    include_str!("variants/v4.jdf"),
-    include_str!("variants/v5.jdf"),
-];
-
-/// The PTG text a configuration runs: its own, or v5's for a height
-/// variant.
-pub fn text(cfg: &VariantCfg) -> &'static str {
-    match cfg.name {
-        "v1" => TEXTS[0],
-        "v2" => TEXTS[1],
-        "v3" => TEXTS[2],
-        "v4" => TEXTS[3],
-        "v5" | "vh" => TEXTS[4],
-        other => panic!("no PTG text for variant `{other}`"),
-    }
-}
 
 type Outputs = Vec<Option<Payload>>;
 
@@ -98,16 +78,23 @@ fn block(c: &CcsdCtx, op: Operand, key: TaskKey) -> (global_arrays::GaHandle, us
     }
 }
 
-fn read(c: &CcsdCtx, op: Operand, key: TaskKey, prio: i64, done: Completion) -> Option<Outputs> {
+/// A blocking read of operand `op` into a pooled buffer.
+fn read_now(c: &CcsdCtx, op: Operand, key: TaskKey) -> Outputs {
     let Some(ws) = &c.ws else {
-        return Some(vec![None]);
+        return vec![None];
     };
     let (h, offset, len) = block(c, op, key);
-    if !(c.prefetch && ws.ga.is_dist()) {
-        let mut data = c.pool.checkout(len);
-        ws.ga.get_into(h, offset, &mut data);
-        return Some(vec![Some(Arc::new(data))]);
-    }
+    let mut data = c.pool.checkout(len);
+    ws.ga.get_into(h, offset, &mut data);
+    vec![Some(Arc::new(data))]
+}
+
+fn read(c: &CcsdCtx, op: Operand, key: TaskKey, prio: i64, done: Completion) -> Option<Outputs> {
+    let ws = match &c.ws {
+        Some(ws) if c.prefetch && ws.ga.is_dist() => ws,
+        _ => return Some(read_now(c, op, key)),
+    };
+    let (h, offset, len) = block(c, op, key);
     // Prefetch pipeline: hand the transfer to the comm layer at this
     // reader's graph priority and free the worker immediately. The
     // progress engine caps in-flight gets per peer and queues the rest
@@ -330,6 +317,84 @@ fn write_cost(c: &CcsdCtx, key: TaskKey, inputs: usize) -> TaskCost {
     }
 }
 
+// --------------------------------------------------------------------- host --
+
+fn c_bytes(c: &CcsdCtx, key: TaskKey) -> u64 {
+    c.chain(key.params[0]).c_bytes()
+}
+
+impl Host for CcsdCtx {
+    fn execute(&self, body: &str, key: TaskKey, inputs: &mut [Option<Payload>]) -> Outputs {
+        match body {
+            "read_a" => read_now(self, A, key),
+            "read_b" => read_now(self, B, key),
+            "dfill" => dfill(self, key, inputs),
+            "gemm" => gemm(self, key, inputs),
+            "reduce" => reduce(self, key, inputs),
+            "sort_branch" => sort_branch(self, key, inputs),
+            "sort_merged" => sort_merged(self, key, inputs),
+            "write" => write(self, key, inputs),
+            other => panic!("no body `{other}`"),
+        }
+    }
+
+    fn execute_async(
+        &self,
+        body: &str,
+        key: TaskKey,
+        prio: i64,
+        inputs: &mut [Option<Payload>],
+        done: Completion,
+    ) -> Option<Outputs> {
+        match body {
+            "read_a" => read(self, A, key, prio, done),
+            "read_b" => read(self, B, key, prio, done),
+            _ => Some(self.execute(body, key, inputs)),
+        }
+    }
+
+    fn cost(&self, body: &str, key: TaskKey, inputs: usize) -> TaskCost {
+        match body {
+            "read_a" => read_cost(self, A, key),
+            "read_b" => read_cost(self, B, key),
+            "dfill" => memory_cost(c_bytes(self, key)),
+            "gemm" => gemm_cost(self, key),
+            "reduce" => memory_cost((inputs as u64 + 1) * c_bytes(self, key)),
+            "sort_branch" => sort_cost(self, key, true),
+            "sort_merged" => sort_cost(self, key, false),
+            "write" => write_cost(self, key, inputs),
+            other => panic!("no body `{other}`"),
+        }
+    }
+
+    fn flow_bytes(&self, body: &str, key: TaskKey, _flow: FlowId, dst: TaskKey) -> u64 {
+        match body {
+            "gemm" | "reduce" => c_bytes(self, key),
+            "sort_branch" | "sort_merged" => sort_bytes(self, key, dst),
+            _ => 0,
+        }
+    }
+
+    fn activity(&self, body: &str) -> Activity {
+        match body {
+            "read_a" | "read_b" => Activity::Runtime,
+            _ => Activity::Compute,
+        }
+    }
+}
+
+/// The variant texts as Rust, one module each, written by `build.rs`.
+macro_rules! texts {
+    ($($v:ident),*) => {$(
+        #[allow(clippy::overly_complex_bool_expr)] // v1: `L2 == 0 || L2 != 0`
+        mod $v {
+            use crate::ctx::CcsdCtx as Host;
+            include!(concat!(env!("OUT_DIR"), "/", stringify!($v), ".rs"));
+        }
+    )*};
+}
+texts!(v1, v2, v3, v4, v5);
+
 // ------------------------------------------------------------------ builder --
 
 /// Assemble the task graph of one variant.
@@ -387,85 +452,16 @@ fn build_graph_inner(
     if let Some(ws) = &ws {
         assert_eq!(ws.ga.nnodes(), nodes, "workspace/inspection node mismatch");
     }
-    let nchains = ins.num_chains() as i64;
-    let c = Arc::new(CcsdCtx {
-        ins,
-        ws,
-        pool,
-        prefetch,
-    });
-    let h = cfg.segment_height;
-    let segments: Vec<usize> = (c.ins.chains.iter())
-        .map(|ch| ch.gemms.len().div_ceil(h))
-        .collect();
-    // Per-chain host functions are tables, built once.
-    let table = |t: Vec<usize>| -> HostFn { Arc::new(move |a: &[i64]| t[a[0] as usize] as i64) };
-    let per_chain = |f: fn(&tce::ChainMeta) -> usize| table(c.ins.chains.iter().map(f).collect());
-    let levels = segments
-        .iter()
-        .map(|&n| CcsdCtx::reduce_levels(n))
-        .collect();
-    let reduce_width: HostFn = Arc::new(move |a: &[i64]| {
-        CcsdCtx::reduce_width(segments[a[0] as usize], a[1] as usize) as i64
-    });
-    let per_sort = |f: fn(&tce::SortMeta, &[i64]) -> usize| -> HostFn {
-        let c = c.clone();
-        Arc::new(move |a: &[i64]| f(&c.chain(a[0]).sorts[a[1] as usize], a) as i64)
+    let graph = match cfg.name {
+        "v1" => v1::graph,
+        "v2" => v2::graph,
+        "v3" => v3::graph,
+        "v4" => v4::graph,
+        "v5" | "vh" => v5::graph,
+        other => panic!("no PTG text for variant `{other}`"),
     };
-    // Each body and hook holds its own handle on the context.
-    macro_rules! hook {
-        ($c:ident, |$($arg:pat_param),*| $body:expr) => {{
-            let $c = $c.clone();
-            move |$($arg),*| {
-                let $c: &CcsdCtx = &$c;
-                $body
-            }
-        }};
-    }
-    let body = |f: fn(&CcsdCtx, TaskKey, &mut [Option<Payload>]) -> Outputs| {
-        let c = c.clone();
-        move |k: TaskKey, i: &mut [Option<Payload>]| f(&c, k, i)
-    };
-    let c_bytes = |c: &CcsdCtx, k: TaskKey| c.chain(k.params[0]).c_bytes();
-    DslBuilder::new(text(&cfg))
-        .global("nchains", nchains)
-        .global("h", h as i64)
-        .global("reader_offset", cfg.reader_offset)
-        .global("gemm_offset", cfg.gemm_offset)
-        .func("chain_len", per_chain(|ch| ch.gemms.len()))
-        .func("nsorts", per_chain(|ch| ch.sorts.len()))
-        .func("reduce_levels", table(levels))
-        .func("reduce_width", reduce_width)
-        .func("nowners", per_sort(|s, _| s.owners.len()))
-        .func("owner", per_sort(|s, a| s.owners[a[2] as usize].0))
-        .body_async("read_a", hook!(c, |k, p, _, done| read(c, A, k, p, done)))
-        .body_async("read_b", hook!(c, |k, p, _, done| read(c, B, k, p, done)))
-        .cost("read_a", hook!(c, |k, _| read_cost(c, A, k)))
-        .cost("read_b", hook!(c, |k, _| read_cost(c, B, k)))
-        .activity("read_a", Activity::Runtime)
-        .activity("read_b", Activity::Runtime)
-        .body("dfill", body(dfill))
-        .cost("dfill", hook!(c, |k, _| memory_cost(c_bytes(c, k))))
-        .body("gemm", body(gemm))
-        .cost("gemm", hook!(c, |k, _| gemm_cost(c, k)))
-        .flow_bytes("gemm", hook!(c, |k, _, _| c_bytes(c, k)))
-        .body("reduce", body(reduce))
-        .cost(
-            "reduce",
-            hook!(c, |k, n| memory_cost((n as u64 + 1) * c_bytes(c, k))),
-        )
-        .flow_bytes("reduce", hook!(c, |k, _, _| c_bytes(c, k)))
-        .body("sort_branch", body(sort_branch))
-        .cost("sort_branch", hook!(c, |k, _| sort_cost(c, k, true)))
-        .flow_bytes("sort_branch", hook!(c, |k, _, dst| sort_bytes(c, k, dst)))
-        .body("sort_merged", body(sort_merged))
-        .cost("sort_merged", hook!(c, |k, _| sort_cost(c, k, false)))
-        .flow_bytes("sort_merged", hook!(c, |k, _, dst| sort_bytes(c, k, dst)))
-        .body("write", body(write))
-        .cost("write", hook!(c, |k, n| write_cost(c, k, n)))
-        .external_roots(external_roots)
-        .compile(Arc::new(PlainCtx { nodes }))
-        .unwrap_or_else(|e| panic!("variant {}: {e}", cfg.name))
+    let host = CcsdCtx::new(ins, cfg, ws, pool, prefetch);
+    graph(host, Arc::new(PlainCtx { nodes }), external_roots)
 }
 
 #[cfg(test)]
@@ -719,7 +715,13 @@ mod tests {
 
     #[test]
     fn each_text_differs_from_its_neighbour_only_where_the_paper_says() {
-        let [v1, v2, v3, v4, v5] = TEXTS;
+        let [v1, v2, v3, v4, v5] = [
+            include_str!("variants/v1.jdf"),
+            include_str!("variants/v2.jdf"),
+            include_str!("variants/v3.jdf"),
+            include_str!("variants/v4.jdf"),
+            include_str!("variants/v5.jdf"),
+        ];
         let output = |line: &str| line.contains("->");
         // Figure 1 -> Figure 2: C's dataflow, and so the producer the SORT
         // reads its C from.

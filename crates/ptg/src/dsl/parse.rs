@@ -10,14 +10,14 @@ use crate::expr::{self, Expr};
 /// clause only) a range `lo .. hi` that broadcasts to every instance in
 /// it, as JDF's `-> C WRITE_C(L1, i, 0 .. n - 1)`.
 #[derive(Debug, Clone)]
-pub(super) enum Arg {
+pub enum Arg {
     One(Expr),
     Range(Expr, Expr),
 }
 
 /// Where a dependency clause points.
 #[derive(Debug, Clone)]
-pub(super) enum DepTarget {
+pub enum DepTarget {
     /// `FLOW CLASS(args)`: another task instance.
     Task {
         remote_flow: String,
@@ -30,38 +30,38 @@ pub(super) enum DepTarget {
 
 /// One `<-` or `->` clause.
 #[derive(Debug, Clone)]
-pub(super) struct DepClause {
-    pub(super) guard: Option<Expr>,
-    pub(super) target: DepTarget,
+pub struct DepClause {
+    pub guard: Option<Expr>,
+    pub target: DepTarget,
 }
 
 /// Flow directionality keyword.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(super) enum FlowMode {
+pub enum FlowMode {
     Read,
     Write,
     Rw,
 }
 
 #[derive(Debug, Clone)]
-pub(super) struct FlowDef {
-    pub(super) name: String,
-    pub(super) mode: FlowMode,
-    pub(super) ins: Vec<DepClause>,
-    pub(super) outs: Vec<DepClause>,
+pub struct FlowDef {
+    pub name: String,
+    pub mode: FlowMode,
+    pub ins: Vec<DepClause>,
+    pub outs: Vec<DepClause>,
 }
 
 #[derive(Debug, Clone)]
-pub(super) struct ClassDef {
+pub struct ClassDef {
     /// 1-based source line of the header, where semantic errors point.
-    pub(super) line: usize,
-    pub(super) name: String,
-    pub(super) params: Vec<String>,
-    pub(super) ranges: Vec<(Expr, Expr)>,
-    pub(super) placement: Option<Expr>,
-    pub(super) flows: Vec<FlowDef>,
-    pub(super) priority: Option<Expr>,
-    pub(super) body: String,
+    pub line: usize,
+    pub name: String,
+    pub params: Vec<String>,
+    pub ranges: Vec<(Expr, Expr)>,
+    pub placement: Option<Expr>,
+    pub flows: Vec<FlowDef>,
+    pub priority: Option<Expr>,
+    pub body: String,
 }
 
 // ---------------------------------------------------------------- parser --
@@ -186,7 +186,7 @@ fn parse_clause(src: &str, line: usize) -> Result<DepClause, DslError> {
 }
 
 /// Parse a whole program into class definitions.
-pub(super) fn parse_program(src: &str) -> Result<Vec<ClassDef>, DslError> {
+pub fn parse(src: &str) -> Result<Vec<ClassDef>, DslError> {
     let mut classes: Vec<ClassDef> = Vec::new();
     let mut cur: Option<ClassDef> = None;
     for (lineno, raw) in src.lines().enumerate() {

@@ -10,12 +10,9 @@
 //!
 //! Values are `i64`; booleans are `0`/`1`.
 //!
-//! Two evaluators share the tree. [`compile`] is the one the DSL runs: it
-//! resolves names once — parameters to slots of the task key, globals to
-//! folded constants, host functions to the functions themselves — and
-//! returns a [`Compiled`] closure that does no lookup and no allocation.
-//! [`eval`] walks the tree against a [`MapEnv`]; it is the reference the
-//! compiler and the folder are tested against.
+//! [`eval`] walks the tree against a [`MapEnv`]. It is the reference
+//! semantics: the DSL's emitter (`dsl::emit`) translates the same trees to
+//! Rust at build time, and the generated classes are tested against it.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -335,10 +332,10 @@ pub fn eval_str(src: &str, env: &MapEnv) -> Result<i64, ExprError> {
     eval(&parse(src)?, env)
 }
 
-// --------------------------------------------------- printing / folding --
+// -------------------------------------------------------------- printing --
 
 impl BinOp {
-    fn symbol(self) -> &'static str {
+    pub(crate) fn symbol(self) -> &'static str {
         match self {
             BinOp::Or => "||",
             BinOp::And => "&&",
@@ -385,349 +382,6 @@ impl fmt::Display for Expr {
             Expr::Binary(op, a, b) => write!(f, "({a} {} {b})", op.symbol()),
             Expr::Ternary(c, a, b) => write!(f, "({c} ? {a} : {b})"),
         }
-    }
-}
-
-/// Constant-fold an expression: subtrees without free variables or calls
-/// collapse to literals, guards with constant conditions select a branch,
-/// `&&`/`||` short-circuit on constant sides, and `x / 1`, `x % 1`
-/// simplify. Division/modulo by a constant zero is left unfolded (it must
-/// still error at evaluation time), and `x % 1` keeps an `x` that may
-/// divide by zero. Names are taken to be bound: [`compile`] checks them
-/// before it folds. With the globals substituted first, this is what
-/// turns a variant's `L2 % h != 0` into a constant when `h` is 1.
-pub fn fold(e: &Expr) -> Expr {
-    match e {
-        Expr::Int(_) | Expr::Var(_) => e.clone(),
-        Expr::Call(n, args) => Expr::Call(n.clone(), args.iter().map(fold).collect()),
-        Expr::Unary(op, a) => {
-            let a = fold(a);
-            if let Expr::Int(v) = a {
-                return Expr::Int(match op {
-                    UnOp::Neg => -v,
-                    UnOp::Not => (v == 0) as i64,
-                });
-            }
-            Expr::Unary(*op, Box::new(a))
-        }
-        Expr::Binary(op, a, b) => {
-            let a = fold(a);
-            let b = fold(b);
-            match (op, &a, &b) {
-                // Full constant folding (guarding / and % against zero).
-                (_, Expr::Int(x), Expr::Int(y)) => {
-                    let v = match op {
-                        BinOp::Add => Some(x.wrapping_add(*y)),
-                        BinOp::Sub => Some(x.wrapping_sub(*y)),
-                        BinOp::Mul => Some(x.wrapping_mul(*y)),
-                        BinOp::Div => (*y != 0).then(|| x / y),
-                        BinOp::Mod => (*y != 0).then(|| x % y),
-                        BinOp::Eq => Some((x == y) as i64),
-                        BinOp::Ne => Some((x != y) as i64),
-                        BinOp::Lt => Some((x < y) as i64),
-                        BinOp::Le => Some((x <= y) as i64),
-                        BinOp::Gt => Some((x > y) as i64),
-                        BinOp::Ge => Some((x >= y) as i64),
-                        BinOp::And => Some((*x != 0 && *y != 0) as i64),
-                        BinOp::Or => Some((*x != 0 || *y != 0) as i64),
-                    };
-                    match v {
-                        Some(v) => Expr::Int(v),
-                        None => Expr::Binary(*op, Box::new(a), Box::new(b)),
-                    }
-                }
-                // Short circuits on a constant left side; one that does
-                // not decide leaves the right side's truth value.
-                (BinOp::And, Expr::Int(0), _) => Expr::Int(0),
-                (BinOp::Or, Expr::Int(x), _) if *x != 0 => Expr::Int(1),
-                (BinOp::And, Expr::Int(_), _) | (BinOp::Or, Expr::Int(0), _) => truth(b),
-                // Identities.
-                (BinOp::Add, Expr::Int(0), _) => b,
-                (BinOp::Add, _, Expr::Int(0)) => a,
-                (BinOp::Sub, _, Expr::Int(0)) => a,
-                (BinOp::Mul, Expr::Int(1), _) => b,
-                (BinOp::Mul, _, Expr::Int(1)) => a,
-                (BinOp::Div, _, Expr::Int(1)) => a,
-                (BinOp::Mod, _, Expr::Int(1)) if !may_fail(&a) => Expr::Int(0),
-                _ => Expr::Binary(*op, Box::new(a), Box::new(b)),
-            }
-        }
-        Expr::Ternary(c, a, b) => {
-            let c = fold(c);
-            if let Expr::Int(v) = c {
-                return if v != 0 { fold(a) } else { fold(b) };
-            }
-            Expr::Ternary(Box::new(c), Box::new(fold(a)), Box::new(fold(b)))
-        }
-    }
-}
-
-/// `e` as a `0`/`1` truth value: itself when it already is one.
-fn truth(e: Expr) -> Expr {
-    let boolean = match &e {
-        Expr::Int(v) => *v == 0 || *v == 1,
-        Expr::Unary(UnOp::Not, _) => true,
-        Expr::Binary(op, _, _) => !matches!(
-            op,
-            BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod
-        ),
-        _ => false,
-    };
-    if boolean {
-        e
-    } else {
-        Expr::Binary(BinOp::Ne, Box::new(e), Box::new(Expr::Int(0)))
-    }
-}
-
-/// Whether evaluating `e` can fail: it divides by something other than a
-/// nonzero constant.
-fn may_fail(e: &Expr) -> bool {
-    match e {
-        Expr::Int(_) | Expr::Var(_) => false,
-        Expr::Call(_, args) => args.iter().any(may_fail),
-        Expr::Unary(_, a) => may_fail(a),
-        Expr::Binary(op, a, b) => {
-            let divides =
-                matches!(op, BinOp::Div | BinOp::Mod) && !matches!(**b, Expr::Int(y) if y != 0);
-            divides || may_fail(a) || may_fail(b)
-        }
-        Expr::Ternary(c, a, b) => may_fail(c) || may_fail(a) || may_fail(b),
-    }
-}
-
-// ------------------------------------------------------------ compilation --
-
-/// Most arguments a host function call may take (they are gathered on
-/// the stack).
-pub const MAX_CALL_ARGS: usize = 4;
-
-type Node = Box<dyn Fn(&[i64]) -> Option<i64> + Send + Sync>;
-
-/// A compiled expression over a task's parameter values. Leaves —
-/// constants, affine functions of one parameter, a parameter divided or
-/// reduced by a constant: most priorities, placements and dependency
-/// arguments, `nchains - L1 + 5 * P` or `L2 / 2` — evaluate inline;
-/// every other node is one closure. `None` is a division or modulo by
-/// zero, where [`eval`] reports an error.
-pub enum Compiled {
-    /// A constant, globals included.
-    Const(i64),
-    /// `scale * params[slot] + offset`, in wrapping arithmetic like the
-    /// operators it folds.
-    Affine {
-        slot: usize,
-        scale: i64,
-        offset: i64,
-    },
-    /// `params[slot] / div`, or `params[slot] % div` when `rem`, for a
-    /// nonzero constant `div`.
-    DivMod { slot: usize, div: i64, rem: bool },
-    /// Anything else.
-    Node(Node),
-}
-
-impl Compiled {
-    /// Value under parameter values `params`.
-    #[inline(always)]
-    pub fn eval(&self, params: &[i64]) -> Option<i64> {
-        match self {
-            Compiled::Node(f) => f(params),
-            leaf => Some(leaf.leaf(params)),
-        }
-    }
-
-    #[inline(always)]
-    fn leaf(&self, params: &[i64]) -> i64 {
-        match *self {
-            Compiled::Const(v) => v,
-            Compiled::Affine {
-                slot,
-                scale,
-                offset,
-            } => scale.wrapping_mul(params[slot]).wrapping_add(offset),
-            Compiled::DivMod { slot, div, rem } if rem => params[slot] % div,
-            Compiled::DivMod { slot, div, .. } => params[slot] / div,
-            Compiled::Node(_) => unreachable!("not a leaf"),
-        }
-    }
-
-    /// `(slot, scale, offset)` of an affine or constant expression.
-    fn affine(&self) -> Option<(usize, i64, i64)> {
-        match *self {
-            Compiled::Const(v) => Some((0, 0, v)),
-            Compiled::Affine {
-                slot,
-                scale,
-                offset,
-            } => Some((slot, scale, offset)),
-            _ => None,
-        }
-    }
-}
-
-/// `scale * params[slot] + offset`, a constant when `scale` is 0.
-fn affine(slot: usize, scale: i64, offset: i64) -> Compiled {
-    match scale {
-        0 => Compiled::Const(offset),
-        _ => Compiled::Affine {
-            slot,
-            scale,
-            offset,
-        },
-    }
-}
-
-/// Compile `e` for tasks whose parameter `i` is named `params[i]`. Every
-/// other name resolves in `globals` — variables to their values, which
-/// then fold, functions to the functions themselves — and an unknown
-/// name is an error here rather than at evaluation. Parameters shadow
-/// globals. The result agrees with [`eval`] under an environment binding
-/// the parameters over `globals`.
-pub fn compile(e: &Expr, params: &[String], globals: &MapEnv) -> Result<Compiled, ExprError> {
-    lower(&fold(&bind(e, params, globals)?), params, globals)
-}
-
-/// Substitute global variables by their values; check every name.
-fn bind(e: &Expr, params: &[String], globals: &MapEnv) -> Result<Expr, ExprError> {
-    let rec = |x: &Expr| bind(x, params, globals).map(Box::new);
-    Ok(match e {
-        Expr::Int(_) => e.clone(),
-        Expr::Var(n) if params.contains(n) => e.clone(),
-        Expr::Var(n) => match globals.var(n) {
-            Some(v) => Expr::Int(v),
-            None => return err(format!("unbound variable `{n}`"), 0),
-        },
-        Expr::Call(n, args) => {
-            if !globals.funcs.contains_key(n) {
-                return err(format!("unknown function `{n}`"), 0);
-            }
-            if args.len() > MAX_CALL_ARGS {
-                return err(format!("`{n}` takes at most {MAX_CALL_ARGS} arguments"), 0);
-            }
-            let args: Result<Vec<Expr>, _> =
-                args.iter().map(|a| bind(a, params, globals)).collect();
-            Expr::Call(n.clone(), args?)
-        }
-        Expr::Unary(op, a) => Expr::Unary(*op, rec(a)?),
-        Expr::Binary(op, a, b) => Expr::Binary(*op, rec(a)?, rec(b)?),
-        Expr::Ternary(c, a, b) => Expr::Ternary(rec(c)?, rec(a)?, rec(b)?),
-    })
-}
-
-fn node(f: impl Fn(&[i64]) -> Option<i64> + Send + Sync + 'static) -> Compiled {
-    Compiled::Node(Box::new(f))
-}
-
-/// Lower a bound, folded tree to leaves and closures.
-fn lower(e: &Expr, params: &[String], globals: &MapEnv) -> Result<Compiled, ExprError> {
-    let rec = |x: &Expr| lower(x, params, globals);
-    Ok(match e {
-        Expr::Int(v) => Compiled::Const(*v),
-        Expr::Var(n) => affine(params.iter().position(|p| p == n).expect("bound"), 1, 0),
-        Expr::Call(n, args) => {
-            let f = globals.funcs[n].clone();
-            let mut args: Vec<Compiled> = args.iter().map(rec).collect::<Result<_, _>>()?;
-            // Calls on one or two leaves, the common case, skip the loop.
-            let leaves = !args.iter().any(|a| matches!(a, Compiled::Node(_)));
-            match (leaves, args.len()) {
-                (true, 1) => {
-                    let a = args.remove(0);
-                    node(move |p| Some(f(&[a.leaf(p)])))
-                }
-                (true, 2) => {
-                    let (a, b) = (args.remove(0), args.remove(0));
-                    node(move |p| Some(f(&[a.leaf(p), b.leaf(p)])))
-                }
-                _ => node(move |p| {
-                    let mut vals = [0i64; MAX_CALL_ARGS];
-                    for (v, a) in vals.iter_mut().zip(&args) {
-                        *v = a.eval(p)?;
-                    }
-                    Some(f(&vals[..args.len()]))
-                }),
-            }
-        }
-        Expr::Unary(UnOp::Neg, a) => {
-            let a = rec(a)?;
-            match a.affine() {
-                Some((slot, scale, offset)) => {
-                    affine(slot, scale.wrapping_neg(), offset.wrapping_neg())
-                }
-                None => node(move |p| Some(-a.eval(p)?)),
-            }
-        }
-        Expr::Unary(UnOp::Not, a) => {
-            let a = rec(a)?;
-            node(move |p| Some((a.eval(p)? == 0) as i64))
-        }
-        Expr::Binary(op, a, b) => binary(*op, rec(a)?, rec(b)?),
-        Expr::Ternary(c, a, b) => {
-            let (c, a, b) = (rec(c)?, rec(a)?, rec(b)?);
-            node(move |p| {
-                if c.eval(p)? != 0 {
-                    a.eval(p)
-                } else {
-                    b.eval(p)
-                }
-            })
-        }
-    })
-}
-
-/// One closure per operator, so the operator is not matched per call;
-/// sums, differences and constant multiples of affine operands stay
-/// affine, and a parameter over a nonzero constant stays a leaf.
-fn binary(op: BinOp, a: Compiled, b: Compiled) -> Compiled {
-    if let (Some((i, sa, oa)), Some((j, sb, ob))) = (a.affine(), b.affine()) {
-        let one_slot = sa == 0 || sb == 0 || i == j;
-        let slot = if sa == 0 { j } else { i };
-        match op {
-            BinOp::Div | BinOp::Mod if (sa, oa, sb) == (1, 0, 0) && ob != 0 => {
-                let (div, rem) = (ob, op == BinOp::Mod);
-                return Compiled::DivMod { slot: i, div, rem };
-            }
-            BinOp::Add if one_slot => {
-                return affine(slot, sa.wrapping_add(sb), oa.wrapping_add(ob))
-            }
-            BinOp::Sub if one_slot => {
-                return affine(slot, sa.wrapping_sub(sb), oa.wrapping_sub(ob))
-            }
-            BinOp::Mul if sa == 0 => return affine(j, sb.wrapping_mul(oa), ob.wrapping_mul(oa)),
-            BinOp::Mul if sb == 0 => return affine(i, sa.wrapping_mul(ob), oa.wrapping_mul(ob)),
-            _ => {}
-        }
-    }
-    match op {
-        BinOp::And => node(move |p| Some((a.eval(p)? != 0 && b.eval(p)? != 0) as i64)),
-        BinOp::Or => node(move |p| Some((a.eval(p)? != 0 || b.eval(p)? != 0) as i64)),
-        BinOp::Add => strict(a, b, |x, y| Some(x.wrapping_add(y))),
-        BinOp::Sub => strict(a, b, |x, y| Some(x.wrapping_sub(y))),
-        BinOp::Mul => strict(a, b, |x, y| Some(x.wrapping_mul(y))),
-        BinOp::Div => strict(a, b, |x, y| (y != 0).then(|| x / y)),
-        BinOp::Mod => strict(a, b, |x, y| (y != 0).then(|| x % y)),
-        BinOp::Eq => strict(a, b, |x, y| Some((x == y) as i64)),
-        BinOp::Ne => strict(a, b, |x, y| Some((x != y) as i64)),
-        BinOp::Lt => strict(a, b, |x, y| Some((x < y) as i64)),
-        BinOp::Le => strict(a, b, |x, y| Some((x <= y) as i64)),
-        BinOp::Gt => strict(a, b, |x, y| Some((x > y) as i64)),
-        BinOp::Ge => strict(a, b, |x, y| Some((x >= y) as i64)),
-    }
-}
-
-/// A binary operator that evaluates both sides, specialized on leaf
-/// operands: a leaf side costs no call.
-fn strict(
-    a: Compiled,
-    b: Compiled,
-    f: impl Fn(i64, i64) -> Option<i64> + Copy + Send + Sync + 'static,
-) -> Compiled {
-    use Compiled::Node;
-    match (a, b) {
-        (Node(x), Node(y)) => node(move |p| f(x(p)?, y(p)?)),
-        (Node(x), b) => node(move |p| f(x(p)?, b.leaf(p))),
-        (a, Node(y)) => node(move |p| f(a.leaf(p), y(p)?)),
-        (a, b) => node(move |p| f(a.leaf(p), b.leaf(p))),
     }
 }
 
@@ -828,71 +482,6 @@ mod tests {
                 e,
                 "roundtrip of `{src}` via `{printed}`"
             );
-        }
-    }
-
-    #[test]
-    fn folding_collapses_constants() {
-        let f = |s: &str| format!("{}", fold(&parse(s).unwrap()));
-        assert_eq!(f("1 + 2 * 3"), "7");
-        assert_eq!(f("(1 > 2) ? x : y"), "y");
-        assert_eq!(f("0 && f(1)"), "0");
-        assert_eq!(f("1 || f(1)"), "1");
-        assert_eq!(f("x + 0"), "x");
-        assert_eq!(f("1 * x"), "x");
-        assert_eq!(f("!(2 == 2)"), "0");
-        assert_eq!(f("x / 1"), "x");
-        assert_eq!(f("x % 1"), "0");
-        assert_eq!(f("1 && (x < y)"), "(x < y)");
-        assert_eq!(f("0 || x"), "(x != 0)");
-        // Division by constant zero must NOT fold away (runtime error),
-        // nor may `% 1` drop an operand that divides by zero.
-        assert_eq!(f("1 / 0"), "(1 / 0)");
-        assert_eq!(f("(1 / x) % 1"), "((1 / x) % 1)");
-    }
-
-    #[test]
-    fn folding_preserves_semantics() {
-        let e = env();
-        for src in [
-            "L1 * (2 - 1) + 0",
-            "(0 || 1) ? L1 + 2 * 3 : twice(L1)",
-            "twice(2 + 3) + size_L2",
-            "(L2 == 0) && (3 > 2)",
-        ] {
-            let parsed = parse(src).unwrap();
-            let folded = fold(&parsed);
-            assert_eq!(
-                eval(&parsed, &e).unwrap(),
-                eval(&folded, &e).unwrap(),
-                "{src}"
-            );
-        }
-    }
-
-    #[test]
-    fn params_shadow_globals() {
-        let mut g = MapEnv::new();
-        g.set("x", 1).set("y", 10);
-        let c = compile(&parse("x + y").unwrap(), &["x".into()], &g).unwrap();
-        assert_eq!(c.eval(&[2]), Some(12));
-    }
-
-    #[test]
-    fn compiling_folds_globals_and_checks_names() {
-        let e = env();
-        let params = ["L2".to_string()];
-        let c = compile(&parse("(L1 + 2) * size_L2").unwrap(), &params, &e).unwrap();
-        assert!(matches!(c, Compiled::Const(50)));
-        // `h = 1` makes the segment test constant (the variants rely on it).
-        let mut one = env();
-        one.set("h", 1);
-        let c = compile(&parse("L2 % h != 0").unwrap(), &params, &one).unwrap();
-        assert!(matches!(c, Compiled::Const(0)));
-        let c = compile(&parse("twice(L2) / 0").unwrap(), &params, &e).unwrap();
-        assert_eq!(c.eval(&[4]), None, "division by zero");
-        for bad in ["nope + 1", "nope(1)", "twice(1, 2, 3, 4, 5)"] {
-            assert!(compile(&parse(bad).unwrap(), &params, &e).is_err(), "{bad}");
         }
     }
 }

@@ -10,10 +10,11 @@
 //! This crate defines that contract ([`TaskClass`], [`TaskGraph`]) plus:
 //!
 //! * [`expr`] — the expression language used by the textual DSL, and its
-//!   compiler to closures;
-//! * [`dsl`] — a JDF-like textual format, compiled to task classes, able
-//!   to express the paper's Figure 1 (chained GEMMs) and Figure 2
-//!   (parallel GEMMs + reduction) and the five CCSD variants;
+//!   reference evaluator;
+//! * [`dsl`] — a JDF-like textual format, compiled to Rust task classes
+//!   at build time (as PaRSEC's jdf2c compiles a JDF to C), able to
+//!   express the paper's Figure 1 (chained GEMMs) and Figure 2 (parallel
+//!   GEMMs + reduction) and the five CCSD variants;
 //! * [`validate`] — an exhaustive walker used in tests and in the
 //!   `paper graph_shapes` to audit small graphs (Figures 4-7).
 //!
@@ -103,7 +104,7 @@ pub enum Activity {
 }
 
 /// Execution context handed to every class callback. (Application state
-/// lives with the classes: DSL bodies and host functions capture theirs.)
+/// lives with the classes: a compiled text's classes share its host.)
 pub trait GraphCtx: Send + Sync {
     /// Number of logical nodes in the execution (used by placement and by
     /// priority expressions like the paper's `offset * P`).

@@ -252,86 +252,3 @@ pub fn to_dot(graph: &TaskGraph, limit: usize) -> Result<String, AuditError> {
     );
     Ok(out)
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::dsl::DslBuilder;
-    use crate::PlainCtx;
-    use std::sync::Arc;
-
-    /// A chain of `n` tasks; with `lie`, every task but the first
-    /// declares a second input that nobody sends.
-    fn graph(n: i64, lie: bool) -> TaskGraph {
-        let src = "CHAIN(I)
-            I = 0 .. n - 1
-            RW X <- (I > 0) ? X CHAIN(I - 1)
-                 -> (I < n - 1) ? X CHAIN(I + 1)
-            READ LIE <- (lie && I > 0) ? X CHAIN(I - 1)
-            BODY c";
-        (DslBuilder::new(src)
-            .global("n", n)
-            .global("lie", lie as i64))
-        .compile(Arc::new(PlainCtx { nodes: 1 }))
-        .unwrap()
-    }
-
-    #[test]
-    fn audits_a_chain() {
-        let a = audit(&graph(5, false), 100).unwrap();
-        assert_eq!(a.total_tasks, 5);
-        assert_eq!(a.total_deps, 4);
-        assert_eq!(a.depth, 4);
-        assert_eq!(a.roots, 1);
-        assert_eq!(a.sinks, 1);
-        assert_eq!(a.max_level_width, 1);
-        assert_eq!(a.tasks_per_class["CHAIN"], 5);
-        assert_eq!(a.class_levels["CHAIN"], (0, 4));
-    }
-
-    #[test]
-    fn detects_in_degree_mismatch() {
-        let e = audit(&graph(3, true), 100).unwrap_err();
-        assert!(matches!(e, AuditError::InDegreeMismatch { .. }));
-    }
-
-    #[test]
-    fn respects_limit() {
-        let e = audit(&graph(1000, false), 10).unwrap_err();
-        assert!(matches!(e, AuditError::LimitExceeded { .. }));
-    }
-
-    #[test]
-    fn dot_export_contains_tasks_and_edges() {
-        let g = graph(3, false);
-        let dot = to_dot(&g, 100).unwrap();
-        assert!(dot.starts_with("digraph ptg {"));
-        assert!(dot.contains("CHAIN(0"));
-        assert!(dot.contains("->"));
-        assert_eq!(dot.matches("->").count(), 2, "two chain edges");
-        assert!(to_dot(&graph(1000, false), 10).is_err());
-    }
-
-    #[test]
-    fn detects_cycles() {
-        // S -> A(0) -> A(1) -> A(0): in-degrees agree, but A(0) waits on
-        // A(1), which waits on A(0).
-        let src = "S(I)
-            I = 0 .. 0
-            WRITE X -> X A(0)
-            BODY s
-
-            A(I)
-            I = 0 .. 1
-            READ X <- (I == 0) ? X S(0)
-            RW Y <- (I == 0) ? Y A(1)
-                 <- Y A(0)
-                 -> Y A(1 - I)
-            BODY a";
-        let g = DslBuilder::new(src)
-            .compile(Arc::new(PlainCtx { nodes: 1 }))
-            .unwrap();
-        let e = audit(&g, 100).unwrap_err();
-        assert!(matches!(e, AuditError::Cycle { .. }));
-    }
-}

@@ -90,8 +90,8 @@ pub struct JobRecord {
     pub variant: u64,
     /// Whether the plan cache already held this geometry.
     pub plan_hit: bool,
-    /// Nanoseconds of collective plan building this job paid (zero on
-    /// a plan hit with a warm graph).
+    /// Nanoseconds of plan building this job paid: the collective
+    /// attach on a miss, and the graph's wiring.
     pub build_ns: u64,
     /// Nanoseconds executing the graph (reset, run, settle).
     pub run_ns: u64,
@@ -359,8 +359,8 @@ impl RankDaemon {
         self.root.stats()
     }
 
-    /// Plan-cache `(hits, misses, graph_builds)`.
-    pub fn plan_stats(&self) -> (u64, u64, u64) {
+    /// Plan-cache `(hits, misses)`.
+    pub fn plan_stats(&self) -> (u64, u64) {
         self.plans.stats()
     }
 
@@ -461,13 +461,7 @@ impl RankDaemon {
         let mut cfg = spec.variant.cfg();
         cfg.reader_offset += band;
         cfg.gemm_offset += band;
-        let graph = plan.graph(
-            spec.variant.id(),
-            spec.prefetch,
-            band,
-            cfg,
-            self.plans.graph_builds_counter(),
-        );
+        let graph = plan.drank.build_run_graph(cfg, spec.prefetch);
         let build_ns = build_t.elapsed().as_nanos() as u64;
 
         // Scope this job's counters: deltas around the run.

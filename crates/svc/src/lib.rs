@@ -3,8 +3,8 @@
 //!
 //! The paper's driver model — build the problem, run the iterations,
 //! tear everything down — wastes exactly the work a chemistry campaign
-//! repeats: inspection, Global Array materialization, and graph
-//! construction recur for every molecule a tenant revisits. This crate
+//! repeats: inspection and Global Array materialization recur for every
+//! molecule a tenant revisits. This crate
 //! turns each rank into a long-lived daemon instead:
 //!
 //! * [`spec`] — [`JobSpec`]: one CCSD iteration request (tile geometry,
@@ -14,8 +14,8 @@
 //!   admission, weighted-fair dispatch across tenants, and gang packing
 //!   (jobs sized from `JobSpec::ranks` land on disjoint contiguous rank
 //!   windows and execute concurrently);
-//! * [`plan`] — the per-rank [`PlanCache`]: inspection + workspace +
-//!   task graphs keyed by (gang, geometry, kernels, variant), kept warm
+//! * [`plan`] — the per-rank [`PlanCache`]: inspection + workspace
+//!   keyed by (gang, geometry, kernels), kept warm
 //!   with the tile cache's frozen input tensors across jobs and bounded
 //!   by an LRU residency budget ([`plan::PlanCacheConfig`]);
 //! * [`daemon`] — [`RankDaemon`]: the `JobHandler` wired into the comm

@@ -1,13 +1,14 @@
-//! The per-rank plan cache: inspection, workspace, and task graphs kept
-//! warm across job submissions — now gang-scoped and bounded.
+//! The per-rank plan cache: inspection and workspace kept warm across
+//! job submissions — gang-scoped and bounded.
 //!
 //! Building a job's execution plan is the expensive prologue of every
-//! CCSD iteration: inspect the tile space into chain metadata,
-//! collectively create and fill the Global Arrays, and wire the task
-//! graph. None of it depends on anything but the tile geometry, the
-//! kernel set, the **gang** it is sharded over, and (for the graph) the
-//! variant — so a persistent daemon caches plans keyed exactly that way,
-//! and a repeat submission skips straight to execution. Workspace arrays
+//! CCSD iteration: inspect the tile space into chain metadata and
+//! collectively create and fill the Global Arrays. None of it depends on
+//! anything but the tile geometry, the kernel set and the **gang** it is
+//! sharded over — so a persistent daemon caches plans keyed exactly that
+//! way, and a repeat submission skips straight to execution. (The task
+//! graph is not cached: the variant texts are compiled Rust, and wiring
+//! a graph over a plan takes a few microseconds.) Workspace arrays
 //! (and the tile cache's retained blocks of their frozen inputs) stay
 //! resident between jobs, which is the service layer's whole reason to
 //! exist: the second tenant to ask about a molecule pays only the compute.
@@ -26,8 +27,7 @@
 //! allocation-order ids and are never reused; the store tombstones them
 //! so a late chaos duplicate reads zeros instead of hanging.
 
-use ccsd::{DistRank, VariantCfg};
-use ptg::TaskGraph;
+use ccsd::DistRank;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -45,8 +45,7 @@ pub struct PlanCacheConfig {
     pub max_bytes: u64,
 }
 
-/// What makes two jobs share a plan: gang, geometry and kernel set. The
-/// variant is keyed one level down, on the cached graphs.
+/// What makes two jobs share a plan: gang, geometry and kernel set.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct PlanKey {
     /// Gang mask the workspace is sharded over.
@@ -63,14 +62,11 @@ pub struct PlanKey {
 }
 
 /// One cached plan: the attached problem instance (inspection +
-/// workspace over the daemon's shared endpoint) and its built graphs.
+/// workspace over the daemon's shared endpoint).
 pub struct CachedPlan {
     /// The problem instance; jobs run through
     /// [`DistRank::run_variant_graph`].
     pub drank: Arc<DistRank>,
-    /// Built task graphs keyed `(variant id, prefetch, priority band)`
-    /// — stateless descriptions, safe to rerun.
-    graphs: Mutex<HashMap<(u64, bool, i64), Arc<TaskGraph>>>,
     /// Wall nanoseconds the collective build took (the cost a hit
     /// skips).
     pub build_ns: u64,
@@ -88,29 +84,9 @@ impl CachedPlan {
                 as u64;
         Self {
             drank,
-            graphs: Mutex::new(HashMap::new()),
             build_ns,
             bytes,
         }
-    }
-
-    /// The graph for `(variant, prefetch, band)`, building it on first
-    /// use. `cfg` must already carry the band's priority offsets.
-    pub fn graph(
-        &self,
-        variant: u64,
-        prefetch: bool,
-        band: i64,
-        cfg: VariantCfg,
-        built: &AtomicU64,
-    ) -> Arc<TaskGraph> {
-        let mut g = self.graphs.lock().unwrap();
-        g.entry((variant, prefetch, band))
-            .or_insert_with(|| {
-                built.fetch_add(1, Ordering::Relaxed);
-                Arc::new(self.drank.build_run_graph(cfg, prefetch))
-            })
-            .clone()
     }
 
     /// Release the plan's workspace arrays: shards dropped, ids
@@ -141,9 +117,6 @@ pub struct PlanCache {
     misses: AtomicU64,
     evictions: AtomicU64,
     purges: AtomicU64,
-    /// Graphs built (a plan hit can still build a graph when the
-    /// variant or band is new for that plan).
-    graph_builds: AtomicU64,
 }
 
 impl Default for PlanCache {
@@ -163,7 +136,6 @@ impl PlanCache {
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             purges: AtomicU64::new(0),
-            graph_builds: AtomicU64::new(0),
         }
     }
 
@@ -241,17 +213,11 @@ impl PlanCache {
         self.purges.load(Ordering::Relaxed)
     }
 
-    /// Graph-build counter handle (threaded into [`CachedPlan::graph`]).
-    pub fn graph_builds_counter(&self) -> &AtomicU64 {
-        &self.graph_builds
-    }
-
-    /// `(hits, misses, graph_builds)` so far.
-    pub fn stats(&self) -> (u64, u64, u64) {
+    /// `(hits, misses)` so far.
+    pub fn stats(&self) -> (u64, u64) {
         (
             self.hits.load(Ordering::Relaxed),
             self.misses.load(Ordering::Relaxed),
-            self.graph_builds.load(Ordering::Relaxed),
         )
     }
 

@@ -21,6 +21,21 @@
 
 use crate::cm;
 use crate::pack::{self, GemmParams, Kernel, BLOCKS, MR, NR};
+use std::cell::RefCell;
+
+thread_local! {
+    /// The packing scratch of [`dgemm`] and [`dgemm_packed`]: one pair per
+    /// thread, grown to the largest shape it has served and then reused.
+    static SCRATCH: RefCell<(Vec<f64>, Vec<f64>)> = const { RefCell::new((Vec::new(), Vec::new())) };
+}
+
+/// Run `f` on this thread's packing scratch.
+fn with_scratch(f: impl FnOnce(&mut Vec<f64>, &mut Vec<f64>)) {
+    SCRATCH.with(|s| {
+        let (ap, bp) = &mut *s.borrow_mut();
+        f(ap, bp)
+    })
+}
 
 /// Transposition flag for one GEMM operand.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,7 +66,8 @@ impl Trans {
 ///
 /// All matrices are dense column-major with no leading-dimension padding.
 /// Panics if slice lengths do not match the shapes. Packing scratch, when
-/// the packed engine runs, is allocated per call; see [`dgemm_with`].
+/// the packed engine runs, is the calling thread's, kept across calls;
+/// see [`dgemm_with`] to pass your own.
 #[allow(clippy::too_many_arguments)]
 pub fn dgemm(
     ta: Trans,
@@ -65,8 +81,7 @@ pub fn dgemm(
     beta: f64,
     c: &mut [f64],
 ) {
-    let (mut ap, mut bp) = (Vec::new(), Vec::new());
-    dgemm_with(ta, tb, m, n, k, alpha, a, b, beta, c, &mut ap, &mut bp);
+    with_scratch(|ap, bp| dgemm_with(ta, tb, m, n, k, alpha, a, b, beta, c, ap, bp));
 }
 
 /// [`dgemm`] with caller-owned packing scratch: runs the packed engine
@@ -307,8 +322,8 @@ fn tn_block_4x4(
     }
 }
 
-/// The packed cache-blocked engine alone, whatever the problem size, with
-/// packing scratch allocated per call.
+/// The packed cache-blocked engine alone, whatever the problem size, on
+/// the calling thread's packing scratch (as [`dgemm`]).
 #[allow(clippy::too_many_arguments)]
 pub fn dgemm_packed(
     ta: Trans,
@@ -322,23 +337,12 @@ pub fn dgemm_packed(
     beta: f64,
     c: &mut [f64],
 ) {
-    let (mut ap, mut bp) = (Vec::new(), Vec::new());
-    packed(
-        &BLOCKS,
-        Kernel::best(),
-        ta,
-        tb,
-        m,
-        n,
-        k,
-        alpha,
-        a,
-        b,
-        beta,
-        c,
-        &mut ap,
-        &mut bp,
-    );
+    with_scratch(|ap, bp| {
+        let kernel = Kernel::best();
+        packed(
+            &BLOCKS, kernel, ta, tb, m, n, k, alpha, a, b, beta, c, ap, bp,
+        )
+    });
 }
 
 /// Packed cache-blocked GEMM: BLIS loop nest over `params` blocks, each
@@ -428,6 +432,41 @@ mod tests {
     use super::*;
     use crate::oracle::dgemm_naive;
     use proptest::prelude::*;
+
+    #[test]
+    fn scratch_is_reused_across_same_shape_calls() {
+        // Where this thread's scratch lives and how much it holds.
+        let scratch = || {
+            SCRATCH.with(|s| {
+                let (ap, bp) = &*s.borrow();
+                (ap.as_ptr(), ap.capacity(), bp.as_ptr(), bp.capacity())
+            })
+        };
+        let (m, n, k) = (40, 36, 50);
+        let (a, b) = (gen(m * k, 1, 2), gen(k * n, 3, 4));
+        let mut want = vec![0.0; m * n];
+        dgemm_naive(Trans::N, Trans::T, m, n, k, 1.0, &a, &b, 0.0, &mut want);
+        let mut c = vec![0.0; m * n];
+        dgemm_packed(Trans::N, Trans::T, m, n, k, 1.0, &a, &b, 0.0, &mut c);
+        let first = scratch();
+        assert!(
+            first.1 > 0 && first.3 > 0,
+            "the packed engine used the scratch"
+        );
+        for _ in 0..3 {
+            dgemm_packed(Trans::N, Trans::T, m, n, k, 1.0, &a, &b, 0.0, &mut c);
+            assert_eq!(scratch(), first, "no growth, no reallocation");
+            assert!(c.iter().zip(&want).all(|(x, y)| (x - y).abs() < 1e-12));
+        }
+        // `dgemm` serves the packed path from the same pair.
+        let (m, n, k) = (64, 64, 64);
+        let (a, b) = (gen(m * k, 5, 6), gen(k * n, 7, 8));
+        let mut c = vec![0.0; m * n];
+        dgemm(Trans::T, Trans::N, m, n, k, 1.0, &a, &b, 0.0, &mut c);
+        let grown = scratch();
+        dgemm(Trans::T, Trans::N, m, n, k, 1.0, &a, &b, 0.0, &mut c);
+        assert_eq!(scratch(), grown);
+    }
 
     fn seq(n: usize) -> Vec<f64> {
         (0..n).map(|i| (i + 1) as f64).collect()

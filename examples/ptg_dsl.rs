@@ -4,125 +4,58 @@
 //! The paper's point ("the learning curve ... comes with rewards"): the
 //! *entire* difference between the serial-chain organization and the
 //! parallel-with-reduction organization is the dataflow declaration of
-//! matrix C. Here both programs are parsed, audited, and executed; the
-//! graph statistics show the chain's depth collapsing.
+//! matrix C. Here both programs (`examples/fig1.jdf`, `examples/fig2.jdf`,
+//! compiled to Rust by the build script) are audited; the graph
+//! statistics show the chain's depth collapsing.
 //!
 //! ```text
 //! cargo run --release --example ptg_dsl
 //! ```
 
-use ptg::dsl::DslBuilder;
+use ptg::dsl::Host;
 use ptg::validate::audit;
 use ptg::PlainCtx;
 use std::sync::Arc;
 
-/// Figure 1: GEMMs organized in a chain. (`input_a`/`input_b` are host
-/// data providers; `rr` is the round-robin placement function the paper
-/// looks up through `descRR`.)
-const FIG1: &str = r#"
-    READ_A(L1, L2)
-    L1 = 0 .. size_L1 - 1
-    L2 = 0 .. size_L2 - 1
-    : rr(L1)
-    WRITE A <- input_a(L1, L2) -> A GEMM(L1, L2)
-    ; size_L1 - L1 + 5 * P
-    BODY reader
+/// What both figures read from the host: the sizes, and `rr`, the
+/// round-robin placement function the paper looks up through `descRR`.
+/// The bodies are left out: this example only audits the graphs.
+#[allow(non_snake_case)]
+struct Sizes {
+    size_L1: i64,
+    size_L2: i64,
+}
 
-    READ_B(L1, L2)
-    L1 = 0 .. size_L1 - 1
-    L2 = 0 .. size_L2 - 1
-    : rr(L1)
-    WRITE B <- input_b(L1, L2) -> B GEMM(L1, L2)
-    ; size_L1 - L1 + 5 * P
-    BODY reader
+impl Sizes {
+    fn rr(&self, l1: i64) -> i64 {
+        l1
+    }
+}
 
-    DFILL(L1)
-    L1 = 0 .. size_L1 - 1
-    : rr(L1)
-    WRITE C -> C GEMM(L1, 0)
-    ; size_L1 - L1
-    BODY dfill
+impl Host for Sizes {}
 
-    GEMM(L1, L2)
-    L1 = 0 .. size_L1 - 1
-    L2 = 0 .. size_L2 - 1
-    : rr(L1)
-    READ A <- A READ_A(L1, L2)
-    READ B <- B READ_B(L1, L2)
-    RW C <- (L2 == 0) ? C DFILL(L1)
-         <- (L2 != 0) ? C GEMM(L1, L2 - 1)
-         -> (L2 < size_L2 - 1) ? C GEMM(L1, L2 + 1)
-         -> (L2 == size_L2 - 1) ? C SORT(L1)
-    ; size_L1 - L1 + 1 * P
-    BODY gemm
+/// Figure 1 (`examples/fig1.jdf`), compiled by the build script.
+#[allow(clippy::overly_complex_bool_expr)] // `L2 == 0 || L2 != 0`
+mod fig1 {
+    use super::Sizes as Host;
+    include!(concat!(env!("OUT_DIR"), "/fig1.rs"));
+}
 
-    SORT(L1)
-    L1 = 0 .. size_L1 - 1
-    : rr(L1)
-    READ C <- C GEMM(L1, size_L2 - 1)
-    BODY sort
-"#;
-
-/// Figure 2: the GEMM's C flow becomes `WRITE C -> A REDUCTION(L1, L2)`.
-/// (The REDUCTION class and the removal of DFILL come along with it.)
-const FIG2: &str = r#"
-    READ_A(L1, L2)
-    L1 = 0 .. size_L1 - 1
-    L2 = 0 .. size_L2 - 1
-    : rr(L1)
-    WRITE A <- input_a(L1, L2) -> A GEMM(L1, L2)
-    ; size_L1 - L1 + 5 * P
-    BODY reader
-
-    READ_B(L1, L2)
-    L1 = 0 .. size_L1 - 1
-    L2 = 0 .. size_L2 - 1
-    : rr(L1)
-    WRITE B <- input_b(L1, L2) -> B GEMM(L1, L2)
-    ; size_L1 - L1 + 5 * P
-    BODY reader
-
-    GEMM(L1, L2)
-    L1 = 0 .. size_L1 - 1
-    L2 = 0 .. size_L2 - 1
-    : rr(L1)
-    READ A <- A READ_A(L1, L2)
-    READ B <- B READ_B(L1, L2)
-    WRITE C -> A REDUCTION(L1, L2)
-    ; size_L1 - L1 + 1 * P
-    BODY gemm
-
-    REDUCTION(L1, L2)
-    L1 = 0 .. size_L1 - 1
-    L2 = 0 .. size_L2 - 1
-    : rr(L1)
-    READ A <- A GEMM(L1, L2)
-    RW C <- (L2 != 0) ? C REDUCTION(L1, L2 - 1)
-         -> (L2 < size_L2 - 1) ? C REDUCTION(L1, L2 + 1)
-         -> (L2 == size_L2 - 1) ? C SORT(L1)
-    ; size_L1 - L1
-    BODY reduce
-
-    SORT(L1)
-    L1 = 0 .. size_L1 - 1
-    : rr(L1)
-    READ C <- C REDUCTION(L1, size_L2 - 1)
-    BODY sort
-"#;
-
-fn build(src: &str, chains: i64, links: i64) -> ptg::TaskGraph {
-    DslBuilder::new(src)
-        .global("size_L1", chains)
-        .global("size_L2", links)
-        .func("rr", Arc::new(|a: &[i64]| a[0]))
-        .compile(Arc::new(PlainCtx { nodes: 4 }))
-        .expect("DSL compiles")
+/// Figure 2 (`examples/fig2.jdf`).
+mod fig2 {
+    use super::Sizes as Host;
+    include!(concat!(env!("OUT_DIR"), "/fig2.rs"));
 }
 
 fn main() {
     let (chains, links) = (6i64, 8i64);
 
-    let fig1 = build(FIG1, chains, links);
+    let sizes = || Sizes {
+        size_L1: chains,
+        size_L2: links,
+    };
+    let ctx = || Arc::new(PlainCtx { nodes: 4 });
+    let fig1 = fig1::graph(sizes(), ctx(), false);
     let a1 = audit(&fig1, 100_000).expect("fig1 audits");
     println!("Figure 1 (chained GEMMs):");
     println!("  tasks {:?}", a1.tasks_per_class);
@@ -131,7 +64,7 @@ fn main() {
         a1.depth, a1.class_levels["GEMM"]
     );
 
-    let fig2 = build(FIG2, chains, links);
+    let fig2 = fig2::graph(sizes(), ctx(), false);
     let a2 = audit(&fig2, 100_000).expect("fig2 audits");
     println!("\nFigure 2 (parallel GEMMs + reduction):");
     println!("  tasks {:?}", a2.tasks_per_class);

@@ -1,4 +1,5 @@
-//! Quickstart: define a Parameterized Task Graph in the textual DSL and
+//! Quickstart: define a Parameterized Task Graph in the textual DSL
+//! (`examples/fig1.jdf`, compiled to Rust by the build script) and
 //! execute it on the native threaded runtime.
 //!
 //! The graph is the paper's Figure 1 in miniature: `size_L1` parallel
@@ -11,95 +12,81 @@
 //! ```
 
 use parsec_rt::NativeRuntime;
-use ptg::dsl::DslBuilder;
-use ptg::PlainCtx;
+use ptg::dsl::Host;
+use ptg::{Payload, PlainCtx, TaskKey};
 use std::sync::{Arc, Mutex};
 
-const SRC: &str = r#"
-    // Readers pull the operands "from memory" (a host data provider).
-    READ_A(L1, L2)
-    L1 = 0 .. size_L1 - 1
-    L2 = 0 .. size_L2 - 1
-    WRITE A <- input_a(L1, L2) -> A GEMM(L1, L2)
-    ; size_L1 - L1 + 5 * P
-    BODY reader
+/// What the text reads from the host: its sizes, the operands of its
+/// memory inputs, and its bodies. Bodies are toy 2x2 matrix multiplies.
+#[allow(non_snake_case)]
+struct Toy {
+    size_L1: i64,
+    size_L2: i64,
+    /// `(L1, sum of C)` per finished chain.
+    results: Arc<Mutex<Vec<(i64, f64)>>>,
+}
 
-    READ_B(L1, L2)
-    L1 = 0 .. size_L1 - 1
-    L2 = 0 .. size_L2 - 1
-    WRITE B <- input_b(L1, L2) -> B GEMM(L1, L2)
-    ; size_L1 - L1 + 5 * P
-    BODY reader
+impl Toy {
+    /// Placement: one node, so every chain lands on it.
+    fn rr(&self, l1: i64) -> i64 {
+        l1
+    }
+}
 
-    DFILL(L1)
-    L1 = 0 .. size_L1 - 1
-    WRITE C -> C GEMM(L1, 0)
-    ; size_L1 - L1
-    BODY dfill
+impl Host for Toy {
+    /// Memory inputs: 2x2 matrices whose entries depend on (L1, L2).
+    fn data(&self, name: &str, args: &[i64]) -> Option<Payload> {
+        Some(Arc::new(match name {
+            "input_a" => vec![1.0, 0.0, 0.0, 1.0 + args[1] as f64],
+            _ => vec![args[0] as f64 + 1.0, 0.5, 0.5, 1.0],
+        }))
+    }
 
-    GEMM(L1, L2)
-    L1 = 0 .. size_L1 - 1
-    L2 = 0 .. size_L2 - 1
-    READ A <- A READ_A(L1, L2)
-    READ B <- B READ_B(L1, L2)
-    RW C <- (L2 == 0) ? C DFILL(L1)
-         <- (L2 != 0) ? C GEMM(L1, L2 - 1)
-         -> (L2 < size_L2 - 1) ? C GEMM(L1, L2 + 1)
-         -> (L2 == size_L2 - 1) ? C SORT(L1)
-    ; size_L1 - L1 + 1 * P
-    BODY gemm
+    fn execute(
+        &self,
+        body: &str,
+        key: TaskKey,
+        inputs: &mut [Option<Payload>],
+    ) -> Vec<Option<Payload>> {
+        match body {
+            "dfill" => vec![Some(Arc::new(vec![0.0; 4]))],
+            "gemm" => {
+                let a = inputs[0].take().expect("A");
+                let b = inputs[1].take().expect("B");
+                let mut c = (*inputs[2].take().expect("C")).clone();
+                use tensor_kernels::{dgemm, Trans::N};
+                dgemm(N, N, 2, 2, 2, 1.0, &a, &b, 1.0, &mut c);
+                vec![None, None, Some(Arc::new(c))]
+            }
+            "sort" => {
+                let c = inputs[0].take().expect("C");
+                let sum = c.iter().sum();
+                self.results.lock().unwrap().push((key.params[0], sum));
+                vec![None]
+            }
+            // The readers forward what their memory input read.
+            _ => inputs.iter_mut().map(Option::take).collect(),
+        }
+    }
+}
 
-    SORT(L1)
-    L1 = 0 .. size_L1 - 1
-    READ C <- C GEMM(L1, size_L2 - 1)
-    BODY sort
-"#;
+/// `examples/fig1.jdf`, compiled to Rust by the build script.
+#[allow(clippy::overly_complex_bool_expr)] // `L2 == 0 || L2 != 0`
+mod text {
+    use super::Toy as Host;
+    include!(concat!(env!("OUT_DIR"), "/fig1.rs"));
+}
 
 fn main() {
     let (chains, links) = (4i64, 3i64);
 
     let results: Arc<Mutex<Vec<(i64, f64)>>> = Default::default();
-    let results_sink = results.clone();
-
-    let graph = DslBuilder::new(SRC)
-        .global("size_L1", chains)
-        .global("size_L2", links)
-        // Memory inputs: 2x2 matrices whose entries depend on (L1, L2).
-        .data("input_a", |args| {
-            Arc::new(vec![1.0, 0.0, 0.0, 1.0 + args[1] as f64])
-        })
-        .data("input_b", |args| {
-            Arc::new(vec![args[0] as f64 + 1.0, 0.5, 0.5, 1.0])
-        })
-        .body("dfill", |_k, _inputs| vec![Some(Arc::new(vec![0.0; 4]))])
-        .body("gemm", |_k, inputs| {
-            let a = inputs[0].take().expect("A");
-            let b = inputs[1].take().expect("B");
-            let mut c = (*inputs[2].take().expect("C")).clone();
-            tensor_kernels::dgemm(
-                tensor_kernels::Trans::N,
-                tensor_kernels::Trans::N,
-                2,
-                2,
-                2,
-                1.0,
-                &a,
-                &b,
-                1.0,
-                &mut c,
-            );
-            vec![None, None, Some(Arc::new(c))]
-        })
-        .body("sort", move |k, inputs| {
-            let c = inputs[0].take().expect("C");
-            results_sink
-                .lock()
-                .unwrap()
-                .push((k.params[0], c.iter().sum()));
-            vec![None]
-        })
-        .compile(Arc::new(PlainCtx { nodes: 1 }))
-        .expect("DSL compiles");
+    let toy = Toy {
+        size_L1: chains,
+        size_L2: links,
+        results: results.clone(),
+    };
+    let graph = text::graph(toy, Arc::new(PlainCtx { nodes: 1 }), false);
 
     let report = NativeRuntime::new(2).run(&graph);
 

@@ -10,3 +10,14 @@ pub use ptg;
 pub use tce;
 pub use tensor_kernels;
 pub use xtrace;
+
+// The DSL's semantics, on texts the build script compiles (`src/dsl/`,
+// `src/validate/`, `examples/`): ptg has no build script of its own.
+#[cfg(test)]
+mod dsl {
+    mod tests;
+}
+#[cfg(test)]
+mod validate {
+    mod tests;
+}

@@ -3,8 +3,8 @@
 
 use ccsd::{build_graph, simulate_baseline, verify, BaselineCfg, VariantCfg};
 use parsec_rt::{NativeRuntime, SimEngine, SimReport};
-use ptg::dsl::DslBuilder;
-use ptg::PlainCtx;
+use ptg::dsl::Host;
+use ptg::{Payload, PlainCtx, TaskCost, TaskKey};
 use std::sync::{Arc, Mutex};
 use tce::{inspect, scale, TileSpace};
 use tensor_kernels::rel_diff;
@@ -115,63 +115,72 @@ fn traces_are_well_formed() {
     );
 }
 
-/// A DSL-defined graph and a handwritten TaskClass graph with the same
-/// structure compute the same result through the native engine.
+/// `src/dsl/acc.jdf`'s host: `n` terms, the total when DONE runs.
+struct Acc {
+    n: i64,
+    total: Arc<Mutex<f64>>,
+}
+
+impl Host for Acc {
+    fn execute(
+        &self,
+        body: &str,
+        key: TaskKey,
+        inputs: &mut [Option<Payload>],
+    ) -> Vec<Option<Payload>> {
+        let x = inputs[0].take().map_or(0.0, |p| p[0]);
+        match body {
+            "acc" => vec![Some(Arc::new(vec![x + (key.params[0] + 1) as f64]))],
+            _ => {
+                *self.total.lock().unwrap() = x;
+                vec![None]
+            }
+        }
+    }
+}
+
+mod acc {
+    use super::Acc as Host;
+    include!(concat!(env!("OUT_DIR"), "/acc.rs"));
+}
+
+/// A DSL-defined graph computes the sum its text describes through the
+/// native engine.
 #[test]
 fn dsl_and_rust_graphs_agree() {
     // Sum i=0..N-1 of (i+1) via a chain of ACC tasks, expressed in DSL.
     let n = 12i64;
     let total = Arc::new(Mutex::new(0.0f64));
-    let sink = total.clone();
-    let graph = DslBuilder::new(
-        r#"
-        ACC(I)
-        I = 0 .. n - 1
-        RW X <- (I != 0) ? X ACC(I - 1)
-             -> (I < n - 1) ? X ACC(I + 1)
-             -> (I == n - 1) ? X DONE(0)
-        BODY acc
-
-        DONE(Z)
-        Z = 0 .. 0
-        READ X <- X ACC(n - 1)
-        BODY done
-        "#,
-    )
-    .global("n", n)
-    .body("acc", |k, inputs| {
-        let prev = inputs[0].take().map(|p| p[0]).unwrap_or(0.0);
-        vec![Some(Arc::new(vec![prev + (k.params[0] + 1) as f64]))]
-    })
-    .body("done", move |_k, inputs| {
-        *sink.lock().unwrap() = inputs[0].take().unwrap()[0];
-        vec![None]
-    })
-    .compile(Arc::new(PlainCtx { nodes: 1 }))
-    .unwrap();
-
+    let host = Acc {
+        n,
+        total: total.clone(),
+    };
+    let graph = acc::graph(host, Arc::new(PlainCtx { nodes: 1 }), false);
     let rep = NativeRuntime::new(3).run(&graph);
     assert_eq!(rep.tasks, n as u64 + 1);
     let expected: f64 = (1..=n).sum::<i64>() as f64;
     assert_eq!(*total.lock().unwrap(), expected);
 }
 
+/// `src/dsl/step.jdf`'s host: every step costs 1 ms.
+struct Step;
+
+impl Host for Step {
+    fn cost(&self, _body: &str, _key: TaskKey, _inputs: usize) -> TaskCost {
+        TaskCost::Fixed { ns: 1_000_000 }
+    }
+}
+
+mod step {
+    use super::Step as Host;
+    include!(concat!(env!("OUT_DIR"), "/step.rs"));
+}
+
 /// A DSL graph with cost hooks runs on the simulated cluster: the fixed
 /// durations show up in the virtual makespan.
 #[test]
 fn dsl_graph_runs_on_simulator() {
-    let graph = DslBuilder::new(
-        r#"
-        STEP(I)
-        I = 0 .. 9
-        RW X <- (I != 0) ? X STEP(I - 1)
-             -> (I < 9) ? X STEP(I + 1)
-        BODY step
-        "#,
-    )
-    .cost("step", |_k, _| ptg::TaskCost::Fixed { ns: 1_000_000 })
-    .compile(Arc::new(PlainCtx { nodes: 1 }))
-    .unwrap();
+    let graph = step::graph(Step, Arc::new(PlainCtx { nodes: 1 }), false);
     let rep = SimEngine::new(1, 2).run(&graph);
     assert_eq!(rep.tasks, 10);
     // Ten serial 1 ms steps plus dispatch overhead.
